@@ -38,9 +38,20 @@ std::string ToJson(const Report& report, const EmitOptions& options = {});
 /// against the SARIF 2.1.0 required-key set by golden-file tests.
 std::string ToSarif(const Report& report, const EmitOptions& options = {});
 
-/// \brief Escapes a string for embedding inside a JSON string literal
-/// (quotes, backslashes, and control characters; no surrounding quotes).
+/// \brief Appends `s` to `*out`, escaped for embedding inside a JSON string
+/// literal (quotes, backslashes, and control characters; no surrounding
+/// quotes; UTF-8 passes through). Every JSON emitter escapes through it: it
+/// finds the bytes to escape with the block scanner
+/// (sql::blockscan::JsonSpecialEnd) and copies the runs between them.
+void AppendJsonEscaped(std::string* out, std::string_view s);
+
+/// \brief Escapes a string for embedding inside a JSON string literal —
+/// AppendJsonEscaped into a fresh string.
 std::string JsonEscape(std::string_view s);
+
+/// \brief Appends a score exactly as printf("%.6g") prints it in the C
+/// locale (the emitters' score format).
+void AppendScore(std::string* out, double score);
 
 /// \brief Stable machine identifier for an anti-pattern: the display name
 /// lowered with non-alphanumerics folded to '-' ("column-wildcard-usage").

@@ -410,6 +410,14 @@ void AppendFormatted(std::string& out, const char* fmt, ...) {
   if (n > 0) out.append(buf, std::min<size_t>(static_cast<size_t>(n), sizeof(buf) - 1));
 }
 
+/// `, "key": value` — one numeric member of a JSON report row.
+void AppendCount(std::string& out, const char* key, uint64_t value) {
+  out += ", \"";
+  out += key;
+  out += "\": ";
+  out += std::to_string(value);
+}
+
 }  // namespace
 
 std::string ScanReport::ToText() const {
@@ -473,13 +481,15 @@ std::string ScanReport::ToJson() const {
     out += first ? "\n" : ",\n";
     first = false;
     AntiPattern type = static_cast<AntiPattern>(k);
-    AppendFormatted(out,
-                    "    {\"rule\": \"%s\", \"id\": \"%s\", \"occurrences\": %llu, "
-                    "\"statements\": %llu, \"repos\": %llu}",
-                    JsonEscape(ApName(type)).c_str(), ApSlug(type).c_str(),
-                    static_cast<unsigned long long>(row.occurrences),
-                    static_cast<unsigned long long>(row.statements),
-                    static_cast<unsigned long long>(row.repos));
+    out += "    {\"rule\": \"";
+    AppendJsonEscaped(&out, ApName(type));
+    out += "\", \"id\": \"";
+    out += ApSlug(type);
+    out += '"';
+    AppendCount(out, "occurrences", row.occurrences);
+    AppendCount(out, "statements", row.statements);
+    AppendCount(out, "repos", row.repos);
+    out += '}';
   }
   out += first ? "],\n" : "\n  ],\n";
   out += "  \"repos\": [";
@@ -487,14 +497,16 @@ std::string ScanReport::ToJson() const {
   for (const RepoRow& row : repo_rows) {
     out += first ? "\n" : ",\n";
     first = false;
-    AppendFormatted(out,
-                    "    {\"name\": \"%s\", \"files\": %llu, \"statements\": %llu, "
-                    "\"findings\": %llu, \"rules\": %llu}",
-                    JsonEscape(row.name).c_str(),
-                    static_cast<unsigned long long>(row.files),
-                    static_cast<unsigned long long>(row.statements),
-                    static_cast<unsigned long long>(row.findings),
-                    static_cast<unsigned long long>(row.rules));
+    // Appended, not formatted through AppendFormatted's fixed buffer: an
+    // escaped directory name can be several times its raw length.
+    out += "    {\"name\": \"";
+    AppendJsonEscaped(&out, row.name);
+    out += '"';
+    AppendCount(out, "files", row.files);
+    AppendCount(out, "statements", row.statements);
+    AppendCount(out, "findings", row.findings);
+    AppendCount(out, "rules", row.rules);
+    out += '}';
   }
   out += first ? "]\n" : "\n  ]\n";
   out += "}\n";

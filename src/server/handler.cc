@@ -24,7 +24,7 @@ void AppendField(std::string* out, const char* key, std::string_view value,
   *out += '"';
   *out += key;
   *out += "\": \"";
-  *out += JsonEscape(value);
+  AppendJsonEscaped(out, value);
   *out += '"';
 }
 
@@ -233,6 +233,7 @@ std::string SessionHandler::HandleStats() {
     AppendField(&response, "deadlines_expired", gauges_->deadlines_expired.load());
     AppendField(&response, "slow_client_disconnects",
                 gauges_->slow_client_disconnects.load());
+    AppendField(&response, "avg_request_us", gauges_->avg_request_us.load());
     response += '}';
   }
   response += "}\n";

@@ -33,6 +33,10 @@ struct ServerGauges {
   /// Connections dropped because their response backlog made no write
   /// progress for --write-stall-ms.
   std::atomic<uint64_t> slow_client_disconnects{0};
+  /// EWMA (alpha 1/8) of request service time in microseconds, 0 before the
+  /// first request; feeds the `retry_after_ms` hint. Workers update it
+  /// without coordination — racing samples just blend.
+  std::atomic<uint64_t> avg_request_us{0};
 };
 
 /// \brief One tenant's protocol endpoint: owns the tenant's AnalysisSession

@@ -384,7 +384,7 @@ void SqlCheckServer::QueueLines(const std::shared_ptr<Conn>& conn) {
 }
 
 uint64_t SqlCheckServer::RetryAfterMs() const {
-  uint64_t avg_us = avg_request_us_.load(std::memory_order_relaxed);
+  uint64_t avg_us = gauges_.avg_request_us.load(std::memory_order_relaxed);
   if (avg_us == 0) avg_us = 1000;  // no samples yet: assume a 1ms request
   const uint64_t depth = queued_requests_.load(std::memory_order_relaxed);
   const uint64_t workers =
@@ -441,8 +441,8 @@ void SqlCheckServer::ProcessQueue(std::shared_ptr<Conn> conn) {
     queued_requests_.fetch_sub(1, std::memory_order_relaxed);
 
     std::string response;
-    const int64_t start_ms = NowMs();
-    if (request.deadline_ms > 0 && start_ms >= request.deadline_ms) {
+    const auto start = std::chrono::steady_clock::now();
+    if (request.deadline_ms > 0 && NowMs() >= request.deadline_ms) {
       // Expired while queued but claimed before the wheel fired: same
       // answer the wheel would have given, without starting the work.
       gauges_.deadlines_expired.fetch_add(1);
@@ -454,11 +454,13 @@ void SqlCheckServer::ProcessQueue(std::shared_ptr<Conn> conn) {
       response = conn->handler->HandleLine(request.line, request.deadline_ms);
       // Service-time EWMA (alpha 1/8) feeding retry_after_ms. Lost updates
       // between racing workers just blend samples — it is a backoff hint,
-      // not an invariant.
-      const uint64_t sample_us = static_cast<uint64_t>(NowMs() - start_ms) * 1000;
-      const uint64_t prev = avg_request_us_.load(std::memory_order_relaxed);
-      avg_request_us_.store(prev == 0 ? sample_us : (prev * 7 + sample_us) / 8,
-                            std::memory_order_relaxed);
+      // not an invariant. Samples round up to whole microseconds, so every
+      // served request counts as at least 1 us.
+      const std::chrono::nanoseconds elapsed = std::chrono::steady_clock::now() - start;
+      const uint64_t sample_us = (static_cast<uint64_t>(elapsed.count()) + 999) / 1000;
+      const uint64_t prev = gauges_.avg_request_us.load(std::memory_order_relaxed);
+      gauges_.avg_request_us.store(prev == 0 ? sample_us : (prev * 7 + sample_us) / 8,
+                                   std::memory_order_relaxed);
     }
     gauges_.requests.fetch_add(1);
     {

@@ -182,10 +182,6 @@ class SqlCheckServer {
   /// Requests admitted but not yet started, across all connections — the
   /// load-shedding admission gate (QueueLines bumps, workers/expiry drop).
   std::atomic<size_t> queued_requests_{0};
-  /// EWMA of request service time in microseconds (workers update, the
-  /// admission path reads it for retry_after_ms). Heuristic: races between
-  /// workers just blend samples.
-  std::atomic<uint64_t> avg_request_us_{0};
 };
 
 }  // namespace server

@@ -261,9 +261,9 @@ Request ParseRequest(std::string_view line) {
 
 std::string ErrorLine(std::string_view code, std::string_view message) {
   std::string line = "{\"ok\": false, \"error\": {\"code\": \"";
-  line += JsonEscape(code);
+  AppendJsonEscaped(&line, code);
   line += "\", \"message\": \"";
-  line += JsonEscape(message);
+  AppendJsonEscaped(&line, message);
   line += "\"}}\n";
   return line;
 }
@@ -295,11 +295,11 @@ std::string StatementErrorLine(std::string_view code, std::string_view message,
     if (lead - 1 + expect > prefix.size()) prefix = prefix.substr(0, lead - 1);
   }
   std::string line = "{\"op\": \"statement_error\", \"ok\": false, \"error\": {\"code\": \"";
-  line += JsonEscape(code);
+  AppendJsonEscaped(&line, code);
   line += "\", \"message\": \"";
-  line += JsonEscape(message);
+  AppendJsonEscaped(&line, message);
   line += "\"}, \"sql\": \"";
-  line += JsonEscape(prefix);
+  AppendJsonEscaped(&line, prefix);
   if (prefix.size() < sql.size()) line += "...";
   line += "\", \"quarantined\": ";
   line += quarantined ? "true" : "false";

@@ -13,7 +13,9 @@
 // blocks instead of byte-at-a-time. This is the structural-scan stage of the
 // frontend: the lexer, the statement splitter (which rides the lexer), and
 // the streaming canonicalizer in fingerprint.cc all consume raw SQL through
-// these functions, so they classify bytes identically by construction.
+// these functions, so they classify bytes identically by construction. The
+// report emitters (core/emit.cc) find the bytes JSON must escape with
+// JsonSpecialEnd, which has the scalar and SIMD tiers only.
 //
 // Three tiers, selected per call:
 //  - scalar: the reference implementation, a byte loop over the
@@ -97,6 +99,18 @@ inline size_t FindByteScalar(std::string_view s, size_t pos, char a) {
 /// First index >= pos holding byte `a` or byte `b`, or s.size().
 inline size_t FindEitherScalar(std::string_view s, size_t pos, char a, char b) {
   while (pos < s.size() && s[pos] != a && s[pos] != b) ++pos;
+  return pos;
+}
+
+/// True for the bytes a JSON string literal must escape: control bytes
+/// (< 0x20), '"' and '\'. Bytes >= 0x80 (multi-byte UTF-8) pass through.
+inline bool IsJsonSpecial(char c) {
+  return static_cast<unsigned char>(c) < 0x20 || c == '"' || c == '\\';
+}
+
+/// First index >= pos holding a JSON-special byte, or s.size().
+inline size_t JsonSpecialEndScalar(std::string_view s, size_t pos) {
+  while (pos < s.size() && !IsJsonSpecial(s[pos])) ++pos;
   return pos;
 }
 
@@ -306,6 +320,30 @@ inline size_t FindEither(std::string_view s, size_t pos, char a, char b) {
   return FindEitherScalar(s, pos, a, b);
 }
 
+inline unsigned JsonSpecialMask(const char* p) {
+  const __m128i v = Load(p);
+  const __m128i quote = _mm_cmpeq_epi8(v, _mm_set1_epi8('"'));
+  const __m128i backslash = _mm_cmpeq_epi8(v, _mm_set1_epi8('\\'));
+  const __m128i hit = _mm_or_si128(InRange(v, 0x00, 0x1F), _mm_or_si128(quote, backslash));
+  return static_cast<unsigned>(_mm_movemask_epi8(hit));
+}
+
+inline size_t JsonSpecialEnd(std::string_view s, size_t pos) {
+  const char* p = s.data();
+  const size_t n = s.size();
+  while (pos + 16 <= n) {
+    unsigned mask = JsonSpecialMask(p + pos);
+    if (mask != 0) return pos + static_cast<size_t>(detail::CountTrailingZeros32(mask));
+    pos += 16;
+  }
+  if (pos == n || n < 16) return JsonSpecialEndScalar(s, pos);
+  // Short tail of a long string: one overlapping load of the last 16 bytes,
+  // with the lanes before `pos` masked off.
+  const size_t base = n - 16;
+  unsigned mask = JsonSpecialMask(p + base) >> (pos - base);
+  return mask != 0 ? pos + static_cast<size_t>(detail::CountTrailingZeros32(mask)) : n;
+}
+
 }  // namespace simd
 #endif  // SQLCHECK_BLOCK_SCAN_SSE2
 
@@ -388,6 +426,35 @@ inline size_t FindEither(std::string_view s, size_t pos, char a, char b) {
     pos += 16;
   }
   return FindEitherScalar(s, pos, a, b);
+}
+
+/// Byte index (0-15) of the first set lane in a nonzero MoveMask result.
+inline size_t FirstLane(uint64_t mask) {
+  return static_cast<size_t>(detail::CountTrailingZeros64(mask)) >> 2;
+}
+
+inline uint64_t JsonSpecialMask(const char* p) {
+  const uint8x16_t v = Load(p);
+  const uint8x16_t quote = vceqq_u8(v, vdupq_n_u8('"'));
+  const uint8x16_t backslash = vceqq_u8(v, vdupq_n_u8('\\'));
+  const uint8x16_t control = vcltq_u8(v, vdupq_n_u8(0x20));
+  return MoveMask(vorrq_u8(control, vorrq_u8(quote, backslash)));
+}
+
+inline size_t JsonSpecialEnd(std::string_view s, size_t pos) {
+  const char* p = s.data();
+  const size_t n = s.size();
+  while (pos + 16 <= n) {
+    uint64_t mask = JsonSpecialMask(p + pos);
+    if (mask != 0) return pos + FirstLane(mask);
+    pos += 16;
+  }
+  if (pos == n || n < 16) return JsonSpecialEndScalar(s, pos);
+  // Short tail of a long string: one overlapping load of the last 16 bytes,
+  // with the lanes before `pos` masked off.
+  const size_t base = n - 16;
+  uint64_t mask = JsonSpecialMask(p + base) >> (4 * (pos - base));
+  return mask != 0 ? pos + FirstLane(mask) : n;
 }
 
 }  // namespace simd
@@ -483,6 +550,17 @@ inline size_t FindEither(std::string_view s, size_t pos, char a, char b) {
 /// doubled quote `'` or backslash escape), or s.size().
 inline size_t FindStringSpecial(std::string_view s, size_t pos) {
   return FindEither(s, pos, '\'', '\\');
+}
+
+/// First index >= pos holding a byte a JSON string literal must escape
+/// (IsJsonSpecial), or s.size() — the scan behind the report emitters'
+/// escaping. SIMD or scalar only: there is deliberately no SWAR variant, so
+/// a build without SSE2/NEON takes the scalar reference.
+inline size_t JsonSpecialEnd(std::string_view s, size_t pos) {
+#if SQLCHECK_BLOCK_SCAN_SIMD
+  if (!ForceScalar()) return simd::JsonSpecialEnd(s, pos);
+#endif
+  return JsonSpecialEndScalar(s, pos);
 }
 
 }  // namespace sqlcheck::sql::blockscan

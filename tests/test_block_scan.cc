@@ -1,9 +1,9 @@
 // Block-scan tiers (sql/block_scan.h): the SWAR/SIMD fast paths must agree
 // with the scalar reference byte-for-byte — on the unified character-class
 // tables (lexer, splitter, and fingerprint scanner all read
-// lexer_detail.h), on every run/find primitive, and on the full token
-// stream, split boundaries, and canonical forms over the table-3 corpus
-// plus a hostile fuzz corpus.
+// lexer_detail.h), on every run/find primitive (including the emitters'
+// JSON escape scan), and on the full token stream, split boundaries, and
+// canonical forms over the table-3 corpus plus a hostile fuzz corpus.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -121,6 +121,71 @@ TEST(BlockScanTest, PrimitivesMatchScalarReference) {
       EXPECT_EQ(special_fast, bs::FindStringSpecial(s, pos)) << "pos " << pos;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// JsonSpecialEnd (the report emitters' escape scan): scalar vs fast tier.
+// ---------------------------------------------------------------------------
+
+/// Fast and scalar JsonSpecialEnd from every start position of `s`.
+void ExpectJsonSpecialLockstep(const std::string& s) {
+  ScopedMode restore;
+  for (size_t pos = 0; pos <= s.size(); ++pos) {
+    bs::SetForceScalarForTest(false);
+    const size_t fast = bs::JsonSpecialEnd(s, pos);
+    bs::SetForceScalarForTest(true);
+    ASSERT_EQ(fast, bs::JsonSpecialEnd(s, pos)) << "pos " << pos << " in " << s.size();
+    ASSERT_EQ(fast, bs::JsonSpecialEndScalar(s, pos));
+  }
+}
+
+TEST(BlockScanTest, JsonSpecialEndMatchesScalarForEveryByteAndOffset) {
+  for (int c = 0; c < 256; ++c) {
+    const char ch = static_cast<char>(c);
+    const bool special = c < 0x20 || ch == '"' || ch == '\\';
+    EXPECT_EQ(bs::IsJsonSpecial(ch), special) << "byte " << c;
+    // The byte at every offset mod 16 of a 48-byte buffer (first, middle,
+    // and last block), and in buffers too short for one block.
+    for (size_t offset = 0; offset < 48; ++offset) {
+      std::string s(48, 'x');
+      s[offset] = ch;
+      ExpectJsonSpecialLockstep(s);
+      ExpectJsonSpecialLockstep(s.substr(0, offset % 16 + 1));
+      ExpectJsonSpecialLockstep(s.substr(0, offset + 1));
+    }
+  }
+}
+
+TEST(BlockScanTest, JsonSpecialEndFindsSpecialsStraddlingBlocks) {
+  // Specials on both sides of every 16-byte block boundary, and runs of
+  // specials that span one.
+  for (size_t len = 1; len <= 70; ++len) {
+    for (size_t boundary : {15u, 16u, 17u, 31u, 32u, 33u}) {
+      std::string s(len, 'a');
+      if (boundary < len) s[boundary] = '"';
+      if (boundary + 1 < len) s[boundary + 1] = '\\';
+      if (boundary >= 2 && boundary - 2 < len) s[boundary - 2] = '\x1f';
+      ExpectJsonSpecialLockstep(s);
+    }
+  }
+  ExpectJsonSpecialLockstep(std::string(40, '"'));
+  ExpectJsonSpecialLockstep(std::string(40, '\n'));
+  for (const std::string& s : FuzzBuffers()) ExpectJsonSpecialLockstep(s);
+}
+
+TEST(BlockScanTest, JsonSpecialEndPassesMultiByteUtf8Through) {
+  const std::string utf8 =
+      "h\xC3\xA9llo w\xC3\xB6rld \xE2\x80\x93 \xF0\x9F\x8E\x89 caf\xC3\xA9 "
+      "\xE2\x82\xAC\xF0\x9F\x98\x80\xC3\xBF\xEF\xBF\xBD";
+  ScopedMode restore;
+  for (bool scalar : {false, true}) {
+    bs::SetForceScalarForTest(scalar);
+    EXPECT_EQ(bs::JsonSpecialEnd(utf8, 0), utf8.size());
+    const std::string with_quote = utf8 + "\"";
+    EXPECT_EQ(bs::JsonSpecialEnd(with_quote, 0), utf8.size());
+  }
+  ExpectJsonSpecialLockstep(utf8);
+  ExpectJsonSpecialLockstep(utf8 + "\t" + utf8);
 }
 
 // ---------------------------------------------------------------------------

@@ -657,9 +657,11 @@ TEST_F(ServerChaosTest, QueuedRequestsPastTheDeadlineAreExpired) {
 
   // The big check occupies the lone worker well past 30ms, so the pings
   // queued behind it expire on the deadline wheel without ever running; the
-  // big check itself stops cooperatively at the cutoff.
+  // big check itself stops cooperatively at the cutoff. 25k statements
+  // (~0.8 MB, under the 1 MiB line cap) keep it busy for several times the
+  // deadline even on a fast host; 5k could finish inside 30ms.
   std::string big;
-  for (int i = 0; i < 5000; ++i) {
+  for (int i = 0; i < 25000; ++i) {
     big += "SELECT col" + std::to_string(i) + " FROM tbl" + std::to_string(i) + "; ";
   }
   std::string burst = "{\"op\": \"check\", \"sql\": \"" + big + "\"}\n";

@@ -1,13 +1,22 @@
 // Structured report emitters: the JSON shape is golden-file tested byte for
 // byte (determinism is part of the contract — CI diffs, dashboards, and
 // code-scanning uploads all depend on it), and the SARIF rendering is pinned
-// to the 2.1.0 required-key set plus the full 27-rule driver catalog.
+// to the 2.1.0 required-key set plus the full 27-rule driver catalog. FNV
+// digests pin every emitter's bytes over whole workloads on both block-scan
+// tiers, and the formatting primitives (scores, escaping) are checked
+// against printf and the server's JSON parser.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <random>
 #include <string>
 
 #include "core/emit.h"
 #include "core/sqlcheck.h"
+#include "server/wire.h"
+#include "sql/block_scan.h"
+#include "workload/corpus.h"
 
 namespace sqlcheck {
 namespace {
@@ -19,6 +28,182 @@ size_t CountOccurrences(const std::string& haystack, const std::string& needle) 
     ++count;
   }
   return count;
+}
+
+uint64_t Fnv(std::string_view bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// ---------------------------------------------------------------------------
+// Byte-identity oracle: FNV digests of every emitter over two workloads,
+// pinned so a rewrite of the emitters cannot change a single output byte.
+// Each digest must hold on both block-scan tiers.
+// ---------------------------------------------------------------------------
+
+struct EmitterDigests {
+  uint64_t json = 0;
+  uint64_t json_fixes = 0;
+  uint64_t sarif_fixes = 0;
+  uint64_t lines = 0;  ///< FindingToJsonLine over every finding, concatenated.
+};
+
+EmitterDigests DigestEmitters(const std::string& script) {
+  SqlCheck checker;
+  checker.AddScript(script);
+  const Report report = checker.Run();
+  EmitOptions fixes;
+  fixes.include_fixes = true;
+  EmitOptions sarif = fixes;
+  sarif.artifact_uri = "corpus/queries.sql";
+  sarif.artifact_content = script;
+  std::string lines;
+  for (size_t i = 0; i < report.findings.size(); ++i) {
+    lines += FindingToJsonLine(report.findings[i], i + 1, /*include_fixes=*/i % 2 == 0);
+    lines += '\n';
+  }
+  return {Fnv(ToJson(report)), Fnv(ToJson(report, fixes)), Fnv(ToSarif(report, sarif)),
+          Fnv(lines)};
+}
+
+std::string JoinStatements(const workload::Corpus& corpus) {
+  std::string script;
+  for (const workload::LabeledStatement& s : corpus.AllStatements()) {
+    script += s.sql;
+    script += ";\n";
+  }
+  return script;
+}
+
+/// Runs `check` once per block-scan tier, restoring the ambient mode.
+template <typename Fn>
+void OnBothTiers(Fn&& check) {
+  namespace bs = sql::blockscan;
+  const bool was = bs::ForceScalar();
+  for (bool scalar : {false, true}) {
+    SCOPED_TRACE(scalar ? "scalar tier" : "fast tier");
+    bs::SetForceScalarForTest(scalar);
+    check();
+  }
+  bs::SetForceScalarForTest(was);
+}
+
+void ExpectDigests(const std::string& script, const EmitterDigests& pinned) {
+  OnBothTiers([&] {
+    const EmitterDigests got = DigestEmitters(script);
+    EXPECT_EQ(got.json, pinned.json);
+    EXPECT_EQ(got.json_fixes, pinned.json_fixes);
+    EXPECT_EQ(got.sarif_fixes, pinned.sarif_fixes);
+    EXPECT_EQ(got.lines, pinned.lines);
+  });
+}
+
+TEST(EmitDigestTest, Table3CorpusEmitsPinnedBytes) {
+  ExpectDigests(JoinStatements(workload::GenerateCorpus()),
+                {992406405833882599ull, 2865310208648731182ull, 6870421992265348977ull,
+                 8778943223590471321ull});
+}
+
+TEST(EmitDigestTest, SeededWorkloadWithHostileStringsEmitsPinnedBytes) {
+  workload::CorpusOptions options;
+  options.repo_count = 12;
+  options.seed = 20200614;
+  std::string script = JoinStatements(workload::GenerateCorpus(options));
+  // Literals that need escaping, long enough to straddle 16-byte blocks:
+  // quotes, backslashes, every control byte class, and multi-byte UTF-8.
+  script +=
+      "SELECT * FROM users WHERE note = 'say \"hi\" to C:\\\\temp\\\\dir "
+      "and \"bye\"';\n"
+      "SELECT * FROM logs WHERE line LIKE '%tab\there\nnew\rline\x01\x1f%';\n"
+      "SELECT * FROM t WHERE name = 'h\xC3\xA9llo w\xC3\xB6rld \xE2\x80\x93 "
+      "\xF0\x9F\x8E\x89 \"quoted\" \\ end';\n"
+      "INSERT INTO audit VALUES (1, '\b\f\x7f\x80 ctl');\n";
+  // The hostile literals really reach the emitted bytes.
+  SqlCheck checker;
+  checker.AddScript(script);
+  const std::string json = checker.Run().ToJson();
+  EXPECT_NE(json.find("say \\\"hi\\\" to C:\\\\\\\\temp"), std::string::npos);
+  EXPECT_NE(json.find("tab\\there\\nnew\\rline\\u0001\\u001f"), std::string::npos);
+  EXPECT_NE(json.find("h\xC3\xA9llo w\xC3\xB6rld"), std::string::npos);
+  EXPECT_NE(json.find("\\b\\f\x7f\x80 ctl"), std::string::npos);
+  ExpectDigests(script, {18174670917168122634ull, 10295397230715801628ull,
+                         6527346427915136267ull, 3360168210765221456ull});
+}
+
+// ---------------------------------------------------------------------------
+// Formatting primitives: scores through to_chars, strings through the
+// block-scan escaper.
+// ---------------------------------------------------------------------------
+
+std::string Printf6g(double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.6g", value);
+  return buffer;
+}
+
+std::string Score(double value) {
+  std::string out;
+  AppendScore(&out, value);
+  return out;
+}
+
+TEST(EmitFormatTest, ScoreMatchesPrintfPrecision6g) {
+  for (double v : {0.0, 1.0, 1e-5, 1e-7, 0.5, 0.212, 0.1234565, 0.9999995, 123456.5}) {
+    EXPECT_EQ(Score(v), Printf6g(v)) << v;
+  }
+  // Just below every power of ten: where %g switches between fixed and
+  // exponent notation and where rounding carries into a new digit.
+  for (int exp = -12; exp <= 12; ++exp) {
+    const double power = std::pow(10.0, exp);
+    for (double v : {power, std::nextafter(power, 0.0), power * (1 - 1e-7),
+                     power * (1 - 4e-7), power * (1 - 6e-7)}) {
+      EXPECT_EQ(Score(v), Printf6g(v)) << v;
+    }
+  }
+  std::mt19937_64 rng(1406);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int i = 0; i < 100000; ++i) {
+    const double v = unit(rng);
+    ASSERT_EQ(Score(v), Printf6g(v)) << v;
+  }
+}
+
+/// JsonEscape(s) inside a check request, decoded by the server's parser.
+std::string WireRoundTrip(const std::string& s) {
+  server::Request request =
+      server::ParseRequest(R"({"op": "check", "sql": ")" + JsonEscape(s) + "\"}");
+  EXPECT_TRUE(request.ok) << request.error_message;
+  return request.sql;
+}
+
+TEST(EmitFormatTest, EscapedStringsDecodeBackThroughTheWireParser) {
+  OnBothTiers([] {
+    std::string all_ascii;
+    for (int c = 0; c < 0x80; ++c) {
+      const std::string one(1, static_cast<char>(c));
+      EXPECT_EQ(WireRoundTrip(one), one) << "byte " << c;
+      // Embedded mid-string, past a 16-byte block boundary.
+      const std::string framed = "0123456789abcdefghij" + one + "klmnopqrstuvwxyz";
+      EXPECT_EQ(WireRoundTrip(framed), framed) << "byte " << c;
+      all_ascii += one;
+    }
+    EXPECT_EQ(WireRoundTrip(all_ascii), all_ascii);
+    EXPECT_EQ(WireRoundTrip(all_ascii + all_ascii), all_ascii + all_ascii);
+    const std::string utf8 =
+        "caf\xC3\xA9 \xE2\x82\xAC \xF0\x9F\x98\x80 \"\xC3\xA9\\\n\xE2\x80\x93\t"
+        "\xF0\x9F\x8E\x89\x01 h\xC3\xA9llo w\xC3\xB6rld";
+    EXPECT_EQ(WireRoundTrip(utf8), utf8);
+    for (size_t cut = 0; cut < utf8.size(); ++cut) {
+      // Every suffix that starts on a character boundary is valid UTF-8.
+      if ((static_cast<unsigned char>(utf8[cut]) & 0xC0) == 0x80) continue;
+      const std::string tail = utf8.substr(cut);
+      EXPECT_EQ(WireRoundTrip(tail), tail) << "suffix " << cut;
+    }
+  });
 }
 
 TEST(EmitJsonTest, GoldenSingleFinding) {

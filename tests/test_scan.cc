@@ -17,9 +17,11 @@
 
 #include "common/failpoint.h"
 #include "common/thread_pool.h"
+#include "core/emit.h"
 #include "persist/fingerprint_store.h"
 #include "rules/registry.h"
 #include "scan/scanner.h"
+#include "server/wire.h"
 #include "sql/fingerprint.h"
 
 namespace sqlcheck::scan {
@@ -130,6 +132,30 @@ TEST_F(ScanTest, ColdWarmDisabledReportsAreIdentical) {
 
   std::string summary;
   EXPECT_TRUE(persist::FingerprintStore::Verify(store_, &summary).ok()) << summary;
+}
+
+TEST_F(ScanTest, ReportDigestOfOrdinaryNamesIsPinned) {
+  Run run = Scan("");
+  EXPECT_EQ(run.digest, 10929388342558542233ull) << run.report.ToJson();
+}
+
+TEST_F(ScanTest, JsonReportKeepsHostileRepoNamesWhole) {
+  // Directory names may hold quotes and control bytes; escaping expands
+  // this one from 200 to 800 bytes.
+  std::string name;
+  for (int i = 0; i < 200; ++i) name += i % 2 == 0 ? '"' : '\x01';
+  WriteFile(name + "/queries.sql", "SELECT * FROM users;\n");
+  Run run = Scan("");
+  ASSERT_EQ(run.report.repos, 3u);
+  const std::string json = run.report.ToJson();
+  // The whole report is valid JSON: the wire parser accepts it as the value
+  // of an unknown request member.
+  server::Request parsed =
+      server::ParseRequest("{\"op\": \"scan\", \"report\": " + json + "}");
+  EXPECT_TRUE(parsed.ok) << parsed.error_message;
+  EXPECT_NE(json.find("{\"name\": \"" + JsonEscape(name) + "\", \"files\": 1, "),
+            std::string::npos)
+      << json;
 }
 
 TEST_F(ScanTest, ChangedFileFallsBackToStatementTierThenRecovers) {

@@ -283,7 +283,7 @@ class LoopbackTest : public ::testing::Test {
  protected:
   Status StartServer(ServerOptions options = {}) {
     options.port = 0;  // ephemeral
-    options.workers = 2;
+    if (options.workers == 0) options.workers = 2;
     server_ = std::make_unique<SqlCheckServer>(std::move(options));
     return server_->Start();
   }
@@ -504,6 +504,35 @@ TEST_F(LoopbackTest, SampleWorkloadFindingsMatchBatchBytes) {
                            FindingToJsonLine(report.findings[i], i + 1) + "}";
     EXPECT_EQ(lines[i], expected) << "finding " << i;
   }
+}
+
+TEST_F(LoopbackTest, StatsReportsSubMillisecondServiceTime) {
+  ServerOptions options;
+  options.workers = 1;
+  ASSERT_TRUE(StartServer(options).ok());
+  LineClient client = Connect();
+  std::string hello;
+  ASSERT_TRUE(client.ReadLine(&hello).ok());
+
+  // A burst of pings, each served in well under a millisecond: the service
+  // time average must see them as such, not as whole-millisecond zeros.
+  constexpr int kPings = 64;
+  std::string burst = R"({"op": "ping"})";
+  for (int i = 1; i < kPings; ++i) burst += "\n{\"op\": \"ping\"}";
+  ASSERT_TRUE(client.SendLine(burst).ok());
+  for (int i = 0; i < kPings; ++i) {
+    std::string pong;
+    ASSERT_TRUE(client.ReadLine(&pong).ok());
+  }
+  ASSERT_TRUE(client.SendLine(R"({"op": "stats"})").ok());
+  std::string stats;
+  ASSERT_TRUE(client.ReadLine(&stats).ok());
+  const std::string key = "\"avg_request_us\": ";
+  const size_t at = stats.find(key);
+  ASSERT_NE(at, std::string::npos) << stats;
+  const uint64_t avg_us = std::stoull(stats.substr(at + key.size()));
+  EXPECT_GT(avg_us, 0u) << stats;
+  EXPECT_LT(avg_us, 1000u) << stats;
 }
 
 TEST_F(LoopbackTest, GaugesCountTraffic) {

@@ -507,17 +507,27 @@ void PrintDeltaText(const Report& report, size_t statement_index, bool color) {
 /// compact object per statement).
 void PrintDeltaJson(const Report& report, size_t statement_index,
                     std::string_view sql) {
-  std::cout << "{\"statement\": " << statement_index << ", \"sql\": \""
-            << JsonEscape(sql) << "\", \"findings\": [";
+  std::string line = "{\"statement\": " + std::to_string(statement_index);
+  line += ", \"sql\": \"";
+  AppendJsonEscaped(&line, sql);
+  line += "\", \"findings\": [";
   for (size_t i = 0; i < report.findings.size(); ++i) {
     const Finding& f = report.findings[i];
     const Detection& d = f.ranked.detection;
-    std::cout << (i == 0 ? "" : ", ") << "{\"rule\": \"" << JsonEscape(ApName(d.type))
-              << "\", \"score\": " << f.ranked.score << ", \"table\": \""
-              << JsonEscape(d.table) << "\", \"column\": \"" << JsonEscape(d.column)
-              << "\", \"message\": \"" << JsonEscape(d.message) << "\"}";
+    line += i == 0 ? "{\"rule\": \"" : ", {\"rule\": \"";
+    AppendJsonEscaped(&line, ApName(d.type));
+    line += "\", \"score\": ";
+    AppendScore(&line, f.ranked.score);
+    line += ", \"table\": \"";
+    AppendJsonEscaped(&line, d.table);
+    line += "\", \"column\": \"";
+    AppendJsonEscaped(&line, d.column);
+    line += "\", \"message\": \"";
+    AppendJsonEscaped(&line, d.message);
+    line += "\"}";
   }
-  std::cout << "]}" << std::endl;  // flush per statement: monitors tail this
+  line += "]}";
+  std::cout << line << std::endl;  // flush per statement: monitors tail this
 }
 
 /// --follow loop: accumulate lines, peel off completed statements, and
