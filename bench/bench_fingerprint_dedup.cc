@@ -3,10 +3,9 @@
 // whitespace / keyword-case / comment jitter, as real query logs have), 10%
 // is unique. Runs the analysis + detection pipeline with the dedup cache off
 // and on, verifies the detection streams are byte-identical (every field
-// folded into an order-sensitive digest), and reports the single-thread
-// speedup plus how dedup composes with the parallel pipeline. Exits nonzero
-// on digest divergence always; with --gate it additionally requires >=2x
-// single-thread speedup.
+// folded into an order-sensitive digest), and reports the speedup. Exits
+// nonzero on digest divergence always; with --gate it additionally requires
+// >=2x speedup.
 //
 //   $ ./bench_fingerprint_dedup [statement_count] [--gate]
 #include <chrono>
@@ -114,22 +113,20 @@ struct RunResult {
 };
 
 RunResult RunPipeline(const std::vector<std::string>& statements,
-                      const RuleRegistry& registry, bool dedup, int parallelism,
-                      int repeats) {
+                      const RuleRegistry& registry, bool dedup, int repeats) {
   RunResult best;
   for (int r = 0; r < repeats; ++r) {
     ContextBuilder builder;
     for (const auto& sql_text : statements) builder.AddQuery(sql_text);
 
     auto build_start = Clock::now();
-    Context context = builder.Build(parallelism, nullptr, dedup);
+    Context context = builder.Build(dedup);
     double build_ms = MsSince(build_start);
 
     DetectorConfig config;
     config.data_analysis = false;
     auto detect_start = Clock::now();
-    std::vector<Detection> detections =
-        DetectAntiPatterns(context, registry, config, parallelism);
+    std::vector<Detection> detections = DetectAntiPatterns(context, registry, config);
     double detect_ms = MsSince(detect_start);
 
     if (r == 0) {
@@ -165,45 +162,29 @@ int main(int argc, char** argv) {
   std::printf(
       "fingerprint dedup: %zu statements (90%% duplicate templates), %zu rules\n\n",
       statements.size(), registry.size());
-  std::printf("%18s %8s %12s %12s %12s %12s %10s\n", "config", "threads", "build(ms)",
-              "detect(ms)", "total(ms)", "detections", "unique");
+  std::printf("%18s %12s %12s %12s %12s %10s\n", "config", "build(ms)", "detect(ms)",
+              "total(ms)", "detections", "unique");
 
-  RunResult off = RunPipeline(statements, registry, /*dedup=*/false, 1, kRepeats);
-  std::printf("%18s %8d %12.1f %12.1f %12.1f %12zu %10zu\n", "dedup off", 1, off.build_ms,
+  RunResult off = RunPipeline(statements, registry, /*dedup=*/false, kRepeats);
+  std::printf("%18s %12.1f %12.1f %12.1f %12zu %10zu\n", "dedup off", off.build_ms,
               off.detect_ms, off.total(), off.detections, off.unique);
 
-  RunResult on = RunPipeline(statements, registry, /*dedup=*/true, 1, kRepeats);
-  std::printf("%18s %8d %12.1f %12.1f %12.1f %12zu %10zu\n", "dedup on", 1, on.build_ms,
+  RunResult on = RunPipeline(statements, registry, /*dedup=*/true, kRepeats);
+  std::printf("%18s %12.1f %12.1f %12.1f %12zu %10zu\n", "dedup on", on.build_ms,
               on.detect_ms, on.total(), on.detections, on.unique);
 
-  bool ok = true;
   if (on.detections != off.detections || on.digest != off.digest) {
     std::printf("FAIL: detection stream diverged with dedup on "
                 "(%zu vs %zu detections, digest %016llx vs %016llx)\n",
                 on.detections, off.detections, static_cast<unsigned long long>(on.digest),
                 static_cast<unsigned long long>(off.digest));
-    ok = false;
+    return 1;
   }
-
-  // Dedup composes with the parallel pipeline: shards cover unique
-  // fingerprints, and every thread count must reproduce the same stream.
-  for (int threads : {2, 4}) {
-    RunResult result =
-        RunPipeline(statements, registry, /*dedup=*/true, threads, kRepeats);
-    std::printf("%18s %8d %12.1f %12.1f %12.1f %12zu %10zu\n", "dedup on", threads,
-                result.build_ms, result.detect_ms, result.total(), result.detections,
-                result.unique);
-    if (result.detections != off.detections || result.digest != off.digest) {
-      std::printf("FAIL: detection stream diverged at %d threads\n", threads);
-      ok = false;
-    }
-  }
-  if (!ok) return 1;
 
   double speedup = on.total() > 0.0 ? off.total() / on.total() : 0.0;
   std::printf("\ndetection streams identical (digest %016llx)\n",
               static_cast<unsigned long long>(off.digest));
-  std::printf("single-thread dedup speedup: %.2fx (target >= 2x)\n", speedup);
+  std::printf("dedup speedup: %.2fx (target >= 2x)\n", speedup);
 
   if (!gate) {
     std::printf("speedup gate off — pass --gate to enforce the 2x target\n");

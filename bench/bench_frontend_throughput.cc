@@ -9,19 +9,18 @@
 // The SIMD/SWAR frontend (PR 8) adds two sections on top: the lex stage is
 // measured on both the block-scan fast tier and the forced-scalar reference
 // (their token streams are asserted identical by tests/test_block_scan.cc;
-// here they are separate throughput rows), and bulk ingestion is measured at
-// ingest_parallelism 1/2/4/8 over the corpus joined into one script. Every
-// shard count must produce the same report digest — that identity is
-// unconditional, like the baseline digest check.
+// here they are separate throughput rows), and the corpus joined into one
+// script is measured through AnalysisSession::AddScript. The script load
+// must produce the same report digest as the statement-at-a-time batch run —
+// that identity is unconditional, like the baseline digest check.
 //
 // Gate policy: --gate enforces only SAME-RUN ratios — both sides measured in
 // this process on this machine — because absolute throughput floors recorded
 // on one container are not portable to another (a slower CI host fails them
 // with the optimization fully intact, which is exactly what happened to the
 // recorded-constant gates this bench originally shipped with). Under --gate
-// the fast lex tier must clear 1.25x the same-run scalar tier, and on hosts
-// with >=4 hardware threads 4-way sharded ingestion must clear 1.5x serial
-// ingestion. The cross-host ratios against the recorded baseline and the
+// the fast lex tier must clear 1.25x the same-run scalar tier. The
+// cross-host ratios against the recorded baseline and the
 // PR-7-era lexer are still measured and written to the JSON as informational
 // fields. A failed run refuses to write BENCH_frontend.json at all, so a red
 // bench can never leave behind an artifact that looks like a measurement.
@@ -62,8 +61,7 @@ double SecondsSince(Clock::time_point start) {
 }
 
 /// Order-sensitive FNV digest over every detection field (same fold as
-/// bench_fingerprint_dedup / bench_parallel_scaling, so the streams are
-/// comparable across benches).
+/// bench_fingerprint_dedup, so the streams are comparable across benches).
 uint64_t DigestReport(const Report& report) {
   uint64_t h = 1469598103934665603ull;
   auto mix = [&h](std::string_view s) {
@@ -113,20 +111,14 @@ constexpr double kPrevLexMBs = 325.37;
 // *scalar* confirms the SIMD tiers are doing real work on top of that.
 constexpr double kLexFastVsScalarFloor = 1.25;
 
-/// One bulk-ingestion measurement: AddScript + Snapshot at a shard count.
-struct IngestRow {
-  int shards = 0;
-  double stmts_per_sec = 0.0;
-  uint64_t digest = 0;
-};
-
 struct Measurement {
-  double lex_mbs = 0.0;         ///< Block-scan fast tier (SSE2/NEON/SWAR).
+  double lex_mbs = 0.0;         ///< Block-scan fast tier (SSE2/NEON).
   double lex_scalar_mbs = 0.0;  ///< Forced-scalar reference path.
   double lex_parse_mbs = 0.0;
   double run_stmts_per_sec = 0.0;
   double run_with_fixes_stmts_per_sec = 0.0;
-  std::vector<IngestRow> ingest;  ///< Sharded bulk ingestion, 1/2/4/8 shards.
+  double script_stmts_per_sec = 0.0;  ///< One AddScript of the whole corpus.
+  uint64_t script_digest = 0;
   uint64_t digest = 0;
   size_t statements = 0;
   size_t bytes = 0;
@@ -245,10 +237,9 @@ Measurement Measure(const std::vector<std::string>& statements) {
     m.run_with_fixes_stmts_per_sec = static_cast<double>(m.statements) / secs;
   }
 
-  // Sharded bulk ingestion: the whole corpus as one script through
-  // AnalysisSession::AddScript at ingest_parallelism 1/2/4/8, snapshot
-  // included (the merge is part of the cost being measured). The digest of
-  // every row must match — main() enforces that identity unconditionally.
+  // Script ingestion: the whole corpus as one script through
+  // AnalysisSession::AddScript, snapshot included. Its digest must match the
+  // statement-at-a-time run — main() enforces that identity unconditionally.
   {
     std::string script;
     script.reserve(m.bytes + 2 * m.statements);
@@ -256,26 +247,20 @@ Measurement Measure(const std::vector<std::string>& statements) {
       script += s;
       script += ";\n";
     }
-    for (int shards : {1, 2, 4, 8}) {
-      SqlCheckOptions opt;
-      opt.suggest_fixes = false;
-      opt.ingest_parallelism = shards;
-      IngestRow row;
-      row.shards = shards;
-      size_t count = 0;
-      double secs = TimedReps(0.6, [&] {
-        AnalysisSession session(opt);
-        count = session.AddScript(script);
-        row.digest = DigestReport(session.Snapshot());
-      });
-      if (count != m.statements) {
-        std::fprintf(stderr, "FAIL: %d-shard ingest saw %zu statements, want %zu\n",
-                     shards, count, m.statements);
-        std::exit(1);
-      }
-      row.stmts_per_sec = static_cast<double>(count) / secs;
-      m.ingest.push_back(row);
+    SqlCheckOptions opt;
+    opt.suggest_fixes = false;
+    size_t count = 0;
+    double secs = TimedReps(0.6, [&] {
+      AnalysisSession session(opt);
+      count = session.AddScript(script);
+      m.script_digest = DigestReport(session.Snapshot());
+    });
+    if (count != m.statements) {
+      std::fprintf(stderr, "FAIL: script ingest saw %zu statements, want %zu\n", count,
+                   m.statements);
+      std::exit(1);
     }
+    m.script_stmts_per_sec = static_cast<double>(count) / secs;
   }
   return m;
 }
@@ -299,6 +284,8 @@ void WriteJson(const Measurement& m, int repo_count, bool gated, bool passed) {
                "  \"lex_parse_mb_per_s\": %.2f,\n"
                "  \"run_stmts_per_s\": %.0f,\n"
                "  \"run_with_fixes_stmts_per_s\": %.0f,\n"
+               "  \"script_ingest_stmts_per_s\": %.0f,\n"
+               "  \"script_digest_matches_batch\": %s,\n"
                "  \"baseline_lex_mb_per_s\": %.2f,\n"
                "  \"baseline_lex_parse_mb_per_s\": %.2f,\n"
                "  \"baseline_run_stmts_per_s\": %.0f,\n"
@@ -310,22 +297,12 @@ void WriteJson(const Measurement& m, int repo_count, bool gated, bool passed) {
                repo_count, m.statements, m.bytes, sql::blockscan::FastTierName(),
                std::thread::hardware_concurrency(), m.lex_mbs, m.lex_scalar_mbs,
                m.lex_parse_mbs, m.run_stmts_per_sec, m.run_with_fixes_stmts_per_sec,
+               m.script_stmts_per_sec, m.script_digest == m.digest ? "true" : "false",
                kBaselineLexMBs, kBaselineLexParseMBs, kBaselineRunStmtsPerSec,
                kPrevLexMBs, m.lex_mbs / kBaselineLexMBs, m.lex_mbs / kPrevLexMBs,
                m.lex_parse_mbs / kBaselineLexParseMBs,
                m.run_stmts_per_sec / kBaselineRunStmtsPerSec);
-  std::fprintf(f, "  \"ingest_scaling\": [\n");
-  for (size_t i = 0; i < m.ingest.size(); ++i) {
-    const IngestRow& row = m.ingest[i];
-    std::fprintf(f,
-                 "    {\"shards\": %d, \"stmts_per_s\": %.0f, "
-                 "\"digest_matches_serial\": %s}%s\n",
-                 row.shards, row.stmts_per_sec,
-                 row.digest == m.ingest.front().digest ? "true" : "false",
-                 i + 1 < m.ingest.size() ? "," : "");
-  }
   std::fprintf(f,
-               "  ],\n"
                "  \"digest_matches_baseline\": %s,\n"
                "  \"gate\": %s\n"
                "}\n",
@@ -390,12 +367,8 @@ int main(int argc, char** argv) {
               m.run_stmts_per_sec / kBaselineRunStmtsPerSec);
   std::printf("  batch Run()+fix %8.0f stmt/s (fix suggestion + verification)\n",
               m.run_with_fixes_stmts_per_sec);
-  for (const IngestRow& row : m.ingest) {
-    std::printf("  ingest x%d       %8.0f stmt/s (%5.2fx serial, digest %s)\n",
-                row.shards, row.stmts_per_sec,
-                row.stmts_per_sec / m.ingest.front().stmts_per_sec,
-                row.digest == m.ingest.front().digest ? "ok" : "MISMATCH");
-  }
+  std::printf("  AddScript       %8.0f stmt/s (one script, digest %s)\n",
+              m.script_stmts_per_sec, m.script_digest == m.digest ? "ok" : "MISMATCH");
   std::printf("  report digest   %llu\n", static_cast<unsigned long long>(m.digest));
 
   if (record) {
@@ -413,9 +386,8 @@ int main(int argc, char** argv) {
   }
 
   // Digest identity is hardware-independent and therefore unconditional: the
-  // zero-copy frontend must not change a single detection byte, and sharded
-  // bulk ingestion must reproduce serial ingestion exactly at every shard
-  // count (and match the per-AddQuery batch digest).
+  // zero-copy frontend must not change a single detection byte, and a script
+  // load must match the per-AddQuery batch digest.
   bool ok = true;
   if (repo_count == kBaselineRepoCount && m.digest != kBaselineDigest) {
     std::fprintf(stderr,
@@ -424,14 +396,11 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(kBaselineDigest));
     ok = false;
   }
-  for (const IngestRow& row : m.ingest) {
-    if (row.digest != m.digest) {
-      std::fprintf(stderr,
-                   "FAIL: %d-shard ingest digest %llu != batch digest %llu\n",
-                   row.shards, static_cast<unsigned long long>(row.digest),
-                   static_cast<unsigned long long>(m.digest));
-      ok = false;
-    }
+  if (m.script_digest != m.digest) {
+    std::fprintf(stderr, "FAIL: script ingest digest %llu != batch digest %llu\n",
+                 static_cast<unsigned long long>(m.script_digest),
+                 static_cast<unsigned long long>(m.digest));
+    ok = false;
   }
 
   // Only same-run ratios gate: both sides are measured in this process on
@@ -445,21 +414,6 @@ int main(int argc, char** argv) {
                    "FAIL: fast lex %.2f MB/s < %.2fx same-run scalar %.2f MB/s\n",
                    m.lex_mbs, kLexFastVsScalarFloor, m.lex_scalar_mbs);
       gate_passed = false;
-    }
-    // The shard-scaling ratio gate needs the cores to scale onto; the digest
-    // identity above runs everywhere regardless.
-    if (std::thread::hardware_concurrency() >= 4) {
-      const double serial = m.ingest.front().stmts_per_sec;
-      double four = 0.0;
-      for (const IngestRow& row : m.ingest) {
-        if (row.shards == 4) four = row.stmts_per_sec;
-      }
-      if (four < 1.5 * serial) {
-        std::fprintf(stderr,
-                     "FAIL: 4-shard ingest %.0f stmt/s < 1.5x serial %.0f stmt/s\n",
-                     four, serial);
-        gate_passed = false;
-      }
     }
   }
 

@@ -22,9 +22,7 @@ SELECT DISTINCT p.name FROM products p JOIN orders o ON p.sku = o.status;
 SELECT sku FROM products ORDER BY RAND() LIMIT 3;
 )sql";
 
-  // Batch analysis across every hardware thread; output is identical to a
-  // serial run.
-  SqlCheck checker(SqlCheckOptions::Parallel());
+  SqlCheck checker;
   checker.AddScript(draft);
   Report report = checker.Run();
 

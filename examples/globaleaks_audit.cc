@@ -40,8 +40,8 @@ int main() {
               ap_db.GetTable("Tenants")->live_row_count(),
               ap_db.GetTable("Users")->live_row_count());
 
-  // 2. Audit it: queries + live database, sharded over all hardware threads.
-  SqlCheck checker(SqlCheckOptions::Parallel());
+  // 2. Audit it: queries + live database.
+  SqlCheck checker;
   checker.AddScript(Globaleaks::ApWorkloadScript());
   checker.AttachDatabase(&ap_db);
   Report report = checker.Run();

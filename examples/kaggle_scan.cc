@@ -16,7 +16,7 @@ int main() {
     if (spec.name != "The History of Baseball" && spec.name != "Soccer Dataset") continue;
     auto db = workload::SynthesizeKaggleDatabase(spec);
 
-    SqlCheckOptions options = SqlCheckOptions::Parallel();
+    SqlCheckOptions options;
     options.detector.intra_query = false;  // data rules only — no queries exist
     SqlCheck checker(options);
     checker.AttachDatabase(db.get());

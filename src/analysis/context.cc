@@ -6,7 +6,6 @@
 
 #include "analysis/query_analyzer.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "sql/fingerprint.h"
 #include "sql/parser.h"
 
@@ -113,7 +112,7 @@ void ContextBuilder::AttachDatabase(const Database* db, DataAnalyzerOptions opti
   data_options_ = options;
 }
 
-Context ContextBuilder::Build(int parallelism, ThreadPool* pool, bool dedup_queries) {
+Context ContextBuilder::Build(bool dedup_queries) {
   Context context;
   // The accumulated statements live in the builder's arena; hand it over
   // (and start a fresh one so the builder stays usable).
@@ -134,7 +133,6 @@ Context ContextBuilder::Build(int parallelism, ThreadPool* pool, bool dedup_quer
   context.statements_ = std::move(statements_);
   const size_t n = context.statements_.size();
   context.query_facts_.resize(n);
-  int threads = ThreadPool::ResolveParallelism(parallelism);
 
   QueryGroups& groups = context.query_groups_;
   groups.representative.resize(n);
@@ -158,22 +156,15 @@ Context ContextBuilder::Build(int parallelism, ThreadPool* pool, bool dedup_quer
         if (inserted) raw_unique.push_back(i);
       }
     }
-    // Level 2: canonicalize each distinct spelling (sharded — the scan is
-    // independent per statement) and merge spellings that canonicalize
-    // equal (whitespace / comment / keyword-case variants).
+    // Level 2: canonicalize each distinct spelling and merge spellings that
+    // canonicalize equal (whitespace / comment / keyword-case variants).
     std::vector<std::string> keys(n);
     groups.fingerprints.resize(n);
-    ParallelShards(
-        raw_unique.size(), threads,
-        [&context, &keys, &groups, &raw_unique](int /*shard*/, size_t begin, size_t end) {
-          for (size_t u = begin; u < end; ++u) {
-            size_t i = raw_unique[u];
-            keys[i] = sql::CanonicalizeSql(context.statements_[i]->raw_sql,
-                                           sql::FingerprintOptions::Exact());
-            groups.fingerprints[i] = sql::FingerprintCanonical(keys[i]);
-          }
-        },
-        pool);
+    for (size_t i : raw_unique) {
+      keys[i] = sql::CanonicalizeSql(context.statements_[i]->raw_sql,
+                                     sql::FingerprintOptions::Exact());
+      groups.fingerprints[i] = sql::FingerprintCanonical(keys[i]);
+    }
     std::vector<size_t> canon_rep(n);
     {
       std::unordered_map<std::string_view, size_t> first_canon;
@@ -197,34 +188,19 @@ Context ContextBuilder::Build(int parallelism, ThreadPool* pool, bool dedup_quer
     groups.unique = groups.representative;
   }
 
-  // Analysis is independent per unique statement; shard it and write each
-  // group's facts into the representative's slot so the build order never
-  // shows.
-  ParallelShards(
-      groups.unique.size(), threads,
-      [&context, &groups](int /*shard*/, size_t begin, size_t end) {
-        for (size_t u = begin; u < end; ++u) {
-          size_t i = groups.unique[u];
-          context.query_facts_[i] = AnalyzeQuery(*context.statements_[i]);
-        }
-      },
-      pool);
+  // Analysis runs once per unique statement, into the representative's slot.
+  for (size_t i : groups.unique) {
+    context.query_facts_[i] = AnalyzeQuery(*context.statements_[i]);
+  }
 
   // Duplicates get a copy of their group's facts rebased onto their own raw
-  // text and parse tree — exactly what a fresh analysis would produce. The
-  // copies only read representative slots (already final) and write
-  // non-representative slots, so they shard race-free.
-  ParallelShards(
-      n, threads,
-      [&context, &groups](int /*shard*/, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          size_t rep = groups.representative[i];
-          if (rep == i) continue;
-          context.query_facts_[i] =
-              RebaseFacts(context.query_facts_[rep], *context.statements_[i]);
-        }
-      },
-      pool);
+  // text and parse tree — exactly what a fresh analysis would produce.
+  for (size_t i = 0; i < n; ++i) {
+    size_t rep = groups.representative[i];
+    if (rep == i) continue;
+    context.query_facts_[i] =
+        RebaseFacts(context.query_facts_[rep], *context.statements_[i]);
+  }
 
   // Fold every statement into the workload aggregates (workload order); the
   // queryable interface answers from these instead of re-scanning the facts.

@@ -17,8 +17,6 @@
 
 namespace sqlcheck {
 
-class ThreadPool;
-
 /// \brief Query fingerprint grouping produced by the dedup cache: every
 /// statement maps to the first statement with the same exact-canonical form
 /// (whitespace/comment/keyword-case folded, literal text preserved — see
@@ -69,19 +67,9 @@ class Context {
   /// (moved Contexts keep the same arena).
   Arena* arena() { return arena_.get(); }
 
-  /// Parse-tree arena accounting across the primary arena and every arena
-  /// adopted from merged ingestion shards (quota checks and SessionUsage
-  /// must see the whole footprint, not just the primary arena).
-  size_t arena_reserved_bytes() const {
-    size_t total = arena_->bytes_reserved();
-    for (const auto& a : adopted_arenas_) total += a->bytes_reserved();
-    return total;
-  }
-  size_t arena_used_bytes() const {
-    size_t total = arena_->bytes_used();
-    for (const auto& a : adopted_arenas_) total += a->bytes_used();
-    return total;
-  }
+  /// Parse-tree arena accounting (quota checks and SessionUsage).
+  size_t arena_reserved_bytes() const { return arena_->bytes_reserved(); }
+  size_t arena_used_bytes() const { return arena_->bytes_used(); }
 
   // ------------------------ queryable interface ----------------------------
   /// Queries referencing a table.
@@ -113,11 +101,6 @@ class Context {
   /// incremental sessions can keep parsing into it). Held by pointer so the
   /// arena address survives Context moves.
   std::unique_ptr<Arena> arena_ = std::make_unique<Arena>();
-  /// Arenas inherited from merged ingestion shards: a shard parses into its
-  /// own arena, and when its statements move into this context the arena
-  /// moves with them so the trees stay valid. Append-only; freed with the
-  /// Context.
-  std::vector<std::unique_ptr<Arena>> adopted_arenas_;
   std::vector<sql::StatementPtr> statements_;  ///< Owned parse trees.
   std::vector<QueryFacts> query_facts_;
   QueryGroups query_groups_;
@@ -144,20 +127,14 @@ class ContextBuilder {
   /// its tables are profiled by the data analyzer.
   void AttachDatabase(const Database* db, DataAnalyzerOptions options = {});
 
-  /// Builds the context (consumes the builder's accumulated state). With
-  /// `parallelism > 1`, per-statement query analysis is sharded across a
-  /// ThreadPool; each statement's facts land in their original slot, so the
-  /// result is identical to a serial build. `parallelism <= 0` uses every
-  /// hardware thread. `pool` (optional) reuses an existing pool instead of
-  /// spinning up a transient one.
+  /// Builds the context (consumes the builder's accumulated state).
   ///
   /// With `dedup_queries` (default on), statements are grouped by their
   /// exact-canonical fingerprint and the query analyzer runs once per unique
   /// group; duplicates receive a copy of the group's facts rebased onto
   /// their own raw text and parse tree. The resulting context — and any
   /// report derived from it — is byte-identical to a non-deduped build.
-  Context Build(int parallelism = 1, ThreadPool* pool = nullptr,
-                bool dedup_queries = true);
+  Context Build(bool dedup_queries = true);
 
  private:
   std::unique_ptr<Arena> arena_ = std::make_unique<Arena>();  ///< Parse-tree arena.

@@ -44,27 +44,6 @@ void WorkloadStats::AddStatementFacts(size_t stmt_index, const QueryFacts& facts
   }
 }
 
-void WorkloadStats::MergeFrom(const WorkloadStats& other, size_t index_offset) {
-  statement_count_ += other.statement_count_;
-  std::vector<NameId> remap;
-  interner_.Merge(other.interner_, &remap);  // remap[kNoName] == kNoName
-  for (const auto& [key, count] : other.equality_use_) {
-    equality_use_[ColumnKey(remap[key >> 32], remap[key & 0xFFFFFFFFu])] += count;
-  }
-  for (uint64_t key : other.joined_pairs_) {
-    // Remapping can reorder an unordered pair, so re-normalize through
-    // PairKey instead of rewriting the halves in place.
-    joined_pairs_.insert(PairKey(remap[key >> 32], remap[key & 0xFFFFFFFFu]));
-  }
-  for (const auto& [table, stmts] : other.by_table_) {
-    std::vector<size_t>& dst = by_table_[remap[table]];
-    dst.reserve(dst.size() + stmts.size());
-    // Existing entries all precede `index_offset` and shard entries ascend,
-    // so appending keeps the workload-order invariant.
-    for (size_t s : stmts) dst.push_back(s + index_offset);
-  }
-}
-
 bool WorkloadStats::FindIds(std::string_view a, std::string_view b, NameId* ida,
                             NameId* idb) const {
   // Empty names intern to kNoName, which is a legitimate key component

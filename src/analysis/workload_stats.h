@@ -37,25 +37,8 @@ class WorkloadStats {
  public:
   /// Folds one analyzed statement into the aggregates. `stmt_index` must be
   /// the statement's position in the workload; statements must be added in
-  /// workload order (indices strictly increasing). Single-threaded (the fold
-  /// is the serial phase of a build; parallel shards hand their facts over
-  /// rather than touching the interner).
+  /// workload order (indices strictly increasing). Single-threaded.
   void AddStatementFacts(size_t stmt_index, const QueryFacts& facts);
-
-  /// Folds a shard's aggregates into this instance: `other`'s names merge
-  /// into this interner (NameInterner::Merge) and every id-keyed aggregate is
-  /// rewritten through the resulting remap; `other`'s statement indices are
-  /// shard-local, so `index_offset` (this instance's statement count when the
-  /// shard began) rebases them into workload positions.
-  ///
-  /// Equivalence contract: merging shards *in workload order* reproduces the
-  /// serial fold exactly — the same counters, the same ascending
-  /// per-table statement lists, and (because a contiguous shard's
-  /// first-intern order is the serial first-intern order restricted to its
-  /// statements) the very same NameId assignment. `other` is untouched; its
-  /// NameIds remain valid only against its own interner, so no caller may
-  /// hold a shard NameId across a merge.
-  void MergeFrom(const WorkloadStats& other, size_t index_offset);
 
   /// How many equality predicates/join edges across the workload touch
   /// `table.column`.

@@ -39,14 +39,4 @@ size_t NameInterner::memory_bytes() const {
          map_.size() * (sizeof(std::pair<std::string_view, NameId>) + 2 * sizeof(void*));
 }
 
-void NameInterner::Merge(const NameInterner& other, std::vector<NameId>* remap) {
-  if (remap != nullptr) {
-    remap->assign(other.entries_.size(), kNoName);
-  }
-  for (size_t i = 1; i < other.entries_.size(); ++i) {
-    NameId id = InternLowered(other.entries_[i].lower, other.entries_[i].spelling);
-    if (remap != nullptr) (*remap)[i] = id;
-  }
-}
-
 }  // namespace sqlcheck

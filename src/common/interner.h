@@ -23,11 +23,9 @@ inline constexpr NameId kNoName = 0;
 /// O(1) `Lower()` view replaces the `ToLower(...)` temporaries the analyzer
 /// and rules used to allocate on every lookup.
 ///
-/// Instances are single-threaded by design (one per Context / per shard);
-/// parallel shards intern into their own instance and `Merge()` folds a
-/// shard's table into another, returning the id remap. Lookups (`Find`,
-/// `Intern` of an already-known name) never allocate: the probe lowercases
-/// into a stack buffer.
+/// Instances are single-threaded by design (one per Context). Lookups
+/// (`Find`, `Intern` of an already-known name) never allocate: the probe
+/// lowercases into a stack buffer.
 class NameInterner {
  public:
   NameInterner();
@@ -60,12 +58,6 @@ class NameInterner {
   /// `stats` op and SessionLimits::interner_cap_names sizing guidance) — an
   /// estimate, not an allocator-exact byte count.
   size_t memory_bytes() const;
-
-  /// Folds every name of `other` into this interner. `remap` (optional) maps
-  /// other's ids to this interner's: `remap[other_id] == Intern(spelling)`.
-  /// This is the shard-merge path: parallel workers intern lock-free into
-  /// their own instance, then the owner merges serially.
-  void Merge(const NameInterner& other, std::vector<NameId>* remap = nullptr);
 
  private:
   struct Entry {

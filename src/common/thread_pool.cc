@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -71,20 +70,15 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ParallelShards(size_t n, int parallelism,
-                    const std::function<void(int shard, size_t begin, size_t end)>& body,
-                    ThreadPool* pool) {
+void ParallelShards(
+    size_t n, ThreadPool* pool,
+    const std::function<void(int shard, size_t begin, size_t end)>& body) {
   if (n == 0) return;
-  int shards = std::max(parallelism, 1);
-  if (static_cast<size_t>(shards) > n) shards = static_cast<int>(n);
+  const int shards =
+      pool == nullptr ? 1 : static_cast<int>(std::min<size_t>(pool->size(), n));
   if (shards <= 1) {
     body(0, 0, n);
     return;
-  }
-  std::unique_ptr<ThreadPool> transient;
-  if (pool == nullptr) {
-    transient = std::make_unique<ThreadPool>(shards);
-    pool = transient.get();
   }
   // Contiguous, near-equal shards: the first n % shards get one extra item.
   // Boundaries are a pure function of (n, shards) — the determinism anchor.

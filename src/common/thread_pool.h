@@ -10,12 +10,12 @@
 
 namespace sqlcheck {
 
-/// \brief A fixed-size worker pool for the batch analysis pipeline. Tasks are
-/// plain closures; Wait() blocks until every submitted task has finished, so
-/// one pool can serve several fork/join phases of a single SqlCheck::Run().
+/// \brief A fixed-size worker pool: the server's analysis workers and the
+/// file shards of a corpus scan. Tasks are plain closures; Wait() blocks
+/// until every submitted task has finished.
 ///
 /// The pool makes no ordering promises — callers that need deterministic
-/// output (the detector does) write into pre-sharded slots and merge in shard
+/// output (the scanner does) write into pre-sharded slots and merge in shard
 /// order after Wait().
 class ThreadPool {
  public:
@@ -35,8 +35,9 @@ class ThreadPool {
   /// Blocks until the queue is empty and no task is running.
   void Wait();
 
-  /// Maps a user-facing `parallelism` knob to a worker count: values <= 0
-  /// mean "use all hardware threads"; anything else is taken literally.
+  /// Maps a requested worker count (server --workers, scan --jobs) to a
+  /// real one: values <= 0 mean "use all hardware threads"; anything else
+  /// is taken literally.
   static int ResolveParallelism(int requested);
 
  private:
@@ -51,16 +52,12 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// \brief Fork/join helper over an index range: splits [0, n) into
-/// `parallelism` contiguous shards and runs `body(shard, begin, end)` for
-/// each. Shard boundaries depend only on (n, parallelism) — never on the
-/// executing pool — so per-shard results merged in shard order are
-/// deterministic. With `parallelism <= 1` (or nothing to shard) the body runs
-/// inline on the calling thread. Passing `pool` reuses its workers across
-/// calls (the fork/join phases of one SqlCheck::Run() share one pool);
-/// without it a transient pool is spun up for this call.
-void ParallelShards(size_t n, int parallelism,
-                    const std::function<void(int shard, size_t begin, size_t end)>& body,
-                    ThreadPool* pool = nullptr);
+/// \brief Fork/join helper over an index range: splits [0, n) into one
+/// contiguous shard per `pool` worker (never more shards than items) and runs
+/// `body(shard, begin, end)` for each on the pool. Shard boundaries depend
+/// only on n and the pool size, so per-shard results merged in shard order
+/// are deterministic. Without a pool the body runs inline as shard 0.
+void ParallelShards(size_t n, ThreadPool* pool,
+                    const std::function<void(int shard, size_t begin, size_t end)>& body);
 
 }  // namespace sqlcheck

@@ -12,11 +12,4 @@ SqlCheckOptions SqlCheckOptions::IntraQueryOnly() {
 
 SqlCheckOptions SqlCheckOptions::Full() { return SqlCheckOptions{}; }
 
-SqlCheckOptions SqlCheckOptions::Parallel(int threads) {
-  SqlCheckOptions options;
-  options.parallelism = threads;
-  options.ingest_parallelism = threads;
-  return options;
-}
-
 }  // namespace sqlcheck

@@ -52,23 +52,6 @@ struct SqlCheckOptions {
   /// detection stream is byte-identical either way.
   bool suggest_fixes = true;
 
-  /// Worker threads for batch analysis (query analysis + rule evaluation).
-  /// 1 = serial; 0 or negative = use every hardware thread. Reports are
-  /// byte-identical at any setting.
-  int parallelism = 1;
-
-  /// Worker threads for bulk script ingestion (AddScript): the statement
-  /// stream is split once, contiguous shards are parsed + analyzed in
-  /// independent per-shard sessions, and the shards fold back into this
-  /// session via the NameInterner merge/remap path. 1 = serial; 0 or
-  /// negative = use every hardware thread. The merged session — statements,
-  /// fingerprint groups, aggregates, memos, and every report derived from
-  /// them — is byte-identical to serial ingestion at any setting. Scripts
-  /// too small to amortize a shard (see AnalysisSession) fall back to the
-  /// serial path automatically. The CLI's --ingest-threads and the server's
-  /// --ingest-threads bulk-load knob plumb straight into this.
-  int ingest_parallelism = 1;
-
   /// Memoize query analysis and rule evaluation by statement fingerprint:
   /// statements whose canonical token stream matches (whitespace, comments,
   /// and keyword case folded) are analyzed and rule-checked once, and the
@@ -115,10 +98,6 @@ struct SqlCheckOptions {
   /// Convenience presets mirroring the paper's evaluation configurations.
   static SqlCheckOptions IntraQueryOnly();
   static SqlCheckOptions Full();
-
-  /// Full analysis with batch work sharded across `threads` workers
-  /// (0 = every hardware thread).
-  static SqlCheckOptions Parallel(int threads = 0);
 };
 
 }  // namespace sqlcheck

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <exception>
+#include <span>
 #include <utility>
 
 #include "analysis/query_analyzer.h"
 #include "common/failpoint.h"
-#include "common/thread_pool.h"
 #include "fix/fix_engine.h"
 #include "fix/fixer.h"
 #include "sql/fingerprint.h"
@@ -49,10 +49,16 @@ namespace {
 /// one-off statement ever pays the trim/regrow cycle.
 constexpr size_t kScratchTrimBytes = 1 << 20;
 
+/// Statements an append parses before running each ingest phase over them
+/// (memo, analysis, aggregates): a phase then runs 64 times in a row with its
+/// code hot, which measured ~10% faster per statement than running every
+/// phase per statement. The deadline is checked before each parse, so it is
+/// overrun by at most one batch's analysis.
+constexpr size_t kIngestBatch = 64;
+
 /// Reserves room for `extra` more elements without defeating geometric
-/// growth: a bare reserve(size()+1) on every chunk-of-1 append would
-/// reallocate-and-copy the whole vector each time, turning a
-/// statement-at-a-time session O(n^2).
+/// growth: a bare reserve(size()+1) per appended statement would
+/// reallocate-and-copy the whole vector each time, turning a session O(n^2).
 template <typename Vec>
 void GrowFor(Vec& v, size_t extra) {
   const size_t need = v.size() + extra;
@@ -107,15 +113,6 @@ SessionUsage AnalysisSession::Usage() const {
   return usage;
 }
 
-bool AnalysisSession::HardenedAppend() const {
-  return deadline_.has_value() || options_.statement_budget_ms > 0 ||
-         !quarantine_.empty() || AnyFailpointArmed();
-}
-
-bool AnalysisSession::DeadlineExpired() const {
-  return deadline_.has_value() && std::chrono::steady_clock::now() >= *deadline_;
-}
-
 uint64_t AnalysisSession::QuarantineKey(std::string_view sql) {
   // Key computation runs with injected faults suspended: the insert (made
   // while a chaos profile is firing) and the later repeat-offender probe
@@ -136,7 +133,6 @@ uint64_t AnalysisSession::QuarantineKey(std::string_view sql) {
 
 void AnalysisSession::RecordFailure(std::string_view sql, const char* code,
                                     std::string message, bool quarantined) {
-  std::lock_guard<std::mutex> lock(failures_mu_);
   ++failures_recorded_;
   if (failures_.size() >= kMaxRecordedFailures) return;
   StatementFailure failure;
@@ -148,7 +144,6 @@ void AnalysisSession::RecordFailure(std::string_view sql, const char* code,
 }
 
 void AnalysisSession::Quarantine(std::string_view sql) {
-  std::lock_guard<std::mutex> lock(failures_mu_);
   quarantine_.Insert(QuarantineKey(sql));
   ++statements_quarantined_;
 }
@@ -171,7 +166,7 @@ sql::StatementPtr AnalysisSession::ParseWithRetry(std::string_view piece,
       FailpointScope fault_scope;  // parse allocations are a chaos seam
       sql::StatementPtr stmt =
           sql::ParseStatement(piece, context_.arena(), &token_buffer_);
-      if (attempt > 0) faults_recovered_.fetch_add(1, std::memory_order_relaxed);
+      if (attempt > 0) ++faults_recovered_;
       return stmt;
     } catch (const std::exception& e) {
       *error = e.what();
@@ -180,55 +175,40 @@ sql::StatementPtr AnalysisSession::ParseWithRetry(std::string_view piece,
   return nullptr;
 }
 
-bool AnalysisSession::IngestPiece(std::string_view piece) {
-  const auto start = std::chrono::steady_clock::now();
-  std::string error;
-  sql::StatementPtr stmt = ParseWithRetry(piece, &error);
-  if (stmt == nullptr) {
-    Quarantine(piece);
-    RecordFailure(piece, "internal_error",
-                  "statement parse failed persistently (" + error +
-                      "); fingerprint quarantined",
-                  /*quarantined=*/true);
-    return false;
-  }
-  const size_t before = context_.statements_.size();
-  std::vector<sql::StatementPtr> chunk;
-  chunk.push_back(std::move(stmt));
-  IngestChunk(std::move(chunk));
-  if (context_.statements_.size() == before) return false;  // dropped (recorded)
-  if (options_.statement_budget_ms > 0) {
-    const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-    if (elapsed > options_.statement_budget_ms) {
-      // The statement landed (its results are valid) but blew its budget:
-      // quarantine the fingerprint so its repeats are refused in O(1).
-      Quarantine(piece);
+void AnalysisSession::AppendPieces(std::span<const std::string_view> pieces) {
+  const bool budgeted = options_.statement_budget_ms > 0;
+  std::vector<ParsedPiece> batch;
+  batch.reserve(pieces.size());
+  for (std::string_view piece : pieces) {
+    if (deadline_.has_value() && Clock::now() >= *deadline_) {
       RecordFailure(piece, "deadline_exceeded",
-                    "statement took " + std::to_string(elapsed) +
-                        "ms against a " +
-                        std::to_string(options_.statement_budget_ms) +
-                        "ms budget; fingerprint quarantined (statement was "
-                        "ingested)",
-                    /*quarantined=*/true);
+                    "request deadline expired before this statement",
+                    /*quarantined=*/false);
+      continue;
     }
+    if (QuarantineRefused(piece)) continue;
+    const auto start = budgeted ? Clock::now() : Clock::time_point{};
+    std::string error;
+    sql::StatementPtr stmt = ParseWithRetry(piece, &error);
+    if (stmt == nullptr) {
+      Quarantine(piece);
+      RecordFailure(piece, "internal_error",
+                    "statement parse failed persistently (" + error +
+                        "); fingerprint quarantined",
+                    /*quarantined=*/true);
+      continue;
+    }
+    batch.push_back(
+        {piece, std::move(stmt), budgeted ? Clock::now() - start : Clock::duration{}});
   }
-  return true;
+  IngestBatch(&batch);
 }
 
 size_t AnalysisSession::AddQuery(std::string_view sql_text) {
   failures_.clear();
   if (!GateAppend(sql_text.size())) return 0;
   const size_t first = context_.statements_.size();
-  if (!HardenedAppend()) {
-    std::vector<sql::StatementPtr> stmts;
-    stmts.push_back(sql::ParseStatement(sql_text, context_.arena(), &token_buffer_));
-    IngestChunk(std::move(stmts));
-    TrimScratch();
-    return first;
-  }
-  if (!QuarantineRefused(sql_text)) IngestPiece(sql_text);
+  AppendPieces({&sql_text, 1});
   TrimScratch();
   return first;
 }
@@ -237,302 +217,33 @@ size_t AnalysisSession::AddScript(std::string_view script) {
   failures_.clear();
   if (!GateAppend(script.size())) return 0;
   const size_t first = context_.statements_.size();
-  const int requested = ThreadPool::ResolveParallelism(options_.ingest_parallelism);
-  last_ingest_shards_ = 1;  // Updated below if a sharded path runs.
-
-  if (!HardenedAppend()) {
-    // The historical bulk path, untouched: no deadline, no budget, empty
-    // quarantine, no armed failpoints — nothing to probe or recover, so pay
-    // zero robustness overhead.
-    if (requested > 1) {
-      // Split once up front (the splitter returns trimmed, non-empty views
-      // into `script` — exactly the pieces ParseScript would parse), then
-      // either shard the parse+analyze work or fall back to serial when the
-      // script is too small to amortize a shard.
-      std::vector<std::string_view> pieces =
-          sql::SplitStatements(script, nullptr, &token_buffer_);
-      const int shards = static_cast<int>(std::min<size_t>(
-          static_cast<size_t>(requested), pieces.size() / kMinStatementsPerIngestShard));
-      if (shards > 1) {
-        last_ingest_shards_ = shards;
-        ParallelIngest(pieces, shards);
-        TrimScratch();
-        return context_.statements_.size() - first;
-      }
-      std::vector<sql::StatementPtr> stmts;
-      stmts.reserve(pieces.size());
-      for (std::string_view piece : pieces) {
-        stmts.push_back(sql::ParseStatement(piece, context_.arena(), &token_buffer_));
-      }
-      IngestChunk(std::move(stmts));
-      TrimScratch();
-      return context_.statements_.size() - first;
-    }
-    std::vector<sql::StatementPtr> stmts =
-        sql::ParseScript(script, context_.arena(), &token_buffer_);
-    IngestChunk(std::move(stmts));
-    TrimScratch();
-    return context_.statements_.size() - first;
-  }
-
-  // Hardened path: statement-at-a-time so every piece gets its own probe,
-  // deadline check, retry budget, and wall-clock attribution. Identical
-  // output to the bulk path when nothing fires — appending statements in N
-  // chunks of 1 reproduces one chunk of N (the chunk-identity contract
-  // tests/test_session.cc enforces). Failpoint scopes open only inside the
-  // retry-protected regions (the split below, ParseWithRetry, IngestChunk's
-  // memo and analysis loops) — an injected fault can never land on
-  // bookkeeping that has no recovery story.
+  // The splitter returns trimmed, non-empty views into `script`. Its lexer
+  // scratch allocates, so the split is a retried chaos seam like the parse.
   std::vector<std::string_view> pieces;
-  {
-    std::string split_error;
-    bool split_ok = false;
-    for (int attempt = 0; attempt < kFaultRetryAttempts && !split_ok; ++attempt) {
-      try {
-        FailpointScope fault_scope;
-        pieces = sql::SplitStatements(script, nullptr, &token_buffer_);
-        split_ok = true;
-        if (attempt > 0) faults_recovered_.fetch_add(1, std::memory_order_relaxed);
-      } catch (const std::exception& e) {
-        split_error = e.what();
-      }
-    }
-    if (!split_ok) {
-      RecordFailure(script.substr(0, 256), "internal_error",
-                    "script split failed persistently (" + split_error + ")",
-                    /*quarantined=*/false);
-      return 0;
+  std::string split_error;
+  bool split_ok = false;
+  for (int attempt = 0; attempt < kFaultRetryAttempts && !split_ok; ++attempt) {
+    try {
+      FailpointScope fault_scope;
+      pieces = sql::SplitStatements(script, nullptr, &token_buffer_);
+      split_ok = true;
+      if (attempt > 0) ++faults_recovered_;
+    } catch (const std::exception& e) {
+      split_error = e.what();
     }
   }
-
-  // Sharded bulk load still applies when only fault tolerance (not
-  // per-statement timing) is needed: pre-filter quarantined pieces, then
-  // let the shard sessions absorb faults locally and fold their quarantine
-  // state back in MergeShard.
-  if (!deadline_.has_value() && options_.statement_budget_ms == 0 && requested > 1) {
-    std::vector<std::string_view> kept;
-    kept.reserve(pieces.size());
-    for (std::string_view piece : pieces) {
-      if (!QuarantineRefused(piece)) kept.push_back(piece);
-    }
-    const int shards = static_cast<int>(std::min<size_t>(
-        static_cast<size_t>(requested), kept.size() / kMinStatementsPerIngestShard));
-    if (shards > 1) {
-      last_ingest_shards_ = shards;
-      ParallelIngest(kept, shards);
-      TrimScratch();
-      return context_.statements_.size() - first;
-    }
-    for (std::string_view piece : kept) IngestPiece(piece);
-    TrimScratch();
-    return context_.statements_.size() - first;
+  if (!split_ok) {
+    RecordFailure(script.substr(0, 256), "internal_error",
+                  "script split failed persistently (" + split_error + ")",
+                  /*quarantined=*/false);
+    return 0;
   }
-
-  for (std::string_view piece : pieces) {
-    if (DeadlineExpired()) {
-      RecordFailure(piece, "deadline_exceeded",
-                    "request deadline expired before this statement",
-                    /*quarantined=*/false);
-      continue;
-    }
-    if (QuarantineRefused(piece)) continue;
-    IngestPiece(piece);
+  const std::span<const std::string_view> all(pieces);
+  for (size_t b = 0; b < all.size(); b += kIngestBatch) {
+    AppendPieces(all.subspan(b, std::min(kIngestBatch, all.size() - b)));
   }
   TrimScratch();
   return context_.statements_.size() - first;
-}
-
-void AnalysisSession::ParallelIngest(const std::vector<std::string_view>& pieces,
-                                     int shards) {
-  // Shard sessions share this session's analysis configuration (dedup mode,
-  // detector thresholds, disabled rules — the registry prefix must match for
-  // cache-row transfer) but run serial inside, carry no quotas (the owner
-  // gated the whole script already), and skip the fix machinery (shards
-  // never produce reports).
-  SqlCheckOptions shard_options = options_;
-  shard_options.parallelism = 1;
-  shard_options.ingest_parallelism = 1;
-  shard_options.suggest_fixes = false;
-  shard_options.verify_exec = ExecVerifyOptions{};
-  shard_options.limits = SessionLimits{};
-
-  std::vector<std::unique_ptr<AnalysisSession>> workers;
-  workers.reserve(static_cast<size_t>(shards));
-  for (int s = 0; s < shards; ++s) {
-    workers.push_back(std::make_unique<AnalysisSession>(shard_options));
-  }
-
-  // Contiguous shards in script order: each worker parses into its own
-  // arena and interns into its own name table, completely lock-free.
-  ThreadPool pool(shards);
-  ParallelShards(
-      pieces.size(), shards,
-      [&workers, &pieces](int shard, size_t begin, size_t end) {
-        // Pool tasks must not throw: IngestRange absorbs parse faults into
-        // the shard's own failure log, which MergeShard folds back (its
-        // internals open their own failpoint scopes where they can recover).
-        workers[shard]->IngestRange(pieces, begin, end);
-      },
-      &pool);
-
-  // Serial fold, in shard order — which is script order, so the merged
-  // session reproduces serial ingestion exactly.
-  for (auto& worker : workers) MergeShard(std::move(*worker));
-}
-
-void AnalysisSession::IngestRange(const std::vector<std::string_view>& pieces,
-                                  size_t begin, size_t end) {
-  std::vector<sql::StatementPtr> stmts;
-  stmts.reserve(end - begin);
-  for (size_t i = begin; i < end; ++i) {
-    std::string error;
-    sql::StatementPtr stmt = ParseWithRetry(pieces[i], &error);
-    if (stmt == nullptr) {
-      Quarantine(pieces[i]);
-      RecordFailure(pieces[i], "internal_error",
-                    "statement parse failed persistently (" + error +
-                        "); fingerprint quarantined",
-                    /*quarantined=*/true);
-      continue;
-    }
-    stmts.push_back(std::move(stmt));
-  }
-  IngestChunk(std::move(stmts));
-}
-
-void AnalysisSession::MergeShard(AnalysisSession&& shard) {
-  // Robustness state folds first — a shard whose every statement failed
-  // carries failures and quarantine entries but zero statements, and those
-  // must survive the early return below. MergeShard runs serially on the
-  // owner thread (after the pool drained), but RecordFailure's mutex still
-  // guards the owner-side containers for uniformity.
-  {
-    std::lock_guard<std::mutex> lock(failures_mu_);
-    failures_recorded_ += shard.failures_recorded_;
-    for (auto& failure : shard.failures_) {
-      if (failures_.size() >= kMaxRecordedFailures) break;
-      failures_.push_back(std::move(failure));
-    }
-    // Keys() lists most-recent first; insert oldest-first so the owner's
-    // LRU ends up with the same recency order the shard observed.
-    std::vector<uint64_t> keys = shard.quarantine_.Keys();
-    for (auto it = keys.rbegin(); it != keys.rend(); ++it) {
-      quarantine_.Insert(*it);
-    }
-    statements_quarantined_ += shard.statements_quarantined_;
-    quarantine_refusals_ += shard.quarantine_refusals_;
-  }
-  faults_recovered_.fetch_add(
-      shard.faults_recovered_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-
-  Context& sc = shard.context_;
-  const size_t base = context_.statements_.size();
-  const size_t n = sc.statements_.size();
-  if (n == 0) return;
-
-  // The merge loop is the serial section of sharded ingestion — every
-  // reallocation or avoidable hash probe in it eats directly into the
-  // Amdahl budget, so all destination containers are sized up front.
-  context_.statements_.reserve(base + n);
-  context_.query_facts_.reserve(base + n);
-  context_.query_groups_.representative.reserve(base + n);
-  context_.query_groups_.fingerprints.reserve(base + n);
-
-  // Index the shard's canonical-memo nodes by their representative so the
-  // canonical strings move (not copy) into this session's memo when their
-  // group turns out to be new.
-  using MemoNode =
-      std::unordered_map<std::string, size_t, StringViewHash, std::equal_to<>>::node_type;
-  std::unordered_map<size_t, MemoNode> canon_nodes;
-  canon_nodes.reserve(shard.canonical_memo_.size());
-  while (!shard.canonical_memo_.empty()) {
-    MemoNode node = shard.canonical_memo_.extract(shard.canonical_memo_.begin());
-    const size_t rep = node.mapped();
-    canon_nodes.emplace(rep, std::move(node));
-  }
-  QueryGroups& groups = context_.query_groups_;
-  canonical_memo_.reserve(canonical_memo_.size() + canon_nodes.size());
-  // The shard's unique list is ascending in statement index, so a cursor
-  // replaces a hash lookup per locally-unique statement.
-  size_t local_u = 0;
-  std::vector<size_t> global_rep(n);
-  for (size_t i = 0; i < n; ++i) {
-    sql::StatementPtr stmt = std::move(sc.statements_[i]);
-    const size_t gi = base + i;
-    context_.catalog_.ApplyDdl(*stmt);  // workload order, exactly as serial
-
-    size_t rep = gi;
-    size_t cache_row = 0;  // shard.local_cache_ row when locally unique
-    if (options_.dedup_queries) {
-      const size_t local_rep = sc.query_groups_.representative[i];
-      if (local_rep != i) {
-        rep = global_rep[local_rep];  // the shard resolved it; remap to global
-      } else {
-        cache_row = local_u++;
-        auto raw_it = raw_memo_.find(std::string_view(stmt->raw_sql));
-        if (raw_it != raw_memo_.end()) {
-          rep = raw_it->second;
-        } else {
-          // First time this raw spelling crosses the session: resolve by the
-          // canonical form the shard already computed, inserting its memo
-          // node when the group is new. On a cross-shard canonical collision
-          // the existing (earlier) representative wins, as serial order
-          // demands. Raw-spelling entries merge wholesale below.
-          MemoNode& node = canon_nodes.at(i);
-          node.mapped() = gi;
-          auto ins = canonical_memo_.insert(std::move(node));
-          rep = ins.position->second;
-        }
-      }
-      global_rep[i] = rep;
-      groups.representative.push_back(rep);
-      groups.fingerprints.push_back(sc.query_groups_.fingerprints[i]);
-    } else {
-      cache_row = local_u++;
-      global_rep[i] = gi;
-      groups.representative.push_back(gi);
-    }
-
-    // The shard analyzed (or rebased) these facts for this very statement —
-    // exactly what serial ingestion attaches to it.
-    context_.query_facts_.push_back(std::move(sc.query_facts_[i]));
-    if (rep == gi) {
-      unique_pos_.emplace(gi, groups.unique.size());
-      groups.unique.push_back(gi);
-      local_cache_.push_back(std::move(shard.local_cache_[cache_row]));
-      fix_cache_.emplace_back();  // shards never run ap-fix
-    }
-    context_.statements_.push_back(std::move(stmt));
-  }
-
-  // Raw-spelling memo: remap shard values to global representatives; the
-  // keys (statement bytes) move over node-by-node. Spellings this session
-  // already knew keep their existing, earlier representative.
-  raw_memo_.reserve(raw_memo_.size() + shard.raw_memo_.size());
-  while (!shard.raw_memo_.empty()) {
-    MemoNode node = shard.raw_memo_.extract(shard.raw_memo_.begin());
-    node.mapped() = global_rep[node.mapped()];
-    raw_memo_.insert(std::move(node));
-  }
-
-  // Workload aggregates fold through the interner remap. Merging contiguous
-  // shards in order reproduces the serial fold exactly — including the
-  // NameId assignment, since a shard's first-intern order is the serial
-  // first-intern order restricted to its statements.
-  context_.stats_.MergeFrom(sc.stats_, base);
-
-  // The moved parse trees (and their pmr raw_sql payloads) live in the
-  // shard's arena — adopt it so they outlive the shard. The shard's lexer
-  // scratch, catalog, and interner die with it.
-  context_.adopted_arenas_.push_back(std::move(sc.arena_));
-}
-
-void AnalysisSession::AddStatement(sql::StatementPtr stmt) {
-  if (!GateAppend(stmt->raw_sql.size())) return;
-  std::vector<sql::StatementPtr> stmts;
-  stmts.push_back(std::move(stmt));
-  IngestChunk(std::move(stmts));
 }
 
 bool AnalysisSession::GateAppend(size_t incoming_bytes) {
@@ -549,88 +260,82 @@ void AnalysisSession::TrimScratch() {
   if (token_buffer_.reserved_bytes() > kScratchTrimBytes) token_buffer_.Trim();
 }
 
-size_t AnalysisSession::IngestChunk(std::vector<sql::StatementPtr> stmts) {
-  const size_t first = context_.statements_.size();
-  if (stmts.empty()) return first;
-
-  QueryGroups& groups = context_.query_groups_;
-  std::vector<size_t> new_uniques;  // unique-list positions added by this chunk
-
-  // Size everything for the whole chunk up front: the per-statement pushes
-  // below then cannot throw, so a memo-stage fault (the only fallible step
-  // in the serial pass) always observes a fully consistent session.
-  GrowFor(context_.statements_, stmts.size());
-  GrowFor(context_.query_facts_, stmts.size());
-  GrowFor(groups.representative, stmts.size());
-  GrowFor(groups.fingerprints, stmts.size());
-  GrowFor(groups.unique, stmts.size());
-  GrowFor(local_cache_, stmts.size());
-  GrowFor(fix_cache_, stmts.size());
-  new_uniques.reserve(stmts.size());
-
-  // Serial pass: dedup bookkeeping, catalog, slot allocation. The memos make
-  // a repeated statement cost one hash lookup here.
-  for (auto& stmt : stmts) {
-    const size_t i = context_.statements_.size();
-
-    size_t rep = i;
-    uint64_t fingerprint = 0;
-    if (options_.dedup_queries) {
-      // The memo stage allocates (canonical string + two hash-table nodes),
-      // so it can fault — for real under memory pressure, on demand under
-      // the memo_insert failpoint. It retries with rollback: if the raw-
-      // spelling insert fails after the canonical node landed, the canonical
-      // entry is erased before the retry, so no memo ever points at a
-      // statement slot that is never filled.
-      bool memo_ok = false;
-      std::string memo_error;
-      for (int attempt = 0; attempt < kFaultRetryAttempts && !memo_ok; ++attempt) {
+bool AnalysisSession::ResolveGroup(const sql::Statement& stmt, size_t i, size_t* rep,
+                                   uint64_t* fingerprint) {
+  // The memo stage allocates (canonical string + two hash-table nodes), so
+  // it can fault — for real under memory pressure, on demand under the
+  // memo_insert failpoint. It retries with rollback: if the raw-spelling
+  // insert fails after the canonical node landed, the canonical entry is
+  // erased before the retry, so no memo ever points at a statement slot that
+  // is never filled.
+  std::string memo_error;
+  for (int attempt = 0; attempt < kFaultRetryAttempts; ++attempt) {
+    try {
+      FailpointScope fault_scope;  // memo allocations are a chaos seam
+      auto raw_it = raw_memo_.find(std::string_view(stmt.raw_sql));
+      if (raw_it != raw_memo_.end()) {
+        *rep = raw_it->second;
+        *fingerprint = context_.query_groups_.fingerprints[*rep];
+      } else {
+        if (SQLCHECK_SCOPED_FAILPOINT("memo_insert")) throw std::bad_alloc();
+        std::string canonical =
+            sql::CanonicalizeSql(stmt.raw_sql, sql::FingerprintOptions::Exact());
+        *fingerprint = sql::FingerprintCanonical(canonical);
+        auto [canon_it, inserted] = canonical_memo_.try_emplace(std::move(canonical), i);
+        *rep = canon_it->second;
         try {
-          FailpointScope fault_scope;  // memo allocations are a chaos seam
-          rep = i;
-          auto raw_it = raw_memo_.find(std::string_view(stmt->raw_sql));
-          if (raw_it != raw_memo_.end()) {
-            rep = raw_it->second;
-            fingerprint = groups.fingerprints[rep];
-          } else {
-            if (SQLCHECK_SCOPED_FAILPOINT("memo_insert")) throw std::bad_alloc();
-            std::string canonical =
-                sql::CanonicalizeSql(stmt->raw_sql, sql::FingerprintOptions::Exact());
-            fingerprint = sql::FingerprintCanonical(canonical);
-            auto [canon_it, inserted] =
-                canonical_memo_.try_emplace(std::move(canonical), i);
-            rep = canon_it->second;
-            try {
-              raw_memo_.emplace(std::string(stmt->raw_sql), rep);
-            } catch (...) {
-              if (inserted) canonical_memo_.erase(canon_it);
-              throw;
-            }
-          }
-          memo_ok = true;
-          if (attempt > 0) faults_recovered_.fetch_add(1, std::memory_order_relaxed);
-        } catch (const std::exception& e) {
-          memo_error = e.what();
+          raw_memo_.emplace(std::string(stmt.raw_sql), *rep);
+        } catch (...) {
+          if (inserted) canonical_memo_.erase(canon_it);
+          throw;
         }
       }
-      if (!memo_ok) {
-        // Persistent fault: drop the statement whole — it never touched the
-        // catalog, the group tables, or the aggregates, so the session is
-        // byte-identical to one that never saw it.
-        Quarantine(stmt->raw_sql);
-        RecordFailure(stmt->raw_sql, "internal_error",
-                      "statement bookkeeping failed persistently (" + memo_error +
-                          "); fingerprint quarantined",
-                      /*quarantined=*/true);
-        continue;
-      }
-      groups.representative.push_back(rep);
-      groups.fingerprints.push_back(fingerprint);
-    } else {
-      groups.representative.push_back(i);
+      if (attempt > 0) ++faults_recovered_;
+      return true;
+    } catch (const std::exception& e) {
+      memo_error = e.what();
     }
-    // Catalog mutation comes after the fallible memo stage on purpose: a
-    // dropped statement must not leave DDL side effects behind.
+  }
+  Quarantine(stmt.raw_sql);
+  RecordFailure(stmt.raw_sql, "internal_error",
+                "statement bookkeeping failed persistently (" + memo_error +
+                    "); fingerprint quarantined",
+                /*quarantined=*/true);
+  return false;
+}
+
+void AnalysisSession::IngestBatch(std::vector<ParsedPiece>* batch) {
+  const size_t first = context_.statements_.size();
+  const bool budgeted = options_.statement_budget_ms > 0;
+  QueryGroups& groups = context_.query_groups_;
+  // Room for the whole batch up front: the pushes below then cannot throw,
+  // so a memo-stage fault always observes a fully consistent session.
+  const size_t extra = batch->size();
+  GrowFor(context_.statements_, extra);
+  GrowFor(context_.query_facts_, extra);
+  GrowFor(groups.representative, extra);
+  GrowFor(groups.fingerprints, extra);
+  GrowFor(groups.unique, extra);
+  GrowFor(local_cache_, extra);
+  GrowFor(fix_cache_, extra);
+  std::vector<size_t> landed;  // batch entry of each appended statement
+  landed.reserve(batch->size());
+  std::vector<size_t> new_uniques;
+
+  // Dedup bookkeeping, catalog and slots, in order: the memos make a
+  // repeated statement cost one hash lookup. A statement whose bookkeeping
+  // faults persistently is dropped whole — it never touched the catalog, the
+  // group tables, or the aggregates.
+  for (size_t b = 0; b < batch->size(); ++b) {
+    sql::StatementPtr& stmt = (*batch)[b].stmt;
+    const size_t i = context_.statements_.size();
+    size_t rep = i;
+    if (options_.dedup_queries) {
+      uint64_t fingerprint = 0;
+      if (!ResolveGroup(*stmt, i, &rep, &fingerprint)) continue;
+      groups.fingerprints.push_back(fingerprint);
+    }
+    groups.representative.push_back(rep);
     context_.catalog_.ApplyDdl(*stmt);  // ignores DML; duplicate DDL is a no-op
     if (rep == i) {
       unique_pos_.emplace(i, groups.unique.size());
@@ -641,73 +346,74 @@ size_t AnalysisSession::IngestChunk(std::vector<sql::StatementPtr> stmts) {
     }
     context_.statements_.push_back(std::move(stmt));
     context_.query_facts_.emplace_back();
+    landed.push_back(b);
   }
 
-  const size_t n = context_.statements_.size();
-  int threads = ThreadPool::ResolveParallelism(options_.parallelism);
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1 && new_uniques.size() > 1) {
-    pool = std::make_unique<ThreadPool>(threads);
+  // Analysis and statement-local rules, once per new group.
+  for (size_t u : new_uniques) {
+    const auto start = budgeted ? Clock::now() : Clock::time_point{};
+    AnalyzeUnique(u);
+    if (budgeted) (*batch)[landed[groups.unique[u] - first]].cost += Clock::now() - start;
   }
-
-  // Analyze each new unique statement (sharded — analysis is independent per
-  // statement) and pre-evaluate its statement-local rules into the cache.
-  // Pool tasks must not throw, so each statement's analysis retries in-lambda;
-  // a persistent fault degrades that one statement to empty facts and a
-  // full-but-empty cache row (so later lazy passes don't re-run it), and the
-  // statement's fingerprint is quarantined.
-  ParallelShards(
-      new_uniques.size(), threads,
-      [this, &new_uniques](int /*shard*/, size_t begin, size_t end) {
-        const size_t rule_count = registry_.rules().size();
-        for (size_t x = begin; x < end; ++x) {
-          size_t u = new_uniques[x];
-          size_t i = context_.query_groups_.unique[u];
-          for (int attempt = 0;; ++attempt) {
-            try {
-              // thread_local scope, (re)opened per worker — and only around
-              // the retried analysis, so the catch's recovery bookkeeping
-              // cannot itself draw an injected fault.
-              FailpointScope fault_scope;
-              context_.query_facts_[i] = AnalyzeQuery(*context_.statements_[i]);
-              EnsureCacheRow(u);
-              if (attempt > 0) {
-                faults_recovered_.fetch_add(1, std::memory_order_relaxed);
-              }
-              break;
-            } catch (const std::exception& e) {
-              // EnsureCacheRow may have resized the row before throwing —
-              // clear it so the retry (or the terminal assign) starts clean
-              // instead of early-returning on a half-filled row.
-              local_cache_[u].clear();
-              if (attempt + 1 < kFaultRetryAttempts) continue;
-              context_.query_facts_[i] = QueryFacts{};
-              local_cache_[u].assign(rule_count, {});
-              Quarantine(context_.statements_[i]->raw_sql);
-              RecordFailure(context_.statements_[i]->raw_sql, "internal_error",
-                            std::string("statement analysis failed persistently (") +
-                                e.what() + "); findings unavailable, fingerprint "
-                                "quarantined",
-                            /*quarantined=*/true);
-              break;
-            }
-          }
-        }
-      },
-      pool.get());
 
   // Duplicates take a copy of their group's facts rebased onto their own raw
-  // text and parse tree, then everything folds into the workload aggregates
-  // in workload order.
-  for (size_t i = first; i < n; ++i) {
-    size_t rep = context_.query_groups_.representative[i];
+  // text and parse tree; everything folds into the aggregates in order.
+  for (size_t i = first; i < context_.statements_.size(); ++i) {
+    const size_t rep = groups.representative[i];
     if (rep != i) {
       context_.query_facts_[i] =
           RebaseFacts(context_.query_facts_[rep], *context_.statements_[i]);
     }
     context_.stats_.AddStatementFacts(i, context_.query_facts_[i]);
   }
-  return first;
+
+  if (!budgeted) return;
+  for (size_t b : landed) {
+    const ParsedPiece& p = (*batch)[b];
+    const auto elapsed =
+        std::chrono::duration_cast<std::chrono::milliseconds>(p.cost).count();
+    if (elapsed <= options_.statement_budget_ms) continue;
+    // The statement landed (its results are valid) but blew its budget:
+    // quarantine the fingerprint so its repeats are refused in O(1).
+    Quarantine(p.piece);
+    RecordFailure(p.piece, "deadline_exceeded",
+                  "statement took " + std::to_string(elapsed) + "ms against a " +
+                      std::to_string(options_.statement_budget_ms) +
+                      "ms budget; fingerprint quarantined (statement was "
+                      "ingested)",
+                  /*quarantined=*/true);
+  }
+}
+
+void AnalysisSession::AnalyzeUnique(size_t u) {
+  const size_t i = context_.query_groups_.unique[u];
+  for (int attempt = 0;; ++attempt) {
+    try {
+      // Opened only around the retried analysis, so the catch's recovery
+      // bookkeeping cannot itself draw an injected fault.
+      FailpointScope fault_scope;
+      context_.query_facts_[i] = AnalyzeQuery(*context_.statements_[i]);
+      EnsureCacheRow(u);
+      if (attempt > 0) ++faults_recovered_;
+      return;
+    } catch (const std::exception& e) {
+      // EnsureCacheRow may have resized the row before throwing — clear it
+      // so the retry (or the terminal assign) starts clean instead of
+      // early-returning on a half-filled row.
+      local_cache_[u].clear();
+      if (attempt + 1 < kFaultRetryAttempts) continue;
+      // Persistent fault: empty facts and a full-but-empty cache row (so
+      // later lazy passes don't re-run it); the fingerprint is quarantined.
+      context_.query_facts_[i] = QueryFacts{};
+      local_cache_[u].assign(registry_.rules().size(), {});
+      Quarantine(context_.statements_[i]->raw_sql);
+      RecordFailure(context_.statements_[i]->raw_sql, "internal_error",
+                    std::string("statement analysis failed persistently (") + e.what() +
+                        "); findings unavailable, fingerprint quarantined",
+                    /*quarantined=*/true);
+      return;
+    }
+  }
 }
 
 void AnalysisSession::EnsureCacheRow(size_t u) {
@@ -767,23 +473,11 @@ Report AnalysisSession::Check(std::string_view sql) {
 }
 
 Report AnalysisSession::Snapshot() {
+  // Per-group buffers; the shared fan-out then reproduces the batch
+  // detection stream byte-for-byte.
   const size_t unique_count = context_.query_groups_.unique.size();
-  int threads = ThreadPool::ResolveParallelism(options_.parallelism);
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-
-  // Per-group buffers assemble in shards (cache rows are disjoint, workload
-  // rules are stateless/const); the shared fan-out then reproduces the
-  // serial batch stream byte-for-byte.
   std::vector<std::vector<Detection>> per_group(unique_count);
-  ParallelShards(
-      unique_count, threads,
-      [this, &per_group](int /*shard*/, size_t begin, size_t end) {
-        for (size_t u = begin; u < end; ++u) {
-          AssembleGroupDetections(u, &per_group[u]);
-        }
-      },
-      pool.get());
+  for (size_t u = 0; u < unique_count; ++u) AssembleGroupDetections(u, &per_group[u]);
 
   std::vector<Detection> data_detections =
       DetectDataAntiPatterns(context_, registry_, options_.detector);

@@ -19,7 +19,7 @@ namespace sqlcheck {
 ///
 /// Usage mirrors the paper's workflow:
 /// \code
-///   SqlCheck checker;  // or SqlCheck(SqlCheckOptions::Parallel()) for batches
+///   SqlCheck checker;
 ///   checker.AddScript(application_sql);   // queries + DDL
 ///   checker.AttachDatabase(&db);          // optional: enables data analysis
 ///   Report report = checker.Run();

@@ -3,7 +3,6 @@
 #include <memory>
 #include <utility>
 
-#include "common/thread_pool.h"
 #include "fix/fixers.h"
 #include "rules/data_rules.h"
 #include "rules/logical_rules.h"
@@ -57,26 +56,9 @@ Status RuleRegistry::Disable(const std::vector<std::string>& names) {
   return Status::Ok();
 }
 
-namespace {
-
-/// Applies every rule to the profile shard [begin, end) of `profiles`.
-void CheckDataShard(const Context& context, const RuleRegistry& registry,
-                    const DetectorConfig& config,
-                    const std::vector<const TableProfile*>& profiles, size_t begin,
-                    size_t end, std::vector<Detection>* out) {
-  for (size_t i = begin; i < end; ++i) {
-    for (const auto& rule : registry.rules()) {
-      rule->CheckData(*profiles[i], context, config, out);
-    }
-  }
-}
-
-}  // namespace
-
 std::vector<Detection> DetectAntiPatterns(const Context& context,
                                           const RuleRegistry& registry,
-                                          const DetectorConfig& config,
-                                          int parallelism, ThreadPool* pool) {
+                                          const DetectorConfig& config) {
   const std::vector<QueryFacts>& queries = context.queries();
   const size_t n = queries.size();
 
@@ -93,59 +75,20 @@ std::vector<Detection> DetectAntiPatterns(const Context& context,
   }
   const size_t unique_count = g->unique.size();
 
-  // Profiles in map-iteration order, so serial and sharded runs agree.
-  std::vector<const TableProfile*> profiles;
-  if (config.data_analysis) {
-    profiles.reserve(context.data().profiles.size());
-    for (const auto& [_, profile] : context.data().profiles) profiles.push_back(&profile);
-  }
-
   // Query rules run once per unique fingerprint group (Algorithm 2 memoized):
   // every statement in a group carries identical facts modulo raw_sql/stmt,
   // so one evaluation of the group's representative stands in for all of
   // them. Results land in per-group slots, then fan back out to every
-  // occurrence in original statement order — reproducing the serial
+  // occurrence in original statement order — reproducing the unmemoized
   // (query-major, rule-minor) detection stream byte-for-byte.
-  int threads = ThreadPool::ResolveParallelism(parallelism);
-  std::unique_ptr<ThreadPool> transient;
-  if (threads > 1 && pool == nullptr) {
-    transient = std::make_unique<ThreadPool>(threads);
-    pool = transient.get();
-  }
-
   std::vector<std::vector<Detection>> per_group(unique_count);
-  ParallelShards(
-      unique_count, threads,
-      [&](int /*shard*/, size_t begin, size_t end) {
-        for (size_t u = begin; u < end; ++u) {
-          std::vector<Detection>* out = &per_group[u];
-          for (const auto& rule : registry.rules()) {
-            rule->CheckQuery(queries[g->unique[u]], context, config, out);
-          }
-        }
-      },
-      pool);
-
-  std::vector<std::vector<Detection>> data_buffers(
-      static_cast<size_t>(threads > 1 ? threads : 1));
-  ParallelShards(
-      profiles.size(), threads,
-      [&](int shard, size_t begin, size_t end) {
-        CheckDataShard(context, registry, config, profiles, begin, end,
-                       &data_buffers[static_cast<size_t>(shard)]);
-      },
-      pool);
-
-  // Merge the per-shard data buffers in shard order (== profile map order),
-  // then serialize the final stream through the shared fan-out.
-  std::vector<Detection> data_detections;
-  size_t data_total = 0;
-  for (const auto& buffer : data_buffers) data_total += buffer.size();
-  data_detections.reserve(data_total);
-  for (auto& buffer : data_buffers) {
-    for (auto& d : buffer) data_detections.push_back(std::move(d));
+  for (size_t u = 0; u < unique_count; ++u) {
+    for (const auto& rule : registry.rules()) {
+      rule->CheckQuery(queries[g->unique[u]], context, config, &per_group[u]);
+    }
   }
-  return FanOutDetections(context, *g, std::move(per_group), std::move(data_detections));
+  return FanOutDetections(context, *g, std::move(per_group),
+                          DetectDataAntiPatterns(context, registry, config));
 }
 
 std::vector<Detection> FanOutDetections(const Context& context, const QueryGroups& groups,
@@ -225,9 +168,8 @@ std::vector<Detection> DetectDataAntiPatterns(const Context& context,
 }
 
 std::vector<Detection> DetectAntiPatterns(const Context& context,
-                                          const DetectorConfig& config,
-                                          int parallelism) {
-  return DetectAntiPatterns(context, RuleRegistry::Default(), config, parallelism);
+                                          const DetectorConfig& config) {
+  return DetectAntiPatterns(context, RuleRegistry::Default(), config);
 }
 
 }  // namespace sqlcheck

@@ -10,8 +10,6 @@
 
 namespace sqlcheck {
 
-class ThreadPool;
-
 /// \brief Extensible rule registry (§7 "Extensibility"): starts with the
 /// built-in 27 rules; callers may register their own Rule implementations.
 ///
@@ -66,27 +64,16 @@ class RuleRegistry {
 /// occurrence in original statement order, rebased onto each occurrence's
 /// own raw text/parse tree — so duplicate-heavy workloads pay for each
 /// distinct statement once while the report stays byte-identical to an
-/// unmemoized run.
-///
-/// With `parallelism > 1` the workload is sharded over a ThreadPool — unique
-/// query groups and table profiles are split into contiguous index ranges,
-/// each worker evaluates the full rule set against its shard into private
-/// detection buffers, and the buffers are merged deterministically. The
-/// merged report is byte-identical to a single-threaded run. `parallelism <=
-/// 0` uses every hardware thread; rules must stay stateless/
-/// `const`-thread-safe (the built-ins are). `pool` (optional) reuses an
-/// existing pool for both the query and data phases instead of spinning up a
-/// transient one.
+/// unmemoized run. Rules must stay stateless/`const`-thread-safe (the
+/// built-ins are): the server evaluates many sessions at once against one
+/// rule set.
 std::vector<Detection> DetectAntiPatterns(const Context& context,
                                           const RuleRegistry& registry,
-                                          const DetectorConfig& config = {},
-                                          int parallelism = 1,
-                                          ThreadPool* pool = nullptr);
+                                          const DetectorConfig& config = {});
 
 /// \brief Convenience: detect with the default registry.
 std::vector<Detection> DetectAntiPatterns(const Context& context,
-                                          const DetectorConfig& config = {},
-                                          int parallelism = 1);
+                                          const DetectorConfig& config = {});
 
 /// \brief Fans per-unique-group query-rule detection buffers back out to
 /// every statement occurrence in workload order — rebasing each detection's

@@ -201,9 +201,9 @@ std::vector<persist::StoredFinding> AnalyzeStatement(std::string_view raw,
                                                      const DetectorConfig& config) {
   ContextBuilder builder;
   builder.AddQuery(raw);
-  Context context = builder.Build(1, nullptr, true);
+  Context context = builder.Build();
   std::vector<RankedDetection> ranked =
-      model.Rank(DetectAntiPatterns(context, registry, config, 1, nullptr));
+      model.Rank(DetectAntiPatterns(context, registry, config));
   std::vector<persist::StoredFinding> out;
   out.reserve(ranked.size());
   for (const RankedDetection& r : ranked) {
@@ -621,17 +621,16 @@ Result<ScanReport> CorpusScanner::Scan(const std::string& root) {
   std::vector<std::unique_ptr<Worker>> workers(jobs);
   for (int s = 0; s < jobs; ++s) workers[s] = std::make_unique<Worker>(repo_names.size());
   persist::FingerprintStore* store_ptr = store.get();
-  ParallelShards(files.size(), jobs,
-                 [&](int shard, size_t begin, size_t endi) {
-                   Worker& w = *workers[shard];
-                   for (size_t i = begin; i < endi; ++i) {
-                     if (store_ptr != nullptr && TryReplayFile(files[i], w, store_ptr)) {
-                       continue;
-                     }
-                     ProcessFile(files[i], static_cast<uint32_t>(i), w, store_ptr,
-                                 registry, model, config);
-                   }
-                 });
+  std::unique_ptr<ThreadPool> pool;
+  if (jobs > 1) pool = std::make_unique<ThreadPool>(jobs);
+  ParallelShards(files.size(), pool.get(), [&](int shard, size_t begin, size_t endi) {
+    Worker& w = *workers[shard];
+    for (size_t i = begin; i < endi; ++i) {
+      if (store_ptr != nullptr && TryReplayFile(files[i], w, store_ptr)) continue;
+      ProcessFile(files[i], static_cast<uint32_t>(i), w, store_ptr, registry, model,
+                  config);
+    }
+  });
 
   // Deterministic merge: shard order for the counters, corpus (file,
   // statement) order for the store appends.

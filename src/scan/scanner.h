@@ -18,9 +18,8 @@ struct ScanOptions {
   std::string store_path;
   /// Worker shards for the file pipeline. <= 0 means auto: the hardware
   /// thread count, never more (shards past the physical threads only add
-  /// contention — the same clamp AnalysisSession applies to auto
-  /// `ingest_parallelism`), and never more than there are files. Explicit
-  /// positive values are honored literally.
+  /// contention), and never more than there are files. Explicit positive
+  /// values are honored up to the file count.
   int jobs = 0;
 };
 

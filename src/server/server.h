@@ -26,7 +26,7 @@ namespace server {
 struct ServerOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 8617;  ///< 0 = ephemeral; SqlCheckServer::port() reports it.
-  /// Analysis worker threads (the PR-1 ThreadPool); <= 0 = hardware threads.
+  /// Analysis worker threads (a ThreadPool); <= 0 = hardware threads.
   int workers = 0;
   /// Concurrent sessions (= connections) before new arrivals are turned
   /// away with a `capacity` error.
@@ -61,9 +61,8 @@ struct ServerOptions {
   /// Slow-client guard (0 = off): a connection whose response backlog makes
   /// no write progress for this long is disconnected, releasing its session.
   int write_stall_ms = 0;
-  /// Per-tenant session configuration: rule selection, parallelism (leave at
-  /// 1 — concurrency comes from sessions, not intra-session sharding), and
-  /// the SessionLimits quotas.
+  /// Per-tenant session configuration: rule selection and the SessionLimits
+  /// quotas. Concurrency comes from sessions running on the worker pool.
   SqlCheckOptions analysis;
 };
 

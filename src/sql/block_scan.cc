@@ -35,8 +35,6 @@ const char* FastTierName() {
   return "sse2";
 #elif SQLCHECK_BLOCK_SCAN_NEON
   return "neon";
-#elif SQLCHECK_BLOCK_SCAN_SWAR
-  return "swar";
 #else
   return "scalar";
 #endif

@@ -17,16 +17,17 @@
 // report emitters (core/emit.cc) find the bytes JSON must escape with
 // JsonSpecialEnd, which has the scalar and SIMD tiers only.
 //
-// Three tiers, selected per call:
+// Two tiers, selected per call:
 //  - scalar: the reference implementation, a byte loop over the
 //    lexer_detail character classes. Always available; this is the behavior
-//    contract the fast tiers must match bit-for-bit (tests/test_block_scan.cc
+//    contract the fast tier must match bit-for-bit (tests/test_block_scan.cc
 //    runs them in lockstep over hostile corpora).
-//  - SWAR: portable baseline on uint64_t — 8 bytes per step, plain C++,
-//    little-endian only (big-endian builds fall back to scalar).
 //  - SIMD: SSE2 on x86-64 (baseline ISA there, so no cpuid dispatch needed)
-//    or NEON on aarch64 — 16 bytes per step. Compile-time gated; when a SIMD
-//    tier is compiled in it is preferred over SWAR.
+//    or NEON on aarch64 — 16 bytes per step. Compile-time gated; other
+//    targets run the scalar reference.
+// The lexer's word path additionally reads one little-endian u64 with the
+// swar:: lane masks below — near a buffer's end, where a 16-byte load would
+// overrun, and as the keyword probe key.
 //
 // Runtime escape hatch: setting SQLCHECK_FORCE_SCALAR (non-empty, not "0")
 // in the environment routes every call through the scalar reference — the
@@ -60,8 +61,8 @@ inline bool ForceScalar() {
 /// benches flip this to exercise/time both paths in one process).
 void SetForceScalarForTest(bool force);
 
-/// Name of the fast tier compiled into this binary: "sse2", "neon", "swar",
-/// or "scalar" (big-endian build with no SIMD). Reported by the bench.
+/// Name of the fast tier compiled into this binary: "sse2", "neon", or
+/// "scalar" (no SIMD). Reported by the bench.
 const char* FastTierName();
 
 // ---------------------------------------------------------------------------
@@ -115,8 +116,8 @@ inline size_t JsonSpecialEndScalar(std::string_view s, size_t pos) {
 }
 
 // ---------------------------------------------------------------------------
-// SWAR tier: 8 bytes per step on uint64_t. Little-endian only (the lane ->
-// byte-index mapping below assumes it).
+// SWAR lane masks on one uint64_t (8 bytes), for the lexer's word path.
+// Little-endian only (the lane -> byte-index mapping below assumes it).
 // ---------------------------------------------------------------------------
 #if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
 #define SQLCHECK_BLOCK_SCAN_SWAR 1
@@ -162,62 +163,9 @@ inline uint64_t IdentMask(uint64_t v) {
          EqLanes(v, '$');
 }
 
-inline uint64_t SpaceMask(uint64_t v) {
-  return EqLanes(v, ' ') | InRange(v, 0x09, 0x0D);
-}
-
-inline uint64_t DigitMask(uint64_t v) { return InRange(v, '0', '9'); }
-
 /// Byte index (0-7) of the lowest set lane-MSB in a nonzero mask.
 inline size_t FirstLane(uint64_t mask) {
   return static_cast<size_t>(detail::CountTrailingZeros64(mask)) >> 3;
-}
-
-inline size_t IdentRunEnd(std::string_view s, size_t pos) {
-  const char* p = s.data();
-  const size_t n = s.size();
-  while (pos + 8 <= n) {
-    uint64_t miss = ~IdentMask(Load(p + pos)) & kHigh;
-    if (miss != 0) return pos + FirstLane(miss);
-    pos += 8;
-  }
-  return IdentRunEndScalar(s, pos);
-}
-
-inline size_t SpaceRunEnd(std::string_view s, size_t pos) {
-  const char* p = s.data();
-  const size_t n = s.size();
-  while (pos + 8 <= n) {
-    uint64_t miss = ~SpaceMask(Load(p + pos)) & kHigh;
-    if (miss != 0) return pos + FirstLane(miss);
-    pos += 8;
-  }
-  return SpaceRunEndScalar(s, pos);
-}
-
-inline size_t DigitRunEnd(std::string_view s, size_t pos) {
-  const char* p = s.data();
-  const size_t n = s.size();
-  while (pos + 8 <= n) {
-    uint64_t miss = ~DigitMask(Load(p + pos)) & kHigh;
-    if (miss != 0) return pos + FirstLane(miss);
-    pos += 8;
-  }
-  return DigitRunEndScalar(s, pos);
-}
-
-inline size_t FindEither(std::string_view s, size_t pos, char a, char b) {
-  const char* p = s.data();
-  const size_t n = s.size();
-  const auto ua = static_cast<unsigned char>(a);
-  const auto ub = static_cast<unsigned char>(b);
-  while (pos + 8 <= n) {
-    uint64_t v = Load(p + pos);
-    uint64_t hit = EqLanes(v, ua) | EqLanes(v, ub);
-    if (hit != 0) return pos + FirstLane(hit);
-    pos += 8;
-  }
-  return FindEitherScalar(s, pos, a, b);
 }
 
 }  // namespace swar
@@ -471,8 +419,6 @@ namespace detail {
 inline size_t IdentRunEndFast(std::string_view s, size_t pos) {
 #if SQLCHECK_BLOCK_SCAN_SIMD
   return simd::IdentRunEnd(s, pos);
-#elif SQLCHECK_BLOCK_SCAN_SWAR
-  return swar::IdentRunEnd(s, pos);
 #else
   return IdentRunEndScalar(s, pos);
 #endif
@@ -481,8 +427,6 @@ inline size_t IdentRunEndFast(std::string_view s, size_t pos) {
 inline size_t SpaceRunEndFast(std::string_view s, size_t pos) {
 #if SQLCHECK_BLOCK_SCAN_SIMD
   return simd::SpaceRunEnd(s, pos);
-#elif SQLCHECK_BLOCK_SCAN_SWAR
-  return swar::SpaceRunEnd(s, pos);
 #else
   return SpaceRunEndScalar(s, pos);
 #endif
@@ -491,8 +435,6 @@ inline size_t SpaceRunEndFast(std::string_view s, size_t pos) {
 inline size_t DigitRunEndFast(std::string_view s, size_t pos) {
 #if SQLCHECK_BLOCK_SCAN_SIMD
   return simd::DigitRunEnd(s, pos);
-#elif SQLCHECK_BLOCK_SCAN_SWAR
-  return swar::DigitRunEnd(s, pos);
 #else
   return DigitRunEndScalar(s, pos);
 #endif
@@ -501,8 +443,6 @@ inline size_t DigitRunEndFast(std::string_view s, size_t pos) {
 inline size_t FindEitherFast(std::string_view s, size_t pos, char a, char b) {
 #if SQLCHECK_BLOCK_SCAN_SIMD
   return simd::FindEither(s, pos, a, b);
-#elif SQLCHECK_BLOCK_SCAN_SWAR
-  return swar::FindEither(s, pos, a, b);
 #else
   return FindEitherScalar(s, pos, a, b);
 #endif
@@ -554,8 +494,7 @@ inline size_t FindStringSpecial(std::string_view s, size_t pos) {
 
 /// First index >= pos holding a byte a JSON string literal must escape
 /// (IsJsonSpecial), or s.size() — the scan behind the report emitters'
-/// escaping. SIMD or scalar only: there is deliberately no SWAR variant, so
-/// a build without SSE2/NEON takes the scalar reference.
+/// escaping.
 inline size_t JsonSpecialEnd(std::string_view s, size_t pos) {
 #if SQLCHECK_BLOCK_SCAN_SIMD
   if (!ForceScalar()) return simd::JsonSpecialEnd(s, pos);

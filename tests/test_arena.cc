@@ -209,20 +209,6 @@ TEST(InternerTest, LowerViewsStayValidAsTableGrows) {
   EXPECT_EQ(first, "first_table");
 }
 
-TEST(InternerTest, MergeRemapsShardIds) {
-  NameInterner main;
-  main.Intern("users");   // 1
-  main.Intern("orders");  // 2
-  NameInterner shard;
-  shard.Intern("ORDERS");  // shard id 1
-  shard.Intern("items");   // shard id 2
-  std::vector<NameId> remap;
-  main.Merge(shard, &remap);
-  EXPECT_EQ(remap[1], main.Find("orders"));
-  EXPECT_EQ(remap[2], main.Find("items"));
-  EXPECT_EQ(main.size(), 3u);
-}
-
 // --------------------------- Token round-trips -----------------------------
 
 TEST(TokenRoundTripTest, OffsetsReconstructEveryLexeme) {

@@ -1,4 +1,4 @@
-// Block-scan tiers (sql/block_scan.h): the SWAR/SIMD fast paths must agree
+// Block-scan tiers (sql/block_scan.h): the SIMD fast paths must agree
 // with the scalar reference byte-for-byte — on the unified character-class
 // tables (lexer, splitter, and fingerprint scanner all read
 // lexer_detail.h), on every run/find primitive (including the emitters'
@@ -56,17 +56,12 @@ TEST(BlockScanTest, CharClassTableMatchesReferencePredicates) {
 
 TEST(BlockScanTest, SwarLanesMatchCharClassTable) {
   // One 8-lane block per byte value: every lane must classify exactly as the
-  // scalar table does — this is the lockstep contract the lexer, splitter,
-  // and canonicalizer all rely on.
+  // scalar table does — the lexer's word path relies on it.
   for (int c = 0; c < 256; ++c) {
     char buf[8];
     for (char& b : buf) b = static_cast<char>(c);
     const uint64_t v = bs::swar::Load(buf);
     const uint64_t all = 0x8080808080808080ull;
-    EXPECT_EQ(bs::swar::SpaceMask(v), lexer_detail::IsSpace(static_cast<char>(c)) ? all : 0u)
-        << "byte " << c;
-    EXPECT_EQ(bs::swar::DigitMask(v), lexer_detail::IsDigit(static_cast<char>(c)) ? all : 0u)
-        << "byte " << c;
     EXPECT_EQ(bs::swar::IdentMask(v),
               lexer_detail::IsIdentChar(static_cast<char>(c)) ? all : 0u)
         << "byte " << c;
@@ -80,7 +75,8 @@ TEST(BlockScanTest, SwarLanesMatchCharClassTable) {
 std::vector<std::string> FuzzBuffers() {
   std::vector<std::string> out;
   // Deterministic fuzz over the full structural alphabet; lengths 1..65
-  // cover every straddle of the 8-byte SWAR and 16-byte SIMD blocks.
+  // cover every straddle of the lexer's 8-byte word load and the 16-byte
+  // SIMD blocks.
   const std::string alphabet =
       " \t\n\r\f\vabcXYZ019_$'\"`[]();,.-/*#\\?%:=<>|!~@^&+\x80\xC3\xA9\xF0";
   std::mt19937 rng(12345);
@@ -291,7 +287,7 @@ TEST(BlockScanTest, FrontendIdenticalOverFuzzStraddles) {
 
 TEST(BlockScanTest, TierNameIsKnown) {
   const std::string tier = bs::FastTierName();
-  EXPECT_TRUE(tier == "sse2" || tier == "neon" || tier == "swar" || tier == "scalar")
+  EXPECT_TRUE(tier == "sse2" || tier == "neon" || tier == "scalar")
       << tier;
 }
 

@@ -2,7 +2,7 @@
 // request path, bottom-up: FailpointRegistry semantics (modes, parsing,
 // scope gating), the DeadlineWheel and QuarantineSet primitives, session
 // recovery under injected faults (transient retry, persistent quarantine,
-// deadline and statement-budget refusal, parallel-ingest fault folding),
+// deadline and statement-budget refusal, whole-script quarantine),
 // handler-level statement_error streaming, and the live epoll daemon under
 // socket-fault profiles, queue overload, and request deadlines. Every test
 // disarms the registry on teardown so ambient suites stay unaffected.
@@ -367,18 +367,16 @@ TEST_F(SessionChaosTest, StatementBudgetQuarantinesTheOverrunnerButKeepsIt) {
   EXPECT_EQ(session.quarantine_refusals(), 1u);
 }
 
-TEST_F(SessionChaosTest, ParallelIngestFoldsShardFailuresBack) {
-  // 64 distinct statements, 4-way sharded ingest, arena faults at p=1:
-  // nothing lands, every shard's quarantine and failure records merge into
-  // the parent session (capped at kMaxRecordedFailures).
+TEST_F(SessionChaosTest, PersistentFaultsAcrossAScriptQuarantineEveryStatement) {
+  // 64 distinct statements in one script, arena faults at p=1: nothing
+  // lands, every statement is quarantined, and the failure records cap at
+  // kMaxRecordedFailures.
   std::string script;
   for (int i = 0; i < 64; ++i) {
     script += "SELECT c" + std::to_string(i) + " FROM t" + std::to_string(i) + ";\n";
   }
-  SqlCheckOptions options;
-  options.ingest_parallelism = 4;
   ASSERT_TRUE(FailpointRegistry::Instance().Arm("arena_alloc", "1.0").ok());
-  AnalysisSession session(options);
+  AnalysisSession session;
   size_t added = session.AddScript(script);
   EXPECT_EQ(added, 0u);
   EXPECT_EQ(session.statement_count(), 0u);
@@ -388,7 +386,7 @@ TEST_F(SessionChaosTest, ParallelIngestFoldsShardFailuresBack) {
   EXPECT_LE(session.recent_failures().size(), AnalysisSession::kMaxRecordedFailures);
 
   // Faults clear; the same script is refused wholesale by the quarantine
-  // probes, while a fresh script ingests — and the merged session matches a
+  // probes, while a fresh script ingests — and the session matches a
   // never-faulted session byte-for-byte.
   FailpointRegistry::Instance().DisarmAll();
   EXPECT_EQ(session.AddScript(script), 0u);
@@ -400,7 +398,7 @@ TEST_F(SessionChaosTest, ParallelIngestFoldsShardFailuresBack) {
   }
   EXPECT_EQ(session.AddScript(fresh), 64u);
 
-  AnalysisSession clean(options);
+  AnalysisSession clean;
   clean.AddScript(fresh);
   EXPECT_EQ(ToJson(session.Snapshot(), {}), ToJson(clean.Snapshot(), {}));
 }

@@ -1,6 +1,6 @@
 // Query fingerprint dedup: memoized analysis + rule evaluation must be
-// invisible in the output — reports byte-identical to an unmemoized run at
-// every parallelism level, with per-occurrence raw text preserved.
+// invisible in the output — reports byte-identical to an unmemoized run,
+// with per-occurrence raw text preserved.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -29,22 +29,18 @@ const char* kDuplicateScript =
     "INSERT INTO users VALUES (1, 'a', 'b');\n"
     "SELECT u.name FROM users u ORDER BY RAND();\n";
 
-std::string RunReport(bool dedup, int parallelism) {
+std::string RunReport(bool dedup) {
   SqlCheckOptions options;
   options.dedup_queries = dedup;
-  options.parallelism = parallelism;
   SqlCheck checker(options);
   checker.AddScript(kDuplicateScript);
   return checker.Run().ToText();
 }
 
 TEST(DedupTest, ReportByteIdenticalWithAndWithoutDedup) {
-  std::string reference = RunReport(false, 1);
+  std::string reference = RunReport(false);
   EXPECT_FALSE(reference.empty());
-  for (int threads : {1, 2, 4}) {
-    EXPECT_EQ(RunReport(true, threads), reference) << "dedup on, threads=" << threads;
-    EXPECT_EQ(RunReport(false, threads), reference) << "dedup off, threads=" << threads;
-  }
+  EXPECT_EQ(RunReport(true), reference);
 }
 
 TEST(DedupTest, GroupsCollapseWhitespaceCaseAndComments) {
@@ -149,28 +145,11 @@ TEST(DedupTest, DedupOffYieldsIdentityGroups) {
   ContextBuilder builder;
   builder.AddQuery("SELECT 1");
   builder.AddQuery("SELECT 1");
-  Context context = builder.Build(1, nullptr, /*dedup_queries=*/false);
+  Context context = builder.Build(/*dedup_queries=*/false);
   const QueryGroups& groups = context.query_groups();
   EXPECT_EQ(groups.unique_count(), 2u);
   EXPECT_FALSE(groups.has_duplicates());
   EXPECT_TRUE(groups.fingerprints.empty());
-}
-
-TEST(DedupTest, ParallelDedupMatchesSerialDedup) {
-  auto build_report = [](int threads) {
-    SqlCheckOptions options;
-    options.parallelism = threads;
-    SqlCheck checker(options);
-    for (int i = 0; i < 40; ++i) {
-      checker.AddQuery("SELECT * FROM users u JOIN orders o ON u.id = o.user_id");
-      checker.AddQuery("SELECT name FROM users WHERE id = " + std::to_string(i % 4));
-    }
-    return checker.Run().ToText();
-  };
-  std::string serial = build_report(1);
-  EXPECT_EQ(build_report(2), serial);
-  EXPECT_EQ(build_report(4), serial);
-  EXPECT_EQ(build_report(0), serial);
 }
 
 }  // namespace

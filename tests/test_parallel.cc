@@ -1,7 +1,8 @@
-// Parallel batch-analysis pipeline: the N-thread run must be byte-identical
-// to the serial run, the ThreadPool must actually fork/join correctly, and
-// the built-in rules must tolerate concurrent evaluation (they are stateless;
-// these tests keep them that way).
+// Concurrency: the server runs many tenants' sessions at once on its
+// ThreadPool and `sqlcheck scan --jobs` shards files across one, so the pool
+// must fork/join correctly, and the analysis pipeline run from several
+// threads at once must give each of them the serial answer (rules and the
+// default registry are stateless; these tests keep them that way).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -55,19 +56,22 @@ TEST(ThreadPoolTest, ResolveParallelismMapsNonPositiveToHardware) {
 }
 
 TEST(ParallelShardsTest, CoversRangeExactlyOnceInShardOrder) {
-  for (int parallelism : {1, 2, 3, 4, 7}) {
+  // 0 workers = no pool (inline); 7 workers exceed some ranges' item count.
+  for (int workers : {0, 2, 3, 4, 7}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (workers > 0) pool = std::make_unique<ThreadPool>(workers);
     for (size_t n : {size_t{0}, size_t{1}, size_t{5}, size_t{64}}) {
       std::vector<int> hits(n, 0);
       std::vector<std::pair<size_t, size_t>> bounds;
       std::mutex mu;
-      ParallelShards(n, parallelism, [&](int shard, size_t begin, size_t end) {
+      ParallelShards(n, pool.get(), [&](int shard, size_t begin, size_t end) {
         std::lock_guard<std::mutex> lock(mu);
         bounds.emplace_back(begin, end);
         (void)shard;
         for (size_t i = begin; i < end; ++i) ++hits[i];
       });
       for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(hits[i], 1) << "n=" << n << " p=" << parallelism << " i=" << i;
+        EXPECT_EQ(hits[i], 1) << "n=" << n << " workers=" << workers << " i=" << i;
       }
       size_t covered = 0;
       for (const auto& [begin, end] : bounds) covered += end - begin;
@@ -108,13 +112,20 @@ CREATE TABLE orders (id INTEGER PRIMARY KEY, user_id INTEGER, tag_ids TEXT,
   }
 }
 
-Report RunWithParallelism(const std::string& script, const Database* db, int parallelism) {
-  SqlCheckOptions options;
-  options.parallelism = parallelism;
-  SqlCheck checker(options);
+std::string RunReport(const std::string& script, const Database* db) {
+  SqlCheck checker;
   checker.AddScript(script);
   if (db != nullptr) checker.AttachDatabase(db);
-  return checker.Run();
+  return checker.Run().ToText();
+}
+
+/// Runs `body(t)` on `threads` threads at once and joins them all.
+template <typename Body>
+void RunConcurrently(int threads, Body body) {
+  std::vector<std::thread> runners;
+  runners.reserve(static_cast<size_t>(threads));
+  for (int t = 0; t < threads; ++t) runners.emplace_back([&body, t] { body(t); });
+  for (auto& runner : runners) runner.join();
 }
 
 void ExpectSameDetections(const std::vector<Detection>& serial,
@@ -130,62 +141,52 @@ void ExpectSameDetections(const std::vector<Detection>& serial,
   }
 }
 
-// --------------------------- pipeline determinism ---------------------------
-
-TEST(ParallelPipelineTest, DetectionsMatchSerialAtEveryThreadCount) {
-  Database db;
-  PopulateDatabase(&db);
-  ContextBuilder builder;
-  builder.AddScript(CorpusScript());
-  builder.AttachDatabase(&db);
-  Context context = builder.Build();
-
-  RuleRegistry registry = RuleRegistry::Default();
-  std::vector<Detection> serial = DetectAntiPatterns(context, registry, {}, 1);
-  ASSERT_FALSE(serial.empty());
-  for (int threads : {2, 3, 4, 8}) {
-    ExpectSameDetections(serial, DetectAntiPatterns(context, registry, {}, threads));
-  }
-}
+// ----------------------- concurrent pipeline runs ---------------------------
 
 TEST(ParallelPipelineTest, ParallelContextBuildMatchesSerial) {
+  // Scan workers build one context per statement, several at a time.
   std::string script = CorpusScript();
   ContextBuilder serial_builder;
   serial_builder.AddScript(script);
-  Context serial = serial_builder.Build(1);
+  Context serial = serial_builder.Build();
 
-  ContextBuilder parallel_builder;
-  parallel_builder.AddScript(script);
-  Context parallel = parallel_builder.Build(4);
-
-  ASSERT_EQ(serial.queries().size(), parallel.queries().size());
-  for (size_t i = 0; i < serial.queries().size(); ++i) {
-    EXPECT_EQ(serial.queries()[i].raw_sql, parallel.queries()[i].raw_sql);
-    EXPECT_EQ(serial.queries()[i].tables, parallel.queries()[i].tables);
-    EXPECT_EQ(serial.queries()[i].predicates.size(), parallel.queries()[i].predicates.size());
+  constexpr int kThreads = 4;
+  std::vector<Context> built(kThreads);
+  RunConcurrently(kThreads, [&](int t) {
+    ContextBuilder builder;
+    builder.AddScript(script);
+    built[static_cast<size_t>(t)] = builder.Build();
+  });
+  for (const Context& parallel : built) {
+    ASSERT_EQ(serial.queries().size(), parallel.queries().size());
+    for (size_t i = 0; i < serial.queries().size(); ++i) {
+      EXPECT_EQ(serial.queries()[i].raw_sql, parallel.queries()[i].raw_sql);
+      EXPECT_EQ(serial.queries()[i].tables, parallel.queries()[i].tables);
+      EXPECT_EQ(serial.queries()[i].predicates.size(),
+                parallel.queries()[i].predicates.size());
+    }
   }
 }
 
 TEST(ParallelPipelineTest, ReportTextIsByteIdenticalAcrossThreadCounts) {
+  // Server workers run whole checkers side by side: analysis, ranking, fixes
+  // and data profiling of a shared database.
   std::string script = CorpusScript();
   Database db;
   PopulateDatabase(&db);
 
-  std::string serial_text = RunWithParallelism(script, &db, 1).ToText();
+  const std::string serial_text = RunReport(script, &db);
   ASSERT_FALSE(serial_text.empty());
-  for (int threads : {2, 4, 8, 0}) {  // 0 = all hardware threads
-    EXPECT_EQ(serial_text, RunWithParallelism(script, &db, threads).ToText())
-        << "parallelism=" << threads;
+  for (int threads : {2, 4, 8}) {
+    std::vector<std::string> texts(static_cast<size_t>(threads));
+    RunConcurrently(threads, [&](int t) {
+      texts[static_cast<size_t>(t)] = RunReport(script, &db);
+    });
+    for (const std::string& text : texts) {
+      EXPECT_EQ(serial_text, text) << "threads=" << threads;
+    }
   }
 }
-
-TEST(ParallelPipelineTest, HandlesMoreThreadsThanWork) {
-  std::string tiny = "SELECT * FROM t";
-  std::string serial_text = RunWithParallelism(tiny, nullptr, 1).ToText();
-  EXPECT_EQ(serial_text, RunWithParallelism(tiny, nullptr, 16).ToText());
-}
-
-// ------------------------------ thread-safety -------------------------------
 
 TEST(ParallelPipelineTest, SharedDefaultRegistryIsSafeUnderConcurrentRuns) {
   Database db;
@@ -195,21 +196,16 @@ TEST(ParallelPipelineTest, SharedDefaultRegistryIsSafeUnderConcurrentRuns) {
   builder.AttachDatabase(&db);
   Context context = builder.Build();
 
-  // One registry, many concurrent full detections — each itself sharded.
-  // Any rule keeping hidden mutable state would corrupt at least one run.
+  // One registry, many concurrent full detections. Any rule keeping hidden
+  // mutable state would corrupt at least one run.
   RuleRegistry registry = RuleRegistry::Default();
-  std::vector<Detection> serial = DetectAntiPatterns(context, registry, {}, 1);
+  std::vector<Detection> serial = DetectAntiPatterns(context, registry, {});
 
   constexpr int kRunners = 8;
   std::vector<std::vector<Detection>> results(kRunners);
-  std::vector<std::thread> runners;
-  runners.reserve(kRunners);
-  for (int r = 0; r < kRunners; ++r) {
-    runners.emplace_back([&, r] {
-      results[static_cast<size_t>(r)] = DetectAntiPatterns(context, registry, {}, 2);
-    });
-  }
-  for (auto& t : runners) t.join();
+  RunConcurrently(kRunners, [&](int r) {
+    results[static_cast<size_t>(r)] = DetectAntiPatterns(context, registry, {});
+  });
   for (const auto& result : results) ExpectSameDetections(serial, result);
 }
 

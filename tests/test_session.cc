@@ -16,6 +16,7 @@
 #include "fix/fix_engine.h"
 #include "ranking/model.h"
 #include "rules/registry.h"
+#include "sql/block_scan.h"
 #include "sql/splitter.h"
 #include "workload/corpus.h"
 
@@ -52,7 +53,7 @@ Report ReferencePipeline(const std::vector<std::string>& statements,
   ContextBuilder builder;
   for (const auto& s : statements) builder.AddQuery(s);
   if (db != nullptr) builder.AttachDatabase(db, options.data_analyzer);
-  Context context = builder.Build(1, nullptr, options.dedup_queries);
+  Context context = builder.Build(options.dedup_queries);
 
   RuleRegistry registry = RuleRegistry::Default();
   EXPECT_TRUE(registry.Disable(options.disabled_rules).ok());
@@ -150,18 +151,6 @@ TEST(SessionTest, MatchesBatchWithDedupOff) {
             Serialize(ReferencePipeline(statements, options)));
 }
 
-TEST(SessionTest, MatchesBatchAtEveryParallelism) {
-  std::vector<std::string> statements = ScriptStatements();
-  std::string reference = Serialize(ReferencePipeline(statements, SqlCheckOptions{}));
-  for (int threads : {1, 2, 4, 0}) {
-    SqlCheckOptions options;
-    options.parallelism = threads;
-    AnalysisSession session(options);
-    for (const auto& stmt : statements) session.AddQuery(stmt);
-    EXPECT_EQ(Serialize(session.Snapshot()), reference) << "threads=" << threads;
-  }
-}
-
 TEST(SessionTest, CorpusWorkloadWithDatabaseMatchesBatch) {
   workload::CorpusOptions corpus_options;
   corpus_options.repo_count = 12;
@@ -195,6 +184,147 @@ CREATE TABLE users (id INTEGER PRIMARY KEY, name VARCHAR(40), status TEXT,
   for (const auto& stmt : statements) late.AddQuery(stmt);
   late.AttachDatabase(&db);
   EXPECT_EQ(Serialize(late.Snapshot()), reference);
+}
+
+// ------------------------ script vs statement append ------------------------
+
+/// Adversarial script: the same statements recur in every round (dedup must
+/// resolve against earlier rounds), DML references tables whose DDL only
+/// arrives at the end (DDL-after-DML), and keyword-case jitter shares groups.
+std::string AdversarialScript(size_t rounds) {
+  std::string script;
+  auto add = [&script](const std::string& stmt) {
+    script += stmt;
+    script += ";\n";
+  };
+  for (size_t r = 0; r < rounds; ++r) {
+    const std::string t = "late" + std::to_string(r % 3);
+    add("SELECT * FROM " + t + " WHERE id = ?");
+    add("select * from " + t + " where id = ?");
+    add("SELECT a.name, b.status FROM " + t + " a JOIN orders b ON a.id = b.ref_id");
+    add("INSERT INTO " + t + " VALUES (1, 'open', 0.5)");
+    add("SELECT name FROM users WHERE tag_ids LIKE '%,7,%'");
+    add("SELECT name, password FROM users WHERE password = 'hunter2'");
+    add("UPDATE users SET balance = 0 WHERE id = " + std::to_string(r));
+    add("SELECT * FROM users WHERE id = ?");
+  }
+  add("CREATE TABLE users (id INT PRIMARY KEY, name VARCHAR(64), "
+      "password VARCHAR(64), tag_ids TEXT, balance FLOAT)");
+  add("CREATE TABLE orders (id INT PRIMARY KEY, ref_id INT, status VARCHAR(8))");
+  for (int k = 0; k < 3; ++k) {
+    const std::string t = "late" + std::to_string(k);
+    add("CREATE TABLE " + t + " (id INT PRIMARY KEY, status VARCHAR(8), score FLOAT)");
+    add("CREATE INDEX idx_" + t + " ON " + t + " (status)");
+  }
+  add("SELECT * FROM users WHERE id = ?");
+  return script;
+}
+
+std::string Table3Script() {
+  workload::CorpusOptions corpus_options;
+  corpus_options.repo_count = 12;
+  std::string script;
+  for (const auto& s : workload::GenerateCorpus(corpus_options).AllStatements()) {
+    script += s.sql;
+    script += ";\n";
+  }
+  return script;
+}
+
+/// AddScript and AddQuery share one per-statement append path, so a whole
+/// script must leave the session exactly as its statements fed singly do:
+/// groups, interned names, and every report byte.
+void ExpectScriptMatchesStatementAtATime(const std::string& script,
+                                         const SqlCheckOptions& options) {
+  AnalysisSession whole(options);
+  const size_t added = whole.AddScript(script);
+  AnalysisSession single(options);
+  for (std::string_view piece : sql::SplitStatements(script)) single.AddQuery(piece);
+  EXPECT_EQ(added, single.statement_count());
+  EXPECT_EQ(whole.unique_count(), single.unique_count());
+  EXPECT_EQ(whole.Usage().interner_names, single.Usage().interner_names);
+  EXPECT_EQ(Serialize(whole.Snapshot()), Serialize(single.Snapshot()))
+      << "scalar=" << sql::blockscan::ForceScalar()
+      << " dedup=" << options.dedup_queries;
+}
+
+TEST(SessionTest, ScriptMatchesStatementAtATime) {
+  ExpectScriptMatchesStatementAtATime(AdversarialScript(20), SqlCheckOptions{});
+}
+
+TEST(SessionTest, ScriptMatchesStatementAtATimeOnScalarPath) {
+  const bool ambient_scalar = sql::blockscan::ForceScalar();
+  sql::blockscan::SetForceScalarForTest(true);
+  for (const std::string& script : {AdversarialScript(20), Table3Script()}) {
+    for (bool dedup : {true, false}) {
+      SqlCheckOptions options;
+      options.dedup_queries = dedup;
+      ExpectScriptMatchesStatementAtATime(script, options);
+    }
+  }
+  sql::blockscan::SetForceScalarForTest(ambient_scalar);
+}
+
+TEST(SessionTest, ScriptMatchesStatementAtATimeWithDedupOff) {
+  SqlCheckOptions options;
+  options.dedup_queries = false;
+  ExpectScriptMatchesStatementAtATime(AdversarialScript(16), options);
+  ExpectScriptMatchesStatementAtATime(Table3Script(), options);
+}
+
+TEST(SessionTest, Table3ScriptMatchesStatementAtATime) {
+  ExpectScriptMatchesStatementAtATime(Table3Script(), SqlCheckOptions{});
+}
+
+TEST(SessionTest, CheckAfterScriptMatchesStatementAtATime) {
+  // Check() on top of a script load sees the same memos and aggregates as
+  // on top of the same statements appended one at a time.
+  const std::string script = AdversarialScript(16);
+  const char* incoming = "SELECT * FROM users WHERE id = ?;"
+                         "SELECT score FROM late1 WHERE status = 'open';";
+  AnalysisSession whole;
+  whole.AddScript(script);
+  AnalysisSession single;
+  for (std::string_view piece : sql::SplitStatements(script)) single.AddQuery(piece);
+  EXPECT_EQ(Serialize(whole.Check(incoming)), Serialize(single.Check(incoming)));
+  EXPECT_EQ(Serialize(whole.Snapshot()), Serialize(single.Snapshot()));
+}
+
+TEST(SessionTest, QuotaGatesWholeScript) {
+  const std::string script = AdversarialScript(16);
+  SqlCheckOptions options;
+  options.limits.max_ingest_bytes = script.size() / 2;
+  AnalysisSession session(options);
+  EXPECT_EQ(session.AddScript(script), 0u);  // refused whole, nothing ingested
+  EXPECT_FALSE(session.quota_status().ok());
+  EXPECT_EQ(session.statement_count(), 0u);
+}
+
+TEST(SessionTest, MidSessionQuotaBreachIsSticky) {
+  // The first script fits; the second crosses the byte cap and is refused
+  // whole at the gate, leaving the session frozen (but fully queryable) at
+  // its first-load state. A retry stays refused: quotas only tighten.
+  const std::string first = AdversarialScript(10);
+  const std::string second = AdversarialScript(16);
+  SqlCheckOptions options;
+  options.limits.max_ingest_bytes = first.size() + second.size() / 2;
+  AnalysisSession session(options);
+
+  ASSERT_GT(session.AddScript(first), 0u);
+  ASSERT_TRUE(session.quota_status().ok());
+  const std::string before = Serialize(session.Snapshot());
+  const SessionUsage usage_before = session.Usage();
+
+  EXPECT_EQ(session.AddScript(second), 0u);
+  EXPECT_FALSE(session.quota_status().ok());
+  SessionUsage usage_after = session.Usage();
+  EXPECT_EQ(usage_after.statements, usage_before.statements);
+  EXPECT_EQ(usage_after.ingested_bytes, usage_before.ingested_bytes);
+  EXPECT_EQ(usage_after.interner_names, usage_before.interner_names);
+  EXPECT_EQ(before, Serialize(session.Snapshot()));
+
+  EXPECT_EQ(session.AddScript(second), 0u);
+  EXPECT_EQ(usage_before.statements, session.statement_count());
 }
 
 TEST(SessionTest, RepeatedStatementReusesFingerprintMemo) {

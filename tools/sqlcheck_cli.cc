@@ -70,12 +70,6 @@ options:
   --disable <NAME[,NAME...]>  disable rules by anti-pattern name, e.g.
                               --disable "Column Wildcard Usage" (repeatable)
   --rules                     list every rule with its category and exit
-  --parallel <N>              worker threads for batch analysis (0 = all)
-  --ingest-threads <N>        worker threads for bulk script ingestion: the
-                              statement stream is parsed and analyzed in
-                              contiguous shards, then merged — output is
-                              byte-identical at any setting (0 = all,
-                              default 1)
   -h, --help                  show this help
 
 exit codes: 0 = clean, 1 = findings reported, 2 = usage or I/O error
@@ -254,8 +248,6 @@ struct CliOptions {
   bool fixes = false;
   bool color = false;
   size_t top = 0;
-  int parallelism = 1;
-  int ingest_threads = 1;
   ExecVerifyOptions verify_exec;  ///< --verify-exec / --verify-seed.
   std::string apply_path;  ///< --apply target ("" = off).
   std::vector<std::string> disabled;
@@ -379,21 +371,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* cli, int* exit_code) {
         return false;
       }
       cli->top = static_cast<size_t>(std::stoull(value));
-    } else if (arg == "--parallel") {
-      if (!value_of(&i, arg, &value)) return false;
-      if (!IsAllDigits(value) || value.size() > 4) {
-        *exit_code = UsageError("--parallel expects a thread count, got '" + value + "'");
-        return false;
-      }
-      cli->parallelism = std::stoi(value);
-    } else if (arg == "--ingest-threads") {
-      if (!value_of(&i, arg, &value)) return false;
-      if (!IsAllDigits(value) || value.size() > 4) {
-        *exit_code =
-            UsageError("--ingest-threads expects a thread count, got '" + value + "'");
-        return false;
-      }
-      cli->ingest_threads = std::stoi(value);
     } else if (arg == "--disable") {
       if (!value_of(&i, arg, &value)) return false;
       for (const auto& name : Split(value, ',')) {
@@ -608,8 +585,6 @@ int main(int argc, char** argv) {
   }
 
   SqlCheckOptions options;
-  options.parallelism = cli.parallelism;
-  options.ingest_parallelism = cli.ingest_threads;
   options.disabled_rules = cli.disabled;
   options.verify_exec = cli.verify_exec;
   AnalysisSession session(options);

@@ -41,11 +41,6 @@ options:
   --max-statements <N>        per-session statement quota, 0 = off
   --max-ingest-bytes <N>      per-session ingested-SQL quota, 0 = off
   --interner-cap <N>          per-session interned-name quota, 0 = off
-  --ingest-threads <N>        worker threads a bulk `script` load may use:
-                              the statement stream shards across per-worker
-                              sessions and merges back byte-identically
-                              (0 = all hardware threads, default 1 — size it
-                              against --workers, see docs/OPERATIONS.md)
   --request-deadline-ms <N>   per-request deadline: queued requests past it
                               answer `deadline_exceeded` without running, a
                               running check stops between statements, 0 = off
@@ -101,7 +96,6 @@ int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
 
   server::ServerOptions options;
-  options.analysis.parallelism = 1;  // concurrency comes from sessions
 
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
@@ -193,11 +187,6 @@ int main(int argc, char** argv) {
         return UsageError("--quarantine-cap expects a count");
       }
       options.analysis.quarantine_capacity = number;
-    } else if (arg == "--ingest-threads") {
-      if (!value_of(&value) || !ParseSize(value, &number) || number > 1024) {
-        return UsageError("--ingest-threads expects a thread count");
-      }
-      options.analysis.ingest_parallelism = static_cast<int>(number);
     } else if (arg == "--verify-exec") {
       if (!value_of(&value)) return UsageError("--verify-exec requires a value");
       if (value == "off") {
