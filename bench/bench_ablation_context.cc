@@ -5,8 +5,7 @@
 // positives and data analysis resolves the rest (§4.2).
 #include <cstdio>
 
-#include "analysis/context.h"
-#include "rules/registry.h"
+#include "detect.h"
 #include "sql/extractor.h"
 #include "workload/corpus.h"
 #include "workload/globaleaks.h"
@@ -19,15 +18,14 @@ namespace {
 DetectionScore RunConfig(const workload::Corpus& corpus, bool inter) {
   std::vector<Detection> detections;
   for (const auto& repo : corpus.repos) {
-    ContextBuilder builder;
+    std::vector<std::string> raw;
     for (const auto& found : sql::ExtractEmbeddedSql(repo.source)) {
-      builder.AddQuery(found.sql);
+      raw.push_back(found.sql);
     }
-    Context context = builder.Build();
     DetectorConfig config;
     config.inter_query = inter;
     config.data_analysis = false;
-    for (auto& d : DetectAntiPatterns(context, config)) detections.push_back(std::move(d));
+    for (auto& d : DetectWorkload(raw, config)) detections.push_back(std::move(d));
   }
   auto scores = ScoreDetections(corpus, detections, {});
   DetectionScore total;
@@ -71,11 +69,8 @@ int main() {
   small.users_per_tenant = 10;
   workload::Globaleaks::BuildWithAps(&db, small);
 
-  ContextBuilder builder;
-  builder.AddQuery("SELECT tenant_id FROM Tenants WHERE user_ids LIKE '%,U1,%'");
-  builder.AttachDatabase(&db);
-  Context with_data = builder.Build();
-
+  const std::vector<std::string> query = {
+      "SELECT tenant_id FROM Tenants WHERE user_ids LIKE '%,U1,%'"};
   DetectorConfig no_data;
   no_data.data_analysis = false;
   DetectorConfig full;
@@ -87,8 +82,8 @@ int main() {
     }
     return n;
   };
-  int without = count_mva(DetectAntiPatterns(with_data, no_data));
-  int with = count_mva(DetectAntiPatterns(with_data, full));
+  int without = count_mva(DetectWorkload(query, no_data, &db));
+  int with = count_mva(DetectWorkload(query, full, &db));
   std::printf("\nMVA detections on GlobaLeaks (true AP present): query-only=%d, "
               "+data=%d (data rule confirms the packed user_ids column)\n",
               without, with);

@@ -5,8 +5,7 @@
 #include <chrono>
 #include <cstdio>
 
-#include "analysis/context.h"
-#include "rules/registry.h"
+#include "core/session.h"
 #include "workload/globaleaks.h"
 
 using namespace sqlcheck;
@@ -23,23 +22,22 @@ int main() {
   std::printf("%10s %14s %10s %12s\n", "sample", "profile_ms", "MVA hit", "detections");
 
   for (size_t sample : {size_t{10}, size_t{50}, size_t{200}, size_t{1000}, size_t{0}}) {
-    ContextBuilder builder;
-    DataAnalyzerOptions data_options;
-    data_options.sample_limit = sample;
-    builder.AttachDatabase(&db, data_options);
+    SqlCheckOptions options;
+    options.suggest_fixes = false;
+    options.data_analyzer.sample_limit = sample;
+    options.detector.intra_query = false;
+    AnalysisSession session(options);
 
     auto start = std::chrono::steady_clock::now();
-    Context context = builder.Build();
-    DetectorConfig config;
-    config.intra_query = false;
-    auto detections = DetectAntiPatterns(context, config);
+    session.AttachDatabase(&db);  // profiles the tables
+    Report detections = session.Snapshot();
     auto elapsed = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - start)
                        .count();
 
     bool mva = false;
-    for (const auto& d : detections) {
-      if (d.type == AntiPattern::kMultiValuedAttribute) mva = true;
+    for (const auto& f : detections.findings) {
+      if (f.ranked.detection.type == AntiPattern::kMultiValuedAttribute) mva = true;
     }
     std::printf("%10s %14.2f %10s %12zu\n",
                 sample == 0 ? "full" : std::to_string(sample).c_str(), elapsed,

@@ -8,8 +8,8 @@
 #include <map>
 #include <set>
 
-#include "analysis/context.h"
 #include "baseline/dbdeo.h"
+#include "detect.h"
 #include "rules/registry.h"
 #include "sql/extractor.h"
 #include "workload/corpus.h"
@@ -46,23 +46,20 @@ int main() {
   options.repo_count = 300;
   Corpus corpus = GenerateCorpus(options);
 
-  // Per-repo runs: sqlcheck builds one context per repository (inter-query
+  // Per-repo runs: sqlcheck runs one session per repository (inter-query
   // context is repo-local, as in the paper), dbdeo is statement-local.
   std::vector<Detection> sqlcheck_detections;
   std::vector<Detection> dbdeo_detections;
   Dbdeo dbdeo;
   for (const auto& repo : corpus.repos) {
-    ContextBuilder builder;
     std::vector<std::string> raw;
     // Statements arrive through the embedded-SQL extractor, as in §8.1.
     for (const auto& found : sql::ExtractEmbeddedSql(repo.source)) {
-      builder.AddQuery(found.sql);
       raw.push_back(found.sql);
     }
-    Context context = builder.Build();
     DetectorConfig config;
     config.data_analysis = false;  // GitHub corpora ship queries, not data
-    for (auto& d : DetectAntiPatterns(context, config)) {
+    for (auto& d : DetectWorkload(raw, config)) {
       sqlcheck_detections.push_back(std::move(d));
     }
     for (auto& d : dbdeo.CheckAll(raw)) {

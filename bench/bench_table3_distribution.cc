@@ -7,9 +7,8 @@
 #include <cstdio>
 #include <map>
 
-#include "analysis/context.h"
 #include "baseline/dbdeo.h"
-#include "rules/registry.h"
+#include "detect.h"
 #include "sql/extractor.h"
 #include "workload/corpus.h"
 #include "workload/kaggle.h"
@@ -50,15 +49,10 @@ int main() {
   Dbdeo dbdeo;
   std::vector<Detection> d_git, s_git_intra, s_git_full;
   for (const auto& repo : corpus.repos) {
-    ContextBuilder intra_builder, full_builder;
     std::vector<std::string> raw;
     for (const auto& found : sql::ExtractEmbeddedSql(repo.source)) {
-      intra_builder.AddQuery(found.sql);
-      full_builder.AddQuery(found.sql);
       raw.push_back(found.sql);
     }
-    Context intra_ctx = intra_builder.Build();
-    Context full_ctx = full_builder.Build();
 
     DetectorConfig intra_cfg;
     intra_cfg.inter_query = false;
@@ -66,8 +60,8 @@ int main() {
     DetectorConfig full_cfg;
     full_cfg.data_analysis = false;
 
-    for (auto& d : DetectAntiPatterns(intra_ctx, intra_cfg)) s_git_intra.push_back(std::move(d));
-    for (auto& d : DetectAntiPatterns(full_ctx, full_cfg)) s_git_full.push_back(std::move(d));
+    for (auto& d : DetectWorkload(raw, intra_cfg)) s_git_intra.push_back(std::move(d));
+    for (auto& d : DetectWorkload(raw, full_cfg)) s_git_full.push_back(std::move(d));
     for (auto& d : dbdeo.CheckAll(raw)) d_git.push_back(std::move(d));
   }
 
@@ -76,13 +70,10 @@ int main() {
   std::vector<Detection> d_study, s_study;
   size_t study_statements = 0;
   for (const auto& p : participants) {
-    ContextBuilder builder;
-    for (const auto& sql_text : p.statements) builder.AddQuery(sql_text);
     study_statements += p.statements.size();
-    Context ctx = builder.Build();
     DetectorConfig cfg;
     cfg.data_analysis = false;
-    for (auto& d : DetectAntiPatterns(ctx, cfg)) s_study.push_back(std::move(d));
+    for (auto& d : DetectWorkload(p.statements, cfg)) s_study.push_back(std::move(d));
     for (auto& d : dbdeo.CheckAll(p.statements)) d_study.push_back(std::move(d));
   }
 
@@ -90,12 +81,9 @@ int main() {
   std::vector<Detection> s_kaggle;
   for (const auto& spec : workload::KaggleSpecs()) {
     auto db = workload::SynthesizeKaggleDatabase(spec);
-    ContextBuilder builder;
-    builder.AttachDatabase(db.get());
-    Context ctx = builder.Build();
     DetectorConfig cfg;
     cfg.intra_query = false;  // data analysis only, as in §8.4
-    for (auto& d : DetectAntiPatterns(ctx, cfg)) s_kaggle.push_back(std::move(d));
+    for (auto& d : DetectWorkload({}, cfg, db.get())) s_kaggle.push_back(std::move(d));
   }
 
   auto git_d = CountByType(d_git);

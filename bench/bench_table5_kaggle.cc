@@ -5,8 +5,7 @@
 #include <map>
 #include <set>
 
-#include "analysis/context.h"
-#include "rules/registry.h"
+#include "core/session.h"
 #include "workload/kaggle.h"
 
 using namespace sqlcheck;
@@ -17,15 +16,15 @@ int main() {
   int total = 0;
   for (const auto& spec : workload::KaggleSpecs()) {
     auto db = workload::SynthesizeKaggleDatabase(spec);
-    ContextBuilder builder;
-    builder.AttachDatabase(db.get());
-    Context context = builder.Build();
-    DetectorConfig config;
-    config.intra_query = false;  // data rules only
-    auto detections = DetectAntiPatterns(context, config);
+    SqlCheckOptions options;
+    options.suggest_fixes = false;
+    options.detector.intra_query = false;  // data rules only
+    AnalysisSession session(options);
+    session.AttachDatabase(db.get());
+    Report detections = session.Snapshot();
 
     std::set<AntiPattern> classes;
-    for (const auto& d : detections) classes.insert(d.type);
+    for (const auto& f : detections.findings) classes.insert(f.ranked.detection.type);
     std::string names;
     for (AntiPattern type : classes) {
       if (!names.empty()) names += ", ";

@@ -5,33 +5,31 @@
 #include <string>
 #include <vector>
 
-#include "analysis/data_analyzer.h"
 #include "analysis/data_context.h"
 #include "analysis/query_context.h"
 #include "analysis/workload_stats.h"
 #include "catalog/catalog.h"
 #include "common/arena.h"
 #include "sql/ast.h"
-#include "sql/lexer.h"
 #include "storage/database.h"
 
 namespace sqlcheck {
 
-/// \brief Query fingerprint grouping produced by the dedup cache: every
-/// statement maps to the first statement with the same exact-canonical form
-/// (whitespace/comment/keyword-case folded, literal text preserved — see
-/// sql::FingerprintOptions::Exact()). Statements in one group are guaranteed
-/// to produce identical QueryFacts modulo their raw text and parse tree, so
-/// analysis and rule evaluation run once per group. With dedup disabled the
-/// mapping is the identity.
+/// \brief Query fingerprint grouping maintained by AnalysisSession's dedup
+/// memo: every statement maps to the first statement with the same
+/// exact-canonical form (whitespace/comment/keyword-case folded, literal text
+/// preserved — see sql::FingerprintOptions::Exact()). Statements in one group
+/// are guaranteed to produce identical QueryFacts modulo their raw text and
+/// parse tree, so analysis and rule evaluation run once per group. With dedup
+/// disabled the mapping is the identity.
 struct QueryGroups {
   /// Statement index -> index of its group's representative (first
   /// occurrence). `representative[i] == i` iff statement i leads a group.
   std::vector<size_t> representative;
   /// Representative indices in ascending statement order.
   std::vector<size_t> unique;
-  /// Per-statement exact-canonical 64-bit fingerprint (empty when the
-  /// context was built with dedup disabled).
+  /// Per-statement exact-canonical 64-bit fingerprint (empty with dedup
+  /// disabled).
   std::vector<uint64_t> fingerprints;
 
   size_t unique_count() const { return unique.size(); }
@@ -41,6 +39,8 @@ struct QueryGroups {
 /// \brief The application context of Algorithm 1: the catalog (from DDL or a
 /// live database), the analyzed queries, and optional data profiles. It
 /// exposes the queryable interface the inter-query and data rules consume.
+/// AnalysisSession owns and fills it, folding every statement into the
+/// workload aggregates as it lands.
 class Context {
  public:
   const Catalog& catalog() const { return catalog_; }
@@ -49,13 +49,13 @@ class Context {
   const Database* database() const { return database_; }
   bool has_data() const { return !data_.empty(); }
 
-  /// Fingerprint grouping of the workload (identity when dedup was off).
-  /// DetectAntiPatterns uses it to evaluate query rules once per group.
+  /// Fingerprint grouping of the workload (identity when dedup was off);
+  /// query rules are evaluated once per group.
   const QueryGroups& query_groups() const { return query_groups_; }
 
   /// Maintained workload aggregates backing the queryable interface below.
-  /// ContextBuilder populates them at Build(); AnalysisSession folds each
-  /// statement in as it streams, so the O(1) answers stay current.
+  /// AnalysisSession folds each statement in as it streams, so the O(1)
+  /// answers stay current.
   const WorkloadStats& stats() const { return stats_; }
 
   /// Case-insensitive table/column name table populated as statements fold
@@ -77,10 +77,14 @@ class Context {
 
   /// How many equality predicates/join edges across the workload touch
   /// `table.column` (signals Index Underuse when unindexed).
-  int EqualityUseCount(std::string_view table, std::string_view column) const;
+  int EqualityUseCount(std::string_view table, std::string_view column) const {
+    return stats_.EqualityUseCount(table, column);
+  }
 
   /// True if any query joins `left` and `right` on any columns.
-  bool TablesJoined(std::string_view left, std::string_view right) const;
+  bool TablesJoined(std::string_view left, std::string_view right) const {
+    return stats_.TablesJoined(left, right);
+  }
 
   /// True if the catalog records a foreign key between the two tables (in
   /// either direction).
@@ -93,7 +97,6 @@ class Context {
   bool ColumnNullable(std::string_view table, std::string_view column) const;
 
  private:
-  friend class ContextBuilder;
   friend class AnalysisSession;
 
   Catalog catalog_;
@@ -107,41 +110,6 @@ class Context {
   WorkloadStats stats_;
   DataContext data_;
   const Database* database_ = nullptr;  ///< Non-owning; may be null.
-};
-
-/// \brief Builds a Context from queries and (optionally) a database
-/// connection, per Algorithm 1. When no database is attached, the catalog is
-/// reconstructed purely from the DDL statements in the workload (§4.1).
-class ContextBuilder {
- public:
-  /// Adds one SQL statement (parsed internally).
-  void AddQuery(std::string_view sql_text);
-
-  /// Adds every statement in a script.
-  void AddScript(std::string_view script);
-
-  /// Adds an already-parsed statement (takes ownership).
-  void AddStatement(sql::StatementPtr stmt);
-
-  /// Attaches a live database: its schema becomes the catalog baseline and
-  /// its tables are profiled by the data analyzer.
-  void AttachDatabase(const Database* db, DataAnalyzerOptions options = {});
-
-  /// Builds the context (consumes the builder's accumulated state).
-  ///
-  /// With `dedup_queries` (default on), statements are grouped by their
-  /// exact-canonical fingerprint and the query analyzer runs once per unique
-  /// group; duplicates receive a copy of the group's facts rebased onto
-  /// their own raw text and parse tree. The resulting context — and any
-  /// report derived from it — is byte-identical to a non-deduped build.
-  Context Build(bool dedup_queries = true);
-
- private:
-  std::unique_ptr<Arena> arena_ = std::make_unique<Arena>();  ///< Parse-tree arena.
-  sql::TokenBuffer buffer_;  ///< Reused across AddQuery/AddScript parses.
-  std::vector<sql::StatementPtr> statements_;
-  const Database* database_ = nullptr;
-  DataAnalyzerOptions data_options_;
 };
 
 }  // namespace sqlcheck

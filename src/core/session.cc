@@ -5,6 +5,7 @@
 #include <span>
 #include <utility>
 
+#include "analysis/data_analyzer.h"
 #include "analysis/query_analyzer.h"
 #include "common/failpoint.h"
 #include "fix/fix_engine.h"
@@ -31,8 +32,8 @@ void AnalysisSession::AttachDatabase(const Database* db) {
     context_.catalog_ = Catalog();
     context_.data_ = DataContext();
   }
-  // Workload DDL layers on top of the database schema, exactly as a batch
-  // build orders it — so attaching late reproduces attaching first.
+  // Workload DDL layers on top of the database schema, so attaching late
+  // reproduces attaching first.
   for (const auto& stmt : context_.statements_) {
     context_.catalog_.ApplyDdl(*stmt);
   }
@@ -63,6 +64,74 @@ template <typename Vec>
 void GrowFor(Vec& v, size_t extra) {
   const size_t need = v.size() + extra;
   if (need > v.capacity()) v.reserve(std::max(need, v.capacity() * 2));
+}
+
+/// Rebases one group-representative detection onto another occurrence of
+/// the same canonical statement: query text and parse-tree pointer move from
+/// the representative's to the occurrence's, everything else is shared.
+Detection RebaseDetection(Detection d, const QueryFacts& rep_facts,
+                          const QueryFacts& occ_facts) {
+  if (d.query == rep_facts.raw_sql) d.query = occ_facts.raw_sql;
+  if (d.stmt == rep_facts.stmt) d.stmt = occ_facts.stmt;
+  return d;
+}
+
+/// Every rule's CheckData over the profiled tables, profile-major /
+/// rule-minor, into one stream.
+std::vector<Detection> DetectDataAntiPatterns(const Context& context,
+                                              const RuleRegistry& registry,
+                                              const DetectorConfig& config) {
+  std::vector<Detection> out;
+  if (!config.data_analysis) return out;
+  for (const auto& [_, profile] : context.data().profiles) {
+    for (const auto& rule : registry.rules()) {
+      rule->CheckData(profile, context, config, &out);
+    }
+  }
+  return out;
+}
+
+/// Fans per-unique-group query-rule detection buffers back out to every
+/// statement occurrence in workload order — rebasing each detection's
+/// `query`/`stmt` from the group representative onto the occurrence — then
+/// appends the data-rule stream. `per_group[u]` holds the detections of group
+/// `groups.unique[u]`'s representative, in registry rule order. The result
+/// is the (query-major, rule-minor) stream an unmemoized run produces.
+std::vector<Detection> FanOutDetections(const Context& context, const QueryGroups& groups,
+                                        std::vector<std::vector<Detection>> per_group,
+                                        std::vector<Detection> data_detections) {
+  const std::vector<QueryFacts>& queries = context.queries();
+  const size_t n = groups.representative.size();
+  const size_t unique_count = groups.unique.size();
+
+  // Statements that lead a single-occurrence group take their buffer by move
+  // (the common non-duplicate case costs nothing).
+  std::vector<size_t> group_pos(n);
+  std::vector<size_t> remaining(unique_count, 0);
+  for (size_t u = 0; u < unique_count; ++u) group_pos[groups.unique[u]] = u;
+  for (size_t i = 0; i < n; ++i) ++remaining[group_pos[groups.representative[i]]];
+
+  size_t total = data_detections.size();
+  for (size_t i = 0; i < n; ++i) {
+    total += per_group[group_pos[groups.representative[i]]].size();
+  }
+
+  std::vector<Detection> detections;
+  detections.reserve(total);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t rep = groups.representative[i];
+    std::vector<Detection>& buffer = per_group[group_pos[rep]];
+    const bool last_occurrence = --remaining[group_pos[rep]] == 0;
+    for (auto& d : buffer) {
+      // The representative's detections are already correctly based; the
+      // final occurrence of a group moves the buffer out instead of copying.
+      Detection out = last_occurrence ? std::move(d) : d;
+      if (rep != i) out = RebaseDetection(std::move(out), queries[rep], queries[i]);
+      detections.push_back(std::move(out));
+    }
+  }
+  for (auto& d : data_detections) detections.push_back(std::move(d));
+  return detections;
 }
 
 }  // namespace
@@ -473,8 +542,8 @@ Report AnalysisSession::Check(std::string_view sql) {
 }
 
 Report AnalysisSession::Snapshot() {
-  // Per-group buffers; the shared fan-out then reproduces the batch
-  // detection stream byte-for-byte.
+  // Per-group buffers; the fan-out then reproduces the unmemoized detection
+  // stream byte-for-byte.
   const size_t unique_count = context_.query_groups_.unique.size();
   std::vector<std::vector<Detection>> per_group(unique_count);
   for (size_t u = 0; u < unique_count; ++u) AssembleGroupDetections(u, &per_group[u]);

@@ -17,6 +17,7 @@
 #include "core/options.h"
 #include "core/report.h"
 #include "rules/registry.h"
+#include "sql/lexer.h"
 #include "storage/database.h"
 
 namespace sqlcheck {
@@ -104,9 +105,10 @@ struct StatementFailure {
 ///  - Workload-sensitive rules re-evaluate against maintained aggregates
 ///    (Context::stats(), updated per append) rather than O(workload) scans.
 ///
-/// Snapshot() assembles the full report through the same fan-out as the
-/// batch detector, so its output is byte-identical to SqlCheck::Run() over
-/// the same statement order — enforced by tests/test_session.cc.
+/// Snapshot() fans the per-group detections back out in statement order, so
+/// its output is byte-identical to an unmemoized run (dedup off, statements
+/// appended one at a time) over the same statement order — enforced by
+/// tests/test_session.cc.
 ///
 /// \code
 ///   AnalysisSession session;                     // or session(options)

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <unordered_set>
 
 #include "common/failpoint.h"
 #include "core/emit.h"
@@ -22,7 +23,7 @@ namespace {
 // On-disk format. Everything is little-endian on every target we build for;
 // values move through memcpy so alignment never matters.
 constexpr char kMagic[8] = {'S', 'Q', 'L', 'C', 'K', 'F', 'S', '1'};
-constexpr uint32_t kFormatVersion = 2;
+constexpr uint32_t kFormatVersion = 3;
 constexpr uint64_t kHeaderBytes = 64;
 constexpr uint32_t kRecordMagic = 0x52504653;      // "SFPR": statement record
 constexpr uint32_t kFileRecordMagic = 0x46504653;  // "SFPF": file manifest
@@ -808,43 +809,19 @@ Status FingerprintStore::Compact(const std::string& path, uint64_t ruleset_hash,
   }
 
   const uint64_t generation = store.stats_.generation + 1;
-  std::string out = EncodeHeader(ruleset_hash, generation, 0, 0);  // patched below
-  uint64_t kept = 0;
-  uint64_t dropped = 0;
   std::string_view log = store.map_.view();
-  // First statement record wins per fingerprint+canonical — exactly the
-  // entries Probe serves. Every old statement offset (kept or duplicate)
-  // maps to the offset of its surviving record so manifests can be rebased.
-  std::unordered_map<uint64_t, std::vector<std::pair<std::string_view, uint64_t>>> seen;
-  std::unordered_map<uint64_t, uint64_t> old_to_new;
-  // Last manifest wins per path — exactly the entry ProbeFile serves. An
-  // ordered map keeps the compacted manifest section deterministic.
+  // Pass 1: the last manifest per path — exactly the entry ProbeFile serves
+  // — and every statement record, indexed by offset. An ordered map keeps
+  // the compacted manifest section deterministic.
   std::map<std::string_view, uint64_t> last_file;
+  std::vector<std::pair<uint64_t, RecordView>> records;
   uint64_t off = kHeaderBytes;
   while (off < store.log_end_) {
     uint32_t magic = GetU32(log.data() + off);
     if (magic == kRecordMagic) {
       RecordView r;
       if (!DecodeRecord(log, off, store.log_end_, &r)) break;  // unreachable post-open
-      auto& chain = seen[r.fingerprint];
-      uint64_t new_off = 0;
-      bool duplicate = false;
-      for (const auto& entry : chain) {
-        if (entry.first == r.canonical) {
-          new_off = entry.second;
-          duplicate = true;
-          break;
-        }
-      }
-      if (duplicate) {
-        ++dropped;
-      } else {
-        new_off = out.size();
-        out.append(log.data() + off, r.total);
-        chain.emplace_back(r.canonical, new_off);
-        ++kept;
-      }
-      old_to_new[off] = new_off;
+      records.emplace_back(off, r);
       off += r.total;
     } else {
       FileRecordView f;
@@ -852,6 +829,44 @@ Status FingerprintStore::Compact(const std::string& path, uint64_t ruleset_hash,
       last_file[f.path] = off;
       off += f.total;
     }
+  }
+
+  // Pass 2: keep only the statement records a surviving manifest
+  // references (a scan reaches records through manifests alone, so the
+  // rest — superseded by an edit, or written by a repository that failed —
+  // can never be served), in log order, one per fingerprint+canonical.
+  std::unordered_set<uint64_t> reachable;
+  for (const auto& [rel_path, file_off] : last_file) {
+    FileRecordView f;
+    if (!DecodeFileRecord(log, file_off, store.log_end_, &f)) continue;
+    for (uint32_t i = 0; i < f.stmt_count; ++i) {
+      reachable.insert(GetStmtRef(f.stmts + i * kStmtRefBytes).offset);
+    }
+  }
+  std::string out = EncodeHeader(ruleset_hash, generation, 0, 0);  // patched below
+  uint64_t kept = 0;
+  uint64_t dropped = 0;
+  std::unordered_map<uint64_t, std::vector<std::pair<std::string_view, uint64_t>>> seen;
+  std::unordered_map<uint64_t, uint64_t> old_to_new;
+  for (const auto& [rec_off, r] : records) {
+    if (reachable.count(rec_off) == 0) {
+      ++dropped;
+      continue;
+    }
+    auto& chain = seen[r.fingerprint];
+    uint64_t new_off = 0;
+    for (const auto& entry : chain) {
+      if (entry.first == r.canonical) new_off = entry.second;
+    }
+    if (new_off != 0) {
+      ++dropped;
+    } else {
+      new_off = out.size();
+      out.append(log.data() + rec_off, r.total);
+      chain.emplace_back(r.canonical, new_off);
+      ++kept;
+    }
+    old_to_new[rec_off] = new_off;
   }
 
   uint64_t kept_files = 0;

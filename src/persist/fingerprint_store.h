@@ -19,11 +19,11 @@ namespace sqlcheck::persist {
 
 /// \brief One serialized finding: everything the scan report and a detailed
 /// listing need, minus the fields that are rebased per occurrence (the raw
-/// statement text and parse-tree pointer). Stored findings are a pure
-/// function of the exact-canonical fingerprint — the same contract the
-/// in-memory dedup cache relies on (rules derive detections from facts, never
-/// from raw text outside Detection::query) — which is what makes replaying
-/// them for every later occurrence sound.
+/// statement text and parse-tree pointer). A record's findings are a pure
+/// function of its key — the scan keys a statement by its exact-canonical
+/// text when every finding on it is statement-local, and by that text plus
+/// its repository's digest otherwise — which is what makes replaying them
+/// sound.
 struct StoredFinding {
   uint8_t type = 0;       ///< AntiPattern, numeric.
   uint8_t source = 0;     ///< DetectionSource, numeric.
@@ -51,8 +51,8 @@ struct FindingStat {
   double score = 0.0;
 };
 
-/// \brief One statement of a file-manifest record: both fingerprints plus
-/// the byte offset of the statement record that carries its findings.
+/// \brief One statement of a manifest record: both fingerprints plus the
+/// byte offset of the statement record that carries its findings.
 struct StmtRef {
   uint64_t exact = 0;
   uint64_t tmpl = 0;
@@ -64,15 +64,15 @@ struct StmtRef {
 /// lock contention) — the scan surfaces it and continues cold.
 struct StoreStats {
   uint64_t entries = 0;        ///< Statement entries probeable now.
-  uint64_t file_entries = 0;   ///< File-manifest entries (committed + staged).
+  uint64_t file_entries = 0;   ///< Manifest entries (committed + staged).
   uint64_t bytes = 0;          ///< Committed file bytes at open.
   uint64_t generation = 0;     ///< Bumped every rebuild/compaction.
   uint64_t hits = 0;           ///< Statement probe hits since open.
   uint64_t misses = 0;         ///< Statement probe misses since open.
-  uint64_t file_hits = 0;      ///< File-manifest probe hits since open.
-  uint64_t file_misses = 0;    ///< File-manifest probe misses since open.
+  uint64_t file_hits = 0;      ///< Manifest probe hits since open.
+  uint64_t file_misses = 0;    ///< Manifest probe misses since open.
   uint64_t appended = 0;       ///< Statement entries appended since open.
-  uint64_t appended_files = 0; ///< File entries appended since open.
+  uint64_t appended_files = 0; ///< Manifest entries appended since open.
   bool degraded = false;       ///< Open could not use the existing contents.
   std::string warning;         ///< Human-readable degradation reason ("" = clean).
 };
@@ -80,21 +80,20 @@ struct StoreStats {
 /// \brief The persistent memo behind `sqlcheck scan`: a single-file, mmap'd,
 /// checksummed append log holding two record kinds.
 ///
-/// *Statement records* map an exact-canonical statement (text + 64-bit
-/// fingerprint) to its serialized findings — the unit of analysis
-/// memoization. Probes compare the stored canonical text, not just the hash,
-/// so a fingerprint collision can never splice one statement's findings onto
+/// *Statement records* map a key (text + 64-bit fingerprint) to serialized
+/// findings. Probes compare the stored text, not just the hash, so a
+/// fingerprint collision can never splice one statement's findings onto
 /// another.
 ///
-/// *File-manifest records* map a corpus file — keyed by root-relative path,
-/// byte size, and mtime (nanoseconds) — to the ordered list of its
-/// statements' fingerprints and statement-record offsets. A warm scan that
-/// sees an unchanged (path, size, mtime) triple replays the file's entire
-/// contribution without even opening the file; any mismatch (or any
-/// unresolvable offset) falls back to reading and splitting the file, where
-/// statement-level memoization still applies. The (size, mtime) key is the
-/// standard build-cache freshness check (ccache and friends): a same-size
-/// in-place edit inside one mtime tick is the documented blind spot.
+/// *Manifest records* map a path plus a (size, mtime) freshness key to the
+/// ordered list of statement fingerprints and record offsets. The scan
+/// writes one per repository, under `"<repo>/"`, keyed by the repository's
+/// total bytes and a digest of its files' (path, size, mtime) triples: a
+/// warm scan that sees an unchanged key replays the repository's entire
+/// contribution without opening a file; any mismatch (or any unresolvable
+/// offset) re-analyzes the repository. Size plus mtime is the standard
+/// build-cache freshness check (ccache and friends): a same-size in-place
+/// edit inside one mtime tick is the documented blind spot.
 ///
 /// Layout: a 64-byte header (magic, format version, rule-set hash,
 /// generation, committed statement count, committed log end, checksum)
@@ -139,22 +138,22 @@ class FingerprintStore {
   bool Probe(std::string_view canonical, uint64_t fingerprint,
              std::vector<StoredFinding>* out);
 
-  /// Aggregates-only probe for the scan hot path: fills the (type, score)
-  /// stats without materializing finding strings, and reports the serving
-  /// record's template fingerprint and byte offset (for file manifests).
+  /// Aggregates-only probe: fills the (type, score) stats without
+  /// materializing finding strings, and reports the serving record's
+  /// template fingerprint and byte offset (for manifests).
   bool ProbeStats(std::string_view canonical, uint64_t fingerprint,
                   std::vector<FindingStat>* out, uint64_t* template_fingerprint,
                   uint64_t* offset);
 
-  /// Looks up a file manifest by its freshness key. On hit copies the
-  /// statement references into `out` and returns true.
+  /// Looks up a manifest by its freshness key. On hit copies the statement
+  /// references into `out` and returns true.
   bool ProbeFile(std::string_view rel_path, uint64_t size, uint64_t mtime_ns,
                  std::vector<StmtRef>* out);
 
   /// Decodes the finding stats of the committed statement record at `offset`,
   /// verifying its checksum and that its fingerprint matches `fingerprint`.
-  /// Returns false on any mismatch — callers fall back to re-reading the
-  /// file. `template_fingerprint` (optional) receives the record's template
+  /// Returns false on any mismatch — callers fall back to analyzing
+  /// again. `template_fingerprint` (optional) receives the record's template
   /// fingerprint.
   bool ResolveStats(uint64_t offset, uint64_t fingerprint,
                     std::vector<FindingStat>* out,
@@ -169,7 +168,7 @@ class FingerprintStore {
                   uint64_t template_fingerprint,
                   const std::vector<StoredFinding>& findings);
 
-  /// Stages one file-manifest entry. The referenced statement offsets may be
+  /// Stages one manifest entry. The referenced statement offsets may be
   /// offsets returned by Append in this same session — Commit publishes both
   /// atomically.
   bool AppendFile(std::string_view rel_path, uint64_t size, uint64_t mtime_ns,
@@ -190,12 +189,13 @@ class FingerprintStore {
   /// one-line human-readable report. Non-OK on any invalid byte.
   static Status Verify(const std::string& path, std::string* summary);
 
-  /// Rewrites `path` keeping the first statement record per
-  /// fingerprint+canonical and the last file manifest per path, remapping
-  /// manifest offsets onto the compacted layout, dropping any uncommitted
-  /// tail, under a bumped generation. The rewrite goes through a temp file +
-  /// rename, so a crash mid-compaction leaves the original intact. A store
-  /// invalidated by `ruleset_hash` compacts to empty.
+  /// Rewrites `path` keeping the last manifest per path and, of the
+  /// statement records, only those a kept manifest references (first per
+  /// fingerprint+canonical), remapping manifest offsets onto the compacted
+  /// layout, dropping any uncommitted tail, under a bumped generation. The
+  /// rewrite goes through a temp file + rename, so a crash mid-compaction
+  /// leaves the original intact. A store invalidated by `ruleset_hash`
+  /// compacts to empty.
   static Status Compact(const std::string& path, uint64_t ruleset_hash,
                         std::string* summary);
 

@@ -3,12 +3,12 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -18,16 +18,14 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/context.h"
 #include "common/mmap_file.h"
 #include "common/thread_pool.h"
 #include "core/emit.h"
+#include "core/session.h"
 #include "ranking/model.h"
 #include "rules/registry.h"
 #include "sql/extractor.h"
 #include "sql/fingerprint.h"
-#include "sql/splitter.h"
-#include "sql/token.h"
 
 namespace sqlcheck::scan {
 
@@ -118,123 +116,119 @@ bool LooksLikeSql(std::string_view head) {
 
 struct ScanFile {
   std::string path;      ///< Absolute path on disk.
-  std::string rel;       ///< Root-relative path: the manifest key.
+  std::string rel;       ///< Root-relative path (sort key, freshness key part).
   uint64_t size = 0;     ///< Byte size at discovery (one stat serves all).
   uint64_t mtime_ns = 0; ///< mtime in nanoseconds at discovery.
-  uint32_t repo = 0;     ///< Index into the repo table.
   FileKind kind = FileKind::kSniff;
 };
 
-struct RepoAgg {
+/// One repository (top-level directory): its files in sorted path order.
+struct Repo {
+  std::string name;
+  std::vector<ScanFile> files;
+};
+
+/// The repo-manifest freshness key: total bytes plus an FNV digest over the
+/// sorted (rel, size, mtime) triples of every file the repository
+/// contributes. Adding, deleting or editing any file changes it.
+struct RepoKey {
+  uint64_t bytes = 0;
+  uint64_t digest = 0;
+};
+
+constexpr uint64_t kFnvBasis = 1469598103934665603ull;
+
+uint64_t Fnv1a(const void* data, size_t n, uint64_t h = kFnvBasis) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+RepoKey KeyOf(const std::vector<const ScanFile*>& files) {
+  RepoKey key;
+  key.digest = kFnvBasis;
+  for (const ScanFile* f : files) {
+    key.bytes += f->size;
+    key.digest = Fnv1a(f->rel.data(), f->rel.size() + 1, key.digest);  // with its NUL
+    key.digest = Fnv1a(&f->size, sizeof(f->size), key.digest);
+    key.digest = Fnv1a(&f->mtime_ns, sizeof(f->mtime_ns), key.digest);
+  }
+  return key;
+}
+
+/// One statement record bound for the store.
+struct RecordDraft {
+  std::string key;  ///< Exact canonical, plus the repo digest if workload-sensitive.
+  uint64_t exact = 0;
+  uint64_t tmpl = 0;
+  std::vector<persist::StoredFinding> findings;
+};
+
+/// One statement occurrence of a repository and the record carrying its
+/// findings.
+struct Occurrence {
+  uint64_t exact = 0;
+  uint64_t tmpl = 0;
+  uint32_t record = 0;
+};
+
+/// Everything one repository contributes. The store write-back (`records`,
+/// `occurrences`) is filled only for repositories analyzed cleanly with a
+/// store attached; it is appended serially after the join, in repository
+/// order, so the log layout is byte-stable at any job count.
+struct RepoResult {
   uint64_t files = 0;
   uint64_t statements = 0;
   uint64_t findings = 0;
   uint32_t rule_mask = 0;
+  RepoKey key;
+  bool write_back = false;
+  std::vector<RecordDraft> records;
+  std::vector<Occurrence> occurrences;
 };
 
-/// One statement occurrence of a processed file, queued toward the store.
-/// `canonical`/`findings` are only populated when the statement is not yet in
-/// the store (offset == kNoOffset): the post-join append pass needs them.
-struct StmtDraft {
-  uint64_t exact = 0;
-  uint64_t tmpl = 0;
-  uint64_t offset = kNoOffset;
-  std::string canonical;
-  std::vector<persist::StoredFinding> findings;
-  bool failed = false;  ///< Analysis fault: never append, no file manifest.
-};
-
-/// The store-bound result of processing one file the cold way: its freshness
-/// key plus every statement in order. Appended serially after the join in
-/// corpus (file, statement) order so the log layout is byte-stable.
-struct FileDraft {
-  uint32_t file = 0;
-  std::string rel;
-  uint64_t size = 0;
-  uint64_t mtime_ns = 0;
-  std::vector<StmtDraft> stmts;
-};
-
+/// Corpus-wide aggregates of one worker; sums and set unions, so merging
+/// the workers in any order gives the same report.
 struct ShardAgg {
-  uint64_t statements = 0;
-  uint64_t findings = 0;
   std::array<uint64_t, kAntiPatternCount> occurrences{};
   std::array<uint64_t, kAntiPatternCount> statements_with{};
   uint64_t severity[3] = {0, 0, 0};  ///< high / medium / low.
   std::unordered_set<uint64_t> unique_exact;
   std::unordered_set<uint64_t> unique_template;
-  std::vector<RepoAgg> repos;
   uint64_t analyzed = 0;
   uint64_t store_reused = 0;
-  uint64_t memo_reused = 0;
   uint64_t files_reused = 0;
   uint64_t skipped = 0;
-  std::vector<FileDraft> drafts;
 };
 
-/// Per-worker analysis state. The registry/model/config are shared const
-/// across workers (rules are stateless); everything here is private.
+/// Per-worker state: aggregates plus manifest-replay scratch whose capacity
+/// persists across repositories.
 struct Worker {
-  explicit Worker(size_t repo_count) { agg.repos.resize(repo_count); }
-
-  struct MemoEntry {
-    std::string canonical;
-    size_t storage_idx = 0;
-    uint64_t offset = kNoOffset;
-    bool failed = false;
-  };
-
   ShardAgg agg;
-  sql::TokenBuffer buffer;
-  /// Stable storage for folded finding stats; memo entries index into it.
-  std::deque<std::vector<persist::FindingStat>> storage;
-  /// In-run memo keyed by exact fingerprint; canonical text breaks ties.
-  std::unordered_map<uint64_t, std::vector<MemoEntry>> memo;
-  /// Scratch for file-manifest replay (capacity persists across files).
   std::vector<persist::StmtRef> refs;
   std::vector<std::vector<persist::FindingStat>> replay;
+  std::vector<persist::FindingStat> stats;
 };
 
-std::vector<persist::StoredFinding> AnalyzeStatement(std::string_view raw,
-                                                     const RuleRegistry& registry,
-                                                     const RankingModel& model,
-                                                     const DetectorConfig& config) {
-  ContextBuilder builder;
-  builder.AddQuery(raw);
-  Context context = builder.Build();
-  std::vector<RankedDetection> ranked =
-      model.Rank(DetectAntiPatterns(context, registry, config));
-  std::vector<persist::StoredFinding> out;
-  out.reserve(ranked.size());
-  for (const RankedDetection& r : ranked) {
-    persist::StoredFinding f;
-    f.type = static_cast<uint8_t>(r.detection.type);
-    f.source = static_cast<uint8_t>(r.detection.source);
-    f.has_query = !r.detection.query.empty();
-    f.score = r.score;
-    f.table = r.detection.table;
-    f.column = r.detection.column;
-    f.message = r.detection.message;
-    out.push_back(std::move(f));
-  }
-  return out;
-}
+/// Read-only state shared by every worker.
+struct ScanShared {
+  persist::FingerprintStore* store = nullptr;  ///< Null: no store.
+  /// Per AntiPattern: its rule reads the workload context (findings of it
+  /// depend on the whole repository, not only on the statement).
+  std::array<bool, kAntiPatternCount> workload_sensitive{};
+};
 
-std::vector<persist::FindingStat> ToStats(
-    const std::vector<persist::StoredFinding>& findings) {
-  std::vector<persist::FindingStat> out;
-  out.reserve(findings.size());
-  for (const persist::StoredFinding& f : findings) {
-    out.push_back(persist::FindingStat{f.type, f.score});
-  }
-  return out;
-}
-
-void FoldStats(const std::vector<persist::FindingStat>& findings, ShardAgg& agg,
-               RepoAgg& repo) {
+/// Counts one statement occurrence and its findings into the aggregates.
+void FoldStatement(const std::vector<persist::FindingStat>& findings, uint64_t exact,
+                   uint64_t tmpl, ShardAgg& agg, RepoResult& repo) {
+  ++repo.statements;
+  agg.unique_exact.insert(exact);
+  agg.unique_template.insert(tmpl);
   uint32_t stmt_mask = 0;
   for (const persist::FindingStat& f : findings) {
-    ++agg.findings;
     ++repo.findings;
     if (f.type < kAntiPatternCount) {
       ++agg.occurrences[f.type];
@@ -252,150 +246,199 @@ void FoldStats(const std::vector<persist::FindingStat>& findings, ShardAgg& agg,
   repo.rule_mask |= stmt_mask;
 }
 
-void HandleStatement(std::string_view raw, const ScanFile& file, Worker& w,
-                     persist::FingerprintStore* store, const RuleRegistry& registry,
-                     const RankingModel& model, const DetectorConfig& config,
-                     FileDraft* draft) {
-  std::string canonical;
-  sql::ScanFingerprints fp = sql::FingerprintForScan(raw, &canonical);
-  if (canonical.empty()) return;  // Comment-only / whitespace-only fragment.
-
-  ShardAgg& agg = w.agg;
-  RepoAgg& repo = agg.repos[file.repo];
-  ++agg.statements;
-  ++repo.statements;
-  agg.unique_exact.insert(fp.exact);
-  agg.unique_template.insert(fp.tmpl);
-
-  auto mit = w.memo.find(fp.exact);
-  if (mit != w.memo.end()) {
-    for (const Worker::MemoEntry& entry : mit->second) {
-      if (entry.canonical == canonical) {
-        ++agg.memo_reused;
-        FoldStats(w.storage[entry.storage_idx], agg, repo);
-        if (draft != nullptr) {
-          StmtDraft sd;
-          sd.exact = fp.exact;
-          sd.tmpl = fp.tmpl;
-          sd.offset = entry.offset;
-          sd.failed = entry.failed;
-          // A repeat of a fresh statement still lacks an offset: keep the
-          // canonical so the append pass can dedup against the first write.
-          if (sd.offset == kNoOffset && !sd.failed) sd.canonical = canonical;
-          draft->stmts.push_back(std::move(sd));
-        }
-        return;
-      }
-    }
-  }
-
-  StmtDraft sd;
-  sd.exact = fp.exact;
-  sd.tmpl = fp.tmpl;
-  std::vector<persist::FindingStat> stats;
-  bool failed = false;
-  bool from_store = store != nullptr &&
-                    store->ProbeStats(canonical, fp.exact, &stats, nullptr, &sd.offset);
-  if (from_store) {
-    ++agg.store_reused;
-  } else {
-    ++agg.analyzed;
-    std::vector<persist::StoredFinding> findings;
-    try {
-      findings = AnalyzeStatement(raw, registry, model, config);
-    } catch (...) {
-      // An analysis fault (e.g. injected allocation failure) must not take
-      // the scan down or poison the store: score the statement clean this
-      // run and leave it unmemoized on disk so a healthy rescan retries it.
-      findings.clear();
-      failed = true;
-    }
-    stats = ToStats(findings);
-    if (!failed) {
-      sd.canonical = canonical;
-      sd.findings = std::move(findings);
-    }
-    sd.failed = failed;
-  }
-  w.storage.push_back(std::move(stats));
-  Worker::MemoEntry me;
-  me.canonical = std::move(canonical);
-  me.storage_idx = w.storage.size() - 1;
-  me.offset = sd.offset;
-  me.failed = failed;
-  w.memo[fp.exact].push_back(std::move(me));
-  FoldStats(w.storage.back(), agg, repo);
-  if (draft != nullptr) draft->stmts.push_back(std::move(sd));
-}
-
-/// The warm fast path: if the store holds a manifest matching the file's
-/// (path, size, mtime) key and every referenced statement record resolves,
-/// fold the file's entire contribution without opening it. Any mismatch
-/// returns false and the caller processes the file cold — resolution is
-/// all-or-nothing so a partial replay can never skew the report.
-bool TryReplayFile(const ScanFile& file, Worker& w, persist::FingerprintStore* store) {
-  if (!store->ProbeFile(file.rel, file.size, file.mtime_ns, &w.refs)) return false;
+/// The warm path: when the store holds a manifest for the repository's
+/// current key and every referenced record resolves, fold the repository's
+/// whole contribution without opening a file. Resolution is all-or-nothing,
+/// so a partial replay can never skew the report.
+bool ReplayRepo(const std::string& manifest, size_t files, Worker& w,
+                persist::FingerprintStore* store, RepoResult* out) {
+  if (!store->ProbeFile(manifest, out->key.bytes, out->key.digest, &w.refs)) return false;
   w.replay.resize(w.refs.size());
   for (size_t i = 0; i < w.refs.size(); ++i) {
     if (!store->ResolveStats(w.refs[i].offset, w.refs[i].exact, &w.replay[i], nullptr)) {
       return false;
     }
   }
-  ShardAgg& agg = w.agg;
-  RepoAgg& repo = agg.repos[file.repo];
-  ++agg.files_reused;
-  ++repo.files;
-  agg.store_reused += w.refs.size();
+  out->files = files;
+  w.agg.files_reused += files;
+  w.agg.store_reused += w.refs.size();
   for (size_t i = 0; i < w.refs.size(); ++i) {
-    ++agg.statements;
-    ++repo.statements;
-    agg.unique_exact.insert(w.refs[i].exact);
-    agg.unique_template.insert(w.refs[i].tmpl);
-    FoldStats(w.replay[i], agg, repo);
+    FoldStatement(w.replay[i], w.refs[i].exact, w.refs[i].tmpl, w.agg, *out);
   }
   return true;
 }
 
-void ProcessFile(const ScanFile& file, uint32_t file_idx, Worker& w,
-                 persist::FingerprintStore* store, const RuleRegistry& registry,
-                 const RankingModel& model, const DetectorConfig& config) {
-  MappedFile map;
-  if (!map.Open(file.path).ok()) {
-    ++w.agg.skipped;
+/// Feeds a repository's files to `session` in path order: SQL scripts
+/// through AddScript, embedded SQL from host-language sources through
+/// AddQuery. False when a file could not be read or an append recorded a
+/// statement failure — the session's findings are then not stored.
+bool FeedSession(const std::vector<const ScanFile*>& files, AnalysisSession& session,
+                 Worker& w, RepoResult* out) {
+  bool healthy = true;
+  for (const ScanFile* file : files) {
+    MappedFile map;
+    if (!map.Open(file->path).ok()) {
+      ++w.agg.skipped;
+      healthy = false;  // Unreadable now; the next scan must retry the repo.
+      continue;
+    }
+    ++out->files;
+    if (file->kind == FileKind::kSource) {
+      for (const sql::EmbeddedSql& embedded : sql::ExtractEmbeddedSql(map.view())) {
+        session.AddQuery(embedded.sql);
+        healthy = healthy && session.recent_failures().empty();
+      }
+    } else {
+      session.AddScript(map.view());
+      healthy = healthy && session.recent_failures().empty();
+    }
+  }
+  return healthy;
+}
+
+/// The cold path: one AnalysisSession over the whole repository, so
+/// inter-query rules see its DDL and sibling queries exactly as file mode
+/// over the same statements does. Each statement's findings are folded into
+/// the aggregates and, with `write_back`, drafted for the store.
+void AnalyzeRepo(const std::vector<const ScanFile*>& files, bool write_back,
+                 const ScanShared& shared, Worker& w, RepoResult* out) {
+  SqlCheckOptions options;
+  options.suggest_fixes = false;
+  AnalysisSession session(options);
+  Report report;
+  try {
+    write_back = FeedSession(files, session, w, out) && write_back;
+    report = session.Snapshot();
+  } catch (...) {
+    // A fault outside the session's own recovery (e.g. real memory
+    // exhaustion while ranking) must not take the scan down: count the
+    // statements the session holds, without findings, and write nothing.
+    write_back = false;
+  }
+  out->write_back = write_back;
+
+  const std::vector<QueryFacts>& queries = session.context().queries();
+  const std::vector<size_t>& representative =
+      session.context().query_groups().representative;
+  const size_t n = queries.size();
+
+  // Findings back to their statements: (statement, finding) pairs sorted by
+  // statement keep each statement's findings in report order. Only data
+  // detections carry no statement, and a scan attaches no database.
+  std::unordered_map<const sql::Statement*, size_t> index;
+  index.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (queries[i].stmt != nullptr) index.emplace(queries[i].stmt, i);
+  }
+  std::vector<std::pair<size_t, size_t>> owned;
+  owned.reserve(report.findings.size());
+  for (size_t f = 0; f < report.findings.size(); ++f) {
+    auto it = index.find(report.findings[f].ranked.detection.stmt);
+    if (it != index.end()) owned.emplace_back(it->second, f);
+  }
+  std::sort(owned.begin(), owned.end());
+
+  // Canonical form and fingerprints once per fingerprint group.
+  struct GroupKey {
+    std::string canonical;
+    sql::ScanFingerprints fp;
+  };
+  std::vector<GroupKey> groups;
+  std::vector<uint32_t> group_of(n, UINT32_MAX);
+
+  std::unordered_map<std::string, uint32_t> record_of;
+  std::string key;
+  size_t cursor = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t rep = representative[i];
+    if (group_of[rep] == UINT32_MAX) {
+      group_of[rep] = static_cast<uint32_t>(groups.size());
+      GroupKey g;
+      g.fp = sql::FingerprintForScan(queries[rep].raw_sql, &g.canonical);
+      groups.push_back(std::move(g));
+    }
+    const GroupKey& g = groups[group_of[rep]];
+    const size_t first = cursor;
+    while (cursor < owned.size() && owned[cursor].first == i) ++cursor;
+    if (g.canonical.empty()) continue;  // Comment-only / whitespace-only fragment.
+
+    w.stats.clear();
+    bool workload = false;
+    for (size_t k = first; k < cursor; ++k) {
+      const RankedDetection& r = report.findings[owned[k].second].ranked;
+      w.stats.push_back(
+          persist::FindingStat{static_cast<uint8_t>(r.detection.type), r.score});
+      workload = workload ||
+                 shared.workload_sensitive[static_cast<size_t>(r.detection.type)];
+    }
+    ++w.agg.analyzed;
+    FoldStatement(w.stats, g.fp.exact, g.fp.tmpl, w.agg, *out);
+    if (!write_back) continue;
+
+    // A record's findings must be a function of its key. Statement-local
+    // findings are the same wherever the statement occurs; a workload
+    // finding holds only for this repository's contents, so its record is
+    // keyed by the repository digest too.
+    key = g.canonical;
+    if (workload) {
+      key.push_back('\0');
+      key.append(reinterpret_cast<const char*>(&out->key.digest), sizeof(uint64_t));
+    }
+    const auto next_record = static_cast<uint32_t>(out->records.size());
+    auto [it, inserted] = record_of.try_emplace(key, next_record);
+    if (inserted) {
+      RecordDraft record;
+      record.key = key;
+      record.exact = g.fp.exact;
+      record.tmpl = g.fp.tmpl;
+      for (size_t k = first; k < cursor; ++k) {
+        const RankedDetection& r = report.findings[owned[k].second].ranked;
+        persist::StoredFinding f;
+        f.type = static_cast<uint8_t>(r.detection.type);
+        f.source = static_cast<uint8_t>(r.detection.source);
+        f.has_query = !r.detection.query.empty();
+        f.score = r.score;
+        f.table = r.detection.table;
+        f.column = r.detection.column;
+        f.message = r.detection.message;
+        record.findings.push_back(std::move(f));
+      }
+      out->records.push_back(std::move(record));
+    }
+    out->occurrences.push_back(Occurrence{g.fp.exact, g.fp.tmpl, it->second});
+  }
+}
+
+/// One repository end to end: content-sniff extensionless files, then replay
+/// the repo manifest or analyze the repository whole.
+void ProcessRepo(const Repo& repo, const ScanShared& shared, Worker& w, RepoResult* out) {
+  std::vector<const ScanFile*> files;
+  files.reserve(repo.files.size());
+  bool readable = true;
+  for (const ScanFile& file : repo.files) {
+    if (file.kind == FileKind::kSniff) {
+      MappedFile map;
+      if (!map.Open(file.path).ok()) {
+        ++w.agg.skipped;
+        readable = false;
+        continue;
+      }
+      std::string_view head = map.view().substr(0, std::min<size_t>(map.size(), 2048));
+      if (!LooksLikeSql(head)) {
+        // Sniff rejects never count as corpus files (nor enter the key).
+        ++w.agg.skipped;
+        continue;
+      }
+    }
+    files.push_back(&file);
+  }
+  if (files.empty()) return;
+  out->key = KeyOf(files);
+  if (readable && shared.store != nullptr &&
+      ReplayRepo(repo.name + "/", files.size(), w, shared.store, out)) {
     return;
   }
-  std::string_view content = map.view();
-  FileKind kind = file.kind;
-  if (kind == FileKind::kSniff) {
-    if (LooksLikeSql(content.substr(0, std::min<size_t>(content.size(), 2048)))) {
-      kind = FileKind::kSqlScript;
-    } else {
-      // No manifest for sniff rejects: they never count as corpus files, so
-      // a replayed manifest would inflate the file count.
-      ++w.agg.skipped;
-      return;
-    }
-  }
-  ++w.agg.repos[file.repo].files;
-  FileDraft draft;
-  FileDraft* draft_ptr = nullptr;
-  if (store != nullptr) {
-    draft.file = file_idx;
-    draft.rel = file.rel;
-    draft.size = file.size;
-    draft.mtime_ns = file.mtime_ns;
-    draft_ptr = &draft;
-  }
-  if (kind == FileKind::kSource) {
-    for (const sql::EmbeddedSql& embedded : sql::ExtractEmbeddedSql(content)) {
-      HandleStatement(embedded.sql, file, w, store, registry, model, config, draft_ptr);
-    }
-  } else {
-    for (std::string_view piece : sql::SplitStatements(content, nullptr, &w.buffer)) {
-      HandleStatement(piece, file, w, store, registry, model, config, draft_ptr);
-    }
-  }
-  if (draft_ptr != nullptr) w.agg.drafts.push_back(std::move(draft));
+  AnalyzeRepo(files, readable && shared.store != nullptr, shared, w, out);
 }
 
 void AppendFormatted(std::string& out, const char* fmt, ...)
@@ -515,12 +558,7 @@ std::string ScanReport::ToJson() const {
 
 uint64_t DigestScanReport(const ScanReport& report) {
   std::string json = report.ToJson();
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : json) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
+  return Fnv1a(json.data(), json.size());
 }
 
 Result<ScanReport> CorpusScanner::Scan(const std::string& root) {
@@ -528,8 +566,11 @@ Result<ScanReport> CorpusScanner::Scan(const std::string& root) {
   summary_ = ScanSummary{};
 
   const RuleRegistry registry = RuleRegistry::Default();
-  const RankingModel model;
-  const DetectorConfig config;
+  ScanShared shared;
+  for (const auto& rule : registry.rules()) {
+    shared.workload_sensitive[static_cast<size_t>(rule->type())] =
+        rule->query_scope() != QueryRuleScope::kStatementLocal;
+  }
 
   std::unique_ptr<persist::FingerprintStore> store;
   if (!options_.store_path.empty()) {
@@ -541,6 +582,7 @@ Result<ScanReport> CorpusScanner::Scan(const std::string& root) {
     summary_.store = store->stats();  // Keeps the warning if Open degraded.
     if (!store->usable()) store.reset();
   }
+  shared.store = store.get();
 
   std::error_code ec;
   fs::path root_path(root);
@@ -555,17 +597,11 @@ Result<ScanReport> CorpusScanner::Scan(const std::string& root) {
       !options_.store_path.empty() && ::stat(options_.store_path.c_str(), &store_st) == 0;
 
   // Discovery: collect regular files (skipping dot-entries and the store
-  // itself), keyed by their root-relative path so the ordering — and with it
-  // repo numbering and the store append order — is byte-stable. One stat per
-  // file covers regularity, size, and mtime: the manifest freshness key.
-  struct Discovered {
-    std::string rel;
-    std::string abs;
-    uint64_t size = 0;
-    uint64_t mtime_ns = 0;
-    bool operator<(const Discovered& other) const { return rel < other.rel; }
-  };
-  std::vector<Discovered> discovered;
+  // itself), sorted by root-relative path so the ordering — and with it
+  // repo numbering, each session's feed order and the store append order —
+  // is byte-stable. One stat per file covers regularity, size, and mtime: the
+  // freshness key.
+  std::vector<ScanFile> discovered;
   fs::recursive_directory_iterator it(root_path,
                                       fs::directory_options::skip_permission_denied, ec);
   fs::recursive_directory_iterator end;
@@ -582,67 +618,54 @@ Result<ScanReport> CorpusScanner::Scan(const std::string& root) {
     if (have_store_st && st.st_dev == store_st.st_dev && st.st_ino == store_st.st_ino) {
       continue;
     }
-    Discovered d;
-    d.rel = entry.path().lexically_relative(root_path).generic_string();
-    d.abs = entry.path().string();
-    d.size = static_cast<uint64_t>(st.st_size);
-    d.mtime_ns = static_cast<uint64_t>(st.st_mtim.tv_sec) * 1000000000ull +
-                 static_cast<uint64_t>(st.st_mtim.tv_nsec);
-    discovered.push_back(std::move(d));
-  }
-  std::sort(discovered.begin(), discovered.end());
-
-  std::vector<std::string> repo_names;
-  std::map<std::string, uint32_t> repo_index;
-  std::vector<ScanFile> files;
-  files.reserve(discovered.size());
-  for (Discovered& d : discovered) {
-    FileKind kind = ClassifyExtension(LowerExt(fs::path(d.rel)));
-    if (kind == FileKind::kIgnore) continue;
-    size_t slash = d.rel.find('/');
-    std::string repo = slash == std::string::npos ? "(root)" : d.rel.substr(0, slash);
-    auto [rit, inserted] = repo_index.emplace(repo, repo_names.size());
-    if (inserted) repo_names.push_back(repo);
     ScanFile file;
-    file.path = std::move(d.abs);
-    file.rel = std::move(d.rel);
-    file.size = d.size;
-    file.mtime_ns = d.mtime_ns;
-    file.repo = rit->second;
-    file.kind = kind;
-    files.push_back(std::move(file));
+    file.rel = entry.path().lexically_relative(root_path).generic_string();
+    file.kind = ClassifyExtension(LowerExt(fs::path(file.rel)));
+    if (file.kind == FileKind::kIgnore) continue;
+    file.path = entry.path().string();
+    file.size = static_cast<uint64_t>(st.st_size);
+    file.mtime_ns = static_cast<uint64_t>(st.st_mtim.tv_sec) * 1000000000ull +
+                    static_cast<uint64_t>(st.st_mtim.tv_nsec);
+    discovered.push_back(std::move(file));
+  }
+  std::sort(discovered.begin(), discovered.end(),
+            [](const ScanFile& a, const ScanFile& b) { return a.rel < b.rel; });
+
+  std::vector<Repo> repos;
+  std::map<std::string, size_t> repo_index;
+  for (ScanFile& file : discovered) {
+    size_t slash = file.rel.find('/');
+    std::string name = slash == std::string::npos ? "(root)" : file.rel.substr(0, slash);
+    auto [rit, inserted] = repo_index.emplace(name, repos.size());
+    if (inserted) repos.push_back(Repo{std::move(name), {}});
+    repos[rit->second].files.push_back(std::move(file));
   }
 
   int jobs = options_.jobs;
   if (jobs <= 0) jobs = ThreadPool::ResolveParallelism(0);  // hardware clamp
-  jobs = std::max(1, std::min<int>(jobs, static_cast<int>(files.empty() ? 1 : files.size())));
+  jobs = std::min(jobs, static_cast<int>(std::max<size_t>(repos.size(), 1)));
   summary_.jobs = jobs;
 
-  std::vector<std::unique_ptr<Worker>> workers(jobs);
-  for (int s = 0; s < jobs; ++s) workers[s] = std::make_unique<Worker>(repo_names.size());
-  persist::FingerprintStore* store_ptr = store.get();
+  // Workers pull repositories off a shared counter (repositories vary in
+  // size); results land in per-repository slots, so the merge below does not
+  // depend on which worker took which repository.
+  std::vector<Worker> workers(static_cast<size_t>(jobs));
+  std::vector<RepoResult> results(repos.size());
+  std::atomic<size_t> next{0};
   std::unique_ptr<ThreadPool> pool;
   if (jobs > 1) pool = std::make_unique<ThreadPool>(jobs);
-  ParallelShards(files.size(), pool.get(), [&](int shard, size_t begin, size_t endi) {
-    Worker& w = *workers[shard];
-    for (size_t i = begin; i < endi; ++i) {
-      if (store_ptr != nullptr && TryReplayFile(files[i], w, store_ptr)) continue;
-      ProcessFile(files[i], static_cast<uint32_t>(i), w, store_ptr, registry, model,
-                  config);
+  ParallelShards(static_cast<size_t>(jobs), pool.get(), [&](int shard, size_t, size_t) {
+    Worker& w = workers[static_cast<size_t>(shard)];
+    for (size_t r; (r = next.fetch_add(1, std::memory_order_relaxed)) < repos.size();) {
+      ProcessRepo(repos[r], shared, w, &results[r]);
     }
   });
 
-  // Deterministic merge: shard order for the counters, corpus (file,
-  // statement) order for the store appends.
   ScanReport report;
-  std::vector<RepoAgg> repos(repo_names.size());
   std::unordered_set<uint64_t> unique_exact;
   std::unordered_set<uint64_t> unique_template;
-  std::vector<FileDraft> drafts;
-  for (const std::unique_ptr<Worker>& wp : workers) {
-    ShardAgg& agg = wp->agg;
-    report.statements += agg.statements;
-    report.findings += agg.findings;
+  for (Worker& w : workers) {
+    const ShardAgg& agg = w.agg;
     for (int k = 0; k < kAntiPatternCount; ++k) {
       report.rules[k].occurrences += agg.occurrences[k];
       report.rules[k].statements += agg.statements_with[k];
@@ -652,33 +675,27 @@ Result<ScanReport> CorpusScanner::Scan(const std::string& root) {
     report.severity_low += agg.severity[2];
     unique_exact.insert(agg.unique_exact.begin(), agg.unique_exact.end());
     unique_template.insert(agg.unique_template.begin(), agg.unique_template.end());
-    for (size_t r = 0; r < repos.size(); ++r) {
-      repos[r].files += agg.repos[r].files;
-      repos[r].statements += agg.repos[r].statements;
-      repos[r].findings += agg.repos[r].findings;
-      repos[r].rule_mask |= agg.repos[r].rule_mask;
-    }
     summary_.analyzed += agg.analyzed;
     summary_.store_reused += agg.store_reused;
-    summary_.memo_reused += agg.memo_reused;
     summary_.files_reused += agg.files_reused;
     summary_.files_skipped += agg.skipped;
-    drafts.insert(drafts.end(), std::make_move_iterator(agg.drafts.begin()),
-                  std::make_move_iterator(agg.drafts.end()));
   }
   report.unique_statements = unique_exact.size();
   report.unique_templates = unique_template.size();
   for (size_t r = 0; r < repos.size(); ++r) {
-    if (repos[r].files == 0) continue;
+    const RepoResult& res = results[r];
+    if (res.files == 0) continue;
     ++report.repos;
-    report.files += repos[r].files;
+    report.files += res.files;
+    report.statements += res.statements;
+    report.findings += res.findings;
     RepoRow row;
-    row.name = repo_names[r];
-    row.files = repos[r].files;
-    row.statements = repos[r].statements;
-    row.findings = repos[r].findings;
+    row.name = repos[r].name;
+    row.files = res.files;
+    row.statements = res.statements;
+    row.findings = res.findings;
     for (int k = 0; k < kAntiPatternCount; ++k) {
-      if (repos[r].rule_mask & (1u << k)) {
+      if (res.rule_mask & (1u << k)) {
         ++row.rules;
         ++report.rules[k].repos;
       }
@@ -689,33 +706,28 @@ Result<ScanReport> CorpusScanner::Scan(const std::string& root) {
             [](const RepoRow& a, const RepoRow& b) { return a.name < b.name; });
 
   if (store != nullptr) {
-    std::sort(drafts.begin(), drafts.end(),
-              [](const FileDraft& a, const FileDraft& b) { return a.file < b.file; });
+    // Write-back in repository order: the records first (Append dedups by
+    // key, so a record another repository already wrote is shared), then the
+    // manifest that references them.
+    std::vector<uint64_t> offsets;
     std::vector<persist::StmtRef> refs;
-    for (const FileDraft& d : drafts) {
-      refs.clear();
-      refs.reserve(d.stmts.size());
-      bool manifest_ok = true;
-      for (const StmtDraft& sd : d.stmts) {
-        if (sd.failed) {
-          // Keep appending the healthy statements, but a file with a faulted
-          // statement gets no manifest: the next scan must reread it.
-          manifest_ok = false;
-          continue;
-        }
-        uint64_t off = sd.offset;
-        if (off == kNoOffset) {
-          // Dedup is internal to Append: a repeat occurrence (same canonical,
-          // possibly staged by an earlier draft) returns the first offset.
-          off = store->Append(sd.canonical, sd.exact, sd.tmpl, sd.findings);
-        }
-        if (off == kNoOffset) {
-          manifest_ok = false;  // Log frozen by an injected append fault.
-          continue;
-        }
-        refs.push_back(persist::StmtRef{sd.exact, sd.tmpl, off});
+    for (size_t r = 0; r < repos.size(); ++r) {
+      RepoResult& res = results[r];
+      if (!res.write_back) continue;
+      offsets.clear();
+      for (const RecordDraft& rec : res.records) {
+        uint64_t off = store->Append(rec.key, rec.exact, rec.tmpl, rec.findings);
+        if (off == kNoOffset) break;  // Log frozen by an injected append fault.
+        offsets.push_back(off);
       }
-      if (manifest_ok) store->AppendFile(d.rel, d.size, d.mtime_ns, refs);
+      if (offsets.size() != res.records.size()) continue;
+      refs.clear();
+      refs.reserve(res.occurrences.size());
+      for (const Occurrence& occ : res.occurrences) {
+        refs.push_back(persist::StmtRef{occ.exact, occ.tmpl, offsets[occ.record]});
+      }
+      store->AppendFile(repos[r].name + "/", res.key.bytes, res.key.digest, refs);
+      res = RepoResult{};  // Release the drafts early.
     }
     store->Close();  // Commits; any commit failure lands in stats().warning.
     summary_.store = store->stats();

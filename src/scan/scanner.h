@@ -13,13 +13,13 @@ namespace sqlcheck::scan {
 
 /// \brief Options for one corpus scan.
 struct ScanOptions {
-  /// Fingerprint-store path; empty disables the store (every statement is
-  /// analyzed in-process, with an in-run memo only).
+  /// Fingerprint-store path; empty disables the store (every repository is
+  /// analyzed in-process).
   std::string store_path;
-  /// Worker shards for the file pipeline. <= 0 means auto: the hardware
-  /// thread count, never more (shards past the physical threads only add
-  /// contention), and never more than there are files. Explicit positive
-  /// values are honored up to the file count.
+  /// Worker threads; each analyzes whole repositories. <= 0 means auto: the
+  /// hardware thread count, never more (workers past the physical threads
+  /// only add contention), and never more than there are repositories.
+  /// Explicit positive values are honored up to the repository count.
   int jobs = 0;
 };
 
@@ -69,38 +69,37 @@ uint64_t DigestScanReport(const ScanReport& report);
 struct ScanSummary {
   bool store_enabled = false;
   persist::StoreStats store;
-  uint64_t analyzed = 0;      ///< Statements analyzed from scratch.
-  uint64_t store_reused = 0;  ///< Statement occurrences served by the store.
-  uint64_t memo_reused = 0;   ///< Occurrences served by the in-run memo.
-  uint64_t files_reused = 0;  ///< Files replayed whole from their manifest.
-  uint64_t files_skipped = 0; ///< Unreadable or unclassifiable files.
+  uint64_t analyzed = 0;      ///< Statement occurrences of re-analyzed repositories.
+  uint64_t store_reused = 0;  ///< Statement occurrences replayed from repo manifests.
+  uint64_t files_reused = 0;  ///< Files of repositories replayed whole.
+  uint64_t files_skipped = 0; ///< Unreadable or sniff-rejected files.
   int jobs = 1;
   double seconds = 0.0;
 };
 
 /// \brief The `sqlcheck scan` driver: walks a directory tree of repositories
 /// / SQL dumps, classifies files (extension first, then a content sniff for
-/// extensionless dumps), extracts statements (`sql::SplitStatements` for SQL
-/// scripts, `sql::ExtractEmbeddedSql` for host-language sources), and
-/// analyzes each statement in isolation — a fresh single-statement context
-/// against the full rule set, the per-statement prevalence methodology of the
-/// paper's GitHub pipeline (§8.1). Isolation is what makes findings a pure
-/// function of the exact-canonical fingerprint, so the persistent store can
-/// replay them for every later occurrence and a warm scan reports
-/// byte-identically to a cold run.
+/// extensionless dumps), and analyzes each repository — a top-level
+/// directory — as one AnalysisSession fed its files in sorted path order
+/// (SQL scripts through AddScript, embedded SQL from host-language sources
+/// through AddQuery). Inter-query rules therefore see the repository's DDL
+/// and sibling queries, so a repository's findings equal file mode's over
+/// the same statements, and the report counts them per project, as
+/// prevalence studies do.
 ///
-/// Reuse works at two granularities. Per statement, a store probe by
-/// exact-canonical fingerprint skips analysis. Per file, the store's
-/// manifest records — keyed by (root-relative path, size, mtime) — let a
-/// warm scan fold an unchanged file's whole contribution without even
-/// opening it: on this tier the scan does one stat(2) per file and nothing
-/// else, which is what makes warm scans I/O-bound on the directory walk
-/// rather than on file reads. A changed file falls back to the statement
-/// tier; a changed rule set invalidates the store entirely.
+/// Reuse works per repository. The store's manifest for `"<repo>/"` is keyed
+/// by the repository's total bytes and an FNV digest over the sorted (path,
+/// size, mtime) triples of its files: when the key matches, the scan folds
+/// the repository's whole contribution from the store without opening a
+/// file. Any added, deleted or edited file changes the key, and the whole
+/// repository is analyzed again. A statement record is keyed by its
+/// exact-canonical text when every finding on it is statement-local, and by
+/// that text plus the repository digest otherwise, so a record's findings
+/// are always a function of its key. A changed rule set invalidates the
+/// store entirely.
 ///
-/// Files shard across a thread pool (first-level directories are the
-/// "repositories" for the distribution tables); shard merge is deterministic
-/// in shard order, so reports are byte-stable at any job count.
+/// Repositories are distributed over a thread pool and merged in repository
+/// order, so reports and the store layout are byte-stable at any job count.
 class CorpusScanner {
  public:
   explicit CorpusScanner(ScanOptions options) : options_(std::move(options)) {}

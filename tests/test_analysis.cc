@@ -3,6 +3,7 @@
 #include "analysis/context.h"
 #include "analysis/query_analyzer.h"
 #include "core/report.h"
+#include "core/session.h"
 #include "engine/executor.h"
 #include "sql/parser.h"
 
@@ -91,12 +92,12 @@ TEST(QueryAnalyzerTest, SubqueryFactsBubbleUp) {
 }
 
 TEST(ContextTest, CatalogFromDdlWhenNoDatabase) {
-  ContextBuilder builder;
-  builder.AddScript(
+  AnalysisSession session;
+  session.AddScript(
       "CREATE TABLE a (x INTEGER PRIMARY KEY);"
       "CREATE INDEX idx_ax ON a (x);"
       "SELECT x FROM a WHERE x = 1;");
-  Context context = builder.Build();
+  const Context& context = session.context();
   EXPECT_NE(context.catalog().FindTable("a"), nullptr);
   EXPECT_NE(context.catalog().FindIndex("idx_ax"), nullptr);
   EXPECT_FALSE(context.has_data());
@@ -110,10 +111,10 @@ TEST(ContextTest, DatabaseBaselinePlusDdlAugmentation) {
   Executor exec(&db);
   exec.ExecuteSql("CREATE TABLE live (k INTEGER PRIMARY KEY)");
   exec.ExecuteSql("INSERT INTO live VALUES (1)");
-  ContextBuilder builder;
-  builder.AttachDatabase(&db);
-  builder.AddQuery("CREATE TABLE ddl_only (v INTEGER)");
-  Context context = builder.Build();
+  AnalysisSession session;
+  session.AttachDatabase(&db);
+  session.AddQuery("CREATE TABLE ddl_only (v INTEGER)");
+  const Context& context = session.context();
   EXPECT_NE(context.catalog().FindTable("live"), nullptr);      // from database
   EXPECT_NE(context.catalog().FindTable("ddl_only"), nullptr);  // from workload DDL
   EXPECT_TRUE(context.has_data());
@@ -122,12 +123,12 @@ TEST(ContextTest, DatabaseBaselinePlusDdlAugmentation) {
 }
 
 TEST(ContextTest, JoinAndFkQueries) {
-  ContextBuilder builder;
-  builder.AddScript(
+  AnalysisSession session;
+  session.AddScript(
       "CREATE TABLE p (id INTEGER PRIMARY KEY);"
       "CREATE TABLE c (id INTEGER PRIMARY KEY, p_id INTEGER REFERENCES p (id));"
       "SELECT c.id FROM p JOIN c ON p.id = c.p_id;");
-  Context context = builder.Build();
+  const Context& context = session.context();
   EXPECT_TRUE(context.TablesJoined("p", "c"));
   EXPECT_TRUE(context.TablesJoined("c", "p"));  // symmetric
   EXPECT_FALSE(context.TablesJoined("p", "x"));
@@ -136,9 +137,9 @@ TEST(ContextTest, JoinAndFkQueries) {
 }
 
 TEST(ContextTest, ColumnNullability) {
-  ContextBuilder builder;
-  builder.AddQuery("CREATE TABLE t (a INTEGER NOT NULL, b INTEGER)");
-  Context context = builder.Build();
+  AnalysisSession session;
+  session.AddQuery("CREATE TABLE t (a INTEGER NOT NULL, b INTEGER)");
+  const Context& context = session.context();
   EXPECT_FALSE(context.ColumnNullable("t", "a"));
   EXPECT_TRUE(context.ColumnNullable("t", "b"));
   EXPECT_TRUE(context.ColumnNullable("missing", "c"));  // unknown = nullable

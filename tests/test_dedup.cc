@@ -7,9 +7,10 @@
 #include <vector>
 
 #include "analysis/context.h"
+#include "core/session.h"
 #include "core/sqlcheck.h"
+#include "detected.h"
 #include "rules/registry.h"
-#include "sql/fingerprint.h"
 
 namespace sqlcheck {
 namespace {
@@ -44,14 +45,13 @@ TEST(DedupTest, ReportByteIdenticalWithAndWithoutDedup) {
 }
 
 TEST(DedupTest, GroupsCollapseWhitespaceCaseAndComments) {
-  ContextBuilder builder;
-  builder.AddQuery("SELECT * FROM t WHERE a = 1");
-  builder.AddQuery("select * from t where a = 1");
-  builder.AddQuery("SELECT *  FROM t /* hint */ WHERE a = 1");
-  builder.AddQuery("SELECT * FROM t WHERE a = 2");  // different literal
-  Context context = builder.Build();
+  AnalysisSession session;
+  session.AddQuery("SELECT * FROM t WHERE a = 1");
+  session.AddQuery("select * from t where a = 1");
+  session.AddQuery("SELECT *  FROM t /* hint */ WHERE a = 1");
+  session.AddQuery("SELECT * FROM t WHERE a = 2");  // different literal
 
-  const QueryGroups& groups = context.query_groups();
+  const QueryGroups& groups = session.context().query_groups();
   ASSERT_EQ(groups.representative.size(), 4u);
   EXPECT_EQ(groups.unique_count(), 2u);
   EXPECT_TRUE(groups.has_duplicates());
@@ -65,10 +65,10 @@ TEST(DedupTest, GroupsCollapseWhitespaceCaseAndComments) {
 }
 
 TEST(DedupTest, SharedFactsAreRebasedOntoEachOccurrence) {
-  ContextBuilder builder;
-  builder.AddQuery("SELECT * FROM t");
-  builder.AddQuery("select  *  from t");
-  Context context = builder.Build();
+  AnalysisSession session;
+  session.AddQuery("SELECT * FROM t");
+  session.AddQuery("select  *  from t");
+  const Context& context = session.context();
 
   ASSERT_EQ(context.queries().size(), 2u);
   EXPECT_EQ(context.queries()[0].raw_sql, "SELECT * FROM t");
@@ -78,18 +78,14 @@ TEST(DedupTest, SharedFactsAreRebasedOntoEachOccurrence) {
 }
 
 TEST(DedupTest, DetectionsCarryPerOccurrenceRawSql) {
-  ContextBuilder builder;
-  builder.AddQuery("SELECT * FROM t");
-  builder.AddQuery("select  *  from t");
-  Context context = builder.Build();
-
-  DetectorConfig config;
-  config.data_analysis = false;
-  auto detections = DetectAntiPatterns(context, RuleRegistry::Default(), config);
+  SqlCheckOptions options;
+  options.detector.data_analysis = false;
+  Detected detected("SELECT * FROM t; select  *  from t;", nullptr, options);
+  const auto& detections = detected.detections;
   ASSERT_EQ(detections.size(), 2u);
   EXPECT_EQ(detections[0].query, "SELECT * FROM t");
   EXPECT_EQ(detections[1].query, "select  *  from t");
-  EXPECT_EQ(detections[1].stmt, context.queries()[1].stmt);
+  EXPECT_EQ(detections[1].stmt, detected.context().queries()[1].stmt);
 }
 
 TEST(DedupTest, CustomRuleDetectionsFanOutPerOccurrence) {
@@ -106,47 +102,45 @@ TEST(DedupTest, CustomRuleDetectionsFanOutPerOccurrence) {
       out->push_back(std::move(d));
     }
   };
-  RuleRegistry registry;
-  registry.Register(std::make_unique<EchoRule>());
+  AnalysisSession session;
+  session.RegisterRule(std::make_unique<EchoRule>());
+  session.AddQuery("SELECT a FROM t");
+  session.AddQuery("SELECT  a  FROM t");
 
-  ContextBuilder builder;
-  builder.AddQuery("SELECT a FROM t");
-  builder.AddQuery("SELECT  a  FROM t");
-  Context context = builder.Build();
-
-  DetectorConfig config;
-  config.data_analysis = false;
-  auto detections = DetectAntiPatterns(context, registry, config);
-  ASSERT_EQ(detections.size(), 2u);
-  EXPECT_EQ(detections[0].query, "SELECT a FROM t");
-  EXPECT_EQ(detections[1].query, "SELECT  a  FROM t");
+  std::vector<std::string> echoed;
+  for (const Finding& f : session.Snapshot().findings) {
+    if (f.ranked.detection.message == "echo") echoed.push_back(f.ranked.detection.query);
+  }
+  ASSERT_EQ(echoed.size(), 2u);
+  EXPECT_EQ(echoed[0], "SELECT a FROM t");
+  EXPECT_EQ(echoed[1], "SELECT  a  FROM t");
 }
 
 TEST(DedupTest, LiteralDifferencesKeepStatementsDistinct) {
   // Leading-wildcard position lives in the literal — merging these would
   // corrupt the PatternMatching detections.
-  ContextBuilder builder;
-  builder.AddQuery("SELECT name FROM users WHERE name LIKE '%smith'");
-  builder.AddQuery("SELECT name FROM users WHERE name LIKE 'smith%'");
-  Context context = builder.Build();
-  EXPECT_EQ(context.query_groups().unique_count(), 2u);
+  SqlCheckOptions options;
+  options.detector.data_analysis = false;
+  Detected detected(
+      "SELECT name FROM users WHERE name LIKE '%smith';"
+      "SELECT name FROM users WHERE name LIKE 'smith%';",
+      nullptr, options);
+  EXPECT_EQ(detected.context().query_groups().unique_count(), 2u);
 
-  DetectorConfig config;
-  config.data_analysis = false;
-  auto detections = DetectAntiPatterns(context, RuleRegistry::Default(), config);
   int pattern_hits = 0;
-  for (const auto& d : detections) {
+  for (const auto& d : detected.detections) {
     if (d.type == AntiPattern::kPatternMatching) ++pattern_hits;
   }
   EXPECT_EQ(pattern_hits, 1);  // only the leading-wildcard query fires
 }
 
 TEST(DedupTest, DedupOffYieldsIdentityGroups) {
-  ContextBuilder builder;
-  builder.AddQuery("SELECT 1");
-  builder.AddQuery("SELECT 1");
-  Context context = builder.Build(/*dedup_queries=*/false);
-  const QueryGroups& groups = context.query_groups();
+  SqlCheckOptions options;
+  options.dedup_queries = false;
+  AnalysisSession session(options);
+  session.AddQuery("SELECT 1");
+  session.AddQuery("SELECT 1");
+  const QueryGroups& groups = session.context().query_groups();
   EXPECT_EQ(groups.unique_count(), 2u);
   EXPECT_FALSE(groups.has_duplicates());
   EXPECT_TRUE(groups.fingerprints.empty());

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "detected.h"
 #include "engine/executor.h"
 #include "rules/registry.h"
 #include "sql/parser.h"
@@ -18,15 +19,11 @@ struct FixResult {
 
 FixResult FixFor(const std::string& script, AntiPattern type,
                  const Database* db = nullptr) {
-  ContextBuilder builder;
-  builder.AddScript(script);
-  if (db != nullptr) builder.AttachDatabase(db);
-  Context context = builder.Build();
-  auto detections = DetectAntiPatterns(context, DetectorConfig{});
+  Detected detected(script, db);
   RuleRegistry registry = RuleRegistry::Default();
   FixEngine engine(registry, DetectorConfig{});
-  for (const auto& d : detections) {
-    if (d.type == type) return {engine.SuggestFix(d, context), true};
+  for (const auto& d : detected.detections) {
+    if (d.type == type) return {engine.SuggestFix(d, detected.context()), true};
   }
   return {};
 }
@@ -177,35 +174,29 @@ TEST(FixTest, TextualFixesCarryGuidance) {
 
 TEST(FixTest, EveryDetectionGetsSomeFix) {
   // Batch API covers all detections in ranked order.
-  ContextBuilder builder;
-  builder.AddScript(
+  Detected detected(
       "CREATE TABLE t (id INTEGER PRIMARY KEY, tags TEXT, price FLOAT, password "
       "VARCHAR(20));"
       "SELECT * FROM t ORDER BY RAND();"
       "INSERT INTO t VALUES (1, 'a,b', 1.5, 'pw');");
-  Context context = builder.Build();
-  auto detections = DetectAntiPatterns(context, DetectorConfig{});
-  ASSERT_GE(detections.size(), 4u);
+  ASSERT_GE(detected.detections.size(), 4u);
   RuleRegistry registry = RuleRegistry::Default();
   FixEngine engine(registry);
-  auto fixes = engine.SuggestFixes(detections, context);
-  ASSERT_EQ(fixes.size(), detections.size());
+  auto fixes = engine.SuggestFixes(detected.detections, detected.context());
+  ASSERT_EQ(fixes.size(), detected.detections.size());
   for (const auto& fix : fixes) {
     EXPECT_TRUE(!fix.explanation.empty() || !fix.statements.empty());
   }
 }
 
 TEST(FixTest, RewrittenStatementsAllParse) {
-  ContextBuilder builder;
-  builder.AddScript(
+  Detected detected(
       "CREATE TABLE t (a INTEGER PRIMARY KEY, b VARCHAR(5));"
       "INSERT INTO t VALUES (1, 'x');"
       "SELECT * FROM t;");
-  Context context = builder.Build();
-  auto detections = DetectAntiPatterns(context, DetectorConfig{});
   RuleRegistry registry = RuleRegistry::Default();
   FixEngine engine(registry);
-  for (const auto& fix : engine.SuggestFixes(detections, context)) {
+  for (const auto& fix : engine.SuggestFixes(detected.detections, detected.context())) {
     if (fix.kind != FixKind::kRewrite) continue;
     for (const auto& stmt : fix.statements) {
       EXPECT_NE(sql::ParseStatement(stmt)->kind, sql::StatementKind::kUnknown)

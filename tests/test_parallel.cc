@@ -1,17 +1,19 @@
 // Concurrency: the server runs many tenants' sessions at once on its
-// ThreadPool and `sqlcheck scan --jobs` shards files across one, so the pool
+// ThreadPool and `sqlcheck scan --jobs` shards repositories across one, so the pool
 // must fork/join correctly, and the analysis pipeline run from several
 // threads at once must give each of them the serial answer (rules and the
 // default registry are stateless; these tests keep them that way).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "core/session.h"
 #include "core/sqlcheck.h"
 #include "engine/executor.h"
 #include "rules/registry.h"
@@ -119,6 +121,40 @@ std::string RunReport(const std::string& script, const Database* db) {
   return checker.Run().ToText();
 }
 
+/// The corpus as one script per repository, as `sqlcheck scan` feeds them.
+std::vector<std::string> RepoScripts() {
+  workload::CorpusOptions options;
+  options.repo_count = 24;
+  std::vector<std::string> scripts;
+  for (const auto& repo : workload::GenerateCorpus(options).repos) {
+    std::string script;
+    for (const auto& labeled : repo.statements) {
+      script += labeled.sql;
+      script += ";\n";
+    }
+    scripts.push_back(std::move(script));
+  }
+  return scripts;
+}
+
+/// One repository's session, analyzed without fixes as a scan worker does.
+std::unique_ptr<AnalysisSession> RunRepo(const std::string& script, const Database* db) {
+  SqlCheckOptions options;
+  options.suggest_fixes = false;
+  auto session = std::make_unique<AnalysisSession>(options);
+  session->AddScript(script);
+  if (db != nullptr) session->AttachDatabase(db);
+  return session;
+}
+
+std::vector<Detection> Detections(const std::string& script, const Database* db) {
+  std::vector<Detection> out;
+  for (Finding& f : RunRepo(script, db)->Snapshot().findings) {
+    out.push_back(std::move(f.ranked.detection));
+  }
+  return out;
+}
+
 /// Runs `body(t)` on `threads` threads at once and joins them all.
 template <typename Body>
 void RunConcurrently(int threads, Body body) {
@@ -143,28 +179,32 @@ void ExpectSameDetections(const std::vector<Detection>& serial,
 
 // ----------------------- concurrent pipeline runs ---------------------------
 
-TEST(ParallelPipelineTest, ParallelContextBuildMatchesSerial) {
-  // Scan workers build one context per statement, several at a time.
-  std::string script = CorpusScript();
-  ContextBuilder serial_builder;
-  serial_builder.AddScript(script);
-  Context serial = serial_builder.Build();
+TEST(ParallelPipelineTest, ConcurrentRepoSessionsMatchSerial) {
+  // Scan workers pull repositories off a shared counter and run one session
+  // per repository, several at a time.
+  const std::vector<std::string> repos = RepoScripts();
+  std::vector<std::unique_ptr<AnalysisSession>> serial;
+  for (const std::string& script : repos) serial.push_back(RunRepo(script, nullptr));
 
   constexpr int kThreads = 4;
-  std::vector<Context> built(kThreads);
-  RunConcurrently(kThreads, [&](int t) {
-    ContextBuilder builder;
-    builder.AddScript(script);
-    built[static_cast<size_t>(t)] = builder.Build();
-  });
-  for (const Context& parallel : built) {
-    ASSERT_EQ(serial.queries().size(), parallel.queries().size());
-    for (size_t i = 0; i < serial.queries().size(); ++i) {
-      EXPECT_EQ(serial.queries()[i].raw_sql, parallel.queries()[i].raw_sql);
-      EXPECT_EQ(serial.queries()[i].tables, parallel.queries()[i].tables);
-      EXPECT_EQ(serial.queries()[i].predicates.size(),
-                parallel.queries()[i].predicates.size());
+  std::vector<std::unique_ptr<AnalysisSession>> parallel(repos.size());
+  std::atomic<size_t> next{0};
+  RunConcurrently(kThreads, [&](int) {
+    for (size_t r; (r = next.fetch_add(1)) < repos.size();) {
+      parallel[r] = RunRepo(repos[r], nullptr);
     }
+  });
+  for (size_t r = 0; r < repos.size(); ++r) {
+    const Context& want = serial[r]->context();
+    const Context& got = parallel[r]->context();
+    ASSERT_EQ(want.queries().size(), got.queries().size()) << "repo " << r;
+    for (size_t i = 0; i < want.queries().size(); ++i) {
+      EXPECT_EQ(want.queries()[i].raw_sql, got.queries()[i].raw_sql);
+      EXPECT_EQ(want.queries()[i].tables, got.queries()[i].tables);
+      EXPECT_EQ(want.queries()[i].predicates.size(), got.queries()[i].predicates.size());
+    }
+    EXPECT_EQ(serial[r]->Snapshot().ToJson(), parallel[r]->Snapshot().ToJson())
+        << "repo " << r;
   }
 }
 
@@ -188,25 +228,31 @@ TEST(ParallelPipelineTest, ReportTextIsByteIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelPipelineTest, SharedDefaultRegistryIsSafeUnderConcurrentRuns) {
+TEST(ParallelPipelineTest, RulesAreSafeUnderConcurrentRepoSessions) {
+  // Many sessions at once, every repository each, one shared profiled
+  // database: any rule keeping hidden mutable state would corrupt at least
+  // one run.
   Database db;
   PopulateDatabase(&db);
-  ContextBuilder builder;
-  builder.AddScript(CorpusScript());
-  builder.AttachDatabase(&db);
-  Context context = builder.Build();
-
-  // One registry, many concurrent full detections. Any rule keeping hidden
-  // mutable state would corrupt at least one run.
-  RuleRegistry registry = RuleRegistry::Default();
-  std::vector<Detection> serial = DetectAntiPatterns(context, registry, {});
+  const std::vector<std::string> repos = RepoScripts();
+  std::vector<std::vector<Detection>> serial;
+  for (const std::string& script : repos) serial.push_back(Detections(script, &db));
 
   constexpr int kRunners = 8;
-  std::vector<std::vector<Detection>> results(kRunners);
-  RunConcurrently(kRunners, [&](int r) {
-    results[static_cast<size_t>(r)] = DetectAntiPatterns(context, registry, {});
+  std::vector<std::vector<std::vector<Detection>>> results(kRunners);
+  RunConcurrently(kRunners, [&](int t) {
+    auto& mine = results[static_cast<size_t>(t)];
+    mine.resize(repos.size());
+    // Each runner starts at a different repository, so different
+    // repositories are analyzed side by side.
+    for (size_t k = 0; k < repos.size(); ++k) {
+      const size_t r = (k + static_cast<size_t>(t)) % repos.size();
+      mine[r] = Detections(repos[r], &db);
+    }
   });
-  for (const auto& result : results) ExpectSameDetections(serial, result);
+  for (const auto& result : results) {
+    for (size_t r = 0; r < repos.size(); ++r) ExpectSameDetections(serial[r], result[r]);
+  }
 }
 
 }  // namespace

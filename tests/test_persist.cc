@@ -372,52 +372,68 @@ TEST_F(PersistTest, AppendFileRejectsInvalidOffsets) {
 }
 
 TEST_F(PersistTest, CompactDropsSupersededManifestsAndRemapsOffsets) {
-  // Session 1: statement A + a manifest for queries.sql referencing it.
+  // Keys as the scan writes them: a statement-local record keyed by its
+  // text, a workload record keyed by its text plus the repository digest.
+  const std::string w1 = std::string("SELECT w", 9) + "digest-1";
+  const std::string w2 = std::string("SELECT w", 9) + "digest-2";
+  // Session 1: records A and W(digest 1) + the repository's manifest; an
+  // orphan record no manifest references (a repository that failed).
   {
     FingerprintStore store;
     ASSERT_TRUE(store.Open(path_, kHash).ok());
     uint64_t a = store.Append("SELECT a", 0xa, 0xa1, {MakeFinding(1, 0.5, "a")});
-    ASSERT_TRUE(store.AppendFile("repo/queries.sql", 10, 100, {{0xa, 0xa1, a}}));
+    uint64_t w = store.Append(w1, 0xc, 0xc1, {MakeFinding(4, 0.5, "w1")});
+    store.Append("SELECT orphan", 0xd, 0xd1, {});
+    ASSERT_TRUE(store.AppendFile("repo/", 10, 100, {{0xa, 0xa1, a}, {0xc, 0xc1, w}}));
     store.Close();
   }
-  // Session 2: the file grew — statement B lands and a fresh manifest
-  // supersedes the old one (last write wins).
+  // Session 2: the repository changed — statement B lands, W is re-keyed by
+  // the new digest, A is shared, and a fresh manifest supersedes the old one
+  // (last write wins).
   {
     FingerprintStore store;
     ASSERT_TRUE(store.Open(path_, kHash).ok());
     uint64_t b = store.Append("SELECT b", 0xb, 0xb1, {MakeFinding(2, 0.5, "b")});
+    uint64_t w = store.Append(w2, 0xc, 0xc1, {MakeFinding(4, 0.5, "w2")});
     std::vector<FindingStat> stats;
     uint64_t tmpl = 0, a = 0;
     ASSERT_TRUE(store.ProbeStats("SELECT a", 0xa, &stats, &tmpl, &a));
-    ASSERT_TRUE(store.AppendFile("repo/queries.sql", 20, 200,
-                                 {{0xa, 0xa1, a}, {0xb, 0xb1, b}}));
+    ASSERT_TRUE(store.AppendFile("repo/", 20, 200,
+                                 {{0xa, 0xa1, a}, {0xc, 0xc1, w}, {0xb, 0xb1, b}}));
     store.Close();
   }
   std::string summary;
   ASSERT_TRUE(FingerprintStore::Verify(path_, &summary).ok());
-  EXPECT_NE(summary.find("files=2"), std::string::npos);
+  EXPECT_NE(summary.find("entries=5"), std::string::npos) << summary;
+  EXPECT_NE(summary.find("files=2"), std::string::npos) << summary;
 
+  // Only what the surviving manifest reaches stays: A, W(digest 2), B.
   ASSERT_TRUE(FingerprintStore::Compact(path_, kHash, &summary).ok());
-  EXPECT_NE(summary.find("files=1"), std::string::npos);
+  EXPECT_NE(summary.find("kept=3 dropped=2 files=1"), std::string::npos) << summary;
   ASSERT_TRUE(FingerprintStore::Verify(path_, nullptr).ok());
 
   FingerprintStore store;
   ASSERT_TRUE(store.Open(path_, kHash).ok());
-  EXPECT_EQ(store.stats().entries, 2u);
+  EXPECT_EQ(store.stats().entries, 3u);
   EXPECT_EQ(store.stats().file_entries, 1u);
   EXPECT_GE(store.stats().generation, 2u);
+  std::vector<StoredFinding> got;
+  EXPECT_FALSE(store.Probe(w1, 0xc, &got));
+  EXPECT_FALSE(store.Probe("SELECT orphan", 0xd, &got));
+  ASSERT_TRUE(store.Probe(w2, 0xc, &got));
+  EXPECT_EQ(got[0].message, "w2");
   // The surviving manifest is the newer one, with offsets remapped onto the
   // compacted layout: every reference must still resolve.
   std::vector<StmtRef> refs;
-  ASSERT_TRUE(store.ProbeFile("repo/queries.sql", 20, 200, &refs));
-  ASSERT_EQ(refs.size(), 2u);
+  ASSERT_TRUE(store.ProbeFile("repo/", 20, 200, &refs));
+  ASSERT_EQ(refs.size(), 3u);
   for (const StmtRef& r : refs) {
     std::vector<FindingStat> stats;
     uint64_t tmpl = 0;
     EXPECT_TRUE(store.ResolveStats(r.offset, r.exact, &stats, &tmpl));
     EXPECT_EQ(stats.size(), 1u);
   }
-  EXPECT_FALSE(store.ProbeFile("repo/queries.sql", 10, 100, &refs));
+  EXPECT_FALSE(store.ProbeFile("repo/", 10, 100, &refs));
   store.Close();
 }
 

@@ -15,6 +15,7 @@
 
 #include "analysis/query_analyzer.h"
 #include "core/sqlcheck.h"
+#include "detected.h"
 #include "engine/executor.h"
 #include "fix/fix_engine.h"
 #include "fix/fixer.h"
@@ -127,11 +128,7 @@ TEST(RewriteRoundTripTest, EveryRewriteOnADatabaseBackedWorkloadVerifies) {
 // Rewriter transformations
 // ---------------------------------------------------------------------------
 
-Context BuildContext(const std::string& script) {
-  ContextBuilder builder;
-  builder.AddScript(script);
-  return builder.Build();
-}
+Detected BuildContext(const std::string& script) { return Detected(script); }
 
 const sql::SelectStatement& LastSelect(const Context& context) {
   const auto& queries = context.queries();
@@ -141,7 +138,7 @@ const sql::SelectStatement& LastSelect(const Context& context) {
 }
 
 TEST(RewriterTest, WildcardExpansionQualifiesMultiSourceSelects) {
-  Context context = BuildContext(
+  Detected context = BuildContext(
       "CREATE TABLE users (id INTEGER PRIMARY KEY, name VARCHAR(10));"
       "CREATE TABLE orders (oid INTEGER PRIMARY KEY, user_id INTEGER);"
       "SELECT * FROM users u JOIN orders o ON u.id = o.user_id;");
@@ -153,7 +150,7 @@ TEST(RewriterTest, WildcardExpansionQualifiesMultiSourceSelects) {
 }
 
 TEST(RewriterTest, QualifiedStarExpandsOnlyItsOwnTable) {
-  Context context = BuildContext(
+  Detected context = BuildContext(
       "CREATE TABLE users (id INTEGER PRIMARY KEY, name VARCHAR(10));"
       "CREATE TABLE orders (oid INTEGER PRIMARY KEY, user_id INTEGER);"
       "SELECT o.*, u.name FROM users u JOIN orders o ON u.id = o.user_id;");
@@ -165,17 +162,17 @@ TEST(RewriterTest, QualifiedStarExpandsOnlyItsOwnTable) {
 }
 
 TEST(RewriterTest, WildcardExpansionRefusesUnknownAndSubquerySources) {
-  Context unknown = BuildContext("SELECT * FROM mystery;");
+  Detected unknown = BuildContext("SELECT * FROM mystery;");
   EXPECT_EQ(ExpandWildcard(LastSelect(unknown), unknown), nullptr);
 
-  Context sub = BuildContext(
+  Detected sub = BuildContext(
       "CREATE TABLE t (a INTEGER PRIMARY KEY);"
       "SELECT * FROM (SELECT a FROM t) AS inner_t;");
   EXPECT_EQ(ExpandWildcard(LastSelect(sub), sub), nullptr);
 }
 
 TEST(RewriterTest, OrderByRandBecomesKeyRangeProbe) {
-  Context context = BuildContext(
+  Detected context = BuildContext(
       "CREATE TABLE users (id INTEGER PRIMARY KEY, name VARCHAR(10));"
       "SELECT name FROM users ORDER BY RAND() LIMIT 1;");
   sql::StatementPtr fixed = ReplaceOrderByRand(LastSelect(context), context);
@@ -195,19 +192,19 @@ TEST(RewriterTest, OrderByRandBecomesKeyRangeProbe) {
 TEST(RewriterTest, OrderByRandRefusesShufflesAndCompositeKeys) {
   // No LIMIT: the statement is a full shuffle; the probe form is not
   // equivalent.
-  Context shuffle = BuildContext(
+  Detected shuffle = BuildContext(
       "CREATE TABLE users (id INTEGER PRIMARY KEY, name VARCHAR(10));"
       "SELECT name FROM users ORDER BY RAND();");
   EXPECT_EQ(ReplaceOrderByRand(LastSelect(shuffle), shuffle), nullptr);
 
-  Context composite = BuildContext(
+  Detected composite = BuildContext(
       "CREATE TABLE pairs (a INTEGER, b INTEGER, PRIMARY KEY (a, b));"
       "SELECT a FROM pairs ORDER BY RAND() LIMIT 1;");
   EXPECT_EQ(ReplaceOrderByRand(LastSelect(composite), composite), nullptr);
 }
 
 TEST(RewriterTest, LeadingWildcardLikeReversesLiteralTails) {
-  Context context = BuildContext(
+  Detected context = BuildContext(
       "CREATE TABLE users (id INTEGER PRIMARY KEY, email VARCHAR(40));"
       "SELECT id FROM users WHERE email LIKE '%@example.com';");
   sql::StatementPtr fixed = RewriteLeadingWildcards(LastSelect(context));
@@ -229,7 +226,7 @@ TEST(RewriterTest, LikeReversalRefusesInfixUnderscoreAndUtf8Patterns) {
       "SELECT id FROM users WHERE email LIKE '%caf\xc3\xa9';",  // UTF-8 tail
   };
   for (const char* sql_text : cases) {
-    Context context = BuildContext(
+    Detected context = BuildContext(
         std::string("CREATE TABLE users (id INTEGER PRIMARY KEY, email "
                     "VARCHAR(40));") +
         sql_text);
@@ -241,7 +238,7 @@ TEST(RewriterTest, ConcatWrapRefusesWhenNoOperandIsReachable) {
   // The concat lives in ORDER BY, which the transformation does not touch:
   // proposing the unchanged statement as a "rewrite" would claim an action
   // that never happened; the fixer must fall back to guidance instead.
-  Context context = BuildContext(
+  Detected context = BuildContext(
       "CREATE TABLE t (k INTEGER PRIMARY KEY, a VARCHAR(5), b VARCHAR(5));"
       "SELECT k FROM t ORDER BY a || b;");
   EXPECT_EQ(WrapConcatNulls(LastSelect(context), context), nullptr);
@@ -259,9 +256,10 @@ TEST(RewriterTest, ConcatWrapRefusesWhenNoOperandIsReachable) {
 }
 
 TEST(RewriterTest, InsertExpansionRefusesArityMismatch) {
-  Context context = BuildContext(
+  Detected built = BuildContext(
       "CREATE TABLE t (a INTEGER PRIMARY KEY, b VARCHAR(5), c VARCHAR(5));"
       "INSERT INTO t VALUES (1, 'x');");
+  const Context& context = built;
   const auto* insert = context.queries().back().stmt->As<sql::InsertStatement>();
   ASSERT_NE(insert, nullptr);
   EXPECT_EQ(ExpandInsertColumns(*insert, context), nullptr);
@@ -272,7 +270,7 @@ TEST(RewriterTest, InsertExpansionRefusesArityMismatch) {
 // ---------------------------------------------------------------------------
 
 TEST(VerifyRewriteTest, RejectsUnparseableAndStillBrokenRewrites) {
-  Context context = BuildContext("CREATE TABLE t (a INTEGER PRIMARY KEY);");
+  Detected context = BuildContext("CREATE TABLE t (a INTEGER PRIMARY KEY);");
   RuleRegistry registry = RuleRegistry::Default();
   const Rule* wildcard = registry.FindRule(AntiPattern::kColumnWildcard);
   ASSERT_NE(wildcard, nullptr);
@@ -319,13 +317,12 @@ TEST(VerifyRewriteTest, EngineDemotesFailingProposalsWithReason) {
   RuleRegistry registry = RuleRegistry::Default();
   registry.RegisterFixer(std::make_unique<IdentityFixer>());  // overrides builtin
 
-  Context context = BuildContext(
+  Detected context = BuildContext(
       "CREATE TABLE t (a INTEGER PRIMARY KEY);"
       "SELECT * FROM t;");
-  auto detections = DetectAntiPatterns(context, DetectorConfig{});
   FixEngine engine(registry, DetectorConfig{});
   bool saw_wildcard = false;
-  for (const Detection& d : detections) {
+  for (const Detection& d : context.detections) {
     if (d.type != AntiPattern::kColumnWildcard) continue;
     saw_wildcard = true;
     Fix fix = engine.SuggestFix(d, context);
@@ -400,10 +397,8 @@ TEST(ImpactedQueriesTest, IndexedLookupMatchesFullScanDigest) {
       "SELECT * FROM tenants WHERE user_ids LIKE '[[:<:]]U1[[:>:]]';"
       "SELECT k FROM other WHERE k = 1;"
       "UPDATE tenants SET user_ids = '' WHERE tenant_id = 't1';";
-  ContextBuilder builder;
-  builder.AddScript(kScript);
-  Context context = builder.Build();
-  auto detections = DetectAntiPatterns(context, DetectorConfig{});
+  Detected detected(kScript);
+  const Context& context = detected;
   RuleRegistry registry = RuleRegistry::Default();
   FixEngine engine(registry);
 
@@ -421,7 +416,7 @@ TEST(ImpactedQueriesTest, IndexedLookupMatchesFullScanDigest) {
   };
 
   bool saw_impacted = false;
-  for (const Detection& d : detections) {
+  for (const Detection& d : detected.detections) {
     Fix fix = engine.SuggestFix(d, context);
     if (fix.impacted_queries.empty()) continue;
     saw_impacted = true;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/session.h"
+#include "detected.h"
 #include "engine/executor.h"
 #include "storage/database.h"
 
@@ -11,11 +13,9 @@ namespace {
 /// Runs detection over a workload script (optionally with a database).
 std::vector<Detection> Detect(const std::string& script, const Database* db = nullptr,
                               DetectorConfig config = {}) {
-  ContextBuilder builder;
-  builder.AddScript(script);
-  if (db != nullptr) builder.AttachDatabase(db);
-  Context context = builder.Build();
-  return DetectAntiPatterns(context, config);
+  SqlCheckOptions options;
+  options.detector = config;
+  return Detected(script, db, options).detections;
 }
 
 int CountType(const std::vector<Detection>& detections, AntiPattern type) {
@@ -452,14 +452,12 @@ TEST(RegistryTest, CustomRuleIsInvoked) {
       out->push_back(std::move(d));
     }
   };
-  RuleRegistry registry;
-  registry.Register(std::make_unique<AlwaysFires>());
-  ContextBuilder builder;
-  builder.AddQuery("SELECT 1");
-  Context context = builder.Build();
-  auto detections = DetectAntiPatterns(context, registry, {});
-  ASSERT_EQ(detections.size(), 1u);
-  EXPECT_EQ(detections[0].message, "custom");
+  AnalysisSession session;
+  session.RegisterRule(std::make_unique<AlwaysFires>());
+  session.AddQuery("SELECT 1");
+  Report report = session.Snapshot();
+  ASSERT_EQ(report.size(), 1u);  // the built-in rules find nothing here
+  EXPECT_EQ(report.findings[0].ranked.detection.message, "custom");
 }
 
 TEST(RegistryTest, ApInfoTableIsConsistent) {

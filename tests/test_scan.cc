@@ -1,15 +1,21 @@
 // Corpus scanner (scan/scanner.h) end-to-end: the cold == warm ==
-// store-disabled report identity over a real directory tree, manifest
-// staleness and recovery, every store-degradation path (corruption, foreign
-// file, lock contention, injected open/commit faults) falling back to a cold
-// scan with the SAME report, and the auto job clamp. The scan's soundness
+// store-disabled report identity over a real directory tree, repository
+// manifest staleness (edit, delete, add) and recovery, compaction down to
+// exactly a cold store, every store-degradation path (corruption, foreign
+// file, lock contention, injected open/commit/analysis faults) falling back
+// to a cold scan with the SAME report, the auto job clamp, and scan findings
+// equal to file mode's over the same statements. The scan's soundness
 // contract is that the store can only ever change how fast a report is
 // produced, never a byte of it.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <string>
+#include <utility>
 #include <thread>
 #include <vector>
 
@@ -18,16 +24,31 @@
 #include "common/failpoint.h"
 #include "common/thread_pool.h"
 #include "core/emit.h"
+#include "core/sqlcheck.h"
 #include "persist/fingerprint_store.h"
+#include "ranking/model.h"
 #include "rules/registry.h"
 #include "scan/scanner.h"
 #include "server/wire.h"
+#include "sql/extractor.h"
 #include "sql/fingerprint.h"
+#include "workload/corpus.h"
 
 namespace sqlcheck::scan {
 namespace {
 
 namespace fs = std::filesystem;
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+std::string SampleWorkload() {
+  return ReadFile(SQLCHECK_SOURCE_DIR "/examples/sample_workload.sql");
+}
 
 class ScanTest : public ::testing::Test {
  protected:
@@ -74,6 +95,13 @@ class ScanTest : public ::testing::Test {
     ASSERT_TRUE(out.good());
   }
 
+  /// Empties the scan root, for tests that bring their own tree.
+  void ClearTree() {
+    std::error_code ec;
+    fs::remove_all(root_, ec);
+    fs::create_directories(root_, ec);
+  }
+
   struct Run {
     ScanReport report;
     ScanSummary summary;
@@ -98,6 +126,34 @@ class ScanTest : public ::testing::Test {
     return run;
   }
 
+  /// After a warm store, one `change` to repository `repo`: the next scan
+  /// re-analyzes exactly that repository, replays every other one, and
+  /// reports exactly what a store-less scan of the changed tree reports; the
+  /// scan after that is fully warm again.
+  void ExpectOnlyRepoReanalyzed(const std::string& repo,
+                                const std::function<void()>& change) {
+    SCOPED_TRACE(repo);
+    Scan(store_);
+    change();
+    const Run changed = Scan(store_);
+    const Run reference = Scan("");
+    uint64_t repo_stmts = 0;
+    for (const RepoRow& row : changed.report.repo_rows) {
+      if (row.name == repo) repo_stmts = row.statements;
+    }
+    EXPECT_GT(repo_stmts, 0u);
+    EXPECT_EQ(changed.summary.analyzed, repo_stmts);
+    EXPECT_EQ(changed.summary.store_reused, changed.report.statements - repo_stmts);
+    EXPECT_EQ(changed.summary.store.file_misses, 1u);
+    EXPECT_EQ(changed.digest, reference.digest);
+    EXPECT_EQ(changed.text, reference.text);
+
+    const Run warm = Scan(store_);
+    EXPECT_EQ(warm.summary.analyzed, 0u);
+    EXPECT_EQ(warm.summary.files_reused, warm.report.files);
+    EXPECT_EQ(warm.text, reference.text);
+  }
+
   std::string root_;
   std::string store_;
 };
@@ -114,8 +170,8 @@ TEST_F(ScanTest, ColdWarmDisabledReportsAreIdentical) {
   EXPECT_TRUE(cold.summary.store.warning.empty()) << cold.summary.store.warning;
 
   Run warm = Scan(store_);
-  // Fully warm: every file replays whole from its manifest — the scan never
-  // opens a file, so the statement tier sees zero traffic of either kind.
+  // Fully warm: every repository replays whole from its manifest — the scan
+  // never opens a file and analyzes nothing.
   EXPECT_EQ(warm.summary.files_reused, warm.report.files);
   EXPECT_EQ(warm.summary.analyzed, 0u);
   EXPECT_EQ(warm.summary.store.misses, 0u);
@@ -158,29 +214,86 @@ TEST_F(ScanTest, JsonReportKeepsHostileRepoNamesWhole) {
       << json;
 }
 
-TEST_F(ScanTest, ChangedFileFallsBackToStatementTierThenRecovers) {
-  Run cold = Scan(store_);
-  // Growing the file changes its size, so its manifest goes stale; the other
-  // files' manifests stay live.
-  AppendToFile("beta/queries.sql", "DELETE FROM t WHERE id = 1;\n");
+TEST_F(ScanTest, EditedFileReanalyzesOnlyItsRepo) {
+  ExpectOnlyRepoReanalyzed("beta", [&] {
+    AppendToFile("beta/queries.sql", "DELETE FROM t WHERE id = 1;\n");
+  });
+}
 
-  Run second = Scan(store_);
-  EXPECT_EQ(second.summary.files_reused, second.report.files - 1);
-  EXPECT_EQ(second.summary.store.file_misses, 1u);
-  // The changed file re-reads, but its unchanged statements still hit the
-  // statement tier; only the new statement is analyzed from scratch.
-  EXPECT_GT(second.summary.store.hits, 0u);
-  EXPECT_EQ(second.summary.analyzed, 1u);
-  EXPECT_EQ(second.report.statements, cold.report.statements + 1);
-  EXPECT_NE(second.digest, cold.digest);
+TEST_F(ScanTest, DeletedFileReanalyzesOnlyItsRepo) {
+  // The repository's other file keeps its size and mtime: only the file
+  // set changed, and that alone must invalidate the manifest.
+  ExpectOnlyRepoReanalyzed("alpha", [&] {
+    fs::remove(fs::path(root_) / "alpha/app.py");
+  });
+}
 
-  // The rescan appended a fresh manifest: the next scan is fully warm again
-  // and reports byte-identically to the stale-fallback scan.
-  Run third = Scan(store_);
-  EXPECT_EQ(third.summary.files_reused, third.report.files);
-  EXPECT_EQ(third.summary.analyzed, 0u);
-  EXPECT_EQ(third.digest, second.digest);
-  EXPECT_EQ(third.text, second.text);
+TEST_F(ScanTest, AddedFileReanalyzesOnlyItsRepo) {
+  ExpectOnlyRepoReanalyzed("alpha", [&] {
+    WriteFile("alpha/schema.sql",
+              "CREATE TABLE users (id INT PRIMARY KEY, name VARCHAR(20), "
+              "tag_ids TEXT);\n");
+  });
+}
+
+TEST_F(ScanTest, WorkloadFindingsStayWithTheirRepo) {
+  // The same query in two repositories: only the first declares the table
+  // it filters without an index, so only there does Index Underuse fire.
+  // That record must not be served to the second repository on replay.
+  ClearTree();
+  const std::string query = "SELECT name FROM users WHERE email = 'a@b.c';\n";
+  WriteFile("a/schema.sql",
+            "CREATE TABLE users (id INT PRIMARY KEY, name VARCHAR(20), "
+            "email VARCHAR(40));\n" +
+                query);
+  WriteFile("b/queries.sql", query);
+  const Run cold = Scan(store_);
+  const size_t underuse = static_cast<size_t>(AntiPattern::kIndexUnderuse);
+  ASSERT_GT(cold.report.rules[underuse].repos, 0u);
+  const Run warm = Scan(store_);
+  EXPECT_EQ(warm.summary.analyzed, 0u);
+  EXPECT_EQ(warm.text, cold.text);
+  EXPECT_EQ(warm.text, Scan("").text);
+}
+
+TEST_F(ScanTest, CompactedStoreEqualsColdStoreOfFinalTree) {
+  // A repository with workload findings (its records are keyed by the
+  // repository digest), edited twice: each edit strands the previous
+  // generation of those records. Compaction must leave exactly what a cold
+  // scan of the final tree writes.
+  WriteFile("gamma/schema.sql", SampleWorkload());
+  WriteFile("gamma/queries.sql", "SELECT name FROM users WHERE email = 'a@b.c';\n");
+  Scan(store_);
+  AppendToFile("gamma/queries.sql", "SELECT id FROM orders WHERE status = 'paid';\n");
+  Scan(store_);
+  AppendToFile("gamma/queries.sql", "SELECT total FROM orders WHERE user_id = 7;\n");
+  const Run final_run = Scan(store_);
+
+  const uint64_t ruleset =
+      persist::FingerprintStore::RulesetHash(RuleRegistry::Default());
+  std::string summary;
+  ASSERT_TRUE(persist::FingerprintStore::Compact(store_, ruleset, &summary).ok());
+  EXPECT_EQ(summary.find("dropped=0 "), std::string::npos) << summary;
+
+  const std::string cold_path = store_ + ".cold";
+  const Run cold = Scan(cold_path);
+  EXPECT_EQ(cold.text, final_run.text);
+  auto entries = [ruleset](const std::string& path) {
+    persist::FingerprintStore store;
+    EXPECT_TRUE(store.Open(path, ruleset).ok());
+    const persist::StoreStats stats = store.stats();
+    store.Close();
+    return std::make_pair(stats.entries, stats.file_entries);
+  };
+  EXPECT_EQ(entries(store_), entries(cold_path));
+  EXPECT_EQ(fs::file_size(store_), fs::file_size(cold_path));
+
+  // And the compacted store still replays the whole tree.
+  Run warm = Scan(store_);
+  EXPECT_EQ(warm.summary.analyzed, 0u);
+  EXPECT_EQ(warm.text, final_run.text);
+  std::error_code ec;
+  fs::remove(cold_path, ec);
 }
 
 TEST_F(ScanTest, CorruptStoreDegradesToColdWithIdenticalReport) {
@@ -284,19 +397,111 @@ TEST_F(ScanTest, InjectedCommitFaultKeepsReportSoundAndStoreRecoverable) {
   EXPECT_TRUE(persist::FingerprintStore::Verify(store_, &summary).ok()) << summary;
 }
 
-TEST_F(ScanTest, AutoJobsClampToHardwareAndFileCount) {
+TEST_F(ScanTest, FailedRepoWritesNoManifest) {
+  // Every allocation of the analysis faults persistently: every repository's
+  // session records statement failures, so none may leave a manifest (or a
+  // record) behind — the next healthy scan must analyze everything again.
+  ASSERT_TRUE(FailpointRegistry::Instance().Arm("arena_alloc", "1.0").ok());
+  Run faulted = Scan(store_);
+  FailpointRegistry::Instance().DisarmAll();
+  EXPECT_EQ(faulted.summary.store.appended_files, 0u);
+  EXPECT_EQ(faulted.summary.store.appended, 0u);
+
+  Run healthy = Scan(store_);
+  EXPECT_EQ(healthy.summary.store_reused, 0u);
+  EXPECT_EQ(healthy.summary.analyzed, healthy.report.statements);
+  EXPECT_EQ(healthy.text, Scan("").text);
+  Run warm = Scan(store_);
+  EXPECT_EQ(warm.summary.analyzed, 0u);
+  EXPECT_EQ(warm.text, healthy.text);
+}
+
+TEST_F(ScanTest, AutoJobsClampToHardwareAndRepoCount) {
   const int hw = ThreadPool::ResolveParallelism(0);
   Run auto_run = Scan("", /*jobs=*/0);
   EXPECT_GE(auto_run.summary.jobs, 1);
   EXPECT_LE(auto_run.summary.jobs, hw);
-  EXPECT_LE(auto_run.summary.jobs, static_cast<int>(auto_run.report.files));
+  EXPECT_LE(auto_run.summary.jobs, static_cast<int>(auto_run.report.repos));
 
-  // Explicit values are honored up to the file count — shards past the files
-  // would sit empty.
+  // Explicit values are honored up to the repository count — a worker
+  // analyzes whole repositories, so workers past them would sit idle.
   Run explicit_run = Scan("", /*jobs=*/64);
   EXPECT_EQ(explicit_run.summary.jobs,
-            std::min<int>(64, static_cast<int>(explicit_run.report.files)));
+            std::min<int>(64, static_cast<int>(explicit_run.report.repos)));
   EXPECT_EQ(explicit_run.digest, auto_run.digest);
+}
+
+// --------------------------- scan == file mode ------------------------------
+
+/// The counts a scan report shares with file mode: occurrences per rule, the
+/// severity histogram, and total findings.
+struct Tally {
+  std::array<uint64_t, kAntiPatternCount> per_rule{};
+  std::array<uint64_t, 3> severity{};  ///< high / medium / low.
+  uint64_t findings = 0;
+
+  bool operator==(const Tally&) const = default;
+};
+
+Tally TallyOf(const ScanReport& report) {
+  Tally t;
+  for (int k = 0; k < kAntiPatternCount; ++k) t.per_rule[k] = report.rules[k].occurrences;
+  t.severity = {report.severity_high, report.severity_medium, report.severity_low};
+  t.findings = report.findings;
+  return t;
+}
+
+void AddFileMode(const Report& report, Tally* t) {
+  for (const Finding& f : report.findings) {
+    ++t->per_rule[static_cast<size_t>(f.ranked.detection.type)];
+    ++t->severity[static_cast<size_t>(ScoreSeverity(f.ranked.score))];
+    ++t->findings;
+  }
+}
+
+SqlCheckOptions FileModeOptions() {
+  SqlCheckOptions options;
+  options.suggest_fixes = false;
+  return options;
+}
+
+TEST_F(ScanTest, SampleWorkloadMatchesFileMode) {
+  const std::string script = SampleWorkload();
+  ClearTree();
+  WriteFile("sample_workload.sql", script);
+  const Run scan = Scan("");
+
+  SqlCheck file_mode(FileModeOptions());
+  file_mode.AddScript(script);
+  Tally want;
+  AddFileMode(file_mode.Run(), &want);
+  EXPECT_EQ(want.findings, 19u);
+  EXPECT_TRUE(TallyOf(scan.report) == want) << scan.report.ToJson();
+}
+
+TEST_F(ScanTest, Table3CorpusMatchesFileModePerRepo) {
+  // One scan repository per corpus repository, its embedded SQL extracted
+  // from the same source file file mode is fed.
+  const workload::Corpus corpus = workload::GenerateCorpus();
+  ClearTree();
+  Tally want;
+  std::map<std::string, uint64_t> repo_findings;
+  for (const workload::CorpusRepo& repo : corpus.repos) {
+    WriteFile(repo.name + "/app.py", repo.source);
+    SqlCheck file_mode(FileModeOptions());
+    for (const sql::EmbeddedSql& found : sql::ExtractEmbeddedSql(repo.source)) {
+      file_mode.AddQuery(found.sql);
+    }
+    Report report = file_mode.Run();
+    repo_findings[repo.name] = report.size();
+    AddFileMode(report, &want);
+  }
+  const Run scan = Scan("", /*jobs=*/2);
+  ASSERT_EQ(scan.report.repos, corpus.repos.size());
+  EXPECT_TRUE(TallyOf(scan.report) == want);
+  for (const RepoRow& row : scan.report.repo_rows) {
+    EXPECT_EQ(row.findings, repo_findings[row.name]) << row.name;
+  }
 }
 
 TEST(ScanFingerprintsTest, TemplateOfExactMatchesTemplateOfRaw) {

@@ -1,8 +1,9 @@
 // Incremental session engine: feeding any prefix — or any chunking — of a
-// script through AnalysisSession must yield reports byte-identical to one
-// batch run over the same statement order, with the pre-session batch
-// pipeline (ContextBuilder + DetectAntiPatterns + rank + fix) as the anchor
-// so neither path can drift.
+// script through AnalysisSession must yield reports byte-identical to the
+// plainest run over the same statement order (dedup off, one statement at a
+// time). That reference is itself pinned to digests recorded from the
+// retired batch pipeline (context build + detect + rank + fix), so neither
+// can drift.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,8 +14,6 @@
 #include "core/session.h"
 #include "core/sqlcheck.h"
 #include "engine/executor.h"
-#include "fix/fix_engine.h"
-#include "ranking/model.h"
 #include "rules/registry.h"
 #include "sql/block_scan.h"
 #include "sql/splitter.h"
@@ -46,31 +45,15 @@ INSERT INTO orders VALUES (1, 1, 'open');
 UPDATE users SET balance = 0 WHERE id = 3;
 )sql";
 
-/// The pre-session batch pipeline, verbatim — the reference every
-/// incremental feeding order is compared against.
+/// The reference every incremental feeding order is compared against: no
+/// fingerprint memo, no script split, each statement appended on its own.
 Report ReferencePipeline(const std::vector<std::string>& statements,
-                         const SqlCheckOptions& options, const Database* db = nullptr) {
-  ContextBuilder builder;
-  for (const auto& s : statements) builder.AddQuery(s);
-  if (db != nullptr) builder.AttachDatabase(db, options.data_analyzer);
-  Context context = builder.Build(options.dedup_queries);
-
-  RuleRegistry registry = RuleRegistry::Default();
-  EXPECT_TRUE(registry.Disable(options.disabled_rules).ok());
-  std::vector<Detection> detections =
-      DetectAntiPatterns(context, registry, options.detector);
-
-  RankingModel model(options.ranking_weights, options.ranking_mode);
-  std::vector<RankedDetection> ranked = model.Rank(detections);
-  FixEngine repair(registry, options.detector);
-  Report report;
-  for (auto& r : ranked) {
-    Finding finding;
-    finding.fix = options.suggest_fixes ? repair.SuggestFix(r.detection, context) : Fix{};
-    finding.ranked = std::move(r);
-    report.findings.push_back(std::move(finding));
-  }
-  return report;
+                         SqlCheckOptions options, const Database* db = nullptr) {
+  options.dedup_queries = false;
+  AnalysisSession session(std::move(options));
+  if (db != nullptr) session.AttachDatabase(db);
+  for (const auto& s : statements) session.AddQuery(s);
+  return session.Snapshot();
 }
 
 /// Full serialized form — ToText and ToJson together catch every field.
@@ -274,6 +257,64 @@ TEST(SessionTest, ScriptMatchesStatementAtATimeWithDedupOff) {
 
 TEST(SessionTest, Table3ScriptMatchesStatementAtATime) {
   ExpectScriptMatchesStatementAtATime(Table3Script(), SqlCheckOptions{});
+}
+
+uint64_t Fnv(std::string_view bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::vector<std::string> Pieces(const std::string& script) {
+  std::vector<std::string> out;
+  for (std::string_view piece : sql::SplitStatements(script)) out.emplace_back(piece);
+  return out;
+}
+
+TEST(SessionTest, ReferencePipelineMatchesPinnedDigests) {
+  // FNV-1a of Report::ToJson (fixes on) as the retired batch pipeline
+  // emitted it, with dedup on and off alike. The reference and a deduping
+  // session must both still produce exactly those bytes.
+  workload::CorpusOptions corpus_options;
+  corpus_options.repo_count = 12;
+  std::vector<std::string> corpus;
+  for (const auto& labeled : workload::GenerateCorpus(corpus_options).AllStatements()) {
+    corpus.push_back(labeled.sql);
+  }
+  Database db;
+  Executor exec(&db);
+  exec.ExecuteScript(R"sql(
+CREATE TABLE users (id INTEGER PRIMARY KEY, name VARCHAR(40), status TEXT,
+                    password VARCHAR(32), created_at TEXT);
+)sql");
+  for (int i = 0; i < 16; ++i) {
+    std::string n = std::to_string(i);
+    exec.ExecuteSql("INSERT INTO users VALUES (" + n + ", 'user" + n +
+                    "', 'active', 'hunter2', '2019-07-04 12:00:00')");
+  }
+  struct Case {
+    const char* name;
+    std::vector<std::string> statements;
+    const Database* db;
+    uint64_t pin;
+  };
+  const std::vector<Case> cases = {
+      {"script", ScriptStatements(), nullptr, 4123692680357087200ull},
+      {"corpus+db", corpus, &db, 11291500510377702687ull},
+      {"table3", Pieces(Table3Script()), nullptr, 8561843947860542359ull},
+      {"adversarial", Pieces(AdversarialScript(20)), nullptr, 4860510855588068542ull},
+  };
+  for (const Case& c : cases) {
+    Report reference = ReferencePipeline(c.statements, SqlCheckOptions{}, c.db);
+    EXPECT_EQ(Fnv(reference.ToJson()), c.pin) << c.name;
+    AnalysisSession dedup;
+    if (c.db != nullptr) dedup.AttachDatabase(c.db);
+    for (const auto& stmt : c.statements) dedup.AddQuery(stmt);
+    EXPECT_EQ(Fnv(dedup.Snapshot().ToJson()), c.pin) << c.name << " (dedup on)";
+  }
 }
 
 TEST(SessionTest, CheckAfterScriptMatchesStatementAtATime) {

@@ -16,6 +16,7 @@
 #include "analysis/context.h"
 #include "core/session.h"
 #include "core/sqlcheck.h"
+#include "detected.h"
 #include "fix/fix_engine.h"
 #include "fix/fixer.h"
 #include "rules/registry.h"
@@ -25,12 +26,6 @@ namespace sqlcheck {
 namespace {
 
 using Outcome = ExecCheck::Outcome;
-
-Context BuildContext(const std::string& script) {
-  ContextBuilder builder;
-  builder.AddScript(script);
-  return builder.Build();
-}
 
 /// A statement-replacing rewrite proposal, ready for VerifyByExecution.
 Fix MakeRewrite(const std::string& original, const std::string& rewritten) {
@@ -46,7 +41,7 @@ Fix MakeRewrite(const std::string& original, const std::string& rewritten) {
 ExecCheck RunCheck(const std::string& script, const Fix& fix,
                    EquivalenceContract contract,
                    ExecVerifyOptions options = {}) {
-  Context context = BuildContext(script);
+  Detected context(script);
   if (options.mode == ExecVerifyMode::kOff) options.mode = ExecVerifyMode::kOn;
   return VerifyByExecution(fix, contract, context, options);
 }
@@ -258,14 +253,13 @@ TEST(VerifyExecEngineTest, DivergentProposalIsDemotedWithDiagnostic) {
   RuleRegistry registry = RuleRegistry::Default();
   registry.RegisterFixer(std::make_unique<DropAllRowsFixer>());
 
-  Context context = BuildContext(std::string(kUsersDdl) + "SELECT * FROM users;");
-  auto detections = DetectAntiPatterns(context, DetectorConfig{});
+  Detected context(std::string(kUsersDdl) + "SELECT * FROM users;");
   ExecVerifyOptions exec;
   exec.mode = ExecVerifyMode::kOn;
   VerifyStats stats;
   FixEngine counting(registry, DetectorConfig{}, exec, nullptr, &stats);
   bool saw_wildcard = false;
-  for (const Detection& d : detections) {
+  for (const Detection& d : context.detections) {
     if (d.type != AntiPattern::kColumnWildcard) continue;
     saw_wildcard = true;
     Fix fix = counting.SuggestFix(d, context);
@@ -289,8 +283,7 @@ TEST(VerifyExecEngineTest, RequiredModeDemotesInfeasibleOnKeepsTierTwo) {
   const std::string script = std::string(kUsersDdl) +
                              "SELECT * FROM users WHERE SOUNDEX(name) = 'S530';";
   RuleRegistry registry = RuleRegistry::Default();
-  Context context = BuildContext(script);
-  auto detections = DetectAntiPatterns(context, DetectorConfig{});
+  Detected context(script);
 
   for (ExecVerifyMode mode : {ExecVerifyMode::kOn, ExecVerifyMode::kRequired}) {
     ExecVerifyOptions exec;
@@ -298,7 +291,7 @@ TEST(VerifyExecEngineTest, RequiredModeDemotesInfeasibleOnKeepsTierTwo) {
     VerifyStats stats;
     FixEngine engine(registry, DetectorConfig{}, exec, nullptr, &stats);
     bool saw_wildcard = false;
-    for (const Detection& d : detections) {
+    for (const Detection& d : context.detections) {
       if (d.type != AntiPattern::kColumnWildcard) continue;
       saw_wildcard = true;
       Fix fix = engine.SuggestFix(d, context);

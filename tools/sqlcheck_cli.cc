@@ -77,16 +77,19 @@ exit codes: 0 = clean, 1 = findings reported, 2 = usage or I/O error
 
 constexpr std::string_view kScanUsage = R"(usage: sqlcheck scan <dir> [options]
 
-Walks a directory tree of repositories / SQL dumps, analyzes every statement
-in isolation (SQL scripts are split; host-language sources go through the
-embedded-SQL extractor; extensionless files are content-sniffed), and prints
-a corpus prevalence report: per-rule occurrence counts, per-repository
-distribution, and a severity histogram. First-level directories are the
-"repositories" of the distribution tables.
+Walks a directory tree of repositories / SQL dumps and analyzes each
+repository (a first-level directory) as one workload, the way file mode
+analyzes one application: its files are read in path order (SQL scripts are
+split; host-language sources go through the embedded-SQL extractor;
+extensionless files are content-sniffed), so inter-query rules see the
+repository's DDL and sibling queries. Prints a corpus prevalence report:
+per-rule occurrence counts, per-repository distribution, and a severity
+histogram.
 
-With --store, analysis results are memoized in a persistent mmap'd
-fingerprint store keyed by each statement's exact-canonical form: a warm
-re-scan only analyzes statements it has never seen while the report stays
+With --store, results are memoized in a persistent mmap'd fingerprint
+store, one manifest per repository keyed by its files' paths, sizes and
+mtimes: a warm re-scan replays every unchanged repository without opening a
+file and re-analyzes a changed one whole, while the report stays
 byte-identical to a cold run. The store invalidates itself when the rule
 set or on-disk format version changes, and degrades to a cold scan (with a
 warning) on any corruption or lock contention — never a crash or a wrong
@@ -95,16 +98,23 @@ report.
 options:
   --store <path>       persistent fingerprint store (created on first scan)
   --no-store           force a cold scan even when --store is given
-  --jobs <N>           worker shards (0 = auto: one per hardware thread,
-                       capped at the file count; default 0)
+  --jobs <N>           worker threads, each analyzing whole repositories
+                       (0 = auto: one per hardware thread, capped at the
+                       repository count; default 0)
   --report <text|json> report format on stdout (default: text); operational
                        telemetry (timings, store hits) goes to stderr
   --store-verify       validate the store's header and every record, print a
                        summary, and exit (no scan; <dir> not required)
-  --store-compact      rewrite the store dropping duplicate and uncommitted
-                       records under a bumped generation, and exit (no scan;
-                       <dir> not required)
+  --store-compact      rewrite the store keeping only the newest manifest per
+                       repository and the records it references (dropping
+                       superseded, duplicate and uncommitted ones) under a
+                       bumped generation, and exit (no scan; <dir> not
+                       required)
   -h, --help           show this help
+
+stderr summary: analyzed = statements of repositories analyzed this run;
+store_hits = statements replayed from unchanged repositories' manifests;
+files_replayed = the files of those repositories (never opened).
 
 exit codes: 0 = scan/maintenance completed (findings are expected output,
 not an error), 1 = --store-verify found an invalid store, 2 = usage or I/O
@@ -142,7 +152,7 @@ int RunScanCommand(int argc, char** argv) {
       no_store = true;
     } else if (arg == "--jobs") {
       if (!value_of(&value) || !IsAllDigits(value) || value.size() > 4) {
-        return ScanUsageError("--jobs expects a shard count");
+        return ScanUsageError("--jobs expects a worker count");
       }
       jobs = std::stoi(value);
     } else if (arg == "--report") {
@@ -210,12 +220,10 @@ int RunScanCommand(int argc, char** argv) {
                static_cast<unsigned long long>(report.files),
                static_cast<unsigned long long>(report.statements), summary.seconds,
                summary.jobs, static_cast<unsigned long long>(summary.files_skipped));
-  std::fprintf(stderr,
-               "sqlcheck: analyzed=%llu store_hits=%llu memo_hits=%llu "
-               "files_replayed=%llu\n",
+  // Counter meanings are documented in kScanUsage.
+  std::fprintf(stderr, "sqlcheck: analyzed=%llu store_hits=%llu files_replayed=%llu\n",
                static_cast<unsigned long long>(summary.analyzed),
                static_cast<unsigned long long>(summary.store_reused),
-               static_cast<unsigned long long>(summary.memo_reused),
                static_cast<unsigned long long>(summary.files_reused));
   if (summary.store_enabled) {
     std::fprintf(stderr,
