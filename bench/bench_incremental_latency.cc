@@ -3,7 +3,8 @@
 // per-statement append latency distribution (p50/p99), then re-runs the
 // batch facade over the same history to price what a non-incremental caller
 // pays per new statement. Verifies first that the session's final snapshot
-// is byte-identical to the batch report (always enforced), then writes the
+// is byte-identical to the batch report and that a repeat snapshot of the
+// unchanged session computes no fix (both always enforced), then writes the
 // measurements to BENCH_incremental.json. With --gate it additionally
 // requires incremental append to be >=10x faster than the batch re-run at
 // the configured history length.
@@ -114,12 +115,23 @@ int main(int argc, char** argv) {
 
   // Snapshot() is idempotent, so time it best-of-3 — the single-shot
   // measurement this bench used to take was dominated by scheduler noise.
+  // The first one computes the fixes of the current context generation; the
+  // repeats must replay every one of them from the fix cache.
   Report incremental_report;
   double snapshot_ms = 1e100;
+  double first_snapshot_ms = 0.0;
+  size_t repeat_fix_misses = 0;
   for (int rep = 0; rep < 3; ++rep) {
+    const size_t misses_before = session.fix_cache_misses();
     auto snapshot_start = Clock::now();
     incremental_report = session.Snapshot();
-    snapshot_ms = std::min(snapshot_ms, UsSince(snapshot_start) / 1000.0);
+    const double ms = UsSince(snapshot_start) / 1000.0;
+    snapshot_ms = std::min(snapshot_ms, ms);
+    if (rep == 0) {
+      first_snapshot_ms = ms;
+    } else {
+      repeat_fix_misses += session.fix_cache_misses() - misses_before;
+    }
   }
 
   // ---- Batch facade re-run over the same history. ----
@@ -159,11 +171,13 @@ int main(int argc, char** argv) {
   std::printf("%28s %10.1fus\n", "append p50", p50);
   std::printf("%28s %10.1fus\n", "append p99", p99);
   std::printf("%28s %10.1fus\n", "append mean", mean);
+  std::printf("%28s %10.1fms\n", "first snapshot", first_snapshot_ms);
   std::printf("%28s %10.1fms\n", "full snapshot", snapshot_ms);
   std::printf("%28s %10.1fms\n", "snapshot (fixes off)", snapshot_no_fix_ms);
   std::printf("%28s %10.1fms\n", "fix suggestion overhead", fix_overhead_ms);
   std::printf("%28s %9zu/%zu\n", "fix cache hits/misses", session.fix_cache_hits(),
               session.fix_cache_misses());
+  std::printf("%28s %12zu\n", "repeat-snapshot fix misses", repeat_fix_misses);
   std::printf("%28s %10.1fms\n", "batch facade re-run", batch_ms);
   std::printf("%28s %11.1fx\n", "append speedup vs batch", speedup);
 
@@ -181,19 +195,22 @@ int main(int argc, char** argv) {
                  "  \"append_p50_us\": %.2f,\n"
                  "  \"append_p99_us\": %.2f,\n"
                  "  \"append_mean_us\": %.2f,\n"
+                 "  \"first_snapshot_ms\": %.2f,\n"
                  "  \"snapshot_ms\": %.2f,\n"
                  "  \"snapshot_no_fixes_ms\": %.2f,\n"
                  "  \"fix_overhead_ms\": %.2f,\n"
                  "  \"fix_cache_hits\": %zu,\n"
                  "  \"fix_cache_misses\": %zu,\n"
+                 "  \"repeat_snapshot_fix_misses\": %zu,\n"
                  "  \"batch_rerun_ms\": %.2f,\n"
                  "  \"append_speedup_vs_batch\": %.2f,\n"
                  "  \"reports_identical\": %s,\n"
                  "  \"reports_identical_no_fixes\": %s\n"
                  "}\n",
                  statements.size(), session.unique_count(), p50, p99, mean,
-                 snapshot_ms, snapshot_no_fix_ms, fix_overhead_ms,
-                 session.fix_cache_hits(), session.fix_cache_misses(), batch_ms,
+                 first_snapshot_ms, snapshot_ms, snapshot_no_fix_ms, fix_overhead_ms,
+                 session.fix_cache_hits(), session.fix_cache_misses(),
+                 repeat_fix_misses, batch_ms,
                  speedup, identical ? "true" : "false",
                  identical_no_fixes ? "true" : "false");
     std::fclose(out);
@@ -210,6 +227,12 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("incremental snapshot byte-identical to batch report (fixes on and off)\n");
+  if (repeat_fix_misses != 0) {
+    std::printf("FAIL: a repeat snapshot of the unchanged session computed %zu fix(es)\n",
+                repeat_fix_misses);
+    return 1;
+  }
+  std::printf("repeat snapshots replayed every fix from the fix cache\n");
 
   if (!gate) {
     std::printf("speedup gate off — pass --gate to enforce the 10x target\n");

@@ -28,6 +28,8 @@ struct QueryGroups {
   std::vector<size_t> representative;
   /// Representative indices in ascending statement order.
   std::vector<size_t> unique;
+  /// Statement index -> position of its group in `unique`.
+  std::vector<size_t> group;
   /// Per-statement exact-canonical 64-bit fingerprint (empty with dedup
   /// disabled).
   std::vector<uint64_t> fingerprints;

@@ -24,6 +24,7 @@ AnalysisSession::AnalysisSession(SqlCheckOptions options)
 }
 
 void AnalysisSession::AttachDatabase(const Database* db) {
+  ++generation_;
   context_.database_ = db;
   if (db != nullptr) {
     context_.catalog_ = db->BuildCatalog();
@@ -41,6 +42,9 @@ void AnalysisSession::AttachDatabase(const Database* db) {
 
 void AnalysisSession::RegisterRule(std::unique_ptr<Rule> rule) {
   registry_.Register(std::move(rule));
+  ++generation_;
+  // The new rule may become the Tier-2 verifier of its type's rewrites.
+  verify_memo_.clear();
 }
 
 namespace {
@@ -102,26 +106,22 @@ std::vector<Detection> FanOutDetections(const Context& context, const QueryGroup
                                         std::vector<Detection> data_detections) {
   const std::vector<QueryFacts>& queries = context.queries();
   const size_t n = groups.representative.size();
-  const size_t unique_count = groups.unique.size();
 
   // Statements that lead a single-occurrence group take their buffer by move
   // (the common non-duplicate case costs nothing).
-  std::vector<size_t> group_pos(n);
-  std::vector<size_t> remaining(unique_count, 0);
-  for (size_t u = 0; u < unique_count; ++u) group_pos[groups.unique[u]] = u;
-  for (size_t i = 0; i < n; ++i) ++remaining[group_pos[groups.representative[i]]];
-
+  std::vector<size_t> remaining(groups.unique.size(), 0);
   size_t total = data_detections.size();
   for (size_t i = 0; i < n; ++i) {
-    total += per_group[group_pos[groups.representative[i]]].size();
+    ++remaining[groups.group[i]];
+    total += per_group[groups.group[i]].size();
   }
 
   std::vector<Detection> detections;
   detections.reserve(total);
   for (size_t i = 0; i < n; ++i) {
     const size_t rep = groups.representative[i];
-    std::vector<Detection>& buffer = per_group[group_pos[rep]];
-    const bool last_occurrence = --remaining[group_pos[rep]] == 0;
+    std::vector<Detection>& buffer = per_group[groups.group[i]];
+    const bool last_occurrence = --remaining[groups.group[i]] == 0;
     for (auto& d : buffer) {
       // The representative's detections are already correctly based; the
       // final occurrence of a group moves the buffer out instead of copying.
@@ -385,6 +385,7 @@ void AnalysisSession::IngestBatch(std::vector<ParsedPiece>* batch) {
   GrowFor(groups.representative, extra);
   GrowFor(groups.fingerprints, extra);
   GrowFor(groups.unique, extra);
+  GrowFor(groups.group, extra);
   GrowFor(local_cache_, extra);
   GrowFor(fix_cache_, extra);
   std::vector<size_t> landed;  // batch entry of each appended statement
@@ -405,9 +406,9 @@ void AnalysisSession::IngestBatch(std::vector<ParsedPiece>* batch) {
       groups.fingerprints.push_back(fingerprint);
     }
     groups.representative.push_back(rep);
+    groups.group.push_back(rep == i ? groups.unique.size() : groups.group[rep]);
     context_.catalog_.ApplyDdl(*stmt);  // ignores DML; duplicate DDL is a no-op
     if (rep == i) {
-      unique_pos_.emplace(i, groups.unique.size());
       new_uniques.push_back(groups.unique.size());
       groups.unique.push_back(i);
       local_cache_.emplace_back();
@@ -417,6 +418,7 @@ void AnalysisSession::IngestBatch(std::vector<ParsedPiece>* batch) {
     context_.query_facts_.emplace_back();
     landed.push_back(b);
   }
+  if (!landed.empty()) ++generation_;  // a new statement can change any fix
 
   // Analysis and statement-local rules, once per new group.
   for (size_t u : new_uniques) {
@@ -528,7 +530,7 @@ Report AnalysisSession::Check(std::string_view sql) {
   for (size_t i = first; i < n; ++i) {
     size_t rep = context_.query_groups_.representative[i];
     std::vector<Detection> buffer;
-    AssembleGroupDetections(unique_pos_.at(rep), &buffer);
+    AssembleGroupDetections(context_.query_groups_.group[i], &buffer);
     if (rep == i) {
       for (auto& d : buffer) detections.push_back(std::move(d));
       continue;
@@ -575,28 +577,53 @@ Report AnalysisSession::MakeReport(std::vector<Detection> detections) {
 }
 
 Fix AnalysisSession::FixForDetection(const Detection& d, const FixEngine& engine) {
-  const Fixer* fixer = registry_.FindFixer(d.type);
-  const Rule* rule = registry_.FindRule(d.type);
-  bool cacheable = options_.dedup_queries && !d.query.empty() && fixer != nullptr &&
-                   fixer->fix_scope() == QueryRuleScope::kStatementLocal &&
-                   rule != nullptr &&
-                   rule->query_scope() == QueryRuleScope::kStatementLocal;
-  if (!cacheable) return engine.SuggestFix(d, context_);
-  auto raw_it = raw_memo_.find(std::string_view(d.query));
-  if (raw_it == raw_memo_.end()) return engine.SuggestFix(d, context_);
-  const size_t u = unique_pos_.at(raw_it->second);
-  for (const CachedFix& cached : fix_cache_[u]) {
-    if (cached.type == d.type && cached.table == d.table &&
-        cached.column == d.column) {
-      ++fix_cache_hits_;
-      Fix fix = cached.fix;
-      fix.original_sql = d.query;  // rebase the anchor onto this occurrence
-      return fix;
+  // A statement's findings use its group's row; data findings share one.
+  std::vector<CachedFix>* row = &data_fix_cache_;
+  if (!d.query.empty()) {
+    auto raw_it = raw_memo_.find(std::string_view(d.query));
+    if (raw_it == raw_memo_.end()) return engine.SuggestFix(d, context_);  // dedup off
+    row = &fix_cache_[context_.query_groups_.group[raw_it->second]];
+  }
+  // The entry for this exact text, else any entry under the key (which only
+  // a statement-local pair may replay).
+  CachedFix* exact = nullptr;
+  CachedFix* same_key = nullptr;
+  for (CachedFix& cached : *row) {
+    if (cached.type != d.type || cached.table != d.table || cached.column != d.column) {
+      continue;
     }
+    if (cached.raw == d.query) {
+      exact = &cached;
+      break;
+    }
+    if (same_key == nullptr) same_key = &cached;
+  }
+  if (exact != nullptr && exact->generation == generation_) {
+    ++fix_cache_hits_;
+    return exact->fix;
+  }
+  const CachedFix* replay = exact != nullptr ? exact : same_key;
+  auto statement_local = [this, &d] {
+    const Fixer* fixer = registry_.FindFixer(d.type);
+    const Rule* rule = registry_.FindRule(d.type);
+    return !d.query.empty() && fixer != nullptr &&
+           fixer->fix_scope() == QueryRuleScope::kStatementLocal && rule != nullptr &&
+           rule->query_scope() == QueryRuleScope::kStatementLocal;
+  };
+  if (replay != nullptr && statement_local()) {
+    ++fix_cache_hits_;
+    Fix fix = replay->fix;
+    fix.original_sql = d.query;  // rebase the anchor onto this occurrence
+    return fix;
   }
   ++fix_cache_misses_;
   Fix fix = engine.SuggestFix(d, context_);
-  fix_cache_[u].push_back({d.type, d.table, d.column, fix});
+  CachedFix fresh{d.type, d.table, d.column, generation_, d.query, fix};
+  if (exact != nullptr) {
+    *exact = std::move(fresh);  // stale: overwrite in place
+  } else {
+    row->push_back(std::move(fresh));
+  }
   return fix;
 }
 

@@ -97,13 +97,17 @@ struct StatementFailure {
 /// whole workload per call.
 ///
 /// What stays incremental:
-///  - Parsing/analysis: each statement is parsed once; the PR-2 fingerprint
-///    memo persists across calls, so a repeated statement costs one hash
-///    lookup and a facts rebase instead of a fresh analysis.
+///  - Parsing/analysis: each statement is parsed once; the fingerprint memo
+///    persists across calls, so a repeated statement costs one hash lookup
+///    and a facts rebase instead of a fresh analysis.
 ///  - Statement-local rules (Rule::query_scope() == kStatementLocal) run
 ///    once per unique statement; their detections are cached and replayed.
 ///  - Workload-sensitive rules re-evaluate against maintained aggregates
 ///    (Context::stats(), updated per append) rather than O(workload) scans.
+///  - Fixes are computed once per context generation: the generation counts
+///    the changes that can alter a fix (an append that lands a statement,
+///    AttachDatabase, RegisterRule), so a Snapshot() with nothing new
+///    replays every fix from the cache (see FixForDetection).
 ///
 /// Snapshot() fans the per-group detections back out in statement order, so
 /// its output is byte-identical to an unmemoized run (dedup off, statements
@@ -162,9 +166,9 @@ class AnalysisSession {
   size_t statement_count() const { return context_.statements_.size(); }
   /// Unique fingerprint groups seen (== statement_count() with dedup off).
   size_t unique_count() const { return context_.query_groups_.unique.size(); }
-  /// Fix-cache telemetry: replays served from / entries added to the
-  /// per-fingerprint-group fix cache (statement-local detection/action pairs
-  /// only; workload-sensitive fixes always re-evaluate).
+  /// Fix-cache telemetry: fixes served from the cache / fixes computed and
+  /// stored in it (see FixForDetection). With dedup off statements have no
+  /// cache row, so their fixes count as neither.
   size_t fix_cache_hits() const { return fix_cache_hits_; }
   size_t fix_cache_misses() const { return fix_cache_misses_; }
   /// Rewrite-verification telemetry (fix/verify.h): per-tier counts of the
@@ -303,14 +307,16 @@ class AnalysisSession {
   /// suggestion funnels through the per-group fix cache.
   Report MakeReport(std::vector<Detection> detections);
 
-  /// Cache-aware ap-fix for one ranked detection. Fixes whose detection half
-  /// *and* action half are both statement-local (Rule::query_scope() and
-  /// Fixer::fix_scope() == kStatementLocal) are computed once per unique
-  /// fingerprint group and replayed for every duplicate occurrence with the
-  /// anchor rebased onto the occurrence's raw text — exactly the detection
-  /// cache's contract. Everything else (catalog-driven expansions,
-  /// profile-driven DDL) re-evaluates against the current context, which is
-  /// what keeps replayed fixes valid as the workload grows.
+  /// ap-fix for one ranked detection, through the fix cache: the one path
+  /// for every fixer. A fix is a function of the detection's (type, table,
+  /// column), its exact statement text and the context, so an entry computed
+  /// for that text at the current generation replays verbatim. When the
+  /// detection half *and* the action half are both statement-local
+  /// (Rule::query_scope() and Fixer::fix_scope() == kStatementLocal) the fix
+  /// reads neither the context nor the text beyond its anchor, so any entry
+  /// under the key replays at any generation, for every occurrence of the
+  /// group, with the anchor rebased. A stale entry is recomputed and
+  /// overwritten in place.
   Fix FixForDetection(const Detection& d, const FixEngine& engine);
 
   SqlCheckOptions options_;
@@ -327,36 +333,49 @@ class AnalysisSession {
   /// statement's own raw_sql — no temporary key string.
   std::unordered_map<std::string, size_t, StringViewHash, std::equal_to<>> raw_memo_;
   std::unordered_map<std::string, size_t, StringViewHash, std::equal_to<>> canonical_memo_;
-  /// Representative statement index -> position in query_groups().unique.
-  std::unordered_map<size_t, size_t> unique_pos_;
 
   /// Per unique group: per registry rule, the cached detections of every
   /// statement-local rule (workload-rule slots stay empty).
   std::vector<std::vector<std::vector<Detection>>> local_cache_;
 
-  /// One statement-local fix, keyed by what distinguishes detections within
-  /// a group (a rule may flag several columns of one statement).
+  /// One cached fix, keyed by what distinguishes detections within a group
+  /// (a rule may flag several columns of one statement) plus `raw`, the
+  /// exact statement text it was computed for: ImpactedQueries drops its own
+  /// statement by exact text, so whitespace variants of one group can get
+  /// different fixes. `generation` is the context generation it was computed
+  /// at; a fix that reads the context replays only while it matches.
   struct CachedFix {
     AntiPattern type;
     std::string table;
     std::string column;
+    uint64_t generation;
+    std::string raw;
     Fix fix;
   };
-  /// Per unique group: cached fixes of statement-local detection/action
-  /// pairs (parallel to local_cache_; grown per unique statement).
+  /// Per unique group: its cached fixes (parallel to local_cache_; grown per
+  /// unique statement). At most one entry per (detection key, raw spelling)
+  /// — one per key for statement-local pairs — so a row is bounded by its
+  /// group's distinct detections times its distinct raw spellings.
   std::vector<std::vector<CachedFix>> fix_cache_;
+  /// The cached fixes of data findings, which belong to no statement.
+  std::vector<CachedFix> data_fix_cache_;
   size_t fix_cache_hits_ = 0;
   size_t fix_cache_misses_ = 0;
+  /// Context generation: bumped by every change that can alter a fix.
+  uint64_t generation_ = 0;
 
   /// Verification verdicts memoized across snapshots: each MakeReport builds
   /// a fresh FixEngine, but the engine writes its verdicts here, so a unique
   /// proposal pays the (Tier-3-expensive) pipeline once per session, not
-  /// once per Snapshot(). Sound because verdicts are deterministic in the
-  /// proposal + options, both session-constant. Tier-2 verdicts over
-  /// *workload-sensitive* rules could in principle flip as the catalog
-  /// grows; the memo key includes the original statement and the rewritten
-  /// spelling, and catalog growth changes the rewritten spelling (expansions
-  /// name the new columns), so stale entries are simply never probed again.
+  /// once per Snapshot(). The fix cache sits in front of it, so the memo is
+  /// probed only when a fix is recomputed. Sound because verdicts are
+  /// deterministic in the proposal, the options and the registry
+  /// (RegisterRule clears the memo, since a new rule can become the Tier-2
+  /// verifier of its type). Tier-2 verdicts over *workload-sensitive* rules
+  /// could in principle flip as the catalog grows; the memo key includes the
+  /// original statement and the rewritten spelling, and catalog growth
+  /// changes the rewritten spelling (expansions name the new columns), so
+  /// stale entries are simply never probed again.
   VerifyMemo verify_memo_;
   VerifyStats verify_stats_;
 

@@ -6,10 +6,10 @@ namespace {
 
 /// Calibration table. RP/WP come from the paper's measurements where stated
 /// (Figs. 3 and 8); the rest follow Table 1's impact flags.
-std::map<AntiPattern, ApMetrics> BuildDefaults() {
-  std::map<AntiPattern, ApMetrics> m;
+MetricsStore BuildDefaults() {
+  MetricsStore m;
   auto set = [&](AntiPattern t, double rp, double wp, double maint, double da, int di,
-                 int a) { m[t] = ApMetrics{rp, wp, maint, da, di, a}; };
+                 int a) { m.Set(t, ApMetrics{rp, wp, maint, da, di, a}); };
 
   // Logical design.
   set(AntiPattern::kMultiValuedAttribute, 636.0, 3.0, 4.0, 2.0, 1, 1);  // Fig 3a
@@ -51,20 +51,13 @@ std::map<AntiPattern, ApMetrics> BuildDefaults() {
 }  // namespace
 
 MetricsStore MetricsStore::Default() {
-  MetricsStore store;
-  store.metrics_ = BuildDefaults();
-  return store;
-}
-
-const ApMetrics& MetricsStore::For(AntiPattern type) const {
-  static const ApMetrics kZero{};
-  auto it = metrics_.find(type);
-  return it == metrics_.end() ? kZero : it->second;
+  static const MetricsStore kDefaults = BuildDefaults();
+  return kDefaults;
 }
 
 void MetricsStore::RecordObservation(AntiPattern type, const ApMetrics& observed,
                                      double alpha) {
-  ApMetrics& current = metrics_[type];
+  ApMetrics& current = metrics_[Slot(type)];
   auto blend = [alpha](double old_value, double new_value) {
     return (1.0 - alpha) * old_value + alpha * new_value;
   };

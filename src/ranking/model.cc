@@ -1,7 +1,8 @@
 #include "ranking/model.h"
 
 #include <algorithm>
-#include <map>
+#include <string_view>
+#include <unordered_map>
 
 namespace sqlcheck {
 
@@ -23,9 +24,8 @@ double RankingModel::Score(const ApMetrics& m) const {
          weights_.a * static_cast<double>(m.accuracy);
 }
 
-RankedDetection RankingModel::ScoreDetection(Detection detection) const {
-  RankedDetection ranked;
-  ranked.metrics = metrics_.For(detection.type);
+ApMetrics RankingModel::MetricsFor(const Detection& detection) const {
+  ApMetrics metrics = metrics_.For(detection.type);
 
   // Query-aware adjustment (§5.2): map the offending statement to the
   // standard query types. A detection on a pure read statement cannot buy
@@ -33,43 +33,65 @@ RankedDetection RankingModel::ScoreDetection(Detection detection) const {
   if (detection.stmt != nullptr) {
     switch (detection.stmt->kind) {
       case sql::StatementKind::kSelect:
-        ranked.metrics.write_speedup = 0.0;
+        metrics.write_speedup = 0.0;
         break;
       case sql::StatementKind::kInsert:
       case sql::StatementKind::kUpdate:
       case sql::StatementKind::kDelete:
-        ranked.metrics.read_speedup = 0.0;
+        metrics.read_speedup = 0.0;
         break;
       default:
         break;  // DDL detections keep the full profile
     }
   }
+  return metrics;
+}
+
+RankedDetection RankingModel::ScoreDetection(Detection detection) const {
+  RankedDetection ranked;
+  ranked.metrics = MetricsFor(detection);
   ranked.score = Score(ranked.metrics);
   ranked.detection = std::move(detection);
   return ranked;
 }
 
 std::vector<RankedDetection> RankingModel::Rank(std::vector<Detection> detections) const {
-  std::vector<RankedDetection> ranked;
-  ranked.reserve(detections.size());
-  for (Detection& d : detections) ranked.push_back(ScoreDetection(std::move(d)));
-
+  // Sort small keys, then move each detection into its ranked slot once.
+  // `pos` breaks ties, so the order is what a stable sort would give.
+  struct Key {
+    int ap_count;
+    double score;
+    size_t pos;
+  };
+  std::vector<Key> keys(detections.size());
+  for (size_t i = 0; i < detections.size(); ++i) {
+    keys[i] = {0, Score(MetricsFor(detections[i])), i};
+  }
   if (mode_ == InterQueryMode::kByApCount) {
     // ❶ queries with more APs first; score breaks ties within and across.
-    std::map<std::string, int> per_query;
-    for (const auto& r : ranked) ++per_query[r.detection.query];
-    std::stable_sort(ranked.begin(), ranked.end(),
-                     [&](const RankedDetection& a, const RankedDetection& b) {
-                       int ca = per_query[a.detection.query];
-                       int cb = per_query[b.detection.query];
-                       if (ca != cb) return ca > cb;
-                       return a.score > b.score;
-                     });
-  } else {
-    std::stable_sort(ranked.begin(), ranked.end(),
-                     [](const RankedDetection& a, const RankedDetection& b) {
-                       return a.score > b.score;
-                     });
+    // Each data finding (no query) stands alone.
+    std::unordered_map<std::string_view, int> per_query;
+    for (const Detection& d : detections) {
+      if (!d.query.empty()) ++per_query[d.query];
+    }
+    for (Key& key : keys) {
+      const std::string& query = detections[key.pos].query;
+      key.ap_count = query.empty() ? 1 : per_query[query];
+    }
+  }
+  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+    if (a.ap_count != b.ap_count) return a.ap_count > b.ap_count;
+    if (a.score != b.score) return a.score > b.score;
+    return a.pos < b.pos;
+  });
+
+  std::vector<RankedDetection> ranked(keys.size());
+  for (size_t k = 0; k < keys.size(); ++k) {
+    RankedDetection& out = ranked[k];
+    Detection& d = detections[keys[k].pos];
+    out.metrics = MetricsFor(d);
+    out.score = keys[k].score;
+    out.detection = std::move(d);
   }
   return ranked;
 }

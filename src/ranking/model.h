@@ -25,7 +25,8 @@ struct RankingWeights {
 /// \brief Inter-query ranking mode (§5.2 "Model Components" ❶/❷).
 enum class InterQueryMode {
   kByScore,    ///< Flat ordering by computed impact score.
-  kByApCount,  ///< Queries with more APs first, score breaks ties.
+  kByApCount,  ///< Queries with more APs first, score breaks ties. A data
+               ///< finding (no query) counts as a query with one AP.
 };
 
 /// \brief One detection with its computed impact score.
@@ -63,7 +64,8 @@ class RankingModel {
   /// read-only statements emphasize RP, write statements WP).
   RankedDetection ScoreDetection(Detection detection) const;
 
-  /// Ranks all detections, highest impact first.
+  /// Ranks all detections, highest impact first; equal keys keep their
+  /// input order.
   std::vector<RankedDetection> Rank(std::vector<Detection> detections) const;
 
   const MetricsStore& metrics_store() const { return metrics_; }
@@ -71,6 +73,9 @@ class RankingModel {
   const RankingWeights& weights() const { return weights_; }
 
  private:
+  /// The store's metrics for `detection`, adjusted to its statement kind.
+  ApMetrics MetricsFor(const Detection& detection) const;
+
   RankingWeights weights_;
   InterQueryMode mode_;
   MetricsStore metrics_;

@@ -272,13 +272,11 @@ TEST_F(PersistTest, FlippedHeaderByteRebuilds) {
 }
 
 TEST_F(PersistTest, TornFlushKeepsCommittedPrefixWarm) {
-  uint64_t committed_bytes = 0;
   {
     FingerprintStore store;
     ASSERT_TRUE(store.Open(path_, kHash).ok());
     store.Append("SELECT old", 0x1, 0x1, {MakeFinding(1, 0.5, "old")});
     ASSERT_TRUE(store.Commit().ok());
-    committed_bytes = store.stats().bytes;
 
     // The flush of the second batch tears mid-write (store_append simulates
     // half the bytes landing, then the device failing).

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace sqlcheck {
 namespace {
 
@@ -85,6 +88,90 @@ TEST(RankingModelTest, ByApCountModeGroupsBusyQueries) {
   RankingModel by_score(RankingWeights::C1(), InterQueryMode::kByScore);
   auto ranked2 = by_score.Rank({b, a1, a2});
   EXPECT_EQ(ranked2[0].detection.query, "q_single");
+}
+
+TEST(RankingModelTest, ByApCountCountsEachDataFindingAlone) {
+  // Data findings carry no query. Each is its own one-AP "query": three of
+  // them must not pool into a three-AP group that outranks a real query.
+  Detection data;
+  data.type = AntiPattern::kRedundantColumn;
+  data.table = "t";
+  Detection busy1;
+  busy1.type = AntiPattern::kGenericPrimaryKey;
+  busy1.query = "q_busy";
+  Detection busy2 = busy1;
+  busy2.type = AntiPattern::kColumnWildcard;
+  Detection single;
+  single.type = AntiPattern::kMultiValuedAttribute;
+  single.query = "q_single";
+
+  RankingModel by_count(RankingWeights::C1(), InterQueryMode::kByApCount);
+  auto ranked = by_count.Rank({data, data, single, busy1, data, busy2});
+  ASSERT_EQ(ranked.size(), 6u);
+  // q_busy (2 APs) first, by score within; then the one-AP findings by score
+  // (q_single's 636x read speedup leads), ties in input order.
+  EXPECT_EQ(ranked[0].detection.query, "q_busy");
+  EXPECT_EQ(ranked[1].detection.query, "q_busy");
+  EXPECT_GE(ranked[0].score, ranked[1].score);
+  EXPECT_EQ(ranked[2].detection.query, "q_single");
+  for (size_t i = 3; i < ranked.size(); ++i) {
+    EXPECT_TRUE(ranked[i].detection.query.empty()) << i;
+    EXPECT_EQ(ranked[i].detection.type, AntiPattern::kRedundantColumn) << i;
+  }
+}
+
+TEST(RankingModelTest, ByApCountOrdersByCountThenScoreThenInput) {
+  // Per-query counts: q3 has three APs, q2 two, q1 one.
+  auto make = [](AntiPattern type, const char* query, const char* message) {
+    Detection d;
+    d.type = type;
+    d.query = query;
+    d.message = message;
+    return d;
+  };
+  std::vector<Detection> input = {
+      make(AntiPattern::kMultiValuedAttribute, "q1", "a"),
+      make(AntiPattern::kGenericPrimaryKey, "q2", "b"),
+      make(AntiPattern::kGenericPrimaryKey, "q3", "c"),
+      make(AntiPattern::kMultiValuedAttribute, "q2", "d"),
+      make(AntiPattern::kGenericPrimaryKey, "q3", "e"),
+      make(AntiPattern::kOrderingByRand, "q3", "f"),
+  };
+  RankingModel by_count(RankingWeights::C1(), InterQueryMode::kByApCount);
+  std::string order;
+  for (const auto& r : by_count.Rank(input)) order += r.detection.message;
+  // q3: f (RAND, 0.7) then c, e (equal scores, input order); q2: d then b.
+  EXPECT_EQ(order, "fcedba");
+}
+
+TEST(RankingModelTest, ByScoreKeepsInputOrderAmongEqualScores) {
+  // The default mode is a stable descending sort on score alone: equal
+  // scores keep their input order, whatever their query counts.
+  auto make = [](AntiPattern type, const char* query, const char* message) {
+    Detection d;
+    d.type = type;
+    d.query = query;
+    d.message = message;
+    return d;
+  };
+  std::vector<Detection> input = {
+      make(AntiPattern::kGenericPrimaryKey, "q1", "a"),
+      make(AntiPattern::kMultiValuedAttribute, "q2", "b"),
+      make(AntiPattern::kGenericPrimaryKey, "q3", "c"),
+      make(AntiPattern::kGenericPrimaryKey, "q3", "d"),
+      make(AntiPattern::kMultiValuedAttribute, "", "e"),
+      make(AntiPattern::kGenericPrimaryKey, "", "f"),
+  };
+  RankingModel by_score;
+  std::string order;
+  double previous = 1e9;
+  for (const auto& r : by_score.Rank(input)) {
+    order += r.detection.message;
+    EXPECT_LE(r.score, previous);
+    previous = r.score;
+    EXPECT_EQ(r.score, by_score.ScoreDetection(r.detection).score);
+  }
+  EXPECT_EQ(order, "beacdf");
 }
 
 TEST(MetricsStoreTest, DefaultsCoverEveryType) {

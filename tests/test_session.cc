@@ -6,11 +6,13 @@
 // can drift.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "analysis/context.h"
+#include "core/emit.h"
 #include "core/session.h"
 #include "core/sqlcheck.h"
 #include "engine/executor.h"
@@ -59,6 +61,14 @@ Report ReferencePipeline(const std::vector<std::string>& statements,
 /// Full serialized form — ToText and ToJson together catch every field.
 std::string Serialize(const Report& report) {
   return report.ToText() + "\n---\n" + report.ToJson();
+}
+
+/// Serialize plus each fix's anchor, verification fields and impacted-query
+/// list: the fix-cache tests compare these too.
+std::string SerializeWithFixes(const Report& report) {
+  EmitOptions options;
+  options.include_fixes = true;
+  return Serialize(report) + "\n---\n" + ToJson(report, options);
 }
 
 std::vector<std::string> ScriptStatements() {
@@ -501,6 +511,183 @@ TEST(SessionTest, CustomRuleRegisteredLateCoversEarlierStatements) {
     if (f.ranked.detection.message == "custom: update spotted") found = true;
   }
   EXPECT_TRUE(found);
+}
+
+// --------------------------------- fix cache ---------------------------------
+
+/// The fix of the first finding of `type` on exactly `query`, or nullptr.
+const Fix* FixOf(const Report& report, AntiPattern type, std::string_view query) {
+  for (const Finding& f : report.findings) {
+    if (f.ranked.detection.type == type && f.ranked.detection.query == query) {
+      return &f.fix;
+    }
+  }
+  return nullptr;
+}
+
+TEST(SessionTest, UnchangedResnapshotReplaysEveryFix) {
+  AnalysisSession session;
+  session.AddScript(kScript);
+  const std::string first = SerializeWithFixes(session.Snapshot());
+  const size_t hits = session.fix_cache_hits();
+  const size_t misses = session.fix_cache_misses();
+  ASSERT_GT(misses, 0u);
+
+  Report again = session.Snapshot();
+  EXPECT_EQ(SerializeWithFixes(again), first);
+  EXPECT_EQ(session.fix_cache_misses(), misses);
+  EXPECT_EQ(session.fix_cache_hits(), hits + again.size());
+}
+
+TEST(SessionTest, LaterDdlChangesCachedWildcardExpansion) {
+  const char* query = "SELECT * FROM t WHERE a = 1";
+  std::vector<std::string> statements = {query};
+  AnalysisSession session;
+  session.AddQuery(query);
+  // No schema yet: the wildcard fix is textual.
+  Report report = session.Snapshot();
+  const Fix* fix = FixOf(report, AntiPattern::kColumnWildcard, query);
+  ASSERT_NE(fix, nullptr);
+  EXPECT_EQ(fix->kind, FixKind::kTextual);
+
+  for (const char* ddl : {"CREATE TABLE t (a INT PRIMARY KEY, b INT)",
+                          "ALTER TABLE t ADD COLUMN c VARCHAR(8)"}) {
+    session.AddQuery(ddl);
+    statements.push_back(ddl);
+    report = session.Snapshot();
+    EXPECT_EQ(SerializeWithFixes(report),
+              SerializeWithFixes(ReferencePipeline(statements, SqlCheckOptions{})))
+        << ddl;
+    fix = FixOf(report, AntiPattern::kColumnWildcard, query);
+    ASSERT_NE(fix, nullptr);
+    ASSERT_EQ(fix->statements.size(), 1u) << ddl;
+    EXPECT_NE(fix->statements[0].find(" b"), std::string::npos) << fix->statements[0];
+  }
+  // The ALTER's new column reached the cached expansion.
+  EXPECT_NE(fix->statements[0].find(" c"), std::string::npos) << fix->statements[0];
+}
+
+TEST(SessionTest, AttachDatabaseAfterSnapshotInvalidatesCachedFixes) {
+  const std::vector<std::string> statements = {
+      "SELECT * FROM users WHERE id = 1",
+      "select * from users where id = 1",
+      "CREATE TABLE orders (id INT PRIMARY KEY, user_id INT)",
+  };
+  Database db;
+  Executor exec(&db);
+  exec.ExecuteScript(
+      "CREATE TABLE users (id INTEGER PRIMARY KEY, name VARCHAR(40), status TEXT);");
+  for (int i = 0; i < 8; ++i) {
+    const std::string n = std::to_string(i);
+    exec.ExecuteSql("INSERT INTO users VALUES (" + n + ", 'user" + n + "', 'active')");
+  }
+
+  AnalysisSession session;
+  for (const auto& stmt : statements) session.AddQuery(stmt);
+  const Report detached = session.Snapshot();
+  const Fix* before = FixOf(detached, AntiPattern::kColumnWildcard, statements[0]);
+  ASSERT_NE(before, nullptr);
+  EXPECT_EQ(before->kind, FixKind::kTextual);  // users is not in the catalog yet
+
+  session.AttachDatabase(&db);  // the database schema now names users' columns
+  Report attached = session.Snapshot();
+  EXPECT_EQ(SerializeWithFixes(attached),
+            SerializeWithFixes(ReferencePipeline(statements, SqlCheckOptions{}, &db)));
+  const Fix* after = FixOf(attached, AntiPattern::kColumnWildcard, statements[0]);
+  ASSERT_NE(after, nullptr);
+  EXPECT_EQ(after->kind, FixKind::kRewrite);
+}
+
+/// A custom rule declared as `declared` that flags every SELECT over a
+/// cataloged table as Column Wildcard Usage.
+class SelectOnKnownTableRule final : public Rule {
+ public:
+  explicit SelectOnKnownTableRule(AntiPattern declared) : declared_(declared) {}
+  AntiPattern type() const override { return declared_; }
+  void CheckQuery(const QueryFacts& facts, const Context& context,
+                  const DetectorConfig& config,
+                  std::vector<Detection>* out) const override {
+    (void)config;
+    if (facts.kind != sql::StatementKind::kSelect || facts.tables.empty()) return;
+    if (context.catalog().FindTable(facts.tables[0]) == nullptr) return;
+    Detection d;
+    d.type = AntiPattern::kColumnWildcard;
+    d.table = std::string(facts.tables[0]);
+    d.query = facts.raw_sql;
+    d.stmt = facts.stmt;
+    d.message = "custom: select on a known table";
+    out->push_back(d);
+  }
+
+ private:
+  AntiPattern declared_;
+};
+
+TEST(SessionTest, RegisterRuleAfterSnapshotInvalidatesCachedFixes) {
+  // With the built-in wildcard rule disabled, no rule has the wildcard
+  // fix's type, so its rewrite verifies at the parse tier only. Registering
+  // one later makes it the Tier-2 rule: every wildcard fix must be verified
+  // again, not replayed.
+  const std::vector<std::string> statements = {
+      "CREATE TABLE t (a INT PRIMARY KEY, b INT)",
+      "SELECT * FROM t",
+      "select  *  from t",
+  };
+  SqlCheckOptions options;
+  options.disabled_rules = {"Column Wildcard Usage"};
+  AnalysisSession session(options);
+  session.RegisterRule(std::make_unique<SelectOnKnownTableRule>(AntiPattern::kTooManyJoins));
+  for (const auto& stmt : statements) session.AddQuery(stmt);
+  const Report first = session.Snapshot();
+  const Fix* before = FixOf(first, AntiPattern::kColumnWildcard, statements[1]);
+  ASSERT_NE(before, nullptr);
+  EXPECT_EQ(before->verify_tier, VerifyTier::kParse);
+  const size_t misses = session.fix_cache_misses();
+
+  session.RegisterRule(
+      std::make_unique<SelectOnKnownTableRule>(AntiPattern::kColumnWildcard));
+  Report report = session.Snapshot();
+  EXPECT_GT(session.fix_cache_misses(), misses);
+  const Fix* after = FixOf(report, AntiPattern::kColumnWildcard, statements[1]);
+  ASSERT_NE(after, nullptr);
+  EXPECT_NE(after->verify_tier, VerifyTier::kParse);
+
+  SqlCheckOptions reference_options = options;
+  reference_options.dedup_queries = false;
+  AnalysisSession reference(reference_options);
+  reference.RegisterRule(
+      std::make_unique<SelectOnKnownTableRule>(AntiPattern::kTooManyJoins));
+  reference.RegisterRule(
+      std::make_unique<SelectOnKnownTableRule>(AntiPattern::kColumnWildcard));
+  for (const auto& stmt : statements) reference.AddQuery(stmt);
+  EXPECT_EQ(SerializeWithFixes(report), SerializeWithFixes(reference.Snapshot()));
+}
+
+TEST(SessionTest, WhitespaceVariantsKeepTheirOwnImpactedQueries) {
+  // One fingerprint group, two raw spellings. The multi-valued-attribute fix
+  // lists every other query on the table, so each variant's list names the
+  // other variant but not itself.
+  const std::string a = "SELECT name FROM users WHERE tag_ids LIKE '%,7,%'";
+  const std::string b = "select  name  from users where tag_ids like '%,7,%'";
+  const std::vector<std::string> statements = {
+      "CREATE TABLE users (id INT PRIMARY KEY, name VARCHAR(64), tag_ids TEXT)",
+      a, b, a, b, "SELECT id FROM users WHERE name = 'x'"};
+  AnalysisSession session;
+  for (const auto& stmt : statements) session.AddQuery(stmt);
+  ASSERT_EQ(session.unique_count(), 3u);
+  for (int round = 0; round < 2; ++round) {
+    Report report = session.Snapshot();
+    EXPECT_EQ(SerializeWithFixes(report),
+              SerializeWithFixes(ReferencePipeline(statements, SqlCheckOptions{})));
+    for (const std::string* self : {&a, &b}) {
+      const std::string& other = self == &a ? b : a;
+      const Fix* fix = FixOf(report, AntiPattern::kMultiValuedAttribute, *self);
+      ASSERT_NE(fix, nullptr) << *self;
+      std::vector<std::string> impacted = fix->impacted_queries;
+      EXPECT_EQ(std::count(impacted.begin(), impacted.end(), *self), 0) << *self;
+      EXPECT_EQ(std::count(impacted.begin(), impacted.end(), other), 2) << *self;
+    }
+  }
 }
 
 }  // namespace

@@ -322,10 +322,24 @@ TEST(VerifyExecEngineTest, SessionMemoizesVerdictsAcrossSnapshots) {
   EXPECT_GE(runs_after_first, 1u);
   EXPECT_EQ(session.verify_stats().memo_hits, 0u);
 
+  const size_t hits = session.fix_cache_hits();
+  const size_t misses = session.fix_cache_misses();
+
+  // Nothing changed: every fix replays from the fix cache, so the verifier
+  // is not even consulted — no misses, no memo probes, no executions.
   Report second = session.Snapshot();
-  EXPECT_EQ(first.findings.size(), second.findings.size());
-  // The second snapshot re-suggests the same fixes: all memo hits, no new
-  // executions.
+  EXPECT_EQ(second.ToJson(), first.ToJson());
+  EXPECT_EQ(session.fix_cache_misses(), misses);
+  EXPECT_EQ(session.fix_cache_hits(), hits + second.findings.size());
+  EXPECT_EQ(session.verify_stats().memo_hits, 0u);
+  EXPECT_EQ(session.verify_stats().exec_runs, runs_after_first);
+
+  // A new statement recomputes the workload-scoped fixes; their proposals
+  // are unchanged, so the verdicts come from the memo, still without a new
+  // execution.
+  session.AddQuery("SELECT id FROM users WHERE id = 1");
+  session.Snapshot();
+  EXPECT_GT(session.fix_cache_misses(), misses);
   EXPECT_GE(session.verify_stats().memo_hits, 1u);
   EXPECT_EQ(session.verify_stats().exec_runs, runs_after_first);
 }
