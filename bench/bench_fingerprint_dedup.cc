@@ -6,9 +6,10 @@
 // rules), "detect" is Snapshot() — verifies the detection streams are
 // byte-identical (every field folded into an order-sensitive digest), and
 // reports the speedup. Exits nonzero on digest divergence. The speedup is
-// reported, not gated: every statement is parsed before its memo lookup (a
-// duplicate still needs its own parse tree), so ingest carries work the
-// memo cannot save.
+// reported, not gated. A byte-identical repeat is looked up before any lex
+// or parse and shares its first occurrence's tree; a cosmetic variant
+// (whitespace, keyword case, comments) is still parsed before it joins its
+// group, so ingest carries work the memo cannot save.
 //
 //   $ ./bench_fingerprint_dedup [statement_count]
 #include <chrono>

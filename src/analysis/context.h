@@ -102,11 +102,14 @@ class Context {
   friend class AnalysisSession;
 
   Catalog catalog_;
-  /// Owns every arena-tier parse tree in statements_ (created up front so
+  /// Owns every arena-tier parse tree in trees_ (created up front so
   /// incremental sessions can keep parsing into it). Held by pointer so the
   /// arena address survives Context moves.
   std::unique_ptr<Arena> arena_ = std::make_unique<Arena>();
-  std::vector<sql::StatementPtr> statements_;  ///< Owned parse trees.
+  /// One parse tree per parsed statement text. A byte-identical repeat is
+  /// never parsed: it shares the tree of the first occurrence of its text.
+  std::vector<sql::StatementPtr> trees_;
+  std::vector<const sql::Statement*> statements_;  ///< Per statement, its tree.
   std::vector<QueryFacts> query_facts_;
   QueryGroups query_groups_;
   WorkloadStats stats_;

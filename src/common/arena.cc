@@ -1,7 +1,9 @@
 #include "common/arena.h"
 
 #include <cstring>
+#include <mutex>
 #include <new>
+#include <utility>
 
 #include "common/failpoint.h"
 
@@ -28,6 +30,59 @@ namespace {
 
 constexpr size_t AlignUp(size_t n, size_t align) { return (n + align - 1) & ~(align - 1); }
 
+/// Chunks of destroyed arenas, kept for the next arena that asks for the
+/// same size. A process that builds and drops sessions in a loop (a linter
+/// over many repositories, a server evicting tenants) then recycles one set
+/// of chunks. Handing them back to malloc instead lets glibc trim the heap
+/// top after every session, and the next session faults the same pages in
+/// again. Shared by all threads; only chunk-sized requests take the lock.
+class ChunkPool {
+ public:
+  /// A pooled allocation of exactly `bytes`, or nullptr.
+  void* Take(size_t bytes) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t k = 0; k < free_.size(); ++k) {
+      if (free_[k].first != bytes) continue;
+      void* chunk = free_[k].second;
+      free_[k] = free_.back();
+      free_.pop_back();
+      pooled_bytes_ -= bytes;
+      return chunk;
+    }
+    return nullptr;
+  }
+
+  /// Keeps `chunk` (an allocation of `bytes`) for reuse; false when the pool
+  /// is full or cannot grow its list, and the caller frees it. Called from
+  /// ~Arena, so it never throws.
+  bool Give(void* chunk, size_t bytes) noexcept {
+    try {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (pooled_bytes_ + bytes > kPoolBytes) return false;
+      free_.emplace_back(bytes, chunk);
+      pooled_bytes_ += bytes;
+      return true;
+    } catch (...) {
+      return false;
+    }
+  }
+
+ private:
+  /// Enough for a few sessions' worth of chunks at once.
+  static constexpr size_t kPoolBytes = 4 * Arena::kMaxChunkBytes;
+
+  std::mutex mu_;
+  std::vector<std::pair<size_t, void*>> free_;
+  size_t pooled_bytes_ = 0;
+};
+
+/// Never destroyed: an arena with static storage may die after any other
+/// static object, and must still find the pool.
+ChunkPool& Pool() {
+  static ChunkPool* pool = new ChunkPool;
+  return *pool;
+}
+
 }  // namespace
 
 Arena::Arena(size_t first_chunk_bytes)
@@ -35,6 +90,13 @@ Arena::Arena(size_t first_chunk_bytes)
 
 Arena::~Arena() {
   for (Chunk* chunk : chunks_) {
+    // A pooled chunk stays poisoned, so a stale pointer into it still traps.
+    // Oversized chunks (one giant statement) go straight back to the heap.
+    SQLCHECK_POISON(chunk->data(), chunk->capacity);
+    if (chunk->capacity <= kMaxChunkBytes &&
+        Pool().Give(chunk, sizeof(Chunk) + chunk->capacity)) {
+      continue;
+    }
     UnpoisonChunk(chunk);
     ::operator delete(chunk);
   }
@@ -50,7 +112,8 @@ Arena::Chunk* Arena::NewChunk(size_t min_payload) {
   // by retry/quarantine; arenas outside such a scope are unaffected.
   if (SQLCHECK_SCOPED_FAILPOINT("arena_alloc")) throw std::bad_alloc();
 
-  void* raw = ::operator new(sizeof(Chunk) + payload);
+  void* raw = Pool().Take(sizeof(Chunk) + payload);
+  if (raw == nullptr) raw = ::operator new(sizeof(Chunk) + payload);
   Chunk* chunk = static_cast<Chunk*>(raw);
   chunk->capacity = payload;
   chunks_.push_back(chunk);

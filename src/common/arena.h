@@ -14,7 +14,9 @@ namespace sqlcheck {
 /// frontend. Parse trees, interned names, and normalized token payloads are
 /// bump-allocated here and freed wholesale when the owning object (Context,
 /// TokenBuffer, NameInterner) goes away — no per-node `delete`, no destructor
-/// walks.
+/// walks. A destroyed arena's chunks go to a bounded process-wide pool that
+/// later arenas draw same-sized chunks from, so building and dropping one
+/// session after another reuses the same memory.
 ///
 /// Implements `std::pmr::memory_resource`, so the AST's `std::pmr::string` /
 /// `std::pmr::vector` members can draw from it directly: an arena-allocated
@@ -58,7 +60,8 @@ class Arena final : public std::pmr::memory_resource {
 
   /// Invalidates all allocations; retains every chunk for reuse, so a
   /// steady-state Reset/refill cycle never touches the heap. Memory is
-  /// returned to the system only on destruction (or an explicit Trim).
+  /// released only on destruction (to the chunk pool, or the heap once the
+  /// pool is full) or by an explicit Trim (to the heap).
   void Reset();
 
   /// Returns retained chunks to the heap until `bytes_reserved()` drops to

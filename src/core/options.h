@@ -82,8 +82,9 @@ struct SqlCheckOptions {
   /// the sqlcheck-server sets these per tenant from its flags.
   SessionLimits limits;
 
-  /// Wall-clock budget (milliseconds) one statement may spend in
-  /// parse + analysis before its fingerprint is quarantined (0 = off). The
+  /// Wall-clock budget (milliseconds) one statement may spend landing (memo
+  /// probe, or parse for a new text) and in analysis before its fingerprint
+  /// is quarantined (0 = off). The
   /// statement that blows the budget still lands — its results are valid —
   /// but repeats of it are refused in O(1), so one pathological statement
   /// cannot grind a shared worker down twice. The server's

@@ -35,7 +35,7 @@ void AnalysisSession::AttachDatabase(const Database* db) {
   }
   // Workload DDL layers on top of the database schema, so attaching late
   // reproduces attaching first.
-  for (const auto& stmt : context_.statements_) {
+  for (const sql::Statement* stmt : context_.statements_) {
     context_.catalog_.ApplyDdl(*stmt);
   }
 }
@@ -54,11 +54,11 @@ namespace {
 /// one-off statement ever pays the trim/regrow cycle.
 constexpr size_t kScratchTrimBytes = 1 << 20;
 
-/// Statements an append parses before running each ingest phase over them
-/// (memo, analysis, aggregates): a phase then runs 64 times in a row with its
+/// Statements an append lands before running each later ingest phase over
+/// them (analysis, aggregates): a phase then runs 64 times in a row with its
 /// code hot, which measured ~10% faster per statement than running every
-/// phase per statement. The deadline is checked before each parse, so it is
-/// overrun by at most one batch's analysis.
+/// phase per statement. The deadline is checked before each statement lands,
+/// so it is overrun by at most one batch's analysis.
 constexpr size_t kIngestBatch = 64;
 
 /// Reserves room for `extra` more elements without defeating geometric
@@ -127,6 +127,7 @@ std::vector<Detection> FanOutDetections(const Context& context, const QueryGroup
       // final occurrence of a group moves the buffer out instead of copying.
       Detection out = last_occurrence ? std::move(d) : d;
       if (rep != i) out = RebaseDetection(std::move(out), queries[rep], queries[i]);
+      out.statement = i;
       detections.push_back(std::move(out));
     }
   }
@@ -245,9 +246,25 @@ sql::StatementPtr AnalysisSession::ParseWithRetry(std::string_view piece,
 }
 
 void AnalysisSession::AppendPieces(std::span<const std::string_view> pieces) {
+  const size_t first = context_.statements_.size();
   const bool budgeted = options_.statement_budget_ms > 0;
-  std::vector<ParsedPiece> batch;
-  batch.reserve(pieces.size());
+  QueryGroups& groups = context_.query_groups_;
+  // Room for the whole batch up front: the pushes in LandPiece then cannot
+  // throw, so a memo-stage fault always observes a fully consistent session.
+  const size_t extra = pieces.size();
+  GrowFor(context_.trees_, extra);
+  GrowFor(context_.statements_, extra);
+  GrowFor(context_.query_facts_, extra);
+  GrowFor(groups.representative, extra);
+  GrowFor(groups.fingerprints, extra);
+  GrowFor(groups.unique, extra);
+  GrowFor(groups.group, extra);
+  GrowFor(local_cache_, extra);
+  GrowFor(fix_cache_, extra);
+  std::vector<LandedPiece> landed;  // statement first + k is landed[k]
+  landed.reserve(pieces.size());
+  std::vector<size_t> new_uniques;
+
   for (std::string_view piece : pieces) {
     if (deadline_.has_value() && Clock::now() >= *deadline_) {
       RecordFailure(piece, "deadline_exceeded",
@@ -257,20 +274,97 @@ void AnalysisSession::AppendPieces(std::span<const std::string_view> pieces) {
     }
     if (QuarantineRefused(piece)) continue;
     const auto start = budgeted ? Clock::now() : Clock::time_point{};
+    if (!LandPiece(piece, &new_uniques)) continue;
+    landed.push_back({piece, budgeted ? Clock::now() - start : Clock::duration{}});
+  }
+  if (landed.empty()) return;
+  ++generation_;  // a new statement can change any fix
+
+  // Analysis and statement-local rules, once per new group.
+  for (size_t u : new_uniques) {
+    const auto start = budgeted ? Clock::now() : Clock::time_point{};
+    AnalyzeUnique(u);
+    if (budgeted) landed[groups.unique[u] - first].cost += Clock::now() - start;
+  }
+
+  // Duplicates take a copy of their group's facts rebased onto their own raw
+  // text and parse tree; everything folds into the aggregates in order.
+  for (size_t i = first; i < context_.statements_.size(); ++i) {
+    const size_t rep = groups.representative[i];
+    if (rep != i) {
+      context_.query_facts_[i] =
+          RebaseFacts(context_.query_facts_[rep], *context_.statements_[i]);
+    }
+    context_.stats_.AddStatementFacts(i, context_.query_facts_[i]);
+  }
+
+  if (!budgeted) return;
+  for (const LandedPiece& p : landed) {
+    const auto elapsed =
+        std::chrono::duration_cast<std::chrono::milliseconds>(p.cost).count();
+    if (elapsed <= options_.statement_budget_ms) continue;
+    // The statement landed (its results are valid) but blew its budget:
+    // quarantine the fingerprint so its repeats are refused in O(1).
+    Quarantine(p.piece);
+    RecordFailure(p.piece, "deadline_exceeded",
+                  "statement took " + std::to_string(elapsed) + "ms against a " +
+                      std::to_string(options_.statement_budget_ms) +
+                      "ms budget; fingerprint quarantined (statement was "
+                      "ingested)",
+                  /*quarantined=*/true);
+  }
+}
+
+bool AnalysisSession::LandPiece(std::string_view piece,
+                                std::vector<size_t>* new_uniques) {
+  const size_t i = context_.statements_.size();
+  QueryGroups& groups = context_.query_groups_;
+  const sql::Statement* stmt = nullptr;
+  size_t rep = i;
+  RawKey raw{};
+  if (options_.dedup_queries) {
+    raw = MakeRawKey(Trim(piece));  // the parser trims raw_sql the same way
+    auto raw_it = raw_memo_.find(raw);
+    if (raw_it != raw_memo_.end()) {
+      // These exact bytes landed before: share that occurrence's tree.
+      const size_t source = raw_it->second;
+      stmt = context_.statements_[source];
+      rep = groups.representative[source];
+      groups.fingerprints.push_back(groups.fingerprints[source]);
+      ++raw_repeats_;
+    }
+  }
+  if (stmt == nullptr) {
     std::string error;
-    sql::StatementPtr stmt = ParseWithRetry(piece, &error);
-    if (stmt == nullptr) {
+    sql::StatementPtr parsed = ParseWithRetry(piece, &error);
+    if (parsed == nullptr) {
       Quarantine(piece);
       RecordFailure(piece, "internal_error",
                     "statement parse failed persistently (" + error +
                         "); fingerprint quarantined",
                     /*quarantined=*/true);
-      continue;
+      return false;
     }
-    batch.push_back(
-        {piece, std::move(stmt), budgeted ? Clock::now() - start : Clock::duration{}});
+    if (options_.dedup_queries) {
+      uint64_t fingerprint = 0;
+      if (!ResolveGroup(*parsed, raw, i, &rep, &fingerprint)) return false;
+      groups.fingerprints.push_back(fingerprint);
+    }
+    stmt = parsed.get();
+    context_.trees_.push_back(std::move(parsed));
   }
-  IngestBatch(&batch);
+  groups.representative.push_back(rep);
+  groups.group.push_back(rep == i ? groups.unique.size() : groups.group[rep]);
+  context_.catalog_.ApplyDdl(*stmt);  // ignores DML; duplicate DDL is a no-op
+  if (rep == i) {
+    new_uniques->push_back(groups.unique.size());
+    groups.unique.push_back(i);
+    local_cache_.emplace_back();
+    fix_cache_.emplace_back();
+  }
+  context_.statements_.push_back(stmt);
+  context_.query_facts_.emplace_back();
+  return true;
 }
 
 size_t AnalysisSession::AddQuery(std::string_view sql_text) {
@@ -329,8 +423,8 @@ void AnalysisSession::TrimScratch() {
   if (token_buffer_.reserved_bytes() > kScratchTrimBytes) token_buffer_.Trim();
 }
 
-bool AnalysisSession::ResolveGroup(const sql::Statement& stmt, size_t i, size_t* rep,
-                                   uint64_t* fingerprint) {
+bool AnalysisSession::ResolveGroup(const sql::Statement& stmt, const RawKey& raw,
+                                   size_t i, size_t* rep, uint64_t* fingerprint) {
   // The memo stage allocates (canonical string + two hash-table nodes), so
   // it can fault — for real under memory pressure, on demand under the
   // memo_insert failpoint. It retries with rollback: if the raw-spelling
@@ -341,23 +435,21 @@ bool AnalysisSession::ResolveGroup(const sql::Statement& stmt, size_t i, size_t*
   for (int attempt = 0; attempt < kFaultRetryAttempts; ++attempt) {
     try {
       FailpointScope fault_scope;  // memo allocations are a chaos seam
-      auto raw_it = raw_memo_.find(std::string_view(stmt.raw_sql));
-      if (raw_it != raw_memo_.end()) {
-        *rep = raw_it->second;
-        *fingerprint = context_.query_groups_.fingerprints[*rep];
-      } else {
-        if (SQLCHECK_SCOPED_FAILPOINT("memo_insert")) throw std::bad_alloc();
-        std::string canonical =
-            sql::CanonicalizeSql(stmt.raw_sql, sql::FingerprintOptions::Exact());
-        *fingerprint = sql::FingerprintCanonical(canonical);
-        auto [canon_it, inserted] = canonical_memo_.try_emplace(std::move(canonical), i);
-        *rep = canon_it->second;
-        try {
-          raw_memo_.emplace(std::string(stmt.raw_sql), *rep);
-        } catch (...) {
-          if (inserted) canonical_memo_.erase(canon_it);
-          throw;
-        }
+      if (SQLCHECK_SCOPED_FAILPOINT("memo_insert")) throw std::bad_alloc();
+      // The parse just lexed this text: render the canonical form from its
+      // tokens instead of scanning the bytes again.
+      const sql::FingerprintOptions exact = sql::FingerprintOptions::Exact();
+      std::string canonical = sql::CanonicalizeTokens(token_buffer_.tokens(), exact);
+      *fingerprint = sql::FingerprintCanonical(canonical);
+      auto [canon_it, inserted] = canonical_memo_.try_emplace(std::move(canonical), i);
+      *rep = canon_it->second;
+      try {
+        // Keyed by a view of the statement's own raw_sql, which lives in the
+        // session arena (the same bytes as `raw.text`).
+        raw_memo_.emplace(RawKey{stmt.raw_sql, raw.hash}, i);
+      } catch (...) {
+        if (inserted) canonical_memo_.erase(canon_it);
+        throw;
       }
       if (attempt > 0) ++faults_recovered_;
       return true;
@@ -371,89 +463,6 @@ bool AnalysisSession::ResolveGroup(const sql::Statement& stmt, size_t i, size_t*
                     "); fingerprint quarantined",
                 /*quarantined=*/true);
   return false;
-}
-
-void AnalysisSession::IngestBatch(std::vector<ParsedPiece>* batch) {
-  const size_t first = context_.statements_.size();
-  const bool budgeted = options_.statement_budget_ms > 0;
-  QueryGroups& groups = context_.query_groups_;
-  // Room for the whole batch up front: the pushes below then cannot throw,
-  // so a memo-stage fault always observes a fully consistent session.
-  const size_t extra = batch->size();
-  GrowFor(context_.statements_, extra);
-  GrowFor(context_.query_facts_, extra);
-  GrowFor(groups.representative, extra);
-  GrowFor(groups.fingerprints, extra);
-  GrowFor(groups.unique, extra);
-  GrowFor(groups.group, extra);
-  GrowFor(local_cache_, extra);
-  GrowFor(fix_cache_, extra);
-  std::vector<size_t> landed;  // batch entry of each appended statement
-  landed.reserve(batch->size());
-  std::vector<size_t> new_uniques;
-
-  // Dedup bookkeeping, catalog and slots, in order: the memos make a
-  // repeated statement cost one hash lookup. A statement whose bookkeeping
-  // faults persistently is dropped whole — it never touched the catalog, the
-  // group tables, or the aggregates.
-  for (size_t b = 0; b < batch->size(); ++b) {
-    sql::StatementPtr& stmt = (*batch)[b].stmt;
-    const size_t i = context_.statements_.size();
-    size_t rep = i;
-    if (options_.dedup_queries) {
-      uint64_t fingerprint = 0;
-      if (!ResolveGroup(*stmt, i, &rep, &fingerprint)) continue;
-      groups.fingerprints.push_back(fingerprint);
-    }
-    groups.representative.push_back(rep);
-    groups.group.push_back(rep == i ? groups.unique.size() : groups.group[rep]);
-    context_.catalog_.ApplyDdl(*stmt);  // ignores DML; duplicate DDL is a no-op
-    if (rep == i) {
-      new_uniques.push_back(groups.unique.size());
-      groups.unique.push_back(i);
-      local_cache_.emplace_back();
-      fix_cache_.emplace_back();
-    }
-    context_.statements_.push_back(std::move(stmt));
-    context_.query_facts_.emplace_back();
-    landed.push_back(b);
-  }
-  if (!landed.empty()) ++generation_;  // a new statement can change any fix
-
-  // Analysis and statement-local rules, once per new group.
-  for (size_t u : new_uniques) {
-    const auto start = budgeted ? Clock::now() : Clock::time_point{};
-    AnalyzeUnique(u);
-    if (budgeted) (*batch)[landed[groups.unique[u] - first]].cost += Clock::now() - start;
-  }
-
-  // Duplicates take a copy of their group's facts rebased onto their own raw
-  // text and parse tree; everything folds into the aggregates in order.
-  for (size_t i = first; i < context_.statements_.size(); ++i) {
-    const size_t rep = groups.representative[i];
-    if (rep != i) {
-      context_.query_facts_[i] =
-          RebaseFacts(context_.query_facts_[rep], *context_.statements_[i]);
-    }
-    context_.stats_.AddStatementFacts(i, context_.query_facts_[i]);
-  }
-
-  if (!budgeted) return;
-  for (size_t b : landed) {
-    const ParsedPiece& p = (*batch)[b];
-    const auto elapsed =
-        std::chrono::duration_cast<std::chrono::milliseconds>(p.cost).count();
-    if (elapsed <= options_.statement_budget_ms) continue;
-    // The statement landed (its results are valid) but blew its budget:
-    // quarantine the fingerprint so its repeats are refused in O(1).
-    Quarantine(p.piece);
-    RecordFailure(p.piece, "deadline_exceeded",
-                  "statement took " + std::to_string(elapsed) + "ms against a " +
-                      std::to_string(options_.statement_budget_ms) +
-                      "ms budget; fingerprint quarantined (statement was "
-                      "ingested)",
-                  /*quarantined=*/true);
-  }
 }
 
 void AnalysisSession::AnalyzeUnique(size_t u) {
@@ -531,13 +540,13 @@ Report AnalysisSession::Check(std::string_view sql) {
     size_t rep = context_.query_groups_.representative[i];
     std::vector<Detection> buffer;
     AssembleGroupDetections(context_.query_groups_.group[i], &buffer);
-    if (rep == i) {
-      for (auto& d : buffer) detections.push_back(std::move(d));
-      continue;
-    }
     for (auto& d : buffer) {
-      detections.push_back(RebaseDetection(std::move(d), context_.query_facts_[rep],
-                                           context_.query_facts_[i]));
+      if (rep != i) {
+        d = RebaseDetection(std::move(d), context_.query_facts_[rep],
+                            context_.query_facts_[i]);
+      }
+      d.statement = i;
+      detections.push_back(std::move(d));
     }
   }
   return MakeReport(std::move(detections));
@@ -564,7 +573,7 @@ Report AnalysisSession::MakeReport(std::vector<Detection> detections) {
   // ap-fix (§6): per-rule fixers + verification, attached in rank order so
   // fixes surface with the impact model's ordering.
   FixEngine engine(registry_, options_.detector, options_.verify_exec,
-                   &verify_memo_, &verify_stats_);
+                   &verify_memo_, &verify_stats_, &token_buffer_);
   Report report;
   report.findings.reserve(ranked.size());
   for (auto& r : ranked) {
@@ -577,12 +586,14 @@ Report AnalysisSession::MakeReport(std::vector<Detection> detections) {
 }
 
 Fix AnalysisSession::FixForDetection(const Detection& d, const FixEngine& engine) {
-  // A statement's findings use its group's row; data findings share one.
+  // A statement's findings use its occurrence's group row; data findings
+  // share one. With dedup off a statement finding is never cached.
   std::vector<CachedFix>* row = &data_fix_cache_;
   if (!d.query.empty()) {
-    auto raw_it = raw_memo_.find(std::string_view(d.query));
-    if (raw_it == raw_memo_.end()) return engine.SuggestFix(d, context_);  // dedup off
-    row = &fix_cache_[context_.query_groups_.group[raw_it->second]];
+    if (!options_.dedup_queries || d.statement >= context_.statements_.size()) {
+      return engine.SuggestFix(d, context_);
+    }
+    row = &fix_cache_[context_.query_groups_.group[d.statement]];
   }
   // The entry for this exact text, else any entry under the key (which only
   // a statement-local pair may replay).

@@ -97,9 +97,11 @@ struct StatementFailure {
 /// whole workload per call.
 ///
 /// What stays incremental:
-///  - Parsing/analysis: each statement is parsed once; the fingerprint memo
-///    persists across calls, so a repeated statement costs one hash lookup
-///    and a facts rebase instead of a fresh analysis.
+///  - Parsing/analysis: each distinct statement text is parsed once. The
+///    fingerprint memo persists across calls: a byte-identical repeat costs
+///    one hash lookup and a facts copy, with no parse and no arena bytes; a
+///    cosmetic variant (case, whitespace, comments) is parsed but shares its
+///    group's analysis.
 ///  - Statement-local rules (Rule::query_scope() == kStatementLocal) run
 ///    once per unique statement; their detections are cached and replayed.
 ///  - Workload-sensitive rules re-evaluate against maintained aggregates
@@ -166,6 +168,10 @@ class AnalysisSession {
   size_t statement_count() const { return context_.statements_.size(); }
   /// Unique fingerprint groups seen (== statement_count() with dedup off).
   size_t unique_count() const { return context_.query_groups_.unique.size(); }
+  /// Statements that landed as byte-identical repeats of an earlier
+  /// statement: not parsed (so not lexed on their own), no arena bytes.
+  /// Always 0 with dedup off.
+  size_t raw_repeats() const { return raw_repeats_; }
   /// Fix-cache telemetry: fixes served from the cache / fixes computed and
   /// stored in it (see FixForDetection). With dedup off statements have no
   /// cache row, so their fixes count as neither.
@@ -203,9 +209,9 @@ class AnalysisSession {
   /// Wall-clock deadline for subsequent append work: once it passes, the
   /// remaining statements of the current (and any later) append are refused
   /// with a "deadline_exceeded" failure entry instead of being analyzed.
-  /// Checked before each statement's parse; statements already parsed are
-  /// analyzed in batches of up to 64, so the deadline is overrun by one
-  /// batch's analysis at most (pair with
+  /// Checked before each statement lands; landed statements are analyzed in
+  /// batches of up to 64, so the deadline is overrun by one batch's
+  /// analysis at most (pair with
   /// SqlCheckOptions::statement_budget_ms to quarantine an overrunner). The
   /// server arms this per request from --request-deadline-ms.
   void SetDeadline(std::chrono::steady_clock::time_point deadline) { deadline_ = deadline; }
@@ -233,32 +239,52 @@ class AnalysisSession {
 
   using Clock = std::chrono::steady_clock;
 
-  /// One parsed statement of an append batch.
-  struct ParsedPiece {
+  /// One statement an append batch landed.
+  struct LandedPiece {
     std::string_view piece;  ///< The statement text as appended.
-    sql::StatementPtr stmt;
-    Clock::duration cost{};  ///< Parse + analysis time (budgeted sessions only).
+    Clock::duration cost{};  ///< Land + analysis time (budgeted sessions only).
   };
 
+  /// A raw_memo_ key: a statement text and its hash, hashed once per piece
+  /// so the probe and the insert share one hash computation.
+  struct RawKey {
+    std::string_view text;
+    size_t hash;
+    bool operator==(const RawKey& other) const {
+      return hash == other.hash && text == other.text;
+    }
+  };
+  struct RawKeyHash {
+    size_t operator()(const RawKey& key) const noexcept { return key.hash; }
+  };
+  static RawKey MakeRawKey(std::string_view text) {
+    return {text, StringViewHash{}(text)};
+  }
+
   /// The one append path, for AddQuery (one piece) and AddScript (its
-  /// pieces, a batch at a time): per piece, the deadline check, the
-  /// quarantine probe and parse-with-retry (quarantining a persistent
-  /// failure), then IngestBatch over the parsed statements. Each guard is a
-  /// plain branch that costs nothing while it is not armed.
+  /// pieces, a batch at a time). Per piece: the deadline check, the
+  /// quarantine probe and LandPiece. Then, over the landed statements:
+  /// analysis and statement-local rules once per new group, duplicate
+  /// rebases and the workload aggregates, and the statement budget. Each
+  /// guard is a plain branch that costs nothing while it is not armed.
   void AppendPieces(std::span<const std::string_view> pieces);
 
-  /// Resolves statement `i`'s fingerprint group through the memos (inserting
-  /// a new group led by `i`), retrying transient faults. False after a
-  /// persistent fault, which quarantines and records the statement.
-  bool ResolveGroup(const sql::Statement& stmt, size_t i, size_t* rep,
-                    uint64_t* fingerprint);
+  /// Lands `piece` as the next statement. A byte-identical repeat of an
+  /// earlier statement borrows that statement's tree and group through
+  /// raw_memo_, with no lex and no parse; any other text is parsed with
+  /// retry and grouped by ResolveGroup. Then the group bookkeeping and the
+  /// catalog DDL. False when the piece was dropped after a persistent fault
+  /// (quarantined and recorded), leaving the session as if it was never
+  /// seen.
+  bool LandPiece(std::string_view piece, std::vector<size_t>* new_uniques);
 
-  /// Appends parsed statements in order: dedup bookkeeping and catalog DDL
-  /// per statement, then analysis and statement-local rules once per new
-  /// group, then duplicate rebases and the workload aggregates, then the
-  /// statement budget. A statement whose bookkeeping faults persistently is
-  /// dropped and quarantined, leaving the session as if it was never seen.
-  void IngestBatch(std::vector<ParsedPiece>* batch);
+  /// Resolves the fingerprint group of `stmt`, just parsed as statement `i`
+  /// (its tokens still in token_buffer_), through canonical_memo_, and
+  /// records its text in raw_memo_ (`raw` is its key). Inserts a new group
+  /// led by `i` on a miss, retrying transient faults. False after a
+  /// persistent fault, which quarantines and records the statement.
+  bool ResolveGroup(const sql::Statement& stmt, const RawKey& raw, size_t i, size_t* rep,
+                    uint64_t* fingerprint);
 
   /// Analyzes the representative of unique group `u` and fills its cache
   /// row, retrying transient faults. A persistent fault leaves empty facts
@@ -327,11 +353,14 @@ class AnalysisSession {
   Context context_;
   sql::TokenBuffer token_buffer_;  ///< Reused across every parse this session runs.
 
-  /// Fingerprint memo (persists across calls): raw statement bytes -> group
-  /// representative index, and exact-canonical form -> representative.
-  /// Transparent hashing so the per-statement probe takes a view of the
-  /// statement's own raw_sql — no temporary key string.
-  std::unordered_map<std::string, size_t, StringViewHash, std::equal_to<>> raw_memo_;
+  /// Fingerprint memo (persists across calls). raw_memo_ maps a statement
+  /// text (trimmed, as in Statement::raw_sql) to the first occurrence of
+  /// exactly those bytes, whose tree and facts a repeat borrows; that
+  /// occurrence may be a cosmetic variant of its group's representative.
+  /// Its keys view that occurrence's raw_sql in the arena, so a new text
+  /// costs no key copy. canonical_memo_ maps an exact-canonical form to its
+  /// group's representative.
+  std::unordered_map<RawKey, size_t, RawKeyHash> raw_memo_;
   std::unordered_map<std::string, size_t, StringViewHash, std::equal_to<>> canonical_memo_;
 
   /// Per unique group: per registry rule, the cached detections of every
@@ -361,6 +390,7 @@ class AnalysisSession {
   std::vector<CachedFix> data_fix_cache_;
   size_t fix_cache_hits_ = 0;
   size_t fix_cache_misses_ = 0;
+  size_t raw_repeats_ = 0;
   /// Context generation: bumped by every change that can alter a fix.
   uint64_t generation_ = 0;
 

@@ -36,12 +36,13 @@ void AnchorProvenance(Fix* fix, const Detection& d, const Context& context) {
 
 FixEngine::FixEngine(const RuleRegistry& registry, DetectorConfig config,
                      ExecVerifyOptions exec_options, VerifyMemo* memo,
-                     VerifyStats* stats)
+                     VerifyStats* stats, sql::TokenBuffer* tokens)
     : registry_(&registry),
       config_(config),
       exec_options_(exec_options),
       memo_(memo),
-      stats_(stats) {}
+      stats_(stats),
+      tokens_(tokens != nullptr ? tokens : &own_tokens_) {}
 
 VerifyVerdict FixEngine::VerifyTiered(const Fix& fix, const Fixer* fixer,
                                       const Context& context) const {
@@ -51,7 +52,8 @@ VerifyVerdict FixEngine::VerifyTiered(const Fix& fix, const Fixer* fixer,
   // the rule is unavailable (custom fixer without a detection half) the
   // check stops at the parse tier.
   const Rule* rule = registry_->FindRule(fix.type);
-  RewriteCheck check = VerifyRewrite(fix, rule, context, config_);
+  RewriteCheck check =
+      VerifyRewrite(fix, rule, context, config_, &verify_arena_, tokens_);
   if (!check.ok) {
     verdict.ok = false;
     verdict.tier = VerifyTier::kNone;

@@ -37,10 +37,12 @@ class FixEngine {
   /// let a long-lived owner (the AnalysisSession) persist verification
   /// verdicts and telemetry across engine instances — the engine itself is
   /// scoped to one report assembly; without them it falls back to an
-  /// engine-local memo.
+  /// engine-local memo. `tokens`, when non-null, is the owner's lexer
+  /// storage, which Tier-1/2 verification reuses instead of its own.
   explicit FixEngine(const RuleRegistry& registry, DetectorConfig config = {},
                      ExecVerifyOptions exec_options = {},
-                     VerifyMemo* memo = nullptr, VerifyStats* stats = nullptr);
+                     VerifyMemo* memo = nullptr, VerifyStats* stats = nullptr,
+                     sql::TokenBuffer* tokens = nullptr);
 
   /// Suggests a (verified) fix for one detection.
   Fix SuggestFix(const Detection& detection, const Context& context) const;
@@ -67,6 +69,12 @@ class FixEngine {
   VerifyMemo* memo_;
   mutable VerifyMemo own_memo_;
   VerifyStats* stats_;  ///< Null when the owner does not collect telemetry.
+  /// Tier-1/2 parse storage (see VerifyRewrite): an arena that lives as long
+  /// as the engine, one report assembly, and the owner's TokenBuffer when
+  /// given, else own_tokens_.
+  mutable Arena verify_arena_;
+  sql::TokenBuffer* tokens_;
+  mutable sql::TokenBuffer own_tokens_;
 };
 
 /// \brief Applies every verified statement-replacing rewrite in `report` to

@@ -238,12 +238,19 @@ sql::StatementPtr WrapConcatNulls(const sql::SelectStatement& select,
 }
 
 RewriteCheck VerifyRewrite(const Fix& fix, const Rule* rule, const Context& context,
-                           const DetectorConfig& config) {
+                           const DetectorConfig& config, Arena* scratch,
+                           sql::TokenBuffer* tokens) {
   if (fix.statements.empty()) {
     return {false, "rewrite proposal carries no statements"};
   }
+  Arena local_arena;
+  sql::TokenBuffer local_tokens;
+  Arena& arena = scratch != nullptr ? *scratch : local_arena;
+  sql::TokenBuffer& buffer = tokens != nullptr ? *tokens : local_tokens;
   for (const std::string& text : fix.statements) {
-    sql::StatementPtr stmt = sql::ParseStatement(text);
+    // The previous statement's tree, facts and detections are gone by now.
+    arena.Reset();
+    sql::StatementPtr stmt = sql::ParseStatement(text, &arena, &buffer);
     if (stmt == nullptr || stmt->kind == sql::StatementKind::kUnknown) {
       return {false, "rewritten SQL does not re-parse cleanly"};
     }

@@ -3,9 +3,11 @@
 #include <string>
 
 #include "analysis/context.h"
+#include "common/arena.h"
 #include "fix/fix.h"
 #include "rules/rule.h"
 #include "sql/ast.h"
+#include "sql/lexer.h"
 
 namespace sqlcheck {
 
@@ -74,7 +76,14 @@ struct RewriteCheck {
 /// originating rule is available — re-analysis of the statement against the
 /// current context must no longer report `fix.type`. The FixEngine demotes
 /// proposals that fail to kTextual, carrying `reason` in Fix::verify_note.
+///
+/// Each rewritten statement is parsed onto the scratch arena `scratch`,
+/// reset before every statement, with `tokens` as lexer storage; nothing is
+/// parsed onto the heap. The FixEngine passes an arena that lives for one
+/// report and the session's TokenBuffer. Null arguments fall back to
+/// call-local storage.
 RewriteCheck VerifyRewrite(const Fix& fix, const Rule* rule, const Context& context,
-                           const DetectorConfig& config);
+                           const DetectorConfig& config, Arena* scratch = nullptr,
+                           sql::TokenBuffer* tokens = nullptr);
 
 }  // namespace sqlcheck

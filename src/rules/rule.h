@@ -85,6 +85,13 @@ struct Detection {
   std::string query;    ///< Offending statement text ("" for data detections).
   const sql::Statement* stmt = nullptr;  ///< Parse tree for ap-fix (may be null).
   std::string message;  ///< Human-readable diagnosis.
+  /// Workload index of the statement occurrence this detection belongs to,
+  /// set when a session assembles a report; kNoStatement for data
+  /// detections. Repeats of one text share `stmt`, so this is what tells
+  /// their findings apart.
+  size_t statement = kNoStatement;
+
+  static constexpr size_t kNoStatement = static_cast<size_t>(-1);
 };
 
 /// \brief Detector configuration: which analyses run and the rule thresholds

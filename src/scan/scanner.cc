@@ -322,19 +322,16 @@ void AnalyzeRepo(const std::vector<const ScanFile*>& files, bool write_back,
       session.context().query_groups().representative;
   const size_t n = queries.size();
 
-  // Findings back to their statements: (statement, finding) pairs sorted by
-  // statement keep each statement's findings in report order. Only data
-  // detections carry no statement, and a scan attaches no database.
-  std::unordered_map<const sql::Statement*, size_t> index;
-  index.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (queries[i].stmt != nullptr) index.emplace(queries[i].stmt, i);
-  }
+  // Findings back to their statement occurrences: (statement, finding) pairs
+  // sorted by statement keep each statement's findings in report order.
+  // Repeats of one text share a parse tree, so the occurrence index is the
+  // key, not the tree. Only data detections carry no statement, and a scan
+  // attaches no database.
   std::vector<std::pair<size_t, size_t>> owned;
   owned.reserve(report.findings.size());
   for (size_t f = 0; f < report.findings.size(); ++f) {
-    auto it = index.find(report.findings[f].ranked.detection.stmt);
-    if (it != index.end()) owned.emplace_back(it->second, f);
+    const size_t statement = report.findings[f].ranked.detection.statement;
+    if (statement < n) owned.emplace_back(statement, f);
   }
   std::sort(owned.begin(), owned.end());
 

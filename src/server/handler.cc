@@ -190,6 +190,7 @@ std::string SessionHandler::HandleStats() {
   AppendField(&response, "scratch_reserved_bytes", usage.scratch_reserved_bytes);
   AppendField(&response, "interner_names", usage.interner_names);
   AppendField(&response, "interner_bytes", usage.interner_bytes);
+  AppendField(&response, "raw_repeats", session_->raw_repeats());
   AppendField(&response, "fix_cache_hits", session_->fix_cache_hits());
   AppendField(&response, "fix_cache_misses", session_->fix_cache_misses());
   const VerifyStats& verify = session_->verify_stats();

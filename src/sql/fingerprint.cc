@@ -2,7 +2,6 @@
 
 #include <cctype>
 
-#include "common/strings.h"
 #include "sql/block_scan.h"
 #include "sql/lexer.h"
 #include "sql/lexer_detail.h"
@@ -35,10 +34,10 @@ char LowerChar(char c) {
 
 /// Streaming canonicalizer: one allocation-free pass over the raw SQL that
 /// produces the same canonical string as CanonicalizeTokens(Lex(sql)) without
-/// materializing a token vector. The dedup cache canonicalizes every
-/// statement in the workload, so this path is deliberately tuned; a lockstep
-/// test (FingerprintTest.StreamingCanonicalizerMatchesTokenPath) keeps it in
-/// agreement with the lexer.
+/// materializing a token vector. The corpus scanner canonicalizes every
+/// statement group it stores, so this path is deliberately tuned; a lockstep
+/// test (FingerprintTest.StreamingCanonicalizerMatchesTokenPath) and the
+/// frontend fuzzer keep it in agreement with the lexer.
 class StreamingCanonicalizer {
  public:
   StreamingCanonicalizer(std::string_view sql, const FingerprintOptions& options)
@@ -366,14 +365,22 @@ class StreamingCanonicalizer {
 std::string CanonicalizeTokens(const std::vector<Token>& tokens,
                                const FingerprintOptions& options) {
   std::string out;
-  out.reserve(tokens.size() * 6);
+  // The rendering is about as long as the lexed source (the end sentinel
+  // sits at its size): one allocation covers almost every statement.
+  if (!tokens.empty()) out.reserve(tokens.back().offset + tokens.back().length);
   for (const Token& t : tokens) {
     if (t.kind == TokenKind::kComment || t.kind == TokenKind::kEnd) continue;
     if (!out.empty()) out.push_back(' ');
     switch (t.kind) {
-      case TokenKind::kKeyword:
-        out.append(ToLower(t.text));
+      case TokenKind::kKeyword: {
+        // Lowercased in place: no temporary string per keyword.
+        const size_t at = out.size();
+        out.append(t.text);
+        for (size_t k = at; k < out.size(); ++k) {
+          if (out[k] >= 'A' && out[k] <= 'Z') out[k] += 'a' - 'A';
+        }
         break;
+      }
       case TokenKind::kString:
         if (options.collapse_literals) {
           out.push_back('?');

@@ -36,13 +36,16 @@ struct FingerprintOptions {
 /// doubled-quote escaping (so the rendering is injective — two different
 /// token streams never produce the same canonical string), comments and the
 /// end sentinel skipped, literals/params replaced by `?` per `options`.
+/// The session's dedup memo renders each newly parsed statement this way,
+/// from the tokens its parse just lexed.
 std::string CanonicalizeTokens(const std::vector<Token>& tokens,
                                const FingerprintOptions& options = {});
 
 /// \brief Canonicalizes `sql` directly — a single allocation-free scanning
-/// pass that produces exactly `CanonicalizeTokens(Lex(sql), options)`. The
-/// dedup cache canonicalizes every statement in a workload, so this is the
-/// hot path; the token-based form above is the reference implementation.
+/// pass that produces exactly `CanonicalizeTokens(Lex(sql), options)`, for
+/// callers that hold text but no tokens: the corpus scanner and the
+/// session's quarantine key. Tests and the frontend fuzzer keep the two
+/// forms in lockstep.
 std::string CanonicalizeSql(std::string_view sql, const FingerprintOptions& options = {});
 
 /// \brief 64-bit FNV-1a hash of a canonical form — the stable statement

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/arena.h"
 #include "sql/lexer.h"
+#include "sql/parser.h"
+#include "workload/corpus.h"
 
 namespace sqlcheck::sql {
 namespace {
@@ -118,6 +121,28 @@ TEST(FingerprintTest, StreamingCanonicalizerMatchesTokenPath) {
       EXPECT_EQ(CanonicalizeSql(sql, options), CanonicalizeTokens(Lex(sql, buffer), options))
           << "input: " << sql;
     }
+  }
+
+  // Every statement of the seeded workload corpus, with the tokens a parse
+  // leaves behind in its buffer: the session keys its memo on exactly these.
+  Arena arena;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    workload::CorpusOptions corpus_options;
+    corpus_options.seed = seed;
+    const workload::Corpus corpus = workload::GenerateCorpus(corpus_options);
+    size_t checked = 0;
+    for (const workload::LabeledStatement& statement : corpus.AllStatements()) {
+      arena.Reset();
+      StatementPtr stmt = ParseStatement(statement.sql, &arena, &buffer);
+      ASSERT_NE(stmt, nullptr);
+      for (const FingerprintOptions& options : {kTemplate, kExact}) {
+        ASSERT_EQ(CanonicalizeTokens(buffer.tokens(), options),
+                  CanonicalizeSql(statement.sql, options))
+            << "seed " << seed << ": " << statement.sql;
+      }
+      ++checked;
+    }
+    EXPECT_GT(checked, 1000u) << "seed " << seed;
   }
 }
 

@@ -504,6 +504,70 @@ TEST_F(ScanTest, Table3CorpusMatchesFileModePerRepo) {
   }
 }
 
+TEST_F(ScanTest, RepeatedStatementsKeepTheirOwnFindings) {
+  // One statement four times (embedded and in a script) plus a whitespace
+  // variant. Each occurrence is a statement of its own: the scan must count
+  // every occurrence's findings against that occurrence, exactly as file
+  // mode does, even where the session shares their analysis.
+  const std::string repeat = "SELECT * FROM users WHERE tag_ids LIKE '%,7,%'";
+  std::string source = "def load(conn):\n";
+  source += "    return conn.execute(\"" + repeat + "\")\n";
+  std::string script =
+      "CREATE TABLE users (id INT PRIMARY KEY, name VARCHAR(64), tag_ids TEXT);\n";
+  script += repeat + ";\n" + repeat + ";\n";
+  script += "SELECT name FROM users WHERE id = 3;\n";
+  script += repeat + ";\n";
+  script += "SELECT  *  FROM users\n  WHERE tag_ids LIKE '%,7,%';\n";
+  ClearTree();
+  WriteFile("rep/app.py", source);  // path order: app.py, then queries.sql
+  WriteFile("rep/queries.sql", script);
+  const Run scan = Scan("");
+  ASSERT_EQ(scan.report.statements, 7u);
+
+  // File mode over the same statements. With dedup off every occurrence is
+  // parsed into a tree of its own, so the tree identifies the occurrence.
+  SqlCheckOptions options = FileModeOptions();
+  options.dedup_queries = false;
+  SqlCheck file_mode(options);
+  for (const sql::EmbeddedSql& found : sql::ExtractEmbeddedSql(source)) {
+    file_mode.AddQuery(found.sql);
+  }
+  file_mode.AddScript(script);
+  const Report report = file_mode.Run();
+  std::map<const sql::Statement*, uint32_t> rules_of;  // per occurrence
+  for (const Finding& f : report.findings) {
+    rules_of[f.ranked.detection.stmt] |= 1u << static_cast<int>(f.ranked.detection.type);
+  }
+  ASSERT_EQ(file_mode.session().context().queries().size(), 7u);
+  std::array<uint64_t, kAntiPatternCount> statements_with{};
+  for (const auto& [stmt, mask] : rules_of) {
+    ASSERT_NE(stmt, nullptr);
+    for (int k = 0; k < kAntiPatternCount; ++k) statements_with[k] += (mask >> k) & 1u;
+  }
+  Tally want;
+  AddFileMode(report, &want);
+  EXPECT_TRUE(TallyOf(scan.report) == want) << scan.report.ToJson();
+  for (int k = 0; k < kAntiPatternCount; ++k) {
+    EXPECT_EQ(scan.report.rules[k].statements, statements_with[k])
+        << ApName(AntiPattern(k));
+  }
+  const size_t wildcard = static_cast<size_t>(AntiPattern::kColumnWildcard);
+  EXPECT_EQ(scan.report.rules[wildcard].statements, 5u);
+
+  // Dedup on, the file-mode report is the same one.
+  SqlCheck deduped(FileModeOptions());
+  for (const sql::EmbeddedSql& found : sql::ExtractEmbeddedSql(source)) {
+    deduped.AddQuery(found.sql);
+  }
+  deduped.AddScript(script);
+  EXPECT_EQ(deduped.Run().ToJson(), report.ToJson());
+
+  EXPECT_EQ(scan.digest, 1073672416580899628ull) << scan.report.ToJson();
+  const Run cold = Scan(store_);
+  EXPECT_EQ(cold.text, scan.text);
+  EXPECT_EQ(Scan(store_).text, scan.text);
+}
+
 TEST(ScanFingerprintsTest, TemplateOfExactMatchesTemplateOfRaw) {
   // FingerprintForScan derives the template fingerprint by re-canonicalizing
   // the exact form instead of the raw text. That is only sound if

@@ -271,10 +271,19 @@ TEST(Handler, StatsReportsUsageAndLimits) {
   std::string stats = handler.HandleLine(R"({"op": "stats"})");
   EXPECT_NE(stats.find("\"statements\": 1"), std::string::npos);
   EXPECT_NE(stats.find("\"ingested_bytes\": 16"), std::string::npos);
+  EXPECT_NE(stats.find("\"raw_repeats\": 0, \"fix_cache_hits\""), std::string::npos);
   EXPECT_NE(stats.find("\"max_statements\": 100"), std::string::npos);
   EXPECT_NE(stats.find("\"quota_ok\": true"), std::string::npos);
   EXPECT_NE(stats.find("\"arena_reserved_bytes\""), std::string::npos);
   EXPECT_NE(stats.find("\"interner_names\""), std::string::npos);
+
+  // Two byte-identical repeats (one respaced at the edges) and a case
+  // variant, which is parsed: two statements landed without a parse.
+  handler.HandleLine(
+      R"({"op": "check", "sql": "SELECT * FROM t;  SELECT * FROM t; select * from t;"})");
+  stats = handler.HandleLine(R"({"op": "stats"})");
+  EXPECT_NE(stats.find("\"statements\": 4"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("\"raw_repeats\": 2,"), std::string::npos) << stats;
 }
 
 // ----------------------------- loopback daemon ------------------------------

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -387,6 +388,135 @@ TEST(SessionTest, RepeatedStatementReusesFingerprintMemo) {
   }
   EXPECT_EQ(session.statement_count(), 201u);
   EXPECT_EQ(session.unique_count(), 1u);
+  // Two spellings are parsed; the other 199 statements repeat one of them
+  // byte for byte and land with no lex and no parse.
+  EXPECT_EQ(session.raw_repeats(), 199u);
+}
+
+// ------------------------- shared parse trees --------------------------------
+
+TEST(SessionTest, ByteIdenticalRepeatsAddNoArenaBytes) {
+  const std::string query = "SELECT * FROM users WHERE tag_ids LIKE '%,7,%'";
+  AnalysisSession session;
+  session.AddQuery(query);
+  const size_t arena_used = session.Usage().arena_used_bytes;
+  ASSERT_GT(arena_used, 0u);
+  std::vector<std::string> statements = {query};
+  for (int i = 0; i < 20; ++i) {
+    // Whitespace around the text is trimmed off before the memo probe.
+    const std::string repeat = i % 2 == 0 ? query : "  " + query + "\n";
+    session.AddQuery(repeat);
+    statements.push_back(repeat);
+  }
+  EXPECT_EQ(session.Usage().arena_used_bytes, arena_used);
+  EXPECT_EQ(session.raw_repeats(), 20u);
+  EXPECT_EQ(session.statement_count(), 21u);
+  for (const QueryFacts& facts : session.context().queries()) {
+    EXPECT_EQ(facts.raw_sql, query);
+    EXPECT_EQ(facts.stmt, session.context().queries()[0].stmt);
+  }
+  EXPECT_EQ(SerializeWithFixes(session.Snapshot()),
+            SerializeWithFixes(ReferencePipeline(statements, SqlCheckOptions{})));
+}
+
+TEST(SessionTest, TwoSpellingGroupKeepsEachOccurrenceText) {
+  // One fingerprint group, two spellings, each repeated: a repeat borrows
+  // the tree of the first occurrence of its own bytes, which for the second
+  // spelling is not the group representative.
+  const std::string upper = "SELECT * FROM users WHERE id = 3";
+  const std::string lower = "select  *  from users where id = 3";
+  std::vector<std::string> statements = {
+      "CREATE TABLE users (id INT PRIMARY KEY, name VARCHAR(64))"};
+  for (const std::string* sql : {&upper, &lower, &upper, &lower, &lower, &upper}) {
+    statements.push_back(*sql);
+  }
+  AnalysisSession session;
+  for (const std::string& sql : statements) session.AddQuery(sql);
+  EXPECT_EQ(session.unique_count(), 2u);
+  EXPECT_EQ(session.raw_repeats(), 4u);
+  const std::vector<QueryFacts>& queries = session.context().queries();
+  ASSERT_EQ(queries.size(), statements.size());
+  for (size_t i = 0; i < statements.size(); ++i) {
+    EXPECT_EQ(queries[i].raw_sql, statements[i]) << i;
+    EXPECT_EQ(queries[i].raw_sql, queries[i].stmt->raw_sql) << i;
+  }
+  EXPECT_EQ(queries[3].stmt, queries[1].stmt);
+  EXPECT_EQ(queries[4].stmt, queries[2].stmt);
+  EXPECT_NE(queries[1].stmt, queries[2].stmt);
+  EXPECT_EQ(SerializeWithFixes(session.Snapshot()),
+            SerializeWithFixes(ReferencePipeline(statements, SqlCheckOptions{})));
+}
+
+TEST(SessionTest, RepeatInsideOneScriptSkipsTheParse) {
+  AnalysisSession once;
+  once.AddScript("SELECT * FROM t; select * from t;");
+  AnalysisSession repeated;
+  EXPECT_EQ(repeated.AddScript("SELECT * FROM t; SELECT * FROM t; select * from t;"
+                               "SELECT * FROM t;select * from t;"),
+            5u);
+  // The three repeats of the batch are never parsed: the arena holds the
+  // two trees of the two-statement script and nothing more.
+  EXPECT_EQ(repeated.raw_repeats(), 3u);
+  EXPECT_EQ(repeated.Usage().arena_used_bytes, once.Usage().arena_used_bytes);
+  const std::vector<std::string> statements = {"SELECT * FROM t", "SELECT * FROM t",
+                                               "select * from t", "SELECT * FROM t",
+                                               "select * from t"};
+  EXPECT_EQ(SerializeWithFixes(repeated.Snapshot()),
+            SerializeWithFixes(ReferencePipeline(statements, SqlCheckOptions{})));
+}
+
+TEST(SessionTest, QuarantinedSpellingIsRefusedBeforeTheMemo) {
+  // A statement that overruns its budget lands, then is quarantined. Its
+  // byte-identical repeat would hit the raw memo, but the quarantine probe
+  // comes first and refuses it.
+  std::string heavy = "SELECT * FROM t WHERE id IN (0";
+  for (int i = 1; i < 100000; ++i) heavy += "," + std::to_string(i);
+  heavy += ")";
+  SqlCheckOptions options;
+  options.statement_budget_ms = 1;
+  AnalysisSession session(options);
+  session.AddQuery(heavy);
+  ASSERT_EQ(session.statement_count(), 1u);
+  ASSERT_EQ(session.statements_quarantined(), 1u);
+
+  session.AddQuery(heavy);
+  EXPECT_EQ(session.statement_count(), 1u);
+  EXPECT_EQ(session.quarantine_refusals(), 1u);
+  EXPECT_EQ(session.raw_repeats(), 0u);
+  ASSERT_EQ(session.recent_failures().size(), 1u);
+  EXPECT_TRUE(session.recent_failures()[0].quarantined);
+}
+
+TEST(SessionTest, DeadlineAndBudgetApplyToRepeats) {
+  SqlCheckOptions options;
+  options.statement_budget_ms = 60000;  // armed, never exceeded
+  AnalysisSession session(options);
+  session.AddScript("SELECT a FROM t; SELECT a FROM t;");
+  EXPECT_EQ(session.statement_count(), 2u);
+  EXPECT_EQ(session.raw_repeats(), 1u);
+  EXPECT_TRUE(session.recent_failures().empty());
+
+  // An expired deadline refuses repeats like any other statement.
+  session.SetDeadline(std::chrono::steady_clock::now() - std::chrono::milliseconds(10));
+  EXPECT_EQ(session.AddScript("SELECT a FROM t; SELECT a FROM t;"), 0u);
+  session.AddQuery("SELECT a FROM t");
+  session.ClearDeadline();
+  EXPECT_EQ(session.statement_count(), 2u);
+  EXPECT_EQ(session.raw_repeats(), 1u);
+  ASSERT_EQ(session.recent_failures().size(), 1u);
+  EXPECT_EQ(session.recent_failures()[0].code, "deadline_exceeded");
+
+  // The statement quota counts repeats too.
+  SqlCheckOptions capped;
+  capped.limits.max_statements = 2;
+  AnalysisSession limited(capped);
+  limited.AddQuery("SELECT a FROM t");
+  limited.AddQuery("SELECT a FROM t");
+  EXPECT_TRUE(limited.quota_status().ok());
+  limited.AddQuery("SELECT a FROM t");
+  EXPECT_FALSE(limited.quota_status().ok());
+  EXPECT_EQ(limited.statement_count(), 2u);
+  EXPECT_EQ(limited.raw_repeats(), 1u);
 }
 
 TEST(SessionTest, CheckReportsFindingsForAppendedStatementOnly) {

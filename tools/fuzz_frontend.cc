@@ -3,8 +3,10 @@
 // input is narrow and checkable without a model: no crash, no sanitizer
 // report, no hang, and exceptions only of the declared std::exception kind.
 // A few cheap structural invariants ride along — every split piece must view
-// into the input buffer, and the canonical fingerprint must be stable under
-// re-canonicalization (idempotence).
+// into the input buffer, the canonical fingerprint must be stable under
+// re-canonicalization (idempotence), and the exact canonical form the
+// session's dedup memo renders from a parse's tokens must equal the
+// streaming canonicalizer's rendering of the same bytes.
 //
 // Build (clang only): cmake -DSQLCHECK_BUILD_FUZZERS=ON, target fuzz_frontend.
 //   $ ./fuzz_frontend corpus_dir -max_total_time=60
@@ -89,6 +91,11 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       sqlcheck::sql::StatementPtr stmt =
           sqlcheck::sql::ParseStatement(piece, &arena, &buffer);
       (void)stmt;
+      const auto exact = sqlcheck::sql::FingerprintOptions::Exact();
+      if (sqlcheck::sql::CanonicalizeTokens(buffer.tokens(), exact) !=
+          sqlcheck::sql::CanonicalizeSql(piece, exact)) {
+        __builtin_trap();  // the memo key and the streaming form disagree
+      }
       std::string canonical = sqlcheck::sql::CanonicalizeSql(piece);
       if (sqlcheck::sql::CanonicalizeSql(canonical) != canonical) {
         __builtin_trap();  // canonicalization must be idempotent
