@@ -592,56 +592,75 @@ TEST_F(ServerChaosTest, OverloadShedsWithRetryAfterAndRecovers) {
   options.workers = 1;
   options.max_queue_depth = 1;
   ASSERT_TRUE(StartServer(options).ok());
-  server::LineClient client = Connect();
+  server::LineClient first = Connect();
+  server::LineClient second = Connect();
   std::string hello;
-  ASSERT_TRUE(client.ReadLine(&hello).ok());
+  ASSERT_TRUE(first.ReadLine(&hello).ok());
+  ASSERT_TRUE(second.ReadLine(&hello).ok());
 
-  // One slow request to pin the single worker, then a burst of pings: the
-  // admission gate must refuse most of the burst with a retryable
-  // `overloaded` error carrying retry_after_ms.
+  // One slow request to pin the single worker, then a burst of pings, on
+  // the first connection; once that burst has reached the admission gate, a
+  // second connection pipelines pings of its own into the same storm. The
+  // gate must refuse most of both bursts with a retryable `overloaded` error
+  // carrying retry_after_ms.
   std::string big;
   for (int i = 0; i < 3000; ++i) {
     big += "SELECT col" + std::to_string(i) + " FROM tbl" + std::to_string(i) + "; ";
   }
-  std::string burst = "{\"op\": \"check\", \"sql\": \"" + big + "\"}\n";
   const int kPings = 40;
-  for (int i = 0; i < kPings; ++i) burst += "{\"op\": \"ping\"}\n";
-  ASSERT_TRUE(client.SendRaw(burst).ok());
+  std::string pings;
+  for (int i = 0; i < kPings; ++i) pings += "{\"op\": \"ping\"}\n";
 
   // Shed refusals are written at admission time — they legitimately arrive
   // before the responses of requests admitted earlier (the `overloaded` line
-  // never waits on a worker). Classify every line instead of assuming
-  // request order: one check terminal plus exactly kPings ping-or-overloaded
-  // lines must arrive.
-  int shed = 0, served = 0, check_terminals = 0;
-  while (check_terminals + shed + served < kPings + 1) {
+  // never waits on a worker). Classify every terminal line instead of
+  // assuming request order.
+  struct Tally {
+    int checks = 0, pongs = 0, shed = 0;
+    int terminals() const { return checks + pongs + shed; }
+  };
+  auto read_terminal = [](server::LineClient* client, Tally* tally) {
     std::string line;
-    ASSERT_TRUE(client.ReadLine(&line).ok());
-    if (line.rfind("{\"op\": \"finding\", ", 0) == 0 ||
-        line.rfind("{\"op\": \"statement_error\", ", 0) == 0) {
-      continue;  // the big check's stream lines
-    }
+    do {
+      ASSERT_TRUE(client->ReadLine(&line).ok());
+    } while (line.rfind("{\"op\": \"finding\", ", 0) == 0 ||
+             line.rfind("{\"op\": \"statement_error\", ", 0) == 0);
     if (line.find("\"code\": \"overloaded\"") != std::string::npos) {
-      ++shed;
+      ++tally->shed;
       EXPECT_NE(line.find("\"retry_after_ms\": "), std::string::npos);
     } else if (line.find("\"op\": \"ping\", \"ok\": true") != std::string::npos) {
-      ++served;
+      ++tally->pongs;
     } else if (line.find("\"op\": \"check\"") != std::string::npos) {
-      ++check_terminals;
+      ++tally->checks;
     } else {
       FAIL() << "unexpected response line: " << line;
     }
-  }
-  EXPECT_EQ(check_terminals, 1);
+  };
+  Tally a, b;
+  const std::string check = "{\"op\": \"check\", \"sql\": \"" + big + "\"}\n";
+  ASSERT_TRUE(first.SendRaw(check + pings).ok());
+  read_terminal(&first, &a);  // the check went to the idle worker
+  ASSERT_TRUE(second.SendRaw(pings).ok());
+  while (!HasFatalFailure() && a.terminals() < kPings + 1) read_terminal(&first, &a);
+  while (!HasFatalFailure() && b.terminals() < kPings) read_terminal(&second, &b);
+  ASSERT_FALSE(HasFatalFailure());
+  EXPECT_EQ(a.checks, 1);
+  EXPECT_EQ(b.checks, 0);
+  const int shed = a.shed + b.shed;
   EXPECT_GT(shed, 0);
-  EXPECT_EQ(shed + served, kPings);
   EXPECT_GE(server_->gauges().requests_shed.load(), static_cast<uint64_t>(shed));
 
-  // Nothing wedged: once the burst drains, the connection serves normally.
-  ASSERT_TRUE(client.SendLine(R"({"op": "ping"})").ok());
-  std::string pong;
-  ASSERT_TRUE(client.ReadLine(&pong).ok());
-  EXPECT_EQ(pong, "{\"op\": \"ping\", \"ok\": true}");
+  // Nothing wedged: once the bursts drain, both connections and a fresh one
+  // serve normally.
+  server::LineClient fresh = Connect();
+  ASSERT_TRUE(fresh.ReadLine(&hello).ok());
+  EXPECT_NE(hello.find("\"op\": \"hello\""), std::string::npos);
+  for (server::LineClient* client : {&first, &second, &fresh}) {
+    ASSERT_TRUE(client->SendLine(R"({"op": "ping"})").ok());
+    std::string pong;
+    ASSERT_TRUE(client->ReadLine(&pong).ok());
+    EXPECT_EQ(pong, "{\"op\": \"ping\", \"ok\": true}");
+  }
 }
 
 TEST_F(ServerChaosTest, QueuedRequestsPastTheDeadlineAreExpired) {

@@ -3,8 +3,9 @@
 // code-scanning uploads all depend on it), and the SARIF rendering is pinned
 // to the 2.1.0 required-key set plus the full 27-rule driver catalog. FNV
 // digests pin every emitter's bytes over whole workloads on both block-scan
-// tiers, and the formatting primitives (scores, escaping) are checked
-// against printf and the server's JSON parser.
+// tiers, as does the table-3 detection stream with fixes off and on, and the
+// formatting primitives (scores, escaping) are checked against printf and
+// the server's JSON parser.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -106,6 +107,44 @@ TEST(EmitDigestTest, Table3CorpusEmitsPinnedBytes) {
   ExpectDigests(JoinStatements(workload::GenerateCorpus()),
                 {992406405833882599ull, 2865310208648731182ull, 6870421992265348977ull,
                  8778943223590471321ull});
+}
+
+/// FNV-1a over every detection field of the report in order, each field
+/// closed by a 0xff byte.
+uint64_t DigestDetections(const Report& report) {
+  std::string fields;
+  auto add = [&fields](const std::string& field) {
+    fields += field;
+    fields += '\xff';
+  };
+  for (const Finding& f : report.findings) {
+    const Detection& d = f.ranked.detection;
+    add(std::to_string(static_cast<int>(d.type)));
+    add(std::to_string(static_cast<int>(d.source)));
+    add(d.table);
+    add(d.column);
+    add(d.query);
+    add(d.message);
+  }
+  return Fnv(fields);
+}
+
+TEST(EmitDigestTest, Table3DetectionStreamMatchesPinWithFixesOffAndOn) {
+  // The 200-repository table-3 corpus, one AddQuery per statement. The pin
+  // predates the zero-copy frontend; fix suggestion must not move it.
+  const workload::Corpus corpus = workload::GenerateCorpus();
+  OnBothTiers([&] {
+    for (bool fixes : {false, true}) {
+      SqlCheckOptions options;
+      options.suggest_fixes = fixes;
+      SqlCheck checker(options);
+      for (const workload::LabeledStatement& s : corpus.AllStatements()) {
+        checker.AddQuery(s.sql);
+      }
+      EXPECT_EQ(DigestDetections(checker.Run()), 3179248164023172358ull)
+          << (fixes ? "fixes on" : "fixes off");
+    }
+  });
 }
 
 TEST(EmitDigestTest, SeededWorkloadWithHostileStringsEmitsPinnedBytes) {

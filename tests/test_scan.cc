@@ -481,7 +481,9 @@ TEST_F(ScanTest, SampleWorkloadMatchesFileMode) {
 
 TEST_F(ScanTest, Table3CorpusMatchesFileModePerRepo) {
   // One scan repository per corpus repository, its embedded SQL extracted
-  // from the same source file file mode is fed.
+  // from the same source file file mode is fed. A cold and a warm scan with
+  // a store report the store-less scan's bytes, and the warm one replays
+  // every repository from its manifest without analyzing a statement.
   const workload::Corpus corpus = workload::GenerateCorpus();
   ClearTree();
   Tally want;
@@ -501,6 +503,21 @@ TEST_F(ScanTest, Table3CorpusMatchesFileModePerRepo) {
   EXPECT_TRUE(TallyOf(scan.report) == want);
   for (const RepoRow& row : scan.report.repo_rows) {
     EXPECT_EQ(row.findings, repo_findings[row.name]) << row.name;
+  }
+
+  const Run cold = Scan(store_, /*jobs=*/2);
+  EXPECT_EQ(cold.summary.store_reused, 0u);
+  EXPECT_GT(cold.summary.store.appended, 0u);
+  const Run warm = Scan(store_, /*jobs=*/2);
+  EXPECT_EQ(warm.summary.analyzed, 0u);
+  EXPECT_EQ(warm.summary.store.file_hits, warm.report.repos);
+  EXPECT_EQ(warm.summary.store.file_misses, 0u);
+  EXPECT_EQ(warm.summary.files_reused, warm.report.files);
+  EXPECT_EQ(warm.summary.store_reused, warm.report.statements);
+  for (const Run* run : {&cold, &warm}) {
+    EXPECT_TRUE(run->summary.store.warning.empty()) << run->summary.store.warning;
+    EXPECT_EQ(run->digest, scan.digest);
+    EXPECT_EQ(run->text, scan.text);
   }
 }
 

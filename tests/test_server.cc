@@ -3,10 +3,12 @@
 // recovery, byte-identity of streamed findings against the batch emitters),
 // and the live epoll daemon over loopback (greeting, pipelining, split
 // reads, oversize resync, capacity rejection, idle eviction, half-close,
-// and end-to-end byte-identity on examples/sample_workload.sql).
+// end-to-end byte-identity on examples/sample_workload.sql, and many
+// concurrent sessions each matching its offline bytes within its arena cap).
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -512,6 +514,108 @@ TEST_F(LoopbackTest, SampleWorkloadFindingsMatchBatchBytes) {
     std::string expected = "{\"op\": \"finding\", \"finding\": " +
                            FindingToJsonLine(report.findings[i], i + 1) + "}";
     EXPECT_EQ(lines[i], expected) << "finding " << i;
+  }
+}
+
+// Server load: 64 sessions stay connected while four driver threads stream
+// the same statements through them over two workers. Every session's final
+// snapshot must match the offline run of that stream byte for byte, its
+// arena must stay within the cap plus 64 KiB of slack, and no request may
+// fail.
+TEST_F(LoopbackTest, ConcurrentSessionsMatchOfflineBytesWithinArenaCap) {
+  constexpr size_t kSessions = 64;
+  constexpr int kDrivers = 4;
+  constexpr size_t kArenaCapBytes = 512 << 10;
+  constexpr size_t kArenaSlackBytes = 64 << 10;
+  const std::vector<std::string> stream = {
+      "CREATE TABLE users (id INT, name VARCHAR(64), email VARCHAR(64), "
+      "password VARCHAR(64), status VARCHAR(8), tag_ids TEXT)",
+      "CREATE TABLE orders (id INT, user_id INT, total FLOAT)",
+      "SELECT * FROM users WHERE status = 'active'",
+      "SELECT u.name, o.total FROM users u JOIN orders o ON u.id = o.user_id",
+      "SELECT name FROM users WHERE email LIKE '%@example.com'",
+      "SELECT * FROM users WHERE status = 'active'",
+      "SELECT id, name FROM users GROUP BY id, name ORDER BY RAND()",
+      "SELECT name FROM users WHERE id = 7",
+      "SELECT name, password FROM users WHERE password = 'hunter2'",
+      "SELECT u.name, o.total FROM users u JOIN orders o ON u.id = o.user_id",
+  };
+
+  AnalysisSession offline{SqlCheckOptions{}};
+  for (const std::string& sql : stream) offline.Check(sql);
+  const Report offline_report = offline.Snapshot();
+  ASSERT_FALSE(offline_report.findings.empty());
+  std::vector<std::string> expected;
+  for (size_t i = 0; i < offline_report.findings.size(); ++i) {
+    expected.push_back("{\"op\": \"finding\", \"finding\": " +
+                       FindingToJsonLine(offline_report.findings[i], i + 1) + "}");
+  }
+
+  ServerOptions options;
+  options.analysis.limits.arena_cap_bytes = kArenaCapBytes;
+  ASSERT_TRUE(StartServer(options).ok());
+  std::vector<LineClient> clients(kSessions);
+  for (LineClient& client : clients) {
+    std::string hello;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+    ASSERT_TRUE(client.ReadLine(&hello).ok());
+  }
+  EXPECT_EQ(server_->gauges().active_sessions.load(), kSessions);
+
+  // Sends one request; returns its terminal line ("" on a dead socket) and
+  // leaves the finding lines before it in `findings`.
+  auto exchange = [this](LineClient* client, const std::string& request,
+                         std::vector<std::string>* findings) {
+    findings->clear();
+    if (client->SendLine(request).ok()) *findings = ReadResponse(client);
+    if (findings->empty()) return std::string();
+    std::string terminal = std::move(findings->back());
+    findings->pop_back();
+    return terminal;
+  };
+  auto ok = [](const std::string& terminal) {
+    return terminal.find("\"ok\": true") != std::string::npos;
+  };
+  std::vector<std::string> checks;
+  for (const std::string& sql : stream) {
+    checks.push_back(R"({"op": "check", "sql": ")" + JsonEscape(sql) + "\"}");
+  }
+  struct Tally {
+    size_t errors = 0;
+    size_t mismatches = 0;
+    size_t cap_breaches = 0;
+  };
+  std::vector<Tally> tallies(kDrivers);
+  std::vector<std::thread> drivers;
+  for (int t = 0; t < kDrivers; ++t) {
+    drivers.emplace_back([&, t] {
+      Tally& tally = tallies[t];
+      std::vector<std::string> findings;
+      for (size_t i = t; i < kSessions; i += kDrivers) {
+        LineClient* client = &clients[i];
+        for (const std::string& check : checks) {
+          if (!ok(exchange(client, check, &findings))) ++tally.errors;
+        }
+        if (!ok(exchange(client, R"({"op": "snapshot"})", &findings))) ++tally.errors;
+        if (findings != expected) ++tally.mismatches;
+
+        const std::string stats = exchange(client, R"({"op": "stats"})", &findings);
+        const std::string key = "\"arena_reserved_bytes\": ";
+        const size_t at = stats.find(key);
+        if (at == std::string::npos) {
+          ++tally.errors;
+        } else if (std::strtoull(stats.c_str() + at + key.size(), nullptr, 10) >
+                   kArenaCapBytes + kArenaSlackBytes) {
+          ++tally.cap_breaches;
+        }
+      }
+    });
+  }
+  for (std::thread& driver : drivers) driver.join();
+  for (const Tally& tally : tallies) {
+    EXPECT_EQ(tally.errors, 0u);
+    EXPECT_EQ(tally.mismatches, 0u);
+    EXPECT_EQ(tally.cap_breaches, 0u);
   }
 }
 

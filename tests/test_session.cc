@@ -17,6 +17,7 @@
 #include "core/session.h"
 #include "core/sqlcheck.h"
 #include "engine/executor.h"
+#include "query_log.h"
 #include "rules/registry.h"
 #include "sql/block_scan.h"
 #include "sql/splitter.h"
@@ -667,6 +668,51 @@ TEST(SessionTest, UnchangedResnapshotReplaysEveryFix) {
   EXPECT_EQ(SerializeWithFixes(again), first);
   EXPECT_EQ(session.fix_cache_misses(), misses);
   EXPECT_EQ(session.fix_cache_hits(), hits + again.size());
+}
+
+TEST(SessionTest, CheckedQueryLogMatchesBatchAndAppendsBeatARerun) {
+  // A 2,000-statement query log streamed through Check() one statement at a
+  // time snapshots to the batch report's bytes, fixes on and off, and a
+  // repeat snapshot computes no fix. With fixes on, an append's p99 must
+  // also cost at most a tenth of re-running the batch facade over the whole
+  // log: a same-run ratio that reads several hundred x on Release, Debug
+  // and sanitizer builds alike.
+  using Clock = std::chrono::steady_clock;
+  auto us = [](Clock::duration d) {
+    return std::chrono::duration<double, std::micro>(d).count();
+  };
+  const std::vector<std::string> log = DuplicateHeavyLog(2000);
+  for (bool fixes : {true, false}) {
+    SCOPED_TRACE(fixes ? "fixes on" : "fixes off");
+    SqlCheckOptions options;
+    options.suggest_fixes = fixes;
+    AnalysisSession session(options);
+    std::vector<Clock::duration> appends;
+    appends.reserve(log.size());
+    for (const std::string& statement : log) {
+      const Clock::time_point start = Clock::now();
+      session.Check(statement);
+      appends.push_back(Clock::now() - start);
+    }
+    const std::string streamed = session.Snapshot().ToJson();
+    const size_t misses = session.fix_cache_misses();
+    EXPECT_EQ(session.Snapshot().ToJson(), streamed);
+    EXPECT_EQ(session.fix_cache_misses(), misses);
+
+    const Clock::time_point rerun_start = Clock::now();
+    SqlCheck batch(options);
+    for (const std::string& statement : log) batch.AddQuery(statement);
+    const std::string batched = batch.Run().ToJson();
+    const Clock::duration rerun = Clock::now() - rerun_start;
+    EXPECT_EQ(streamed, batched);
+
+    if (fixes) {
+      std::sort(appends.begin(), appends.end());
+      const Clock::duration p99 = appends[appends.size() * 99 / 100];
+      EXPECT_LE(10 * p99, rerun)
+          << "append p99 " << us(p99) << " us, batch re-run " << us(rerun) << " us";
+    }
+  }
 }
 
 TEST(SessionTest, LaterDdlChangesCachedWildcardExpansion) {

@@ -2,8 +2,9 @@
 // isolation (ephemeral database construction, schema synthesis, contract
 // semantics, divergence diagnostics), the FixEngine's tiered demotion policy
 // around it (including --verify-exec required), the session-level verdict
-// memo, and the table-3 corpus property that every surviving kRewrite still
-// verifies — with Tier 3 engaged — under more than one seed.
+// memo, detection output that no verify mode perturbs, and the table-3
+// corpus property that every surviving kRewrite still verifies — with
+// Tier 3 engaged — under more than one seed.
 #include "fix/verify_exec.h"
 
 #include <gtest/gtest.h>
@@ -342,6 +343,53 @@ TEST(VerifyExecEngineTest, SessionMemoizesVerdictsAcrossSnapshots) {
   EXPECT_GT(session.fix_cache_misses(), misses);
   EXPECT_GE(session.verify_stats().memo_hits, 1u);
   EXPECT_EQ(session.verify_stats().exec_runs, runs_after_first);
+}
+
+TEST(VerifyExecEngineTest, VerifyModesLeaveDetectionOutputByteIdentical) {
+  // A duplicate-heavy log of statements whose fixes carry an executable
+  // contract (wildcards, implicit INSERT columns, leading-wildcard LIKEs,
+  // ORDER BY RAND, NULL-swallowing concats), with a unique statement after
+  // each round of templates so fresh groups keep probing the verdict memo.
+  static const char* const kTemplates[] = {
+      "SELECT * FROM users WHERE status = 'active'",
+      "SELECT * FROM orders WHERE total > 100",
+      "SELECT id FROM users WHERE email LIKE '%@example.com'",
+      "SELECT oid FROM orders WHERE note LIKE '%rush'",
+      "SELECT * FROM users ORDER BY RAND() LIMIT 1",
+      "INSERT INTO users VALUES (1, 'ada', 'ada@example.com', 'active')",
+      "SELECT name || email FROM users",
+      "SELECT u.name, o.total FROM users u JOIN orders o ON u.id = o.user_id "
+      "WHERE o.total > 40",
+  };
+  std::string script =
+      "CREATE TABLE users (id INTEGER PRIMARY KEY, name VARCHAR(24), "
+      "email VARCHAR(40), status VARCHAR(8));\n"
+      "CREATE TABLE orders (oid INTEGER PRIMARY KEY, user_id INTEGER "
+      "REFERENCES users(id), total INTEGER, note VARCHAR(30));\n";
+  for (size_t i = 0; i < 400; ++i) {
+    script += kTemplates[i % 8];
+    script += ";\n";
+    if (i % 8 == 7) {
+      script += "SELECT * FROM orders WHERE oid = " + std::to_string(i) + ";\n";
+    }
+  }
+
+  // The report JSON without fixes for modes off, on and required, in order.
+  std::vector<std::string> detection_json;
+  for (ExecVerifyMode mode :
+       {ExecVerifyMode::kOff, ExecVerifyMode::kOn, ExecVerifyMode::kRequired}) {
+    SqlCheckOptions options;
+    options.verify_exec.mode = mode;
+    SqlCheck checker(options);
+    checker.AddScript(script);
+    detection_json.push_back(checker.Run().ToJson());
+    if (mode == ExecVerifyMode::kOn) {
+      EXPECT_GE(checker.session().verify_stats().exec_runs, 1u);
+    }
+  }
+  EXPECT_NE(detection_json[0].find("Column Wildcard Usage"), std::string::npos);
+  EXPECT_EQ(detection_json[1], detection_json[0]);
+  EXPECT_EQ(detection_json[2], detection_json[0]);
 }
 
 // ---------------------------------------------------------------------------
