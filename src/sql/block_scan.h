@@ -11,13 +11,14 @@
 // Block scanner: finds span boundaries (identifier runs, whitespace runs,
 // digit runs, the next string-special or comment-special byte) in 8/16-byte
 // blocks instead of byte-at-a-time. This is the structural-scan stage of the
-// frontend: the lexer, the statement splitter (which rides the lexer), and
-// the streaming canonicalizer in fingerprint.cc all consume raw SQL through
-// these functions, so they classify bytes identically by construction. The
-// report emitters (core/emit.cc) find the bytes JSON must escape with
-// JsonSpecialEnd, which has the scalar and SIMD tiers only.
+// frontend: the lexer is the one consumer of the span scanners (the
+// statement splitter rides the lexer, and canonical forms are rendered from
+// its tokens). The report emitters (core/emit.cc) find the bytes JSON must
+// escape with JsonSpecialEnd, which has the scalar and SIMD tiers only.
 //
-// Two tiers, selected per call:
+// Two tiers. The lexer picks one per Lex() call (ForceScalar) and calls the
+// *Scalar reference or the detail::*Fast / FindByteMemchr scanner directly;
+// JsonSpecialEnd checks the mode per call:
 //  - scalar: the reference implementation, a byte loop over the
 //    lexer_detail character classes. Always available; this is the behavior
 //    contract the fast tier must match bit-for-bit (tests/test_block_scan.cc
@@ -30,7 +31,7 @@
 // overrun, and as the keyword probe key.
 //
 // Runtime escape hatch: setting SQLCHECK_FORCE_SCALAR (non-empty, not "0")
-// in the environment routes every call through the scalar reference — the
+// in the environment routes every scan through the scalar reference — the
 // knob CI uses to keep the fallback green, and the knob an operator flips
 // when chasing a suspected fast-path divergence. Bytes >= 0x80 (multi-byte
 // UTF-8) are never identifier/space/digit bytes in any tier.
@@ -411,7 +412,7 @@ inline size_t JsonSpecialEnd(std::string_view s, size_t pos) {
 #define SQLCHECK_BLOCK_SCAN_SIMD (SQLCHECK_BLOCK_SCAN_SSE2 || SQLCHECK_BLOCK_SCAN_NEON)
 
 // ---------------------------------------------------------------------------
-// Dispatchers — what the lexer / canonicalizer call.
+// Fast-tier entry points — what the lexer calls when not forced scalar.
 // ---------------------------------------------------------------------------
 
 namespace detail {
@@ -450,46 +451,14 @@ inline size_t FindEitherFast(std::string_view s, size_t pos, char a, char b) {
 
 }  // namespace detail
 
-inline size_t IdentRunEnd(std::string_view s, size_t pos) {
-  if (ForceScalar()) return IdentRunEndScalar(s, pos);
-  return detail::IdentRunEndFast(s, pos);
-}
-
-inline size_t SpaceRunEnd(std::string_view s, size_t pos) {
-  if (ForceScalar()) return SpaceRunEndScalar(s, pos);
-  return detail::SpaceRunEndFast(s, pos);
-}
-
-inline size_t DigitRunEnd(std::string_view s, size_t pos) {
-  if (ForceScalar()) return DigitRunEndScalar(s, pos);
-  return detail::DigitRunEndFast(s, pos);
-}
-
 /// Fast-tier FindByte: memchr (already vectorized in every libc we build
-/// against). Exposed for callers that hoist the mode check.
+/// against).
 inline size_t FindByteMemchr(std::string_view s, size_t pos, char a) {
   if (pos >= s.size()) return s.size();
   const void* hit = std::memchr(s.data() + pos, static_cast<unsigned char>(a),
                                 s.size() - pos);
   return hit == nullptr ? s.size()
                         : static_cast<size_t>(static_cast<const char*>(hit) - s.data());
-}
-
-/// First index >= pos holding `a`, or s.size().
-inline size_t FindByte(std::string_view s, size_t pos, char a) {
-  if (ForceScalar()) return FindByteScalar(s, pos, a);
-  return FindByteMemchr(s, pos, a);
-}
-
-inline size_t FindEither(std::string_view s, size_t pos, char a, char b) {
-  if (ForceScalar()) return FindEitherScalar(s, pos, a, b);
-  return detail::FindEitherFast(s, pos, a, b);
-}
-
-/// First index >= pos holding a single-quote-body special byte (closing/
-/// doubled quote `'` or backslash escape), or s.size().
-inline size_t FindStringSpecial(std::string_view s, size_t pos) {
-  return FindEither(s, pos, '\'', '\\');
 }
 
 /// First index >= pos holding a byte a JSON string literal must escape

@@ -11,7 +11,7 @@ namespace sqlcheck::sql {
 
 /// \brief Controls how much of a statement the canonical form erases.
 ///
-/// Two presets matter in practice:
+/// Two presets, one per value of `collapse`:
 ///  - Template() (the default): keyword case, whitespace, and comments are
 ///    dropped AND every literal/bind-parameter collapses to a `?` placeholder.
 ///    Statements that differ only in constants share a fingerprint — the
@@ -24,11 +24,11 @@ namespace sqlcheck::sql {
 ///    statements must agree on it before their analysis results can be
 ///    shared byte-for-byte.
 struct FingerprintOptions {
-  bool collapse_literals = true;  ///< Strings/numbers -> `?` placeholder.
-  bool collapse_params = true;    ///< `?`, `%s`, `:name`, `$1` -> `?` placeholder.
+  /// Strings, numbers and bind parameters (`?`, `%s`, `:name`, `$1`) -> `?`.
+  bool collapse = true;
 
   static FingerprintOptions Template() { return FingerprintOptions{}; }
-  static FingerprintOptions Exact() { return FingerprintOptions{false, false}; }
+  static FingerprintOptions Exact() { return FingerprintOptions{false}; }
 };
 
 /// \brief Renders a token stream into its canonical spelling: tokens joined
@@ -41,11 +41,9 @@ struct FingerprintOptions {
 std::string CanonicalizeTokens(const std::vector<Token>& tokens,
                                const FingerprintOptions& options = {});
 
-/// \brief Canonicalizes `sql` directly — a single allocation-free scanning
-/// pass that produces exactly `CanonicalizeTokens(Lex(sql), options)`, for
-/// callers that hold text but no tokens: the corpus scanner and the
-/// session's quarantine key. Tests and the frontend fuzzer keep the two
-/// forms in lockstep.
+/// \brief `CanonicalizeTokens(Lex(sql), options)`, lexed into a local
+/// TokenBuffer — for callers that hold text but no tokens: the session's
+/// quarantine key and tests.
 std::string CanonicalizeSql(std::string_view sql, const FingerprintOptions& options = {});
 
 /// \brief 64-bit FNV-1a hash of a canonical form — the stable statement
@@ -61,20 +59,21 @@ uint64_t FingerprintTokens(const std::vector<Token>& tokens,
 /// \brief Fingerprint of a SQL statement under `options`.
 uint64_t FingerprintSql(std::string_view sql, const FingerprintOptions& options = {});
 
-/// \brief Both fingerprints the corpus scanner keys on, from one raw pass.
+/// \brief Both fingerprints the corpus scanner keys on.
 struct ScanFingerprints {
   uint64_t exact = 0;     ///< FingerprintSql(sql, Exact()) — the store key.
   uint64_t tmpl = 0;      ///< FingerprintSql(sql, Template()) — statistics.
 };
 
 /// \brief Computes the exact-canonical form (returned via `exact_canonical`)
-/// and both fingerprints with a single canonicalization of the raw text: the
-/// template fingerprint is derived by re-canonicalizing the exact form, which
-/// is comment- and whitespace-free and therefore cheaper to walk than the
-/// original. Correct because canonicalization is stable on its own output —
-/// re-lexing an Exact() rendering yields the same token stream, so
-/// Template(Exact(sql)) == Template(sql) (locked in by
-/// ScanFingerprintsTest.TemplateOfExactMatchesTemplateOfRaw).
+/// and both fingerprints, lexing into one local TokenBuffer: the template
+/// fingerprint re-lexes the exact form, which is comment- and
+/// whitespace-free and therefore cheaper to walk than the original.
+/// Canonicalization is stable on its own output, so
+/// Template(Exact(sql)) == Template(sql)
+/// (ScanFingerprintsTest.TemplateOfExactMatchesTemplateOfRaw) — except for a
+/// string whose payload holds a backslash, which the rendering does not
+/// re-escape; FingerprintTest.CanonicalFingerprintsArePinned pins that case.
 ScanFingerprints FingerprintForScan(std::string_view sql, std::string* exact_canonical);
 
 }  // namespace sqlcheck::sql

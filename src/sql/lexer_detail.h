@@ -5,10 +5,10 @@
 
 namespace sqlcheck::sql::lexer_detail {
 
-// Character classes and the multi-character operator table shared by the
-// lexer and the streaming canonicalizer in fingerprint.cc. Keeping them in
-// one place guarantees the two passes tokenize identically — a divergence
-// would let the dedup cache disagree with what the analyzer sees.
+// Character classes and the multi-character operator table behind the lexer
+// (the one SQL byte scanner: the splitter rides it, and every canonical form
+// and fingerprint is rendered from its tokens), the parser's operator codes,
+// and the block scanner's scalar reference loops.
 //
 // The classes are ASCII-only by construction (SQL identifiers/keywords), so
 // they are a branch-free table lookup rather than locale-aware <cctype>
@@ -49,12 +49,11 @@ inline bool IsSpace(char c) {
   return (detail::kCharClass.v[static_cast<unsigned char>(c)] & kSpaceClass) != 0;
 }
 
-/// Dispatch class of a token's leading byte. The lexer's Run loop and the
-/// streaming canonicalizer in fingerprint.cc both switch on this (instead of
-/// replicating a chain of character compares), so a byte can never start a
-/// different construct in the two passes. Derived from kCharClass above —
-/// the identifier/digit/whitespace charsets live in exactly one place, and
-/// the block scanner (sql/block_scan.h) mirrors them under lockstep tests.
+/// Dispatch class of a token's leading byte. The lexer's Run loop switches
+/// on this instead of a chain of character compares. Derived from kCharClass
+/// above — the identifier/digit/whitespace charsets live in exactly one
+/// place, and the block scanner (sql/block_scan.h) mirrors them under
+/// lockstep tests.
 enum class LexClass : uint8_t {
   kOther = 0,  ///< operator / punctuation fallthrough
   kWord,       ///< A-Z a-z _  (identifier or keyword start)

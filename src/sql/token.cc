@@ -51,8 +51,4 @@ std::string_view KeywordSpelling(KeywordId id) {
   return keyword_table::kSpellings[static_cast<size_t>(id)];
 }
 
-bool IsSqlKeyword(std::string_view word) {
-  return LookupKeyword(word) != KeywordId::kNoKeyword;
-}
-
 }  // namespace sqlcheck::sql

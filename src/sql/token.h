@@ -72,7 +72,4 @@ struct Token {
   }
 };
 
-/// \brief True if `word` is in the SQL keyword table (case-insensitive).
-bool IsSqlKeyword(std::string_view word);
-
 }  // namespace sqlcheck::sql

@@ -1,9 +1,9 @@
 // Block-scan tiers (sql/block_scan.h): the SIMD fast paths must agree
 // with the scalar reference byte-for-byte — on the unified character-class
-// tables (lexer, splitter, and fingerprint scanner all read
-// lexer_detail.h), on every run/find primitive (including the emitters'
-// JSON escape scan), and on the full token stream, split boundaries, and
-// canonical forms over the table-3 corpus plus a hostile fuzz corpus.
+// tables (the lexer, and the splitter riding it, read lexer_detail.h), on
+// every run/find primitive (including the emitters' JSON escape scan), and
+// on the full token stream, split boundaries, and canonical forms over the
+// table-3 corpus plus a hostile fuzz corpus.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -69,7 +69,7 @@ TEST(BlockScanTest, SwarLanesMatchCharClassTable) {
 }
 
 // ---------------------------------------------------------------------------
-// Primitive dispatchers: scalar vs fast tier over adversarial buffers.
+// Span primitives: scalar reference vs fast tier over adversarial buffers.
 // ---------------------------------------------------------------------------
 
 std::vector<std::string> FuzzBuffers() {
@@ -98,23 +98,22 @@ std::vector<std::string> FuzzBuffers() {
 }
 
 TEST(BlockScanTest, PrimitivesMatchScalarReference) {
-  ScopedMode restore;
   for (const std::string& s : FuzzBuffers()) {
     for (size_t pos = 0; pos <= s.size(); ++pos) {
-      bs::SetForceScalarForTest(false);
-      const size_t ident_fast = bs::IdentRunEnd(s, pos);
-      const size_t space_fast = bs::SpaceRunEnd(s, pos);
-      const size_t digit_fast = bs::DigitRunEnd(s, pos);
-      const size_t quote_fast = bs::FindByte(s, pos, '\'');
-      const size_t either_fast = bs::FindEither(s, pos, '*', '/');
-      const size_t special_fast = bs::FindStringSpecial(s, pos);
-      bs::SetForceScalarForTest(true);
-      EXPECT_EQ(ident_fast, bs::IdentRunEnd(s, pos)) << "pos " << pos;
-      EXPECT_EQ(space_fast, bs::SpaceRunEnd(s, pos)) << "pos " << pos;
-      EXPECT_EQ(digit_fast, bs::DigitRunEnd(s, pos)) << "pos " << pos;
-      EXPECT_EQ(quote_fast, bs::FindByte(s, pos, '\'')) << "pos " << pos;
-      EXPECT_EQ(either_fast, bs::FindEither(s, pos, '*', '/')) << "pos " << pos;
-      EXPECT_EQ(special_fast, bs::FindStringSpecial(s, pos)) << "pos " << pos;
+      EXPECT_EQ(bs::detail::IdentRunEndFast(s, pos), bs::IdentRunEndScalar(s, pos))
+          << "pos " << pos;
+      EXPECT_EQ(bs::detail::SpaceRunEndFast(s, pos), bs::SpaceRunEndScalar(s, pos))
+          << "pos " << pos;
+      EXPECT_EQ(bs::detail::DigitRunEndFast(s, pos), bs::DigitRunEndScalar(s, pos))
+          << "pos " << pos;
+      EXPECT_EQ(bs::FindByteMemchr(s, pos, '\''), bs::FindByteScalar(s, pos, '\''))
+          << "pos " << pos;
+      EXPECT_EQ(bs::detail::FindEitherFast(s, pos, '*', '/'),
+                bs::FindEitherScalar(s, pos, '*', '/'))
+          << "pos " << pos;
+      EXPECT_EQ(bs::detail::FindEitherFast(s, pos, '\'', '\\'),
+                bs::FindEitherScalar(s, pos, '\'', '\\'))
+          << "pos " << pos;
     }
   }
 }

@@ -5,8 +5,9 @@
 // A few cheap structural invariants ride along — every split piece must view
 // into the input buffer, the canonical fingerprint must be stable under
 // re-canonicalization (idempotence), and the exact canonical form the
-// session's dedup memo renders from a parse's tokens must equal the
-// streaming canonicalizer's rendering of the same bytes.
+// session's dedup memo renders from a parse's leftover tokens must equal the
+// rendering of a fresh lex of the same bytes (the form the scanner's store
+// and the quarantine key use).
 //
 // Build (clang only): cmake -DSQLCHECK_BUILD_FUZZERS=ON, target fuzz_frontend.
 //   $ ./fuzz_frontend corpus_dir -max_total_time=60
@@ -94,7 +95,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       const auto exact = sqlcheck::sql::FingerprintOptions::Exact();
       if (sqlcheck::sql::CanonicalizeTokens(buffer.tokens(), exact) !=
           sqlcheck::sql::CanonicalizeSql(piece, exact)) {
-        __builtin_trap();  // the memo key and the streaming form disagree
+        __builtin_trap();  // the parse's tokens and a fresh lex disagree
       }
       std::string canonical = sqlcheck::sql::CanonicalizeSql(piece);
       if (sqlcheck::sql::CanonicalizeSql(canonical) != canonical) {
