@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <exception>
+#include <functional>
 #include <span>
+#include <string_view>
 #include <utility>
 
 #include "analysis/data_analyzer.h"
@@ -21,6 +23,7 @@ AnalysisSession::AnalysisSession(SqlCheckOptions options)
       registry_(RuleRegistry::Default()),
       quarantine_(options_.quarantine_capacity) {
   status_ = registry_.Disable(options_.disabled_rules);
+  ScopeFixPairs();
 }
 
 void AnalysisSession::AttachDatabase(const Database* db) {
@@ -42,6 +45,7 @@ void AnalysisSession::AttachDatabase(const Database* db) {
 
 void AnalysisSession::RegisterRule(std::unique_ptr<Rule> rule) {
   registry_.Register(std::move(rule));
+  ScopeFixPairs();
   ++generation_;
   // The new rule may become the Tier-2 verifier of its type's rewrites.
   verify_memo_.clear();
@@ -73,66 +77,33 @@ void GrowFor(Vec& v, size_t extra) {
 /// Rebases one group-representative detection onto another occurrence of
 /// the same canonical statement: query text and parse-tree pointer move from
 /// the representative's to the occurrence's, everything else is shared.
-Detection RebaseDetection(Detection d, const QueryFacts& rep_facts,
-                          const QueryFacts& occ_facts) {
-  if (d.query == rep_facts.raw_sql) d.query = occ_facts.raw_sql;
-  if (d.stmt == rep_facts.stmt) d.stmt = occ_facts.stmt;
-  return d;
+void RebaseDetection(Detection* d, const QueryFacts& rep_facts, const QueryFacts& occ_facts) {
+  if (d->query == rep_facts.raw_sql) d->query = occ_facts.raw_sql;
+  if (d->stmt == rep_facts.stmt) d->stmt = occ_facts.stmt;
 }
 
-/// Every rule's CheckData over the profiled tables, profile-major /
-/// rule-minor, into one stream.
-std::vector<Detection> DetectDataAntiPatterns(const Context& context,
-                                              const RuleRegistry& registry,
-                                              const DetectorConfig& config) {
-  std::vector<Detection> out;
-  if (!config.data_analysis) return out;
+/// Appends every rule's CheckData over the profiled tables, profile-major /
+/// rule-minor.
+void DetectDataAntiPatterns(const Context& context, const RuleRegistry& registry,
+                            const DetectorConfig& config, std::vector<Detection>* out) {
+  if (!config.data_analysis) return;
   for (const auto& [_, profile] : context.data().profiles) {
     for (const auto& rule : registry.rules()) {
-      rule->CheckData(profile, context, config, &out);
+      rule->CheckData(profile, context, config, out);
     }
   }
-  return out;
 }
 
-/// Fans per-unique-group query-rule detection buffers back out to every
-/// statement occurrence in workload order — rebasing each detection's
-/// `query`/`stmt` from the group representative onto the occurrence — then
-/// appends the data-rule stream. `per_group[u]` holds the detections of group
-/// `groups.unique[u]`'s representative, in registry rule order. The result
-/// is the (query-major, rule-minor) stream an unmemoized run produces.
-std::vector<Detection> FanOutDetections(const Context& context, const QueryGroups& groups,
-                                        std::vector<std::vector<Detection>> per_group,
-                                        std::vector<Detection> data_detections) {
-  const std::vector<QueryFacts>& queries = context.queries();
-  const size_t n = groups.representative.size();
-
-  // Statements that lead a single-occurrence group take their buffer by move
-  // (the common non-duplicate case costs nothing).
-  std::vector<size_t> remaining(groups.unique.size(), 0);
-  size_t total = data_detections.size();
-  for (size_t i = 0; i < n; ++i) {
-    ++remaining[groups.group[i]];
-    total += per_group[groups.group[i]].size();
+/// Fix-cache key: a hash of the finding's row and key fields, and of its raw
+/// statement text unless `local` (a statement-local pair).
+uint64_t FixKey(size_t row, const Detection& d, bool local) {
+  const std::hash<std::string_view> hash;
+  uint64_t key = row * 0x9E3779B97F4A7C15ull + static_cast<uint64_t>(d.type);
+  for (std::string_view part : {std::string_view(d.table), std::string_view(d.column),
+                                local ? std::string_view() : std::string_view(d.query)}) {
+    key ^= hash(part) + 0x9E3779B97F4A7C15ull + (key << 6) + (key >> 2);
   }
-
-  std::vector<Detection> detections;
-  detections.reserve(total);
-  for (size_t i = 0; i < n; ++i) {
-    const size_t rep = groups.representative[i];
-    std::vector<Detection>& buffer = per_group[groups.group[i]];
-    const bool last_occurrence = --remaining[groups.group[i]] == 0;
-    for (auto& d : buffer) {
-      // The representative's detections are already correctly based; the
-      // final occurrence of a group moves the buffer out instead of copying.
-      Detection out = last_occurrence ? std::move(d) : d;
-      if (rep != i) out = RebaseDetection(std::move(out), queries[rep], queries[i]);
-      out.statement = i;
-      detections.push_back(std::move(out));
-    }
-  }
-  for (auto& d : data_detections) detections.push_back(std::move(d));
-  return detections;
+  return key;
 }
 
 }  // namespace
@@ -259,8 +230,7 @@ void AnalysisSession::AppendPieces(std::span<const std::string_view> pieces) {
   GrowFor(groups.fingerprints, extra);
   GrowFor(groups.unique, extra);
   GrowFor(groups.group, extra);
-  GrowFor(local_cache_, extra);
-  GrowFor(fix_cache_, extra);
+  GrowFor(rule_cache_, extra);
   std::vector<LandedPiece> landed;  // statement first + k is landed[k]
   landed.reserve(pieces.size());
   std::vector<size_t> new_uniques;
@@ -359,8 +329,7 @@ bool AnalysisSession::LandPiece(std::string_view piece,
   if (rep == i) {
     new_uniques->push_back(groups.unique.size());
     groups.unique.push_back(i);
-    local_cache_.emplace_back();
-    fix_cache_.emplace_back();
+    rule_cache_.emplace_back();
   }
   context_.statements_.push_back(stmt);
   context_.query_facts_.emplace_back();
@@ -473,19 +442,21 @@ void AnalysisSession::AnalyzeUnique(size_t u) {
       // bookkeeping cannot itself draw an injected fault.
       FailpointScope fault_scope;
       context_.query_facts_[i] = AnalyzeQuery(*context_.statements_[i]);
-      EnsureCacheRow(u);
+      FillRuleRow(u, /*workload=*/false);
       if (attempt > 0) ++faults_recovered_;
       return;
     } catch (const std::exception& e) {
-      // EnsureCacheRow may have resized the row before throwing — clear it
-      // so the retry (or the terminal assign) starts clean instead of
-      // early-returning on a half-filled row.
-      local_cache_[u].clear();
+      // FillRuleRow may have resized the row before throwing — clear it so
+      // the retry (or the terminal assign) starts clean instead of skipping
+      // half-filled slots.
+      rule_cache_[u].slots.clear();
       if (attempt + 1 < kFaultRetryAttempts) continue;
-      // Persistent fault: empty facts and a full-but-empty cache row (so
-      // later lazy passes don't re-run it); the fingerprint is quarantined.
+      // Persistent fault: empty facts and empty statement-local slots (so
+      // later fills don't re-run them); the workload-scoped slots still
+      // evaluate on the empty facts. The fingerprint is quarantined.
       context_.query_facts_[i] = QueryFacts{};
-      local_cache_[u].assign(registry_.rules().size(), {});
+      rule_cache_[u].slots.assign(registry_.rules().size(), {});
+      rule_cache_[u].detections = 0;
       Quarantine(context_.statements_[i]->raw_sql);
       RecordFailure(context_.statements_[i]->raw_sql, "internal_error",
                     std::string("statement analysis failed persistently (") + e.what() +
@@ -496,36 +467,50 @@ void AnalysisSession::AnalyzeUnique(size_t u) {
   }
 }
 
-void AnalysisSession::EnsureCacheRow(size_t u) {
+void AnalysisSession::FillRuleRow(size_t u, bool workload) {
   const auto& rules = registry_.rules();
-  std::vector<std::vector<Detection>>& row = local_cache_[u];
-  if (row.size() >= rules.size()) return;
-  const size_t i = context_.query_groups_.unique[u];
-  const QueryFacts& facts = context_.query_facts_[i];
-  size_t from = row.size();
-  row.resize(rules.size());
-  for (size_t r = from; r < rules.size(); ++r) {
-    if (rules[r]->query_scope() != QueryRuleScope::kStatementLocal) continue;
-    rules[r]->CheckQuery(facts, context_, options_.detector, &row[r]);
+  RuleCacheRow& row = rule_cache_[u];
+  const QueryFacts& facts = context_.query_facts_[context_.query_groups_.unique[u]];
+  const size_t filled = row.slots.size();
+  row.slots.resize(rules.size());
+  row.detections = 0;
+  for (size_t r = 0; r < rules.size(); ++r) {
+    std::vector<Detection>& slot = row.slots[r];
+    const bool local = rules[r]->query_scope() == QueryRuleScope::kStatementLocal;
+    if (local ? r >= filled : workload) {
+      slot.clear();
+      rules[r]->CheckQuery(facts, context_, options_.detector, &slot);
+    }
+    row.detections += slot.size();
   }
 }
 
-void AnalysisSession::AssembleGroupDetections(size_t u, std::vector<Detection>* out) {
-  EnsureCacheRow(u);
-  const auto& rules = registry_.rules();
-  const size_t i = context_.query_groups_.unique[u];
-  const QueryFacts& facts = context_.query_facts_[i];
-  const std::vector<std::vector<Detection>>& row = local_cache_[u];
-  // Pre-size from the known cache-row counts so replaying the cached
-  // statement-local detections never regrows the buffer mid-assembly.
-  size_t cached = 0;
-  for (const auto& slot : row) cached += slot.size();
-  out->reserve(out->size() + cached);
-  for (size_t r = 0; r < rules.size(); ++r) {
-    if (rules[r]->query_scope() == QueryRuleScope::kStatementLocal) {
-      out->insert(out->end(), row[r].begin(), row[r].end());
-    } else {
-      rules[r]->CheckQuery(facts, context_, options_.detector, out);
+void AnalysisSession::RefreshRuleRow(size_t u) {
+  RuleCacheRow& row = rule_cache_[u];
+  if (row.generation == generation_) {
+    ++rule_cache_hits_;
+    return;
+  }
+  ++rule_cache_misses_;
+  FillRuleRow(u, /*workload=*/true);
+  row.generation = generation_;
+}
+
+void AnalysisSession::AppendDetections(size_t first, size_t last,
+                                       std::vector<Detection>* out) const {
+  const QueryGroups& groups = context_.query_groups_;
+  const std::vector<QueryFacts>& queries = context_.queries();
+  size_t total = out->size();
+  for (size_t i = first; i < last; ++i) total += rule_cache_[groups.group[i]].detections;
+  out->reserve(total);
+  for (size_t i = first; i < last; ++i) {
+    const size_t rep = groups.representative[i];
+    for (const std::vector<Detection>& slot : rule_cache_[groups.group[i]].slots) {
+      for (const Detection& cached : slot) {
+        Detection& d = out->emplace_back(cached);
+        if (rep != i) RebaseDetection(&d, queries[rep], queries[i]);
+        d.statement = i;
+      }
     }
   }
 }
@@ -534,35 +519,18 @@ Report AnalysisSession::Check(std::string_view sql) {
   const size_t first = context_.statements_.size();
   AddScript(sql);
   const size_t n = context_.statements_.size();
-
+  for (size_t i = first; i < n; ++i) RefreshRuleRow(context_.query_groups_.group[i]);
   std::vector<Detection> detections;
-  for (size_t i = first; i < n; ++i) {
-    size_t rep = context_.query_groups_.representative[i];
-    std::vector<Detection> buffer;
-    AssembleGroupDetections(context_.query_groups_.group[i], &buffer);
-    for (auto& d : buffer) {
-      if (rep != i) {
-        d = RebaseDetection(std::move(d), context_.query_facts_[rep],
-                            context_.query_facts_[i]);
-      }
-      d.statement = i;
-      detections.push_back(std::move(d));
-    }
-  }
+  AppendDetections(first, n, &detections);
   return MakeReport(std::move(detections));
 }
 
 Report AnalysisSession::Snapshot() {
-  // Per-group buffers; the fan-out then reproduces the unmemoized detection
-  // stream byte-for-byte.
-  const size_t unique_count = context_.query_groups_.unique.size();
-  std::vector<std::vector<Detection>> per_group(unique_count);
-  for (size_t u = 0; u < unique_count; ++u) AssembleGroupDetections(u, &per_group[u]);
-
-  std::vector<Detection> data_detections =
-      DetectDataAntiPatterns(context_, registry_, options_.detector);
-  return MakeReport(FanOutDetections(context_, context_.query_groups_,
-                                     std::move(per_group), std::move(data_detections)));
+  for (size_t u = 0; u < rule_cache_.size(); ++u) RefreshRuleRow(u);
+  std::vector<Detection> detections;
+  AppendDetections(0, context_.statements_.size(), &detections);
+  DetectDataAntiPatterns(context_, registry_, options_.detector, &detections);
+  return MakeReport(std::move(detections));
 }
 
 Report AnalysisSession::MakeReport(std::vector<Detection> detections) {
@@ -586,56 +554,47 @@ Report AnalysisSession::MakeReport(std::vector<Detection> detections) {
 }
 
 Fix AnalysisSession::FixForDetection(const Detection& d, const FixEngine& engine) {
-  // A statement's findings use its occurrence's group row; data findings
-  // share one. With dedup off a statement finding is never cached.
-  std::vector<CachedFix>* row = &data_fix_cache_;
+  // A statement's findings are keyed under its occurrence's group; data
+  // findings under kNoStatement. With dedup off a statement finding is
+  // never cached.
+  size_t row = Detection::kNoStatement;
   if (!d.query.empty()) {
     if (!options_.dedup_queries || d.statement >= context_.statements_.size()) {
       return engine.SuggestFix(d, context_);
     }
-    row = &fix_cache_[context_.query_groups_.group[d.statement]];
+    row = context_.query_groups_.group[d.statement];
   }
-  // The entry for this exact text, else any entry under the key (which only
-  // a statement-local pair may replay).
-  CachedFix* exact = nullptr;
-  CachedFix* same_key = nullptr;
-  for (CachedFix& cached : *row) {
-    if (cached.type != d.type || cached.table != d.table || cached.column != d.column) {
-      continue;
+  const bool local = !d.query.empty() && local_fix_pair_[static_cast<size_t>(d.type)];
+  const uint64_t key = FixKey(row, d, local);
+  auto it = fix_cache_.find(key);
+  if (it != fix_cache_.end()) {
+    const CachedFix& cached = it->second;
+    const bool same_key = cached.row == row && cached.type == d.type &&
+                          cached.table == d.table && cached.column == d.column &&
+                          (local || cached.raw == d.query);
+    if (same_key && (local || cached.generation == generation_)) {
+      ++fix_cache_hits_;
+      Fix fix = cached.fix;
+      if (local) fix.original_sql = d.query;  // rebase the anchor onto this occurrence
+      return fix;
     }
-    if (cached.raw == d.query) {
-      exact = &cached;
-      break;
-    }
-    if (same_key == nullptr) same_key = &cached;
-  }
-  if (exact != nullptr && exact->generation == generation_) {
-    ++fix_cache_hits_;
-    return exact->fix;
-  }
-  const CachedFix* replay = exact != nullptr ? exact : same_key;
-  auto statement_local = [this, &d] {
-    const Fixer* fixer = registry_.FindFixer(d.type);
-    const Rule* rule = registry_.FindRule(d.type);
-    return !d.query.empty() && fixer != nullptr &&
-           fixer->fix_scope() == QueryRuleScope::kStatementLocal && rule != nullptr &&
-           rule->query_scope() == QueryRuleScope::kStatementLocal;
-  };
-  if (replay != nullptr && statement_local()) {
-    ++fix_cache_hits_;
-    Fix fix = replay->fix;
-    fix.original_sql = d.query;  // rebase the anchor onto this occurrence
-    return fix;
   }
   ++fix_cache_misses_;
   Fix fix = engine.SuggestFix(d, context_);
-  CachedFix fresh{d.type, d.table, d.column, generation_, d.query, fix};
-  if (exact != nullptr) {
-    *exact = std::move(fresh);  // stale: overwrite in place
-  } else {
-    row->push_back(std::move(fresh));
-  }
+  fix_cache_.insert_or_assign(key,
+                              CachedFix{row, d.type, d.table, d.column, generation_, d.query, fix});
   return fix;
+}
+
+void AnalysisSession::ScopeFixPairs() {
+  for (size_t t = 0; t < local_fix_pair_.size(); ++t) {
+    const auto type = static_cast<AntiPattern>(t);
+    const Fixer* fixer = registry_.FindFixer(type);
+    const Rule* rule = registry_.FindRule(type);
+    local_fix_pair_[t] = fixer != nullptr &&
+                         fixer->fix_scope() == QueryRuleScope::kStatementLocal &&
+                         rule != nullptr && rule->query_scope() == QueryRuleScope::kStatementLocal;
+  }
 }
 
 }  // namespace sqlcheck

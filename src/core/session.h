@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <list>
@@ -102,19 +103,22 @@ struct StatementFailure {
 ///    one hash lookup and a facts copy, with no parse and no arena bytes; a
 ///    cosmetic variant (case, whitespace, comments) is parsed but shares its
 ///    group's analysis.
-///  - Statement-local rules (Rule::query_scope() == kStatementLocal) run
-///    once per unique statement; their detections are cached and replayed.
-///  - Workload-sensitive rules re-evaluate against maintained aggregates
-///    (Context::stats(), updated per append) rather than O(workload) scans.
-///  - Fixes are computed once per context generation: the generation counts
-///    the changes that can alter a fix (an append that lands a statement,
-///    AttachDatabase, RegisterRule), so a Snapshot() with nothing new
-///    replays every fix from the cache (see FixForDetection).
+///  - Detections: each unique group has one rule-cache row holding every
+///    registry rule's detections on its representative. Statement-local
+///    rules (Rule::query_scope() == kStatementLocal) fill their slots once,
+///    at ingest. Workload-scoped slots are refilled only when the row's
+///    stamp differs from the context generation; they read maintained
+///    aggregates (Context::stats(), updated per append) rather than
+///    O(workload) scans.
+///  - Fixes are computed once per context generation (see FixForDetection).
+///  - The generation counts the changes that can alter a detection or a
+///    fix: an append that lands a statement, AttachDatabase, RegisterRule.
+///    A Snapshot() with nothing new evaluates no rule and computes no fix.
 ///
-/// Snapshot() fans the per-group detections back out in statement order, so
-/// its output is byte-identical to an unmemoized run (dedup off, statements
-/// appended one at a time) over the same statement order — enforced by
-/// tests/test_session.cc.
+/// Snapshot() copies each row's detections out to every occurrence of its
+/// group in statement order, so its output is byte-identical to an
+/// unmemoized run (dedup off, statements appended one at a time) over the
+/// same statement order — enforced by tests/test_session.cc.
 ///
 /// \code
 ///   AnalysisSession session;                     // or session(options)
@@ -173,10 +177,15 @@ class AnalysisSession {
   /// Always 0 with dedup off.
   size_t raw_repeats() const { return raw_repeats_; }
   /// Fix-cache telemetry: fixes served from the cache / fixes computed and
-  /// stored in it (see FixForDetection). With dedup off statements have no
-  /// cache row, so their fixes count as neither.
+  /// stored in it (see FixForDetection). With dedup off statement findings
+  /// are not cached, so their fixes count as neither.
   size_t fix_cache_hits() const { return fix_cache_hits_; }
   size_t fix_cache_misses() const { return fix_cache_misses_; }
+  /// Rule-cache telemetry, counted per row refresh (one per group per
+  /// Snapshot(), one per new statement per Check()): rows replayed as
+  /// cached / rows whose workload-scoped slots were re-evaluated.
+  size_t rule_cache_hits() const { return rule_cache_hits_; }
+  size_t rule_cache_misses() const { return rule_cache_misses_; }
   /// Rewrite-verification telemetry (fix/verify.h): per-tier counts of the
   /// fixes this session suggested, demotions, differential-execution runs,
   /// and verification-memo hit rates. Counters accumulate across
@@ -286,9 +295,10 @@ class AnalysisSession {
   bool ResolveGroup(const sql::Statement& stmt, const RawKey& raw, size_t i, size_t* rep,
                     uint64_t* fingerprint);
 
-  /// Analyzes the representative of unique group `u` and fills its cache
-  /// row, retrying transient faults. A persistent fault leaves empty facts
-  /// and an empty cache row, and quarantines the statement.
+  /// Analyzes the representative of unique group `u` and fills the
+  /// statement-local slots of its rule-cache row, retrying transient
+  /// faults. A persistent fault leaves empty facts and empty statement-local
+  /// slots, and quarantines the statement.
   void AnalyzeUnique(size_t u);
 
   /// Quota gate for every append path: true = proceed (bytes are charged),
@@ -319,18 +329,23 @@ class AnalysisSession {
   /// per-session scratch for the rest of a long-lived session.
   void TrimScratch();
 
-  /// Fills cache slots for rules registered after row `u` was created (late
-  /// RegisterRule); statement-local rules are context-free, so backfilling
-  /// at any time yields what ingest-time evaluation would have.
-  void EnsureCacheRow(size_t u);
+  /// Fills rule-cache row `u`: the statement-local slots it lacks (a new
+  /// row, or rules registered since; they are context-free, so filling them
+  /// at any time yields what ingest-time evaluation would have) and, when
+  /// `workload`, every workload-scoped slot afresh.
+  void FillRuleRow(size_t u, bool workload);
 
-  /// Appends group `u`'s detections in registry order: statement-local rules
-  /// from the cache, workload rules evaluated fresh against the current
-  /// context.
-  void AssembleGroupDetections(size_t u, std::vector<Detection>* out);
+  /// Brings rule-cache row `u` up to the current generation: a row stamped
+  /// with it replays (a hit); any other is refilled and stamped (a miss).
+  void RefreshRuleRow(size_t u);
+
+  /// Appends the cached detections of statements [first, last) in statement
+  /// order and registry rule order, each rebased from its group's
+  /// representative onto its own occurrence. Their rows must be fresh.
+  void AppendDetections(size_t first, size_t last, std::vector<Detection>* out) const;
 
   /// ap-rank + ap-fix over an assembled detection stream. Non-const: fix
-  /// suggestion funnels through the per-group fix cache.
+  /// suggestion funnels through the fix cache.
   Report MakeReport(std::vector<Detection> detections);
 
   /// ap-fix for one ranked detection, through the fix cache: the one path
@@ -344,6 +359,9 @@ class AnalysisSession {
   /// group, with the anchor rebased. A stale entry is recomputed and
   /// overwritten in place.
   Fix FixForDetection(const Detection& d, const FixEngine& engine);
+
+  /// Recomputes local_fix_pair_ from the registry.
+  void ScopeFixPairs();
 
   SqlCheckOptions options_;
   RuleRegistry registry_;
@@ -363,17 +381,29 @@ class AnalysisSession {
   std::unordered_map<RawKey, size_t, RawKeyHash> raw_memo_;
   std::unordered_map<std::string, size_t, StringViewHash, std::equal_to<>> canonical_memo_;
 
-  /// Per unique group: per registry rule, the cached detections of every
-  /// statement-local rule (workload-rule slots stay empty).
-  std::vector<std::vector<std::vector<Detection>>> local_cache_;
+  /// One rule-cache row per unique group.
+  struct RuleCacheRow {
+    /// Per registry rule, its detections on the group's representative.
+    std::vector<std::vector<Detection>> slots;
+    size_t detections = 0;  ///< Sum of the slots' sizes.
+    /// The generation the workload-scoped slots were filled at; 0 = never
+    /// (generation_ is at least 1 once any row exists).
+    uint64_t generation = 0;
+  };
+  std::vector<RuleCacheRow> rule_cache_;
+  size_t rule_cache_hits_ = 0;
+  size_t rule_cache_misses_ = 0;
 
-  /// One cached fix, keyed by what distinguishes detections within a group
-  /// (a rule may flag several columns of one statement) plus `raw`, the
-  /// exact statement text it was computed for: ImpactedQueries drops its own
+  /// One cached fix. `row` is the finding's group (kNoStatement for a data
+  /// finding); (type, table, column) tells findings within a group apart (a
+  /// rule may flag several columns of one statement); `raw` is the exact
+  /// statement text it was computed for: ImpactedQueries drops its own
   /// statement by exact text, so whitespace variants of one group can get
-  /// different fixes. `generation` is the context generation it was computed
-  /// at; a fix that reads the context replays only while it matches.
+  /// different fixes. `generation` is the context generation it was
+  /// computed at; a fix that reads the context replays only while it
+  /// matches.
   struct CachedFix {
+    size_t row;
     AntiPattern type;
     std::string table;
     std::string column;
@@ -381,13 +411,16 @@ class AnalysisSession {
     std::string raw;
     Fix fix;
   };
-  /// Per unique group: its cached fixes (parallel to local_cache_; grown per
-  /// unique statement). At most one entry per (detection key, raw spelling)
-  /// — one per key for statement-local pairs — so a row is bounded by its
-  /// group's distinct detections times its distinct raw spellings.
-  std::vector<std::vector<CachedFix>> fix_cache_;
-  /// The cached fixes of data findings, which belong to no statement.
-  std::vector<CachedFix> data_fix_cache_;
+  /// The fix cache, indexed by a hash of (row, type, table, column, raw) —
+  /// of (row, type, table, column) alone for a statement-local pair, which
+  /// keeps one entry per key. An entry whose fields do not match the probe
+  /// (a hash collision) counts as absent and is overwritten, as is a stale
+  /// one, so the cache holds at most one entry per key and spelling.
+  std::unordered_map<uint64_t, CachedFix> fix_cache_;
+  /// Per AntiPattern: its rule and its fixer are both statement-local, so
+  /// its fix replays at any generation for any spelling (FixForDetection).
+  /// Recomputed when the registry changes.
+  std::array<bool, kAntiPatternCount> local_fix_pair_{};
   size_t fix_cache_hits_ = 0;
   size_t fix_cache_misses_ = 0;
   size_t raw_repeats_ = 0;

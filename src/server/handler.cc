@@ -193,6 +193,8 @@ std::string SessionHandler::HandleStats() {
   AppendField(&response, "raw_repeats", session_->raw_repeats());
   AppendField(&response, "fix_cache_hits", session_->fix_cache_hits());
   AppendField(&response, "fix_cache_misses", session_->fix_cache_misses());
+  AppendField(&response, "rule_cache_hits", session_->rule_cache_hits());
+  AppendField(&response, "rule_cache_misses", session_->rule_cache_misses());
   const VerifyStats& verify = session_->verify_stats();
   AppendField(&response, "verify_tier_exec", verify.tier_exec);
   AppendField(&response, "verify_tier_analysis", verify.tier_analysis);

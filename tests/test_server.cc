@@ -274,6 +274,11 @@ TEST(Handler, StatsReportsUsageAndLimits) {
   EXPECT_NE(stats.find("\"statements\": 1"), std::string::npos);
   EXPECT_NE(stats.find("\"ingested_bytes\": 16"), std::string::npos);
   EXPECT_NE(stats.find("\"raw_repeats\": 0, \"fix_cache_hits\""), std::string::npos);
+  // The check refreshed the one group's rule-cache row and computed its fix.
+  EXPECT_NE(stats.find("\"fix_cache_misses\": 1, \"rule_cache_hits\": 0, "
+                       "\"rule_cache_misses\": 1,"),
+            std::string::npos)
+      << stats;
   EXPECT_NE(stats.find("\"max_statements\": 100"), std::string::npos);
   EXPECT_NE(stats.find("\"quota_ok\": true"), std::string::npos);
   EXPECT_NE(stats.find("\"arena_reserved_bytes\""), std::string::npos);
@@ -286,6 +291,20 @@ TEST(Handler, StatsReportsUsageAndLimits) {
   stats = handler.HandleLine(R"({"op": "stats"})");
   EXPECT_NE(stats.find("\"statements\": 4"), std::string::npos) << stats;
   EXPECT_NE(stats.find("\"raw_repeats\": 2,"), std::string::npos) << stats;
+  // The group's row refreshed once for the new generation, then replayed
+  // for the two later statements; the case variant's fix is its own entry.
+  EXPECT_NE(stats.find("\"fix_cache_misses\": 3, \"rule_cache_hits\": 2, "
+                       "\"rule_cache_misses\": 2,"),
+            std::string::npos)
+      << stats;
+
+  // A snapshot of the unchanged session replays every row and every fix.
+  handler.HandleLine(R"({"op": "snapshot"})");
+  stats = handler.HandleLine(R"({"op": "stats"})");
+  EXPECT_NE(stats.find("\"fix_cache_misses\": 3, \"rule_cache_hits\": 3, "
+                       "\"rule_cache_misses\": 2,"),
+            std::string::npos)
+      << stats;
 }
 
 // ----------------------------- loopback daemon ------------------------------

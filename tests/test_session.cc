@@ -79,21 +79,6 @@ std::vector<std::string> ScriptStatements() {
   return out;
 }
 
-TEST(SessionTest, EveryPrefixMatchesBatch) {
-  std::vector<std::string> statements = ScriptStatements();
-  ASSERT_GE(statements.size(), 10u);
-
-  AnalysisSession session;  // one long-lived session, statements stream in
-  std::vector<std::string> prefix;
-  for (const auto& stmt : statements) {
-    session.AddQuery(stmt);
-    prefix.push_back(stmt);
-    EXPECT_EQ(Serialize(session.Snapshot()),
-              Serialize(ReferencePipeline(prefix, SqlCheckOptions{})))
-        << "prefix length " << prefix.size();
-  }
-}
-
 TEST(SessionTest, ChunkPermutationsMatchBatchOnSameOrder) {
   std::vector<std::string> statements = ScriptStatements();
   const size_t third = statements.size() / 3;
@@ -284,6 +269,54 @@ std::vector<std::string> Pieces(const std::string& script) {
   std::vector<std::string> out;
   for (std::string_view piece : sql::SplitStatements(script)) out.emplace_back(piece);
   return out;
+}
+
+/// Streams `statements` into one long-lived session and snapshots it at
+/// about `prefixes` evenly spaced prefixes (and after the last statement),
+/// fixes serialized, against the reference. Each prefix snapshots twice: the
+/// repeat gives the same bytes, refills no rule-cache row and computes no
+/// fix.
+void ExpectEveryPrefixMatchesBatch(const std::vector<std::string>& statements,
+                                   size_t prefixes) {
+  AnalysisSession session;
+  std::vector<std::string> prefix;
+  const size_t step = std::max<size_t>(1, statements.size() / prefixes);
+  for (const auto& stmt : statements) {
+    session.AddQuery(stmt);
+    prefix.push_back(stmt);
+    if (prefix.size() % step != 0 && prefix.size() != statements.size()) continue;
+    const std::string first = SerializeWithFixes(session.Snapshot());
+    EXPECT_EQ(first, SerializeWithFixes(ReferencePipeline(prefix, SqlCheckOptions{})))
+        << "prefix length " << prefix.size();
+    const size_t rule_misses = session.rule_cache_misses();
+    const size_t fix_misses = session.fix_cache_misses();
+    EXPECT_EQ(SerializeWithFixes(session.Snapshot()), first)
+        << "prefix length " << prefix.size();
+    EXPECT_EQ(session.rule_cache_misses(), rule_misses) << "prefix length " << prefix.size();
+    EXPECT_EQ(session.fix_cache_misses(), fix_misses) << "prefix length " << prefix.size();
+  }
+}
+
+TEST(SessionTest, EveryPrefixMatchesBatch) {
+  const std::vector<std::string> script = ScriptStatements();
+  ASSERT_GE(script.size(), 10u);
+  {
+    SCOPED_TRACE("script, every prefix");
+    ExpectEveryPrefixMatchesBatch(script, script.size());
+  }
+  {
+    SCOPED_TRACE("table3");
+    ExpectEveryPrefixMatchesBatch(Pieces(Table3Script()), 20);
+  }
+  workload::CorpusOptions corpus_options;
+  corpus_options.repo_count = 1;
+  corpus_options.seed = 2;
+  const workload::Corpus corpus = workload::GenerateCorpus(corpus_options);
+  std::vector<std::string> repo;
+  for (const auto& labeled : corpus.repos[0].statements) repo.push_back(labeled.sql);
+  SCOPED_TRACE("seeded repository");
+  ASSERT_GE(repo.size(), 10u);
+  ExpectEveryPrefixMatchesBatch(repo, 20);
 }
 
 TEST(SessionTest, ReferencePipelineMatchesPinnedDigests) {
@@ -664,10 +697,17 @@ TEST(SessionTest, UnchangedResnapshotReplaysEveryFix) {
   const size_t misses = session.fix_cache_misses();
   ASSERT_GT(misses, 0u);
 
+  const size_t rule_hits = session.rule_cache_hits();
+  const size_t rule_misses = session.rule_cache_misses();
+  ASSERT_GT(rule_misses, 0u);
+
   Report again = session.Snapshot();
   EXPECT_EQ(SerializeWithFixes(again), first);
   EXPECT_EQ(session.fix_cache_misses(), misses);
   EXPECT_EQ(session.fix_cache_hits(), hits + again.size());
+  // No rule evaluates either: every group's row replays.
+  EXPECT_EQ(session.rule_cache_misses(), rule_misses);
+  EXPECT_EQ(session.rule_cache_hits(), rule_hits + session.unique_count());
 }
 
 TEST(SessionTest, CheckedQueryLogMatchesBatchAndAppendsBeatARerun) {
@@ -864,6 +904,53 @@ TEST(SessionTest, WhitespaceVariantsKeepTheirOwnImpactedQueries) {
       EXPECT_EQ(std::count(impacted.begin(), impacted.end(), other), 2) << *self;
     }
   }
+}
+
+TEST(SessionTest, CommentTaggedVariantsSnapshotInLinearTime) {
+  // sqlcommenter-style tags make every spelling of one query distinct, and
+  // its group caches a wildcard fix per spelling (the expansion reads the
+  // catalog), so a snapshot probes the fix cache once per spelling. A probe
+  // must not scan the group's entries: a snapshot at 8k variants may cost
+  // at most 8x one at 2k (a linear probe read ~18x). The gate is a same-run
+  // ratio of the best of four alternating snapshots of each session (the
+  // first computes every fix, the rest replay them), so a slow spell on a
+  // shared host cannot fail it alone.
+  using Clock = std::chrono::steady_clock;
+  auto tagged = [](size_t n) {
+    std::vector<std::string> statements = {
+        "CREATE TABLE users (id INT PRIMARY KEY, name VARCHAR(40), email VARCHAR(80))"};
+    for (size_t i = 0; i < n; ++i) {
+      statements.push_back("SELECT * FROM users WHERE id = 1 /* request_id=" +
+                           std::to_string(i) + " */");
+    }
+    return statements;
+  };
+  auto snapshot = [](AnalysisSession& session, Clock::duration* best) {
+    const Clock::time_point start = Clock::now();
+    Report report = session.Snapshot();
+    *best = std::min(*best, Clock::now() - start);
+    return report;
+  };
+  const std::vector<std::string> small = tagged(2000);
+  AnalysisSession small_session;
+  for (const auto& stmt : small) small_session.AddQuery(stmt);
+  AnalysisSession large_session;
+  for (const auto& stmt : tagged(8000)) large_session.AddQuery(stmt);
+  ASSERT_EQ(large_session.unique_count(), 2u);
+  Clock::duration small_best = Clock::duration::max();
+  Clock::duration large_best = Clock::duration::max();
+  EXPECT_EQ(SerializeWithFixes(snapshot(small_session, &small_best)),
+            SerializeWithFixes(ReferencePipeline(small, SqlCheckOptions{})));
+  snapshot(large_session, &large_best);
+  for (int round = 1; round < 4; ++round) {
+    snapshot(small_session, &small_best);
+    snapshot(large_session, &large_best);
+  }
+  auto ms = [](Clock::duration d) {
+    return std::chrono::duration<double, std::milli>(d).count();
+  };
+  EXPECT_LE(large_best, 8 * small_best)
+      << "snapshot at 8k " << ms(large_best) << " ms, at 2k " << ms(small_best) << " ms";
 }
 
 }  // namespace
