@@ -456,7 +456,6 @@ void AnalysisSession::AnalyzeUnique(size_t u) {
       // evaluate on the empty facts. The fingerprint is quarantined.
       context_.query_facts_[i] = QueryFacts{};
       rule_cache_[u].slots.assign(registry_.rules().size(), {});
-      rule_cache_[u].detections = 0;
       Quarantine(context_.statements_[i]->raw_sql);
       RecordFailure(context_.statements_[i]->raw_sql, "internal_error",
                     std::string("statement analysis failed persistently (") + e.what() +

@@ -399,9 +399,8 @@ class AnalysisSession {
   /// rule may flag several columns of one statement); `raw` is the exact
   /// statement text it was computed for: ImpactedQueries drops its own
   /// statement by exact text, so whitespace variants of one group can get
-  /// different fixes. `generation` is the context generation it was
-  /// computed at; a fix that reads the context replays only while it
-  /// matches.
+  /// different fixes. `generation` is the context generation it was computed
+  /// at; a fix that reads the context replays only while it matches.
   struct CachedFix {
     size_t row;
     AntiPattern type;

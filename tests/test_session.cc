@@ -911,7 +911,7 @@ TEST(SessionTest, CommentTaggedVariantsSnapshotInLinearTime) {
   // its group caches a wildcard fix per spelling (the expansion reads the
   // catalog), so a snapshot probes the fix cache once per spelling. A probe
   // must not scan the group's entries: a snapshot at 8k variants may cost
-  // at most 8x one at 2k (a linear probe read ~18x). The gate is a same-run
+  // at most 8x one at 2k (a linear probe read ~20x). The gate is a same-run
   // ratio of the best of four alternating snapshots of each session (the
   // first computes every fix, the rest replay them), so a slow spell on a
   // shared host cannot fail it alone.
