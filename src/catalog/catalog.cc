@@ -227,13 +227,6 @@ std::vector<const TableSchema*> Catalog::Tables() const {
   return out;
 }
 
-std::vector<const IndexSchema*> Catalog::Indexes() const {
-  std::vector<const IndexSchema*> out;
-  out.reserve(indexes_.size());
-  for (const auto& [_, index] : indexes_) out.push_back(&index);
-  return out;
-}
-
 std::vector<const IndexSchema*> Catalog::IndexesOnTable(std::string_view table) const {
   std::vector<const IndexSchema*> out;
   for (const auto& [_, index] : indexes_) {

@@ -30,7 +30,6 @@ class Catalog {
   const IndexSchema* FindIndex(std::string_view name) const;
 
   std::vector<const TableSchema*> Tables() const;
-  std::vector<const IndexSchema*> Indexes() const;
   std::vector<const IndexSchema*> IndexesOnTable(std::string_view table) const;
 
   /// True if some index covers exactly/prefix the given column of the table.

@@ -19,13 +19,6 @@ int TableSchema::ColumnIndex(std::string_view column) const {
   return -1;
 }
 
-std::vector<std::string> TableSchema::ColumnNames() const {
-  std::vector<std::string> out;
-  out.reserve(columns.size());
-  for (const auto& c : columns) out.push_back(c.name);
-  return out;
-}
-
 namespace {
 
 Value LiteralToValue(const sql::Expr& e) {

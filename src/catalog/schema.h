@@ -50,7 +50,6 @@ struct TableSchema {
   const ColumnSchema* FindColumn(std::string_view column) const;
   /// Case-insensitive column position; -1 when absent.
   int ColumnIndex(std::string_view column) const;
-  std::vector<std::string> ColumnNames() const;
   bool HasPrimaryKey() const { return !primary_key.empty(); }
 
   /// Builds a schema from a parsed CREATE TABLE.

@@ -1,6 +1,5 @@
 #include "common/thread_pool.h"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -68,30 +67,6 @@ void ThreadPool::WorkerLoop() {
       if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();
     }
   }
-}
-
-void ParallelShards(
-    size_t n, ThreadPool* pool,
-    const std::function<void(int shard, size_t begin, size_t end)>& body) {
-  if (n == 0) return;
-  const int shards =
-      pool == nullptr ? 1 : static_cast<int>(std::min<size_t>(pool->size(), n));
-  if (shards <= 1) {
-    body(0, 0, n);
-    return;
-  }
-  // Contiguous, near-equal shards: the first n % shards get one extra item.
-  // Boundaries are a pure function of (n, shards) — the determinism anchor.
-  size_t base = n / static_cast<size_t>(shards);
-  size_t extra = n % static_cast<size_t>(shards);
-  size_t begin = 0;
-  for (int s = 0; s < shards; ++s) {
-    size_t len = base + (static_cast<size_t>(s) < extra ? 1 : 0);
-    size_t end = begin + len;
-    pool->Submit([&body, s, begin, end] { body(s, begin, end); });
-    begin = end;
-  }
-  pool->Wait();
 }
 
 }  // namespace sqlcheck

@@ -11,11 +11,11 @@
 namespace sqlcheck {
 
 /// \brief A fixed-size worker pool: the server's analysis workers and the
-/// file shards of a corpus scan. Tasks are plain closures; Wait() blocks
-/// until every submitted task has finished.
+/// repository workers of a corpus scan. Tasks are plain closures; Wait()
+/// blocks until every submitted task has finished.
 ///
 /// The pool makes no ordering promises — callers that need deterministic
-/// output (the scanner does) write into pre-sharded slots and merge in shard
+/// output (the scanner does) write into per-item slots and merge in item
 /// order after Wait().
 class ThreadPool {
  public:
@@ -51,13 +51,5 @@ class ThreadPool {
   size_t in_flight_ = 0;              ///< Tasks popped but not yet finished.
   bool stop_ = false;
 };
-
-/// \brief Fork/join helper over an index range: splits [0, n) into one
-/// contiguous shard per `pool` worker (never more shards than items) and runs
-/// `body(shard, begin, end)` for each on the pool. Shard boundaries depend
-/// only on n and the pool size, so per-shard results merged in shard order
-/// are deterministic. Without a pool the body runs inline as shard 0.
-void ParallelShards(size_t n, ThreadPool* pool,
-                    const std::function<void(int shard, size_t begin, size_t end)>& body);
 
 }  // namespace sqlcheck

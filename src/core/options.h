@@ -95,10 +95,6 @@ struct SqlCheckOptions {
   /// AnalysisSession::recent_failures). Bounded so an adversarial stream of
   /// distinct poisoned statements costs O(capacity) memory, not O(stream).
   size_t quarantine_capacity = 256;
-
-  /// Convenience presets mirroring the paper's evaluation configurations.
-  static SqlCheckOptions IntraQueryOnly();
-  static SqlCheckOptions Full();
 };
 
 }  // namespace sqlcheck

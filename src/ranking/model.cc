@@ -49,8 +49,7 @@ ApMetrics RankingModel::MetricsFor(const Detection& detection) const {
 
 RankedDetection RankingModel::ScoreDetection(Detection detection) const {
   RankedDetection ranked;
-  ranked.metrics = MetricsFor(detection);
-  ranked.score = Score(ranked.metrics);
+  ranked.score = Score(MetricsFor(detection));
   ranked.detection = std::move(detection);
   return ranked;
 }
@@ -88,10 +87,8 @@ std::vector<RankedDetection> RankingModel::Rank(std::vector<Detection> detection
   std::vector<RankedDetection> ranked(keys.size());
   for (size_t k = 0; k < keys.size(); ++k) {
     RankedDetection& out = ranked[k];
-    Detection& d = detections[keys[k].pos];
-    out.metrics = MetricsFor(d);
     out.score = keys[k].score;
-    out.detection = std::move(d);
+    out.detection = std::move(detections[keys[k].pos]);
   }
   return ranked;
 }

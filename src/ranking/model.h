@@ -33,7 +33,6 @@ enum class InterQueryMode {
 struct RankedDetection {
   Detection detection;
   double score = 0.0;
-  ApMetrics metrics;
 };
 
 /// \brief Severity grading of a Figure-6 impact score — the single place

@@ -649,14 +649,18 @@ Result<ScanReport> CorpusScanner::Scan(const std::string& root) {
   std::vector<Worker> workers(static_cast<size_t>(jobs));
   std::vector<RepoResult> results(repos.size());
   std::atomic<size_t> next{0};
-  std::unique_ptr<ThreadPool> pool;
-  if (jobs > 1) pool = std::make_unique<ThreadPool>(jobs);
-  ParallelShards(static_cast<size_t>(jobs), pool.get(), [&](int shard, size_t, size_t) {
-    Worker& w = workers[static_cast<size_t>(shard)];
+  auto pull = [&](Worker& w) {
     for (size_t r; (r = next.fetch_add(1, std::memory_order_relaxed)) < repos.size();) {
       ProcessRepo(repos[r], shared, w, &results[r]);
     }
-  });
+  };
+  if (jobs == 1) {
+    pull(workers[0]);
+  } else {
+    ThreadPool pool(jobs);
+    for (Worker& w : workers) pool.Submit([&pull, &w] { pull(w); });
+    pool.Wait();
+  }
 
   ScanReport report;
   std::unordered_set<uint64_t> unique_exact;

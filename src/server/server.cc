@@ -151,12 +151,12 @@ void SqlCheckServer::EventLoop() {
   fold_interval(options_.write_stall_ms);
 
   while (!stop_.load()) {
-    // The wheel bounds the sleep while deadlines are pending so expiry lands
-    // within one wheel tick even on an otherwise silent socket set.
+    // Sleep no later than the earliest pending deadline, so a queued
+    // request expires on time even on an otherwise silent socket set.
     int timeout = sweep_interval_ms;
-    int wheel_timeout = wheel_.NextTimeoutMs();
-    if (wheel_timeout >= 0 && (timeout < 0 || wheel_timeout < timeout)) {
-      timeout = wheel_timeout;
+    if (!deadlines_.empty()) {
+      const int64_t until = std::max<int64_t>(0, deadlines_.front().first - NowMs());
+      if (timeout < 0 || until < timeout) timeout = static_cast<int>(until);
     }
     int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, timeout);
     if (n < 0 && errno != EINTR) break;
@@ -197,7 +197,7 @@ void SqlCheckServer::EventLoop() {
       if (it != conns_.end()) TryFlush(it->second);
     }
 
-    if (wheel_.size() > 0) ExpireDeadlines(NowMs());
+    if (!deadlines_.empty()) ExpireDeadlines(NowMs());
 
     if (sweep_interval_ms > 0) {
       int64_t now = NowMs();
@@ -361,13 +361,12 @@ void SqlCheckServer::QueueLines(const std::shared_ptr<Conn>& conn) {
         continue;
       }
       PendingRequest request;
-      request.seq = conn->next_seq++;
       request.deadline_ms =
           options_.request_deadline_ms > 0 ? now_ms + options_.request_deadline_ms : 0;
       request.line = std::move(l);
       if (request.deadline_ms > 0) {
-        // QueueLines runs on the event thread, which owns the wheel.
-        wheel_.Add(conn->id, request.seq, request.deadline_ms);
+        // QueueLines runs on the event thread, which owns deadlines_.
+        deadlines_.emplace_back(request.deadline_ms, conn->id);
       }
       conn->pending.push_back(std::move(request));
       queued_requests_.fetch_add(1, std::memory_order_relaxed);
@@ -394,36 +393,37 @@ uint64_t SqlCheckServer::RetryAfterMs() const {
 }
 
 void SqlCheckServer::ExpireDeadlines(int64_t now_ms) {
-  std::vector<DeadlineEntry> due;
-  wheel_.PopDue(now_ms, &due);
-  for (const DeadlineEntry& entry : due) {
-    auto it = conns_.find(entry.conn_id);
-    if (it == conns_.end()) continue;  // connection already closed
+  while (!deadlines_.empty() && deadlines_.front().first <= now_ms) {
+    const uint64_t conn_id = deadlines_.front().second;
+    deadlines_.pop_front();
+    auto it = conns_.find(conn_id);
+    if (it == conns_.end()) continue;  // closed (connection ids are never reused)
     const std::shared_ptr<Conn>& conn = it->second;
-    bool expired = false;
+    size_t expired = 0;
     {
       std::lock_guard<std::mutex> lock(conn->mu);
-      // Lazy cancellation: only a request still sitting in the queue can be
-      // expired from here. One already claimed by a worker observes the
-      // deadline cooperatively inside the session instead.
-      for (auto pending_it = conn->pending.begin(); pending_it != conn->pending.end();
-           ++pending_it) {
-        if (pending_it->seq != entry.seq) continue;
-        conn->pending.erase(pending_it);
-        queued_requests_.fetch_sub(1, std::memory_order_relaxed);
-        conn->out += ErrorLine(
-            ErrorCode::kDeadlineExceeded,
-            "request deadline (" + std::to_string(options_.request_deadline_ms) +
-                "ms) expired before processing began");
-        expired = true;
-        break;
+      // A connection's queue is in admission order, hence deadline order:
+      // expired requests sit at its front. A request a worker already
+      // claimed is no longer queued and observes its deadline cooperatively
+      // inside the session; its entry here finds a later deadline at the
+      // front, or an empty queue, and expires nothing.
+      while (!conn->pending.empty() && conn->pending.front().deadline_ms <= now_ms) {
+        conn->pending.pop_front();
+        conn->out += ExpiredLine();
+        ++expired;
       }
     }
-    if (expired) {
-      gauges_.deadlines_expired.fetch_add(1);
-      TryFlush(conn);
-    }
+    if (expired == 0) continue;
+    queued_requests_.fetch_sub(expired, std::memory_order_relaxed);
+    gauges_.deadlines_expired.fetch_add(expired);
+    TryFlush(conn);
   }
+}
+
+std::string SqlCheckServer::ExpiredLine() const {
+  return ErrorLine(ErrorCode::kDeadlineExceeded,
+                   "request deadline (" + std::to_string(options_.request_deadline_ms) +
+                       "ms) expired before processing began");
 }
 
 void SqlCheckServer::ProcessQueue(std::shared_ptr<Conn> conn) {
@@ -443,13 +443,10 @@ void SqlCheckServer::ProcessQueue(std::shared_ptr<Conn> conn) {
     std::string response;
     const auto start = std::chrono::steady_clock::now();
     if (request.deadline_ms > 0 && NowMs() >= request.deadline_ms) {
-      // Expired while queued but claimed before the wheel fired: same
-      // answer the wheel would have given, without starting the work.
+      // Expired while queued but claimed before the event thread expired
+      // it: the same answer, without starting the work.
       gauges_.deadlines_expired.fetch_add(1);
-      response = ErrorLine(
-          ErrorCode::kDeadlineExceeded,
-          "request deadline (" + std::to_string(options_.request_deadline_ms) +
-              "ms) expired before processing began");
+      response = ExpiredLine();
     } else {
       response = conn->handler->HandleLine(request.line, request.deadline_ms);
       // Service-time EWMA (alpha 1/8) feeding retry_after_ms. Lost updates

@@ -8,12 +8,12 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/options.h"
-#include "server/deadline_wheel.h"
 #include "server/handler.h"
 
 namespace sqlcheck {
@@ -44,9 +44,9 @@ struct ServerOptions {
   bool include_fixes = false;
   /// Per-request wall-clock deadline in milliseconds (0 = off). A request
   /// still queued when it passes is answered `deadline_exceeded` without
-  /// running (the deadline wheel expires it lazily); a running `check` stops
-  /// between statements and answers `deadline_exceeded` with the partial
-  /// ingest intact.
+  /// running (the event thread expires it as the deadline passes); a running
+  /// `check` stops between statements and answers `deadline_exceeded` with
+  /// the partial ingest intact.
   int request_deadline_ms = 0;
   /// Load-shedding admission cap on requests queued across all connections
   /// (0 = off). A request line arriving past the cap is refused immediately
@@ -100,11 +100,10 @@ class SqlCheckServer {
   const ServerGauges& gauges() const { return gauges_; }
 
  private:
-  /// One admitted request awaiting a worker. `seq` keys the deadline wheel's
-  /// lazy cancellation; `deadline_ms` (0 = none) rides to the handler so a
+  /// One admitted request awaiting a worker. `deadline_ms` (0 = none) lets
+  /// the event thread expire it while queued and rides to the handler so a
   /// running check stops cooperatively.
   struct PendingRequest {
-    uint64_t seq = 0;
     int64_t deadline_ms = 0;
     std::string line;
   };
@@ -123,7 +122,6 @@ class SqlCheckServer {
     /// Read side unsubscribed from epoll: the response backlog crossed
     /// max_write_buffer_bytes (event thread only).
     bool epollin_paused = false;
-    uint64_t next_seq = 1;  ///< Event thread only (QueueLines).
 
     /// Handed between event thread and the one in-flight worker under `mu`.
     std::mutex mu;
@@ -154,8 +152,11 @@ class SqlCheckServer {
   /// Worker -> event thread doorbell: marks `id` dirty and wakes epoll.
   void NotifyDirty(uint64_t id);
   /// Expires still-queued requests whose deadline passed (event thread;
-  /// lazy cancellation — started requests are skipped).
+  /// requests a worker already claimed are skipped).
   void ExpireDeadlines(int64_t now_ms);
+  /// The `deadline_exceeded` line for a request that expired before
+  /// processing began (event-thread expiry and claim time alike).
+  std::string ExpiredLine() const;
   /// Backoff hint for overloaded refusals: queue depth x the service-time
   /// EWMA, spread over the worker count.
   uint64_t RetryAfterMs() const;
@@ -177,7 +178,11 @@ class SqlCheckServer {
   std::mutex dirty_mu_;
   std::vector<uint64_t> dirty_;  ///< Conn ids with fresh output to flush.
 
-  DeadlineWheel wheel_;  ///< Event thread only (QueueLines adds, loop pops).
+  /// (deadline, connection id) of every admitted request with a deadline, in
+  /// admission order. All deadlines share one offset, so admission order is
+  /// deadline order and the front is the earliest. Event thread only
+  /// (QueueLines pushes, ExpireDeadlines pops).
+  std::deque<std::pair<int64_t, uint64_t>> deadlines_;
   /// Requests admitted but not yet started, across all connections — the
   /// load-shedding admission gate (QueueLines bumps, workers/expiry drop).
   std::atomic<size_t> queued_requests_{0};

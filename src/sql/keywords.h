@@ -42,7 +42,4 @@ enum class KeywordId : uint8_t {
 /// Allocation-free.
 KeywordId LookupKeyword(std::string_view word);
 
-/// \brief The canonical (lowercase) spelling of a keyword id.
-std::string_view KeywordSpelling(KeywordId id);
-
 }  // namespace sqlcheck::sql

@@ -1,31 +1,9 @@
 #include "sql/token.h"
 
-#include <cstring>
-
 #include "common/strings.h"
 #include "sql/keyword_table.h"
 
 namespace sqlcheck::sql {
-
-const char* TokenKindName(TokenKind kind) {
-  switch (kind) {
-    case TokenKind::kKeyword: return "keyword";
-    case TokenKind::kIdentifier: return "identifier";
-    case TokenKind::kQuotedIdentifier: return "quoted_identifier";
-    case TokenKind::kString: return "string";
-    case TokenKind::kNumber: return "number";
-    case TokenKind::kOperator: return "operator";
-    case TokenKind::kComma: return "comma";
-    case TokenKind::kLeftParen: return "lparen";
-    case TokenKind::kRightParen: return "rparen";
-    case TokenKind::kDot: return "dot";
-    case TokenKind::kSemicolon: return "semicolon";
-    case TokenKind::kParam: return "param";
-    case TokenKind::kComment: return "comment";
-    case TokenKind::kEnd: return "end";
-  }
-  return "unknown";
-}
 
 bool Token::IsKeyword(std::string_view kw) const {
   return kind == TokenKind::kKeyword && EqualsIgnoreCase(text, kw);
@@ -45,10 +23,6 @@ KeywordId LookupKeyword(std::string_view word) {
     hi |= keyword_table::FoldLane(word[i]) << (8 * (i - 8));
   }
   return keyword_table::LookupFolded(lo, hi);
-}
-
-std::string_view KeywordSpelling(KeywordId id) {
-  return keyword_table::kSpellings[static_cast<size_t>(id)];
 }
 
 }  // namespace sqlcheck::sql

@@ -26,9 +26,6 @@ enum class TokenKind {
   kEnd,      ///< End of input sentinel.
 };
 
-/// \brief Returns a stable human-readable name for a token kind.
-const char* TokenKindName(TokenKind kind);
-
 /// \brief Largest input one Lex() call accepts: Token stores its source span
 /// as u32, so a single lexed buffer — one statement, script, or append — is
 /// capped at 4 GiB. Callers that frame untrusted input (the session's

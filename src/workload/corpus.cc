@@ -8,13 +8,6 @@
 
 namespace sqlcheck::workload {
 
-bool LabeledStatement::HasTruth(AntiPattern type) const {
-  for (AntiPattern t : truth) {
-    if (t == type) return true;
-  }
-  return false;
-}
-
 std::vector<LabeledStatement> Corpus::AllStatements() const {
   std::vector<LabeledStatement> out;
   for (const auto& repo : repos) {

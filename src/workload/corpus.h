@@ -12,8 +12,6 @@ namespace sqlcheck::workload {
 struct LabeledStatement {
   std::string sql;
   std::vector<AntiPattern> truth;  ///< APs genuinely present (may be empty).
-
-  bool HasTruth(AntiPattern type) const;
 };
 
 /// \brief One synthetic "repository": a host-language source file carrying

@@ -1,11 +1,11 @@
 // Chaos-engineering coverage of the failpoint framework and the hardened
 // request path, bottom-up: FailpointRegistry semantics (modes, parsing,
-// scope gating), the DeadlineWheel and QuarantineSet primitives, session
-// recovery under injected faults (transient retry, persistent quarantine,
-// deadline and statement-budget refusal, whole-script quarantine),
-// handler-level statement_error streaming, and the live epoll daemon under
-// socket-fault profiles, queue overload, and request deadlines. Every test
-// disarms the registry on teardown so ambient suites stay unaffected.
+// scope gating), the QuarantineSet primitive, session recovery under
+// injected faults (transient retry, persistent quarantine, deadline and
+// statement-budget refusal, whole-script quarantine), handler-level
+// statement_error streaming, and the live epoll daemon under socket-fault
+// profiles, queue overload, and request deadlines. Every test disarms the
+// registry on teardown so ambient suites stay unaffected.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -17,7 +17,6 @@
 #include "core/emit.h"
 #include "core/session.h"
 #include "server/client.h"
-#include "server/deadline_wheel.h"
 #include "server/handler.h"
 #include "server/server.h"
 #include "server/wire.h"
@@ -133,72 +132,6 @@ TEST_F(FailpointTest, DisarmOnePointLeavesOthersArmed) {
   EXPECT_TRUE(AnyFailpointArmed());
   EXPECT_FALSE(SQLCHECK_FAILPOINT("chaos_a"));
   EXPECT_TRUE(SQLCHECK_FAILPOINT("chaos_b"));
-}
-
-// ---------------------------- deadline wheel ---------------------------------
-
-TEST(DeadlineWheelTest, EmptyWheelHasNoTimeout) {
-  server::DeadlineWheel wheel;
-  EXPECT_EQ(wheel.NextTimeoutMs(), -1);
-  EXPECT_EQ(wheel.size(), 0u);
-  std::vector<server::DeadlineEntry> due;
-  wheel.PopDue(1000, &due);
-  EXPECT_TRUE(due.empty());
-}
-
-TEST(DeadlineWheelTest, PopsExactlyTheDueEntries) {
-  server::DeadlineWheel wheel;
-  wheel.Add(1, 10, 1050);
-  wheel.Add(2, 20, 1500);
-  wheel.Add(3, 30, 1060);
-  EXPECT_EQ(wheel.size(), 3u);
-  EXPECT_GT(wheel.NextTimeoutMs(), 0);
-
-  std::vector<server::DeadlineEntry> due;
-  wheel.PopDue(1100, &due);
-  ASSERT_EQ(due.size(), 2u);
-  EXPECT_EQ(wheel.size(), 1u);
-  // Both expired entries surface; the 1500ms one stays.
-  bool saw_seq10 = false, saw_seq30 = false;
-  for (const server::DeadlineEntry& entry : due) {
-    saw_seq10 |= (entry.conn_id == 1 && entry.seq == 10);
-    saw_seq30 |= (entry.conn_id == 3 && entry.seq == 30);
-  }
-  EXPECT_TRUE(saw_seq10);
-  EXPECT_TRUE(saw_seq30);
-
-  due.clear();
-  wheel.PopDue(2000, &due);
-  ASSERT_EQ(due.size(), 1u);
-  EXPECT_EQ(due[0].seq, 20u);
-  EXPECT_EQ(wheel.size(), 0u);
-  EXPECT_EQ(wheel.NextTimeoutMs(), -1);
-}
-
-TEST(DeadlineWheelTest, FarFutureEntriesSurviveWheelRevolutions) {
-  // 256 buckets x 16ms granularity = ~4s per revolution; an entry 10s out
-  // shares a bucket with earlier ticks and must not expire early.
-  server::DeadlineWheel wheel;
-  wheel.Add(1, 1, 11000);
-  std::vector<server::DeadlineEntry> due;
-  for (int64_t now = 1000; now < 11000; now += 500) {
-    wheel.PopDue(now, &due);
-    EXPECT_TRUE(due.empty()) << "entry expired early at now=" << now;
-  }
-  wheel.PopDue(11016, &due);
-  ASSERT_EQ(due.size(), 1u);
-  EXPECT_EQ(due[0].deadline_ms, 11000);
-}
-
-TEST(DeadlineWheelTest, LargeJumpDrainsEverything) {
-  server::DeadlineWheel wheel;
-  for (uint64_t i = 0; i < 100; ++i) {
-    wheel.Add(i, i, static_cast<int64_t>(1000 + i * 37));
-  }
-  std::vector<server::DeadlineEntry> due;
-  wheel.PopDue(1000000, &due);  // the loop slept way past every deadline
-  EXPECT_EQ(due.size(), 100u);
-  EXPECT_EQ(wheel.size(), 0u);
 }
 
 // ---------------------------- quarantine set ---------------------------------
@@ -673,7 +606,7 @@ TEST_F(ServerChaosTest, QueuedRequestsPastTheDeadlineAreExpired) {
   ASSERT_TRUE(client.ReadLine(&hello).ok());
 
   // The big check occupies the lone worker well past 30ms, so the pings
-  // queued behind it expire on the deadline wheel without ever running; the
+  // queued behind it expire on the event thread without ever running; the
   // big check itself stops cooperatively at the cutoff. 25k statements
   // (~0.8 MB, under the 1 MiB line cap) keep it busy for several times the
   // deadline even on a fast host; 5k could finish inside 30ms.
@@ -686,8 +619,8 @@ TEST_F(ServerChaosTest, QueuedRequestsPastTheDeadlineAreExpired) {
   for (int i = 0; i < kPings; ++i) burst += "{\"op\": \"ping\"}\n";
   ASSERT_TRUE(client.SendRaw(burst).ok());
 
-  // Wheel expiries are written by the event thread the instant the deadline
-  // passes — while the worker is still streaming the big check's lines — so
+  // Queued-request expiries are written by the event thread the instant the
+  // deadline passes — while the worker is still streaming the big check's lines — so
   // responses legitimately interleave across requests. Classify every line
   // instead of assuming order: one check terminal plus exactly kPings
   // pong-or-expired lines must arrive.

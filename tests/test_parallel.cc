@@ -1,13 +1,13 @@
 // Concurrency: the server runs many tenants' sessions at once on its
-// ThreadPool and `sqlcheck scan --jobs` shards repositories across one, so the pool
-// must fork/join correctly, and the analysis pipeline run from several
-// threads at once must give each of them the serial answer (rules and the
-// default registry are stateless; these tests keep them that way).
+// ThreadPool and `sqlcheck scan --jobs` runs one repository-pulling worker
+// per job on one, so the pool must fork/join correctly, and the analysis
+// pipeline run from several threads at once must give each of them the
+// serial answer (rules and the default registry are stateless; these tests
+// keep them that way).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,31 +55,6 @@ TEST(ThreadPoolTest, ResolveParallelismMapsNonPositiveToHardware) {
   EXPECT_EQ(ThreadPool::ResolveParallelism(3), 3);
   EXPECT_GE(ThreadPool::ResolveParallelism(0), 1);
   EXPECT_GE(ThreadPool::ResolveParallelism(-1), 1);
-}
-
-TEST(ParallelShardsTest, CoversRangeExactlyOnceInShardOrder) {
-  // 0 workers = no pool (inline); 7 workers exceed some ranges' item count.
-  for (int workers : {0, 2, 3, 4, 7}) {
-    std::unique_ptr<ThreadPool> pool;
-    if (workers > 0) pool = std::make_unique<ThreadPool>(workers);
-    for (size_t n : {size_t{0}, size_t{1}, size_t{5}, size_t{64}}) {
-      std::vector<int> hits(n, 0);
-      std::vector<std::pair<size_t, size_t>> bounds;
-      std::mutex mu;
-      ParallelShards(n, pool.get(), [&](int shard, size_t begin, size_t end) {
-        std::lock_guard<std::mutex> lock(mu);
-        bounds.emplace_back(begin, end);
-        (void)shard;
-        for (size_t i = begin; i < end; ++i) ++hits[i];
-      });
-      for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(hits[i], 1) << "n=" << n << " workers=" << workers << " i=" << i;
-      }
-      size_t covered = 0;
-      for (const auto& [begin, end] : bounds) covered += end - begin;
-      EXPECT_EQ(covered, n);
-    }
-  }
 }
 
 // ---------------------- workload used for equality tests --------------------

@@ -521,6 +521,35 @@ TEST_F(ScanTest, Table3CorpusMatchesFileModePerRepo) {
   }
 }
 
+TEST_F(ScanTest, ReportAndStoreAreIdenticalAtAnyJobCount) {
+  // Workers pull repositories in any order, but results merge and the store
+  // is written in repository order, so the report and the store file are
+  // byte-identical at every job count.
+  ClearTree();
+  for (const workload::CorpusRepo& repo : workload::GenerateCorpus().repos) {
+    WriteFile(repo.name + "/app.py", repo.source);
+  }
+  Run serial;
+  std::string serial_store;
+  for (int jobs : {1, 2, 4}) {
+    SCOPED_TRACE(jobs);
+    std::error_code ec;
+    fs::remove(store_, ec);
+    Run run = Scan(store_, jobs);
+    EXPECT_EQ(run.summary.jobs, jobs);
+    EXPECT_EQ(run.summary.store_reused, 0u);
+    std::string store = ReadFile(store_);
+    if (jobs == 1) {
+      serial = std::move(run);
+      serial_store = std::move(store);
+      continue;
+    }
+    EXPECT_EQ(run.digest, serial.digest);
+    EXPECT_EQ(run.text, serial.text);
+    EXPECT_TRUE(store == serial_store) << "store files differ at jobs=" << jobs;
+  }
+}
+
 TEST_F(ScanTest, RepeatedStatementsKeepTheirOwnFindings) {
   // One statement four times (embedded and in a script) plus a whitespace
   // variant. Each occurrence is a statement of its own: the scan must count

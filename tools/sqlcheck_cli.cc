@@ -542,9 +542,8 @@ size_t FollowStream(std::istream& in, AnalysisSession* session, const CliOptions
       }
     }
     // Keep the unterminated fragment (newline restored so a trailing `--`
-    // comment cannot swallow the next line).
-    // Keep the unterminated fragment. The pieces are views into `buffer`,
-    // so materialize the tail before overwriting it.
+    // comment cannot swallow the next line). The pieces are views into
+    // `buffer`, so materialize the tail before overwriting it.
     std::string remainder =
         complete < pieces.size() ? std::string(pieces.back()) + "\n" : std::string();
     buffer = std::move(remainder);
