@@ -17,6 +17,7 @@
 #include "catalog/schema.h"
 #include "catalog/value.h"
 #include "common/failpoint.h"
+#include "common/hash.h"
 #include "common/random.h"
 #include "common/strings.h"
 #include "engine/executor.h"
@@ -34,15 +35,6 @@ ExecCheck Equivalent() { return {Outcome::kEquivalent, ""}; }
 ExecCheck Divergent(std::string note) { return {Outcome::kDivergent, std::move(note)}; }
 ExecCheck Infeasible(std::string note) { return {Outcome::kInfeasible, std::move(note)}; }
 ExecCheck Skipped() { return {Outcome::kSkipped, ""}; }
-
-uint64_t Fnv1a(std::string_view text) {
-  uint64_t hash = 1469598103934665603ULL;
-  for (unsigned char c : text) {
-    hash ^= c;
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
 
 // ---------------------------------------------------------------------------
 // Statement walking: root expressions, referenced tables, alias resolution

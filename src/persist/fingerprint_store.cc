@@ -13,6 +13,8 @@
 #include <unordered_set>
 
 #include "common/failpoint.h"
+#include "common/hash.h"
+#include "common/radix_sort.h"
 #include "core/emit.h"
 #include "rules/registry.h"
 
@@ -21,9 +23,11 @@ namespace sqlcheck::persist {
 namespace {
 
 // On-disk format. Everything is little-endian on every target we build for;
-// values move through memcpy so alignment never matters.
+// values move through memcpy so alignment never matters. Header and record
+// checksums are XXH64 (seed 0); version 3 had this layout with FNV-1a
+// checksums.
 constexpr char kMagic[8] = {'S', 'Q', 'L', 'C', 'K', 'F', 'S', '1'};
-constexpr uint32_t kFormatVersion = 3;
+constexpr uint32_t kFormatVersion = 4;
 constexpr uint64_t kHeaderBytes = 64;
 constexpr uint32_t kRecordMagic = 0x52504653;      // "SFPR": statement record
 constexpr uint32_t kFileRecordMagic = 0x46504653;  // "SFPF": file manifest
@@ -40,15 +44,6 @@ constexpr uint64_t kFindingPrefixBytes = 4 + 4 + 4 + 4 + 8;
 /// Caps that bound a structurally-valid record: a corrupt length field must
 /// fail validation rather than drive a huge allocation.
 constexpr uint64_t kMaxRecordBytes = 64ull << 20;
-
-uint64_t Fnv64(const void* data, size_t n, uint64_t h = 1469598103934665603ull) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 void PutU32(std::string* out, uint32_t v) { out->append(reinterpret_cast<const char*>(&v), 4); }
 void PutU64(std::string* out, uint64_t v) { out->append(reinterpret_cast<const char*>(&v), 8); }
@@ -81,7 +76,7 @@ HeaderFields ParseHeader(const char* buf) {
   h.generation = GetU64(buf + 24);
   h.entry_count = GetU64(buf + 32);
   h.log_end = GetU64(buf + 40);
-  h.checksum_ok = GetU64(buf + 48) == Fnv64(buf, 48);
+  h.checksum_ok = GetU64(buf + 48) == Xxh64(buf, 48);
   return h;
 }
 
@@ -96,7 +91,7 @@ std::string EncodeHeader(uint64_t ruleset_hash, uint64_t generation,
   PutU64(&buf, generation);
   PutU64(&buf, entry_count);
   PutU64(&buf, log_end);
-  PutU64(&buf, Fnv64(buf.data(), buf.size()));
+  PutU64(&buf, Xxh64(buf.data(), buf.size()));
   buf.resize(kHeaderBytes, '\0');
   return buf;
 }
@@ -131,7 +126,7 @@ std::string EncodeRecord(std::string_view canonical, uint64_t fingerprint,
   }
   uint32_t total = static_cast<uint32_t>(buf.size() + kRecordChecksumBytes);
   std::memcpy(buf.data() + 4, &total, 4);
-  PutU64(&buf, Fnv64(buf.data(), buf.size()));
+  PutU64(&buf, Xxh64(buf.data(), buf.size()));
   return buf;
 }
 
@@ -154,7 +149,7 @@ std::string EncodeFileRecord(std::string_view rel_path, uint64_t size,
   }
   uint32_t total = static_cast<uint32_t>(buf.size() + kRecordChecksumBytes);
   std::memcpy(buf.data() + 4, &total, 4);
-  PutU64(&buf, Fnv64(buf.data(), buf.size()));
+  PutU64(&buf, Xxh64(buf.data(), buf.size()));
   return buf;
 }
 
@@ -203,7 +198,7 @@ bool DecodeRecord(std::string_view log, uint64_t offset, uint64_t limit,
       total > limit - offset) {
     return false;
   }
-  if (GetU64(p + total - 8) != Fnv64(p, total - 8)) return false;
+  if (GetU64(p + total - 8) != Xxh64(p, total - 8)) return false;
   RecordView r;
   r.total = total;
   r.fingerprint = GetU64(p + 8);
@@ -247,7 +242,7 @@ bool DecodeFileRecord(std::string_view log, uint64_t offset, uint64_t limit,
       total > kMaxRecordBytes || total > limit - offset) {
     return false;
   }
-  if (GetU64(p + total - 8) != Fnv64(p, total - 8)) return false;
+  if (GetU64(p + total - 8) != Xxh64(p, total - 8)) return false;
   FileRecordView f;
   f.total = total;
   uint64_t path_len = GetU32(p + 8);
@@ -304,6 +299,23 @@ void DecodeFindingStats(const RecordView& r, std::vector<FindingStat>* out) {
     q += kFindingPrefixBytes + text;
     out->push_back(f);
   }
+}
+
+/// Walks the committed records indexed under `fingerprint` (sorted index,
+/// collision chains in log order) for the one holding `canonical`.
+bool FindRecord(const std::vector<std::pair<uint64_t, uint64_t>>& index,
+                std::string_view log, uint64_t log_end, std::string_view canonical,
+                uint64_t fingerprint, RecordView* out, uint64_t* offset) {
+  auto it = std::lower_bound(
+      index.begin(), index.end(), fingerprint,
+      [](const std::pair<uint64_t, uint64_t>& e, uint64_t fp) { return e.first < fp; });
+  for (; it != index.end() && it->first == fingerprint; ++it) {
+    if (DecodeRecord(log, it->second, log_end, out) && out->canonical == canonical) {
+      *offset = it->second;
+      return true;
+    }
+  }
+  return false;
 }
 
 bool PWriteAll(int fd, const char* data, size_t n, uint64_t offset) {
@@ -383,15 +395,18 @@ Status FingerprintStore::OpenLocked(uint64_t ruleset_hash) {
     return Status::Ok();
   }
 
+  // The version is read before the checksum is trusted: an older format's
+  // header checksum is a different kernel and can never match, and an
+  // upgrade must read as one, not as corruption.
   HeaderFields h = ParseHeader(head);
-  if (!h.checksum_ok) {
-    Rebuild(h.generation + 1, "store header checksum mismatch; rebuilding");
-    return Status::Ok();
-  }
   if (h.version != kFormatVersion) {
     Rebuild(h.generation + 1,
             "store format version " + std::to_string(h.version) + " != " +
                 std::to_string(kFormatVersion) + "; rebuilding");
+    return Status::Ok();
+  }
+  if (!h.checksum_ok) {
+    Rebuild(h.generation + 1, "store header checksum mismatch; rebuilding");
     return Status::Ok();
   }
   if (h.ruleset_hash != ruleset_hash) {
@@ -476,7 +491,7 @@ bool FingerprintStore::LoadIndex(uint64_t log_end) {
     if (magic == kRecordMagic) {
       RecordView r;
       if (!DecodeRecord(log, off, log_end, &r)) return false;
-      index_[r.fingerprint].push_back(off);
+      index_.emplace_back(r.fingerprint, off);
       ++entries;
       off += r.total;
     } else if (magic == kFileRecordMagic) {
@@ -500,6 +515,9 @@ bool FingerprintStore::LoadIndex(uint64_t log_end) {
       return false;
     }
   }
+  // Entries were pushed in log order and the sort is stable, so a collision
+  // chain keeps log order.
+  RadixSortBy(index_, [](const std::pair<uint64_t, uint64_t>& e) { return e.first; });
   stats_.entries = entries;
   stats_.file_entries = file_entries;
   return true;
@@ -524,17 +542,12 @@ void FingerprintStore::MarkUnusable(std::string warning) {
 bool FingerprintStore::Probe(std::string_view canonical, uint64_t fingerprint,
                              std::vector<StoredFinding>* out) {
   if (!usable()) return false;
-  auto it = index_.find(fingerprint);
-  if (it != index_.end()) {
-    std::string_view log = map_.view();
-    for (uint64_t off : it->second) {
-      RecordView r;
-      if (DecodeRecord(log, off, log_end_, &r) && r.canonical == canonical) {
-        DecodeFindings(r, out);
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-    }
+  RecordView r;
+  uint64_t off = kNoOffset;
+  if (FindRecord(index_, map_.view(), log_end_, canonical, fingerprint, &r, &off)) {
+    DecodeFindings(r, out);
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    return true;
   }
   auto ap = appended_.find(fingerprint);
   if (ap != appended_.end()) {
@@ -554,19 +567,14 @@ bool FingerprintStore::ProbeStats(std::string_view canonical, uint64_t fingerpri
                                   std::vector<FindingStat>* out,
                                   uint64_t* template_fingerprint, uint64_t* offset) {
   if (!usable()) return false;
-  auto it = index_.find(fingerprint);
-  if (it != index_.end()) {
-    std::string_view log = map_.view();
-    for (uint64_t off : it->second) {
-      RecordView r;
-      if (DecodeRecord(log, off, log_end_, &r) && r.canonical == canonical) {
-        if (out != nullptr) DecodeFindingStats(r, out);
-        if (template_fingerprint != nullptr) *template_fingerprint = r.template_fingerprint;
-        if (offset != nullptr) *offset = off;
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-    }
+  RecordView r;
+  uint64_t off = kNoOffset;
+  if (FindRecord(index_, map_.view(), log_end_, canonical, fingerprint, &r, &off)) {
+    if (out != nullptr) DecodeFindingStats(r, out);
+    if (template_fingerprint != nullptr) *template_fingerprint = r.template_fingerprint;
+    if (offset != nullptr) *offset = off;
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    return true;
   }
   auto ap = appended_.find(fingerprint);
   if (ap != appended_.end()) {
@@ -735,11 +743,11 @@ Status FingerprintStore::Verify(const std::string& path, std::string* summary) {
     return Status::Error("'" + path + "' is not a fingerprint store");
   }
   HeaderFields h = ParseHeader(buf.data());
-  if (!h.checksum_ok) return Status::Error("header checksum mismatch");
-  if (h.version != kFormatVersion) {
+  if (h.version != kFormatVersion) {  // before the checksum, as in Open
     return Status::Error("format version " + std::to_string(h.version) +
                          " (expected " + std::to_string(kFormatVersion) + ")");
   }
+  if (!h.checksum_ok) return Status::Error("header checksum mismatch");
   if (h.log_end < kHeaderBytes || h.log_end > buf.size()) {
     return Status::Error("committed length out of bounds");
   }
@@ -918,11 +926,10 @@ Status FingerprintStore::Compact(const std::string& path, uint64_t ruleset_hash,
 }
 
 uint64_t FingerprintStore::RulesetHash(const RuleRegistry& registry) {
-  uint64_t h = Fnv64(&kFormatVersion, sizeof(kFormatVersion));
+  uint64_t h = Fnv1a(&kFormatVersion, sizeof(kFormatVersion));
   for (const auto& rule : registry.rules()) {
-    std::string slug = ApSlug(rule->type());
-    h = Fnv64(slug.data(), slug.size(), h);
-    h = Fnv64("|", 1, h);
+    h = Fnv1a(ApSlug(rule->type()), h);
+    h = Fnv1a("|", 1, h);
   }
   return h;
 }

@@ -96,8 +96,8 @@ struct StoreStats {
 /// edit inside one mtime tick is the documented blind spot.
 ///
 /// Layout: a 64-byte header (magic, format version, rule-set hash,
-/// generation, committed statement count, committed log end, checksum)
-/// followed by records, each with a trailing FNV checksum. Appends are
+/// generation, committed statement count, committed log end, XXH64 checksum)
+/// followed by records, each with a trailing XXH64 checksum. Appends are
 /// staged in memory; Commit() (and Close()) write them with one bulk
 /// write(2) past the committed end, fsync, and only then publish a new
 /// header — a crash at any point leaves the previous header pointing at the
@@ -238,10 +238,11 @@ class FingerprintStore {
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> file_hits_{0};
   std::atomic<uint64_t> file_misses_{0};
-  /// fingerprint → byte offsets of committed statement records (collision
-  /// chains kept; probes compare canonical text). Records appended this
-  /// session index into `appended_` instead so the mapping never grows.
-  std::unordered_map<uint64_t, std::vector<uint64_t>> index_;
+  /// (fingerprint, byte offset) of every committed statement record, sorted
+  /// by fingerprint; a collision chain keeps log order, and probes compare
+  /// canonical text. Records appended this session index into `appended_`
+  /// instead so the vector never grows after open.
+  std::vector<std::pair<uint64_t, uint64_t>> index_;
   std::unordered_map<uint64_t, std::vector<AppendedEntry>> appended_;
   /// Committed file manifests, root-relative path → freshness key + refs.
   /// Later records for one path supersede earlier ones (last write wins).

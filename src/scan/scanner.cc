@@ -18,7 +18,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/mmap_file.h"
+#include "common/radix_sort.h"
 #include "common/thread_pool.h"
 #include "core/emit.h"
 #include "core/session.h"
@@ -128,7 +130,7 @@ struct Repo {
   std::vector<ScanFile> files;
 };
 
-/// The repo-manifest freshness key: total bytes plus an FNV digest over the
+/// The repo-manifest freshness key: total bytes plus an FNV-1a digest over the
 /// sorted (rel, size, mtime) triples of every file the repository
 /// contributes. Adding, deleting or editing any file changes it.
 struct RepoKey {
@@ -136,20 +138,9 @@ struct RepoKey {
   uint64_t digest = 0;
 };
 
-constexpr uint64_t kFnvBasis = 1469598103934665603ull;
-
-uint64_t Fnv1a(const void* data, size_t n, uint64_t h = kFnvBasis) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 RepoKey KeyOf(const std::vector<const ScanFile*>& files) {
   RepoKey key;
-  key.digest = kFnvBasis;
+  key.digest = kFnv1aBasis;
   for (const ScanFile* f : files) {
     key.bytes += f->size;
     key.digest = Fnv1a(f->rel.data(), f->rel.size() + 1, key.digest);  // with its NUL
@@ -190,14 +181,16 @@ struct RepoResult {
   std::vector<Occurrence> occurrences;
 };
 
-/// Corpus-wide aggregates of one worker; sums and set unions, so merging
-/// the workers in any order gives the same report.
+/// Corpus-wide aggregates of one worker; sums, plus the fingerprint of every
+/// occurrence the worker folded (duplicates kept). The merge counts distinct
+/// fingerprints over all workers at once, so merging in any order gives the
+/// same report.
 struct ShardAgg {
   std::array<uint64_t, kAntiPatternCount> occurrences{};
   std::array<uint64_t, kAntiPatternCount> statements_with{};
   uint64_t severity[3] = {0, 0, 0};  ///< high / medium / low.
-  std::unordered_set<uint64_t> unique_exact;
-  std::unordered_set<uint64_t> unique_template;
+  std::vector<uint64_t> exact_fps;
+  std::vector<uint64_t> template_fps;
   uint64_t analyzed = 0;
   uint64_t store_reused = 0;
   uint64_t files_reused = 0;
@@ -225,8 +218,8 @@ struct ScanShared {
 void FoldStatement(const std::vector<persist::FindingStat>& findings, uint64_t exact,
                    uint64_t tmpl, ShardAgg& agg, RepoResult& repo) {
   ++repo.statements;
-  agg.unique_exact.insert(exact);
-  agg.unique_template.insert(tmpl);
+  agg.exact_fps.push_back(exact);
+  agg.template_fps.push_back(tmpl);
   uint32_t stmt_mask = 0;
   for (const persist::FindingStat& f : findings) {
     ++repo.findings;
@@ -438,6 +431,12 @@ void ProcessRepo(const Repo& repo, const ScanShared& shared, Worker& w, RepoResu
   AnalyzeRepo(files, readable && shared.store != nullptr, shared, w, out);
 }
 
+/// Number of distinct values, sorting `values` in place.
+uint64_t CountDistinct(std::vector<uint64_t>& values) {
+  RadixSortBy(values, [](uint64_t v) { return v; });
+  return static_cast<uint64_t>(std::unique(values.begin(), values.end()) - values.begin());
+}
+
 void AppendFormatted(std::string& out, const char* fmt, ...)
     __attribute__((format(printf, 2, 3)));
 
@@ -554,8 +553,7 @@ std::string ScanReport::ToJson() const {
 }
 
 uint64_t DigestScanReport(const ScanReport& report) {
-  std::string json = report.ToJson();
-  return Fnv1a(json.data(), json.size());
+  return Fnv1a(report.ToJson());
 }
 
 Result<ScanReport> CorpusScanner::Scan(const std::string& root) {
@@ -663,8 +661,8 @@ Result<ScanReport> CorpusScanner::Scan(const std::string& root) {
   }
 
   ScanReport report;
-  std::unordered_set<uint64_t> unique_exact;
-  std::unordered_set<uint64_t> unique_template;
+  std::vector<uint64_t> exact_fps;
+  std::vector<uint64_t> template_fps;
   for (Worker& w : workers) {
     const ShardAgg& agg = w.agg;
     for (int k = 0; k < kAntiPatternCount; ++k) {
@@ -674,15 +672,15 @@ Result<ScanReport> CorpusScanner::Scan(const std::string& root) {
     report.severity_high += agg.severity[0];
     report.severity_medium += agg.severity[1];
     report.severity_low += agg.severity[2];
-    unique_exact.insert(agg.unique_exact.begin(), agg.unique_exact.end());
-    unique_template.insert(agg.unique_template.begin(), agg.unique_template.end());
+    exact_fps.insert(exact_fps.end(), agg.exact_fps.begin(), agg.exact_fps.end());
+    template_fps.insert(template_fps.end(), agg.template_fps.begin(), agg.template_fps.end());
     summary_.analyzed += agg.analyzed;
     summary_.store_reused += agg.store_reused;
     summary_.files_reused += agg.files_reused;
     summary_.files_skipped += agg.skipped;
   }
-  report.unique_statements = unique_exact.size();
-  report.unique_templates = unique_template.size();
+  report.unique_statements = CountDistinct(exact_fps);
+  report.unique_templates = CountDistinct(template_fps);
   for (size_t r = 0; r < repos.size(); ++r) {
     const RepoResult& res = results[r];
     if (res.files == 0) continue;

@@ -1,5 +1,6 @@
 #include "sql/fingerprint.h"
 
+#include "common/hash.h"
 #include "sql/lexer.h"
 
 namespace sqlcheck::sql {
@@ -75,14 +76,7 @@ std::string CanonicalizeSql(std::string_view sql, const FingerprintOptions& opti
   return CanonicalizeTokens(Lex(sql, buffer), options);
 }
 
-uint64_t FingerprintCanonical(std::string_view canonical) {
-  uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  for (char c : canonical) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return h;
-}
+uint64_t FingerprintCanonical(std::string_view canonical) { return Fnv1a(canonical); }
 
 uint64_t FingerprintTokens(const std::vector<Token>& tokens,
                            const FingerprintOptions& options) {

@@ -8,8 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <algorithm>
 #include <fstream>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <fcntl.h>
@@ -17,6 +21,8 @@
 #include <unistd.h>
 
 #include "common/failpoint.h"
+#include "common/hash.h"
+#include "common/radix_sort.h"
 #include "persist/fingerprint_store.h"
 #include "rules/registry.h"
 
@@ -52,6 +58,10 @@ class PersistTest : public ::testing::Test {
     std::string raw = ReadRaw();
     ASSERT_LT(at, raw.size());
     raw[at] = static_cast<char>(raw[at] ^ 0xFF);
+    WriteRaw(raw);
+  }
+
+  void WriteRaw(const std::string& raw) {
     std::ofstream out(path_, std::ios::binary | std::ios::trunc);
     out.write(raw.data(), static_cast<std::streamsize>(raw.size()));
   }
@@ -253,6 +263,78 @@ TEST_F(PersistTest, FlippedRecordByteRebuildsAndVerifyRejects) {
   EXPECT_EQ(store.stats().entries, 0u);
   store.Close();
   ASSERT_TRUE(FingerprintStore::Verify(path_, nullptr).ok());  // rebuilt clean
+}
+
+TEST_F(PersistTest, EveryFlippedByteOfARecordOrManifestRebuildsAndVerifyRejects) {
+  {
+    FingerprintStore store;
+    ASSERT_TRUE(store.Open(path_, kHash).ok());
+    uint64_t off = store.Append("SELECT * FROM t", 0x7, 0x8, {MakeFinding(1, 0.5, "x")});
+    ASSERT_NE(off, FingerprintStore::kNoOffset);
+    ASSERT_TRUE(store.AppendFile("repo/", 10, 100, {{0x7, 0x8, off}}));
+    store.Close();
+  }
+  const std::string original = ReadRaw();
+  ASSERT_TRUE(FingerprintStore::Verify(path_, nullptr).ok());
+  // Layout: 64-byte header, the statement record, then the manifest; each
+  // record's u32 total length sits 4 bytes into it.
+  auto total_at = [&](size_t offset) {
+    uint32_t total = 0;
+    std::memcpy(&total, original.data() + offset + 4, 4);
+    return static_cast<size_t>(total);
+  };
+  const size_t record_end = 64 + total_at(64);
+  const size_t manifest_end = record_end + total_at(record_end);
+  ASSERT_EQ(manifest_end, original.size());
+  for (size_t at = 64; at < manifest_end; ++at) {
+    SCOPED_TRACE("flipped byte " + std::to_string(at));
+    std::string raw = original;
+    raw[at] = static_cast<char>(raw[at] ^ 0xFF);
+    WriteRaw(raw);
+    EXPECT_FALSE(FingerprintStore::Verify(path_, nullptr).ok());
+    FingerprintStore store;
+    ASSERT_TRUE(store.Open(path_, kHash).ok());
+    EXPECT_TRUE(store.usable());
+    EXPECT_TRUE(store.stats().degraded);
+    EXPECT_NE(store.stats().warning.find("corrupt"), std::string::npos);
+    EXPECT_EQ(store.stats().entries, 0u);
+    EXPECT_EQ(store.stats().file_entries, 0u);
+    store.Close();
+  }
+}
+
+TEST_F(PersistTest, PreviousFormatVersionRebuildsWithAnUpgradeWarning) {
+  uint64_t generation = 0;
+  {
+    FingerprintStore store;
+    ASSERT_TRUE(store.Open(path_, kHash).ok());
+    store.Append("SELECT 1", 0x1, 0x1, {});
+    generation = store.stats().generation;
+    store.Close();
+  }
+  // A version 3 store carries an FNV-1a header checksum, which the XXH64
+  // check can never accept: the version must be read first, so the
+  // rebuild names the upgrade instead of reporting corruption.
+  std::string raw = ReadRaw();
+  const uint32_t v3 = 3;
+  std::memcpy(raw.data() + 8, &v3, 4);
+  WriteRaw(raw);
+  Status verify = FingerprintStore::Verify(path_, nullptr);
+  EXPECT_FALSE(verify.ok());
+  EXPECT_NE(verify.message().find("format version 3"), std::string::npos)
+      << verify.message();
+
+  FingerprintStore store;
+  ASSERT_TRUE(store.Open(path_, kHash).ok());
+  EXPECT_TRUE(store.usable());
+  EXPECT_TRUE(store.stats().degraded);
+  EXPECT_NE(store.stats().warning.find("store format version 3 != 4"), std::string::npos)
+      << store.stats().warning;
+  EXPECT_EQ(store.stats().warning.find("checksum"), std::string::npos);
+  EXPECT_EQ(store.stats().entries, 0u);
+  EXPECT_EQ(store.stats().generation, generation + 1);
+  store.Close();
+  ASSERT_TRUE(FingerprintStore::Verify(path_, nullptr).ok());  // rebuilt as v4
 }
 
 TEST_F(PersistTest, FlippedHeaderByteRebuilds) {
@@ -461,6 +543,43 @@ TEST_F(PersistTest, RulesetHashTracksRegistryComposition) {
   ASSERT_TRUE(partial.Disable({"Multi-Valued Attribute"}).ok());
   ASSERT_LT(partial.size(), all.size());
   EXPECT_NE(FingerprintStore::RulesetHash(all), FingerprintStore::RulesetHash(partial));
+}
+
+TEST(ChecksumTest, Xxh64MatchesPublishedVectors) {
+  struct Vector {
+    std::string input;
+    uint64_t expected;
+  };
+  const Vector vectors[] = {
+      {"", 0xEF46DB3751D8E999ull},
+      {"a", 0xD24EC4F1A98C6E5Bull},
+      {"abc", 0x44BC2CF5AD770999ull},
+      // 39 bytes: one 32-byte stripe through the four lanes, then the tail.
+      {"Nobody inspects the spammish repetition", 0xFBCEA83C8A378BF1ull},
+  };
+  for (const Vector& v : vectors) {
+    EXPECT_EQ(Xxh64(v.input.data(), v.input.size()), v.expected) << '"' << v.input << '"';
+  }
+}
+
+TEST(RadixSortTest, SortsByKeyAndKeepsEqualKeysInInputOrder) {
+  // The store's fingerprint index relies on stability: a collision chain
+  // must stay in log order. Few distinct keys force long equal-key runs.
+  std::mt19937_64 rng(7);
+  std::vector<std::pair<uint64_t, uint64_t>> items;
+  for (uint64_t i = 0; i < 5000; ++i) {
+    const uint64_t key = (rng() % 64) * 0x9E3779B97F4A7C15ull;  // every byte varies
+    items.emplace_back(key, i);
+  }
+  std::vector<std::pair<uint64_t, uint64_t>> expected = items;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  RadixSortBy(items, [](const std::pair<uint64_t, uint64_t>& e) { return e.first; });
+  EXPECT_EQ(items, expected);
+
+  std::vector<uint64_t> empty;
+  RadixSortBy(empty, [](uint64_t v) { return v; });
+  EXPECT_TRUE(empty.empty());
 }
 
 }  // namespace
