@@ -24,10 +24,11 @@ namespace {
 
 // On-disk format. Everything is little-endian on every target we build for;
 // values move through memcpy so alignment never matters. Header and record
-// checksums are XXH64 (seed 0); version 3 had this layout with FNV-1a
+// checksums are XXH64 (seed 0). Version 4 stored each finding's source,
+// table, column and message as well; version 3 was version 4 with FNV-1a
 // checksums.
 constexpr char kMagic[8] = {'S', 'Q', 'L', 'C', 'K', 'F', 'S', '1'};
-constexpr uint32_t kFormatVersion = 4;
+constexpr uint32_t kFormatVersion = 5;
 constexpr uint64_t kHeaderBytes = 64;
 constexpr uint32_t kRecordMagic = 0x52504653;      // "SFPR": statement record
 constexpr uint32_t kFileRecordMagic = 0x46504653;  // "SFPF": file manifest
@@ -39,8 +40,8 @@ constexpr uint64_t kRecordPrefixBytes = 4 + 4 + 8 + 8 + 4 + 4;
 constexpr uint64_t kFileRecordPrefixBytes = 4 + 4 + 4 + 4 + 8 + 8;
 constexpr uint64_t kStmtRefBytes = 8 + 8 + 8;  ///< exact, template, offset.
 constexpr uint64_t kRecordChecksumBytes = 8;
-/// Per-finding fixed part: type, source, has_query, pad, three lengths, score.
-constexpr uint64_t kFindingPrefixBytes = 4 + 4 + 4 + 4 + 8;
+/// One finding of a statement record: type byte, score bits (unaligned).
+constexpr uint64_t kFindingBytes = 1 + 8;
 /// Caps that bound a structurally-valid record: a corrupt length field must
 /// fail validation rather than drive a huge allocation.
 constexpr uint64_t kMaxRecordBytes = 64ull << 20;
@@ -96,11 +97,12 @@ std::string EncodeHeader(uint64_t ruleset_hash, uint64_t generation,
   return buf;
 }
 
+template <typename Finding>
 std::string EncodeRecord(std::string_view canonical, uint64_t fingerprint,
                          uint64_t template_fingerprint,
-                         const std::vector<StoredFinding>& findings) {
+                         const std::vector<Finding>& findings) {
   std::string buf;
-  buf.reserve(kRecordPrefixBytes + canonical.size() + findings.size() * 48 +
+  buf.reserve(kRecordPrefixBytes + canonical.size() + findings.size() * kFindingBytes +
               kRecordChecksumBytes);
   PutU32(&buf, kRecordMagic);
   PutU32(&buf, 0);  // total_bytes, patched below
@@ -109,20 +111,11 @@ std::string EncodeRecord(std::string_view canonical, uint64_t fingerprint,
   PutU32(&buf, static_cast<uint32_t>(canonical.size()));
   PutU32(&buf, static_cast<uint32_t>(findings.size()));
   buf.append(canonical);
-  for (const StoredFinding& f : findings) {
+  for (const Finding& f : findings) {
     buf.push_back(static_cast<char>(f.type));
-    buf.push_back(static_cast<char>(f.source));
-    buf.push_back(f.has_query ? 1 : 0);
-    buf.push_back(0);
-    PutU32(&buf, static_cast<uint32_t>(f.table.size()));
-    PutU32(&buf, static_cast<uint32_t>(f.column.size()));
-    PutU32(&buf, static_cast<uint32_t>(f.message.size()));
     uint64_t score_bits;
     std::memcpy(&score_bits, &f.score, 8);
     PutU64(&buf, score_bits);
-    buf.append(f.table);
-    buf.append(f.column);
-    buf.append(f.message);
   }
   uint32_t total = static_cast<uint32_t>(buf.size() + kRecordChecksumBytes);
   std::memcpy(buf.data() + 4, &total, 4);
@@ -160,8 +153,7 @@ struct RecordView {
   uint64_t template_fingerprint = 0;
   std::string_view canonical;
   uint32_t finding_count = 0;
-  const char* findings = nullptr;  ///< First finding's fixed part.
-  uint64_t findings_bytes = 0;
+  const char* findings = nullptr;  ///< First packed finding.
 };
 
 /// Zero-copy view of one committed file-manifest record.
@@ -207,22 +199,13 @@ bool DecodeRecord(std::string_view log, uint64_t offset, uint64_t limit,
   r.finding_count = GetU32(p + 28);
   uint64_t payload = total - kRecordPrefixBytes - kRecordChecksumBytes;
   if (canonical_bytes > payload) return false;
+  // A checksum-valid record whose lengths disagree with its size (it would
+  // take a deliberate forgery, but is cheap to refuse) cannot pass.
+  if (payload - canonical_bytes != static_cast<uint64_t>(r.finding_count) * kFindingBytes) {
+    return false;
+  }
   r.canonical = std::string_view(p + kRecordPrefixBytes, canonical_bytes);
   r.findings = p + kRecordPrefixBytes + canonical_bytes;
-  r.findings_bytes = payload - canonical_bytes;
-  // Walk the findings once so a checksum-valid record with nonsense lengths
-  // (it would take a deliberate forgery, but cheap to refuse) cannot pass.
-  const char* q = r.findings;
-  uint64_t remaining = r.findings_bytes;
-  for (uint32_t i = 0; i < r.finding_count; ++i) {
-    if (remaining < kFindingPrefixBytes) return false;
-    uint64_t text = static_cast<uint64_t>(GetU32(q + 4)) + GetU32(q + 8) + GetU32(q + 12);
-    if (remaining - kFindingPrefixBytes < text) return false;
-    uint64_t step = kFindingPrefixBytes + text;
-    q += step;
-    remaining -= step;
-  }
-  if (remaining != 0) return false;
   *out = r;
   return true;
 }
@@ -260,44 +243,13 @@ bool DecodeFileRecord(std::string_view log, uint64_t offset, uint64_t limit,
   return true;
 }
 
-void DecodeFindings(const RecordView& r, std::vector<StoredFinding>* out) {
-  out->clear();
-  out->reserve(r.finding_count);
-  const char* q = r.findings;
-  for (uint32_t i = 0; i < r.finding_count; ++i) {
-    StoredFinding f;
-    f.type = static_cast<uint8_t>(q[0]);
-    f.source = static_cast<uint8_t>(q[1]);
-    f.has_query = q[2] != 0;
-    uint32_t table_len = GetU32(q + 4);
-    uint32_t column_len = GetU32(q + 8);
-    uint32_t message_len = GetU32(q + 12);
-    uint64_t score_bits = GetU64(q + 16);
-    std::memcpy(&f.score, &score_bits, 8);
-    q += kFindingPrefixBytes;
-    f.table.assign(q, table_len);
-    q += table_len;
-    f.column.assign(q, column_len);
-    q += column_len;
-    f.message.assign(q, message_len);
-    q += message_len;
-    out->push_back(std::move(f));
-  }
-}
-
-/// The hot-path decode: (type, score) pairs only — no string allocation.
 void DecodeFindingStats(const RecordView& r, std::vector<FindingStat>* out) {
-  out->clear();
-  out->reserve(r.finding_count);
+  out->resize(r.finding_count);
   const char* q = r.findings;
-  for (uint32_t i = 0; i < r.finding_count; ++i) {
-    FindingStat f;
+  for (FindingStat& f : *out) {
     f.type = static_cast<uint8_t>(q[0]);
-    uint64_t score_bits = GetU64(q + 16);
-    std::memcpy(&f.score, &score_bits, 8);
-    uint64_t text = static_cast<uint64_t>(GetU32(q + 4)) + GetU32(q + 8) + GetU32(q + 12);
-    q += kFindingPrefixBytes + text;
-    out->push_back(f);
+    std::memcpy(&f.score, q + 1, 8);
+    q += kFindingBytes;
   }
 }
 
@@ -539,30 +491,6 @@ void FingerprintStore::MarkUnusable(std::string warning) {
   stats_.warning = std::move(warning);
 }
 
-bool FingerprintStore::Probe(std::string_view canonical, uint64_t fingerprint,
-                             std::vector<StoredFinding>* out) {
-  if (!usable()) return false;
-  RecordView r;
-  uint64_t off = kNoOffset;
-  if (FindRecord(index_, map_.view(), log_end_, canonical, fingerprint, &r, &off)) {
-    DecodeFindings(r, out);
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  auto ap = appended_.find(fingerprint);
-  if (ap != appended_.end()) {
-    for (const AppendedEntry& entry : ap->second) {
-      if (entry.canonical == canonical) {
-        *out = entry.findings;
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return false;
-}
-
 bool FingerprintStore::ProbeStats(std::string_view canonical, uint64_t fingerprint,
                                   std::vector<FindingStat>* out,
                                   uint64_t* template_fingerprint, uint64_t* offset) {
@@ -580,13 +508,7 @@ bool FingerprintStore::ProbeStats(std::string_view canonical, uint64_t fingerpri
   if (ap != appended_.end()) {
     for (const AppendedEntry& entry : ap->second) {
       if (entry.canonical == canonical) {
-        if (out != nullptr) {
-          out->clear();
-          out->reserve(entry.findings.size());
-          for (const StoredFinding& f : entry.findings) {
-            out->push_back(FindingStat{f.type, f.score});
-          }
-        }
+        if (out != nullptr) *out = entry.stats;
         if (template_fingerprint != nullptr) *template_fingerprint = entry.tmpl;
         if (offset != nullptr) *offset = entry.offset;
         hits_.fetch_add(1, std::memory_order_relaxed);
@@ -623,9 +545,10 @@ bool FingerprintStore::ResolveStats(uint64_t offset, uint64_t fingerprint,
   return true;
 }
 
+template <typename Finding>
 uint64_t FingerprintStore::Append(std::string_view canonical, uint64_t fingerprint,
                                   uint64_t template_fingerprint,
-                                  const std::vector<StoredFinding>& findings) {
+                                  const std::vector<Finding>& findings) {
   if (!usable() || append_broken_) return kNoOffset;
   {
     // First write wins; a duplicate append returns the existing record.
@@ -642,7 +565,8 @@ uint64_t FingerprintStore::Append(std::string_view canonical, uint64_t fingerpri
   pending_buf_.append(record);
   AppendedEntry entry;
   entry.canonical.assign(canonical);
-  entry.findings = findings;
+  entry.stats.reserve(findings.size());
+  for (const Finding& f : findings) entry.stats.push_back(FindingStat{f.type, f.score});
   entry.offset = offset;
   entry.tmpl = template_fingerprint;
   appended_[fingerprint].push_back(std::move(entry));
@@ -652,6 +576,11 @@ uint64_t FingerprintStore::Append(std::string_view canonical, uint64_t fingerpri
   ++uncommitted_entries_;
   return offset;
 }
+
+template uint64_t FingerprintStore::Append(std::string_view, uint64_t, uint64_t,
+                                           const std::vector<StoredFinding>&);
+template uint64_t FingerprintStore::Append(std::string_view, uint64_t, uint64_t,
+                                           const std::vector<FindingStat>&);
 
 bool FingerprintStore::AppendFile(std::string_view rel_path, uint64_t size,
                                   uint64_t mtime_ns,

@@ -17,22 +17,21 @@ class RuleRegistry;
 
 namespace sqlcheck::persist {
 
-/// \brief One serialized finding: everything the scan report and a detailed
-/// listing need, minus the fields that are rebased per occurrence (the raw
-/// statement text and parse-tree pointer). A record's findings are a pure
-/// function of its key — the scan keys a statement by its exact-canonical
-/// text when every finding on it is statement-local, and by that text plus
-/// its repository's digest otherwise — which is what makes replaying them
-/// sound.
+/// \brief One finding as a caller hands it to `Append`. Only `type` and
+/// `score` persist (see FindingStat): the scan report is pure aggregates, so
+/// `source`, `has_query`, `table`, `column` and `message` are accepted and
+/// dropped. A record's findings are a pure function of its key — the scan
+/// keys a statement by its exact-canonical text when every finding on it is
+/// statement-local, and by that text plus its repository's digest otherwise
+/// — which is what makes replaying them sound.
 struct StoredFinding {
-  uint8_t type = 0;       ///< AntiPattern, numeric.
-  uint8_t source = 0;     ///< DetectionSource, numeric.
-  bool has_query = false; ///< Detection::query was non-empty: rebase it onto
-                          ///< each occurrence's raw text when replaying.
-  double score = 0.0;     ///< Ranking impact score (bit-exact round trip).
-  std::string table;
-  std::string column;
-  std::string message;
+  uint8_t type = 0;       ///< AntiPattern, numeric. Persisted.
+  uint8_t source = 0;     ///< DetectionSource, numeric. Not persisted.
+  bool has_query = false; ///< Detection::query was non-empty. Not persisted.
+  double score = 0.0;     ///< Ranking impact score. Persisted bit-exact.
+  std::string table;      ///< Not persisted.
+  std::string column;     ///< Not persisted.
+  std::string message;    ///< Not persisted.
 
   bool operator==(const StoredFinding& other) const {
     return type == other.type && source == other.source &&
@@ -42,10 +41,8 @@ struct StoredFinding {
   }
 };
 
-/// \brief The aggregate-relevant slice of a finding. The corpus report is
-/// pure aggregates (rule occurrence counts, severity histogram), so the hot
-/// replay path decodes only these two fields and never materializes the
-/// table/column/message strings.
+/// \brief What a statement record stores of each finding: the two fields
+/// the corpus report (rule occurrence counts, severity histogram) reads.
 struct FindingStat {
   uint8_t type = 0;
   double score = 0.0;
@@ -80,10 +77,10 @@ struct StoreStats {
 /// \brief The persistent memo behind `sqlcheck scan`: a single-file, mmap'd,
 /// checksummed append log holding two record kinds.
 ///
-/// *Statement records* map a key (text + 64-bit fingerprint) to serialized
-/// findings. Probes compare the stored text, not just the hash, so a
-/// fingerprint collision can never splice one statement's findings onto
-/// another.
+/// *Statement records* map a key (text + 64-bit fingerprint) to the
+/// (type, score) of each of its findings, and carry no finding text. Probes
+/// compare the stored key text, not just the hash, so a fingerprint
+/// collision can never splice one statement's findings onto another.
 ///
 /// *Manifest records* map a path plus a (size, mtime) freshness key to the
 /// ordered list of statement fingerprints and record offsets. The scan
@@ -97,11 +94,13 @@ struct StoreStats {
 ///
 /// Layout: a 64-byte header (magic, format version, rule-set hash,
 /// generation, committed statement count, committed log end, XXH64 checksum)
-/// followed by records, each with a trailing XXH64 checksum. Appends are
-/// staged in memory; Commit() (and Close()) write them with one bulk
-/// write(2) past the committed end, fsync, and only then publish a new
-/// header — a crash at any point leaves the previous header pointing at the
-/// old, fully-valid prefix, and the torn tail is truncated on the next open.
+/// followed by records, each with a trailing XXH64 checksum. A statement
+/// record is a 32-byte prefix, the key text, 9 bytes per finding (type byte,
+/// score bits) and the checksum. Appends are staged in memory; Commit() (and
+/// Close()) write them with one bulk write(2) past the committed end, fsync,
+/// and only then publish a new header — a crash at any point leaves the
+/// previous header pointing at the old, fully-valid prefix, and the torn tail
+/// is truncated on the next open.
 ///
 /// Validity is keyed by (format version, rule-set hash): if either differs
 /// at open the contents are discarded and the generation bumped — stored
@@ -131,16 +130,12 @@ class FingerprintStore {
   /// when Open refused the file (not ours / locked by another scan).
   bool usable() const { return fd_ >= 0; }
 
-  /// Looks up an exact-canonical statement. On hit fills `out` (may be an
-  /// empty list — "analyzed, clean" is cached too) and returns true.
-  /// Thread-safe against concurrent Probe*/Resolve* calls (the scan workers
-  /// share one read-only store); Append*/Commit/Close must not overlap them.
-  bool Probe(std::string_view canonical, uint64_t fingerprint,
-             std::vector<StoredFinding>* out);
-
-  /// Aggregates-only probe: fills the (type, score) stats without
-  /// materializing finding strings, and reports the serving record's
-  /// template fingerprint and byte offset (for manifests).
+  /// Looks up a statement by key. On hit fills the (type, score) stats (may
+  /// be an empty list — "analyzed, clean" is cached too) and reports the
+  /// serving record's template fingerprint and byte offset (for manifests);
+  /// each out-pointer may be null. Thread-safe against concurrent
+  /// Probe*/Resolve* calls (the scan workers share one read-only store);
+  /// Append*/Commit/Close must not overlap them.
   bool ProbeStats(std::string_view canonical, uint64_t fingerprint,
                   std::vector<FindingStat>* out, uint64_t* template_fingerprint,
                   uint64_t* offset);
@@ -163,10 +158,11 @@ class FingerprintStore {
   /// fingerprint+canonical is already present (committed or staged) returns
   /// the existing record's offset instead — first write wins. Returns
   /// kNoOffset when the store is unusable or the log is frozen by an earlier
-  /// failure.
+  /// failure. Only each finding's `type` and `score` are stored; `Finding`
+  /// is StoredFinding or FindingStat.
+  template <typename Finding = StoredFinding>
   uint64_t Append(std::string_view canonical, uint64_t fingerprint,
-                  uint64_t template_fingerprint,
-                  const std::vector<StoredFinding>& findings);
+                  uint64_t template_fingerprint, const std::vector<Finding>& findings);
 
   /// Stages one manifest entry. The referenced statement offsets may be
   /// offsets returned by Append in this same session — Commit publishes both
@@ -208,7 +204,7 @@ class FingerprintStore {
  private:
   struct AppendedEntry {
     std::string canonical;
-    std::vector<StoredFinding> findings;
+    std::vector<FindingStat> stats;
     uint64_t offset = 0;
     uint64_t tmpl = 0;
   };

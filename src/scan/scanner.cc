@@ -155,7 +155,7 @@ struct RecordDraft {
   std::string key;  ///< Exact canonical, plus the repo digest if workload-sensitive.
   uint64_t exact = 0;
   uint64_t tmpl = 0;
-  std::vector<persist::StoredFinding> findings;
+  std::vector<persist::FindingStat> stats;
 };
 
 /// One statement occurrence of a repository and the record carrying its
@@ -381,18 +381,7 @@ void AnalyzeRepo(const std::vector<const ScanFile*>& files, bool write_back,
       record.key = key;
       record.exact = g.fp.exact;
       record.tmpl = g.fp.tmpl;
-      for (size_t k = first; k < cursor; ++k) {
-        const RankedDetection& r = report.findings[owned[k].second].ranked;
-        persist::StoredFinding f;
-        f.type = static_cast<uint8_t>(r.detection.type);
-        f.source = static_cast<uint8_t>(r.detection.source);
-        f.has_query = !r.detection.query.empty();
-        f.score = r.score;
-        f.table = r.detection.table;
-        f.column = r.detection.column;
-        f.message = r.detection.message;
-        record.findings.push_back(std::move(f));
-      }
+      record.stats = w.stats;
       out->records.push_back(std::move(record));
     }
     out->occurrences.push_back(Occurrence{g.fp.exact, g.fp.tmpl, it->second});
@@ -715,7 +704,7 @@ Result<ScanReport> CorpusScanner::Scan(const std::string& root) {
       if (!res.write_back) continue;
       offsets.clear();
       for (const RecordDraft& rec : res.records) {
-        uint64_t off = store->Append(rec.key, rec.exact, rec.tmpl, rec.findings);
+        uint64_t off = store->Append(rec.key, rec.exact, rec.tmpl, rec.stats);
         if (off == kNoOffset) break;  // Log frozen by an injected append fault.
         offsets.push_back(off);
       }

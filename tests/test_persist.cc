@@ -83,13 +83,37 @@ class PersistTest : public ::testing::Test {
     return f;
   }
 
+  static uint64_t Bits(double v) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
+  }
+
+  /// Checks that `got` holds each finding's type and bit-exact score, in
+  /// order — all a statement record keeps of a finding.
+  static void ExpectStats(const std::vector<FindingStat>& got,
+                          const std::vector<StoredFinding>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].type, want[i].type) << "finding " << i;
+      EXPECT_EQ(Bits(got[i].score), Bits(want[i].score)) << "finding " << i;
+    }
+  }
+
+  /// ProbeStats with the stats only.
+  static bool Probe(FingerprintStore& store, std::string_view canonical,
+                    uint64_t fingerprint, std::vector<FindingStat>* out) {
+    return store.ProbeStats(canonical, fingerprint, out, nullptr, nullptr);
+  }
+
   static constexpr uint64_t kHash = 0xfeedface12345678ull;
   std::string dir_;
   std::string path_;
 };
 
 TEST_F(PersistTest, RoundTripStatementsAndManifest) {
-  std::vector<StoredFinding> findings = {MakeFinding(3, 0.75, "csv list"),
+  // 0.1 + 0.2 has no short decimal form: the score must survive bit-exact.
+  std::vector<StoredFinding> findings = {MakeFinding(3, 0.1 + 0.2, "csv list"),
                                          MakeFinding(7, 0.25, "implicit cols")};
   uint64_t off_a = 0, off_b = 0;
   {
@@ -117,23 +141,17 @@ TEST_F(PersistTest, RoundTripStatementsAndManifest) {
     EXPECT_EQ(store.stats().entries, 2u);
     EXPECT_EQ(store.stats().file_entries, 1u);
 
-    std::vector<StoredFinding> got;
-    ASSERT_TRUE(store.Probe("SELECT * FROM users", 0x1111, &got));
-    ASSERT_EQ(got.size(), 2u);
-    EXPECT_EQ(got[0], findings[0]);
-    EXPECT_EQ(got[1], findings[1]);
-    ASSERT_TRUE(store.Probe("SELECT id FROM users", 0x2222, &got));
-    EXPECT_TRUE(got.empty());
-    EXPECT_FALSE(store.Probe("SELECT nope", 0x3333, &got));
-
     std::vector<FindingStat> stats;
     uint64_t tmpl = 0, off = 0;
     ASSERT_TRUE(store.ProbeStats("SELECT * FROM users", 0x1111, &stats, &tmpl, &off));
-    ASSERT_EQ(stats.size(), 2u);
-    EXPECT_EQ(stats[0].type, 3);
-    EXPECT_DOUBLE_EQ(stats[0].score, 0.75);
+    ExpectStats(stats, findings);
     EXPECT_EQ(tmpl, 0xaaaaull);
     EXPECT_EQ(off, off_a);
+    ASSERT_TRUE(store.ProbeStats("SELECT id FROM users", 0x2222, &stats, &tmpl, &off));
+    EXPECT_TRUE(stats.empty());
+    EXPECT_EQ(tmpl, 0xbbbbull);
+    EXPECT_EQ(off, off_b);
+    EXPECT_FALSE(Probe(store, "SELECT nope", 0x3333, &stats));
 
     std::vector<StmtRef> refs;
     ASSERT_TRUE(store.ProbeFile("repo/queries.sql", 120, 99000111, &refs));
@@ -145,8 +163,10 @@ TEST_F(PersistTest, RoundTripStatementsAndManifest) {
     EXPECT_FALSE(store.ProbeFile("repo/queries.sql", 120, 99000112, &refs));
 
     stats.clear();
+    tmpl = 0;
     ASSERT_TRUE(store.ResolveStats(off_a, 0x1111, &stats, &tmpl));
-    EXPECT_EQ(stats.size(), 2u);
+    ExpectStats(stats, findings);
+    EXPECT_EQ(tmpl, 0xaaaaull);
     EXPECT_FALSE(store.ResolveStats(off_a, 0x9999, &stats, &tmpl));  // fp mismatch
     EXPECT_FALSE(store.ResolveStats(off_a + 1, 0x1111, &stats, &tmpl));
     store.Close();
@@ -155,7 +175,7 @@ TEST_F(PersistTest, RoundTripStatementsAndManifest) {
 
 TEST_F(PersistTest, FingerprintCollisionNeverSplicesFindings) {
   // Two different canonicals under one fingerprint: the probe must compare
-  // text, so each canonical gets its own findings back.
+  // text, so each canonical gets its own (type, score) list back.
   std::vector<StoredFinding> fa = {MakeFinding(1, 0.5, "a")};
   std::vector<StoredFinding> fb = {MakeFinding(2, 0.9, "b")};
   FingerprintStore store;
@@ -168,14 +188,58 @@ TEST_F(PersistTest, FingerprintCollisionNeverSplicesFindings) {
   store.Close();
 
   ASSERT_TRUE(store.Open(path_, kHash).ok());
-  std::vector<StoredFinding> got;
-  ASSERT_TRUE(store.Probe("SELECT a", 0x42, &got));
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].message, "a");
-  ASSERT_TRUE(store.Probe("SELECT b", 0x42, &got));
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].message, "b");
-  EXPECT_FALSE(store.Probe("SELECT c", 0x42, &got));
+  std::vector<FindingStat> got;
+  uint64_t tmpl = 0, off = 0;
+  ASSERT_TRUE(store.ProbeStats("SELECT a", 0x42, &got, &tmpl, &off));
+  ExpectStats(got, fa);
+  EXPECT_EQ(tmpl, 0x1u);
+  EXPECT_EQ(off, off_a);
+  ASSERT_TRUE(store.ProbeStats("SELECT b", 0x42, &got, &tmpl, &off));
+  ExpectStats(got, fb);
+  EXPECT_EQ(tmpl, 0x2u);
+  EXPECT_EQ(off, off_b);
+  EXPECT_FALSE(Probe(store, "SELECT c", 0x42, &got));
+  store.Close();
+}
+
+TEST_F(PersistTest, RecordsCarryNoFindingText) {
+  // A statement record keeps its key and each finding's (type, score);
+  // the table, column and message a caller hands over never reach the file.
+  const std::vector<std::string> markers = {"TBL_MARKER_7f3a", "COL_MARKER_91c2",
+                                            "MSG_MARKER_d04e"};
+  std::vector<StoredFinding> findings;
+  for (uint8_t type : {2, 5, 11}) {
+    StoredFinding f = MakeFinding(type, 0.5 + type, markers[2]);
+    f.table = markers[0];
+    f.column = markers[1];
+    findings.push_back(f);
+  }
+  const std::string key = "SELECT * FROM t WHERE a = ?";
+  {
+    FingerprintStore store;
+    ASSERT_TRUE(store.Open(path_, kHash).ok());
+    ASSERT_EQ(store.Append(key, 0x5, 0x6, findings), 64u);  // first record, past the header
+    ASSERT_TRUE(store.Commit().ok());
+    store.Close();
+  }
+  const std::string raw = ReadRaw();
+  for (const std::string& marker : markers) {
+    EXPECT_EQ(raw.find(marker), std::string::npos) << marker;
+  }
+  // 32-byte prefix (magic, total, two fingerprints, key length, finding
+  // count), the key, 9 bytes per finding, the 8-byte checksum.
+  const size_t expected = 32 + key.size() + findings.size() * 9 + 8;
+  uint32_t total = 0;
+  std::memcpy(&total, raw.data() + 64 + 4, 4);
+  EXPECT_EQ(total, expected);
+  EXPECT_EQ(raw.size(), 64 + expected);
+  EXPECT_TRUE(FingerprintStore::Verify(path_, nullptr).ok());
+
+  FingerprintStore store;
+  ASSERT_TRUE(store.Open(path_, kHash).ok());
+  std::vector<FindingStat> got;
+  ASSERT_TRUE(Probe(store, key, 0x5, &got));
+  ExpectStats(got, findings);
   store.Close();
 }
 
@@ -193,8 +257,8 @@ TEST_F(PersistTest, RulesetMismatchInvalidatesAndBumpsGeneration) {
   EXPECT_NE(store.stats().warning.find("rule-set"), std::string::npos);
   EXPECT_EQ(store.stats().entries, 0u);
   EXPECT_EQ(store.stats().generation, 2u);
-  std::vector<StoredFinding> got;
-  EXPECT_FALSE(store.Probe("SELECT 1", 0x1, &got));
+  std::vector<FindingStat> got;
+  EXPECT_FALSE(Probe(store, "SELECT 1", 0x1, &got));
   store.Close();
 }
 
@@ -312,29 +376,29 @@ TEST_F(PersistTest, PreviousFormatVersionRebuildsWithAnUpgradeWarning) {
     generation = store.stats().generation;
     store.Close();
   }
-  // A version 3 store carries an FNV-1a header checksum, which the XXH64
-  // check can never accept: the version must be read first, so the
-  // rebuild names the upgrade instead of reporting corruption.
+  // A version 4 store's header checksum covers the version field, so a
+  // patched one can never pass the checksum: the version must be read first,
+  // so the rebuild names the upgrade instead of reporting corruption.
   std::string raw = ReadRaw();
-  const uint32_t v3 = 3;
-  std::memcpy(raw.data() + 8, &v3, 4);
+  const uint32_t v4 = 4;
+  std::memcpy(raw.data() + 8, &v4, 4);
   WriteRaw(raw);
   Status verify = FingerprintStore::Verify(path_, nullptr);
   EXPECT_FALSE(verify.ok());
-  EXPECT_NE(verify.message().find("format version 3"), std::string::npos)
+  EXPECT_NE(verify.message().find("format version 4"), std::string::npos)
       << verify.message();
 
   FingerprintStore store;
   ASSERT_TRUE(store.Open(path_, kHash).ok());
   EXPECT_TRUE(store.usable());
   EXPECT_TRUE(store.stats().degraded);
-  EXPECT_NE(store.stats().warning.find("store format version 3 != 4"), std::string::npos)
+  EXPECT_NE(store.stats().warning.find("store format version 4 != 5"), std::string::npos)
       << store.stats().warning;
   EXPECT_EQ(store.stats().warning.find("checksum"), std::string::npos);
   EXPECT_EQ(store.stats().entries, 0u);
   EXPECT_EQ(store.stats().generation, generation + 1);
   store.Close();
-  ASSERT_TRUE(FingerprintStore::Verify(path_, nullptr).ok());  // rebuilt as v4
+  ASSERT_TRUE(FingerprintStore::Verify(path_, nullptr).ok());  // rebuilt as v5
 }
 
 TEST_F(PersistTest, FlippedHeaderByteRebuilds) {
@@ -378,9 +442,9 @@ TEST_F(PersistTest, TornFlushKeepsCommittedPrefixWarm) {
   // The torn tail was truncated; the committed prefix survives warm.
   EXPECT_NE(store.stats().warning.find("uncommitted"), std::string::npos);
   EXPECT_EQ(store.stats().entries, 1u);
-  std::vector<StoredFinding> got;
-  EXPECT_TRUE(store.Probe("SELECT old", 0x1, &got));
-  EXPECT_FALSE(store.Probe("SELECT new", 0x2, &got));
+  std::vector<FindingStat> got;
+  EXPECT_TRUE(Probe(store, "SELECT old", 0x1, &got));
+  EXPECT_FALSE(Probe(store, "SELECT new", 0x2, &got));
   store.Close();
   EXPECT_TRUE(FingerprintStore::Verify(path_, nullptr).ok());
 }
@@ -403,9 +467,9 @@ TEST_F(PersistTest, HeaderPublishFailureDropsTailOnReopen) {
   ASSERT_TRUE(store.usable());
   EXPECT_NE(store.stats().warning.find("uncommitted"), std::string::npos);
   EXPECT_EQ(store.stats().entries, 1u);
-  std::vector<StoredFinding> got;
-  EXPECT_TRUE(store.Probe("SELECT old", 0x1, &got));
-  EXPECT_FALSE(store.Probe("SELECT new", 0x2, &got));
+  std::vector<FindingStat> got;
+  EXPECT_TRUE(Probe(store, "SELECT old", 0x1, &got));
+  EXPECT_FALSE(Probe(store, "SELECT new", 0x2, &got));
   store.Close();
 }
 
@@ -474,7 +538,7 @@ TEST_F(PersistTest, CompactDropsSupersededManifestsAndRemapsOffsets) {
     FingerprintStore store;
     ASSERT_TRUE(store.Open(path_, kHash).ok());
     uint64_t b = store.Append("SELECT b", 0xb, 0xb1, {MakeFinding(2, 0.5, "b")});
-    uint64_t w = store.Append(w2, 0xc, 0xc1, {MakeFinding(4, 0.5, "w2")});
+    uint64_t w = store.Append(w2, 0xc, 0xc1, {MakeFinding(4, 0.625, "w2")});
     std::vector<FindingStat> stats;
     uint64_t tmpl = 0, a = 0;
     ASSERT_TRUE(store.ProbeStats("SELECT a", 0xa, &stats, &tmpl, &a));
@@ -497,11 +561,12 @@ TEST_F(PersistTest, CompactDropsSupersededManifestsAndRemapsOffsets) {
   EXPECT_EQ(store.stats().entries, 3u);
   EXPECT_EQ(store.stats().file_entries, 1u);
   EXPECT_GE(store.stats().generation, 2u);
-  std::vector<StoredFinding> got;
-  EXPECT_FALSE(store.Probe(w1, 0xc, &got));
-  EXPECT_FALSE(store.Probe("SELECT orphan", 0xd, &got));
-  ASSERT_TRUE(store.Probe(w2, 0xc, &got));
-  EXPECT_EQ(got[0].message, "w2");
+  // W(digest 2) is told from W(digest 1) by its score.
+  std::vector<FindingStat> got;
+  EXPECT_FALSE(Probe(store, w1, 0xc, &got));
+  EXPECT_FALSE(Probe(store, "SELECT orphan", 0xd, &got));
+  ASSERT_TRUE(Probe(store, w2, 0xc, &got));
+  ExpectStats(got, {MakeFinding(4, 0.625, "w2")});
   // The surviving manifest is the newer one, with offsets remapped onto the
   // compacted layout: every reference must still resolve.
   std::vector<StmtRef> refs;
@@ -511,7 +576,11 @@ TEST_F(PersistTest, CompactDropsSupersededManifestsAndRemapsOffsets) {
     std::vector<FindingStat> stats;
     uint64_t tmpl = 0;
     EXPECT_TRUE(store.ResolveStats(r.offset, r.exact, &stats, &tmpl));
-    EXPECT_EQ(stats.size(), 1u);
+    EXPECT_EQ(tmpl, r.tmpl);
+    ASSERT_EQ(stats.size(), 1u);
+    if (r.exact == 0xc) {
+      EXPECT_EQ(Bits(stats[0].score), Bits(0.625));
+    }
   }
   EXPECT_FALSE(store.ProbeFile("repo/", 10, 100, &refs));
   store.Close();
