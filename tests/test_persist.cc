@@ -100,12 +100,6 @@ class PersistTest : public ::testing::Test {
     }
   }
 
-  /// ProbeStats with the stats only.
-  static bool Probe(FingerprintStore& store, std::string_view canonical,
-                    uint64_t fingerprint, std::vector<FindingStat>* out) {
-    return store.ProbeStats(canonical, fingerprint, out, nullptr, nullptr);
-  }
-
   static constexpr uint64_t kHash = 0xfeedface12345678ull;
   std::string dir_;
   std::string path_;
@@ -151,7 +145,7 @@ TEST_F(PersistTest, RoundTripStatementsAndManifest) {
     EXPECT_TRUE(stats.empty());
     EXPECT_EQ(tmpl, 0xbbbbull);
     EXPECT_EQ(off, off_b);
-    EXPECT_FALSE(Probe(store, "SELECT nope", 0x3333, &stats));
+    EXPECT_FALSE(store.ProbeStats("SELECT nope", 0x3333, &stats, nullptr, nullptr));
 
     std::vector<StmtRef> refs;
     ASSERT_TRUE(store.ProbeFile("repo/queries.sql", 120, 99000111, &refs));
@@ -198,7 +192,7 @@ TEST_F(PersistTest, FingerprintCollisionNeverSplicesFindings) {
   ExpectStats(got, fb);
   EXPECT_EQ(tmpl, 0x2u);
   EXPECT_EQ(off, off_b);
-  EXPECT_FALSE(Probe(store, "SELECT c", 0x42, &got));
+  EXPECT_FALSE(store.ProbeStats("SELECT c", 0x42, &got, nullptr, nullptr));
   store.Close();
 }
 
@@ -238,8 +232,34 @@ TEST_F(PersistTest, RecordsCarryNoFindingText) {
   FingerprintStore store;
   ASSERT_TRUE(store.Open(path_, kHash).ok());
   std::vector<FindingStat> got;
-  ASSERT_TRUE(Probe(store, key, 0x5, &got));
+  ASSERT_TRUE(store.ProbeStats(key, 0x5, &got, nullptr, nullptr));
   ExpectStats(got, findings);
+  store.Close();
+}
+
+TEST_F(PersistTest, FindingCountThatDisagreesWithTheRecordSizeIsCorrupt) {
+  {
+    FingerprintStore store;
+    ASSERT_TRUE(store.Open(path_, kHash).ok());
+    store.Append("SELECT * FROM t", 0x7, 0x7, {MakeFinding(1, 0.5, "x")});
+    store.Close();
+  }
+  // Forge the finding count (u32 at record byte 28) and re-seal the record
+  // checksum: only the structural size check can refuse it.
+  std::string raw = ReadRaw();
+  uint32_t total = 0;
+  std::memcpy(&total, raw.data() + 64 + 4, 4);
+  const uint32_t forged_count = 2;
+  std::memcpy(raw.data() + 64 + 28, &forged_count, 4);
+  const uint64_t sum = Xxh64(raw.data() + 64, total - 8);
+  std::memcpy(raw.data() + 64 + total - 8, &sum, 8);
+  WriteRaw(raw);
+  EXPECT_FALSE(FingerprintStore::Verify(path_, nullptr).ok());
+  FingerprintStore store;
+  ASSERT_TRUE(store.Open(path_, kHash).ok());
+  EXPECT_TRUE(store.stats().degraded);
+  EXPECT_NE(store.stats().warning.find("corrupt"), std::string::npos);
+  EXPECT_EQ(store.stats().entries, 0u);
   store.Close();
 }
 
@@ -258,7 +278,7 @@ TEST_F(PersistTest, RulesetMismatchInvalidatesAndBumpsGeneration) {
   EXPECT_EQ(store.stats().entries, 0u);
   EXPECT_EQ(store.stats().generation, 2u);
   std::vector<FindingStat> got;
-  EXPECT_FALSE(Probe(store, "SELECT 1", 0x1, &got));
+  EXPECT_FALSE(store.ProbeStats("SELECT 1", 0x1, &got, nullptr, nullptr));
   store.Close();
 }
 
@@ -443,8 +463,8 @@ TEST_F(PersistTest, TornFlushKeepsCommittedPrefixWarm) {
   EXPECT_NE(store.stats().warning.find("uncommitted"), std::string::npos);
   EXPECT_EQ(store.stats().entries, 1u);
   std::vector<FindingStat> got;
-  EXPECT_TRUE(Probe(store, "SELECT old", 0x1, &got));
-  EXPECT_FALSE(Probe(store, "SELECT new", 0x2, &got));
+  EXPECT_TRUE(store.ProbeStats("SELECT old", 0x1, &got, nullptr, nullptr));
+  EXPECT_FALSE(store.ProbeStats("SELECT new", 0x2, &got, nullptr, nullptr));
   store.Close();
   EXPECT_TRUE(FingerprintStore::Verify(path_, nullptr).ok());
 }
@@ -468,8 +488,8 @@ TEST_F(PersistTest, HeaderPublishFailureDropsTailOnReopen) {
   EXPECT_NE(store.stats().warning.find("uncommitted"), std::string::npos);
   EXPECT_EQ(store.stats().entries, 1u);
   std::vector<FindingStat> got;
-  EXPECT_TRUE(Probe(store, "SELECT old", 0x1, &got));
-  EXPECT_FALSE(Probe(store, "SELECT new", 0x2, &got));
+  EXPECT_TRUE(store.ProbeStats("SELECT old", 0x1, &got, nullptr, nullptr));
+  EXPECT_FALSE(store.ProbeStats("SELECT new", 0x2, &got, nullptr, nullptr));
   store.Close();
 }
 
@@ -563,9 +583,9 @@ TEST_F(PersistTest, CompactDropsSupersededManifestsAndRemapsOffsets) {
   EXPECT_GE(store.stats().generation, 2u);
   // W(digest 2) is told from W(digest 1) by its score.
   std::vector<FindingStat> got;
-  EXPECT_FALSE(Probe(store, w1, 0xc, &got));
-  EXPECT_FALSE(Probe(store, "SELECT orphan", 0xd, &got));
-  ASSERT_TRUE(Probe(store, w2, 0xc, &got));
+  EXPECT_FALSE(store.ProbeStats(w1, 0xc, &got, nullptr, nullptr));
+  EXPECT_FALSE(store.ProbeStats("SELECT orphan", 0xd, &got, nullptr, nullptr));
+  ASSERT_TRUE(store.ProbeStats(w2, 0xc, &got, nullptr, nullptr));
   ExpectStats(got, {MakeFinding(4, 0.625, "w2")});
   // The surviving manifest is the newer one, with offsets remapped onto the
   // compacted layout: every reference must still resolve.
