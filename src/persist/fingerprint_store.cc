@@ -81,6 +81,22 @@ HeaderFields ParseHeader(const char* buf) {
   return h;
 }
 
+/// The first thing wrong with a header of a `size`-byte file, or "" if
+/// nothing is. The version is read before the checksum is trusted: an older
+/// format's header checksum is a different kernel and can never match, and
+/// an upgrade must read as one, not as corruption.
+std::string HeaderProblem(const HeaderFields& h, uint64_t size) {
+  if (h.version != kFormatVersion) {
+    return "store format version " + std::to_string(h.version) +
+           " != " + std::to_string(kFormatVersion);
+  }
+  if (!h.checksum_ok) return "store header checksum mismatch";
+  if (h.log_end < kHeaderBytes || h.log_end > size) {
+    return "store committed length out of bounds";
+  }
+  return "";
+}
+
 std::string EncodeHeader(uint64_t ruleset_hash, uint64_t generation,
                          uint64_t entry_count, uint64_t log_end) {
   std::string buf;
@@ -97,56 +113,40 @@ std::string EncodeHeader(uint64_t ruleset_hash, uint64_t generation,
   return buf;
 }
 
-template <typename Finding>
-std::string EncodeRecord(std::string_view canonical, uint64_t fingerprint,
-                         uint64_t template_fingerprint,
-                         const std::vector<Finding>& findings) {
-  std::string buf;
-  buf.reserve(kRecordPrefixBytes + canonical.size() + findings.size() * kFindingBytes +
-              kRecordChecksumBytes);
-  PutU32(&buf, kRecordMagic);
-  PutU32(&buf, 0);  // total_bytes, patched below
-  PutU64(&buf, fingerprint);
-  PutU64(&buf, template_fingerprint);
-  PutU32(&buf, static_cast<uint32_t>(canonical.size()));
-  PutU32(&buf, static_cast<uint32_t>(findings.size()));
-  buf.append(canonical);
-  for (const Finding& f : findings) {
-    buf.push_back(static_cast<char>(f.type));
-    uint64_t score_bits;
-    std::memcpy(&score_bits, &f.score, 8);
-    PutU64(&buf, score_bits);
-  }
-  uint32_t total = static_cast<uint32_t>(buf.size() + kRecordChecksumBytes);
-  std::memcpy(buf.data() + 4, &total, 4);
-  PutU64(&buf, Xxh64(buf.data(), buf.size()));
-  return buf;
+/// Frames one record onto `out`: its magic, its u32 total length (patched
+/// once `write_body(out)` has appended the fields), and the XXH64 of it all.
+template <typename Body>
+void AppendRecord(std::string* out, uint32_t magic, Body write_body) {
+  const size_t start = out->size();
+  PutU32(out, magic);
+  PutU32(out, 0);  // total, patched below
+  write_body(out);
+  const uint32_t total = static_cast<uint32_t>(out->size() - start + kRecordChecksumBytes);
+  std::memcpy(out->data() + start + 4, &total, 4);
+  PutU64(out, Xxh64(out->data() + start, out->size() - start));
 }
 
-std::string EncodeFileRecord(std::string_view rel_path, uint64_t size,
-                             uint64_t mtime_ns, const std::vector<StmtRef>& stmts) {
-  std::string buf;
-  buf.reserve(kFileRecordPrefixBytes + rel_path.size() +
-              stmts.size() * kStmtRefBytes + kRecordChecksumBytes);
-  PutU32(&buf, kFileRecordMagic);
-  PutU32(&buf, 0);  // total_bytes, patched below
-  PutU32(&buf, static_cast<uint32_t>(rel_path.size()));
-  PutU32(&buf, static_cast<uint32_t>(stmts.size()));
-  PutU64(&buf, size);
-  PutU64(&buf, mtime_ns);
-  buf.append(rel_path);
-  for (const StmtRef& s : stmts) {
-    PutU64(&buf, s.exact);
-    PutU64(&buf, s.tmpl);
-    PutU64(&buf, s.offset);
+/// Checks the frame of the record at `offset`: it lies within `limit` (and
+/// `log`), carries `magic`, has a total length between its `prefix` plus
+/// checksum and the size cap, and its checksum matches. Returns that total
+/// length, or 0 when any check fails.
+uint64_t CheckFrame(std::string_view log, uint64_t offset, uint64_t limit,
+                    uint32_t magic, uint64_t prefix) {
+  if (limit > log.size() || offset > limit ||
+      limit - offset < prefix + kRecordChecksumBytes) {
+    return 0;
   }
-  uint32_t total = static_cast<uint32_t>(buf.size() + kRecordChecksumBytes);
-  std::memcpy(buf.data() + 4, &total, 4);
-  PutU64(&buf, Xxh64(buf.data(), buf.size()));
-  return buf;
+  const char* p = log.data() + offset;
+  if (GetU32(p) != magic) return 0;
+  const uint64_t total = GetU32(p + 4);
+  if (total < prefix + kRecordChecksumBytes || total > kMaxRecordBytes ||
+      total > limit - offset) {
+    return 0;
+  }
+  return GetU64(p + total - 8) == Xxh64(p, total - 8) ? total : 0;
 }
 
-/// Zero-copy view of one committed statement record.
+/// Zero-copy view of one statement record.
 struct RecordView {
   uint64_t total = 0;
   uint64_t fingerprint = 0;
@@ -156,7 +156,7 @@ struct RecordView {
   const char* findings = nullptr;  ///< First packed finding.
 };
 
-/// Zero-copy view of one committed file-manifest record.
+/// Zero-copy view of one file-manifest record.
 struct FileRecordView {
   uint64_t total = 0;
   std::string_view path;
@@ -174,39 +174,28 @@ StmtRef GetStmtRef(const char* p) {
   return s;
 }
 
-/// Structurally validates (and checksums) the statement record at `offset`,
-/// bounds it to `limit`, and fills `out`. Every length field is checked
-/// before use.
+/// Decodes the statement record at `offset` once its frame checks out
+/// within `limit`. Every length field is checked before use.
 bool DecodeRecord(std::string_view log, uint64_t offset, uint64_t limit,
                   RecordView* out) {
-  if (limit > log.size() || offset > limit ||
-      limit - offset < kRecordPrefixBytes + kRecordChecksumBytes) {
-    return false;
-  }
+  const uint64_t total = CheckFrame(log, offset, limit, kRecordMagic, kRecordPrefixBytes);
+  if (total == 0) return false;
   const char* p = log.data() + offset;
-  if (GetU32(p) != kRecordMagic) return false;
-  uint64_t total = GetU32(p + 4);
-  if (total < kRecordPrefixBytes + kRecordChecksumBytes || total > kMaxRecordBytes ||
-      total > limit - offset) {
-    return false;
-  }
-  if (GetU64(p + total - 8) != Xxh64(p, total - 8)) return false;
-  RecordView r;
-  r.total = total;
-  r.fingerprint = GetU64(p + 8);
-  r.template_fingerprint = GetU64(p + 16);
-  uint64_t canonical_bytes = GetU32(p + 24);
-  r.finding_count = GetU32(p + 28);
-  uint64_t payload = total - kRecordPrefixBytes - kRecordChecksumBytes;
-  if (canonical_bytes > payload) return false;
+  const uint64_t canonical_bytes = GetU32(p + 24);
+  const uint32_t finding_count = GetU32(p + 28);
+  const uint64_t payload = total - kRecordPrefixBytes - kRecordChecksumBytes;
   // A checksum-valid record whose lengths disagree with its size (it would
   // take a deliberate forgery, but is cheap to refuse) cannot pass.
-  if (payload - canonical_bytes != static_cast<uint64_t>(r.finding_count) * kFindingBytes) {
+  if (canonical_bytes > payload ||
+      payload - canonical_bytes != static_cast<uint64_t>(finding_count) * kFindingBytes) {
     return false;
   }
-  r.canonical = std::string_view(p + kRecordPrefixBytes, canonical_bytes);
-  r.findings = p + kRecordPrefixBytes + canonical_bytes;
-  *out = r;
+  *out = RecordView{total,
+                    GetU64(p + 8),
+                    GetU64(p + 16),
+                    std::string_view(p + kRecordPrefixBytes, canonical_bytes),
+                    finding_count,
+                    p + kRecordPrefixBytes + canonical_bytes};
   return true;
 }
 
@@ -214,36 +203,54 @@ bool DecodeRecord(std::string_view log, uint64_t offset, uint64_t limit,
 /// checked by the caller (they must point strictly before this record).
 bool DecodeFileRecord(std::string_view log, uint64_t offset, uint64_t limit,
                       FileRecordView* out) {
-  if (limit > log.size() || offset > limit ||
-      limit - offset < kFileRecordPrefixBytes + kRecordChecksumBytes) {
-    return false;
-  }
+  const uint64_t total =
+      CheckFrame(log, offset, limit, kFileRecordMagic, kFileRecordPrefixBytes);
+  if (total == 0) return false;
   const char* p = log.data() + offset;
-  if (GetU32(p) != kFileRecordMagic) return false;
-  uint64_t total = GetU32(p + 4);
-  if (total < kFileRecordPrefixBytes + kRecordChecksumBytes ||
-      total > kMaxRecordBytes || total > limit - offset) {
+  const uint64_t path_len = GetU32(p + 8);
+  const uint32_t stmt_count = GetU32(p + 12);
+  const uint64_t payload = total - kFileRecordPrefixBytes - kRecordChecksumBytes;
+  if (path_len > payload ||
+      payload - path_len != static_cast<uint64_t>(stmt_count) * kStmtRefBytes) {
     return false;
   }
-  if (GetU64(p + total - 8) != Xxh64(p, total - 8)) return false;
-  FileRecordView f;
-  f.total = total;
-  uint64_t path_len = GetU32(p + 8);
-  f.stmt_count = GetU32(p + 12);
-  f.size = GetU64(p + 16);
-  f.mtime_ns = GetU64(p + 24);
-  uint64_t payload = total - kFileRecordPrefixBytes - kRecordChecksumBytes;
-  if (path_len > payload) return false;
-  if (payload - path_len != static_cast<uint64_t>(f.stmt_count) * kStmtRefBytes) {
-    return false;
-  }
-  f.path = std::string_view(p + kFileRecordPrefixBytes, path_len);
-  f.stmts = p + kFileRecordPrefixBytes + path_len;
-  *out = f;
+  *out = FileRecordView{total,
+                        std::string_view(p + kFileRecordPrefixBytes, path_len),
+                        GetU64(p + 16),
+                        GetU64(p + 24),
+                        stmt_count,
+                        p + kFileRecordPrefixBytes + path_len};
   return true;
 }
 
-void DecodeFindingStats(const RecordView& r, std::vector<FindingStat>* out) {
+/// Walks the records of `log` from the header to `end`, handing each to
+/// `on_stmt(offset, RecordView)` or `on_file(offset, FileRecordView)`.
+/// Stops at the first record that does not decode or that its callback
+/// refuses, and returns the offset it stopped at (`end` when every record
+/// was accepted).
+template <typename OnStmt, typename OnFile>
+uint64_t WalkLog(std::string_view log, uint64_t end, OnStmt on_stmt, OnFile on_file) {
+  uint64_t off = kHeaderBytes;
+  while (off < end) {
+    RecordView r;
+    FileRecordView f;
+    if (DecodeRecord(log, off, end, &r)) {
+      if (!on_stmt(off, r)) break;
+      off += r.total;
+    } else if (DecodeFileRecord(log, off, end, &f)) {
+      if (!on_file(off, f)) break;
+      off += f.total;
+    } else {
+      break;
+    }
+  }
+  return off;
+}
+
+void DecodeFindingStats(const RecordView& r, std::vector<FindingStat>* out,
+                        uint64_t* template_fingerprint) {
+  if (template_fingerprint != nullptr) *template_fingerprint = r.template_fingerprint;
+  if (out == nullptr) return;
   out->resize(r.finding_count);
   const char* q = r.findings;
   for (FindingStat& f : *out) {
@@ -251,23 +258,6 @@ void DecodeFindingStats(const RecordView& r, std::vector<FindingStat>* out) {
     std::memcpy(&f.score, q + 1, 8);
     q += kFindingBytes;
   }
-}
-
-/// Walks the committed records indexed under `fingerprint` (sorted index,
-/// collision chains in log order) for the one holding `canonical`.
-bool FindRecord(const std::vector<std::pair<uint64_t, uint64_t>>& index,
-                std::string_view log, uint64_t log_end, std::string_view canonical,
-                uint64_t fingerprint, RecordView* out, uint64_t* offset) {
-  auto it = std::lower_bound(
-      index.begin(), index.end(), fingerprint,
-      [](const std::pair<uint64_t, uint64_t>& e, uint64_t fp) { return e.first < fp; });
-  for (; it != index.end() && it->first == fingerprint; ++it) {
-    if (DecodeRecord(log, it->second, log_end, out) && out->canonical == canonical) {
-      *offset = it->second;
-      return true;
-    }
-  }
-  return false;
 }
 
 bool PWriteAll(int fd, const char* data, size_t n, uint64_t offset) {
@@ -294,8 +284,6 @@ Status FingerprintStore::Open(const std::string& path, uint64_t ruleset_hash) {
   file_hits_.store(0, std::memory_order_relaxed);
   file_misses_.store(0, std::memory_order_relaxed);
   append_broken_ = false;
-  pending_buf_.clear();
-  uncommitted_entries_ = 0;
   ruleset_hash_ = ruleset_hash;
   if (SQLCHECK_FAILPOINT("store_open")) {
     MarkUnusable("store open failed (injected store_open fault); scanning cold");
@@ -306,16 +294,11 @@ Status FingerprintStore::Open(const std::string& path, uint64_t ruleset_hash) {
     return Status::Error("cannot open store '" + path + "': " + std::strerror(errno));
   }
   if (::flock(fd_, LOCK_EX | LOCK_NB) != 0) {
-    ::close(fd_);
-    fd_ = -1;
     MarkUnusable("store '" + path + "' is locked by another scan; scanning cold");
     return Status::Ok();
   }
   Status s = OpenLocked(ruleset_hash);
-  if (!s.ok()) {
-    ::close(fd_);
-    fd_ = -1;
-  }
+  if (!s.ok()) MarkUnusable(s.message());
   return s;
 }
 
@@ -332,13 +315,8 @@ Status FingerprintStore::OpenLocked(uint64_t ruleset_hash) {
 
   char head[kHeaderBytes];
   const ssize_t got = ::pread(fd_, head, sizeof(head), 0);
-  const bool magic_ok =
-      got >= static_cast<ssize_t>(sizeof(kMagic)) && std::memcmp(head, kMagic, 8) == 0;
-  if (!magic_ok) {
+  if (got < static_cast<ssize_t>(sizeof(kMagic)) || std::memcmp(head, kMagic, 8) != 0) {
     // Not our file: never clobber it. The scan runs cold.
-    int fd = fd_;
-    fd_ = -1;
-    ::close(fd);
     MarkUnusable("store path holds a non-store file; leaving it untouched and scanning cold");
     return Status::Ok();
   }
@@ -347,38 +325,23 @@ Status FingerprintStore::OpenLocked(uint64_t ruleset_hash) {
     return Status::Ok();
   }
 
-  // The version is read before the checksum is trusted: an older format's
-  // header checksum is a different kernel and can never match, and an
-  // upgrade must read as one, not as corruption.
-  HeaderFields h = ParseHeader(head);
-  if (h.version != kFormatVersion) {
-    Rebuild(h.generation + 1,
-            "store format version " + std::to_string(h.version) + " != " +
-                std::to_string(kFormatVersion) + "; rebuilding");
-    return Status::Ok();
-  }
-  if (!h.checksum_ok) {
-    Rebuild(h.generation + 1, "store header checksum mismatch; rebuilding");
+  const HeaderFields h = ParseHeader(head);
+  const std::string problem = HeaderProblem(h, size);
+  if (!problem.empty()) {
+    Rebuild(h.generation + 1, problem + "; rebuilding");
     return Status::Ok();
   }
   if (h.ruleset_hash != ruleset_hash) {
     Rebuild(h.generation + 1, "rule-set hash changed; stored findings invalidated");
     return Status::Ok();
   }
-  if (h.log_end < kHeaderBytes || h.log_end > size) {
-    Rebuild(h.generation + 1, "store committed length out of bounds; rebuilding");
-    return Status::Ok();
-  }
 
   Status ms = map_.OpenFd(fd_, static_cast<size_t>(h.log_end));
   if (!ms.ok()) {
-    int fd = fd_;
-    fd_ = -1;
-    ::close(fd);
     MarkUnusable("store mapping failed (" + ms.message() + "); scanning cold");
     return Status::Ok();
   }
-  if (!LoadIndex(h.log_end)) {
+  if (!LoadIndex()) {
     Rebuild(h.generation + 1, "corrupt store record; rebuilding");
     return Status::Ok();
   }
@@ -390,134 +353,131 @@ Status FingerprintStore::OpenLocked(uint64_t ruleset_hash) {
                        " uncommitted store bytes from an interrupted scan";
     }
   }
-  log_end_ = h.log_end;
-  pending_end_ = h.log_end;
-  committed_entries_ = stats_.entries;
+  open_end_ = log_end_ = h.log_end;
   stats_.bytes = h.log_end;
   stats_.generation = h.generation;
   return Status::Ok();
 }
 
-void FingerprintStore::Rebuild(uint64_t generation, std::string warning) {
+void FingerprintStore::ClearState() {
   map_.Reset();
   index_.clear();
   appended_.clear();
+  appended_buf_.clear();
   file_index_.clear();
-  pending_buf_.clear();
+}
+
+void FingerprintStore::Rebuild(uint64_t generation, std::string warning) {
+  ClearState();
+  stats_.generation = generation;
+  stats_.entries = 0;
+  stats_.file_entries = 0;
   if (::ftruncate(fd_, 0) != 0) {
-    int fd = fd_;
-    fd_ = -1;
-    ::close(fd);
     MarkUnusable("store rebuild failed (" + warning + "); scanning cold");
     return;
   }
-  stats_.generation = generation;
-  if (!WriteHeader(/*entry_count=*/0, /*log_end=*/kHeaderBytes)) {
-    int fd = fd_;
-    fd_ = -1;
-    ::close(fd);
+  if (!WriteHeader(kHeaderBytes)) {
     MarkUnusable("store header write failed; scanning cold");
     return;
   }
-  log_end_ = kHeaderBytes;
-  pending_end_ = kHeaderBytes;
-  committed_entries_ = 0;
-  uncommitted_entries_ = 0;
-  stats_.entries = 0;
-  stats_.file_entries = 0;
+  open_end_ = log_end_ = kHeaderBytes;
   stats_.bytes = kHeaderBytes;
   stats_.degraded = !warning.empty();
   stats_.warning = std::move(warning);
 }
 
-bool FingerprintStore::LoadIndex(uint64_t log_end) {
-  index_.clear();
-  file_index_.clear();
-  uint64_t entries = 0;
-  uint64_t file_entries = 0;
+bool FingerprintStore::LoadIndex() {
   std::string_view log = map_.view();
-  uint64_t off = kHeaderBytes;
-  while (off < log_end) {
-    if (log_end - off < 4) return false;
-    uint32_t magic = GetU32(log.data() + off);
-    if (magic == kRecordMagic) {
-      RecordView r;
-      if (!DecodeRecord(log, off, log_end, &r)) return false;
-      index_.emplace_back(r.fingerprint, off);
-      ++entries;
-      off += r.total;
-    } else if (magic == kFileRecordMagic) {
-      FileRecordView f;
-      if (!DecodeFileRecord(log, off, log_end, &f)) return false;
-      FileEntry entry;
-      entry.size = f.size;
-      entry.mtime_ns = f.mtime_ns;
-      entry.stmts.reserve(f.stmt_count);
-      for (uint32_t i = 0; i < f.stmt_count; ++i) {
-        StmtRef s = GetStmtRef(f.stmts + i * kStmtRefBytes);
-        // Manifests only ever reference statement records written before
-        // them; a forward offset is structural corruption.
-        if (s.offset < kHeaderBytes || s.offset >= off) return false;
-        entry.stmts.push_back(s);
-      }
-      file_index_[std::string(f.path)] = std::move(entry);  // last write wins
-      ++file_entries;
-      off += f.total;
-    } else {
-      return false;
-    }
-  }
+  const uint64_t stop = WalkLog(
+      log, log.size(),
+      [&](uint64_t off, const RecordView& r) {
+        index_.emplace_back(r.fingerprint, off);
+        return true;
+      },
+      [&](uint64_t off, const FileRecordView& f) {
+        FileEntry entry{f.size, f.mtime_ns, {}};
+        entry.stmts.reserve(f.stmt_count);
+        for (uint32_t i = 0; i < f.stmt_count; ++i) {
+          StmtRef s = GetStmtRef(f.stmts + i * kStmtRefBytes);
+          // Manifests only ever reference statement records written before
+          // them; a forward offset is structural corruption.
+          if (s.offset < kHeaderBytes || s.offset >= off) return false;
+          entry.stmts.push_back(s);
+        }
+        file_index_[std::string(f.path)] = std::move(entry);  // last write wins
+        ++stats_.file_entries;
+        return true;
+      });
+  if (stop != log.size()) return false;
   // Entries were pushed in log order and the sort is stable, so a collision
   // chain keeps log order.
   RadixSortBy(index_, [](const std::pair<uint64_t, uint64_t>& e) { return e.first; });
-  stats_.entries = entries;
-  stats_.file_entries = file_entries;
+  stats_.entries = index_.size();
   return true;
 }
 
-bool FingerprintStore::WriteHeader(uint64_t entry_count, uint64_t log_end) {
+bool FingerprintStore::WriteHeader(uint64_t log_end) {
   if (SQLCHECK_FAILPOINT("store_commit")) return false;
-  std::string head = EncodeHeader(ruleset_hash_, stats_.generation, entry_count, log_end);
+  std::string head = EncodeHeader(ruleset_hash_, stats_.generation, stats_.entries, log_end);
   return PWriteAll(fd_, head.data(), head.size(), 0);
 }
 
 void FingerprintStore::MarkUnusable(std::string warning) {
-  map_.Reset();
-  index_.clear();
-  appended_.clear();
-  file_index_.clear();
-  pending_buf_.clear();
+  if (fd_ >= 0) ::close(fd_);  // releases the flock
+  fd_ = -1;
+  ClearState();
   stats_.degraded = true;
   stats_.warning = std::move(warning);
+}
+
+Status FingerprintStore::Freeze(std::string warning) {
+  append_broken_ = true;
+  stats_.warning = std::move(warning);
+  return Status::Error(stats_.warning);
+}
+
+std::string_view FingerprintStore::BytesAt(uint64_t* offset) const {
+  if (*offset < open_end_) return map_.view();
+  *offset -= open_end_;
+  return appended_buf_;
+}
+
+uint64_t FingerprintStore::Find(std::string_view canonical, uint64_t fingerprint,
+                                std::vector<FindingStat>* out,
+                                uint64_t* template_fingerprint) const {
+  auto holds_key = [&](uint64_t offset) {
+    uint64_t at = offset;
+    std::string_view log = BytesAt(&at);
+    RecordView r;
+    if (!DecodeRecord(log, at, log.size(), &r) || r.canonical != canonical) return false;
+    DecodeFindingStats(r, out, template_fingerprint);
+    return true;
+  };
+  auto it = std::lower_bound(
+      index_.begin(), index_.end(), fingerprint,
+      [](const std::pair<uint64_t, uint64_t>& e, uint64_t fp) { return e.first < fp; });
+  for (; it != index_.end() && it->first == fingerprint; ++it) {
+    if (holds_key(it->second)) return it->second;
+  }
+  auto [first, last] = appended_.equal_range(fingerprint);
+  for (; first != last; ++first) {
+    if (holds_key(first->second)) return first->second;
+  }
+  return kNoOffset;
 }
 
 bool FingerprintStore::ProbeStats(std::string_view canonical, uint64_t fingerprint,
                                   std::vector<FindingStat>* out,
                                   uint64_t* template_fingerprint, uint64_t* offset) {
   if (!usable()) return false;
-  RecordView r;
-  uint64_t off = kNoOffset;
-  if (FindRecord(index_, map_.view(), log_end_, canonical, fingerprint, &r, &off)) {
-    if (out != nullptr) DecodeFindingStats(r, out);
-    if (template_fingerprint != nullptr) *template_fingerprint = r.template_fingerprint;
-    if (offset != nullptr) *offset = off;
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return true;
+  const uint64_t found = Find(canonical, fingerprint, out, template_fingerprint);
+  if (found == kNoOffset) {
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    return false;
   }
-  auto ap = appended_.find(fingerprint);
-  if (ap != appended_.end()) {
-    for (const AppendedEntry& entry : ap->second) {
-      if (entry.canonical == canonical) {
-        if (out != nullptr) *out = entry.stats;
-        if (template_fingerprint != nullptr) *template_fingerprint = entry.tmpl;
-        if (offset != nullptr) *offset = entry.offset;
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return false;
+  if (offset != nullptr) *offset = found;
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 bool FingerprintStore::ProbeFile(std::string_view rel_path, uint64_t size,
@@ -537,11 +497,12 @@ bool FingerprintStore::ProbeFile(std::string_view rel_path, uint64_t size,
 bool FingerprintStore::ResolveStats(uint64_t offset, uint64_t fingerprint,
                                     std::vector<FindingStat>* out,
                                     uint64_t* template_fingerprint) const {
+  std::string_view log = BytesAt(&offset);
   RecordView r;
-  if (!DecodeRecord(map_.view(), offset, log_end_, &r)) return false;
-  if (r.fingerprint != fingerprint) return false;
-  if (template_fingerprint != nullptr) *template_fingerprint = r.template_fingerprint;
-  if (out != nullptr) DecodeFindingStats(r, out);
+  if (!DecodeRecord(log, offset, log.size(), &r) || r.fingerprint != fingerprint) {
+    return false;
+  }
+  DecodeFindingStats(r, out, template_fingerprint);
   return true;
 }
 
@@ -550,30 +511,26 @@ uint64_t FingerprintStore::Append(std::string_view canonical, uint64_t fingerpri
                                   uint64_t template_fingerprint,
                                   const std::vector<Finding>& findings) {
   if (!usable() || append_broken_) return kNoOffset;
-  {
-    // First write wins; a duplicate append returns the existing record.
-    uint64_t h = hits_.load(std::memory_order_relaxed);
-    uint64_t m = misses_.load(std::memory_order_relaxed);
-    uint64_t existing = kNoOffset;
-    bool present = ProbeStats(canonical, fingerprint, nullptr, nullptr, &existing);
-    hits_.store(h, std::memory_order_relaxed);    // dedup probes are internal —
-    misses_.store(m, std::memory_order_relaxed);  // keep the scan's counters clean
-    if (present) return existing;
-  }
-  std::string record = EncodeRecord(canonical, fingerprint, template_fingerprint, findings);
-  const uint64_t offset = pending_end_;
-  pending_buf_.append(record);
-  AppendedEntry entry;
-  entry.canonical.assign(canonical);
-  entry.stats.reserve(findings.size());
-  for (const Finding& f : findings) entry.stats.push_back(FindingStat{f.type, f.score});
-  entry.offset = offset;
-  entry.tmpl = template_fingerprint;
-  appended_[fingerprint].push_back(std::move(entry));
-  pending_end_ += record.size();
+  // First write wins; a duplicate append returns the existing record.
+  const uint64_t existing = Find(canonical, fingerprint, nullptr, nullptr);
+  if (existing != kNoOffset) return existing;
+  const uint64_t offset = open_end_ + appended_buf_.size();
+  AppendRecord(&appended_buf_, kRecordMagic, [&](std::string* out) {
+    PutU64(out, fingerprint);
+    PutU64(out, template_fingerprint);
+    PutU32(out, static_cast<uint32_t>(canonical.size()));
+    PutU32(out, static_cast<uint32_t>(findings.size()));
+    out->append(canonical);
+    for (const Finding& f : findings) {
+      out->push_back(static_cast<char>(f.type));
+      uint64_t score_bits;
+      std::memcpy(&score_bits, &f.score, 8);
+      PutU64(out, score_bits);
+    }
+  });
+  appended_.emplace(fingerprint, offset);
   ++stats_.entries;
   ++stats_.appended;
-  ++uncommitted_entries_;
   return offset;
 }
 
@@ -587,58 +544,54 @@ bool FingerprintStore::AppendFile(std::string_view rel_path, uint64_t size,
                                   const std::vector<StmtRef>& stmts) {
   if (!usable() || append_broken_) return false;
   for (const StmtRef& s : stmts) {
-    // Manifests reference statement records already committed or staged
-    // ahead of this manifest in the pending buffer.
-    if (s.offset < kHeaderBytes || s.offset >= pending_end_) return false;
+    // Manifests reference statement records already committed or appended
+    // ahead of this manifest.
+    if (s.offset < kHeaderBytes || s.offset >= open_end_ + appended_buf_.size()) {
+      return false;
+    }
   }
-  std::string record = EncodeFileRecord(rel_path, size, mtime_ns, stmts);
-  pending_buf_.append(record);
-  pending_end_ += record.size();
+  AppendRecord(&appended_buf_, kFileRecordMagic, [&](std::string* out) {
+    PutU32(out, static_cast<uint32_t>(rel_path.size()));
+    PutU32(out, static_cast<uint32_t>(stmts.size()));
+    PutU64(out, size);
+    PutU64(out, mtime_ns);
+    out->append(rel_path);
+    for (const StmtRef& s : stmts) {
+      PutU64(out, s.exact);
+      PutU64(out, s.tmpl);
+      PutU64(out, s.offset);
+    }
+  });
   ++stats_.file_entries;
   ++stats_.appended_files;
   return true;
 }
 
 Status FingerprintStore::Commit() {
-  if (!usable()) return Status::Ok();
-  if (pending_buf_.empty()) return Status::Ok();
-  bool flushed = false;
-  if (SQLCHECK_FAILPOINT("store_append")) {
-    // Simulate a torn flush: half the staged bytes land, then the device
-    // fails. The header still points at the old committed end, so the torn
-    // tail is dropped at the next open.
-    PWriteAll(fd_, pending_buf_.data(), pending_buf_.size() / 2, log_end_);
-  } else {
-    flushed = PWriteAll(fd_, pending_buf_.data(), pending_buf_.size(), log_end_);
-  }
-  if (!flushed) {
-    append_broken_ = true;
-    pending_buf_.clear();
-    pending_end_ = log_end_;
-    uncommitted_entries_ = 0;
-    stats_.warning = "store flush failed mid-write; appended entries dropped";
-    return Status::Error(stats_.warning);
+  if (!usable() || append_broken_) return Status::Ok();
+  const uint64_t end = open_end_ + appended_buf_.size();
+  if (end == log_end_) return Status::Ok();
+  const char* staged = appended_buf_.data() + (log_end_ - open_end_);
+  const size_t n = static_cast<size_t>(end - log_end_);
+  // The store_append failpoint simulates a torn flush: half the staged bytes
+  // land, then the device fails. The header still points at the old
+  // committed end, so the torn tail is dropped at the next open.
+  const bool torn = SQLCHECK_FAILPOINT("store_append");
+  if (!PWriteAll(fd_, staged, torn ? n / 2 : n, log_end_) || torn) {
+    return Freeze("store flush failed mid-write; appended entries dropped");
   }
   if (::fsync(fd_) != 0) {
     return Status::Error(std::string("store fsync failed: ") + std::strerror(errno));
   }
-  if (!WriteHeader(committed_entries_ + uncommitted_entries_, pending_end_)) {
+  if (!WriteHeader(end)) {
     // The flushed bytes sit past the committed end as a torn tail; the next
     // open truncates them. Freeze so a retry cannot half-publish.
-    append_broken_ = true;
-    pending_buf_.clear();
-    pending_end_ = log_end_;
-    uncommitted_entries_ = 0;
-    stats_.warning =
+    return Freeze(
         "store commit failed: header not published; appended entries will be "
-        "dropped at the next open";
-    return Status::Error(stats_.warning);
+        "dropped at the next open");
   }
   (void)::fsync(fd_);
-  log_end_ = pending_end_;
-  committed_entries_ += uncommitted_entries_;
-  uncommitted_entries_ = 0;
-  pending_buf_.clear();
+  log_end_ = end;
   return Status::Ok();
 }
 
@@ -646,13 +599,9 @@ void FingerprintStore::Close() {
   if (fd_ < 0) return;
   Status s = Commit();
   if (!s.ok() && stats_.warning.empty()) stats_.warning = s.message();
-  map_.Reset();
   ::close(fd_);  // releases the flock
   fd_ = -1;
-  index_.clear();
-  appended_.clear();
-  file_index_.clear();
-  pending_buf_.clear();
+  ClearState();
 }
 
 StoreStats FingerprintStore::stats() const {
@@ -671,60 +620,44 @@ Status FingerprintStore::Verify(const std::string& path, std::string* summary) {
   if (buf.size() < kHeaderBytes || std::memcmp(buf.data(), kMagic, 8) != 0) {
     return Status::Error("'" + path + "' is not a fingerprint store");
   }
-  HeaderFields h = ParseHeader(buf.data());
-  if (h.version != kFormatVersion) {  // before the checksum, as in Open
-    return Status::Error("format version " + std::to_string(h.version) +
-                         " (expected " + std::to_string(kFormatVersion) + ")");
-  }
-  if (!h.checksum_ok) return Status::Error("header checksum mismatch");
-  if (h.log_end < kHeaderBytes || h.log_end > buf.size()) {
-    return Status::Error("committed length out of bounds");
-  }
-  uint64_t entries = 0;
-  uint64_t file_entries = 0;
+  const HeaderFields h = ParseHeader(buf.data());
+  const std::string problem = HeaderProblem(h, buf.size());
+  if (!problem.empty()) return Status::Error(problem);
   // Statement records seen so far, offset → fingerprint: manifests must only
   // reference these, with matching fingerprints.
   std::unordered_map<uint64_t, uint64_t> stmt_at;
-  uint64_t off = kHeaderBytes;
-  while (off < h.log_end) {
-    if (h.log_end - off < 4) {
-      return Status::Error("corrupt record at byte " + std::to_string(off));
-    }
-    uint32_t magic = GetU32(buf.data() + off);
-    if (magic == kRecordMagic) {
-      RecordView r;
-      if (!DecodeRecord(buf, off, h.log_end, &r)) {
-        return Status::Error("corrupt record at byte " + std::to_string(off));
-      }
-      stmt_at.emplace(off, r.fingerprint);
-      ++entries;
-      off += r.total;
-    } else if (magic == kFileRecordMagic) {
-      FileRecordView f;
-      if (!DecodeFileRecord(buf, off, h.log_end, &f)) {
-        return Status::Error("corrupt file record at byte " + std::to_string(off));
-      }
-      for (uint32_t i = 0; i < f.stmt_count; ++i) {
-        StmtRef s = GetStmtRef(f.stmts + i * kStmtRefBytes);
-        auto it = stmt_at.find(s.offset);
-        if (it == stmt_at.end() || it->second != s.exact) {
-          return Status::Error("file record at byte " + std::to_string(off) +
-                               " references an invalid statement record at byte " +
-                               std::to_string(s.offset));
+  uint64_t file_entries = 0;
+  std::string bad_ref;
+  const uint64_t stop = WalkLog(
+      buf, h.log_end,
+      [&](uint64_t off, const RecordView& r) {
+        stmt_at.emplace(off, r.fingerprint);
+        return true;
+      },
+      [&](uint64_t off, const FileRecordView& f) {
+        for (uint32_t i = 0; i < f.stmt_count; ++i) {
+          StmtRef s = GetStmtRef(f.stmts + i * kStmtRefBytes);
+          auto it = stmt_at.find(s.offset);
+          if (it == stmt_at.end() || it->second != s.exact) {
+            bad_ref = "file record at byte " + std::to_string(off) +
+                      " references an invalid statement record at byte " +
+                      std::to_string(s.offset);
+            return false;
+          }
         }
-      }
-      ++file_entries;
-      off += f.total;
-    } else {
-      return Status::Error("unknown record magic at byte " + std::to_string(off));
-    }
+        ++file_entries;
+        return true;
+      });
+  if (!bad_ref.empty()) return Status::Error(bad_ref);
+  if (stop != h.log_end) {
+    return Status::Error("corrupt record at byte " + std::to_string(stop));
   }
-  if (entries != h.entry_count) {
+  if (stmt_at.size() != h.entry_count) {
     return Status::Error("header records " + std::to_string(h.entry_count) +
-                         " entries, log holds " + std::to_string(entries));
+                         " entries, log holds " + std::to_string(stmt_at.size()));
   }
   if (summary != nullptr) {
-    *summary = "entries=" + std::to_string(entries) +
+    *summary = "entries=" + std::to_string(stmt_at.size()) +
                " files=" + std::to_string(file_entries) +
                " generation=" + std::to_string(h.generation) +
                " committed_bytes=" + std::to_string(h.log_end) +
@@ -745,110 +678,77 @@ Status FingerprintStore::Compact(const std::string& path, uint64_t ruleset_hash,
     return Status::Error("cannot compact: " + store.stats().warning);
   }
 
-  const uint64_t generation = store.stats_.generation + 1;
+  // One walk: every statement record, and the last manifest per path —
+  // exactly the entry ProbeFile serves. An ordered map keeps the compacted
+  // manifest section deterministic.
   std::string_view log = store.map_.view();
-  // Pass 1: the last manifest per path — exactly the entry ProbeFile serves
-  // — and every statement record, indexed by offset. An ordered map keeps
-  // the compacted manifest section deterministic.
-  std::map<std::string_view, uint64_t> last_file;
   std::vector<std::pair<uint64_t, RecordView>> records;
-  uint64_t off = kHeaderBytes;
-  while (off < store.log_end_) {
-    uint32_t magic = GetU32(log.data() + off);
-    if (magic == kRecordMagic) {
-      RecordView r;
-      if (!DecodeRecord(log, off, store.log_end_, &r)) break;  // unreachable post-open
-      records.emplace_back(off, r);
-      off += r.total;
-    } else {
-      FileRecordView f;
-      if (!DecodeFileRecord(log, off, store.log_end_, &f)) break;  // unreachable
-      last_file[f.path] = off;
-      off += f.total;
-    }
-  }
-
-  // Pass 2: keep only the statement records a surviving manifest
-  // references (a scan reaches records through manifests alone, so the
-  // rest — superseded by an edit, or written by a repository that failed —
-  // can never be served), in log order, one per fingerprint+canonical.
+  std::map<std::string_view, FileRecordView> last_file;
+  WalkLog(
+      log, log.size(),
+      [&](uint64_t off, const RecordView& r) {
+        records.emplace_back(off, r);
+        return true;
+      },
+      [&](uint64_t, const FileRecordView& f) {
+        last_file[f.path] = f;
+        return true;
+      });
+  // A scan reaches records through manifests alone, so a record no
+  // surviving manifest references (superseded by an edit, or written by a
+  // repository that failed) can never be served.
   std::unordered_set<uint64_t> reachable;
-  for (const auto& [rel_path, file_off] : last_file) {
-    FileRecordView f;
-    if (!DecodeFileRecord(log, file_off, store.log_end_, &f)) continue;
+  for (const auto& [rel_path, f] : last_file) {
     for (uint32_t i = 0; i < f.stmt_count; ++i) {
       reachable.insert(GetStmtRef(f.stmts + i * kStmtRefBytes).offset);
     }
   }
-  std::string out = EncodeHeader(ruleset_hash, generation, 0, 0);  // patched below
-  uint64_t kept = 0;
-  uint64_t dropped = 0;
-  std::unordered_map<uint64_t, std::vector<std::pair<std::string_view, uint64_t>>> seen;
-  std::unordered_map<uint64_t, uint64_t> old_to_new;
-  for (const auto& [rec_off, r] : records) {
-    if (reachable.count(rec_off) == 0) {
-      ++dropped;
-      continue;
-    }
-    auto& chain = seen[r.fingerprint];
-    uint64_t new_off = 0;
-    for (const auto& entry : chain) {
-      if (entry.first == r.canonical) new_off = entry.second;
-    }
-    if (new_off != 0) {
-      ++dropped;
-    } else {
-      new_off = out.size();
-      out.append(log.data() + rec_off, r.total);
-      chain.emplace_back(r.canonical, new_off);
-      ++kept;
-    }
-    old_to_new[rec_off] = new_off;
-  }
 
-  uint64_t kept_files = 0;
-  std::vector<StmtRef> refs;
-  for (const auto& [rel_path, file_off] : last_file) {
-    FileRecordView f;
-    if (!DecodeFileRecord(log, file_off, store.log_end_, &f)) continue;
-    refs.clear();
-    refs.reserve(f.stmt_count);
-    bool resolvable = true;
-    for (uint32_t i = 0; i < f.stmt_count; ++i) {
-      StmtRef r = GetStmtRef(f.stmts + i * kStmtRefBytes);
-      auto it = old_to_new.find(r.offset);
-      if (it == old_to_new.end()) {
-        resolvable = false;  // unreachable: open validated every reference
-        break;
-      }
-      r.offset = it->second;
-      refs.push_back(r);
-    }
-    if (!resolvable) continue;
-    out.append(EncodeFileRecord(rel_path, f.size, f.mtime_ns, refs));
-    ++kept_files;
-  }
-
-  std::string head = EncodeHeader(ruleset_hash, generation, kept, out.size());
-  out.replace(0, head.size(), head);
-
+  // The compacted log is written by a fresh store through the same append,
+  // commit and header path a scan uses; Append keeps the first record per
+  // key. Only a fully committed temp file replaces the original.
+  const uint64_t generation = store.stats_.generation + 1;
   const std::string tmp = path + ".compact.tmp";
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    return Status::Error("cannot write '" + tmp + "': " + std::strerror(errno));
+  ::unlink(tmp.c_str());
+  FingerprintStore fresh;
+  s = fresh.Open(tmp, ruleset_hash);
+  if (s.ok() && fresh.usable()) fresh.Rebuild(generation, "");
+  std::unordered_map<uint64_t, uint64_t> old_to_new;
+  std::vector<FindingStat> stats;
+  for (const auto& [off, r] : records) {
+    if (reachable.count(off) == 0) continue;
+    DecodeFindingStats(r, &stats, nullptr);
+    old_to_new[off] = fresh.Append(r.canonical, r.fingerprint, r.template_fingerprint, stats);
   }
-  bool wrote = PWriteAll(fd, out.data(), out.size(), 0) && ::fsync(fd) == 0;
-  ::close(fd);
-  if (!wrote || ::rename(tmp.c_str(), path.c_str()) != 0) {
+  std::vector<StmtRef> refs;
+  for (const auto& [rel_path, f] : last_file) {
+    refs.clear();
+    for (uint32_t i = 0; i < f.stmt_count; ++i) {
+      StmtRef ref = GetStmtRef(f.stmts + i * kStmtRefBytes);
+      auto it = old_to_new.find(ref.offset);
+      if (it == old_to_new.end()) break;  // Not a record start: drop the manifest.
+      ref.offset = it->second;
+      refs.push_back(ref);
+    }
+    if (refs.size() == f.stmt_count) fresh.AppendFile(rel_path, f.size, f.mtime_ns, refs);
+  }
+  if (s.ok() && !fresh.usable()) s = Status::Error(fresh.stats().warning);
+  if (s.ok()) s = fresh.Commit();
+  if (s.ok() && (::fsync(fresh.fd_) != 0 || ::rename(tmp.c_str(), path.c_str()) != 0)) {
+    s = Status::Error(std::strerror(errno));
+  }
+  if (!s.ok()) {
+    fresh.Close();
     ::unlink(tmp.c_str());
-    return Status::Error("compaction write failed: " + std::string(std::strerror(errno)));
+    return Status::Error("compaction write failed: " + s.message());
   }
   // `store` still holds the old (now unlinked) inode; closing it must not
   // re-commit over the fresh file, and it cannot — its fd points elsewhere.
   if (summary != nullptr) {
-    *summary = "kept=" + std::to_string(kept) + " dropped=" + std::to_string(dropped) +
-               " files=" + std::to_string(kept_files) +
-               " bytes=" + std::to_string(out.size()) +
+    *summary = "kept=" + std::to_string(fresh.stats_.appended) +
+               " dropped=" + std::to_string(records.size() - fresh.stats_.appended) +
+               " files=" + std::to_string(fresh.stats_.appended_files) +
+               " bytes=" + std::to_string(fresh.log_end_) +
                " generation=" + std::to_string(generation);
   }
   return Status::Ok();

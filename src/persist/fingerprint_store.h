@@ -96,11 +96,12 @@ struct StoreStats {
 /// generation, committed statement count, committed log end, XXH64 checksum)
 /// followed by records, each with a trailing XXH64 checksum. A statement
 /// record is a 32-byte prefix, the key text, 9 bytes per finding (type byte,
-/// score bits) and the checksum. Appends are staged in memory; Commit() (and
-/// Close()) write them with one bulk write(2) past the committed end, fsync,
-/// and only then publish a new header — a crash at any point leaves the
-/// previous header pointing at the old, fully-valid prefix, and the torn tail
-/// is truncated on the next open.
+/// score bits) and the checksum. Appends are framed into an in-memory buffer
+/// that probes read in place; Commit() (and Close()) write its uncommitted
+/// part with one bulk write(2) past the committed end, fsync, and only then
+/// publish a new header — a crash at any point leaves the previous header
+/// pointing at the old, fully-valid prefix, and the torn tail is truncated on
+/// the next open. Records appended in a session stay probeable after Commit.
 ///
 /// Validity is keyed by (format version, rule-set hash): if either differs
 /// at open the contents are discarded and the generation bumped — stored
@@ -145,7 +146,7 @@ class FingerprintStore {
   bool ProbeFile(std::string_view rel_path, uint64_t size, uint64_t mtime_ns,
                  std::vector<StmtRef>* out);
 
-  /// Decodes the finding stats of the committed statement record at `offset`,
+  /// Decodes the finding stats of the statement record at `offset`,
   /// verifying its checksum and that its fingerprint matches `fingerprint`.
   /// Returns false on any mismatch — callers fall back to analyzing
   /// again. `template_fingerprint` (optional) receives the record's template
@@ -155,7 +156,7 @@ class FingerprintStore {
                     uint64_t* template_fingerprint) const;
 
   /// Stages one statement entry and returns its future byte offset. If the
-  /// fingerprint+canonical is already present (committed or staged) returns
+  /// fingerprint+canonical is already present (committed or appended) returns
   /// the existing record's offset instead — first write wins. Returns
   /// kNoOffset when the store is unusable or the log is frozen by an earlier
   /// failure. Only each finding's `type` and `score` are stored; `Finding`
@@ -188,10 +189,11 @@ class FingerprintStore {
   /// Rewrites `path` keeping the last manifest per path and, of the
   /// statement records, only those a kept manifest references (first per
   /// fingerprint+canonical), remapping manifest offsets onto the compacted
-  /// layout, dropping any uncommitted tail, under a bumped generation. The
-  /// rewrite goes through a temp file + rename, so a crash mid-compaction
-  /// leaves the original intact. A store invalidated by `ruleset_hash`
-  /// compacts to empty.
+  /// layout, dropping any uncommitted tail, under a bumped generation. A
+  /// fresh store on a temp file writes the result through Append, AppendFile
+  /// and Commit, and only a fully committed temp file is renamed over
+  /// `path`, so a crash or failure mid-compaction leaves the original
+  /// intact. A store invalidated by `ruleset_hash` compacts to empty.
   static Status Compact(const std::string& path, uint64_t ruleset_hash,
                         std::string* summary);
 
@@ -202,12 +204,6 @@ class FingerprintStore {
   static uint64_t RulesetHash(const RuleRegistry& registry);
 
  private:
-  struct AppendedEntry {
-    std::string canonical;
-    std::vector<FindingStat> stats;
-    uint64_t offset = 0;
-    uint64_t tmpl = 0;
-  };
   struct FileEntry {
     uint64_t size = 0;
     uint64_t mtime_ns = 0;
@@ -216,30 +212,42 @@ class FingerprintStore {
 
   Status OpenLocked(uint64_t ruleset_hash);
   void Rebuild(uint64_t generation, std::string warning);
-  bool LoadIndex(uint64_t log_end);
-  bool WriteHeader(uint64_t entry_count, uint64_t log_end);
+  bool LoadIndex();
+  bool WriteHeader(uint64_t log_end);
+  void ClearState();
   void MarkUnusable(std::string warning);
+  /// Refuses further appends and commits after a failed flush or publish.
+  Status Freeze(std::string warning);
+  /// The bytes holding the record at file offset `*offset` (the mapping for
+  /// records committed at open, `appended_buf_` for the rest), with
+  /// `*offset` rebased onto them.
+  std::string_view BytesAt(uint64_t* offset) const;
+  /// Offset of the record keyed (fingerprint, canonical), committed at open
+  /// or appended since, or kNoOffset; fills the optional out-pointers on a
+  /// hit. Uncounted: ProbeStats counts, Append's dedup does not.
+  uint64_t Find(std::string_view canonical, uint64_t fingerprint,
+                std::vector<FindingStat>* out, uint64_t* template_fingerprint) const;
 
   int fd_ = -1;
   MappedFile map_;                 ///< Committed region at open.
   uint64_t ruleset_hash_ = 0;
+  uint64_t open_end_ = 0;          ///< Committed bytes at open (the mapped end).
   uint64_t log_end_ = 0;           ///< Committed bytes (header included).
-  uint64_t pending_end_ = 0;       ///< log_end_ + staged append bytes.
-  uint64_t committed_entries_ = 0;
-  uint64_t uncommitted_entries_ = 0;  ///< Statement entries staged, unpublished.
-  std::string pending_buf_;        ///< Staged records, flushed at Commit.
-  bool append_broken_ = false;     ///< A failed append/flush froze the log.
+  /// Every record appended since open, at file offsets from `open_end_` on;
+  /// Commit writes the part past `log_end_`.
+  std::string appended_buf_;
+  bool append_broken_ = false;     ///< A failed flush/publish froze the log.
   StoreStats stats_;
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> file_hits_{0};
   std::atomic<uint64_t> file_misses_{0};
-  /// (fingerprint, byte offset) of every committed statement record, sorted
-  /// by fingerprint; a collision chain keeps log order, and probes compare
-  /// canonical text. Records appended this session index into `appended_`
-  /// instead so the vector never grows after open.
+  /// (fingerprint, byte offset) of every record committed at open, sorted by
+  /// fingerprint; a collision chain keeps log order, and probes compare
+  /// canonical text. Records appended since index into `appended_` instead,
+  /// so the vector never grows after open.
   std::vector<std::pair<uint64_t, uint64_t>> index_;
-  std::unordered_map<uint64_t, std::vector<AppendedEntry>> appended_;
+  std::unordered_multimap<uint64_t, uint64_t> appended_;  ///< fingerprint → offset.
   /// Committed file manifests, root-relative path → freshness key + refs.
   /// Later records for one path supersede earlier ones (last write wins).
   std::unordered_map<std::string, FileEntry> file_index_;

@@ -167,6 +167,47 @@ TEST_F(PersistTest, RoundTripStatementsAndManifest) {
   }
 }
 
+TEST_F(PersistTest, ProbesAndDedupSurviveAMidSessionCommit) {
+  // Record A is on disk at open; B is appended, then committed mid-session.
+  // A must still be found after the commit, both by key and by offset, and
+  // re-appending it must return its original record instead of a copy.
+  const std::vector<StoredFinding> fa = {MakeFinding(1, 0.5, "a")};
+  uint64_t off_a = 0;
+  {
+    FingerprintStore store;
+    ASSERT_TRUE(store.Open(path_, kHash).ok());
+    off_a = store.Append("SELECT a", 0xa, 0xa1, fa);
+    ASSERT_NE(off_a, FingerprintStore::kNoOffset);
+    store.Close();
+  }
+  FingerprintStore store;
+  ASSERT_TRUE(store.Open(path_, kHash).ok());
+  const uint64_t off_b = store.Append("SELECT b", 0xb, 0xb1, {MakeFinding(2, 0.25, "b")});
+  ASSERT_NE(off_b, FingerprintStore::kNoOffset);
+  ASSERT_TRUE(store.Commit().ok());
+
+  std::vector<FindingStat> got;
+  uint64_t tmpl = 0, off = 0;
+  EXPECT_TRUE(store.ProbeStats("SELECT a", 0xa, &got, &tmpl, &off));
+  ExpectStats(got, fa);
+  EXPECT_EQ(tmpl, 0xa1u);
+  EXPECT_EQ(off, off_a);
+  got.clear();
+  EXPECT_TRUE(store.ResolveStats(off_a, 0xa, &got, &tmpl));
+  ExpectStats(got, fa);
+  // The committed appended record stays probeable too.
+  EXPECT_TRUE(store.ProbeStats("SELECT b", 0xb, &got, nullptr, &off));
+  EXPECT_EQ(off, off_b);
+  EXPECT_TRUE(store.ResolveStats(off_b, 0xb, &got, nullptr));
+  EXPECT_EQ(store.Append("SELECT a", 0xa, 0xa1, fa), off_a);
+  EXPECT_EQ(store.Append("SELECT b", 0xb, 0xb1, got), off_b);
+  store.Close();
+
+  std::string summary;
+  ASSERT_TRUE(FingerprintStore::Verify(path_, &summary).ok()) << summary;
+  EXPECT_NE(summary.find("entries=2 "), std::string::npos) << summary;
+}
+
 TEST_F(PersistTest, FingerprintCollisionNeverSplicesFindings) {
   // Two different canonicals under one fingerprint: the probe must compare
   // text, so each canonical gets its own (type, score) list back.
@@ -575,6 +616,10 @@ TEST_F(PersistTest, CompactDropsSupersededManifestsAndRemapsOffsets) {
   ASSERT_TRUE(FingerprintStore::Compact(path_, kHash, &summary).ok());
   EXPECT_NE(summary.find("kept=3 dropped=2 files=1"), std::string::npos) << summary;
   ASSERT_TRUE(FingerprintStore::Verify(path_, nullptr).ok());
+  // The compacted bytes themselves are pinned: records in log order, the
+  // manifest remapped, the header under the bumped generation.
+  const std::string compacted = ReadRaw();
+  EXPECT_EQ(Xxh64(compacted.data(), compacted.size()), 0x115d9a4dba9e6ddfull);
 
   FingerprintStore store;
   ASSERT_TRUE(store.Open(path_, kHash).ok());
@@ -604,6 +649,83 @@ TEST_F(PersistTest, CompactDropsSupersededManifestsAndRemapsOffsets) {
   }
   EXPECT_FALSE(store.ProbeFile("repo/", 10, 100, &refs));
   store.Close();
+}
+
+TEST_F(PersistTest, CompactDropsAManifestThatReferencesNoRecordStart) {
+  // Open checks only that a manifest reference points inside the log before
+  // the manifest. One forged to land inside record A (and re-sealed) must
+  // not stop compaction: that manifest is dropped, the rest survive.
+  uint64_t a = 0, b = 0;
+  {
+    FingerprintStore store;
+    ASSERT_TRUE(store.Open(path_, kHash).ok());
+    a = store.Append("SELECT a", 0xa, 0xa1, {MakeFinding(1, 0.5, "a")});
+    b = store.Append("SELECT b", 0xb, 0xb1, {});
+    ASSERT_TRUE(store.AppendFile("forged/", 1, 1, {{0xa, 0xa1, a}, {0xb, 0xb1, b}}));
+    ASSERT_TRUE(store.AppendFile("other/", 2, 2, {{0xb, 0xb1, b}}));
+    store.Close();
+  }
+  std::string raw = ReadRaw();
+  uint32_t b_total = 0;
+  std::memcpy(&b_total, raw.data() + b + 4, 4);
+  const size_t manifest = b + b_total;
+  uint32_t manifest_total = 0;
+  std::memcpy(&manifest_total, raw.data() + manifest + 4, 4);
+  // Second reference's offset: 32-byte prefix, the path, one 24-byte ref,
+  // then exact and template fingerprints.
+  const uint64_t inside_a = a + 1;
+  std::memcpy(raw.data() + manifest + 32 + 7 + 24 + 16, &inside_a, 8);
+  const uint64_t sum = Xxh64(raw.data() + manifest, manifest_total - 8);
+  std::memcpy(raw.data() + manifest + manifest_total - 8, &sum, 8);
+  WriteRaw(raw);
+  EXPECT_FALSE(FingerprintStore::Verify(path_, nullptr).ok());
+
+  std::string summary;
+  ASSERT_TRUE(FingerprintStore::Compact(path_, kHash, &summary).ok());
+  EXPECT_NE(summary.find("files=1 "), std::string::npos) << summary;
+  ASSERT_TRUE(FingerprintStore::Verify(path_, &summary).ok()) << summary;
+  FingerprintStore store;
+  ASSERT_TRUE(store.Open(path_, kHash).ok());
+  std::vector<StmtRef> refs;
+  EXPECT_FALSE(store.ProbeFile("forged/", 1, 1, &refs));
+  ASSERT_TRUE(store.ProbeFile("other/", 2, 2, &refs));
+  ASSERT_EQ(refs.size(), 1u);
+  EXPECT_TRUE(store.ResolveStats(refs[0].offset, 0xb, nullptr, nullptr));
+  store.Close();
+}
+
+TEST_F(PersistTest, CompactThatFailsToWriteLeavesTheOriginalIntact) {
+  // A fault in the compacted store's header write or flush must not replace
+  // the original with an empty or torn file: either compaction completes
+  // with a store Verify accepts, or the original stays byte-identical.
+  for (const char* failpoint : {"store_commit", "store_append"}) {
+    SCOPED_TRACE(failpoint);
+    std::remove(path_.c_str());
+    {
+      FingerprintStore store;
+      ASSERT_TRUE(store.Open(path_, kHash).ok());
+      uint64_t a = store.Append("SELECT a", 0xa, 0xa1, {MakeFinding(1, 0.5, "a")});
+      store.Append("SELECT orphan", 0xd, 0xd1, {});
+      ASSERT_TRUE(store.AppendFile("repo/", 10, 100, {{0xa, 0xa1, a}}));
+      store.Close();
+    }
+    const std::string original = ReadRaw();
+    ASSERT_TRUE(FailpointRegistry::Instance().Arm(failpoint, "oneshot").ok());
+    std::string summary;
+    const Status compacted = FingerprintStore::Compact(path_, kHash, &summary);
+    FailpointRegistry::Instance().DisarmAll();
+    if (compacted.ok()) {
+      ASSERT_TRUE(FingerprintStore::Verify(path_, &summary).ok()) << summary;
+      EXPECT_NE(summary.find("entries=1 files=1 "), std::string::npos) << summary;
+    } else {
+      EXPECT_EQ(ReadRaw(), original);
+    }
+    EXPECT_NE(::access((path_ + ".compact.tmp").c_str(), F_OK), 0);
+    // With the fault gone, compaction completes.
+    ASSERT_TRUE(FingerprintStore::Compact(path_, kHash, &summary).ok()) << summary;
+    ASSERT_TRUE(FingerprintStore::Verify(path_, &summary).ok()) << summary;
+    EXPECT_NE(summary.find("entries=1 files=1 "), std::string::npos) << summary;
+  }
 }
 
 TEST_F(PersistTest, CompactUnderDifferentRulesetEmptiesTheStore) {

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <random>
 #include <string>
 #include <utility>
 #include <thread>
@@ -319,6 +320,67 @@ TEST_F(ScanTest, CorruptStoreDegradesToColdWithIdenticalReport) {
   Run warm = Scan(store_);
   EXPECT_EQ(warm.summary.files_reused, warm.report.files);
   EXPECT_EQ(warm.digest, cold.digest);
+}
+
+TEST_F(ScanTest, MutatedStoreNeverChangesTheReport) {
+  // Seeded mutations of a valid store: bit flips, truncation, zeroed spans,
+  // a duplicated span, swapped 8-byte words. Whatever the bytes, a scan
+  // reports exactly what a store-less scan does, and a store Verify accepts
+  // is never rebuilt by the open (so one the open rebuilds fails Verify).
+  WriteFile("gamma/schema.sql", SampleWorkload());
+  WriteFile("gamma/queries.sql", "SELECT name FROM users WHERE email = 'a@b.c';\n");
+  WriteFile("delta/app.py",
+            "def q(conn):\n"
+            "    conn.execute(\"SELECT * FROM orders ORDER BY RAND()\")\n");
+  const Run reference = Scan("");
+  Scan(store_);
+  const std::string pristine = ReadFile(store_);
+  std::mt19937_64 rng(24);
+  auto pick = [&](size_t n) { return static_cast<size_t>(rng() % n); };
+  int rebuilt = 0;
+  int accepted = 0;
+  for (int i = 0; i < 250; ++i) {
+    std::string raw = pristine;
+    const size_t at = pick(raw.size());
+    const size_t len = 1 + pick(std::min<size_t>(32, raw.size() - at));
+    switch (i % 5) {
+      case 0:
+        raw[at] = static_cast<char>(raw[at] ^ (1 << pick(8)));
+        break;
+      case 1:
+        raw.resize(at);
+        break;
+      case 2:
+        raw.replace(at, len, len, '\0');
+        break;
+      case 3:
+        raw.insert(pick(raw.size() + 1), raw.substr(at, len));
+        break;
+      default: {
+        const size_t other = pick(raw.size() - 7);
+        const size_t word = std::min(at, raw.size() - 8);
+        std::string a = raw.substr(word, 8);
+        std::string b = raw.substr(other, 8);
+        raw.replace(other, 8, a);
+        raw.replace(word, 8, b);
+        break;
+      }
+    }
+    SCOPED_TRACE("mutation " + std::to_string(i) + " at byte " + std::to_string(at));
+    {
+      std::ofstream out(store_, std::ios::binary | std::ios::trunc);
+      out.write(raw.data(), static_cast<std::streamsize>(raw.size()));
+    }
+    const bool verified = persist::FingerprintStore::Verify(store_, nullptr).ok();
+    const Run run = Scan(store_);
+    EXPECT_EQ(run.digest, reference.digest);
+    EXPECT_EQ(run.text, reference.text);
+    EXPECT_FALSE(verified && run.summary.store.degraded) << run.summary.store.warning;
+    rebuilt += run.summary.store.degraded ? 1 : 0;
+    accepted += verified ? 1 : 0;
+  }
+  EXPECT_GT(rebuilt, 200);
+  EXPECT_GT(accepted, 0);  // Zeroing bytes that were already zero.
 }
 
 TEST_F(ScanTest, ForeignFileAtStorePathIsLeftUntouched) {
