@@ -671,13 +671,22 @@ TEST_F(PersistTest, CompactDropsAManifestThatReferencesNoRecordStart) {
   const size_t manifest = b + b_total;
   uint32_t manifest_total = 0;
   std::memcpy(&manifest_total, raw.data() + manifest + 4, 4);
-  // Second reference's offset: 32-byte prefix, the path, one 24-byte ref,
-  // then exact and template fingerprints.
-  const uint64_t inside_a = a + 1;
-  std::memcpy(raw.data() + manifest + 32 + 7 + 24 + 16, &inside_a, 8);
-  const uint64_t sum = Xxh64(raw.data() + manifest, manifest_total - 8);
-  std::memcpy(raw.data() + manifest + manifest_total - 8, &sum, 8);
-  WriteRaw(raw);
+  // Overwrites the u64 at `at` inside the manifest and re-seals it.
+  auto forge = [&](std::string bytes, size_t at, uint64_t value) {
+    std::memcpy(bytes.data() + manifest + at, &value, 8);
+    const uint64_t sum = Xxh64(bytes.data() + manifest, manifest_total - 8);
+    std::memcpy(bytes.data() + manifest + manifest_total - 8, &sum, 8);
+    return bytes;
+  };
+  // The first reference (after the 32-byte prefix and the 7-byte path) at
+  // A's offset under B's fingerprint: only Verify's cross-check sees it.
+  WriteRaw(forge(raw, 32 + 7, 0xb));
+  Status verify = FingerprintStore::Verify(path_, nullptr);
+  EXPECT_NE(verify.message().find("references an invalid statement record"),
+            std::string::npos)
+      << verify.message();
+  // The second reference's offset, inside record A.
+  WriteRaw(forge(raw, 32 + 7 + 24 + 16, a + 1));
   EXPECT_FALSE(FingerprintStore::Verify(path_, nullptr).ok());
 
   std::string summary;
