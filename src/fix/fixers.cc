@@ -302,8 +302,9 @@ constexpr FixerRow kFixers[] = {
     {AntiPattern::kColumnWildcard, kWorkload, EquivalenceContract::kExactOrdered,
      "mechanical rewrite: expands * into the catalog's column list (qualified per "
      "source when several tables are read); textual when a source is a subquery or "
-     "missing from the catalog; equivalence contract: exact-ordered — differential "
-     "execution requires identical rows in identical order",
+     "missing from the catalog, and for a bare * over a USING join (which lists each "
+     "USING column once); equivalence contract: exact-ordered — differential execution "
+     "requires identical rows in identical order",
      [](const Detection& d, const Context& context) {
        const auto* select = StmtAs<sql::SelectStatement>(d);
        return RewriteOrGuide(
@@ -369,9 +370,9 @@ constexpr FixerRow kFixers[] = {
     // the table: Tier 3 compares the resulting table states exactly.
     {AntiPattern::kImplicitColumns, kWorkload, EquivalenceContract::kExactOrdered,
      "mechanical rewrite: names the INSERT's target columns from the catalog; textual "
-     "when the table is unknown or the VALUES arity mismatches the schema; equivalence "
-     "contract: exact-ordered — differential execution requires identical table states "
-     "afterward",
+     "when the table is unknown, when a VALUES row's arity mismatches the schema, or "
+     "when an INSERT ... SELECT list has a * or the wrong width; equivalence contract: "
+     "exact-ordered — differential execution requires identical table states afterward",
      [](const Detection& d, const Context& context) {
        const auto* insert = StmtAs<sql::InsertStatement>(d);
        return RewriteOrGuide(

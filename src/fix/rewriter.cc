@@ -112,6 +112,8 @@ sql::StatementPtr ExpandWildcard(const sql::SelectStatement& select,
   std::vector<ResolvedSource> sources;
   if (!ResolveSources(select, context.catalog(), &sources)) return nullptr;
   const bool qualify = sources.size() > 1;
+  bool using_join = false;
+  for (const auto& j : select.joins) using_join |= !j.using_columns.empty();
 
   auto cloned = select.CloneSelect();
   sql::AstVector<sql::SelectItem> items;
@@ -123,6 +125,9 @@ sql::StatementPtr ExpandWildcard(const sql::SelectStatement& select,
     }
     std::string_view star_qualifier;
     if (!item.expr->name_parts.empty()) star_qualifier = item.expr->name_parts.back();
+    // A bare * lists each USING column once; per-source expansion would list
+    // it once per side.
+    if (star_qualifier.empty() && using_join) return nullptr;
     bool matched = false;
     for (const ResolvedSource& src : sources) {
       if (!star_qualifier.empty() && !EqualsIgnoreCase(star_qualifier, src.qualifier)) {
@@ -151,8 +156,17 @@ sql::StatementPtr ExpandInsertColumns(const sql::InsertStatement& insert,
                                       const Context& context) {
   const TableSchema* schema = context.catalog().FindTable(insert.table);
   if (schema == nullptr || schema->columns.empty()) return nullptr;
-  if (!insert.rows.empty() && insert.rows[0].size() != schema->columns.size()) {
-    return nullptr;  // arity mismatch: the statement is already broken
+  // Every VALUES row, or the SELECT's star-free list, must fill the schema
+  // exactly; on an arity mismatch the statement is already broken.
+  const size_t width = schema->columns.size();
+  for (const auto& row : insert.rows) {
+    if (row.size() != width) return nullptr;
+  }
+  if (insert.select != nullptr) {
+    if (insert.select->items.size() != width) return nullptr;
+    for (const auto& item : insert.select->items) {
+      if (item.expr && item.expr->kind == sql::ExprKind::kStar) return nullptr;
+    }
   }
   auto cloned = insert.CloneStatement();
   auto* fixed = static_cast<sql::InsertStatement*>(cloned.get());

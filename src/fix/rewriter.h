@@ -27,13 +27,15 @@ namespace sqlcheck {
 /// catalog. Columns are qualified with the source's effective name (alias if
 /// set) when the statement reads more than one source; a qualified star
 /// expands only its own table. Null when any source is a subquery or any
-/// referenced table is missing from the catalog.
+/// referenced table is missing from the catalog, and for a bare * over a
+/// USING join (the * lists each USING column once).
 sql::StatementPtr ExpandWildcard(const sql::SelectStatement& select,
                                  const Context& context);
 
 /// Names the target columns of an implicit-column INSERT from the catalog.
-/// Null when the table is unknown or the VALUES arity does not match the
-/// schema (the statement is already broken; guessing would mask it).
+/// Null when the table is unknown, when a VALUES row's arity does not match
+/// the schema, or when an INSERT ... SELECT list has a * or the wrong width
+/// (the statement is already broken; guessing would mask it).
 sql::StatementPtr ExpandInsertColumns(const sql::InsertStatement& insert,
                                       const Context& context);
 

@@ -169,6 +169,21 @@ TEST(RewriterTest, WildcardExpansionRefusesUnknownAndSubquerySources) {
       "CREATE TABLE t (a INTEGER PRIMARY KEY);"
       "SELECT * FROM (SELECT a FROM t) AS inner_t;");
   EXPECT_EQ(ExpandWildcard(LastSelect(sub), sub), nullptr);
+
+  // A bare * lists a USING column once; expanding per source would list it
+  // once per side and return one more column than the original.
+  const std::string tables =
+      "CREATE TABLE t (id INTEGER PRIMARY KEY, b VARCHAR(5));"
+      "CREATE TABLE u (id INTEGER PRIMARY KEY, c VARCHAR(5));";
+  Detected using_join = BuildContext(tables + "SELECT * FROM t JOIN u USING (id);");
+  EXPECT_EQ(ExpandWildcard(LastSelect(using_join), using_join), nullptr);
+
+  // A qualified t.* over the same join names t's columns only, so it still
+  // expands.
+  Detected qualified = BuildContext(tables + "SELECT t.* FROM t JOIN u USING (id);");
+  sql::StatementPtr fixed = ExpandWildcard(LastSelect(qualified), qualified);
+  ASSERT_NE(fixed, nullptr);
+  EXPECT_EQ(sql::PrintStatement(*fixed), "SELECT t.id, t.b FROM t JOIN u USING (id);");
 }
 
 TEST(RewriterTest, OrderByRandBecomesKeyRangeProbe) {
@@ -256,13 +271,37 @@ TEST(RewriterTest, ConcatWrapRefusesWhenNoOperandIsReachable) {
 }
 
 TEST(RewriterTest, InsertExpansionRefusesArityMismatch) {
-  Detected built = BuildContext(
+  // Each statement is already broken against t(a, b, c); naming the columns
+  // would hand the engine a statement it pads instead of rejects.
+  const char* cases[] = {
+      "INSERT INTO t VALUES (1, 'x');",              // short first row
+      "INSERT INTO t VALUES (1, 'x', 'y'), (2);",   // short later row
+      "INSERT INTO t SELECT x FROM s;",             // narrow SELECT
+      "INSERT INTO t SELECT * FROM s;",             // SELECT width unknown
+  };
+  for (const char* sql_text : cases) {
+    Detected built = BuildContext(
+        std::string("CREATE TABLE t (a INTEGER PRIMARY KEY, b VARCHAR(5), c VARCHAR(5));"
+                    "CREATE TABLE s (x INTEGER);") +
+        sql_text);
+    const Context& context = built;
+    const auto* insert = context.queries().back().stmt->As<sql::InsertStatement>();
+    ASSERT_NE(insert, nullptr) << sql_text;
+    EXPECT_EQ(ExpandInsertColumns(*insert, context), nullptr) << sql_text;
+  }
+
+  // A full-width SELECT still expands.
+  Detected full = BuildContext(
       "CREATE TABLE t (a INTEGER PRIMARY KEY, b VARCHAR(5), c VARCHAR(5));"
-      "INSERT INTO t VALUES (1, 'x');");
-  const Context& context = built;
+      "CREATE TABLE s (x INTEGER);"
+      "INSERT INTO t SELECT x, 'p', 'q' FROM s;");
+  const Context& context = full;
   const auto* insert = context.queries().back().stmt->As<sql::InsertStatement>();
   ASSERT_NE(insert, nullptr);
-  EXPECT_EQ(ExpandInsertColumns(*insert, context), nullptr);
+  sql::StatementPtr fixed = ExpandInsertColumns(*insert, context);
+  ASSERT_NE(fixed, nullptr);
+  EXPECT_EQ(sql::PrintStatement(*fixed),
+            "INSERT INTO t (a, b, c) SELECT x, 'p', 'q' FROM s;");
 }
 
 // ---------------------------------------------------------------------------
