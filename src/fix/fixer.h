@@ -11,6 +11,11 @@ namespace sqlcheck {
 /// alongside their detection halves, so detection/action pairs travel
 /// together and custom deployments can swap either side independently.
 ///
+/// The 27 built-in fixers are rows of one table in fix/fixers.cc (scope,
+/// contract, proposal function and --explain text per anti-pattern), each
+/// served through this interface. A custom implementation registered with
+/// RuleRegistry::RegisterFixer overrides the built-in row for its type.
+///
 /// A fixer only *proposes*; the FixEngine owns the verification loop that
 /// promotes a proposal to a trusted `kRewrite` (or demotes it to `kTextual`
 /// with a reason). Implementations should route mechanical transformations

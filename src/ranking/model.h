@@ -67,8 +67,6 @@ class RankingModel {
   /// input order.
   std::vector<RankedDetection> Rank(std::vector<Detection> detections) const;
 
-  const MetricsStore& metrics_store() const { return metrics_; }
-  MetricsStore& metrics_store() { return metrics_; }
   const RankingWeights& weights() const { return weights_; }
 
  private:

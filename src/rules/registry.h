@@ -34,7 +34,6 @@ class RuleRegistry {
   void RegisterFixer(std::unique_ptr<Fixer> fixer) {
     fixers_.push_back(std::move(fixer));
   }
-  const std::vector<std::unique_ptr<Fixer>>& fixers() const { return fixers_; }
 
   /// The detection half for `type`, or nullptr (disabled / never registered).
   const Rule* FindRule(AntiPattern type) const;

@@ -134,7 +134,6 @@ class Rule {
   virtual ~Rule() = default;
 
   virtual AntiPattern type() const = 0;
-  const ApInfo& info() const { return InfoFor(type()); }
 
   /// Caching contract for CheckQuery (see QueryRuleScope). The conservative
   /// default forces re-evaluation; built-in rules that never touch the

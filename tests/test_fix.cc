@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "detected.h"
 #include "engine/executor.h"
+#include "fix/fixers.h"
 #include "rules/registry.h"
 #include "sql/parser.h"
 
@@ -202,6 +206,39 @@ TEST(FixTest, RewrittenStatementsAllParse) {
       EXPECT_NE(sql::ParseStatement(stmt)->kind, sql::StatementKind::kUnknown)
           << "unparseable fix: " << stmt;
     }
+  }
+}
+
+TEST(FixTest, BuiltinFixerTableCoversEveryAntiPatternOnce) {
+  // The table's row-count static_assert cannot catch a row filed under the
+  // wrong type, a wrong cache scope (a workload fixer scoped statement-local
+  // would replay stale fixes), or a contract text that drifts from the
+  // declared Tier-3 contract.
+  const std::set<AntiPattern> statement_local = {
+      AntiPattern::kPatternMatching,        AntiPattern::kAdjacencyList,
+      AntiPattern::kGenericPrimaryKey,      AntiPattern::kDistinctAndJoin,
+      AntiPattern::kTooManyJoins,           AntiPattern::kGodTable,
+      AntiPattern::kDataInMetadata,         AntiPattern::kCloneTable,
+      AntiPattern::kExternalDataStorage,    AntiPattern::kReadablePassword,
+      AntiPattern::kInformationDuplication, AntiPattern::kDenormalizedTable,
+  };
+  ASSERT_EQ(statement_local.size(), 12u);
+  RuleRegistry registry = RuleRegistry::Default();
+  for (int i = 0; i < kAntiPatternCount; ++i) {
+    const auto t = static_cast<AntiPattern>(i);
+    SCOPED_TRACE(ApName(t));
+    const Fixer* fixer = registry.FindFixer(t);
+    ASSERT_NE(fixer, nullptr);
+    EXPECT_EQ(fixer->type(), t);
+    EXPECT_EQ(fixer->fix_scope() == QueryRuleScope::kStatementLocal,
+              statement_local.count(t) == 1);
+    const std::string contract = FixerContract(t);
+    const bool names_contract =
+        contract.find(EquivalenceContractName(fixer->equivalence())) !=
+        std::string::npos;
+    EXPECT_EQ(names_contract,
+              fixer->equivalence() != EquivalenceContract::kNotApplicable)
+        << contract;
   }
 }
 

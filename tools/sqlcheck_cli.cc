@@ -267,6 +267,37 @@ int UsageError(const std::string& message) {
   return 2;
 }
 
+std::string ImpactList(const ApInfo& info) {
+  std::string out;
+  auto add = [&](bool on, const char* label) {
+    if (!on) return;
+    if (!out.empty()) out += ", ";
+    out += label;
+  };
+  add(info.performance, "performance");
+  add(info.maintainability, "maintainability");
+  add(info.data_amplification, "data-amplification");
+  add(info.data_integrity, "data-integrity");
+  add(info.accuracy, "accuracy");
+  return out.empty() ? "—" : out;
+}
+
+const char* ScopeDescription(const Rule* rule) {
+  return rule != nullptr && rule->query_scope() == QueryRuleScope::kStatementLocal
+             ? "statement-local (analyzed once per unique statement, memoized)"
+             : "workload-sensitive (re-evaluated as the workload grows)";
+}
+
+/// One rule's catalog entry in text form: --explain prints it, --explain-all
+/// prints it for every rule.
+void PrintTextEntry(const ApInfo& info, const Rule* rule) {
+  std::printf("%s  (category: %s)\n", info.name, CategoryName(info.category));
+  std::printf("  slug: %s\n", ApSlug(info.type).c_str());
+  std::printf("  impact: %s\n", ImpactList(info).c_str());
+  std::printf("  detection: %s\n", ScopeDescription(rule));
+  std::printf("  fix: %s\n", FixerContract(info.type));
+}
+
 bool ParseArgs(int argc, char** argv, CliOptions* cli, int* exit_code) {
   auto value_of = [&](int* i, std::string_view flag, std::string* out) {
     if (*i + 1 >= argc) {
@@ -345,20 +376,7 @@ bool ParseArgs(int argc, char** argv, CliOptions* cli, int* exit_code) {
                                 "' (see --rules for the catalog)");
         return false;
       }
-      RuleRegistry registry = RuleRegistry::Default();
-      const Rule* rule = registry.FindRule(info->type);
-      std::printf("%s  (category: %s)\n", info->name, CategoryName(info->category));
-      std::printf("  impact:%s%s%s%s%s\n", info->performance ? " performance" : "",
-                  info->maintainability ? " maintainability" : "",
-                  info->data_amplification ? " data-amplification" : "",
-                  info->data_integrity ? " data-integrity" : "",
-                  info->accuracy ? " accuracy" : "");
-      std::printf("  detection: %s\n",
-                  rule != nullptr &&
-                          rule->query_scope() == QueryRuleScope::kStatementLocal
-                      ? "statement-local (cached per unique statement)"
-                      : "workload-sensitive (re-evaluated as the workload grows)");
-      std::printf("  fix: %s\n", FixerContract(info->type));
+      PrintTextEntry(*info, RuleRegistry::Default().FindRule(info->type));
       std::printf("  every mechanical rewrite climbs a tiered verification pipeline: "
                   "it must re-parse (tier 1),\n  re-analysis must no longer report the "
                   "anti-pattern (tier 2), and under --verify-exec the\n  rewrite must "
@@ -393,27 +411,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* cli, int* exit_code) {
     }
   }
   return true;
-}
-
-std::string ImpactList(const ApInfo& info) {
-  std::string out;
-  auto add = [&](bool on, const char* label) {
-    if (!on) return;
-    if (!out.empty()) out += ", ";
-    out += label;
-  };
-  add(info.performance, "performance");
-  add(info.maintainability, "maintainability");
-  add(info.data_amplification, "data-amplification");
-  add(info.data_integrity, "data-integrity");
-  add(info.accuracy, "accuracy");
-  return out.empty() ? "—" : out;
-}
-
-const char* ScopeDescription(const Rule* rule) {
-  return rule != nullptr && rule->query_scope() == QueryRuleScope::kStatementLocal
-             ? "statement-local (analyzed once per unique statement, memoized)"
-             : "workload-sensitive (re-evaluated as the workload grows)";
 }
 
 /// --explain-all: the whole 27-rule catalog. The md flavor IS docs/RULES.md —
@@ -461,12 +458,8 @@ int ExplainAll(Format format) {
   }
   for (int t = 0; t < kAntiPatternCount; ++t) {
     const ApInfo& info = InfoFor(static_cast<AntiPattern>(t));
-    const Rule* rule = registry.FindRule(info.type);
-    std::printf("%s  (category: %s)\n", info.name, CategoryName(info.category));
-    std::printf("  slug: %s\n", ApSlug(info.type).c_str());
-    std::printf("  impact: %s\n", ImpactList(info).c_str());
-    std::printf("  detection: %s\n", ScopeDescription(rule));
-    std::printf("  fix: %s\n\n", FixerContract(info.type));
+    PrintTextEntry(info, registry.FindRule(info.type));
+    std::printf("\n");
   }
   return 0;
 }
