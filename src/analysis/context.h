@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/data_context.h"
@@ -33,6 +34,10 @@ struct QueryGroups {
   /// Per-statement exact-canonical 64-bit fingerprint (empty with dedup
   /// disabled).
   std::vector<uint64_t> fingerprints;
+  /// Group position -> its exact-canonical form, a view of the session's
+  /// memo key (hash-map nodes never move, so the view lives as long as the
+  /// session). Empty with dedup disabled.
+  std::vector<std::string_view> canonical;
 
   size_t unique_count() const { return unique.size(); }
   bool has_duplicates() const { return unique.size() < representative.size(); }

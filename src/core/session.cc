@@ -228,6 +228,7 @@ void AnalysisSession::AppendPieces(std::span<const std::string_view> pieces) {
   GrowFor(context_.query_facts_, extra);
   GrowFor(groups.representative, extra);
   GrowFor(groups.fingerprints, extra);
+  if (options_.dedup_queries) GrowFor(groups.canonical, extra);
   GrowFor(groups.unique, extra);
   GrowFor(groups.group, extra);
   GrowFor(rule_cache_, extra);
@@ -292,6 +293,7 @@ bool AnalysisSession::LandPiece(std::string_view piece,
   const sql::Statement* stmt = nullptr;
   size_t rep = i;
   RawKey raw{};
+  std::string_view canonical;
   if (options_.dedup_queries) {
     raw = MakeRawKey(Trim(piece));  // the parser trims raw_sql the same way
     auto raw_it = raw_memo_.find(raw);
@@ -317,7 +319,7 @@ bool AnalysisSession::LandPiece(std::string_view piece,
     }
     if (options_.dedup_queries) {
       uint64_t fingerprint = 0;
-      if (!ResolveGroup(*parsed, raw, i, &rep, &fingerprint)) return false;
+      if (!ResolveGroup(*parsed, raw, i, &rep, &fingerprint, &canonical)) return false;
       groups.fingerprints.push_back(fingerprint);
     }
     stmt = parsed.get();
@@ -329,6 +331,7 @@ bool AnalysisSession::LandPiece(std::string_view piece,
   if (rep == i) {
     new_uniques->push_back(groups.unique.size());
     groups.unique.push_back(i);
+    if (options_.dedup_queries) groups.canonical.push_back(canonical);
     rule_cache_.emplace_back();
   }
   context_.statements_.push_back(stmt);
@@ -393,7 +396,8 @@ void AnalysisSession::TrimScratch() {
 }
 
 bool AnalysisSession::ResolveGroup(const sql::Statement& stmt, const RawKey& raw,
-                                   size_t i, size_t* rep, uint64_t* fingerprint) {
+                                   size_t i, size_t* rep, uint64_t* fingerprint,
+                                   std::string_view* canonical_key) {
   // The memo stage allocates (canonical string + two hash-table nodes), so
   // it can fault — for real under memory pressure, on demand under the
   // memo_insert failpoint. It retries with rollback: if the raw-spelling
@@ -412,6 +416,7 @@ bool AnalysisSession::ResolveGroup(const sql::Statement& stmt, const RawKey& raw
       *fingerprint = sql::FingerprintCanonical(canonical);
       auto [canon_it, inserted] = canonical_memo_.try_emplace(std::move(canonical), i);
       *rep = canon_it->second;
+      *canonical_key = canon_it->first;
       try {
         // Keyed by a view of the statement's own raw_sql, which lives in the
         // session arena (the same bytes as `raw.text`).

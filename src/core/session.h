@@ -290,10 +290,11 @@ class AnalysisSession {
   /// Resolves the fingerprint group of `stmt`, just parsed as statement `i`
   /// (its tokens still in token_buffer_), through canonical_memo_, and
   /// records its text in raw_memo_ (`raw` is its key). Inserts a new group
-  /// led by `i` on a miss, retrying transient faults. False after a
-  /// persistent fault, which quarantines and records the statement.
+  /// led by `i` on a miss, retrying transient faults. `canonical_key` views
+  /// the group's memo key. False after a persistent fault, which quarantines
+  /// and records the statement.
   bool ResolveGroup(const sql::Statement& stmt, const RawKey& raw, size_t i, size_t* rep,
-                    uint64_t* fingerprint);
+                    uint64_t* fingerprint, std::string_view* canonical_key);
 
   /// Analyzes the representative of unique group `u` and fills the
   /// statement-local slots of its rule-cache row, retrying transient

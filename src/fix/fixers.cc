@@ -38,10 +38,13 @@ Fix Emit(const Detection& d, std::vector<std::string> statements,
 }
 
 /// A statement-replacing AST rewrite when the rewriter produced one
-/// (explained by `done`), otherwise `guidance`.
+/// (explained by `done`), otherwise `guidance`. A statement whose parse
+/// skipped source gets the guidance: its printed tree would drop a clause.
 Fix RewriteOrGuide(const Detection& d, const sql::StatementPtr& rewritten,
                    std::string done, std::string guidance) {
-  if (rewritten == nullptr) return Guide(d, std::move(guidance));
+  if (rewritten == nullptr || (d.stmt != nullptr && d.stmt->skipped_source)) {
+    return Guide(d, std::move(guidance));
+  }
   Fix fix = Emit(d, {sql::PrintStatement(*rewritten)}, std::move(done));
   fix.replaces_original = true;
   return fix;
@@ -302,8 +305,9 @@ constexpr FixerRow kFixers[] = {
     {AntiPattern::kColumnWildcard, kWorkload, EquivalenceContract::kExactOrdered,
      "mechanical rewrite: expands * into the catalog's column list (qualified per "
      "source when several tables are read); textual when a source is a subquery or "
-     "missing from the catalog, and for a bare * over a USING join (which lists each "
-     "USING column once); equivalence contract: exact-ordered — differential execution "
+     "missing from the catalog, for a bare * over a USING join (which lists each "
+     "USING column once), and when the parser skipped a clause it does not model "
+     "(LIKE ... ESCAPE); equivalence contract: exact-ordered — differential execution "
      "requires identical rows in identical order",
      [](const Detection& d, const Context& context) {
        const auto* select = StmtAs<sql::SelectStatement>(d);
@@ -319,6 +323,7 @@ constexpr FixerRow kFixers[] = {
     {AntiPattern::kConcatenateNulls, kWorkload,
      EquivalenceContract::kDocumentedDivergence,
      "mechanical rewrite: wraps nullable || / CONCAT operands in COALESCE(col, ''); "
+     "textual when the parser skipped a clause it does not model (LIKE ... ESCAPE); "
      "equivalence contract: documented-divergence — rows with NULL operands "
      "intentionally change from NULL to the non-null concatenation, so execution is "
      "checked but results are not compared",
@@ -334,7 +339,8 @@ constexpr FixerRow kFixers[] = {
     // wanted. Tier 3 only requires the pk-probe to execute on populated tables.
     {AntiPattern::kOrderingByRand, kWorkload, EquivalenceContract::kDocumentedDivergence,
      "mechanical rewrite: ORDER BY RAND() ... LIMIT n becomes a random primary-key "
-     "range probe; textual without a LIMIT or a single-column primary key; equivalence "
+     "range probe; textual without a LIMIT or a single-column primary key, and when "
+     "the parser skipped a clause it does not model (LIKE ... ESCAPE); equivalence "
      "contract: documented-divergence — both sides sample at random, so execution is "
      "checked but results are not compared",
      [](const Detection& d, const Context& context) {
@@ -352,8 +358,9 @@ constexpr FixerRow kFixers[] = {
     // reversed value), so the contract is multiset, not ordered.
     {AntiPattern::kPatternMatching, kLocal, EquivalenceContract::kMultiset,
      "mechanical rewrite: col LIKE '%tail' becomes REVERSE(col) LIKE 'liat%' "
-     "(serviceable by a functional index); textual for regexes and infix patterns; "
-     "equivalence contract: multiset — differential execution requires the same rows, "
+     "(serviceable by a functional index); textual for regexes and infix patterns, and "
+     "when the parser skipped a clause it does not model (LIKE ... ESCAPE); equivalence "
+     "contract: multiset — differential execution requires the same rows, "
      "in any order",
      [](const Detection& d, const Context&) {
        const auto* select = StmtAs<sql::SelectStatement>(d);
@@ -370,9 +377,11 @@ constexpr FixerRow kFixers[] = {
     // the table: Tier 3 compares the resulting table states exactly.
     {AntiPattern::kImplicitColumns, kWorkload, EquivalenceContract::kExactOrdered,
      "mechanical rewrite: names the INSERT's target columns from the catalog; textual "
-     "when the table is unknown, when a VALUES row's arity mismatches the schema, or "
-     "when an INSERT ... SELECT list has a * or the wrong width; equivalence contract: "
-     "exact-ordered — differential execution requires identical table states afterward",
+     "when the table is unknown, when a VALUES row's arity mismatches the schema, when "
+     "an INSERT ... SELECT list has a * or the wrong width, and when the parser skipped "
+     "a clause it does not model (IGNORE, OR IGNORE, ON DUPLICATE KEY UPDATE, ON "
+     "CONFLICT, RETURNING); equivalence contract: exact-ordered — differential "
+     "execution requires identical table states afterward",
      [](const Detection& d, const Context& context) {
        const auto* insert = StmtAs<sql::InsertStatement>(d);
        return RewriteOrGuide(

@@ -507,33 +507,59 @@ bool FingerprintStore::ResolveStats(uint64_t offset, uint64_t fingerprint,
 }
 
 template <typename Finding>
-uint64_t FingerprintStore::Append(std::string_view canonical, uint64_t fingerprint,
-                                  uint64_t template_fingerprint,
-                                  const std::vector<Finding>& findings) {
+void FingerprintStore::FrameRecord(std::string_view canonical, uint64_t fingerprint,
+                                   uint64_t template_fingerprint,
+                                   const std::vector<Finding>& findings,
+                                   FramedRecords* out) {
+  out->starts_.push_back(out->bytes_.size());
+  AppendRecord(&out->bytes_, kRecordMagic, [&](std::string* body) {
+    PutU64(body, fingerprint);
+    PutU64(body, template_fingerprint);
+    PutU32(body, static_cast<uint32_t>(canonical.size()));
+    PutU32(body, static_cast<uint32_t>(findings.size()));
+    body->append(canonical);
+    for (const Finding& f : findings) {
+      body->push_back(static_cast<char>(f.type));
+      uint64_t score_bits;
+      std::memcpy(&score_bits, &f.score, 8);
+      PutU64(body, score_bits);
+    }
+  });
+}
+
+uint64_t FingerprintStore::AppendFramed(const FramedRecords& records, size_t index) {
   if (!usable() || append_broken_) return kNoOffset;
+  // FrameRecord wrote these bytes, so the fields are read without a
+  // re-check; the checksum is verified whenever the record is read back.
+  const char* p = records.bytes_.data() + records.starts_[index];
+  const uint64_t fingerprint = GetU64(p + 8);
+  const std::string_view canonical(p + kRecordPrefixBytes, GetU32(p + 24));
   // First write wins; a duplicate append returns the existing record.
   const uint64_t existing = Find(canonical, fingerprint, nullptr, nullptr);
   if (existing != kNoOffset) return existing;
   const uint64_t offset = open_end_ + appended_buf_.size();
-  AppendRecord(&appended_buf_, kRecordMagic, [&](std::string* out) {
-    PutU64(out, fingerprint);
-    PutU64(out, template_fingerprint);
-    PutU32(out, static_cast<uint32_t>(canonical.size()));
-    PutU32(out, static_cast<uint32_t>(findings.size()));
-    out->append(canonical);
-    for (const Finding& f : findings) {
-      out->push_back(static_cast<char>(f.type));
-      uint64_t score_bits;
-      std::memcpy(&score_bits, &f.score, 8);
-      PutU64(out, score_bits);
-    }
-  });
+  appended_buf_.append(p, GetU32(p + 4));
   appended_.emplace(fingerprint, offset);
   ++stats_.entries;
   ++stats_.appended;
   return offset;
 }
 
+template <typename Finding>
+uint64_t FingerprintStore::Append(std::string_view canonical, uint64_t fingerprint,
+                                  uint64_t template_fingerprint,
+                                  const std::vector<Finding>& findings) {
+  FramedRecords one;
+  FrameRecord(canonical, fingerprint, template_fingerprint, findings, &one);
+  return AppendFramed(one, 0);
+}
+
+template void FingerprintStore::FrameRecord(std::string_view, uint64_t, uint64_t,
+                                            const std::vector<StoredFinding>&,
+                                            FramedRecords*);
+template void FingerprintStore::FrameRecord(std::string_view, uint64_t, uint64_t,
+                                            const std::vector<FindingStat>&,
+                                            FramedRecords*);
 template uint64_t FingerprintStore::Append(std::string_view, uint64_t, uint64_t,
                                            const std::vector<StoredFinding>&);
 template uint64_t FingerprintStore::Append(std::string_view, uint64_t, uint64_t,

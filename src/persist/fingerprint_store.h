@@ -56,6 +56,22 @@ struct StmtRef {
   uint64_t offset = 0;
 };
 
+/// \brief Statement records framed off the store by
+/// `FingerprintStore::FrameRecord`, back to back in one buffer: byte for
+/// byte what `Append` stages, record checksum included. Only FrameRecord
+/// writes one, so `AppendFramed` never adopts bytes the store did not frame.
+/// The scan's workers frame their repository's records here, in parallel,
+/// and the serial write-back only deduplicates and copies them.
+class FramedRecords {
+ public:
+  size_t size() const { return starts_.size(); }
+
+ private:
+  friend class FingerprintStore;
+  std::string bytes_;
+  std::vector<size_t> starts_;  ///< Byte offset of each record in bytes_.
+};
+
 /// \brief Open-lifetime counters and identity of one store. `warning` is
 /// non-empty when the open degraded (corruption, version/rule-set mismatch,
 /// lock contention) — the scan surfaces it and continues cold.
@@ -96,8 +112,9 @@ struct StoreStats {
 /// generation, committed statement count, committed log end, XXH64 checksum)
 /// followed by records, each with a trailing XXH64 checksum. A statement
 /// record is a 32-byte prefix, the key text, 9 bytes per finding (type byte,
-/// score bits) and the checksum. Appends are framed into an in-memory buffer
-/// that probes read in place; Commit() (and Close()) write its uncommitted
+/// score bits) and the checksum. FrameRecord frames a statement record on
+/// any thread; AppendFramed stages the frame into an in-memory buffer that
+/// probes read in place. Commit() (and Close()) write its uncommitted
 /// part with one bulk write(2) past the committed end, fsync, and only then
 /// publish a new header — a crash at any point leaves the previous header
 /// pointing at the old, fully-valid prefix, and the torn tail is truncated on
@@ -155,12 +172,24 @@ class FingerprintStore {
                     std::vector<FindingStat>* out,
                     uint64_t* template_fingerprint) const;
 
-  /// Stages one statement entry and returns its future byte offset. If the
-  /// fingerprint+canonical is already present (committed or appended) returns
-  /// the existing record's offset instead — first write wins. Returns
-  /// kNoOffset when the store is unusable or the log is frozen by an earlier
-  /// failure. Only each finding's `type` and `score` are stored; `Finding`
-  /// is StoredFinding or FindingStat.
+  /// Frames one statement record onto `out`: the bytes `Append` stages for
+  /// these arguments, checksum included. Touches no store, so any thread
+  /// may frame into its own buffer. Only each finding's `type` and `score`
+  /// are stored; `Finding` is StoredFinding or FindingStat. This is the one
+  /// place that writes a statement record's body.
+  template <typename Finding>
+  static void FrameRecord(std::string_view canonical, uint64_t fingerprint,
+                          uint64_t template_fingerprint,
+                          const std::vector<Finding>& findings, FramedRecords* out);
+
+  /// Stages record `index` of `records` and returns its future byte offset.
+  /// If its fingerprint+canonical is already present (committed or
+  /// appended) returns the existing record's offset instead — first write
+  /// wins. Returns kNoOffset when the store is unusable or the log is
+  /// frozen by an earlier failure.
+  uint64_t AppendFramed(const FramedRecords& records, size_t index);
+
+  /// FrameRecord + AppendFramed for one record.
   template <typename Finding = StoredFinding>
   uint64_t Append(std::string_view canonical, uint64_t fingerprint,
                   uint64_t template_fingerprint, const std::vector<Finding>& findings);

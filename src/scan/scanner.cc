@@ -13,7 +13,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -28,6 +27,7 @@
 #include "rules/registry.h"
 #include "sql/extractor.h"
 #include "sql/fingerprint.h"
+#include "sql/lexer.h"
 
 namespace sqlcheck::scan {
 
@@ -150,14 +150,6 @@ RepoKey KeyOf(const std::vector<const ScanFile*>& files) {
   return key;
 }
 
-/// One statement record bound for the store.
-struct RecordDraft {
-  std::string key;  ///< Exact canonical, plus the repo digest if workload-sensitive.
-  uint64_t exact = 0;
-  uint64_t tmpl = 0;
-  std::vector<persist::FindingStat> stats;
-};
-
 /// One statement occurrence of a repository and the record carrying its
 /// findings.
 struct Occurrence {
@@ -167,9 +159,10 @@ struct Occurrence {
 };
 
 /// Everything one repository contributes. The store write-back (`records`,
-/// `occurrences`) is filled only for repositories analyzed cleanly with a
-/// store attached; it is appended serially after the join, in repository
-/// order, so the log layout is byte-stable at any job count.
+/// framed by the worker, and `occurrences`) is filled only for repositories
+/// analyzed cleanly with a store attached; it is appended serially after the
+/// join, in repository order, so the log layout is byte-stable at any job
+/// count.
 struct RepoResult {
   uint64_t files = 0;
   uint64_t statements = 0;
@@ -177,7 +170,7 @@ struct RepoResult {
   uint32_t rule_mask = 0;
   RepoKey key;
   bool write_back = false;
-  std::vector<RecordDraft> records;
+  persist::FramedRecords records;
   std::vector<Occurrence> occurrences;
 };
 
@@ -197,13 +190,14 @@ struct ShardAgg {
   uint64_t skipped = 0;
 };
 
-/// Per-worker state: aggregates plus manifest-replay scratch whose capacity
-/// persists across repositories.
+/// Per-worker state: aggregates plus scratch whose capacity persists across
+/// repositories.
 struct Worker {
   ShardAgg agg;
   std::vector<persist::StmtRef> refs;
   std::vector<std::vector<persist::FindingStat>> replay;
   std::vector<persist::FindingStat> stats;
+  sql::TokenBuffer tokens;  ///< Lexes each group's canonical form once.
 };
 
 /// Read-only state shared by every worker.
@@ -297,6 +291,7 @@ void AnalyzeRepo(const std::vector<const ScanFile*>& files, bool write_back,
                  const ScanShared& shared, Worker& w, RepoResult* out) {
   SqlCheckOptions options;
   options.suggest_fixes = false;
+  options.dedup_queries = true;  // The records are keyed by the dedup memo's groups.
   AnalysisSession session(options);
   Report report;
   try {
@@ -310,10 +305,7 @@ void AnalyzeRepo(const std::vector<const ScanFile*>& files, bool write_back,
   }
   out->write_back = write_back;
 
-  const std::vector<QueryFacts>& queries = session.context().queries();
-  const std::vector<size_t>& representative =
-      session.context().query_groups().representative;
-  const size_t n = queries.size();
+  const size_t n = session.context().queries().size();
 
   // Findings back to their statement occurrences: (statement, finding) pairs
   // sorted by statement keep each statement's findings in report order.
@@ -328,29 +320,33 @@ void AnalyzeRepo(const std::vector<const ScanFile*>& files, bool write_back,
   }
   std::sort(owned.begin(), owned.end());
 
-  // Canonical form and fingerprints once per fingerprint group.
-  struct GroupKey {
-    std::string canonical;
-    sql::ScanFingerprints fp;
-  };
-  std::vector<GroupKey> groups;
-  std::vector<uint32_t> group_of(n, UINT32_MAX);
+  // The session's dedup memo already holds each group's exact-canonical form
+  // and every statement's exact fingerprint; only the template fingerprint
+  // is computed here, once per group.
+  const QueryGroups& groups = session.context().query_groups();
+  std::vector<uint64_t> tmpl(groups.unique_count());
+  for (size_t u = 0; u < tmpl.size(); ++u) {
+    if (!groups.canonical[u].empty()) {
+      tmpl[u] = sql::TemplateFingerprintOfExact(groups.canonical[u], w.tokens);
+    }
+  }
 
-  std::unordered_map<std::string, uint32_t> record_of;
+  // A record's findings must be a function of its key. Statement-local
+  // findings are the same wherever the statement occurs; a workload finding
+  // holds only for this repository's contents, so its record is keyed by the
+  // repository digest too. A session's groups and canonical texts are one to
+  // one, so within a repository the key is indexed by (group, workload)
+  // without being built until its record is framed.
+  std::vector<uint32_t> record_of(2 * groups.unique_count(), UINT32_MAX);
   std::string key;
   size_t cursor = 0;
   for (size_t i = 0; i < n; ++i) {
-    const size_t rep = representative[i];
-    if (group_of[rep] == UINT32_MAX) {
-      group_of[rep] = static_cast<uint32_t>(groups.size());
-      GroupKey g;
-      g.fp = sql::FingerprintForScan(queries[rep].raw_sql, &g.canonical);
-      groups.push_back(std::move(g));
-    }
-    const GroupKey& g = groups[group_of[rep]];
+    const size_t u = groups.group[i];
+    const std::string_view canonical = groups.canonical[u];
+    const uint64_t exact = groups.fingerprints[i];
     const size_t first = cursor;
     while (cursor < owned.size() && owned[cursor].first == i) ++cursor;
-    if (g.canonical.empty()) continue;  // Comment-only / whitespace-only fragment.
+    if (canonical.empty()) continue;  // Comment-only / whitespace-only fragment.
 
     w.stats.clear();
     bool workload = false;
@@ -362,29 +358,20 @@ void AnalyzeRepo(const std::vector<const ScanFile*>& files, bool write_back,
                  shared.workload_sensitive[static_cast<size_t>(r.detection.type)];
     }
     ++w.agg.analyzed;
-    FoldStatement(w.stats, g.fp.exact, g.fp.tmpl, w.agg, *out);
+    FoldStatement(w.stats, exact, tmpl[u], w.agg, *out);
     if (!write_back) continue;
 
-    // A record's findings must be a function of its key. Statement-local
-    // findings are the same wherever the statement occurs; a workload
-    // finding holds only for this repository's contents, so its record is
-    // keyed by the repository digest too.
-    key = g.canonical;
-    if (workload) {
-      key.push_back('\0');
-      key.append(reinterpret_cast<const char*>(&out->key.digest), sizeof(uint64_t));
+    uint32_t& record = record_of[2 * u + (workload ? 1 : 0)];
+    if (record == UINT32_MAX) {
+      record = static_cast<uint32_t>(out->records.size());
+      key.assign(canonical);
+      if (workload) {
+        key.push_back('\0');
+        key.append(reinterpret_cast<const char*>(&out->key.digest), sizeof(uint64_t));
+      }
+      persist::FingerprintStore::FrameRecord(key, exact, tmpl[u], w.stats, &out->records);
     }
-    const auto next_record = static_cast<uint32_t>(out->records.size());
-    auto [it, inserted] = record_of.try_emplace(key, next_record);
-    if (inserted) {
-      RecordDraft record;
-      record.key = key;
-      record.exact = g.fp.exact;
-      record.tmpl = g.fp.tmpl;
-      record.stats = w.stats;
-      out->records.push_back(std::move(record));
-    }
-    out->occurrences.push_back(Occurrence{g.fp.exact, g.fp.tmpl, it->second});
+    out->occurrences.push_back(Occurrence{exact, tmpl[u], record});
   }
 }
 
@@ -694,17 +681,17 @@ Result<ScanReport> CorpusScanner::Scan(const std::string& root) {
             [](const RepoRow& a, const RepoRow& b) { return a.name < b.name; });
 
   if (store != nullptr) {
-    // Write-back in repository order: the records first (Append dedups by
-    // key, so a record another repository already wrote is shared), then the
-    // manifest that references them.
+    // Write-back in repository order: the records first (AppendFramed dedups
+    // by key, so a record another repository already wrote is shared), then
+    // the manifest that references them.
     std::vector<uint64_t> offsets;
     std::vector<persist::StmtRef> refs;
     for (size_t r = 0; r < repos.size(); ++r) {
       RepoResult& res = results[r];
       if (!res.write_back) continue;
       offsets.clear();
-      for (const RecordDraft& rec : res.records) {
-        uint64_t off = store->Append(rec.key, rec.exact, rec.tmpl, rec.stats);
+      for (size_t k = 0; k < res.records.size(); ++k) {
+        uint64_t off = store->AppendFramed(res.records, k);
         if (off == kNoOffset) break;  // Log frozen by an injected append fault.
         offsets.push_back(off);
       }

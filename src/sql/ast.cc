@@ -175,6 +175,7 @@ OrderItem OrderItem::Clone() const {
 SelectPtr SelectStatement::CloneSelect() const {
   SelectPtr out(new SelectStatement());
   out->raw_sql = raw_sql;
+  out->skipped_source = skipped_source;
   out->distinct = distinct;
   out->items.reserve(items.size());
   for (const auto& i : items) out->items.push_back(i.Clone());
@@ -223,6 +224,7 @@ int SelectStatement::JoinCount() const {
 StatementPtr InsertStatement::CloneStatement() const {
   auto* out = new InsertStatement();
   out->raw_sql = raw_sql;
+  out->skipped_source = skipped_source;
   out->table = table;
   out->columns.reserve(columns.size());
   for (const auto& c : columns) out->columns.emplace_back(c);
@@ -241,6 +243,7 @@ StatementPtr InsertStatement::CloneStatement() const {
 StatementPtr UpdateStatement::CloneStatement() const {
   auto* out = new UpdateStatement();
   out->raw_sql = raw_sql;
+  out->skipped_source = skipped_source;
   out->table = table;
   out->alias = alias;
   out->assignments.reserve(assignments.size());
@@ -255,6 +258,7 @@ StatementPtr UpdateStatement::CloneStatement() const {
 StatementPtr DeleteStatement::CloneStatement() const {
   auto* out = new DeleteStatement();
   out->raw_sql = raw_sql;
+  out->skipped_source = skipped_source;
   out->table = table;
   if (where) out->where = where->Clone();
   return StatementPtr(out);
@@ -321,6 +325,7 @@ TableConstraintAst TableConstraintAst::Clone() const {
 StatementPtr CreateTableStatement::CloneStatement() const {
   auto* out = new CreateTableStatement();
   out->raw_sql = raw_sql;
+  out->skipped_source = skipped_source;
   out->table = table;
   out->if_not_exists = if_not_exists;
   out->columns.reserve(columns.size());
@@ -360,6 +365,7 @@ bool CreateTableStatement::HasForeignKey() const {
 StatementPtr CreateIndexStatement::CloneStatement() const {
   auto* out = new CreateIndexStatement();
   out->raw_sql = raw_sql;
+  out->skipped_source = skipped_source;
   out->index = index;
   out->table = table;
   out->columns.reserve(columns.size());
@@ -372,6 +378,7 @@ StatementPtr CreateIndexStatement::CloneStatement() const {
 StatementPtr AlterTableStatement::CloneStatement() const {
   auto* out = new AlterTableStatement();
   out->raw_sql = raw_sql;
+  out->skipped_source = skipped_source;
   out->table = table;
   out->action = action;
   out->column = column.Clone();
@@ -385,6 +392,7 @@ StatementPtr AlterTableStatement::CloneStatement() const {
 StatementPtr DropTableStatement::CloneStatement() const {
   auto* out = new DropTableStatement();
   out->raw_sql = raw_sql;
+  out->skipped_source = skipped_source;
   out->table = table;
   out->if_exists = if_exists;
   return StatementPtr(out);
@@ -393,6 +401,7 @@ StatementPtr DropTableStatement::CloneStatement() const {
 StatementPtr DropIndexStatement::CloneStatement() const {
   auto* out = new DropIndexStatement();
   out->raw_sql = raw_sql;
+  out->skipped_source = skipped_source;
   out->index = index;
   out->if_exists = if_exists;
   return StatementPtr(out);
@@ -446,6 +455,7 @@ void UnknownStatement::AdoptTokens(const std::vector<Token>& source_tokens,
 StatementPtr UnknownStatement::CloneStatement() const {
   auto* out = new UnknownStatement();
   out->raw_sql = raw_sql;
+  out->skipped_source = skipped_source;
   // Rebase the token views onto the clone's own raw_sql / owned_texts;
   // normalized payloads appear in token order, so a single index walks them.
   out->owned_texts.reserve(owned_texts.size());

@@ -209,6 +209,12 @@ struct Statement {
   bool arena_managed = false;  ///< Set by the parser for arena-tier nodes.
   AstString raw_sql;  ///< Original text (trimmed), kept for reporting. Owned
                       ///< by the statement; stable for the statement's life.
+  /// The parser consumed source this tree does not keep: a clause it
+  /// tolerates but does not model (INSERT IGNORE / OR IGNORE, ON DUPLICATE
+  /// KEY UPDATE, ON CONFLICT, RETURNING, LIKE ... ESCAPE, a trailing table
+  /// option). Printing the tree would drop it, so no statement-replacing
+  /// rewrite is built from such a tree.
+  bool skipped_source = false;
 
   explicit Statement(StatementKind k) : kind(k) {}
   Statement(StatementKind k, std::pmr::memory_resource* mr) : kind(k), raw_sql(mr) {}

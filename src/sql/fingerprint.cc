@@ -87,13 +87,16 @@ uint64_t FingerprintSql(std::string_view sql, const FingerprintOptions& options)
   return FingerprintCanonical(CanonicalizeSql(sql, options));
 }
 
+uint64_t TemplateFingerprintOfExact(std::string_view exact_canonical, TokenBuffer& buffer) {
+  return FingerprintTokens(Lex(exact_canonical, buffer), FingerprintOptions::Template());
+}
+
 ScanFingerprints FingerprintForScan(std::string_view sql, std::string* exact_canonical) {
   TokenBuffer buffer;
   *exact_canonical = CanonicalizeTokens(Lex(sql, buffer), FingerprintOptions::Exact());
   ScanFingerprints fp;
   fp.exact = FingerprintCanonical(*exact_canonical);
-  fp.tmpl =
-      FingerprintTokens(Lex(*exact_canonical, buffer), FingerprintOptions::Template());
+  fp.tmpl = TemplateFingerprintOfExact(*exact_canonical, buffer);
   return fp;
 }
 

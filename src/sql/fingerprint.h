@@ -9,6 +9,8 @@
 
 namespace sqlcheck::sql {
 
+class TokenBuffer;
+
 /// \brief Controls how much of a statement the canonical form erases.
 ///
 /// Two presets, one per value of `collapse`:
@@ -65,15 +67,21 @@ struct ScanFingerprints {
   uint64_t tmpl = 0;      ///< FingerprintSql(sql, Template()) — statistics.
 };
 
-/// \brief Computes the exact-canonical form (returned via `exact_canonical`)
-/// and both fingerprints, lexing into one local TokenBuffer: the template
-/// fingerprint re-lexes the exact form, which is comment- and
-/// whitespace-free and therefore cheaper to walk than the original.
-/// Canonicalization is stable on its own output, so
+/// \brief The template fingerprint of a statement, from its exact-canonical
+/// form: `FingerprintTokens(Lex(exact_canonical, buffer), Template())`. The
+/// exact form is comment- and whitespace-free, so it is cheaper to walk than
+/// the original. Canonicalization is stable on its own output, so
 /// Template(Exact(sql)) == Template(sql)
 /// (ScanFingerprintsTest.TemplateOfExactMatchesTemplateOfRaw) — except for a
 /// string whose payload holds a backslash, which the rendering does not
 /// re-escape; FingerprintTest.CanonicalFingerprintsArePinned pins that case.
+/// The corpus scanner calls it on the session memo's key with a buffer each
+/// worker keeps.
+uint64_t TemplateFingerprintOfExact(std::string_view exact_canonical, TokenBuffer& buffer);
+
+/// \brief Computes the exact-canonical form (returned via `exact_canonical`)
+/// and both fingerprints, lexing into one local TokenBuffer; the template
+/// half is TemplateFingerprintOfExact.
 ScanFingerprints FingerprintForScan(std::string_view sql, std::string* exact_canonical);
 
 }  // namespace sqlcheck::sql

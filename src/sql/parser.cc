@@ -41,6 +41,7 @@ class Parser {
       return unknown;
     }
     stmt->raw_sql = Trim(raw);
+    stmt->skipped_source = skipped_;
     return stmt;
   }
 
@@ -297,9 +298,9 @@ class Parser {
       ExpectKeyword(Kw::kInsert);
       if (MatchKeyword(Kw::kOr)) {
         if (MatchKeyword(Kw::kReplace)) stmt->or_replace = true;
-        else MatchKeyword(Kw::kIgnore);
+        else if (MatchKeyword(Kw::kIgnore)) skipped_ = true;
       }
-      MatchKeyword(Kw::kIgnore);
+      if (MatchKeyword(Kw::kIgnore)) skipped_ = true;
     }
     MatchKeyword(Kw::kInto);
     stmt->table = ParseStrictName();
@@ -714,7 +715,10 @@ class Parser {
   /// Tolerantly consumes any trailing clause we do not model (ENGINE=...,
   /// RETURNING, ON CONFLICT...). A lone semicolon/end stops us.
   void SkipToStatementEnd() {
-    while (!Peek().Is(TokenKind::kEnd) && !Peek().Is(TokenKind::kSemicolon)) Advance();
+    while (!Peek().Is(TokenKind::kEnd) && !Peek().Is(TokenKind::kSemicolon)) {
+      Advance();
+      skipped_ = true;
+    }
   }
 
   // ---------------------------- expressions -------------------------------
@@ -768,7 +772,10 @@ class Parser {
         e->negated = negated;
         e->children.push_back(std::move(lhs));
         e->children.push_back(ParseAdditive());
-        if (MatchKeyword(Kw::kEscape)) ParsePrimary();
+        if (MatchKeyword(Kw::kEscape)) {
+          ParsePrimary();
+          skipped_ = true;
+        }
         lhs = std::move(e);
         continue;
       }
@@ -1075,6 +1082,7 @@ class Parser {
   std::pmr::memory_resource* mr_;
   size_t pos_ = 0;
   bool ok_ = true;
+  bool skipped_ = false;  ///< Source consumed but not kept (Statement::skipped_source).
 };
 
 StatementPtr ParseWithBuffer(std::string_view sql, Arena* arena, TokenBuffer& buffer) {

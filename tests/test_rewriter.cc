@@ -304,6 +304,85 @@ TEST(RewriterTest, InsertExpansionRefusesArityMismatch) {
             "INSERT INTO t (a, b, c) SELECT x, 'p', 'q' FROM s;");
 }
 
+/// Runs `statement` against t(id, name) and returns its finding of `type`
+/// with `--apply`'s count of rewritten statements; the finding's fix is
+/// empty when there is none.
+struct AppliedFinding {
+  Fix fix;
+  bool found = false;
+  size_t applied = 0;
+  std::string output;
+};
+
+AppliedFinding ApplyOne(const std::string& statement, AntiPattern type) {
+  SqlCheck checker;
+  checker.AddScript("CREATE TABLE t (id INT PRIMARY KEY, name VARCHAR(20));" + statement);
+  const Report report = checker.Run();
+  AppliedFinding out;
+  for (const Finding& f : report.findings) {
+    if (f.ranked.detection.type == type) {
+      out.fix = f.fix;
+      out.found = true;
+      break;
+    }
+  }
+  out.output = ApplyFixes(checker.session().context(), report, &out.applied);
+  return out;
+}
+
+/// The parser tolerates `clause` without keeping it in the tree, so a
+/// printed rewrite would drop it: the finding must get guidance and
+/// `--apply` must leave the statement as written. `plain` (the statement
+/// without the clause) still gets its rewrite.
+void ExpectClauseBlocksRewrite(const std::string& with_clause, const std::string& plain,
+                               AntiPattern type) {
+  SCOPED_TRACE(with_clause);
+  const AppliedFinding blocked = ApplyOne(with_clause, type);
+  ASSERT_TRUE(blocked.found);
+  EXPECT_NE(blocked.fix.kind, FixKind::kRewrite) << blocked.fix.explanation;
+  EXPECT_FALSE(blocked.fix.replaces_original);
+  EXPECT_EQ(blocked.applied, 0u) << blocked.output;
+  EXPECT_NE(blocked.output.find(with_clause), std::string::npos) << blocked.output;
+
+  const AppliedFinding rewritten = ApplyOne(plain, type);
+  ASSERT_TRUE(rewritten.found);
+  EXPECT_EQ(rewritten.fix.kind, FixKind::kRewrite);
+  EXPECT_EQ(rewritten.applied, 1u) << rewritten.output;
+}
+
+TEST(RewriterTest, OnDuplicateKeyUpdateBlocksInsertExpansion) {
+  ExpectClauseBlocksRewrite(
+      "INSERT INTO t VALUES (1, 'x') ON DUPLICATE KEY UPDATE name = 'x';",
+      "INSERT INTO t VALUES (1, 'x');", AntiPattern::kImplicitColumns);
+}
+
+TEST(RewriterTest, OnConflictBlocksInsertExpansion) {
+  ExpectClauseBlocksRewrite("INSERT INTO t VALUES (1, 'x') ON CONFLICT DO NOTHING;",
+                            "INSERT INTO t VALUES (1, 'x');",
+                            AntiPattern::kImplicitColumns);
+}
+
+TEST(RewriterTest, ReturningBlocksInsertExpansion) {
+  ExpectClauseBlocksRewrite("INSERT INTO t VALUES (1, 'x') RETURNING id;",
+                            "INSERT INTO t VALUES (1, 'x');",
+                            AntiPattern::kImplicitColumns);
+}
+
+TEST(RewriterTest, InsertIgnoreBlocksInsertExpansion) {
+  ExpectClauseBlocksRewrite("INSERT IGNORE INTO t VALUES (1, 'x');",
+                            "INSERT INTO t VALUES (1, 'x');",
+                            AntiPattern::kImplicitColumns);
+  ExpectClauseBlocksRewrite("INSERT OR IGNORE INTO t VALUES (1, 'x');",
+                            "INSERT INTO t VALUES (1, 'x');",
+                            AntiPattern::kImplicitColumns);
+}
+
+TEST(RewriterTest, LikeEscapeBlocksWildcardExpansion) {
+  ExpectClauseBlocksRewrite("SELECT * FROM t WHERE name LIKE '%a!%' ESCAPE '!';",
+                            "SELECT * FROM t WHERE name LIKE '%a!%';",
+                            AntiPattern::kColumnWildcard);
+}
+
 // ---------------------------------------------------------------------------
 // Verification loop
 // ---------------------------------------------------------------------------

@@ -20,9 +20,12 @@
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
 #include <stdlib.h>
+#include <sys/stat.h>
 
 #include "common/failpoint.h"
+#include "common/hash.h"
 #include "common/thread_pool.h"
 #include "core/emit.h"
 #include "core/sqlcheck.h"
@@ -50,6 +53,10 @@ std::string ReadFile(const std::string& path) {
 std::string SampleWorkload() {
   return ReadFile(SQLCHECK_SOURCE_DIR "/examples/sample_workload.sql");
 }
+
+/// Size and XXH64 of the cold store ScanTest.ColdStoreFileIsPinned writes.
+constexpr uint64_t kColdStoreBytes = 87168;
+constexpr uint64_t kColdStoreXxh64 = 0xc2c75b9aab60e2bcull;
 
 class ScanTest : public ::testing::Test {
  protected:
@@ -609,6 +616,39 @@ TEST_F(ScanTest, ReportAndStoreAreIdenticalAtAnyJobCount) {
     EXPECT_EQ(run.digest, serial.digest);
     EXPECT_EQ(run.text, serial.text);
     EXPECT_TRUE(store == serial_store) << "store files differ at jobs=" << jobs;
+  }
+}
+
+TEST_F(ScanTest, ColdStoreFileIsPinned) {
+  // The workers frame each record and the serial write-back copies the
+  // frames, so the bytes of a cold store are pinned outright: the header,
+  // every record (key text, fingerprints, findings, checksum) and every
+  // manifest. Fixed mtimes make the repository digests, and with them the
+  // keys of workload-sensitive records, the same on every run. A change to
+  // this pin means every existing store would cold-rebuild or, worse, be
+  // read differently.
+  WriteFile("gamma/schema.sql", SampleWorkload());
+  workload::CorpusOptions corpus_options;
+  corpus_options.repo_count = 40;
+  for (const workload::CorpusRepo& repo : workload::GenerateCorpus(corpus_options).repos) {
+    WriteFile(repo.name + "/app.py", repo.source);
+  }
+  const struct timespec fixed[2] = {{1577836800, 0}, {1577836800, 0}};
+  for (const fs::directory_entry& entry : fs::recursive_directory_iterator(root_)) {
+    if (entry.is_regular_file()) {
+      ASSERT_EQ(utimensat(AT_FDCWD, entry.path().c_str(), fixed, 0), 0) << entry.path();
+    }
+  }
+  for (int jobs : {1, 3}) {
+    SCOPED_TRACE(jobs);
+    std::error_code ec;
+    fs::remove(store_, ec);
+    const Run run = Scan(store_, jobs);
+    EXPECT_EQ(run.summary.jobs, jobs);
+    EXPECT_TRUE(run.summary.store.warning.empty()) << run.summary.store.warning;
+    const std::string store = ReadFile(store_);
+    EXPECT_EQ(store.size(), kColdStoreBytes);
+    EXPECT_EQ(Xxh64(store.data(), store.size()), kColdStoreXxh64);
   }
 }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "analysis/context.h"
+#include "common/failpoint.h"
 #include "core/emit.h"
 #include "core/session.h"
 #include "core/sqlcheck.h"
@@ -20,6 +21,8 @@
 #include "query_log.h"
 #include "rules/registry.h"
 #include "sql/block_scan.h"
+#include "sql/extractor.h"
+#include "sql/fingerprint.h"
 #include "sql/splitter.h"
 #include "workload/corpus.h"
 
@@ -425,6 +428,85 @@ TEST(SessionTest, RepeatedStatementReusesFingerprintMemo) {
   // Two spellings are parsed; the other 199 statements repeat one of them
   // byte for byte and land with no lex and no parse.
   EXPECT_EQ(session.raw_repeats(), 199u);
+}
+
+/// The corpus scanner keys its store records on each group's canonical view
+/// and each statement's exact fingerprint. Both must be what a fresh
+/// canonicalization of the statement's own text gives, or a scan would key
+/// a statement differently from the scans that wrote the store before it.
+void ExpectGroupKeysAreScanKeys(const AnalysisSession& session) {
+  const QueryGroups& groups = session.context().query_groups();
+  const std::vector<QueryFacts>& queries = session.context().queries();
+  ASSERT_EQ(groups.canonical.size(), groups.unique_count());
+  ASSERT_EQ(groups.fingerprints.size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const std::string_view raw = queries[i].raw_sql;
+    const std::string_view canonical = groups.canonical[groups.group[i]];
+    std::string scan_canonical;
+    const sql::ScanFingerprints scan = sql::FingerprintForScan(raw, &scan_canonical);
+    ASSERT_EQ(canonical, sql::CanonicalizeSql(raw, sql::FingerprintOptions::Exact())) << raw;
+    ASSERT_EQ(canonical, scan_canonical) << raw;
+    ASSERT_EQ(groups.fingerprints[i], scan.exact) << raw;
+  }
+}
+
+TEST(SessionTest, GroupCanonicalIsTheScanKey) {
+  {
+    SCOPED_TRACE("table-3 script");
+    AnalysisSession session;
+    session.AddScript(Table3Script());
+    EXPECT_LT(session.unique_count(), session.statement_count());
+    ExpectGroupKeysAreScanKeys(session);
+  }
+  for (uint64_t seed : {1ull, 7ull, 1406ull}) {
+    SCOPED_TRACE(seed);
+    workload::CorpusOptions corpus_options;
+    corpus_options.repo_count = 24;
+    corpus_options.seed = seed;
+    // Each repository as the scanner feeds it: embedded SQL, one AddQuery
+    // per extracted span.
+    for (const workload::CorpusRepo& repo : workload::GenerateCorpus(corpus_options).repos) {
+      AnalysisSession session;
+      for (const sql::EmbeddedSql& found : sql::ExtractEmbeddedSql(repo.source)) {
+        session.AddQuery(found.sql);
+      }
+      ExpectGroupKeysAreScanKeys(session);
+    }
+  }
+  {
+    SCOPED_TRACE("untrimmed spellings");
+    AnalysisSession session;
+    session.AddQuery("  \n SELECT * FROM users WHERE id = 1 ;  \t");
+    session.AddQuery("select *\n  from users -- trailing note\n where id = 1");
+    session.AddQuery("/* lead */ SELECT * FROM users WHERE id = 1;");
+    session.AddQuery("SELECT * FROM users WHERE name = 'O''Brien'  ");
+    session.AddQuery("-- a comment and nothing else\n");
+    // A kept semicolon is a token of the canonical form: the first and
+    // third spellings are one group, the second another.
+    EXPECT_EQ(session.unique_count(), 4u);
+    ExpectGroupKeysAreScanKeys(session);
+  }
+  {
+    SCOPED_TRACE("memo_insert retry");
+    ASSERT_TRUE(FailpointRegistry::Instance().Arm("memo_insert", "oneshot").ok());
+    AnalysisSession session;
+    session.AddQuery("SELECT * FROM users WHERE id = 1");
+    session.AddScript("SELECT name FROM users; select *  from users where id = 1;");
+    FailpointRegistry::Instance().Disarm("memo_insert");
+    EXPECT_GE(session.faults_recovered(), 1u);
+    EXPECT_EQ(session.statement_count(), 3u);
+    EXPECT_EQ(session.unique_count(), 2u);
+    ExpectGroupKeysAreScanKeys(session);
+  }
+  {
+    SCOPED_TRACE("dedup off");
+    SqlCheckOptions options;
+    options.dedup_queries = false;
+    AnalysisSession session(options);
+    session.AddScript(Table3Script());
+    EXPECT_GT(session.statement_count(), 0u);
+    EXPECT_TRUE(session.context().query_groups().canonical.empty());
+  }
 }
 
 // ------------------------- shared parse trees --------------------------------
