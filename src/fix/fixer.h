@@ -13,8 +13,9 @@ namespace sqlcheck {
 ///
 /// The 27 built-in fixers are rows of one table in fix/fixers.cc (scope,
 /// contract, proposal function and --explain text per anti-pattern), each
-/// served through this interface. A custom implementation registered with
-/// RuleRegistry::RegisterFixer overrides the built-in row for its type.
+/// served through this interface, as the detection halves are rows of the
+/// rule table in rules/builtin_rules.cc. A custom implementation registered
+/// with RuleRegistry::RegisterFixer overrides the built-in row for its type.
 ///
 /// A fixer only *proposes*; the FixEngine owns the verification loop that
 /// promotes a proposal to a trusted `kRewrite` (or demotes it to `kTextual`

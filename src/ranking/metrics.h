@@ -7,29 +7,13 @@
 
 namespace sqlcheck {
 
-/// \brief The six raw impact metrics ap-rank collects per AP (§5.1):
-///   RP/WP — measured speedup of read/write queries after fixing the AP
-///           (e.g. 636x for the multi-valued attribute lookup, Fig. 3a);
-///   M     — number of query changes a schema evolution task needs (O(Q) vs
-///           O(1), §5.1 ❷), expressed as a small integer scale;
-///   DA    — data amplification factor removed by the fix;
-///   DI/A  — binary: does the AP threaten integrity / accuracy.
-struct ApMetrics {
-  double read_speedup = 0.0;
-  double write_speedup = 0.0;
-  double maintainability = 0.0;
-  double data_amplification = 0.0;
-  int data_integrity = 0;  // 0/1
-  int accuracy = 0;        // 0/1
-};
-
 /// \brief Store of per-AP metrics, one flat slot per AntiPattern. Seeded
 /// from the paper's GlobaLeaks empirical analysis (§8.2) and updatable as
 /// new performance data arrives — the "retraining" loop of §3 step ❹.
 class MetricsStore {
  public:
-  /// Store seeded with the built-in calibration table (built once per
-  /// process; each call copies it).
+  /// Store seeded with each built-in rule's default metrics (ApInfo::metrics,
+  /// built once per process; each call copies it).
   static MetricsStore Default();
 
   const ApMetrics& For(AntiPattern type) const { return metrics_[Slot(type)]; }

@@ -4,19 +4,14 @@
 #include <utility>
 
 #include "fix/fixers.h"
-#include "rules/data_rules.h"
-#include "rules/logical_rules.h"
-#include "rules/physical_rules.h"
-#include "rules/query_rules.h"
 
 namespace sqlcheck {
 
 RuleRegistry RuleRegistry::Default() {
   RuleRegistry registry;
-  for (auto& rule : MakeLogicalDesignRules()) registry.Register(std::move(rule));
-  for (auto& rule : MakePhysicalDesignRules()) registry.Register(std::move(rule));
-  for (auto& rule : MakeQueryRules()) registry.Register(std::move(rule));
-  for (auto& rule : MakeDataRules()) registry.Register(std::move(rule));
+  for (int t = 0; t < kAntiPatternCount; ++t) {
+    registry.Register(std::make_unique<BuiltinRule>(InfoFor(static_cast<AntiPattern>(t))));
+  }
   for (auto& fixer : MakeBuiltinFixers()) registry.RegisterFixer(std::move(fixer));
   return registry;
 }

@@ -11,7 +11,9 @@
 namespace sqlcheck {
 
 /// \brief Extensible rule registry (§7 "Extensibility"): starts with the
-/// built-in 27 rules; callers may register their own Rule implementations.
+/// built-in 27 rules, one BuiltinRule per row of the rule table
+/// (rules/builtin_rules.cc) in AntiPattern order; callers may register their
+/// own Rule implementations.
 ///
 /// The registry holds both halves of the paper's (detection, action) pairs:
 /// Rules detect, Fixers repair. They pair by AntiPattern type, so a custom

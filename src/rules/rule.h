@@ -49,29 +49,6 @@ inline constexpr int kAntiPatternCount = 27;
 
 enum class ApCategory { kLogicalDesign, kPhysicalDesign, kQuery, kData };
 
-/// \brief Static metadata for one AP: display name, category, and the five
-/// impact flags of Table 1 (Performance, Maintainability, Data Amplification,
-/// Data Integrity, Accuracy).
-struct ApInfo {
-  AntiPattern type;
-  const char* name;
-  ApCategory category;
-  bool performance;
-  bool maintainability;
-  bool data_amplification;
-  bool data_integrity;
-  bool accuracy;
-};
-
-const ApInfo& InfoFor(AntiPattern type);
-const char* ApName(AntiPattern type);
-const char* CategoryName(ApCategory category);
-
-/// Reverse lookup by display name (ApName, ASCII-case-insensitive); nullptr
-/// when no anti-pattern carries that name. Used to validate user-supplied
-/// rule lists (e.g. SqlCheckOptions::disabled_rules, the CLI's --disable).
-const ApInfo* FindApInfoByName(std::string_view name);
-
 /// \brief How a detection was established — used for the intra/inter/data
 /// ablation experiments (§8.1).
 enum class DetectionSource { kIntraQuery, kInterQuery, kDataAnalysis };
@@ -126,9 +103,63 @@ enum class QueryRuleScope {
   kWorkload,
 };
 
+/// \brief The six raw impact metrics ap-rank collects per AP (§5.1):
+///   RP/WP — measured speedup of read/write queries after fixing the AP
+///           (e.g. 636x for the multi-valued attribute lookup, Fig. 3a);
+///   M     — number of query changes a schema evolution task needs (O(Q) vs
+///           O(1), §5.1 ❷), expressed as a small integer scale;
+///   DA    — data amplification factor removed by the fix;
+///   DI/A  — binary: does the AP threaten integrity / accuracy.
+struct ApMetrics {
+  double read_speedup = 0.0;
+  double write_speedup = 0.0;
+  double maintainability = 0.0;
+  double data_amplification = 0.0;
+  int data_integrity = 0;  // 0/1
+  int accuracy = 0;        // 0/1
+};
+
+/// \brief One built-in anti-pattern, the paper's rule as one row: display
+/// name, category, the five impact flags of Table 1 (Performance,
+/// Maintainability, Data Amplification, Data Integrity, Accuracy), the
+/// query checks' caching scope, the default ranking metrics (§5.1) and the
+/// detection checks. `query` and `data` have Rule::CheckQuery's and
+/// Rule::CheckData's signatures and are nullptr when the rule has no such
+/// check. The rows live in rules/builtin_rules.cc, in AntiPattern order;
+/// the repair half is the same type's row in fix/fixers.cc.
+struct ApInfo {
+  AntiPattern type;
+  const char* name;
+  ApCategory category;
+  bool performance;
+  bool maintainability;
+  bool data_amplification;
+  bool data_integrity;
+  bool accuracy;
+  QueryRuleScope scope;
+  ApMetrics metrics;
+  void (*query)(const QueryFacts& facts, const Context& context,
+                const DetectorConfig& config, std::vector<Detection>* out);
+  void (*data)(const TableProfile& profile, const Context& context,
+               const DetectorConfig& config, std::vector<Detection>* out);
+};
+
+/// The row of `type`; an out-of-range value gets row 0.
+const ApInfo& InfoFor(AntiPattern type);
+const char* ApName(AntiPattern type);
+const char* CategoryName(ApCategory category);
+
+/// Reverse lookup by display name (ApName, ASCII-case-insensitive); nullptr
+/// when no anti-pattern carries that name. Used to validate user-supplied
+/// rule lists (e.g. SqlCheckOptions::disabled_rules, the CLI's --disable).
+const ApInfo* FindApInfoByName(std::string_view name);
+
 /// \brief A detection rule: a named check over queries and/or data. Mirrors
-/// the paper's generic rule interface (name, type, detection rule) — ranking
-/// metrics and repair rules attach by AntiPattern type in ranking/ and fix/.
+/// the paper's generic rule interface (name, type, detection rule). The 27
+/// built-ins are BuiltinRule views of the ApInfo rows, which also carry
+/// their default ranking metrics; repairs pair with rules by AntiPattern
+/// type in fix/. Custom rules implement this interface and are registered
+/// with RuleRegistry::Register.
 class Rule {
  public:
   virtual ~Rule() = default;
@@ -168,6 +199,28 @@ class Rule {
     (void)config;
     (void)out;
   }
+};
+
+/// The Rule face of one built-in ApInfo row.
+class BuiltinRule final : public Rule {
+ public:
+  explicit BuiltinRule(const ApInfo& row) : row_(row) {}
+
+  AntiPattern type() const override { return row_.type; }
+  QueryRuleScope query_scope() const override { return row_.scope; }
+  void CheckQuery(const QueryFacts& facts, const Context& context,
+                  const DetectorConfig& config,
+                  std::vector<Detection>* out) const override {
+    if (row_.query != nullptr) row_.query(facts, context, config, out);
+  }
+  void CheckData(const TableProfile& profile, const Context& context,
+                 const DetectorConfig& config,
+                 std::vector<Detection>* out) const override {
+    if (row_.data != nullptr) row_.data(profile, context, config, out);
+  }
+
+ private:
+  const ApInfo& row_;
 };
 
 }  // namespace sqlcheck

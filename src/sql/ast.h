@@ -212,8 +212,8 @@ struct Statement {
   /// The parser consumed source this tree does not keep: a clause it
   /// tolerates but does not model (INSERT IGNORE / OR IGNORE, ON DUPLICATE
   /// KEY UPDATE, ON CONFLICT, RETURNING, LIKE ... ESCAPE, a trailing table
-  /// option). Printing the tree would drop it, so no statement-replacing
-  /// rewrite is built from such a tree.
+  /// option, a table name's schema qualifier). Printing the tree would drop
+  /// it, so no statement-replacing rewrite is built from such a tree.
   bool skipped_source = false;
 
   explicit Statement(StatementKind k) : kind(k) {}

@@ -141,6 +141,19 @@ class Parser {
     return {};
   }
 
+  /// A table name. The tree keeps only the last component of a qualified
+  /// name (`archive.t` -> `t`), so dropping a qualifier marks the statement
+  /// Statement::skipped_source: a rewrite printed from the tree would target
+  /// another table.
+  std::string_view ParseTableName() {
+    std::string_view name = ParseStrictName();
+    while (Match(TokenKind::kDot)) {
+      name = ParseStrictName();
+      skipped_ = true;
+    }
+    return name;
+  }
+
   static int64_t ParseInt(std::string_view text) {
     int64_t value = 0;
     std::from_chars(text.data(), text.data() + text.size(), value);
@@ -276,11 +289,7 @@ class Parser {
         return ref;
       }
     } else {
-      ref.name = ParseStrictName();
-      while (Match(TokenKind::kDot)) {
-        // schema-qualified: keep only the last component as the table name.
-        ref.name = ParseStrictName();
-      }
+      ref.name = ParseTableName();
     }
     if (MatchKeyword(Kw::kAs)) {
       ref.alias = ParseName();
@@ -303,8 +312,7 @@ class Parser {
       if (MatchKeyword(Kw::kIgnore)) skipped_ = true;
     }
     MatchKeyword(Kw::kInto);
-    stmt->table = ParseStrictName();
-    while (Match(TokenKind::kDot)) stmt->table = ParseStrictName();
+    stmt->table = ParseTableName();
 
     if (Peek().Is(TokenKind::kLeftParen)) {
       // Could be a column list or directly a SELECT subquery.
@@ -352,8 +360,7 @@ class Parser {
   std::unique_ptr<UpdateStatement, AstDelete> ParseUpdate() {
     ExpectKeyword(Kw::kUpdate);
     auto stmt = NewStmt<UpdateStatement>();
-    stmt->table = ParseStrictName();
-    while (Match(TokenKind::kDot)) stmt->table = ParseStrictName();
+    stmt->table = ParseTableName();
     if (MatchKeyword(Kw::kAs)) {
       stmt->alias = ParseName();
     } else if (Peek().Is(TokenKind::kIdentifier)) {
@@ -376,8 +383,7 @@ class Parser {
     ExpectKeyword(Kw::kDelete);
     ExpectKeyword(Kw::kFrom);
     auto stmt = NewStmt<DeleteStatement>();
-    stmt->table = ParseStrictName();
-    while (Match(TokenKind::kDot)) stmt->table = ParseStrictName();
+    stmt->table = ParseTableName();
     if (MatchKeyword(Kw::kWhere)) stmt->where = ParseExpr();
     SkipToStatementEnd();
     return stmt;
@@ -408,8 +414,7 @@ class Parser {
     }
     stmt->index = ParseStrictName();
     ExpectKeyword(Kw::kOn);
-    stmt->table = ParseStrictName();
-    while (Match(TokenKind::kDot)) stmt->table = ParseStrictName();
+    stmt->table = ParseTableName();
     Expect(TokenKind::kLeftParen);
     do {
       stmt->columns.emplace_back(ParseName());
@@ -428,8 +433,7 @@ class Parser {
       ExpectKeyword(Kw::kExists);
       stmt->if_not_exists = true;
     }
-    stmt->table = ParseStrictName();
-    while (Match(TokenKind::kDot)) stmt->table = ParseStrictName();
+    stmt->table = ParseTableName();
     Expect(TokenKind::kLeftParen);
     do {
       if (IsTableConstraintStart()) {
@@ -494,8 +498,7 @@ class Parser {
 
   ForeignKeyRefAst ParseForeignKeyTarget() {
     ForeignKeyRefAst ref(mr_);
-    ref.table = ParseStrictName();
-    while (Match(TokenKind::kDot)) ref.table = ParseStrictName();
+    ref.table = ParseTableName();
     if (Match(TokenKind::kLeftParen)) {
       do {
         ref.columns.emplace_back(ParseName());
@@ -623,8 +626,7 @@ class Parser {
       ExpectKeyword(Kw::kExists);
       stmt->if_exists = true;
     }
-    stmt->table = ParseStrictName();
-    while (Match(TokenKind::kDot)) stmt->table = ParseStrictName();
+    stmt->table = ParseTableName();
 
     if (MatchKeyword(Kw::kAdd)) {
       if (IsTableConstraintStart()) {

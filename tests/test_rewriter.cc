@@ -383,6 +383,17 @@ TEST(RewriterTest, LikeEscapeBlocksWildcardExpansion) {
                             AntiPattern::kColumnWildcard);
 }
 
+TEST(RewriterTest, QualifiedTableNameBlocksRewrite) {
+  // The tree keeps only `t` of `archive.t`, and t(id, name) is another table:
+  // a printed rewrite would read or write it instead.
+  ExpectClauseBlocksRewrite("SELECT * FROM archive.t WHERE id = 1;",
+                            "SELECT * FROM t WHERE id = 1;",
+                            AntiPattern::kColumnWildcard);
+  ExpectClauseBlocksRewrite("INSERT INTO archive.t VALUES (1, 'x');",
+                            "INSERT INTO t VALUES (1, 'x');",
+                            AntiPattern::kImplicitColumns);
+}
+
 // ---------------------------------------------------------------------------
 // Verification loop
 // ---------------------------------------------------------------------------

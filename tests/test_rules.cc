@@ -1,10 +1,15 @@
 #include "rules/registry.h"
 
+#include <set>
+
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "core/session.h"
 #include "detected.h"
 #include "engine/executor.h"
+#include "persist/fingerprint_store.h"
+#include "ranking/metrics.h"
 #include "storage/database.h"
 
 namespace sqlcheck {
@@ -460,12 +465,50 @@ TEST(RegistryTest, CustomRuleIsInvoked) {
   EXPECT_EQ(report.findings[0].ranked.detection.message, "custom");
 }
 
-TEST(RegistryTest, ApInfoTableIsConsistent) {
-  for (int t = 0; t < kAntiPatternCount; ++t) {
-    AntiPattern type = static_cast<AntiPattern>(t);
-    EXPECT_EQ(InfoFor(type).type, type);
-    EXPECT_NE(ApName(type), nullptr);
+TEST(RegistryTest, BuiltinRuleTableCoversEveryAntiPatternOnce) {
+  // The table's static_asserts catch a missing or misordered row, not a
+  // wrong scope (a workload rule scoped statement-local would replay stale
+  // detections) or metrics filed under the wrong type. The metrics digest
+  // covers all 27 x 6 default values in type order; the ruleset hash keys
+  // every scan store, so a change there cold-rebuilds existing stores. Fix
+  // the row, do not re-record a pin.
+  const std::set<AntiPattern> statement_local = {
+      AntiPattern::kNoPrimaryKey,     AntiPattern::kGenericPrimaryKey,
+      AntiPattern::kDataInMetadata,   AntiPattern::kAdjacencyList,
+      AntiPattern::kGodTable,         AntiPattern::kRoundingErrors,
+      AntiPattern::kEnumeratedTypes,  AntiPattern::kExternalDataStorage,
+      AntiPattern::kColumnWildcard,   AntiPattern::kOrderingByRand,
+      AntiPattern::kPatternMatching,  AntiPattern::kImplicitColumns,
+      AntiPattern::kDistinctAndJoin,  AntiPattern::kTooManyJoins,
+      AntiPattern::kReadablePassword, AntiPattern::kMissingTimezone,
+  };
+  ASSERT_EQ(statement_local.size(), 16u);
+  RuleRegistry registry = RuleRegistry::Default();
+  ASSERT_EQ(registry.size(), static_cast<size_t>(kAntiPatternCount));
+  const MetricsStore metrics = MetricsStore::Default();
+  uint64_t digest = kFnv1aBasis;
+  for (int i = 0; i < kAntiPatternCount; ++i) {
+    const auto t = static_cast<AntiPattern>(i);
+    SCOPED_TRACE(ApName(t));
+    EXPECT_EQ(InfoFor(t).type, t);
+    EXPECT_NE(ApName(t), nullptr);
+    const Rule* rule = registry.FindRule(t);
+    ASSERT_NE(rule, nullptr);
+    EXPECT_EQ(rule->type(), t);
+    EXPECT_EQ(registry.rules()[i]->type(), t);  // registration order is enum order
+    EXPECT_EQ(rule->query_scope() == QueryRuleScope::kStatementLocal,
+              statement_local.count(t) == 1);
+    const ApMetrics& m = metrics.For(t);
+    const double values[] = {m.read_speedup,
+                             m.write_speedup,
+                             m.maintainability,
+                             m.data_amplification,
+                             static_cast<double>(m.data_integrity),
+                             static_cast<double>(m.accuracy)};
+    digest = Fnv1a(values, sizeof(values), digest);
   }
+  EXPECT_EQ(digest, 4171461983230551332u);
+  EXPECT_EQ(persist::FingerprintStore::RulesetHash(registry), 7031203987702784322u);
 }
 
 }  // namespace
