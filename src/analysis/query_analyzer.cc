@@ -184,7 +184,7 @@ class FactCollector {
 
   /// Scans any expression for embedded concat/pattern usages (select lists).
   void ScanExpression(const sql::Expr& e) {
-    sql::VisitExpr(e, false, [&](const sql::Expr& node) {
+    sql::VisitExpr(e, [&](const sql::Expr& node) {
       if (node.kind == sql::ExprKind::kBinary && node.text == "||") CollectConcat(node);
       if (node.kind == sql::ExprKind::kFunction && EqualsIgnoreCase(node.text, "concat")) {
         CollectConcat(node);
@@ -257,7 +257,7 @@ class FactCollector {
       } else {
         use.computed_pattern = true;
         // A computed pattern may still carry boundary-marker literals.
-        sql::VisitExpr(pattern, false, [&](const sql::Expr& node) {
+        sql::VisitExpr(pattern, [&](const sql::Expr& node) {
           if (node.kind == sql::ExprKind::kStringLiteral &&
               HasWordBoundaryMarkers(node.text)) {
             use.word_boundary = true;
@@ -360,7 +360,7 @@ void AnalyzeSelect(const sql::SelectStatement& s, QueryFacts* facts) {
     if (f.subquery) scan_subqueries(*f.subquery);
   }
   auto visit_expr_subqueries = [&](const sql::Expr& root) {
-    sql::VisitExpr(root, false, [&](const sql::Expr& node) {
+    sql::VisitExpr(root, [&](const sql::Expr& node) {
       if (node.subquery) scan_subqueries(*node.subquery);
     });
   };

@@ -1,7 +1,6 @@
 #include "catalog/catalog.h"
 
 #include "common/strings.h"
-#include "sql/printer.h"
 
 namespace sqlcheck {
 
@@ -28,13 +27,9 @@ Status Catalog::DropTable(std::string_view name) {
     return Status::Error("no such table: " + std::string(name));
   }
   // Indexes on the table go with it.
-  for (auto it = indexes_.begin(); it != indexes_.end();) {
-    if (EqualsIgnoreCase(it->second.table, name)) {
-      it = indexes_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(indexes_, [&](const auto& entry) {
+    return EqualsIgnoreCase(entry.second.table, name);
+  });
   return Status::Ok();
 }
 
@@ -65,12 +60,7 @@ Status Catalog::ApplyDdl(const sql::Statement& stmt) {
         if (create.if_not_exists) return Status::Ok();
         return Status::Error("index already exists: " + std::string(create.index));
       }
-      IndexSchema index;
-      index.name = create.index;
-      index.table = create.table;
-      index.columns = sql::ToStringVector(create.columns);
-      index.unique = create.unique;
-      return AddIndex(std::move(index));
+      return AddIndex(IndexSchema::FromCreateIndex(create));
     }
     case sql::StatementKind::kDropTable: {
       const auto& drop = static_cast<const sql::DropTableStatement&>(stmt);
@@ -82,135 +72,50 @@ Status Catalog::ApplyDdl(const sql::Statement& stmt) {
       Status s = DropIndex(drop.index);
       return drop.if_exists ? Status::Ok() : s;
     }
-    case sql::StatementKind::kAlterTable: {
-      const auto& alter = static_cast<const sql::AlterTableStatement&>(stmt);
-      TableSchema* table = FindTableMutable(alter.table);
-      if (table == nullptr) {
-        return alter.if_exists ? Status::Ok()
-                               : Status::Error("no such table: " + std::string(alter.table));
-      }
-      switch (alter.action) {
-        case sql::AlterAction::kAddColumn: {
-          ColumnSchema c;
-          c.name = alter.column.name;
-          c.type = DataType::FromTypeName(alter.column.type);
-          c.not_null = alter.column.not_null;
-          c.unique = alter.column.unique;
-          table->columns.push_back(std::move(c));
-          if (alter.column.primary_key) table->primary_key.emplace_back(alter.column.name);
-          if (alter.column.references.has_value()) {
-            ForeignKeySchema fk;
-            fk.columns = {std::string(alter.column.name)};
-            fk.ref_table = alter.column.references->table;
-            fk.ref_columns = sql::ToStringVector(alter.column.references->columns);
-            fk.on_delete_cascade = alter.column.references->on_delete_cascade;
-            table->foreign_keys.push_back(std::move(fk));
-          }
-          return Status::Ok();
-        }
-        case sql::AlterAction::kDropColumn: {
-          int idx = table->ColumnIndex(alter.target_name);
-          if (idx < 0) {
-            return alter.if_exists ? Status::Ok()
-                                   : Status::Error("no such column: " + std::string(alter.target_name));
-          }
-          table->columns.erase(table->columns.begin() + idx);
-          std::erase_if(table->primary_key, [&](const std::string& c) {
-            return EqualsIgnoreCase(c, alter.target_name);
-          });
-          std::erase_if(table->foreign_keys, [&](const ForeignKeySchema& fk) {
-            for (const auto& c : fk.columns) {
-              if (EqualsIgnoreCase(c, alter.target_name)) return true;
-            }
-            return false;
-          });
-          return Status::Ok();
-        }
-        case sql::AlterAction::kAddConstraint: {
-          const auto& con = alter.constraint;
-          switch (con.kind) {
-            case sql::TableConstraintKind::kPrimaryKey:
-              table->primary_key = sql::ToStringVector(con.columns);
-              break;
-            case sql::TableConstraintKind::kForeignKey: {
-              ForeignKeySchema fk;
-              fk.name = con.name;
-              fk.columns = sql::ToStringVector(con.columns);
-              fk.ref_table = con.reference.table;
-              fk.ref_columns = sql::ToStringVector(con.reference.columns);
-              fk.on_delete_cascade = con.reference.on_delete_cascade;
-              table->foreign_keys.push_back(std::move(fk));
-              break;
-            }
-            case sql::TableConstraintKind::kUnique:
-              table->unique_constraints.push_back(sql::ToStringVector(con.columns));
-              break;
-            case sql::TableConstraintKind::kCheck: {
-              CheckConstraintSchema check;
-              check.name = con.name;
-              if (con.check) {
-                check.expression_sql = sql::PrintExpr(*con.check);
-                check.expression =
-                    std::shared_ptr<const sql::Expr>(con.check->Clone().release());
-              }
-              table->checks.push_back(std::move(check));
-              break;
-            }
-          }
-          return Status::Ok();
-        }
-        case sql::AlterAction::kDropConstraint: {
-          size_t before = table->checks.size() + table->foreign_keys.size();
-          std::erase_if(table->checks, [&](const CheckConstraintSchema& c) {
-            return EqualsIgnoreCase(c.name, alter.target_name);
-          });
-          std::erase_if(table->foreign_keys, [&](const ForeignKeySchema& fk) {
-            return EqualsIgnoreCase(fk.name, alter.target_name);
-          });
-          size_t after = table->checks.size() + table->foreign_keys.size();
-          if (before == after && !alter.if_exists) {
-            return Status::Error("no such constraint: " + std::string(alter.target_name));
-          }
-          return Status::Ok();
-        }
-        case sql::AlterAction::kAlterColumnType: {
-          int idx = table->ColumnIndex(alter.column.name);
-          if (idx < 0) return Status::Error("no such column: " + std::string(alter.column.name));
-          table->columns[static_cast<size_t>(idx)].type =
-              DataType::FromTypeName(alter.column.type);
-          return Status::Ok();
-        }
-        case sql::AlterAction::kRenameTable: {
-          TableSchema moved = *table;
-          moved.name = alter.new_name;
-          DropTable(alter.table);
-          return AddTable(std::move(moved));
-        }
-        case sql::AlterAction::kRenameColumn: {
-          int idx = table->ColumnIndex(alter.target_name);
-          if (idx < 0) return Status::Error("no such column: " + std::string(alter.target_name));
-          table->columns[static_cast<size_t>(idx)].name = alter.new_name;
-          for (auto& pk : table->primary_key) {
-            if (EqualsIgnoreCase(pk, alter.target_name)) pk = alter.new_name;
-          }
-          return Status::Ok();
-        }
-        case sql::AlterAction::kUnknown:
-          return Status::Error("unsupported ALTER action");
-      }
-      return Status::Ok();
-    }
+    case sql::StatementKind::kAlterTable:
+      return Alter(static_cast<const sql::AlterTableStatement&>(stmt));
     default:
       return Status::Ok();  // DML — nothing to do.
   }
 }
 
-const TableSchema* Catalog::FindTable(std::string_view name) const {
-  auto it = tables_.find(LowerProbe(name).view());
-  return it == tables_.end() ? nullptr : &it->second;
+Status Catalog::Alter(const sql::AlterTableStatement& alter) {
+  auto table = tables_.find(LowerProbe(alter.table).view());
+  if (table == tables_.end()) {
+    return alter.if_exists ? Status::Ok()
+                           : Status::Error("no such table: " + std::string(alter.table));
+  }
+  bool rename_table = alter.action == sql::AlterAction::kRenameTable;
+  if (rename_table && FindTable(alter.new_name) != nullptr) {
+    return Status::Error("table already exists: " + std::string(alter.new_name));
+  }
+  Status s = table->second.Alter(alter);
+  if (!s.ok()) return s;
+  if (rename_table) {
+    auto node = tables_.extract(table);
+    node.key() = ToLower(alter.new_name);
+    tables_.insert(std::move(node));
+  }
+  for (auto& [_, schema] : tables_) schema.FollowReferencedAlter(alter);
+  // The table's indexes follow it: a renamed table or column keeps them, and
+  // dropping a column drops the indexes on it.
+  for (auto it = indexes_.begin(); it != indexes_.end();) {
+    IndexSchema& index = it->second;
+    bool keep = true;
+    if (EqualsIgnoreCase(index.table, alter.table)) {
+      if (rename_table) index.table = alter.new_name;
+      if (alter.action == sql::AlterAction::kRenameColumn) {
+        index.FollowColumn(alter.target_name, alter.new_name);
+      } else if (alter.action == sql::AlterAction::kDropColumn) {
+        keep = index.FollowColumn(alter.target_name, {});
+      }
+    }
+    it = keep ? std::next(it) : indexes_.erase(it);
+  }
+  return Status::Ok();
 }
 
-TableSchema* Catalog::FindTableMutable(std::string_view name) {
+const TableSchema* Catalog::FindTable(std::string_view name) const {
   auto it = tables_.find(LowerProbe(name).view());
   return it == tables_.end() ? nullptr : &it->second;
 }

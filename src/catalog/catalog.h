@@ -26,7 +26,6 @@ class Catalog {
   Status ApplyDdl(const sql::Statement& stmt);
 
   const TableSchema* FindTable(std::string_view name) const;
-  TableSchema* FindTableMutable(std::string_view name);
   const IndexSchema* FindIndex(std::string_view name) const;
 
   std::vector<const TableSchema*> Tables() const;
@@ -38,6 +37,11 @@ class Catalog {
   size_t table_count() const { return tables_.size(); }
 
  private:
+  /// ALTER TABLE: the shared interpreter edits the schema, then the
+  /// table's indexes and the FKs that reference it follow a rename, and
+  /// the indexes on a dropped column go.
+  Status Alter(const sql::AlterTableStatement& alter);
+
   // Keyed by lowercased name; values keep original casing. Probes stack-
   // lower the caller's name (LowerProbe) and descend with plain byte
   // compares — no ToLower temporary, no per-character case folding.

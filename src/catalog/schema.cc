@@ -1,5 +1,7 @@
 #include "catalog/schema.h"
 
+#include <algorithm>
+
 #include "common/strings.h"
 #include "sql/printer.h"
 
@@ -21,23 +23,24 @@ int TableSchema::ColumnIndex(std::string_view column) const {
 
 namespace {
 
-Value LiteralToValue(const sql::Expr& e) {
-  switch (e.kind) {
-    case sql::ExprKind::kNullLiteral:
-      return Value::Null_();
-    case sql::ExprKind::kBoolLiteral:
-      return Value::Bool(e.text == "true");
-    case sql::ExprKind::kNumberLiteral:
-      if (e.text.find('.') != std::string::npos || e.text.find('e') != std::string::npos ||
-          e.text.find('E') != std::string::npos) {
-        return Value::Real(std::strtod(e.text.c_str(), nullptr));
-      }
-      return Value::Int(std::strtoll(e.text.c_str(), nullptr, 10));
-    case sql::ExprKind::kStringLiteral:
-      return Value::Str(std::string(e.text));
-    default:
-      return Value::Null_();
+ForeignKeySchema MakeForeignKey(std::string_view name, std::vector<std::string> columns,
+                                const sql::ForeignKeyRefAst& ref) {
+  return {std::string(name), std::move(columns), std::string(ref.table),
+          sql::ToStringVector(ref.columns), ref.on_delete_cascade};
+}
+
+CheckConstraintSchema MakeCheck(std::string_view name, const sql::Expr* expression) {
+  CheckConstraintSchema check;
+  check.name = name;
+  if (expression != nullptr) {
+    check.expression_sql = sql::PrintExpr(*expression);
+    check.expression = std::shared_ptr<const sql::Expr>(expression->Clone().release());
   }
+  return check;
+}
+
+Status NoSuch(std::string_view what, std::string_view name) {
+  return Status::Error("no such " + std::string(what) + ": " + std::string(name));
 }
 
 }  // namespace
@@ -45,67 +48,159 @@ Value LiteralToValue(const sql::Expr& e) {
 TableSchema TableSchema::FromCreateTable(const sql::CreateTableStatement& stmt) {
   TableSchema schema;
   schema.name = stmt.table;
-  for (const auto& col : stmt.columns) {
-    ColumnSchema c;
-    c.name = col.name;
-    c.type = DataType::FromTypeName(col.type);
-    c.not_null = col.not_null || col.primary_key;
-    c.unique = col.unique;
-    c.auto_increment = col.auto_increment || c.type.id == TypeId::kSerial;
-    if (col.default_value) c.default_value = LiteralToValue(*col.default_value);
-    schema.columns.push_back(std::move(c));
-
-    if (col.primary_key) schema.primary_key.emplace_back(col.name);
-    if (col.references.has_value()) {
-      ForeignKeySchema fk;
-      fk.columns = {std::string(col.name)};
-      fk.ref_table = col.references->table;
-      fk.ref_columns = sql::ToStringVector(col.references->columns);
-      fk.on_delete_cascade = col.references->on_delete_cascade;
-      schema.foreign_keys.push_back(std::move(fk));
-    }
-    if (col.check) {
-      CheckConstraintSchema check;
-      check.expression_sql = sql::PrintExpr(*col.check);
-      check.expression = std::shared_ptr<const sql::Expr>(col.check->Clone().release());
-      schema.checks.push_back(std::move(check));
-    }
-  }
-  for (const auto& con : stmt.constraints) {
-    switch (con.kind) {
-      case sql::TableConstraintKind::kPrimaryKey:
-        schema.primary_key = sql::ToStringVector(con.columns);
-        for (const auto& pk_col : con.columns) {
-          int idx = schema.ColumnIndex(pk_col);
-          if (idx >= 0) schema.columns[static_cast<size_t>(idx)].not_null = true;
-        }
-        break;
-      case sql::TableConstraintKind::kForeignKey: {
-        ForeignKeySchema fk;
-        fk.name = con.name;
-        fk.columns = sql::ToStringVector(con.columns);
-        fk.ref_table = con.reference.table;
-        fk.ref_columns = sql::ToStringVector(con.reference.columns);
-        fk.on_delete_cascade = con.reference.on_delete_cascade;
-        schema.foreign_keys.push_back(std::move(fk));
-        break;
-      }
-      case sql::TableConstraintKind::kUnique:
-        schema.unique_constraints.push_back(sql::ToStringVector(con.columns));
-        break;
-      case sql::TableConstraintKind::kCheck: {
-        CheckConstraintSchema check;
-        check.name = con.name;
-        if (con.check) {
-          check.expression_sql = sql::PrintExpr(*con.check);
-          check.expression = std::shared_ptr<const sql::Expr>(con.check->Clone().release());
-        }
-        schema.checks.push_back(std::move(check));
-        break;
-      }
-    }
-  }
+  for (const auto& col : stmt.columns) schema.AddColumn(col);
+  for (const auto& con : stmt.constraints) schema.AddConstraint(con);
   return schema;
+}
+
+void TableSchema::AddColumn(const sql::ColumnDefAst& def) {
+  ColumnSchema& c = columns.emplace_back();
+  c.name = def.name;
+  c.type = DataType::FromTypeName(def.type);
+  c.not_null = def.not_null || def.primary_key;
+  c.unique = def.unique;
+  c.auto_increment = def.auto_increment || c.type.id == TypeId::kSerial;
+  if (def.default_value) c.default_value = LiteralValue(*def.default_value);
+  if (def.primary_key) primary_key.emplace_back(def.name);
+  if (def.references) {
+    foreign_keys.push_back(MakeForeignKey({}, {std::string(def.name)}, *def.references));
+  }
+  if (def.check) checks.push_back(MakeCheck({}, def.check.get()));
+}
+
+void TableSchema::AddConstraint(const sql::TableConstraintAst& con) {
+  switch (con.kind) {
+    case sql::TableConstraintKind::kPrimaryKey:
+      primary_key = sql::ToStringVector(con.columns);
+      for (const auto& pk_col : con.columns) {
+        int idx = ColumnIndex(pk_col);
+        if (idx >= 0) columns[static_cast<size_t>(idx)].not_null = true;
+      }
+      return;
+    case sql::TableConstraintKind::kForeignKey:
+      foreign_keys.push_back(
+          MakeForeignKey(con.name, sql::ToStringVector(con.columns), con.reference));
+      return;
+    case sql::TableConstraintKind::kUnique:
+      unique_constraints.push_back(sql::ToStringVector(con.columns));
+      return;
+    case sql::TableConstraintKind::kCheck:
+      checks.push_back(MakeCheck(con.name, con.check.get()));
+      return;
+  }
+}
+
+void TableSchema::DropColumn(std::string_view column) {
+  const std::string dropped(column);  // `column` may view a name erased below
+  int idx = ColumnIndex(dropped);
+  if (idx >= 0) columns.erase(columns.begin() + idx);
+  auto is_dropped = [&](const std::string& c) { return EqualsIgnoreCase(c, dropped); };
+  auto names_dropped = [&](const std::vector<std::string>& cols) {
+    return std::any_of(cols.begin(), cols.end(), is_dropped);
+  };
+  std::erase_if(primary_key, is_dropped);
+  std::erase_if(foreign_keys,
+                [&](const ForeignKeySchema& fk) { return names_dropped(fk.columns); });
+  std::erase_if(unique_constraints, names_dropped);
+}
+
+void TableSchema::RenameColumn(std::string_view from, std::string_view to) {
+  const std::string old_name(from);  // `from` may view a name renamed below
+  auto rename = [&](std::string& c) {
+    if (EqualsIgnoreCase(c, old_name)) c = to;
+  };
+  int idx = ColumnIndex(old_name);
+  if (idx >= 0) columns[static_cast<size_t>(idx)].name = to;
+  std::for_each(primary_key.begin(), primary_key.end(), rename);
+  for (auto& fk : foreign_keys) {
+    std::for_each(fk.columns.begin(), fk.columns.end(), rename);
+  }
+  for (auto& cols : unique_constraints) std::for_each(cols.begin(), cols.end(), rename);
+}
+
+Status TableSchema::Alter(const sql::AlterTableStatement& alter) {
+  switch (alter.action) {
+    case sql::AlterAction::kAddColumn:
+      if (FindColumn(alter.column.name) != nullptr) {
+        return Status::Error("duplicate column: " + std::string(alter.column.name));
+      }
+      AddColumn(alter.column);
+      return Status::Ok();
+    case sql::AlterAction::kDropColumn:
+      if (FindColumn(alter.target_name) == nullptr) {
+        return alter.if_exists ? Status::Ok() : NoSuch("column", alter.target_name);
+      }
+      DropColumn(alter.target_name);
+      return Status::Ok();
+    case sql::AlterAction::kAddConstraint:
+      for (const auto& column : alter.constraint.columns) {
+        if (FindColumn(column) == nullptr) return NoSuch("column", column);
+      }
+      AddConstraint(alter.constraint);
+      return Status::Ok();
+    case sql::AlterAction::kDropConstraint: {
+      auto named = [&](const auto& con) {
+        return EqualsIgnoreCase(con.name, alter.target_name);
+      };
+      if (std::erase_if(checks, named) + std::erase_if(foreign_keys, named) == 0 &&
+          !alter.if_exists) {
+        return NoSuch("constraint", alter.target_name);
+      }
+      return Status::Ok();
+    }
+    case sql::AlterAction::kAlterColumnType: {
+      int idx = ColumnIndex(alter.column.name);
+      if (idx < 0) return NoSuch("column", alter.column.name);
+      columns[static_cast<size_t>(idx)].type = DataType::FromTypeName(alter.column.type);
+      return Status::Ok();
+    }
+    case sql::AlterAction::kRenameColumn: {
+      if (FindColumn(alter.target_name) == nullptr) {
+        return NoSuch("column", alter.target_name);
+      }
+      if (!EqualsIgnoreCase(alter.target_name, alter.new_name) &&
+          FindColumn(alter.new_name) != nullptr) {
+        return Status::Error("duplicate column: " + std::string(alter.new_name));
+      }
+      RenameColumn(alter.target_name, alter.new_name);
+      return Status::Ok();
+    }
+    case sql::AlterAction::kRenameTable:
+      name = alter.new_name;
+      return Status::Ok();
+    case sql::AlterAction::kUnknown:
+      break;
+  }
+  return Status::Error("unsupported ALTER action");
+}
+
+void TableSchema::FollowReferencedAlter(const sql::AlterTableStatement& alter) {
+  for (auto& fk : foreign_keys) {
+    if (!EqualsIgnoreCase(fk.ref_table, alter.table)) continue;
+    if (alter.action == sql::AlterAction::kRenameTable) fk.ref_table = alter.new_name;
+    if (alter.action != sql::AlterAction::kRenameColumn) continue;
+    for (auto& c : fk.ref_columns) {
+      if (EqualsIgnoreCase(c, alter.target_name)) c = alter.new_name;
+    }
+  }
+}
+
+IndexSchema IndexSchema::FromCreateIndex(const sql::CreateIndexStatement& stmt) {
+  IndexSchema index;
+  index.name = stmt.index;
+  index.table = stmt.table;
+  index.columns = sql::ToStringVector(stmt.columns);
+  index.unique = stmt.unique;
+  return index;
+}
+
+bool IndexSchema::FollowColumn(std::string_view column, std::string_view new_name) {
+  for (auto& c : columns) {
+    if (!EqualsIgnoreCase(c, column)) continue;
+    if (new_name.empty()) return false;
+    c = new_name;
+  }
+  return true;
 }
 
 }  // namespace sqlcheck

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "catalog/data_type.h"
+#include "common/status.h"
 #include "sql/ast.h"
 
 namespace sqlcheck {
@@ -37,7 +38,9 @@ struct ColumnSchema {
   std::optional<Value> default_value;
 };
 
-/// \brief Logical schema of a table.
+/// \brief Logical schema of a table. This is the one interpreter of the DDL
+/// that defines a table: the catalog and the engine both build and alter
+/// schemas through it, so they agree on what a script means.
 struct TableSchema {
   std::string name;
   std::vector<ColumnSchema> columns;
@@ -54,6 +57,30 @@ struct TableSchema {
 
   /// Builds a schema from a parsed CREATE TABLE.
   static TableSchema FromCreateTable(const sql::CreateTableStatement& stmt);
+
+  /// Adds a column definition: the column plus its inline PRIMARY KEY (which
+  /// implies NOT NULL), REFERENCES, CHECK, UNIQUE, literal DEFAULT and
+  /// SERIAL auto-increment.
+  void AddColumn(const sql::ColumnDefAst& def);
+  /// Adds a table constraint: PRIMARY KEY (its columns become NOT NULL),
+  /// FOREIGN KEY, UNIQUE or CHECK.
+  void AddConstraint(const sql::TableConstraintAst& con);
+  /// Removes a column with the PK entries, FKs and UNIQUE constraints that
+  /// name it. CHECK expressions are left as written.
+  void DropColumn(std::string_view column);
+  /// Renames a column in the column list, the PK, FK columns and UNIQUE
+  /// constraints. CHECK expressions are left as written.
+  void RenameColumn(std::string_view from, std::string_view to);
+
+  /// Applies one ALTER TABLE action to this schema. RENAME TABLE only
+  /// renames: re-keying the table is its owner's work. A failing ALTER
+  /// (a missing or duplicate column, a constraint on an unknown column, a
+  /// missing constraint) leaves the schema unchanged; IF EXISTS makes a
+  /// missing column or constraint a no-op.
+  Status Alter(const sql::AlterTableStatement& alter);
+  /// What `alter` does to this table's FKs that reference `alter.table`:
+  /// RENAME TABLE and RENAME COLUMN carry into the references.
+  void FollowReferencedAlter(const sql::AlterTableStatement& alter);
 };
 
 /// \brief A secondary index definition.
@@ -66,6 +93,13 @@ struct IndexSchema {
   /// are invisible to the Index Overuse/Underuse detection rules, matching
   /// how the paper counts only user-created indexes.
   bool system = false;
+
+  static IndexSchema FromCreateIndex(const sql::CreateIndexStatement& stmt);
+
+  /// What renaming `column` to `new_name`, or dropping it when `new_name` is
+  /// empty, does to this index: a rename carries into `columns`, and
+  /// dropping an indexed column drops the index (returns false).
+  bool FollowColumn(std::string_view column, std::string_view new_name);
 };
 
 }  // namespace sqlcheck

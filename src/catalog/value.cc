@@ -1,6 +1,9 @@
 #include "catalog/value.h"
 
+#include <cstdlib>
 #include <functional>
+
+#include "sql/ast.h"
 
 namespace sqlcheck {
 
@@ -98,6 +101,36 @@ size_t Value::Hash() const {
     return std::hash<double>{}(d);
   }
   return std::hash<std::string>{}(AsString());
+}
+
+bool IsLiteral(const sql::Expr& expr) {
+  switch (expr.kind) {
+    case sql::ExprKind::kNullLiteral:
+    case sql::ExprKind::kBoolLiteral:
+    case sql::ExprKind::kNumberLiteral:
+    case sql::ExprKind::kStringLiteral:
+      return true;
+    default:
+      return false;
+  }
+}
+
+Value LiteralValue(const sql::Expr& expr) {
+  switch (expr.kind) {
+    case sql::ExprKind::kBoolLiteral:  // The parser lowercases TRUE/FALSE.
+      return Value::Bool(expr.text == "true");
+    case sql::ExprKind::kNumberLiteral: {
+      std::string text(expr.text);
+      if (text.find_first_of(".eE") != std::string::npos) {
+        return Value::Real(std::strtod(text.c_str(), nullptr));
+      }
+      return Value::Int(std::strtoll(text.c_str(), nullptr, 10));
+    }
+    case sql::ExprKind::kStringLiteral:
+      return Value::Str(std::string(expr.text));
+    default:
+      return Value::Null_();
+  }
 }
 
 bool CompositeKey::operator==(const CompositeKey& other) const {

@@ -7,6 +7,10 @@
 
 namespace sqlcheck {
 
+namespace sql {
+struct Expr;
+}  // namespace sql
+
 /// \brief Runtime value held in a table cell or produced by evaluation.
 ///
 /// SQL three-valued-logic NULL handling lives in the evaluator; Value itself
@@ -54,6 +58,13 @@ class Value {
 
   Data data_;
 };
+
+/// True for a NULL, boolean, number or string literal expression.
+bool IsLiteral(const sql::Expr& expr);
+
+/// The value a literal expression denotes; NULL for any other expression.
+/// A number with '.', 'e' or 'E' is real, any other an integer.
+Value LiteralValue(const sql::Expr& expr);
 
 /// \brief A physical row.
 using Row = std::vector<Value>;

@@ -61,21 +61,13 @@ bool IsAggregateName(std::string_view name) {
 
 bool ContainsAggregate(const sql::Expr& expr) {
   bool found = false;
-  sql::VisitExpr(expr, /*enter_subqueries=*/false, [&](const sql::Expr& e) {
+  sql::VisitExpr(expr, [&](const sql::Expr& e) {
     if (e.kind == sql::ExprKind::kFunction && IsAggregateName(e.text)) found = true;
   });
   return found;
 }
 
 namespace {
-
-Value ParseNumberLiteral(const std::string& text) {
-  if (text.find('.') != std::string::npos || text.find('e') != std::string::npos ||
-      text.find('E') != std::string::npos) {
-    return Value::Real(std::strtod(text.c_str(), nullptr));
-  }
-  return Value::Int(std::strtoll(text.c_str(), nullptr, 10));
-}
 
 /// SQL comparison: NULL if either side is NULL, else Bool.
 Value CompareValues(const Value& lhs, const Value& rhs, const std::string& op) {
@@ -126,13 +118,10 @@ Result<Value> EvalImpl(const sql::Expr& expr, const EvalScope& scope) {
   using sql::ExprKind;
   switch (expr.kind) {
     case ExprKind::kNullLiteral:
-      return Value::Null_();
     case ExprKind::kBoolLiteral:
-      return Value::Bool(expr.text == "true");
     case ExprKind::kNumberLiteral:
-      return ParseNumberLiteral(std::string(expr.text));
     case ExprKind::kStringLiteral:
-      return Value::Str(std::string(expr.text));
+      return LiteralValue(expr);
     case ExprKind::kParam:
       return Result<Value>::Error("unbound parameter: " + std::string(expr.text));
     case ExprKind::kColumnRef:

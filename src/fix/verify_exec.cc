@@ -182,33 +182,6 @@ struct Harvest {
 // Keyed by "table_lc.column_lc"; unattributable refs are dropped.
 using HarvestMap = std::unordered_map<std::string, Harvest>;
 
-bool LiteralToValue(const sql::Expr& expr, Value* out) {
-  switch (expr.kind) {
-    case sql::ExprKind::kNullLiteral:
-      *out = Value::Null_();
-      return true;
-    case sql::ExprKind::kBoolLiteral:
-      *out = Value::Bool(EqualsIgnoreCase(expr.text, "true"));
-      return true;
-    case sql::ExprKind::kNumberLiteral: {
-      std::string text(expr.text);
-      if (text.find('.') == std::string::npos &&
-          text.find('e') == std::string::npos &&
-          text.find('E') == std::string::npos) {
-        *out = Value::Int(std::strtoll(text.c_str(), nullptr, 10));
-      } else {
-        *out = Value::Real(std::strtod(text.c_str(), nullptr));
-      }
-      return true;
-    }
-    case sql::ExprKind::kStringLiteral:
-      *out = Value::Str(std::string(expr.text));
-      return true;
-    default:
-      return false;
-  }
-}
-
 class Harvester {
  public:
   Harvester(HarvestMap* out,
@@ -269,8 +242,7 @@ class Harvester {
           }
         }
         if (column == nullptr || literal == nullptr) return;
-        Value value;
-        if (LiteralToValue(*literal, &value)) Record(KeyFor(*column), value);
+        if (IsLiteral(*literal)) Record(KeyFor(*column), LiteralValue(*literal));
         return;
       }
       case sql::ExprKind::kLike: {
@@ -291,9 +263,8 @@ class Harvester {
         if (expr.children[0]->kind != sql::ExprKind::kColumnRef) return;
         std::string key = KeyFor(*expr.children[0]);
         for (size_t i = 1; i < expr.children.size(); ++i) {
-          Value value;
-          if (expr.children[i] && LiteralToValue(*expr.children[i], &value)) {
-            Record(key, value);
+          if (expr.children[i] && IsLiteral(*expr.children[i])) {
+            Record(key, LiteralValue(*expr.children[i]));
           }
         }
         return;
@@ -303,9 +274,8 @@ class Harvester {
         if (expr.children[0]->kind != sql::ExprKind::kColumnRef) return;
         std::string key = KeyFor(*expr.children[0]);
         for (size_t i = 1; i < 3; ++i) {
-          Value value;
-          if (expr.children[i] && LiteralToValue(*expr.children[i], &value)) {
-            Record(key, value);
+          if (expr.children[i] && IsLiteral(*expr.children[i])) {
+            Record(key, LiteralValue(*expr.children[i]));
           }
         }
         return;

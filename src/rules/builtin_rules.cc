@@ -476,7 +476,7 @@ void RoundingErrorsData(const TableProfile& profile, const Context& context,
 // Enumerated Types.
 bool IsInListCheck(const sql::Expr& check) {
   bool found = false;
-  sql::VisitExpr(check, false, [&](const sql::Expr& e) {
+  sql::VisitExpr(check, [&](const sql::Expr& e) {
     if (e.kind == sql::ExprKind::kIn && !e.children.empty() &&
         e.children[0]->kind == sql::ExprKind::kColumnRef) {
       // All list members must be literals for this to be a domain restriction.
@@ -495,7 +495,7 @@ bool IsInListCheck(const sql::Expr& check) {
 
 std::string CheckedColumn(const sql::Expr& check) {
   std::string column;
-  sql::VisitExpr(check, false, [&](const sql::Expr& e) {
+  sql::VisitExpr(check, [&](const sql::Expr& e) {
     if (column.empty() && e.kind == sql::ExprKind::kIn && !e.children.empty() &&
         e.children[0]->kind == sql::ExprKind::kColumnRef) {
       column = e.children[0]->ColumnName();

@@ -90,37 +90,10 @@ ExprPtr MakeFunction(std::string name, std::vector<ExprPtr> args) {
   return e;
 }
 
-namespace {
-void VisitSelectExprs(const SelectStatement& select, bool enter_subqueries,
-                      const std::function<void(const Expr&)>& fn);
-}  // namespace
-
-void VisitExpr(const Expr& expr, bool enter_subqueries,
-               const std::function<void(const Expr&)>& fn) {
+void VisitExpr(const Expr& expr, const std::function<void(const Expr&)>& fn) {
   fn(expr);
-  for (const auto& c : expr.children) VisitExpr(*c, enter_subqueries, fn);
-  if (enter_subqueries && expr.subquery) {
-    VisitSelectExprs(*expr.subquery, enter_subqueries, fn);
-  }
+  for (const auto& c : expr.children) VisitExpr(*c, fn);
 }
-
-namespace {
-void VisitSelectExprs(const SelectStatement& select, bool enter_subqueries,
-                      const std::function<void(const Expr&)>& fn) {
-  for (const auto& item : select.items) {
-    if (item.expr) VisitExpr(*item.expr, enter_subqueries, fn);
-  }
-  for (const auto& join : select.joins) {
-    if (join.on) VisitExpr(*join.on, enter_subqueries, fn);
-  }
-  if (select.where) VisitExpr(*select.where, enter_subqueries, fn);
-  for (const auto& g : select.group_by) VisitExpr(*g, enter_subqueries, fn);
-  if (select.having) VisitExpr(*select.having, enter_subqueries, fn);
-  for (const auto& o : select.order_by) {
-    if (o.expr) VisitExpr(*o.expr, enter_subqueries, fn);
-  }
-}
-}  // namespace
 
 // ------------------------------ Statements --------------------------------
 
@@ -195,15 +168,6 @@ SelectPtr SelectStatement::CloneSelect() const {
 }
 
 StatementPtr SelectStatement::CloneStatement() const { return CloneSelect(); }
-
-std::vector<std::string> SelectStatement::ReferencedTables() const {
-  std::vector<std::string_view> views;
-  CollectReferencedTables(&views);
-  std::vector<std::string> out;
-  out.reserve(views.size());
-  for (std::string_view v : views) out.emplace_back(v);
-  return out;
-}
 
 void SelectStatement::CollectReferencedTables(std::vector<std::string_view>* out) const {
   for (const auto& f : from) {

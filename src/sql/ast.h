@@ -133,10 +133,9 @@ ExprPtr MakeNumberLiteral(std::string value);
 ExprPtr MakeBinary(std::string op, ExprPtr lhs, ExprPtr rhs);
 ExprPtr MakeFunction(std::string name, std::vector<ExprPtr> args);
 
-/// \brief Depth-first visit of an expression tree (including subquery
-/// boundaries when `enter_subqueries` is set).
-void VisitExpr(const Expr& expr, bool enter_subqueries,
-               const std::function<void(const Expr&)>& fn);
+/// \brief Depth-first visit of an expression tree. Subqueries are not
+/// entered.
+void VisitExpr(const Expr& expr, const std::function<void(const Expr&)>& fn);
 
 // ---------------------------------------------------------------------------
 // Statements
@@ -212,8 +211,9 @@ struct Statement {
   /// The parser consumed source this tree does not keep: a clause it
   /// tolerates but does not model (INSERT IGNORE / OR IGNORE, ON DUPLICATE
   /// KEY UPDATE, ON CONFLICT, RETURNING, LIKE ... ESCAPE, a trailing table
-  /// option, a table name's schema qualifier). Printing the tree would drop
-  /// it, so no statement-replacing rewrite is built from such a tree.
+  /// option), or the quoting of a qualified table name, which the tree keeps
+  /// joined (`archive.t`). Printing the tree would lose it, so no
+  /// statement-replacing rewrite is built from such a tree.
   bool skipped_source = false;
 
   explicit Statement(StatementKind k) : kind(k) {}
@@ -255,10 +255,8 @@ struct SelectStatement : Statement {
   SelectPtr CloneSelect() const;
   StatementPtr CloneStatement() const override;
 
-  /// All source names (tables + join tables), in syntactic order.
-  std::vector<std::string> ReferencedTables() const;
-  /// View-based variant for hot paths: appends instead of allocating a
-  /// fresh vector; views borrow from this statement.
+  /// Appends all source names (tables + join tables, subqueries included),
+  /// in syntactic order; views borrow from this statement.
   void CollectReferencedTables(std::vector<std::string_view>* out) const;
   /// Total number of JOIN clauses (explicit joins + implicit comma joins).
   int JoinCount() const;

@@ -141,14 +141,15 @@ class Parser {
     return {};
   }
 
-  /// A table name. The tree keeps only the last component of a qualified
-  /// name (`archive.t` -> `t`), so dropping a qualifier marks the statement
-  /// Statement::skipped_source: a rewrite printed from the tree would target
-  /// another table.
-  std::string_view ParseTableName() {
-    std::string_view name = ParseStrictName();
+  /// A table name. A qualified name stays whole (`archive.t`), so the
+  /// catalog never resolves it to the bare table `t`. Its parts' quoting is
+  /// lost, so a qualifier still marks the statement
+  /// Statement::skipped_source: no rewrite is printed from the tree.
+  AstString ParseTableName() {
+    AstString name(ParseStrictName(), mr_);
     while (Match(TokenKind::kDot)) {
-      name = ParseStrictName();
+      name += '.';
+      name += ParseStrictName();
       skipped_ = true;
     }
     return name;

@@ -22,6 +22,8 @@ class Index {
       : schema_(std::move(schema)), column_positions_(std::move(column_positions)) {}
 
   const IndexSchema& schema() const { return schema_; }
+  /// For column renames only: positions stay as they are.
+  IndexSchema& schema_mutable() { return schema_; }
   const std::vector<int>& column_positions() const { return column_positions_; }
 
   /// Extracts this index's key from a full row.

@@ -119,27 +119,15 @@ Status Table::DropColumn(std::string_view name) {
   int pos = schema_.ColumnIndex(name);
   if (pos < 0) return Status::Error("no such column: " + std::string(name));
 
-  // Any index touching the column must go (it indexes a dead position); the
-  // rest must be rebuilt because positions shift.
+  // Indexes on the column go with it; the rest are rebuilt because column
+  // positions shift.
   std::vector<IndexSchema> keep;
   for (const auto& index : indexes_) {
-    bool touches = false;
-    for (const auto& col : index->schema().columns) {
-      if (EqualsIgnoreCase(col, name)) touches = true;
-    }
-    if (!touches) keep.push_back(index->schema());
+    IndexSchema kept = index->schema();
+    if (kept.FollowColumn(name, {})) keep.push_back(std::move(kept));
   }
   indexes_.clear();
-
-  schema_.columns.erase(schema_.columns.begin() + pos);
-  std::erase_if(schema_.primary_key,
-                [&](const std::string& c) { return EqualsIgnoreCase(c, name); });
-  std::erase_if(schema_.foreign_keys, [&](const ForeignKeySchema& fk) {
-    for (const auto& c : fk.columns) {
-      if (EqualsIgnoreCase(c, name)) return true;
-    }
-    return false;
-  });
+  schema_.DropColumn(name);
   for (auto& row : rows_) row.erase(row.begin() + pos);
 
   for (const auto& index_schema : keep) {
@@ -147,6 +135,11 @@ Status Table::DropColumn(std::string_view name) {
     if (!s.ok()) return s;
   }
   return Status::Ok();
+}
+
+void Table::RenameColumn(std::string_view from, std::string_view to) {
+  for (auto& index : indexes_) index->schema_mutable().FollowColumn(from, to);
+  schema_.RenameColumn(from, to);
 }
 
 }  // namespace sqlcheck

@@ -62,6 +62,9 @@ class Table {
   Status AddColumn(const ColumnSchema& column, const Value& fill);
   /// Removes a column and rewrites all rows (indexes on it are dropped).
   Status DropColumn(std::string_view name);
+  /// Renames a column in the schema and in the index definitions (rows and
+  /// index positions are unchanged). The column must exist.
+  void RenameColumn(std::string_view from, std::string_view to);
 
   // --------------------------- auto-increment -----------------------------
   int64_t NextAutoValue() { return ++auto_counter_; }

@@ -109,7 +109,7 @@ TEST(ParserSelectTest, LikeVariantsAndNegation) {
   // Root is AND; descend to confirm LIKE nodes exist with negation flags.
   int like_count = 0;
   int negated_count = 0;
-  VisitExpr(*s.where, false, [&](const Expr& e) {
+  VisitExpr(*s.where, [&](const Expr& e) {
     if (e.kind == ExprKind::kLike) {
       ++like_count;
       if (e.negated) ++negated_count;
@@ -124,7 +124,7 @@ TEST(ParserSelectTest, BetweenAndInList) {
       "SELECT * FROM t WHERE a BETWEEN 1 AND 5 AND b IN (1, 2, 3)");
   int between = 0;
   int in_list = 0;
-  VisitExpr(*s.where, false, [&](const Expr& e) {
+  VisitExpr(*s.where, [&](const Expr& e) {
     if (e.kind == ExprKind::kBetween) ++between;
     if (e.kind == ExprKind::kIn) in_list += static_cast<int>(e.children.size()) - 1;
   });
@@ -137,7 +137,7 @@ TEST(ParserSelectTest, IsNullAndIsNotNull) {
       ParseAs<SelectStatement>("SELECT * FROM t WHERE a IS NULL AND b IS NOT NULL");
   int is_null = 0;
   int negated = 0;
-  VisitExpr(*s.where, false, [&](const Expr& e) {
+  VisitExpr(*s.where, [&](const Expr& e) {
     if (e.kind == ExprKind::kIsNull) {
       ++is_null;
       if (e.negated) ++negated;
