@@ -4,8 +4,8 @@
 #include <array>
 #include <cctype>
 #include <charconv>
-#include <unordered_map>
 
+#include "common/strings.h"
 #include "sql/block_scan.h"
 
 namespace sqlcheck {
@@ -168,47 +168,38 @@ void AppendFindingObject(std::string* out, const Finding& f, size_t rank,
   *out += pretty ? "\n      }\n    }" : "}}";
 }
 
+/// One SARIF replacement: delete `length` bytes at `offset`, insert `text`.
+void AppendReplacement(std::string* out, size_t offset, size_t length,
+                       std::string_view text) {
+  *out += "                    {\n";
+  *out += "                      \"deletedRegion\": { \"charOffset\": ";
+  AppendUint(out, offset);
+  *out += ", \"charLength\": ";
+  AppendUint(out, length);
+  *out += " },\n";
+  *out += "                      \"insertedContent\": { \"text\": \"";
+  AppendJsonEscaped(out, text);
+  *out += "\" }\n                    }";
+}
+
 /// Emits the SARIF 2.1.0 `fixes[]` member for one verified rewrite: one fix
-/// with one artifactChange whose replacement region is located inside the
-/// workload text. Statement-replacing rewrites delete the offending
-/// statement's span (found by its exact bytes — statements are stored as
-/// trimmed substrings of the source, so the match is the original span —
-/// extended over the trailing `;` so the `;`-terminated rewrite drops in
-/// without doubling the terminator); additive DDL inserts at end-of-artifact
-/// (charLength 0). `cursors` tracks the next search position per
-/// (rule, anchor) so repeated offending statements anchor to successive
-/// occurrences instead of all deleting the first one — same-type duplicates
-/// rank adjacently in stream order, so sequential assignment matches. Emits
-/// nothing when the anchor cannot be located or no content was supplied.
+/// with one artifactChange whose replacement regions are located inside the
+/// workload text. A statement-replacing rewrite gets one replacement per
+/// source edit, at the offending statement's offset (found by `locator`)
+/// plus the edit's offset; additive DDL inserts at end-of-artifact
+/// (charLength 0). Emits nothing when the anchor cannot be located or no
+/// content was supplied.
 void AppendSarifFixes(std::string* out, const Fix& fix, const EmitOptions& options,
-                      std::unordered_map<std::string, size_t>* cursors) {
+                      FixLocator* locator) {
   if (!options.include_fixes || fix.kind != FixKind::kRewrite || !fix.verified ||
       fix.statements.empty() || options.artifact_uri.empty() ||
       options.artifact_content.empty()) {
     return;
   }
-  const std::string& content = options.artifact_content;
-  size_t offset = 0;
-  size_t length = 0;
+  size_t at = options.artifact_content.size();  // additive: end of file
   if (fix.replaces_original) {
-    if (fix.original_sql.empty()) return;
-    std::string key = std::to_string(static_cast<int>(fix.type));
-    key += '\x1f';
-    key += fix.original_sql;
-    size_t& from = (*cursors)[key];
-    offset = content.find(fix.original_sql, from);
-    if (offset == std::string::npos) return;
-    from = offset + 1;  // the next duplicate anchors to the next occurrence
-    length = fix.original_sql.size();
-    // Fold the statement's own terminator into the deleted region.
-    size_t end = offset + length;
-    while (end < content.size() &&
-           std::isspace(static_cast<unsigned char>(content[end]))) {
-      ++end;
-    }
-    if (end < content.size() && content[end] == ';') length = end - offset + 1;
-  } else {
-    offset = content.size();  // insertion point: end of file
+    at = locator->Locate(fix);
+    if (at == std::string_view::npos || fix.edits.empty()) return;
   }
   *out += ",\n          \"fixes\": [\n            {\n";
   *out += "              \"description\": { \"text\": ";
@@ -218,19 +209,14 @@ void AppendSarifFixes(std::string* out, const Fix& fix, const EmitOptions& optio
   *out += " },\n              \"artifactChanges\": [\n                {\n";
   *out += "                  \"artifactLocation\": { \"uri\": ";
   AppendQuoted(out, options.artifact_uri);
-  *out += " },\n                  \"replacements\": [\n                    {\n";
-  *out += "                      \"deletedRegion\": { \"charOffset\": ";
-  AppendUint(out, offset);
-  *out += ", \"charLength\": ";
-  AppendUint(out, length);
-  *out += " },\n";
-  *out += "                      \"insertedContent\": { \"text\": \"";
-  // The statements joined by newlines, escaped piecewise.
-  for (size_t s = 0; s < fix.statements.size(); ++s) {
-    if (s > 0) *out += "\\n";
-    AppendJsonEscaped(out, fix.statements[s]);
+  *out += " },\n                  \"replacements\": [\n";
+  if (!fix.replaces_original) AppendReplacement(out, at, 0, Join(fix.statements, "\n"));
+  for (size_t e = 0; e < fix.edits.size(); ++e) {
+    if (e > 0) *out += ",\n";
+    const SourceEdit& edit = fix.edits[e];
+    AppendReplacement(out, at + edit.offset, edit.length, edit.text);
   }
-  *out += "\" }\n                    }\n                  ]\n                }\n"
+  *out += "\n                  ]\n                }\n"
           "              ]\n            }\n          ]";
 }
 
@@ -355,7 +341,7 @@ std::string ToSarif(const Report& report, const EmitOptions& options) {
     out += " }\n            }";
   }
   out += "\n          ]\n        }\n      },\n      \"results\": [";
-  std::unordered_map<std::string, size_t> fix_cursors;
+  FixLocator fix_locator(options.artifact_content);
   for (size_t i = 0; i < limit; ++i) {
     const Finding& f = report.findings[i];
     const Detection& d = f.ranked.detection;
@@ -392,7 +378,7 @@ std::string ToSarif(const Report& report, const EmitOptions& options) {
       }
       out += "\n            }\n          ]";
     }
-    AppendSarifFixes(&out, f.fix, options, &fix_cursors);
+    AppendSarifFixes(&out, f.fix, options, &fix_locator);
     out += ",\n          \"properties\": { \"score\": ";
     AppendScore(&out, f.ranked.score);
     out += ", \"source\": ";

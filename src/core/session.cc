@@ -94,13 +94,13 @@ void DetectDataAntiPatterns(const Context& context, const RuleRegistry& registry
   }
 }
 
-/// Fix-cache key: a hash of the finding's row and key fields, and of its raw
-/// statement text unless `local` (a statement-local pair).
-uint64_t FixKey(size_t row, const Detection& d, bool local) {
+/// Fix-cache key: a hash of the finding's row, key fields and raw statement
+/// text.
+uint64_t FixKey(size_t row, const Detection& d) {
   const std::hash<std::string_view> hash;
   uint64_t key = row * 0x9E3779B97F4A7C15ull + static_cast<uint64_t>(d.type);
   for (std::string_view part : {std::string_view(d.table), std::string_view(d.column),
-                                local ? std::string_view() : std::string_view(d.query)}) {
+                                std::string_view(d.query)}) {
     key ^= hash(part) + 0x9E3779B97F4A7C15ull + (key << 6) + (key >> 2);
   }
   return key;
@@ -569,18 +569,16 @@ Fix AnalysisSession::FixForDetection(const Detection& d, const FixEngine& engine
     row = context_.query_groups_.group[d.statement];
   }
   const bool local = !d.query.empty() && local_fix_pair_[static_cast<size_t>(d.type)];
-  const uint64_t key = FixKey(row, d, local);
+  const uint64_t key = FixKey(row, d);
   auto it = fix_cache_.find(key);
   if (it != fix_cache_.end()) {
     const CachedFix& cached = it->second;
     const bool same_key = cached.row == row && cached.type == d.type &&
                           cached.table == d.table && cached.column == d.column &&
-                          (local || cached.raw == d.query);
+                          cached.raw == d.query;
     if (same_key && (local || cached.generation == generation_)) {
       ++fix_cache_hits_;
-      Fix fix = cached.fix;
-      if (local) fix.original_sql = d.query;  // rebase the anchor onto this occurrence
-      return fix;
+      return cached.fix;
     }
   }
   ++fix_cache_misses_;

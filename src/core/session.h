@@ -352,13 +352,12 @@ class AnalysisSession {
   /// ap-fix for one ranked detection, through the fix cache: the one path
   /// for every fixer. A fix is a function of the detection's (type, table,
   /// column), its exact statement text and the context, so an entry computed
-  /// for that text at the current generation replays verbatim. When the
+  /// for that text at the current generation replays verbatim. A rewrite
+  /// edits that exact text, so every entry is keyed by it. When the
   /// detection half *and* the action half are both statement-local
   /// (Rule::query_scope() and Fixer::fix_scope() == kStatementLocal) the fix
-  /// reads neither the context nor the text beyond its anchor, so any entry
-  /// under the key replays at any generation, for every occurrence of the
-  /// group, with the anchor rebased. A stale entry is recomputed and
-  /// overwritten in place.
+  /// does not read the context, so its entry replays at any generation. A
+  /// stale entry is recomputed and overwritten in place.
   Fix FixForDetection(const Detection& d, const FixEngine& engine);
 
   /// Recomputes local_fix_pair_ from the registry.
@@ -398,9 +397,9 @@ class AnalysisSession {
   /// One cached fix. `row` is the finding's group (kNoStatement for a data
   /// finding); (type, table, column) tells findings within a group apart (a
   /// rule may flag several columns of one statement); `raw` is the exact
-  /// statement text it was computed for: ImpactedQueries drops its own
-  /// statement by exact text, so whitespace variants of one group can get
-  /// different fixes. `generation` is the context generation it was computed
+  /// statement text it was computed for: a rewrite splices edits into that
+  /// text, and ImpactedQueries drops its own statement by exact text, so
+  /// whitespace variants of one group get different fixes. `generation` is the context generation it was computed
   /// at; a fix that reads the context replays only while it matches.
   struct CachedFix {
     size_t row;
@@ -411,14 +410,13 @@ class AnalysisSession {
     std::string raw;
     Fix fix;
   };
-  /// The fix cache, indexed by a hash of (row, type, table, column, raw) —
-  /// of (row, type, table, column) alone for a statement-local pair, which
-  /// keeps one entry per key. An entry whose fields do not match the probe
+  /// The fix cache, indexed by a hash of (row, type, table, column, raw). An
+  /// entry whose fields do not match the probe
   /// (a hash collision) counts as absent and is overwritten, as is a stale
   /// one, so the cache holds at most one entry per key and spelling.
   std::unordered_map<uint64_t, CachedFix> fix_cache_;
   /// Per AntiPattern: its rule and its fixer are both statement-local, so
-  /// its fix replays at any generation for any spelling (FixForDetection).
+  /// its fix replays at any generation (FixForDetection).
   /// Recomputed when the registry changes.
   std::array<bool, kAntiPatternCount> local_fix_pair_{};
   size_t fix_cache_hits_ = 0;

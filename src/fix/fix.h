@@ -1,6 +1,9 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "fix/verify.h"
@@ -12,6 +15,20 @@ namespace sqlcheck {
 /// transformation is non-ambiguous, otherwise a context-tailored textual fix
 /// the developer applies manually.
 enum class FixKind { kRewrite, kTextual };
+
+/// \brief One edit of a statement's source text: replace the `length` bytes
+/// at `offset` with `text` (an insertion when `length` is 0). Offsets are
+/// bytes into the statement's trimmed text (Statement::raw_sql).
+struct SourceEdit {
+  uint32_t offset = 0;
+  uint32_t length = 0;
+  std::string text;
+};
+
+/// \brief `text` with `edits` (in offset order, non-overlapping) applied,
+/// appended to `*out`. Bytes outside the edited spans are copied unchanged.
+void AppendSpliced(std::string* out, std::string_view text,
+                   const std::vector<SourceEdit>& edits);
 
 /// \brief One suggested fix for a detection.
 ///
@@ -33,6 +50,11 @@ struct Fix {
                                        ///< (or "table.column") so emitters can
                                        ///< always anchor a location.
   std::vector<std::string> statements; ///< New/rewritten SQL to apply, in order.
+  /// For a statement-replacing rewrite, the source edits that turn
+  /// original_sql into statements[0] (offset order, non-overlapping). SARIF
+  /// `fixes[]` and --apply splice these into the workload text, so every
+  /// byte outside them (comments, layout) survives.
+  std::vector<SourceEdit> edits;
   std::vector<std::string> impacted_queries;  ///< Other workload queries the fix
                                               ///< touches (Algorithm 4's I set).
   std::string explanation;             ///< Why, and what to do when kind==kTextual.
@@ -51,6 +73,26 @@ struct Fix {
   /// Why a proposed rewrite was demoted to kTextual, or what Tier 3 observed
   /// ("" for a clean, unremarkable pass).
   std::string verify_note;
+};
+
+/// \brief Finds the offending statements of statement-replacing fixes in the
+/// workload text they were read from. Statements are stored as trimmed
+/// substrings of the source, so a statement's exact bytes locate it. Each
+/// (type, statement text) keeps a cursor, so repeated offending statements
+/// anchor to successive occurrences instead of all to the first: same-type
+/// duplicates rank adjacently in stream order. The SARIF emitter and
+/// ApplyFixes share it.
+class FixLocator {
+ public:
+  explicit FixLocator(std::string_view content) : content_(content) {}
+
+  /// Offset of `fix.original_sql`'s next occurrence in the content, or
+  /// std::string_view::npos.
+  size_t Locate(const Fix& fix);
+
+ private:
+  std::string_view content_;
+  std::unordered_map<std::string, size_t> cursors_;
 };
 
 }  // namespace sqlcheck

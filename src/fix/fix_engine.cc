@@ -1,7 +1,7 @@
 #include "fix/fix_engine.h"
 
+#include <map>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 
 #include "common/strings.h"
@@ -166,37 +166,34 @@ std::vector<Fix> FixEngine::SuggestFixes(const std::vector<Detection>& detection
   return fixes;
 }
 
-std::string ApplyFixes(const Context& context, const Report& report,
+std::string ApplyFixes(std::string_view workload, const Report& report,
                        size_t* applied_count) {
-  // Highest-ranked verified rewrite per offending statement wins; the keys
-  // view the report's own Fix storage, which outlives this call.
-  std::unordered_map<std::string_view, const Fix*> replacements;
+  // Each verified rewrite claims its statement's occurrence in the text;
+  // findings are in rank order, so the highest-ranked claim wins.
+  FixLocator locator(workload);
+  std::map<size_t, const Fix*> claims;
   for (const Finding& f : report.findings) {
     const Fix& fix = f.fix;
-    if (fix.kind != FixKind::kRewrite || !fix.verified || !fix.replaces_original) {
+    if (fix.kind != FixKind::kRewrite || !fix.verified || !fix.replaces_original ||
+        fix.edits.empty()) {
       continue;
     }
-    if (fix.original_sql.empty() || fix.statements.empty()) continue;
-    replacements.try_emplace(std::string_view(fix.original_sql), &fix);
+    const size_t at = locator.Locate(fix);
+    if (at != std::string_view::npos) claims.try_emplace(at, &fix);
   }
 
   std::string out;
+  out.reserve(workload.size());
+  size_t pos = 0;
   size_t applied = 0;
-  for (const QueryFacts& facts : context.queries()) {
-    auto it = replacements.find(facts.raw_sql);
-    if (it == replacements.end()) {
-      out.append(facts.raw_sql);
-      // Statements are stored trimmed; restore the terminator they lost.
-      if (!facts.raw_sql.empty() && facts.raw_sql.back() != ';') out.push_back(';');
-      out.push_back('\n');
-      continue;
-    }
+  for (const auto& [at, fix] : claims) {
+    if (at < pos) continue;  // inside a statement already rewritten
+    out.append(workload.substr(pos, at - pos));
+    AppendSpliced(&out, workload.substr(at, fix->original_sql.size()), fix->edits);
+    pos = at + fix->original_sql.size();
     ++applied;
-    for (const std::string& stmt : it->second->statements) {
-      out.append(stmt);
-      out.push_back('\n');
-    }
   }
+  out.append(workload.substr(pos));
   if (applied_count != nullptr) *applied_count = applied;
   return out;
 }

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/context.h"
@@ -78,16 +79,18 @@ class FixEngine {
 };
 
 /// \brief Applies every verified statement-replacing rewrite in `report` to
-/// the workload `context` was built from and returns the rewritten script:
-/// statements stay in workload order, each offender replaced by its rewrite.
+/// `workload`, the script text the report was computed from, and returns the
+/// rewritten script: each rewrite's source edits are spliced into its
+/// statement's occurrence (found by FixLocator, as SARIF `fixes[]` places
+/// them), so every byte outside the edited spans is copied unchanged.
 /// Findings are visited in report order (ap-rank order), so when two fixes
 /// target the same statement the higher-impact rewrite wins. Additive DDL
 /// fixes (CREATE INDEX, ALTER TABLE, ...) are *not* appended — they change
 /// the schema and belong to a migration the developer reviews. Backs the
 /// CLI's --apply flag; under --verify-exec every rewrite applied here has
 /// passed differential execution (Fix::verify_tier == kExec). `applied_count`
-/// (optional) receives the number of statements that were replaced.
-std::string ApplyFixes(const Context& context, const Report& report,
+/// (optional) receives the number of statements that were rewritten.
+std::string ApplyFixes(std::string_view workload, const Report& report,
                        size_t* applied_count = nullptr);
 
 }  // namespace sqlcheck

@@ -5,7 +5,6 @@
 
 #include "common/strings.h"
 #include "fix/rewriter.h"
-#include "sql/printer.h"
 
 namespace sqlcheck {
 
@@ -37,15 +36,16 @@ Fix Emit(const Detection& d, std::vector<std::string> statements,
   return fix;
 }
 
-/// A statement-replacing AST rewrite when the rewriter produced one
-/// (explained by `done`), otherwise `guidance`. A statement whose parse
-/// skipped source gets the guidance: its printed tree would drop a clause.
-Fix RewriteOrGuide(const Detection& d, const sql::StatementPtr& rewritten,
-                   std::string done, std::string guidance) {
-  if (rewritten == nullptr || (d.stmt != nullptr && d.stmt->skipped_source)) {
-    return Guide(d, std::move(guidance));
-  }
-  Fix fix = Emit(d, {sql::PrintStatement(*rewritten)}, std::move(done));
+/// A statement-replacing rewrite when the rewriter produced source edits
+/// (explained by `done`), otherwise `guidance`. The rewritten statement is
+/// the detection's statement text with the edits spliced in.
+Fix RewriteOrGuide(const Detection& d, SourceEdits edits, std::string done,
+                   std::string guidance) {
+  if (edits.empty()) return Guide(d, std::move(guidance));
+  std::string rewritten;
+  AppendSpliced(&rewritten, d.stmt->raw_sql, edits);
+  Fix fix = Emit(d, {std::move(rewritten)}, std::move(done));
+  fix.edits = std::move(edits);
   fix.replaces_original = true;
   return fix;
 }
@@ -312,7 +312,7 @@ constexpr FixerRow kFixers[] = {
      [](const Detection& d, const Context& context) {
        const auto* select = StmtAs<sql::SelectStatement>(d);
        return RewriteOrGuide(
-           d, select != nullptr ? ExpandWildcard(*select, context) : nullptr,
+           d, select != nullptr ? ExpandWildcard(*select, context) : SourceEdits{},
            "expanded SELECT * into the concrete column list so schema changes cannot "
            "silently alter the result shape",
            "replace SELECT * with the columns the caller actually reads");
@@ -330,7 +330,7 @@ constexpr FixerRow kFixers[] = {
      [](const Detection& d, const Context& context) {
        const auto* select = StmtAs<sql::SelectStatement>(d);
        return RewriteOrGuide(
-           d, select != nullptr ? WrapConcatNulls(*select, context) : nullptr,
+           d, select != nullptr ? WrapConcatNulls(*select, context) : SourceEdits{},
            "wrapped nullable operands of || in COALESCE so a NULL field no longer "
            "voids the whole concatenation",
            "wrap nullable columns in COALESCE(col, '') before concatenating");
@@ -346,7 +346,7 @@ constexpr FixerRow kFixers[] = {
      [](const Detection& d, const Context& context) {
        const auto* select = StmtAs<sql::SelectStatement>(d);
        return RewriteOrGuide(
-           d, select != nullptr ? ReplaceOrderByRand(*select, context) : nullptr,
+           d, select != nullptr ? ReplaceOrderByRand(*select, context) : SourceEdits{},
            "replaced ORDER BY RAND() with a random primary-key range probe; the DBMS "
            "seeks one index range instead of sorting the entire result",
            "ORDER BY RAND() sorts the entire result; pick a random key instead (e.g. "
@@ -365,7 +365,7 @@ constexpr FixerRow kFixers[] = {
      [](const Detection& d, const Context&) {
        const auto* select = StmtAs<sql::SelectStatement>(d);
        return RewriteOrGuide(
-           d, select != nullptr ? RewriteLeadingWildcards(*select) : nullptr,
+           d, select != nullptr ? RewriteLeadingWildcards(*select) : SourceEdits{},
            "reversed the leading-wildcard LIKE into a prefix match on REVERSE(column); "
            "add a functional index on REVERSE(column) and the scan becomes an index "
            "range probe",
@@ -385,7 +385,7 @@ constexpr FixerRow kFixers[] = {
      [](const Detection& d, const Context& context) {
        const auto* insert = StmtAs<sql::InsertStatement>(d);
        return RewriteOrGuide(
-           d, insert != nullptr ? ExpandInsertColumns(*insert, context) : nullptr,
+           d, insert != nullptr ? ExpandInsertColumns(*insert, context) : SourceEdits{},
            "named the target columns explicitly so the INSERT survives schema evolution",
            "list the target columns of table '" + d.table + "' explicitly in the INSERT");
      }},

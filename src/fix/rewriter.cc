@@ -7,6 +7,7 @@
 #include "catalog/schema.h"
 #include "common/strings.h"
 #include "sql/parser.h"
+#include "sql/printer.h"
 
 namespace sqlcheck {
 
@@ -57,198 +58,194 @@ bool ReversibleTail(std::string_view pattern, std::string* reversed) {
   return true;
 }
 
-/// Reverses every qualifying leading-wildcard LIKE under `e`; returns how
-/// many predicates were transformed.
-int ReverseLikes(sql::Expr* e) {
-  int count = 0;
-  if (e->kind == sql::ExprKind::kLike && e->children.size() >= 2 &&
-      (EqualsIgnoreCase(e->text, "LIKE") || EqualsIgnoreCase(e->text, "ILIKE")) &&
-      e->children[0]->kind == sql::ExprKind::kColumnRef &&
-      e->children[1]->kind == sql::ExprKind::kStringLiteral) {
-    std::string reversed;
-    if (ReversibleTail(e->children[1]->text, &reversed)) {
-      std::vector<sql::ExprPtr> args;
-      args.push_back(std::move(e->children[0]));
-      e->children[0] = sql::MakeFunction("REVERSE", std::move(args));
-      e->children[1]->text = reversed + "%";
-      ++count;
-    }
-  }
-  for (auto& child : e->children) count += ReverseLikes(child.get());
-  return count;
+/// An edit replacing `e`'s source span with `text`.
+SourceEdit Replace(const sql::Expr& e, std::string text) {
+  return {e.begin, e.end - e.begin, std::move(text)};
 }
 
-/// Wraps nullable column refs appearing under `||` / CONCAT in COALESCE;
-/// returns how many columns were wrapped.
-int WrapNullableConcatOperands(sql::Expr* e, const Context& context,
-                               const std::string& default_table, bool under_concat) {
-  int count = 0;
+/// An edit wrapping `e`'s source text (in `raw`) in `prefix` ... `suffix`.
+SourceEdit Wrap(const sql::Expr& e, std::string_view raw, std::string_view prefix,
+                std::string_view suffix) {
+  std::string text(prefix);
+  text += raw.substr(e.begin, e.end - e.begin);
+  text += suffix;
+  return Replace(e, std::move(text));
+}
+
+/// A possibly qualified name (`archive.t`) as SQL text, each part quoted as
+/// needed.
+std::string PrintDottedName(std::string_view name) {
+  std::string out;
+  for (size_t start = 0;;) {
+    const size_t dot = name.find('.', start);
+    out += sql::PrintName(name.substr(start, dot - start));
+    if (dot == std::string_view::npos) return out;
+    out += '.';
+    start = dot + 1;
+  }
+}
+
+/// Reverses every qualifying leading-wildcard LIKE under `e`.
+void ReverseLikes(const sql::Expr& e, std::string_view raw, SourceEdits* out) {
+  // Exactly two operands: an ESCAPE clause changes what the pattern means.
+  if (e.kind == sql::ExprKind::kLike && e.children.size() == 2 &&
+      (EqualsIgnoreCase(e.text, "LIKE") || EqualsIgnoreCase(e.text, "ILIKE")) &&
+      e.children[0]->kind == sql::ExprKind::kColumnRef &&
+      e.children[1]->kind == sql::ExprKind::kStringLiteral) {
+    std::string reversed;
+    if (ReversibleTail(e.children[1]->text, &reversed)) {
+      out->push_back(Wrap(*e.children[0], raw, "REVERSE(", ")"));
+      out->push_back(Replace(*e.children[1], sql::QuoteString(reversed + "%")));
+    }
+  }
+  for (const auto& child : e.children) ReverseLikes(*child, raw, out);
+}
+
+/// Wraps nullable column refs appearing under `||` / CONCAT in COALESCE.
+void WrapNullableConcatOperands(const sql::Expr& e, std::string_view raw,
+                                const Context& context, std::string_view default_table,
+                                bool under_concat, SourceEdits* out) {
   bool concat_here =
-      (e->kind == sql::ExprKind::kBinary && e->text == "||") ||
-      (e->kind == sql::ExprKind::kFunction && EqualsIgnoreCase(e->text, "concat"));
-  for (auto& child : e->children) {
+      (e.kind == sql::ExprKind::kBinary && e.text == "||") ||
+      (e.kind == sql::ExprKind::kFunction && EqualsIgnoreCase(e.text, "concat"));
+  for (const auto& child : e.children) {
     if ((under_concat || concat_here) && child->kind == sql::ExprKind::kColumnRef) {
-      std::string table(child->TableQualifier());
+      std::string_view table = child->TableQualifier();
       if (table.empty()) table = default_table;
       if (context.ColumnNullable(table, child->ColumnName())) {
-        std::vector<sql::ExprPtr> args;
-        args.push_back(std::move(child));
-        args.push_back(sql::MakeStringLiteral(""));
-        child = sql::MakeFunction("COALESCE", std::move(args));
-        ++count;
+        out->push_back(Wrap(*child, raw, "COALESCE(", ", '')"));
         continue;
       }
     }
-    count += WrapNullableConcatOperands(child.get(), context, default_table,
-                                        under_concat || concat_here);
+    WrapNullableConcatOperands(*child, raw, context, default_table,
+                               under_concat || concat_here, out);
   }
-  return count;
 }
 
 }  // namespace
 
-sql::StatementPtr ExpandWildcard(const sql::SelectStatement& select,
-                                 const Context& context) {
+SourceEdits ExpandWildcard(const sql::SelectStatement& select, const Context& context) {
   std::vector<ResolvedSource> sources;
-  if (!ResolveSources(select, context.catalog(), &sources)) return nullptr;
+  if (!ResolveSources(select, context.catalog(), &sources)) return {};
   const bool qualify = sources.size() > 1;
   bool using_join = false;
   for (const auto& j : select.joins) using_join |= !j.using_columns.empty();
 
-  auto cloned = select.CloneSelect();
-  sql::AstVector<sql::SelectItem> items;
-  bool expanded = false;
-  for (auto& item : cloned->items) {
-    if (!item.expr || item.expr->kind != sql::ExprKind::kStar) {
-      items.push_back(std::move(item));
-      continue;
-    }
+  SourceEdits edits;
+  for (const auto& item : select.items) {
+    if (!item.expr || item.expr->kind != sql::ExprKind::kStar) continue;
     std::string_view star_qualifier;
     if (!item.expr->name_parts.empty()) star_qualifier = item.expr->name_parts.back();
     // A bare * lists each USING column once; per-source expansion would list
     // it once per side.
-    if (star_qualifier.empty() && using_join) return nullptr;
+    if (star_qualifier.empty() && using_join) return {};
+    std::string columns;
     bool matched = false;
     for (const ResolvedSource& src : sources) {
       if (!star_qualifier.empty() && !EqualsIgnoreCase(star_qualifier, src.qualifier)) {
         continue;
       }
       matched = true;
-      if (src.schema->columns.empty()) return nullptr;  // nothing to expand to
+      if (src.schema->columns.empty()) return {};  // nothing to expand to
       for (const auto& col : src.schema->columns) {
-        sql::SelectItem concrete;
-        std::vector<std::string> parts;
-        if (qualify) parts.emplace_back(src.qualifier);
-        parts.push_back(col.name);
-        concrete.expr = sql::MakeColumnRef(std::move(parts));
-        items.push_back(std::move(concrete));
+        if (!columns.empty()) columns += ", ";
+        if (qualify) {
+          columns += PrintDottedName(src.qualifier);
+          columns += '.';
+        }
+        columns += sql::PrintName(col.name);
       }
     }
-    if (!matched) return nullptr;  // t.* over a source we cannot see
-    expanded = true;
+    if (!matched) return {};  // t.* over a source we cannot see
+    edits.push_back(Replace(*item.expr, std::move(columns)));
   }
-  if (!expanded) return nullptr;
-  cloned->items = std::move(items);
-  return cloned;
+  return edits;
 }
 
-sql::StatementPtr ExpandInsertColumns(const sql::InsertStatement& insert,
-                                      const Context& context) {
+SourceEdits ExpandInsertColumns(const sql::InsertStatement& insert, const Context& context) {
   const TableSchema* schema = context.catalog().FindTable(insert.table);
-  if (schema == nullptr || schema->columns.empty()) return nullptr;
+  if (schema == nullptr || schema->columns.empty()) return {};
   // Every VALUES row, or the SELECT's star-free list, must fill the schema
   // exactly; on an arity mismatch the statement is already broken.
   const size_t width = schema->columns.size();
   for (const auto& row : insert.rows) {
-    if (row.size() != width) return nullptr;
+    if (row.size() != width) return {};
   }
   if (insert.select != nullptr) {
-    if (insert.select->items.size() != width) return nullptr;
+    if (insert.select->items.size() != width) return {};
     for (const auto& item : insert.select->items) {
-      if (item.expr && item.expr->kind == sql::ExprKind::kStar) return nullptr;
+      if (item.expr && item.expr->kind == sql::ExprKind::kStar) return {};
     }
   }
-  auto cloned = insert.CloneStatement();
-  auto* fixed = static_cast<sql::InsertStatement*>(cloned.get());
-  fixed->columns.clear();
-  for (const auto& col : schema->columns) fixed->columns.emplace_back(col.name);
-  return cloned;
+  std::string columns = " (";
+  for (const auto& col : schema->columns) {
+    if (columns.size() > 2) columns += ", ";
+    columns += sql::PrintName(col.name);
+  }
+  columns += ')';
+  return {SourceEdit{insert.table_end, 0, std::move(columns)}};
 }
 
-sql::StatementPtr ReplaceOrderByRand(const sql::SelectStatement& select,
-                                     const Context& context) {
+SourceEdits ReplaceOrderByRand(const sql::SelectStatement& select, const Context& context) {
   // Only the random-pick idiom (ORDER BY RAND() ... LIMIT n) has an
   // equivalent key-probe form; a full shuffle does not.
-  if (!select.limit.has_value() || select.order_by.empty()) return nullptr;
+  if (!select.limit.has_value() || select.order_by.empty()) return {};
   if (select.from.size() != 1 || select.from[0].subquery || !select.joins.empty()) {
-    return nullptr;
+    return {};
   }
+  // A DESC would stay behind the replaced item and flip the key order.
   for (const auto& ob : select.order_by) {
-    if (!IsRandCall(*ob.expr)) return nullptr;
+    if (!IsRandCall(*ob.expr) || ob.descending) return {};
   }
   const TableSchema* schema = context.catalog().FindTable(select.from[0].name);
-  if (schema == nullptr || schema->primary_key.size() != 1) return nullptr;
-  const std::string& pk = schema->primary_key[0];
+  if (schema == nullptr || schema->primary_key.size() != 1) return {};
+  const std::string pk = sql::PrintName(schema->primary_key[0]);
+  const std::string probe = pk + " >= (SELECT FLOOR(RAND() * MAX(" + pk + ")) FROM " +
+                            PrintDottedName(select.from[0].name) + ")";
 
-  auto cloned = select.CloneSelect();
-  cloned->order_by.clear();
-  sql::OrderItem by_key;
-  by_key.expr = sql::MakeColumnRef({pk});
-  cloned->order_by.push_back(std::move(by_key));
-
-  // pk >= (SELECT FLOOR(RAND() * MAX(pk)) FROM t)
-  auto probe_select = sql::SelectPtr(new sql::SelectStatement());
-  {
-    std::vector<sql::ExprPtr> max_args;
-    max_args.push_back(sql::MakeColumnRef({pk}));
-    auto scaled = sql::MakeBinary("*", sql::MakeFunction("RAND", {}),
-                                  sql::MakeFunction("MAX", std::move(max_args)));
-    std::vector<sql::ExprPtr> floor_args;
-    floor_args.push_back(std::move(scaled));
-    sql::SelectItem probe_item;
-    probe_item.expr = sql::MakeFunction("FLOOR", std::move(floor_args));
-    probe_select->items.push_back(std::move(probe_item));
-    sql::TableRef source;
-    source.name = cloned->from[0].name;
-    probe_select->from.push_back(std::move(source));
+  SourceEdits edits;
+  const sql::Expr* where = select.where.get();
+  if (where == nullptr) {
+    edits.push_back({select.where_pos, 0, " WHERE " + probe});
+  } else if (where->kind == sql::ExprKind::kBinary && where->text == "OR" &&
+             where->begin == where->children[0]->begin) {
+    // An unparenthesized OR binds looser than the AND that joins the probe.
+    edits.push_back({where->begin, 0, "("});
+    edits.push_back({where->end, 0, ") AND " + probe});
+  } else {
+    edits.push_back({where->end, 0, " AND " + probe});
   }
-  auto subquery = sql::MakeExpr(sql::ExprKind::kSubquery);
-  subquery->subquery = std::move(probe_select);
-  auto probe = sql::MakeBinary(">=", sql::MakeColumnRef({pk}), std::move(subquery));
-  cloned->where = cloned->where
-                      ? sql::MakeBinary("AND", std::move(cloned->where), std::move(probe))
-                      : std::move(probe);
-  return cloned;
+  const sql::Expr& first = *select.order_by.front().expr;
+  const sql::Expr& last = *select.order_by.back().expr;
+  edits.push_back({first.begin, last.end - first.begin, pk});
+  return edits;
 }
 
-sql::StatementPtr RewriteLeadingWildcards(const sql::SelectStatement& select) {
-  auto cloned = select.CloneSelect();
-  int count = 0;
-  if (cloned->where) count += ReverseLikes(cloned->where.get());
-  if (cloned->having) count += ReverseLikes(cloned->having.get());
-  if (count == 0) return nullptr;
-  return cloned;
+SourceEdits RewriteLeadingWildcards(const sql::SelectStatement& select) {
+  SourceEdits edits;
+  if (select.where) ReverseLikes(*select.where, select.raw_sql, &edits);
+  if (select.having) ReverseLikes(*select.having, select.raw_sql, &edits);
+  return edits;
 }
 
-sql::StatementPtr WrapConcatNulls(const sql::SelectStatement& select,
-                                  const Context& context) {
-  auto cloned = select.CloneSelect();
-  std::string default_table;
-  if (cloned->from.size() == 1) default_table = cloned->from[0].name;
-  int count = 0;
-  for (auto& item : cloned->items) {
+SourceEdits WrapConcatNulls(const sql::SelectStatement& select, const Context& context) {
+  std::string_view default_table;
+  if (select.from.size() == 1) default_table = select.from[0].name;
+  SourceEdits edits;
+  for (const auto& item : select.items) {
     if (item.expr) {
-      count += WrapNullableConcatOperands(item.expr.get(), context, default_table, false);
+      WrapNullableConcatOperands(*item.expr, select.raw_sql, context, default_table, false,
+                                 &edits);
     }
   }
-  if (cloned->where) {
-    count += WrapNullableConcatOperands(cloned->where.get(), context, default_table, false);
+  if (select.where) {
+    WrapNullableConcatOperands(*select.where, select.raw_sql, context, default_table, false,
+                               &edits);
   }
   // A detection this transformation cannot reach (concat in ORDER BY /
   // HAVING, NOT NULL operands only) must fall back to guidance, not claim a
   // rewrite that changed nothing.
-  if (count == 0) return nullptr;
-  return cloned;
+  return edits;
 }
 
 RewriteCheck VerifyRewrite(const Fix& fix, const Rule* rule, const Context& context,

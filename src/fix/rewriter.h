@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "analysis/context.h"
 #include "common/arena.h"
@@ -12,56 +13,59 @@
 namespace sqlcheck {
 
 // ---------------------------------------------------------------------------
-// AST-level mechanical rewrites (ap-fix, §6.1)
+// Source-edit rewrites (ap-fix, §6.1)
 // ---------------------------------------------------------------------------
 //
-// Each function clones the offending statement onto the heap tier, applies
-// the transformation to the parse tree, and hands the result back for
-// printing through sql::PrintStatement — no string concatenation, so the
-// rewrite inherits the printer's round-trip guarantees. A null return means
-// the transformation is ambiguous for this statement (missing catalog entry,
-// subquery source, pattern that cannot be mechanically reversed, ...) and
-// the caller should fall back to a textual fix.
+// Each function reads the offending statement's parse tree and returns the
+// edits of its source text (Statement::raw_sql) that apply the
+// transformation, addressed by the parser's expression spans. The fix is
+// that text with the edits spliced in (AppendSpliced), so every byte the
+// transformation does not touch (comments, layout, clauses the tree does
+// not model) survives. An empty result means the transformation is
+// ambiguous for this statement (missing catalog entry, subquery source,
+// pattern that cannot be mechanically reversed, ...) and the caller should
+// fall back to a textual fix.
+using SourceEdits = std::vector<SourceEdit>;
 
 /// Expands `SELECT *` / `SELECT t.*` into the concrete column list from the
 /// catalog. Columns are qualified with the source's effective name (alias if
 /// set) when the statement reads more than one source; a qualified star
-/// expands only its own table. Null when any source is a subquery or any
-/// referenced table is missing from the catalog, and for a bare * over a
-/// USING join (the * lists each USING column once).
-sql::StatementPtr ExpandWildcard(const sql::SelectStatement& select,
-                                 const Context& context);
+/// expands only its own table. Empty when any source is a subquery or any
+/// referenced table is missing from the catalog (a qualified `archive.t`
+/// the catalog does not define included), and for a bare * over a USING
+/// join (the * lists each USING column once).
+SourceEdits ExpandWildcard(const sql::SelectStatement& select, const Context& context);
 
-/// Names the target columns of an implicit-column INSERT from the catalog.
-/// Null when the table is unknown, when a VALUES row's arity does not match
-/// the schema, or when an INSERT ... SELECT list has a * or the wrong width
-/// (the statement is already broken; guessing would mask it).
-sql::StatementPtr ExpandInsertColumns(const sql::InsertStatement& insert,
-                                      const Context& context);
+/// Names the target columns of an implicit-column INSERT from the catalog:
+/// inserts ` (cols)` after the table name. Empty when the table is unknown,
+/// when a VALUES row's arity does not match the schema, or when an INSERT
+/// ... SELECT list has a * or the wrong width (the statement is already
+/// broken; guessing would mask it).
+SourceEdits ExpandInsertColumns(const sql::InsertStatement& insert, const Context& context);
 
 /// Replaces `ORDER BY RAND() ... LIMIT n` with a random primary-key range
 /// probe: `WHERE pk >= (SELECT FLOOR(RAND() * MAX(pk)) FROM t) ORDER BY pk
-/// LIMIT n` — the paper's "pick a random key" fix as a tree transformation.
-/// Null unless the statement reads exactly one cataloged table with a
-/// single-column primary key, orders by RAND()/RANDOM() alone, and carries a
-/// LIMIT (without one the shuffle semantics cannot be preserved).
-sql::StatementPtr ReplaceOrderByRand(const sql::SelectStatement& select,
-                                     const Context& context);
+/// LIMIT n` — the paper's "pick a random key" fix. An existing WHERE becomes
+/// `old AND probe`, parenthesized only when `old` is an OR. Empty unless the
+/// statement reads exactly one cataloged table with a single-column primary
+/// key, orders by ascending RAND()/RANDOM() alone, and carries a LIMIT
+/// (without one the shuffle semantics cannot be preserved).
+SourceEdits ReplaceOrderByRand(const sql::SelectStatement& select, const Context& context);
 
 /// Rewrites index-hostile leading-wildcard LIKE predicates `col LIKE '%tail'`
 /// as `REVERSE(col) LIKE 'liat%'`, which a functional index on REVERSE(col)
-/// can serve. Only literal ASCII patterns with a single leading `%` and no
-/// other wildcards are reversed; null when no predicate qualifies.
-sql::StatementPtr RewriteLeadingWildcards(const sql::SelectStatement& select);
+/// can serve. Only literal ASCII patterns with a single leading `%`, no
+/// other wildcards and no ESCAPE clause are reversed; empty when no
+/// predicate qualifies.
+SourceEdits RewriteLeadingWildcards(const sql::SelectStatement& select);
 
 /// Wraps nullable column refs appearing under `||` / CONCAT in the select
 /// list and WHERE clause in COALESCE(col, '') so one NULL field no longer
 /// voids the concatenation. Nullability comes from the catalog (unknown
-/// tables count as nullable). Null when no operand was wrapped (the concat
+/// tables count as nullable). Empty when no operand was wrapped (the concat
 /// lives in a clause this transformation does not reach, or every operand
 /// is NOT NULL).
-sql::StatementPtr WrapConcatNulls(const sql::SelectStatement& select,
-                                  const Context& context);
+SourceEdits WrapConcatNulls(const sql::SelectStatement& select, const Context& context);
 
 // ---------------------------------------------------------------------------
 // Rewrite verification

@@ -84,7 +84,8 @@ enum class ExprKind {
   kStar,           ///< `*` or `t.*` (qualifier in name_parts).
   kUnary,          ///< text is the operator (NOT, -); one child.
   kBinary,         ///< text is the operator; children[0] op children[1].
-  kLike,           ///< children[0] LIKE children[1]; text is LIKE/ILIKE/REGEXP/...
+  kLike,           ///< children[0] LIKE children[1] [ESCAPE children[2]]; text is
+                   ///< LIKE/ILIKE/REGEXP/...
   kIsNull,         ///< children[0] IS [NOT] NULL (negated flag).
   kIn,             ///< children[0] IN (children[1..]); or subquery child.
   kBetween,        ///< children[0] BETWEEN children[1] AND children[2].
@@ -102,6 +103,11 @@ struct Expr {
   bool negated = false;        ///< NOT LIKE / NOT IN / NOT BETWEEN / IS NOT NULL.
   bool distinct_arg = false;   ///< COUNT(DISTINCT x) style.
   bool arena_managed = false;  ///< Set by the parser for arena-tier nodes.
+  /// Source span [begin, end) in the parsed statement's raw_sql, set by the
+  /// parser (0, 0 on hand-built nodes). A parenthesized expression's span
+  /// includes its parentheses. Source edits (fix/rewriter.h) address these.
+  uint32_t begin = 0;
+  uint32_t end = 0;
   AstString text;                    ///< Operator / function name / literal payload.
   AstVector<AstString> name_parts;   ///< Column qualifier chain for kColumnRef/kStar.
   AstVector<ExprPtr> children;
@@ -251,6 +257,9 @@ struct SelectStatement : Statement {
   AstVector<OrderItem> order_by;
   std::optional<int64_t> limit;
   std::optional<int64_t> offset;
+  /// Offset in raw_sql just past the FROM/JOIN clauses: where a WHERE clause
+  /// goes when the statement has none.
+  uint32_t where_pos = 0;
 
   SelectPtr CloneSelect() const;
   StatementPtr CloneStatement() const override;
@@ -269,6 +278,7 @@ struct InsertStatement : Statement {
       : Statement(kKind, mr), table(mr), columns(mr), rows(mr) {}
 
   AstString table;
+  uint32_t table_end = 0;        ///< Offset in raw_sql just past the table name.
   AstVector<AstString> columns;  ///< Empty => implicit column list (an AP!).
   AstVector<AstVector<ExprPtr>> rows;
   SelectPtr select;  ///< INSERT ... SELECT form.

@@ -31,6 +31,7 @@ class Parser {
                              : std::pmr::get_default_resource()) {}
 
   StatementPtr Parse(std::string_view raw) {
+    base_ = static_cast<uint32_t>(Trim(raw).data() - raw.data());
     StatementPtr stmt = ParseStatementTop();
     // Trailing semicolon is fine; anything else unparsed means we mis-read.
     Match(TokenKind::kSemicolon);
@@ -74,8 +75,23 @@ class Parser {
   ExprPtr NewBinary(std::string_view op, ExprPtr lhs, ExprPtr rhs) {
     ExprPtr e = NewExpr(ExprKind::kBinary);
     e->text = op;
+    const uint32_t begin = lhs->begin;
     e->children.push_back(std::move(lhs));
     e->children.push_back(std::move(rhs));
+    return Spanned(std::move(e), begin);
+  }
+
+  /// Offset in raw_sql of the next token's first byte.
+  uint32_t Start() const { return Peek().offset - base_; }
+  /// Offset in raw_sql just past the last consumed token.
+  uint32_t PrevEnd() const {
+    const Token& t = tokens_[pos_ > 0 ? pos_ - 1 : 0];
+    return t.offset + t.length - base_;
+  }
+  /// Gives `e` the source span from `begin` to the last consumed token.
+  ExprPtr Spanned(ExprPtr e, uint32_t begin) {
+    e->begin = begin;
+    e->end = PrevEnd();
     return e;
   }
 
@@ -225,6 +241,7 @@ class Parser {
       }
     }
 
+    stmt->where_pos = PrevEnd();
     if (MatchKeyword(Kw::kWhere)) stmt->where = ParseExpr();
     if (MatchKeyword(Kw::kGroup)) {
       ExpectKeyword(Kw::kBy);
@@ -314,6 +331,7 @@ class Parser {
     }
     MatchKeyword(Kw::kInto);
     stmt->table = ParseTableName();
+    stmt->table_end = PrevEnd();
 
     if (Peek().Is(TokenKind::kLeftParen)) {
       // Could be a column list or directly a SELECT subquery.
@@ -744,11 +762,12 @@ class Parser {
   }
 
   ExprPtr ParseNot() {
+    const uint32_t begin = Start();
     if (MatchKeyword(Kw::kNot)) {
       ExprPtr e = NewExpr(ExprKind::kUnary);
       e->text = "NOT";
       e->children.push_back(ParseNot());
-      return e;
+      return Spanned(std::move(e), begin);
     }
     return ParseComparison();
   }
@@ -756,6 +775,7 @@ class Parser {
   ExprPtr ParseComparison() {
     ExprPtr lhs = ParseAdditive();
     while (true) {
+      const uint32_t begin = lhs->begin;
       const Token& t = Peek();
       if (t.Is(TokenKind::kOperator) && IsComparisonOp(t.op)) {
         std::string_view op = Advance().text;
@@ -775,11 +795,8 @@ class Parser {
         e->negated = negated;
         e->children.push_back(std::move(lhs));
         e->children.push_back(ParseAdditive());
-        if (MatchKeyword(Kw::kEscape)) {
-          ParsePrimary();
-          skipped_ = true;
-        }
-        lhs = std::move(e);
+        if (MatchKeyword(Kw::kEscape)) e->children.push_back(ParsePrimary());
+        lhs = Spanned(std::move(e), begin);
         continue;
       }
       if (MatchKeyword(Kw::kSimilar)) {
@@ -789,7 +806,7 @@ class Parser {
         e->negated = negated;
         e->children.push_back(std::move(lhs));
         e->children.push_back(ParseAdditive());
-        lhs = std::move(e);
+        lhs = Spanned(std::move(e), begin);
         continue;
       }
       if (MatchKeyword(Kw::kIn)) {
@@ -805,7 +822,7 @@ class Parser {
           } while (Match(TokenKind::kComma));
         }
         Expect(TokenKind::kRightParen);
-        lhs = std::move(e);
+        lhs = Spanned(std::move(e), begin);
         continue;
       }
       if (MatchKeyword(Kw::kBetween)) {
@@ -815,7 +832,7 @@ class Parser {
         e->children.push_back(ParseAdditive());
         ExpectKeyword(Kw::kAnd);
         e->children.push_back(ParseAdditive());
-        lhs = std::move(e);
+        lhs = Spanned(std::move(e), begin);
         continue;
       }
       if (negated) {
@@ -828,7 +845,7 @@ class Parser {
           ExprPtr e = NewExpr(ExprKind::kIsNull);
           e->negated = is_not;
           e->children.push_back(std::move(lhs));
-          lhs = std::move(e);
+          lhs = Spanned(std::move(e), begin);
           continue;
         }
         // IS TRUE / IS FALSE / IS DISTINCT FROM — treat as binary with "IS".
@@ -873,11 +890,12 @@ class Parser {
   }
 
   ExprPtr ParseUnary() {
+    const uint32_t begin = Start();
     if (MatchOperator(OpCode("-"))) {
       ExprPtr e = NewExpr(ExprKind::kUnary);
       e->text = "-";
       e->children.push_back(ParseUnary());
-      return ParsePostfix(std::move(e));
+      return ParsePostfix(Spanned(std::move(e), begin));
     }
     if (MatchOperator(OpCode("+"))) return ParseUnary();
     return ParsePostfix(ParsePrimary());
@@ -887,13 +905,21 @@ class Parser {
     while (MatchOperator(OpCode("::"))) {
       ExprPtr e = NewExpr(ExprKind::kCast);
       e->text = ParseTypeName().ToString();
+      const uint32_t begin = base->begin;
       e->children.push_back(std::move(base));
-      base = std::move(e);
+      base = Spanned(std::move(e), begin);
     }
     return base;
   }
 
+  /// One primary expression, spanned over every token it consumed: a
+  /// parenthesized expression's span includes its parentheses.
   ExprPtr ParsePrimary() {
+    const uint32_t begin = Start();
+    return Spanned(ParsePrimaryNode(), begin);
+  }
+
+  ExprPtr ParsePrimaryNode() {
     const Token& t = Peek();
     switch (t.kind) {
       case TokenKind::kNumber: {
@@ -976,8 +1002,9 @@ class Parser {
         if (!Peek().Is(TokenKind::kRightParen)) {
           do {
             if (Peek().IsOperator(OpCode("*"))) {
+              const uint32_t begin = Start();
               Advance();
-              e->children.push_back(NewExpr(ExprKind::kStar));
+              e->children.push_back(Spanned(NewExpr(ExprKind::kStar), begin));
             } else {
               e->children.push_back(ParseExpr());
             }
@@ -1084,6 +1111,7 @@ class Parser {
   Arena* arena_;
   std::pmr::memory_resource* mr_;
   size_t pos_ = 0;
+  uint32_t base_ = 0;  ///< Offset of raw_sql in the lexed text: spans are raw_sql-relative.
   bool ok_ = true;
   bool skipped_ = false;  ///< Source consumed but not kept (Statement::skipped_source).
 };

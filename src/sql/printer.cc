@@ -4,8 +4,6 @@
 
 namespace sqlcheck::sql {
 
-namespace {
-
 std::string QuoteString(std::string_view s) {
   std::string out = "'";
   for (char c : s) {
@@ -16,7 +14,6 @@ std::string QuoteString(std::string_view s) {
   return out;
 }
 
-/// Identifiers are emitted bare unless they need quoting.
 std::string PrintName(std::string_view name) {
   bool needs_quotes = name.empty();
   for (char c : name) {
@@ -25,6 +22,8 @@ std::string PrintName(std::string_view name) {
   if (needs_quotes) return "\"" + std::string(name) + "\"";
   return std::string(name);
 }
+
+namespace {
 
 std::string PrintSelectBody(const SelectStatement& s);
 
@@ -78,7 +77,9 @@ std::string PrintExprImpl(const Expr& e) {
              PrintExprImpl(*e.children[1]) + ")";
     case ExprKind::kLike:
       return "(" + PrintExprImpl(*e.children[0]) + (e.negated ? " NOT " : " ") +
-             std::string(e.text) + " " + PrintExprImpl(*e.children[1]) + ")";
+             std::string(e.text) + " " + PrintExprImpl(*e.children[1]) +
+             (e.children.size() > 2 ? " ESCAPE " + PrintExprImpl(*e.children[2]) : "") +
+             ")";
     case ExprKind::kIsNull:
       return "(" + PrintExprImpl(*e.children[0]) + (e.negated ? " IS NOT NULL" : " IS NULL") +
              ")";

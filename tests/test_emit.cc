@@ -15,6 +15,7 @@
 
 #include "core/emit.h"
 #include "core/sqlcheck.h"
+#include "fix/fix_engine.h"
 #include "server/wire.h"
 #include "sql/block_scan.h"
 #include "workload/corpus.h"
@@ -105,8 +106,8 @@ void ExpectDigests(const std::string& script, const EmitterDigests& pinned) {
 
 TEST(EmitDigestTest, Table3CorpusEmitsPinnedBytes) {
   ExpectDigests(JoinStatements(workload::GenerateCorpus()),
-                {992406405833882599ull, 2865310208648731182ull, 6870421992265348977ull,
-                 8778943223590471321ull});
+                {6906737453966585131ull, 299226862196765390ull, 9557614672603912972ull,
+                 2404600639830130697ull});
 }
 
 /// FNV-1a over every detection field of the report in order, each field
@@ -169,8 +170,8 @@ TEST(EmitDigestTest, SeededWorkloadWithHostileStringsEmitsPinnedBytes) {
   EXPECT_NE(json.find("tab\\there\\nnew\\rline\\u0001\\u001f"), std::string::npos);
   EXPECT_NE(json.find("h\xC3\xA9llo w\xC3\xB6rld"), std::string::npos);
   EXPECT_NE(json.find("\\b\\f\x7f\x80 ctl"), std::string::npos);
-  ExpectDigests(script, {18174670917168122634ull, 10295397230715801628ull,
-                         6527346427915136267ull, 3360168210765221456ull});
+  ExpectDigests(script, {12410252004881530037ull, 15535089028909745253ull,
+                         2034970502029598642ull, 17471427963980135767ull});
 }
 
 // ---------------------------------------------------------------------------
@@ -385,7 +386,7 @@ TEST(EmitFixesTest, GoldenJsonWithVerifiedRewrite) {
   const char* kGoldenFix = R"json(      "fix": {
         "kind": "rewrite",
         "explanation": "expanded SELECT * into the concrete column list so schema changes cannot silently alter the result shape",
-        "statements": ["SELECT user_id, name FROM users;"],
+        "statements": ["SELECT user_id, name FROM users"],
         "impacted_queries": 0,
         "verified": true,
         "verify_tier": "analysis",
@@ -421,8 +422,8 @@ TEST(EmitFixesTest, GoldenSarifFixesShape) {
   std::string sarif = ToSarif(report, options);
 
   // SARIF 2.1.0 fixes[] shape, pinned exactly: one fix, one artifactChange,
-  // one replacement whose deletedRegion spans the offending statement's
-  // bytes inside the artifact.
+  // one replacement per source edit, whose deletedRegion is the edited span
+  // inside the artifact.
   const char* kGoldenFixes = R"json(          "fixes": [
             {
               "description": { "text": "expanded SELECT * into the concrete column list so schema changes cannot silently alter the result shape" },
@@ -432,8 +433,8 @@ TEST(EmitFixesTest, GoldenSarifFixesShape) {
                   "artifactLocation": { "uri": "app/queries.sql" },
                   "replacements": [
                     {
-                      "deletedRegion": { "charOffset": 68, "charLength": 20 },
-                      "insertedContent": { "text": "SELECT user_id, name FROM users;" }
+                      "deletedRegion": { "charOffset": 75, "charLength": 1 },
+                      "insertedContent": { "text": "user_id, name" }
                     }
                   ]
                 }
@@ -442,9 +443,8 @@ TEST(EmitFixesTest, GoldenSarifFixesShape) {
           ],)json";
   EXPECT_NE(sarif.find(kGoldenFixes), std::string::npos) << sarif;
 
-  // The deleted region really is the offending statement, terminator
-  // included — applying the ;-terminated rewrite must not double it.
-  EXPECT_EQ(std::string(kWorkload).substr(68, 20), "SELECT * FROM users;");
+  // The deleted region really is the star of the offending statement.
+  EXPECT_EQ(std::string(kWorkload).substr(68, 9), "SELECT * ");
 
   // Default SARIF emission stays fix-free.
   EmitOptions plain;
@@ -467,17 +467,55 @@ TEST(EmitFixesTest, DuplicateOffendersAnchorToSuccessiveOccurrences) {
   options.artifact_uri = "app/queries.sql";
   options.artifact_content = kWorkload;
   std::string sarif = ToSarif(report, options);
-  // Two identical offending statements: each result's fix must delete its
-  // own occurrence, not both the first.
+  // Two identical offending statements: each result's fix must edit its
+  // own occurrence's star, not both the first.
   std::string content(kWorkload);
-  size_t first = content.find("SELECT * FROM users;");
-  size_t second = content.find("SELECT * FROM users;", first + 1);
+  size_t first = content.find('*');
+  size_t second = content.find('*', first + 1);
   EXPECT_NE(sarif.find("\"charOffset\": " + std::to_string(first) + ","),
             std::string::npos)
       << sarif;
   EXPECT_NE(sarif.find("\"charOffset\": " + std::to_string(second) + ","),
             std::string::npos)
       << sarif;
+}
+
+TEST(EmitFixesTest, SarifReplacementsSpliceWhatApplyWrites) {
+  // One replacement per edit: applying a finding's SARIF replacements to the
+  // artifact gives --apply's text, comments and layout included.
+  const std::string workload =
+      "CREATE TABLE users (user_id INTEGER PRIMARY KEY, email VARCHAR(40));\n"
+      "-- lookups\n"
+      "SELECT user_id /* id */ FROM users\n"
+      "  WHERE email LIKE '%@example.com' OR email LIKE '%@example.org';\n";
+  SqlCheck checker;
+  checker.AddScript(workload);
+  Report report = checker.Run();
+  ASSERT_EQ(report.size(), 1u);
+  ASSERT_EQ(report.findings[0].fix.edits.size(), 4u);
+
+  EmitOptions options;
+  options.include_fixes = true;
+  options.artifact_uri = "app/queries.sql";
+  options.artifact_content = workload;
+  const std::string sarif = ToSarif(report, options);
+  std::string patched = workload;
+  size_t pos = sarif.size();
+  while ((pos = sarif.rfind("\"charOffset\": ", pos - 1)) != std::string::npos) {
+    // Replacements come in offset order; apply them back to front.
+    const size_t offset = std::stoul(sarif.substr(pos + 14));
+    const size_t length = std::stoul(sarif.substr(sarif.find("\"charLength\": ", pos) + 14));
+    const size_t text = sarif.find("\"text\": \"", pos) + 9;
+    patched.replace(offset, length, sarif.substr(text, sarif.find('"', text) - text));
+    if (pos == 0) break;
+  }
+  EXPECT_EQ(patched, ApplyFixes(workload, report));
+  EXPECT_EQ(patched,
+            "CREATE TABLE users (user_id INTEGER PRIMARY KEY, email VARCHAR(40));\n"
+            "-- lookups\n"
+            "SELECT user_id /* id */ FROM users\n"
+            "  WHERE REVERSE(email) LIKE 'moc.elpmaxe@%' OR REVERSE(email) LIKE "
+            "'gro.elpmaxe@%';\n");
 }
 
 TEST(EmitFixesTest, AdditiveDdlFixInsertsAtEndOfArtifact) {

@@ -40,7 +40,12 @@ TEST(FixTest, ImplicitColumnsRewriteAddsColumnList) {
   ASSERT_TRUE(r.found);
   EXPECT_EQ(r.fix.kind, FixKind::kRewrite);
   ASSERT_EQ(r.fix.statements.size(), 1u);
-  EXPECT_EQ(r.fix.statements[0], "INSERT INTO t (a, b) VALUES (1, 'x');");
+  EXPECT_EQ(r.fix.statements[0], "INSERT INTO t (a, b) VALUES (1, 'x')");
+  // One edit: the column list after the table name.
+  ASSERT_EQ(r.fix.edits.size(), 1u);
+  EXPECT_EQ(r.fix.edits[0].offset, 13u);
+  EXPECT_EQ(r.fix.edits[0].length, 0u);
+  EXPECT_EQ(r.fix.edits[0].text, " (a, b)");
   // The rewrite must parse.
   EXPECT_EQ(sql::ParseStatement(r.fix.statements[0])->kind, sql::StatementKind::kInsert);
 }
@@ -58,7 +63,7 @@ TEST(FixTest, WildcardExpansionUsesCatalog) {
       AntiPattern::kColumnWildcard);
   ASSERT_TRUE(r.found);
   EXPECT_EQ(r.fix.kind, FixKind::kRewrite);
-  EXPECT_EQ(r.fix.statements[0], "SELECT a, b, c FROM t;");
+  EXPECT_EQ(r.fix.statements[0], "SELECT a, b, c FROM t");
 }
 
 TEST(FixTest, ConcatNullsWrapsInCoalesce) {

@@ -3,8 +3,8 @@
 // the originating anti-pattern on re-analysis — checked here independently
 // of the FixEngine's own verification loop, over the full table-3 synthetic
 // corpus plus a database-backed workload (all fixes, not a sample). Also
-// unit-tests the AST rewriter's transformations and refusals, the session's
-// per-fingerprint-group fix cache, and ApplyFixes.
+// unit-tests the source-edit rewriters' transformations and refusals, the
+// session's per-fingerprint-group fix cache, and ApplyFixes.
 #include "fix/rewriter.h"
 
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 #include "fix/fixers.h"
 #include "rules/registry.h"
 #include "sql/parser.h"
-#include "sql/printer.h"
 #include "workload/corpus.h"
 
 namespace sqlcheck {
@@ -137,16 +136,22 @@ const sql::SelectStatement& LastSelect(const Context& context) {
   return *select;
 }
 
+/// `stmt`'s text with `edits` spliced in; "" when the rewriter refused.
+std::string Spliced(const sql::Statement& stmt, const SourceEdits& edits) {
+  std::string out;
+  if (!edits.empty()) AppendSpliced(&out, stmt.raw_sql, edits);
+  return out;
+}
+
 TEST(RewriterTest, WildcardExpansionQualifiesMultiSourceSelects) {
   Detected context = BuildContext(
       "CREATE TABLE users (id INTEGER PRIMARY KEY, name VARCHAR(10));"
       "CREATE TABLE orders (oid INTEGER PRIMARY KEY, user_id INTEGER);"
       "SELECT * FROM users u JOIN orders o ON u.id = o.user_id;");
-  sql::StatementPtr fixed = ExpandWildcard(LastSelect(context), context);
-  ASSERT_NE(fixed, nullptr);
-  EXPECT_EQ(sql::PrintStatement(*fixed),
-            "SELECT u.id, u.name, o.oid, o.user_id FROM users AS u "
-            "JOIN orders AS o ON (u.id = o.user_id);");
+  const sql::SelectStatement& select = LastSelect(context);
+  EXPECT_EQ(Spliced(select, ExpandWildcard(select, context)),
+            "SELECT u.id, u.name, o.oid, o.user_id FROM users u "
+            "JOIN orders o ON u.id = o.user_id");
 }
 
 TEST(RewriterTest, QualifiedStarExpandsOnlyItsOwnTable) {
@@ -154,21 +159,19 @@ TEST(RewriterTest, QualifiedStarExpandsOnlyItsOwnTable) {
       "CREATE TABLE users (id INTEGER PRIMARY KEY, name VARCHAR(10));"
       "CREATE TABLE orders (oid INTEGER PRIMARY KEY, user_id INTEGER);"
       "SELECT o.*, u.name FROM users u JOIN orders o ON u.id = o.user_id;");
-  sql::StatementPtr fixed = ExpandWildcard(LastSelect(context), context);
-  ASSERT_NE(fixed, nullptr);
-  std::string printed = sql::PrintStatement(*fixed);
-  EXPECT_NE(printed.find("SELECT o.oid, o.user_id, u.name"), std::string::npos)
-      << printed;
+  const sql::SelectStatement& select = LastSelect(context);
+  EXPECT_EQ(Spliced(select, ExpandWildcard(select, context)),
+            "SELECT o.oid, o.user_id, u.name FROM users u JOIN orders o ON u.id = o.user_id");
 }
 
 TEST(RewriterTest, WildcardExpansionRefusesUnknownAndSubquerySources) {
   Detected unknown = BuildContext("SELECT * FROM mystery;");
-  EXPECT_EQ(ExpandWildcard(LastSelect(unknown), unknown), nullptr);
+  EXPECT_TRUE(ExpandWildcard(LastSelect(unknown), unknown).empty());
 
   Detected sub = BuildContext(
       "CREATE TABLE t (a INTEGER PRIMARY KEY);"
       "SELECT * FROM (SELECT a FROM t) AS inner_t;");
-  EXPECT_EQ(ExpandWildcard(LastSelect(sub), sub), nullptr);
+  EXPECT_TRUE(ExpandWildcard(LastSelect(sub), sub).empty());
 
   // A bare * lists a USING column once; expanding per source would list it
   // once per side and return one more column than the original.
@@ -176,32 +179,57 @@ TEST(RewriterTest, WildcardExpansionRefusesUnknownAndSubquerySources) {
       "CREATE TABLE t (id INTEGER PRIMARY KEY, b VARCHAR(5));"
       "CREATE TABLE u (id INTEGER PRIMARY KEY, c VARCHAR(5));";
   Detected using_join = BuildContext(tables + "SELECT * FROM t JOIN u USING (id);");
-  EXPECT_EQ(ExpandWildcard(LastSelect(using_join), using_join), nullptr);
+  EXPECT_TRUE(ExpandWildcard(LastSelect(using_join), using_join).empty());
 
   // A qualified t.* over the same join names t's columns only, so it still
   // expands.
   Detected qualified = BuildContext(tables + "SELECT t.* FROM t JOIN u USING (id);");
-  sql::StatementPtr fixed = ExpandWildcard(LastSelect(qualified), qualified);
-  ASSERT_NE(fixed, nullptr);
-  EXPECT_EQ(sql::PrintStatement(*fixed), "SELECT t.id, t.b FROM t JOIN u USING (id);");
+  const sql::SelectStatement& select = LastSelect(qualified);
+  EXPECT_EQ(Spliced(select, ExpandWildcard(select, qualified)),
+            "SELECT t.id, t.b FROM t JOIN u USING (id)");
 }
 
 TEST(RewriterTest, OrderByRandBecomesKeyRangeProbe) {
   Detected context = BuildContext(
       "CREATE TABLE users (id INTEGER PRIMARY KEY, name VARCHAR(10));"
       "SELECT name FROM users ORDER BY RAND() LIMIT 1;");
-  sql::StatementPtr fixed = ReplaceOrderByRand(LastSelect(context), context);
-  ASSERT_NE(fixed, nullptr);
-  std::string printed = sql::PrintStatement(*fixed);
-  EXPECT_NE(printed.find("id >= (SELECT FLOOR((RAND() * MAX(id))) FROM users)"),
-            std::string::npos)
-      << printed;
-  EXPECT_NE(printed.find("ORDER BY id LIMIT 1"), std::string::npos) << printed;
+  const sql::SelectStatement& select = LastSelect(context);
+  const std::string spliced = Spliced(select, ReplaceOrderByRand(select, context));
+  EXPECT_EQ(spliced,
+            "SELECT name FROM users WHERE id >= (SELECT FLOOR(RAND() * MAX(id)) FROM users) "
+            "ORDER BY id LIMIT 1");
   // The probe must re-parse and must not read as ORDER BY RAND anymore.
-  sql::StatementPtr reparsed = sql::ParseStatement(printed);
+  sql::StatementPtr reparsed = sql::ParseStatement(spliced);
   ASSERT_NE(reparsed, nullptr);
   EXPECT_EQ(reparsed->kind, sql::StatementKind::kSelect);
   EXPECT_FALSE(AnalyzeQuery(*reparsed).order_by_rand);
+}
+
+TEST(RewriterTest, OrderByRandJoinsAnExistingWhereWithAnd) {
+  // The probe is ANDed onto the WHERE as written; only an OR root needs
+  // parentheses, since AND binds tighter.
+  const std::string table =
+      "CREATE TABLE users (id INTEGER PRIMARY KEY, name VARCHAR(10), age INTEGER);";
+  const std::string probe = "id >= (SELECT FLOOR(RAND() * MAX(id)) FROM users)";
+  const std::pair<std::string, std::string> cases[] = {
+      {"SELECT name FROM users WHERE age > 3 AND name = 'a' ORDER BY RAND() LIMIT 2",
+       "SELECT name FROM users WHERE age > 3 AND name = 'a' AND " + probe +
+           " ORDER BY id LIMIT 2"},
+      {"SELECT name FROM users WHERE age > 3 OR name = 'a' ORDER BY RAND() LIMIT 2",
+       "SELECT name FROM users WHERE (age > 3 OR name = 'a') AND " + probe +
+           " ORDER BY id LIMIT 2"},
+      {"SELECT name FROM users WHERE (age > 3 OR name = 'a') ORDER BY RAND() LIMIT 2",
+       "SELECT name FROM users WHERE (age > 3 OR name = 'a') AND " + probe +
+           " ORDER BY id LIMIT 2"},
+      {"SELECT name FROM users u /* one */ GROUP BY name ORDER BY RANDOM() LIMIT 1",
+       "SELECT name FROM users u WHERE " + probe +
+           " /* one */ GROUP BY name ORDER BY id LIMIT 1"},
+  };
+  for (const auto& [statement, expected] : cases) {
+    Detected context = BuildContext(table + statement);
+    const sql::SelectStatement& select = LastSelect(context);
+    EXPECT_EQ(Spliced(select, ReplaceOrderByRand(select, context)), expected);
+  }
 }
 
 TEST(RewriterTest, OrderByRandRefusesShufflesAndCompositeKeys) {
@@ -210,25 +238,29 @@ TEST(RewriterTest, OrderByRandRefusesShufflesAndCompositeKeys) {
   Detected shuffle = BuildContext(
       "CREATE TABLE users (id INTEGER PRIMARY KEY, name VARCHAR(10));"
       "SELECT name FROM users ORDER BY RAND();");
-  EXPECT_EQ(ReplaceOrderByRand(LastSelect(shuffle), shuffle), nullptr);
+  EXPECT_TRUE(ReplaceOrderByRand(LastSelect(shuffle), shuffle).empty());
 
   Detected composite = BuildContext(
       "CREATE TABLE pairs (a INTEGER, b INTEGER, PRIMARY KEY (a, b));"
       "SELECT a FROM pairs ORDER BY RAND() LIMIT 1;");
-  EXPECT_EQ(ReplaceOrderByRand(LastSelect(composite), composite), nullptr);
+  EXPECT_TRUE(ReplaceOrderByRand(LastSelect(composite), composite).empty());
+
+  // A DESC would stay behind the replaced item and reverse the key order.
+  Detected descending = BuildContext(
+      "CREATE TABLE users (id INTEGER PRIMARY KEY, name VARCHAR(10));"
+      "SELECT name FROM users ORDER BY RAND() DESC LIMIT 1;");
+  EXPECT_TRUE(ReplaceOrderByRand(LastSelect(descending), descending).empty());
 }
 
 TEST(RewriterTest, LeadingWildcardLikeReversesLiteralTails) {
   Detected context = BuildContext(
       "CREATE TABLE users (id INTEGER PRIMARY KEY, email VARCHAR(40));"
       "SELECT id FROM users WHERE email LIKE '%@example.com';");
-  sql::StatementPtr fixed = RewriteLeadingWildcards(LastSelect(context));
-  ASSERT_NE(fixed, nullptr);
-  std::string printed = sql::PrintStatement(*fixed);
-  EXPECT_NE(printed.find("REVERSE(email) LIKE 'moc.elpmaxe@%'"), std::string::npos)
-      << printed;
+  const sql::SelectStatement& select = LastSelect(context);
+  const std::string spliced = Spliced(select, RewriteLeadingWildcards(select));
+  EXPECT_EQ(spliced, "SELECT id FROM users WHERE REVERSE(email) LIKE 'moc.elpmaxe@%'");
   // Reversal preserves the match set boundary: the pattern is now a prefix.
-  sql::StatementPtr reparsed = sql::ParseStatement(printed);
+  sql::StatementPtr reparsed = sql::ParseStatement(spliced);
   QueryFacts facts = AnalyzeQuery(*reparsed);
   for (const auto& p : facts.patterns) EXPECT_FALSE(p.leading_wildcard);
 }
@@ -245,8 +277,39 @@ TEST(RewriterTest, LikeReversalRefusesInfixUnderscoreAndUtf8Patterns) {
         std::string("CREATE TABLE users (id INTEGER PRIMARY KEY, email "
                     "VARCHAR(40));") +
         sql_text);
-    EXPECT_EQ(RewriteLeadingWildcards(LastSelect(context)), nullptr) << sql_text;
+    EXPECT_TRUE(RewriteLeadingWildcards(LastSelect(context)).empty()) << sql_text;
   }
+}
+
+TEST(RewriterTest, LikeReversalRefusesEscape) {
+  // An ESCAPE clause redefines which pattern bytes are wildcards; the
+  // reversal does not model it, so the finding gets guidance.
+  const std::string script =
+      "CREATE TABLE users (id INTEGER PRIMARY KEY, email VARCHAR(40));"
+      "SELECT id FROM users WHERE email LIKE '%abc' ESCAPE '!';";
+  Detected context = BuildContext(script);
+  EXPECT_TRUE(RewriteLeadingWildcards(LastSelect(context)).empty());
+
+  SqlCheck checker;
+  checker.AddScript(script);
+  bool saw_pattern = false;
+  for (const Finding& f : checker.Run().findings) {
+    if (f.ranked.detection.type != AntiPattern::kPatternMatching) continue;
+    saw_pattern = true;
+    EXPECT_EQ(f.fix.kind, FixKind::kTextual);
+    EXPECT_TRUE(f.fix.edits.empty());
+  }
+  EXPECT_TRUE(saw_pattern);
+}
+
+TEST(RewriterTest, ConcatWrapEditsOnlyTheNullableOperands) {
+  Detected context = BuildContext(
+      "CREATE TABLE t (k INTEGER PRIMARY KEY, a VARCHAR(5) NOT NULL, b VARCHAR(5));"
+      "SELECT a || ' - ' ||  b /* tail */ FROM t WHERE CONCAT(a, t.b) = 'x';");
+  const sql::SelectStatement& select = LastSelect(context);
+  EXPECT_EQ(Spliced(select, WrapConcatNulls(select, context)),
+            "SELECT a || ' - ' ||  COALESCE(b, '') /* tail */ FROM t "
+            "WHERE CONCAT(a, COALESCE(t.b, '')) = 'x'");
 }
 
 TEST(RewriterTest, ConcatWrapRefusesWhenNoOperandIsReachable) {
@@ -256,7 +319,7 @@ TEST(RewriterTest, ConcatWrapRefusesWhenNoOperandIsReachable) {
   Detected context = BuildContext(
       "CREATE TABLE t (k INTEGER PRIMARY KEY, a VARCHAR(5), b VARCHAR(5));"
       "SELECT k FROM t ORDER BY a || b;");
-  EXPECT_EQ(WrapConcatNulls(LastSelect(context), context), nullptr);
+  EXPECT_TRUE(WrapConcatNulls(LastSelect(context), context).empty());
 
   SqlCheck checker;
   checker.AddScript(
@@ -287,7 +350,7 @@ TEST(RewriterTest, InsertExpansionRefusesArityMismatch) {
     const Context& context = built;
     const auto* insert = context.queries().back().stmt->As<sql::InsertStatement>();
     ASSERT_NE(insert, nullptr) << sql_text;
-    EXPECT_EQ(ExpandInsertColumns(*insert, context), nullptr) << sql_text;
+    EXPECT_TRUE(ExpandInsertColumns(*insert, context).empty()) << sql_text;
   }
 
   // A full-width SELECT still expands.
@@ -298,15 +361,13 @@ TEST(RewriterTest, InsertExpansionRefusesArityMismatch) {
   const Context& context = full;
   const auto* insert = context.queries().back().stmt->As<sql::InsertStatement>();
   ASSERT_NE(insert, nullptr);
-  sql::StatementPtr fixed = ExpandInsertColumns(*insert, context);
-  ASSERT_NE(fixed, nullptr);
-  EXPECT_EQ(sql::PrintStatement(*fixed),
-            "INSERT INTO t (a, b, c) SELECT x, 'p', 'q' FROM s;");
+  EXPECT_EQ(Spliced(*insert, ExpandInsertColumns(*insert, context)),
+            "INSERT INTO t (a, b, c) SELECT x, 'p', 'q' FROM s");
 }
 
 /// Runs `statement` against t(id, name) and returns its finding of `type`
-/// with `--apply`'s count of rewritten statements; the finding's fix is
-/// empty when there is none.
+/// with `--apply`'s output and count of rewritten statements; the finding's
+/// fix is empty when there is none.
 struct AppliedFinding {
   Fix fix;
   bool found = false;
@@ -315,8 +376,10 @@ struct AppliedFinding {
 };
 
 AppliedFinding ApplyOne(const std::string& statement, AntiPattern type) {
+  const std::string script =
+      "CREATE TABLE t (id INT PRIMARY KEY, name VARCHAR(20));\n" + statement;
   SqlCheck checker;
-  checker.AddScript("CREATE TABLE t (id INT PRIMARY KEY, name VARCHAR(20));" + statement);
+  checker.AddScript(script);
   const Report report = checker.Run();
   AppliedFinding out;
   for (const Finding& f : report.findings) {
@@ -326,72 +389,78 @@ AppliedFinding ApplyOne(const std::string& statement, AntiPattern type) {
       break;
     }
   }
-  out.output = ApplyFixes(checker.session().context(), report, &out.applied);
+  out.output = ApplyFixes(script, report, &out.applied);
   return out;
 }
 
-/// The parser tolerates `clause` without keeping it in the tree, so a
-/// printed rewrite would drop it: the finding must get guidance and
-/// `--apply` must leave the statement as written. `plain` (the statement
-/// without the clause) still gets its rewrite.
-void ExpectClauseBlocksRewrite(const std::string& with_clause, const std::string& plain,
-                               AntiPattern type) {
-  SCOPED_TRACE(with_clause);
-  const AppliedFinding blocked = ApplyOne(with_clause, type);
-  ASSERT_TRUE(blocked.found);
-  EXPECT_NE(blocked.fix.kind, FixKind::kRewrite) << blocked.fix.explanation;
-  EXPECT_FALSE(blocked.fix.replaces_original);
-  EXPECT_EQ(blocked.applied, 0u) << blocked.output;
-  EXPECT_NE(blocked.output.find(with_clause), std::string::npos) << blocked.output;
-
-  const AppliedFinding rewritten = ApplyOne(plain, type);
-  ASSERT_TRUE(rewritten.found);
-  EXPECT_EQ(rewritten.fix.kind, FixKind::kRewrite);
-  EXPECT_EQ(rewritten.applied, 1u) << rewritten.output;
+/// The parser tolerates `statement`'s clause without modeling it; the
+/// rewrite edits only the spans it changes, so the clause survives in
+/// `rewritten`, which `--apply` writes in place of `statement`.
+void ExpectRewriteKeepsClause(const std::string& statement, const std::string& rewritten,
+                              AntiPattern type) {
+  SCOPED_TRACE(statement);
+  const AppliedFinding out = ApplyOne(statement, type);
+  ASSERT_TRUE(out.found);
+  EXPECT_EQ(out.fix.kind, FixKind::kRewrite) << out.fix.explanation;
+  ASSERT_EQ(out.fix.statements.size(), 1u);
+  EXPECT_EQ(out.fix.statements[0] + ";", rewritten);
+  EXPECT_EQ(out.applied, 1u) << out.output;
+  EXPECT_EQ(out.output,
+            "CREATE TABLE t (id INT PRIMARY KEY, name VARCHAR(20));\n" + rewritten);
 }
 
-TEST(RewriterTest, OnDuplicateKeyUpdateBlocksInsertExpansion) {
-  ExpectClauseBlocksRewrite(
+TEST(RewriterTest, InsertExpansionKeepsOnDuplicateKeyUpdate) {
+  ExpectRewriteKeepsClause(
       "INSERT INTO t VALUES (1, 'x') ON DUPLICATE KEY UPDATE name = 'x';",
-      "INSERT INTO t VALUES (1, 'x');", AntiPattern::kImplicitColumns);
+      "INSERT INTO t (id, name) VALUES (1, 'x') ON DUPLICATE KEY UPDATE name = 'x';",
+      AntiPattern::kImplicitColumns);
 }
 
-TEST(RewriterTest, OnConflictBlocksInsertExpansion) {
-  ExpectClauseBlocksRewrite("INSERT INTO t VALUES (1, 'x') ON CONFLICT DO NOTHING;",
-                            "INSERT INTO t VALUES (1, 'x');",
-                            AntiPattern::kImplicitColumns);
+TEST(RewriterTest, InsertExpansionKeepsOnConflict) {
+  ExpectRewriteKeepsClause("INSERT INTO t VALUES (1, 'x') ON CONFLICT DO NOTHING;",
+                           "INSERT INTO t (id, name) VALUES (1, 'x') ON CONFLICT DO NOTHING;",
+                           AntiPattern::kImplicitColumns);
 }
 
-TEST(RewriterTest, ReturningBlocksInsertExpansion) {
-  ExpectClauseBlocksRewrite("INSERT INTO t VALUES (1, 'x') RETURNING id;",
-                            "INSERT INTO t VALUES (1, 'x');",
-                            AntiPattern::kImplicitColumns);
+TEST(RewriterTest, InsertExpansionKeepsReturning) {
+  ExpectRewriteKeepsClause("INSERT INTO t VALUES (1, 'x') RETURNING id;",
+                           "INSERT INTO t (id, name) VALUES (1, 'x') RETURNING id;",
+                           AntiPattern::kImplicitColumns);
 }
 
-TEST(RewriterTest, InsertIgnoreBlocksInsertExpansion) {
-  ExpectClauseBlocksRewrite("INSERT IGNORE INTO t VALUES (1, 'x');",
-                            "INSERT INTO t VALUES (1, 'x');",
-                            AntiPattern::kImplicitColumns);
-  ExpectClauseBlocksRewrite("INSERT OR IGNORE INTO t VALUES (1, 'x');",
-                            "INSERT INTO t VALUES (1, 'x');",
-                            AntiPattern::kImplicitColumns);
+TEST(RewriterTest, InsertExpansionKeepsIgnore) {
+  ExpectRewriteKeepsClause("INSERT IGNORE INTO t VALUES (1, 'x');",
+                           "INSERT IGNORE INTO t (id, name) VALUES (1, 'x');",
+                           AntiPattern::kImplicitColumns);
+  ExpectRewriteKeepsClause("INSERT OR IGNORE INTO t VALUES (1, 'x');",
+                           "INSERT OR IGNORE INTO t (id, name) VALUES (1, 'x');",
+                           AntiPattern::kImplicitColumns);
 }
 
-TEST(RewriterTest, LikeEscapeBlocksWildcardExpansion) {
-  ExpectClauseBlocksRewrite("SELECT * FROM t WHERE name LIKE '%a!%' ESCAPE '!';",
-                            "SELECT * FROM t WHERE name LIKE '%a!%';",
-                            AntiPattern::kColumnWildcard);
+TEST(RewriterTest, WildcardExpansionKeepsLikeEscape) {
+  ExpectRewriteKeepsClause("SELECT * FROM t WHERE name LIKE '%a!%' ESCAPE '!';",
+                           "SELECT id, name FROM t WHERE name LIKE '%a!%' ESCAPE '!';",
+                           AntiPattern::kColumnWildcard);
 }
 
 TEST(RewriterTest, QualifiedTableNameBlocksRewrite) {
-  // The tree keeps only `t` of `archive.t`, and t(id, name) is another table:
-  // a printed rewrite would read or write it instead.
-  ExpectClauseBlocksRewrite("SELECT * FROM archive.t WHERE id = 1;",
-                            "SELECT * FROM t WHERE id = 1;",
-                            AntiPattern::kColumnWildcard);
-  ExpectClauseBlocksRewrite("INSERT INTO archive.t VALUES (1, 'x');",
-                            "INSERT INTO t VALUES (1, 'x');",
-                            AntiPattern::kImplicitColumns);
+  // The catalog defines t(id, name), not archive.t: a rewrite would have to
+  // guess archive.t's columns, so the finding gets guidance and --apply
+  // leaves the statement as written.
+  for (const auto& [statement, type] :
+       {std::pair<std::string, AntiPattern>{"SELECT * FROM archive.t WHERE id = 1;",
+                                            AntiPattern::kColumnWildcard},
+        std::pair<std::string, AntiPattern>{"INSERT INTO archive.t VALUES (1, 'x');",
+                                            AntiPattern::kImplicitColumns}}) {
+    SCOPED_TRACE(statement);
+    const AppliedFinding blocked = ApplyOne(statement, type);
+    ASSERT_TRUE(blocked.found);
+    EXPECT_NE(blocked.fix.kind, FixKind::kRewrite) << blocked.fix.explanation;
+    EXPECT_FALSE(blocked.fix.replaces_original);
+    EXPECT_EQ(blocked.applied, 0u) << blocked.output;
+    EXPECT_EQ(blocked.output,
+              "CREATE TABLE t (id INT PRIMARY KEY, name VARCHAR(20));\n" + statement);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -470,7 +539,8 @@ TEST(VerifyRewriteTest, EngineDemotesFailingProposalsWithReason) {
 TEST(SessionFixCacheTest, StatementLocalFixesReplayAcrossDuplicates) {
   AnalysisSession session;
   // Pattern-matching fixes are statement-local on both halves; the three
-  // occurrences share one cache row.
+  // occurrences share one cache row, and the repeated spelling replays its
+  // first occurrence's fix.
   session.AddScript(
       "SELECT id FROM users WHERE email LIKE '%@example.com';"
       "SELECT id FROM users WHERE email LIKE '%@example.com';"
@@ -481,8 +551,12 @@ TEST(SessionFixCacheTest, StatementLocalFixesReplayAcrossDuplicates) {
   for (const Finding& f : report.findings) {
     EXPECT_EQ(f.fix.kind, FixKind::kRewrite);
     EXPECT_TRUE(f.fix.verified);
-    // The replayed fix is rebased onto each occurrence's own raw text.
+    // Each spelling's fix edits its own text.
     EXPECT_EQ(f.fix.original_sql, f.ranked.detection.query);
+    EXPECT_EQ(f.fix.statements[0],
+              f.ranked.detection.query[0] == 's'
+                  ? "select id from users where REVERSE(email) like 'moc.elpmaxe@%'"
+                  : "SELECT id FROM users WHERE REVERSE(email) LIKE 'moc.elpmaxe@%'");
   }
   // Replayed fixes must equal what a cold engine computes.
   SqlCheck batch;
@@ -582,7 +656,7 @@ TEST(ApplyFixesTest, RewrittenWorkloadReportsStrictlyFewerDetections) {
   ASSERT_FALSE(before.empty());
 
   size_t applied = 0;
-  std::string rewritten = ApplyFixes(checker.session().context(), before, &applied);
+  std::string rewritten = ApplyFixes(kScript, before, &applied);
   EXPECT_GE(applied, 3u);
 
   SqlCheck again;
@@ -594,10 +668,11 @@ TEST(ApplyFixesTest, RewrittenWorkloadReportsStrictlyFewerDetections) {
 TEST(ApplyFixesTest, HighestRankedRewriteWinsPerStatement) {
   // One statement carrying two rewritable anti-patterns: the fix attached to
   // the higher-ranked finding must be the one applied.
-  SqlCheck checker;
-  checker.AddScript(
+  const std::string script =
       "CREATE TABLE users (user_id INTEGER PRIMARY KEY, email VARCHAR(40));"
-      "SELECT * FROM users WHERE email LIKE '%@example.com';");
+      "SELECT * FROM users WHERE email LIKE '%@example.com';";
+  SqlCheck checker;
+  checker.AddScript(script);
   Report report = checker.Run();
   const Fix* expected = nullptr;
   for (const Finding& f : report.findings) {
@@ -607,7 +682,7 @@ TEST(ApplyFixesTest, HighestRankedRewriteWinsPerStatement) {
     }
   }
   ASSERT_NE(expected, nullptr);
-  std::string rewritten = ApplyFixes(checker.session().context(), report);
+  std::string rewritten = ApplyFixes(script, report);
   EXPECT_NE(rewritten.find(expected->statements[0]), std::string::npos) << rewritten;
 }
 

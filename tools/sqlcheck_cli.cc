@@ -613,7 +613,7 @@ int main(int argc, char** argv) {
   }
 
   // Batch: ingest everything, snapshot once. The raw workload text is kept
-  // for SARIF fix replacement regions (--fixes).
+  // for SARIF fix replacement regions (--fixes) and for --apply's splices.
   std::string workload;
   if (use_stdin) {
     std::ostringstream content;
@@ -663,7 +663,7 @@ int main(int argc, char** argv) {
 
   if (!cli.apply_path.empty()) {
     size_t applied = 0;
-    std::string rewritten = ApplyFixes(session.context(), report, &applied);
+    std::string rewritten = ApplyFixes(workload, report, &applied);
     std::ofstream out(cli.apply_path);
     if (!out) {
       std::cerr << "sqlcheck: cannot write '" << cli.apply_path << "'\n";
