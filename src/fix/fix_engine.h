@@ -18,7 +18,8 @@ namespace sqlcheck {
 /// registry's per-rule Fixer objects plus this thin orchestrator. For each
 /// detection the engine
 ///   1. looks up the detection's action half (RuleRegistry::FindFixer),
-///   2. lets it propose a fix (mechanical AST rewrite or textual guidance),
+///   2. lets it propose a fix (mechanical source-edit rewrite or textual
+///      guidance),
 ///   3. anchors provenance — data anti-patterns get the owning table's DDL
 ///      (or "table.column") as original_sql so emitters can always place the
 ///      fix somewhere,
@@ -54,7 +55,7 @@ class FixEngine {
 
  private:
   /// The full pipeline for one kRewrite proposal: Tier 1 + Tier 2 via the
-  /// AST rewriter's re-parse/re-analysis check, Tier 3 via differential
+  /// rewriter's re-parse/re-analysis check, Tier 3 via differential
   /// execution when enabled and the fixer declares an applicable contract.
   VerifyVerdict VerifyTiered(const Fix& fix, const Fixer* fixer,
                              const Context& context) const;

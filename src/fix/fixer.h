@@ -20,8 +20,8 @@ namespace sqlcheck {
 /// A fixer only *proposes*; the FixEngine owns the verification loop that
 /// promotes a proposal to a trusted `kRewrite` (or demotes it to `kTextual`
 /// with a reason). Implementations should route mechanical transformations
-/// through the AST rewriter (fix/rewriter.h) rather than string pasting, so
-/// the proposal inherits the printer's round-trip guarantees.
+/// through the source-edit rewriters (fix/rewriter.h), which address the
+/// parser's expression spans, so the proposal edits only what it changes.
 class Fixer {
  public:
   virtual ~Fixer() = default;

@@ -11,9 +11,9 @@ namespace sqlcheck {
 /// table): one Fixer per row of the table in fixers.cc, in AntiPattern
 /// order, registered by RuleRegistry::Default() after the detection halves
 /// (one BuiltinRule per row of rules/builtin_rules.cc). Mechanical
-/// transformations go through the AST rewriter (fix/rewriter.h); everything
-/// else emits context-tailored textual guidance, sometimes with sketch DDL
-/// attached.
+/// transformations go through the source-edit rewriters (fix/rewriter.h);
+/// everything else emits context-tailored textual guidance, sometimes with
+/// sketch DDL attached.
 std::vector<std::unique_ptr<Fixer>> MakeBuiltinFixers();
 
 /// \brief One-line description of the built-in repair strategy for an

@@ -25,12 +25,6 @@ void AstDelete::operator()(Statement* s) const {
 
 // --------------------------------- Expr -----------------------------------
 
-ExprPtr MakeExpr(ExprKind kind) {
-  ExprPtr e(new Expr());
-  e->kind = kind;
-  return e;
-}
-
 ExprPtr Expr::Clone() const {
   ExprPtr out(new Expr());
   out->kind = kind;
@@ -56,37 +50,19 @@ std::string_view Expr::TableQualifier() const {
 }
 
 ExprPtr MakeColumnRef(std::vector<std::string> name_parts) {
-  ExprPtr e = MakeExpr(ExprKind::kColumnRef);
+  ExprPtr e(new Expr());
+  e->kind = ExprKind::kColumnRef;
   e->name_parts.reserve(name_parts.size());
   for (auto& p : name_parts) e->name_parts.emplace_back(p);
   return e;
 }
 
-ExprPtr MakeStringLiteral(std::string value) {
-  ExprPtr e = MakeExpr(ExprKind::kStringLiteral);
-  e->text = value;
-  return e;
-}
-
-ExprPtr MakeNumberLiteral(std::string value) {
-  ExprPtr e = MakeExpr(ExprKind::kNumberLiteral);
-  e->text = value;
-  return e;
-}
-
 ExprPtr MakeBinary(std::string op, ExprPtr lhs, ExprPtr rhs) {
-  ExprPtr e = MakeExpr(ExprKind::kBinary);
+  ExprPtr e(new Expr());
+  e->kind = ExprKind::kBinary;
   e->text = op;
   e->children.push_back(std::move(lhs));
   e->children.push_back(std::move(rhs));
-  return e;
-}
-
-ExprPtr MakeFunction(std::string name, std::vector<ExprPtr> args) {
-  ExprPtr e = MakeExpr(ExprKind::kFunction);
-  e->text = name;
-  e->children.reserve(args.size());
-  for (auto& a : args) e->children.push_back(std::move(a));
   return e;
 }
 
@@ -148,7 +124,6 @@ OrderItem OrderItem::Clone() const {
 SelectPtr SelectStatement::CloneSelect() const {
   SelectPtr out(new SelectStatement());
   out->raw_sql = raw_sql;
-  out->skipped_source = skipped_source;
   out->distinct = distinct;
   out->items.reserve(items.size());
   for (const auto& i : items) out->items.push_back(i.Clone());
@@ -188,7 +163,6 @@ int SelectStatement::JoinCount() const {
 StatementPtr InsertStatement::CloneStatement() const {
   auto* out = new InsertStatement();
   out->raw_sql = raw_sql;
-  out->skipped_source = skipped_source;
   out->table = table;
   out->columns.reserve(columns.size());
   for (const auto& c : columns) out->columns.emplace_back(c);
@@ -207,7 +181,6 @@ StatementPtr InsertStatement::CloneStatement() const {
 StatementPtr UpdateStatement::CloneStatement() const {
   auto* out = new UpdateStatement();
   out->raw_sql = raw_sql;
-  out->skipped_source = skipped_source;
   out->table = table;
   out->alias = alias;
   out->assignments.reserve(assignments.size());
@@ -222,7 +195,6 @@ StatementPtr UpdateStatement::CloneStatement() const {
 StatementPtr DeleteStatement::CloneStatement() const {
   auto* out = new DeleteStatement();
   out->raw_sql = raw_sql;
-  out->skipped_source = skipped_source;
   out->table = table;
   if (where) out->where = where->Clone();
   return StatementPtr(out);
@@ -289,7 +261,6 @@ TableConstraintAst TableConstraintAst::Clone() const {
 StatementPtr CreateTableStatement::CloneStatement() const {
   auto* out = new CreateTableStatement();
   out->raw_sql = raw_sql;
-  out->skipped_source = skipped_source;
   out->table = table;
   out->if_not_exists = if_not_exists;
   out->columns.reserve(columns.size());
@@ -329,7 +300,6 @@ bool CreateTableStatement::HasForeignKey() const {
 StatementPtr CreateIndexStatement::CloneStatement() const {
   auto* out = new CreateIndexStatement();
   out->raw_sql = raw_sql;
-  out->skipped_source = skipped_source;
   out->index = index;
   out->table = table;
   out->columns.reserve(columns.size());
@@ -342,7 +312,6 @@ StatementPtr CreateIndexStatement::CloneStatement() const {
 StatementPtr AlterTableStatement::CloneStatement() const {
   auto* out = new AlterTableStatement();
   out->raw_sql = raw_sql;
-  out->skipped_source = skipped_source;
   out->table = table;
   out->action = action;
   out->column = column.Clone();
@@ -356,7 +325,6 @@ StatementPtr AlterTableStatement::CloneStatement() const {
 StatementPtr DropTableStatement::CloneStatement() const {
   auto* out = new DropTableStatement();
   out->raw_sql = raw_sql;
-  out->skipped_source = skipped_source;
   out->table = table;
   out->if_exists = if_exists;
   return StatementPtr(out);
@@ -365,7 +333,6 @@ StatementPtr DropTableStatement::CloneStatement() const {
 StatementPtr DropIndexStatement::CloneStatement() const {
   auto* out = new DropIndexStatement();
   out->raw_sql = raw_sql;
-  out->skipped_source = skipped_source;
   out->index = index;
   out->if_exists = if_exists;
   return StatementPtr(out);
@@ -419,7 +386,6 @@ void UnknownStatement::AdoptTokens(const std::vector<Token>& source_tokens,
 StatementPtr UnknownStatement::CloneStatement() const {
   auto* out = new UnknownStatement();
   out->raw_sql = raw_sql;
-  out->skipped_source = skipped_source;
   // Rebase the token views onto the clone's own raw_sql / owned_texts;
   // normalized payloads appear in token order, so a single index walks them.
   out->owned_texts.reserve(owned_texts.size());

@@ -28,7 +28,7 @@ namespace sqlcheck::sql {
 //    only safe because arena nodes never own heap memory, which is why every
 //    member below is a pmr type or a trivially-destructible value.
 //
-//  * Heap tier (tests, fix-engine clones, hand-built trees): default-
+//  * Heap tier (tests, engine clones, hand-built trees): default-
 //    constructed nodes use the default memory resource (new/delete) and
 //    `AstDelete` runs the normal destructor. Semantics are exactly the
 //    pre-arena ones.
@@ -119,7 +119,7 @@ struct Expr {
   Expr(const Expr&) = delete;
   Expr& operator=(const Expr&) = delete;
 
-  /// Deep copy onto the heap tier (fix rules transform copies, never the
+  /// Deep copy onto the heap tier (the engine transforms copies, never the
   /// originals; clones of arena nodes safely outlive the arena).
   ExprPtr Clone() const;
 
@@ -130,14 +130,10 @@ struct Expr {
   std::string_view TableQualifier() const;
 };
 
-/// Convenience constructors used by the parser, fix engine, and tests.
-/// Always heap-tier.
-ExprPtr MakeExpr(ExprKind kind);
+/// Heap-tier constructors for trees the engine synthesizes (USING join
+/// conditions).
 ExprPtr MakeColumnRef(std::vector<std::string> name_parts);
-ExprPtr MakeStringLiteral(std::string value);
-ExprPtr MakeNumberLiteral(std::string value);
 ExprPtr MakeBinary(std::string op, ExprPtr lhs, ExprPtr rhs);
-ExprPtr MakeFunction(std::string name, std::vector<ExprPtr> args);
 
 /// \brief Depth-first visit of an expression tree. Subqueries are not
 /// entered.
@@ -214,13 +210,6 @@ struct Statement {
   bool arena_managed = false;  ///< Set by the parser for arena-tier nodes.
   AstString raw_sql;  ///< Original text (trimmed), kept for reporting. Owned
                       ///< by the statement; stable for the statement's life.
-  /// The parser consumed source this tree does not keep: a clause it
-  /// tolerates but does not model (INSERT IGNORE / OR IGNORE, ON DUPLICATE
-  /// KEY UPDATE, ON CONFLICT, RETURNING, LIKE ... ESCAPE, a trailing table
-  /// option), or the quoting of a qualified table name, which the tree keeps
-  /// joined (`archive.t`). Printing the tree would lose it, so no
-  /// statement-replacing rewrite is built from such a tree.
-  bool skipped_source = false;
 
   explicit Statement(StatementKind k) : kind(k) {}
   Statement(StatementKind k, std::pmr::memory_resource* mr) : kind(k), raw_sql(mr) {}

@@ -42,7 +42,6 @@ class Parser {
       return unknown;
     }
     stmt->raw_sql = Trim(raw);
-    stmt->skipped_source = skipped_;
     return stmt;
   }
 
@@ -158,15 +157,12 @@ class Parser {
   }
 
   /// A table name. A qualified name stays whole (`archive.t`), so the
-  /// catalog never resolves it to the bare table `t`. Its parts' quoting is
-  /// lost, so a qualifier still marks the statement
-  /// Statement::skipped_source: no rewrite is printed from the tree.
+  /// catalog never resolves it to the bare table `t`.
   AstString ParseTableName() {
     AstString name(ParseStrictName(), mr_);
     while (Match(TokenKind::kDot)) {
       name += '.';
       name += ParseStrictName();
-      skipped_ = true;
     }
     return name;
   }
@@ -325,9 +321,9 @@ class Parser {
       ExpectKeyword(Kw::kInsert);
       if (MatchKeyword(Kw::kOr)) {
         if (MatchKeyword(Kw::kReplace)) stmt->or_replace = true;
-        else if (MatchKeyword(Kw::kIgnore)) skipped_ = true;
+        else MatchKeyword(Kw::kIgnore);
       }
-      if (MatchKeyword(Kw::kIgnore)) skipped_ = true;
+      MatchKeyword(Kw::kIgnore);
     }
     MatchKeyword(Kw::kInto);
     stmt->table = ParseTableName();
@@ -736,10 +732,7 @@ class Parser {
   /// Tolerantly consumes any trailing clause we do not model (ENGINE=...,
   /// RETURNING, ON CONFLICT...). A lone semicolon/end stops us.
   void SkipToStatementEnd() {
-    while (!Peek().Is(TokenKind::kEnd) && !Peek().Is(TokenKind::kSemicolon)) {
-      Advance();
-      skipped_ = true;
-    }
+    while (!Peek().Is(TokenKind::kEnd) && !Peek().Is(TokenKind::kSemicolon)) Advance();
   }
 
   // ---------------------------- expressions -------------------------------
@@ -1113,7 +1106,6 @@ class Parser {
   size_t pos_ = 0;
   uint32_t base_ = 0;  ///< Offset of raw_sql in the lexed text: spans are raw_sql-relative.
   bool ok_ = true;
-  bool skipped_ = false;  ///< Source consumed but not kept (Statement::skipped_source).
 };
 
 StatementPtr ParseWithBuffer(std::string_view sql, Arena* arena, TokenBuffer& buffer) {

@@ -186,184 +186,8 @@ std::string PrintSelectBody(const SelectStatement& s) {
   return out;
 }
 
-std::string PrintColumnDef(const ColumnDefAst& col) {
-  std::string out = PrintName(col.name) + " " + col.type.ToString();
-  if (col.primary_key) out += " PRIMARY KEY";
-  if (col.auto_increment) out += " AUTO_INCREMENT";
-  if (col.not_null) out += " NOT NULL";
-  if (col.unique) out += " UNIQUE";
-  if (col.default_value) out += " DEFAULT " + PrintExprImpl(*col.default_value);
-  if (col.check) out += " CHECK (" + PrintExprImpl(*col.check) + ")";
-  if (col.references.has_value()) {
-    out += " REFERENCES " + PrintName(col.references->table);
-    if (!col.references->columns.empty()) {
-      std::vector<std::string> cols;
-      for (const auto& c : col.references->columns) cols.push_back(PrintName(c));
-      out += "(" + Join(cols, ", ") + ")";
-    }
-    if (col.references->on_delete_cascade) out += " ON DELETE CASCADE";
-  }
-  return out;
-}
-
-std::string PrintTableConstraint(const TableConstraintAst& c) {
-  std::string out;
-  if (!c.name.empty()) out += "CONSTRAINT " + PrintName(c.name) + " ";
-  std::vector<std::string> cols;
-  for (const auto& col : c.columns) cols.push_back(PrintName(col));
-  switch (c.kind) {
-    case TableConstraintKind::kPrimaryKey:
-      out += "PRIMARY KEY (" + Join(cols, ", ") + ")";
-      break;
-    case TableConstraintKind::kForeignKey: {
-      out += "FOREIGN KEY (" + Join(cols, ", ") + ") REFERENCES " +
-             PrintName(c.reference.table);
-      if (!c.reference.columns.empty()) {
-        std::vector<std::string> ref_cols;
-        for (const auto& rc : c.reference.columns) ref_cols.push_back(PrintName(rc));
-        out += "(" + Join(ref_cols, ", ") + ")";
-      }
-      if (c.reference.on_delete_cascade) out += " ON DELETE CASCADE";
-      break;
-    }
-    case TableConstraintKind::kUnique:
-      out += "UNIQUE (" + Join(cols, ", ") + ")";
-      break;
-    case TableConstraintKind::kCheck:
-      out += "CHECK (" + (c.check ? PrintExprImpl(*c.check) : "") + ")";
-      break;
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string PrintExpr(const Expr& expr) { return PrintExprImpl(expr); }
-
-std::string PrintStatement(const Statement& stmt) {
-  switch (stmt.kind) {
-    case StatementKind::kSelect:
-      return PrintSelectBody(static_cast<const SelectStatement&>(stmt)) + ";";
-    case StatementKind::kInsert: {
-      const auto& s = static_cast<const InsertStatement&>(stmt);
-      std::string out = s.or_replace ? "REPLACE INTO " : "INSERT INTO ";
-      out += PrintName(s.table);
-      if (!s.columns.empty()) {
-        std::vector<std::string> cols;
-        for (const auto& c : s.columns) cols.push_back(PrintName(c));
-        out += " (" + Join(cols, ", ") + ")";
-      }
-      if (s.select) {
-        out += " " + PrintSelectBody(*s.select);
-      } else {
-        out += " VALUES ";
-        for (size_t r = 0; r < s.rows.size(); ++r) {
-          if (r > 0) out += ", ";
-          out += "(";
-          for (size_t i = 0; i < s.rows[r].size(); ++i) {
-            if (i > 0) out += ", ";
-            out += PrintExprImpl(*s.rows[r][i]);
-          }
-          out += ")";
-        }
-      }
-      return out + ";";
-    }
-    case StatementKind::kUpdate: {
-      const auto& s = static_cast<const UpdateStatement&>(stmt);
-      std::string out = "UPDATE " + PrintName(s.table);
-      if (!s.alias.empty()) out += " AS " + PrintName(s.alias);
-      out += " SET ";
-      for (size_t i = 0; i < s.assignments.size(); ++i) {
-        if (i > 0) out += ", ";
-        out += PrintName(s.assignments[i].first) + " = " +
-               PrintExprImpl(*s.assignments[i].second);
-      }
-      if (s.where) out += " WHERE " + PrintExprImpl(*s.where);
-      return out + ";";
-    }
-    case StatementKind::kDelete: {
-      const auto& s = static_cast<const DeleteStatement&>(stmt);
-      std::string out = "DELETE FROM " + PrintName(s.table);
-      if (s.where) out += " WHERE " + PrintExprImpl(*s.where);
-      return out + ";";
-    }
-    case StatementKind::kCreateTable: {
-      const auto& s = static_cast<const CreateTableStatement&>(stmt);
-      std::string out = "CREATE TABLE ";
-      if (s.if_not_exists) out += "IF NOT EXISTS ";
-      out += PrintName(s.table) + " (";
-      bool first = true;
-      for (const auto& c : s.columns) {
-        if (!first) out += ", ";
-        first = false;
-        out += PrintColumnDef(c);
-      }
-      for (const auto& c : s.constraints) {
-        if (!first) out += ", ";
-        first = false;
-        out += PrintTableConstraint(c);
-      }
-      return out + ");";
-    }
-    case StatementKind::kCreateIndex: {
-      const auto& s = static_cast<const CreateIndexStatement&>(stmt);
-      std::string out = s.unique ? "CREATE UNIQUE INDEX " : "CREATE INDEX ";
-      if (s.if_not_exists) out += "IF NOT EXISTS ";
-      out += PrintName(s.index) + " ON " + PrintName(s.table) + " (";
-      std::vector<std::string> cols;
-      for (const auto& c : s.columns) cols.push_back(PrintName(c));
-      return out + Join(cols, ", ") + ");";
-    }
-    case StatementKind::kAlterTable: {
-      const auto& s = static_cast<const AlterTableStatement&>(stmt);
-      std::string out = "ALTER TABLE " + PrintName(s.table) + " ";
-      switch (s.action) {
-        case AlterAction::kAddColumn:
-          out += "ADD COLUMN " + PrintColumnDef(s.column);
-          break;
-        case AlterAction::kDropColumn:
-          out += "DROP COLUMN ";
-          if (s.if_exists) out += "IF EXISTS ";
-          out += PrintName(s.target_name);
-          break;
-        case AlterAction::kAddConstraint:
-          out += "ADD " + PrintTableConstraint(s.constraint);
-          break;
-        case AlterAction::kDropConstraint:
-          out += "DROP CONSTRAINT ";
-          if (s.if_exists) out += "IF EXISTS ";
-          out += PrintName(s.target_name);
-          break;
-        case AlterAction::kAlterColumnType:
-          out += "ALTER COLUMN " + PrintName(s.column.name) + " TYPE " +
-                 s.column.type.ToString();
-          break;
-        case AlterAction::kRenameTable:
-          out += "RENAME TO " + PrintName(s.new_name);
-          break;
-        case AlterAction::kRenameColumn:
-          out += "RENAME COLUMN " + PrintName(s.target_name) + " TO " + PrintName(s.new_name);
-          break;
-        case AlterAction::kUnknown:
-          break;
-      }
-      return out + ";";
-    }
-    case StatementKind::kDropTable: {
-      const auto& s = static_cast<const DropTableStatement&>(stmt);
-      return std::string("DROP TABLE ") + (s.if_exists ? "IF EXISTS " : "") +
-             PrintName(s.table) + ";";
-    }
-    case StatementKind::kDropIndex: {
-      const auto& s = static_cast<const DropIndexStatement&>(stmt);
-      return std::string("DROP INDEX ") + (s.if_exists ? "IF EXISTS " : "") +
-             PrintName(s.index) + ";";
-    }
-    case StatementKind::kUnknown:
-      return std::string(stmt.raw_sql);
-  }
-  return std::string(stmt.raw_sql);
-}
 
 }  // namespace sqlcheck::sql

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "sql/ast.h"
 
@@ -15,10 +16,5 @@ std::string PrintName(std::string_view name);
 
 /// \brief A string payload as a single-quoted SQL literal ('' for ').
 std::string QuoteString(std::string_view s);
-
-/// \brief Renders a statement back to SQL text (single line, canonical
-/// keyword casing). Used by ap-fix to emit rewritten queries; a printed
-/// statement re-parses to an equivalent tree (property-tested).
-std::string PrintStatement(const Statement& stmt);
 
 }  // namespace sqlcheck::sql

@@ -2,35 +2,112 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "sql/parser.h"
 
 namespace sqlcheck::sql {
 namespace {
 
+/// The first select item of `SELECT <text>`, printed.
+std::string PrintedItem(const std::string& text) {
+  StatementPtr stmt = ParseStatement("SELECT " + text);
+  const auto* select = stmt->As<SelectStatement>();
+  if (select == nullptr || select->items.empty()) return "<unparsed: " + text + ">";
+  return PrintExpr(*select->items[0].expr);
+}
+
 TEST(PrinterTest, SimpleStatements) {
-  EXPECT_EQ(PrintStatement(*ParseStatement("select a from t")), "SELECT a FROM t;");
-  EXPECT_EQ(PrintStatement(*ParseStatement("delete from t where x = 1")),
-            "DELETE FROM t WHERE (x = 1);");
+  StatementPtr select = ParseStatement("select a from t");
+  EXPECT_EQ(PrintExpr(*select->As<SelectStatement>()->items[0].expr), "a");
+  StatementPtr del = ParseStatement("delete from t where x = 1");
+  EXPECT_EQ(PrintExpr(*del->As<DeleteStatement>()->where), "(x = 1)");
 }
 
 TEST(PrinterTest, QuotingInLiteralsAndIdentifiers) {
-  EXPECT_EQ(PrintStatement(*ParseStatement("SELECT 'it''s' FROM t")),
-            "SELECT 'it''s' FROM t;");
-  EXPECT_EQ(PrintStatement(*ParseStatement("SELECT \"weird col\" FROM t")),
-            "SELECT \"weird col\" FROM t;");
+  EXPECT_EQ(PrintedItem("'it''s'"), "'it''s'");
+  EXPECT_EQ(PrintedItem("\"weird col\""), "\"weird col\"");
+  EXPECT_EQ(QuoteString("it's"), "'it''s'");
+  EXPECT_EQ(PrintName("weird col"), "\"weird col\"");
+  EXPECT_EQ(PrintName("plain_1"), "plain_1");
 }
 
-// Property: printing a parsed statement and re-parsing the output must yield
-// a tree that prints identically (print∘parse is a fixpoint after one round).
+/// Every expression of `stmt`, subqueries included, in parse order.
+void CollectExprs(const Expr& e, std::vector<const Expr*>* out);
+
+void CollectSelect(const SelectStatement& s, std::vector<const Expr*>* out) {
+  for (const auto& item : s.items) CollectExprs(*item.expr, out);
+  for (const auto& f : s.from) {
+    if (f.subquery) CollectSelect(*f.subquery, out);
+  }
+  for (const auto& j : s.joins) {
+    if (j.table.subquery) CollectSelect(*j.table.subquery, out);
+    if (j.on) CollectExprs(*j.on, out);
+  }
+  if (s.where) CollectExprs(*s.where, out);
+  for (const auto& g : s.group_by) CollectExprs(*g, out);
+  if (s.having) CollectExprs(*s.having, out);
+  for (const auto& o : s.order_by) CollectExprs(*o.expr, out);
+}
+
+void CollectExprs(const Expr& e, std::vector<const Expr*>* out) {
+  out->push_back(&e);
+  for (const auto& child : e.children) CollectExprs(*child, out);
+  if (e.subquery) CollectSelect(*e.subquery, out);
+}
+
+void CollectColumn(const ColumnDefAst& col, std::vector<const Expr*>* out) {
+  if (col.default_value) CollectExprs(*col.default_value, out);
+  if (col.check) CollectExprs(*col.check, out);
+}
+
+std::vector<const Expr*> StatementExprs(const Statement& stmt) {
+  std::vector<const Expr*> out;
+  if (const auto* s = stmt.As<SelectStatement>()) CollectSelect(*s, &out);
+  if (const auto* s = stmt.As<InsertStatement>()) {
+    for (const auto& row : s->rows) {
+      for (const auto& e : row) CollectExprs(*e, &out);
+    }
+    if (s->select) CollectSelect(*s->select, &out);
+  }
+  if (const auto* s = stmt.As<UpdateStatement>()) {
+    for (const auto& [column, value] : s->assignments) CollectExprs(*value, &out);
+    if (s->where) CollectExprs(*s->where, &out);
+  }
+  if (const auto* s = stmt.As<DeleteStatement>()) {
+    if (s->where) CollectExprs(*s->where, &out);
+  }
+  if (const auto* s = stmt.As<CreateTableStatement>()) {
+    for (const auto& col : s->columns) CollectColumn(col, &out);
+    for (const auto& c : s->constraints) {
+      if (c.check) CollectExprs(*c.check, &out);
+    }
+  }
+  if (const auto* s = stmt.As<AlterTableStatement>()) {
+    CollectColumn(s->column, &out);
+    if (s->constraint.check) CollectExprs(*s->constraint.check, &out);
+  }
+  return out;
+}
+
+// Property, for every expression of each statement: the source text its
+// span covers parses back to the same printed expression (fixes edit
+// these spans), and printing, re-parsing and printing again is stable.
 class RoundTripTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(RoundTripTest, PrintParsePrintIsStable) {
-  StatementPtr first = ParseStatement(GetParam());
-  ASSERT_NE(first->kind, StatementKind::kUnknown) << GetParam();
-  std::string once = PrintStatement(*first);
-  StatementPtr second = ParseStatement(once);
-  ASSERT_NE(second->kind, StatementKind::kUnknown) << "re-parse failed: " << once;
-  EXPECT_EQ(PrintStatement(*second), once) << "unstable print for: " << GetParam();
+  StatementPtr stmt = ParseStatement(GetParam());
+  ASSERT_NE(stmt->kind, StatementKind::kUnknown) << GetParam();
+  const std::string_view raw = stmt->raw_sql;
+  for (const Expr* e : StatementExprs(*stmt)) {
+    const std::string once = PrintExpr(*e);
+    ASSERT_LE(e->begin, e->end);
+    ASSERT_LE(e->end, raw.size());
+    const std::string span(raw.substr(e->begin, e->end - e->begin));
+    EXPECT_EQ(PrintedItem(span), once) << "span '" << span << "' of " << GetParam();
+    EXPECT_EQ(PrintedItem(once), once) << "unstable print in " << GetParam();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -55,6 +132,7 @@ INSTANTIATE_TEST_SUITE_P(
         "SELECT CAST(a AS INTEGER) FROM t",
         "SELECT a || '-' || b FROM t",
         "SELECT a FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.id = t.id)",
+        "SELECT (a + 1)::TEXT, - (b), ((c)) FROM t WHERE ((a) OR b) AND NOT c LIKE 'x'",
         "SELECT a FROM t WHERE id IN (SELECT id FROM u)",
         "SELECT a FROM t ORDER BY RAND()",
         "INSERT INTO t (a, b) VALUES (1, 'x'), (2, 'y')",
