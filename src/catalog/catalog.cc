@@ -89,6 +89,10 @@ Status Catalog::Alter(const sql::AlterTableStatement& alter) {
   if (rename_table && FindTable(alter.new_name) != nullptr) {
     return Status::Error("table already exists: " + std::string(alter.new_name));
   }
+  for (const auto& [_, schema] : tables_) {
+    Status refused = schema.CheckReferencedAlter(alter, table->second);
+    if (!refused.ok()) return refused;
+  }
   Status s = table->second.Alter(alter);
   if (!s.ok()) return s;
   if (rename_table) {

@@ -39,6 +39,26 @@ CheckConstraintSchema MakeCheck(std::string_view name, const sql::Expr* expressi
   return check;
 }
 
+/// True when `e` reads `column`.
+bool ReadsColumn(const sql::Expr& e, std::string_view column) {
+  bool reads = false;
+  sql::VisitExpr(e, [&](const sql::Expr& node) {
+    reads |= EqualsIgnoreCase(node.ColumnName(), column);
+  });
+  return reads;
+}
+
+/// Renames every reference to column `from` under `e`.
+void RenameRefs(sql::Expr* e, std::string_view from, std::string_view to) {
+  if (EqualsIgnoreCase(e->ColumnName(), from)) e->name_parts.back() = to;
+  for (auto& child : e->children) RenameRefs(child.get(), from, to);
+}
+
+bool Names(const std::vector<std::string>& columns, std::string_view column) {
+  return std::any_of(columns.begin(), columns.end(),
+                     [&](const std::string& c) { return EqualsIgnoreCase(c, column); });
+}
+
 Status NoSuch(std::string_view what, std::string_view name) {
   return Status::Error("no such " + std::string(what) + ": " + std::string(name));
 }
@@ -102,6 +122,9 @@ void TableSchema::DropColumn(std::string_view column) {
   std::erase_if(foreign_keys,
                 [&](const ForeignKeySchema& fk) { return names_dropped(fk.columns); });
   std::erase_if(unique_constraints, names_dropped);
+  std::erase_if(checks, [&](const CheckConstraintSchema& check) {
+    return check.expression && ReadsColumn(*check.expression, dropped);
+  });
 }
 
 void TableSchema::RenameColumn(std::string_view from, std::string_view to) {
@@ -116,6 +139,13 @@ void TableSchema::RenameColumn(std::string_view from, std::string_view to) {
     std::for_each(fk.columns.begin(), fk.columns.end(), rename);
   }
   for (auto& cols : unique_constraints) std::for_each(cols.begin(), cols.end(), rename);
+  for (auto& check : checks) {
+    if (!check.expression || !ReadsColumn(*check.expression, old_name)) continue;
+    sql::ExprPtr renamed = check.expression->Clone();  // other schema copies share it
+    RenameRefs(renamed.get(), old_name, to);
+    check.expression_sql = sql::PrintExpr(*renamed);
+    check.expression = std::shared_ptr<const sql::Expr>(renamed.release());
+  }
 }
 
 Status TableSchema::Alter(const sql::AlterTableStatement& alter) {
@@ -172,6 +202,23 @@ Status TableSchema::Alter(const sql::AlterTableStatement& alter) {
       break;
   }
   return Status::Error("unsupported ALTER action");
+}
+
+Status TableSchema::CheckReferencedAlter(const sql::AlterTableStatement& alter,
+                                         const TableSchema& target) const {
+  if (alter.action != sql::AlterAction::kDropColumn) return Status::Ok();
+  const bool self = EqualsIgnoreCase(name, target.name);
+  for (const auto& fk : foreign_keys) {
+    if (!EqualsIgnoreCase(fk.ref_table, target.name)) continue;
+    if (self && Names(fk.columns, alter.target_name)) continue;  // goes with the column
+    if (Names(fk.ref_columns.empty() ? target.primary_key : fk.ref_columns,
+              alter.target_name)) {
+      return Status::Error("cannot drop column " + std::string(alter.target_name) +
+                           ": FOREIGN KEY " + name + " -> " + target.name +
+                           " references it");
+    }
+  }
+  return Status::Ok();
 }
 
 void TableSchema::FollowReferencedAlter(const sql::AlterTableStatement& alter) {

@@ -65,11 +65,11 @@ struct TableSchema {
   /// Adds a table constraint: PRIMARY KEY (its columns become NOT NULL),
   /// FOREIGN KEY, UNIQUE or CHECK.
   void AddConstraint(const sql::TableConstraintAst& con);
-  /// Removes a column with the PK entries, FKs and UNIQUE constraints that
-  /// name it. CHECK expressions are left as written.
+  /// Removes a column with the PK entries, FKs, UNIQUE constraints and
+  /// CHECKs that name it (PostgreSQL drops such a CHECK too).
   void DropColumn(std::string_view column);
-  /// Renames a column in the column list, the PK, FK columns and UNIQUE
-  /// constraints. CHECK expressions are left as written.
+  /// Renames a column in the column list, the PK, FK columns, UNIQUE
+  /// constraints and CHECK expressions (re-printing their text).
   void RenameColumn(std::string_view from, std::string_view to);
 
   /// Applies one ALTER TABLE action to this schema. RENAME TABLE only
@@ -78,6 +78,11 @@ struct TableSchema {
   /// missing constraint) leaves the schema unchanged; IF EXISTS makes a
   /// missing column or constraint a no-op.
   Status Alter(const sql::AlterTableStatement& alter);
+  /// Refuses `alter`, an ALTER of `target`, when it drops a column one of
+  /// this table's FKs references, as PostgreSQL does without CASCADE. Call
+  /// it for every table before applying the ALTER.
+  Status CheckReferencedAlter(const sql::AlterTableStatement& alter,
+                              const TableSchema& target) const;
   /// What `alter` does to this table's FKs that reference `alter.table`:
   /// RENAME TABLE and RENAME COLUMN carry into the references.
   void FollowReferencedAlter(const sql::AlterTableStatement& alter);

@@ -1370,6 +1370,10 @@ Result<QueryResult> Executor::ExecuteAlterTable(const sql::AlterTableStatement& 
     return Result<QueryResult>::Error("RENAME TABLE is not supported by the engine");
   }
   TableSchema before = table->schema();
+  for (const Table* other : db_->Tables()) {
+    Status refused = other->schema().CheckReferencedAlter(stmt, before);
+    if (!refused.ok()) return refused;
+  }
   TableSchema altered = before;
   Status s = altered.Alter(stmt);
   if (!s.ok()) return s;

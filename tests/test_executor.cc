@@ -469,5 +469,22 @@ TEST_F(ExecutorTest, UpdateRevalidatesCheckConstraints) {
   EXPECT_EQ(Run("SELECT rating FROM t").Scalar().AsInt(), 3);
 }
 
+TEST_F(ExecutorTest, CheckGoesWithItsDroppedColumn) {
+  Run("CREATE TABLE t (a INT CHECK (a > 0), b INT)");
+  Run("ALTER TABLE t DROP COLUMN a");
+  Run("INSERT INTO t VALUES (1)");
+  EXPECT_TRUE(db_.GetTable("t")->schema().checks.empty());
+}
+
+TEST_F(ExecutorTest, CheckFollowsRenamedColumn) {
+  Run("CREATE TABLE t (a INT CHECK (a > 0), b INT)");
+  Run("ALTER TABLE t RENAME COLUMN a TO x");
+  Run("INSERT INTO t VALUES (1, 2)");
+  EXPECT_EQ(db_.GetTable("t")->schema().checks[0].expression_sql, "(x > 0)");
+  // Still enforced under the new name.
+  auto s = RunExpectError("INSERT INTO t VALUES (0, 2)");
+  EXPECT_NE(s.message().find("CHECK"), std::string::npos) << s.message();
+}
+
 }  // namespace
 }  // namespace sqlcheck

@@ -94,6 +94,8 @@ TEST(SchemaEvolutionTest, CatalogAndEngineAgreeOnSchemas) {
       "ALTER TABLE child ADD COLUMN k SERIAL",
       "ALTER TABLE child ADD CONSTRAINT chk_b CHECK (b > 0)",
       "ALTER TABLE child ADD CONSTRAINT chk_a CHECK (a > 0)",
+      "ALTER TABLE child ADD CONSTRAINT chk_ab CHECK (a < b + 100)",
+      "ALTER TABLE child ADD CONSTRAINT chk_note CHECK (note <> '')",
       "ALTER TABLE child ADD CONSTRAINT uq_b_note UNIQUE (b, note)",
       "ALTER TABLE child ADD CONSTRAINT uq_b_c UNIQUE (b, c)",
       "CREATE INDEX idx_child_a ON child (a)",
@@ -125,7 +127,10 @@ TEST(SchemaEvolutionTest, CatalogAndEngineAgreeOnSchemas) {
   EXPECT_NE(engine.find("index idx_child_a (aa)"), std::string::npos) << engine;
   EXPECT_NE(engine.find("unique (b,c)"), std::string::npos) << engine;
   EXPECT_EQ(engine.find("note"), std::string::npos) << engine;
-  EXPECT_EQ(engine.find("chk_a"), std::string::npos) << engine;
+  EXPECT_EQ(engine.find("chk_a "), std::string::npos) << engine;
+  // A CHECK follows its renamed column and goes with its dropped one.
+  EXPECT_NE(engine.find("check chk_ab (aa < (b + 100))"), std::string::npos) << engine;
+  EXPECT_EQ(engine.find("chk_note"), std::string::npos) << engine;
   // The engine filled the existing row with the evaluated DEFAULT, and the
   // FK still finds its parent under the renamed key.
   EXPECT_EQ(exec.ExecuteSql("SELECT c FROM child WHERE aa = 1")->Scalar().AsInt(), 5);
@@ -189,6 +194,45 @@ TEST(SchemaEvolutionTest, FailingAlterLeavesSchemaUnchanged) {
     EXPECT_FALSE(exec.ExecuteSql(text).ok()) << text;
     EXPECT_EQ(Snapshot(*table), before) << text;
   }
+}
+
+TEST(SchemaEvolutionTest, DropOfAReferencedColumnIsRefused) {
+  // c's FK references p.code, so dropping code would leave it dangling and
+  // refuse every later non-NULL insert into c. Both paths refuse the DROP
+  // (as PostgreSQL does without CASCADE) and leave every schema unchanged.
+  const std::vector<std::string> script = {
+      "CREATE TABLE p (id INT PRIMARY KEY, code INT UNIQUE)",
+      "CREATE TABLE c (pcode INT REFERENCES p(code), pid INT REFERENCES p)",
+      "INSERT INTO p VALUES (1, 10)",
+  };
+  Catalog catalog;
+  Database db;
+  Executor exec(&db);
+  for (const auto& text : script) {
+    auto stmt = sql::ParseStatement(text);
+    EXPECT_TRUE(catalog.ApplyDdl(*stmt).ok()) << text;
+    EXPECT_TRUE(exec.Execute(*stmt).ok()) << text;
+  }
+  const std::string catalog_before = Describe(catalog);
+  const std::string engine_before = Describe(db);
+  const std::string rows_before = Snapshot(*db.GetTable("p"));
+  // The second FK references p's primary key implicitly.
+  for (const char* text : {"ALTER TABLE p DROP COLUMN code", "ALTER TABLE p DROP COLUMN id"}) {
+    auto stmt = sql::ParseStatement(text);
+    Status refused = catalog.ApplyDdl(*stmt);
+    EXPECT_FALSE(refused.ok()) << text;
+    EXPECT_NE(refused.message().find("FOREIGN KEY c -> p"), std::string::npos)
+        << refused.message();
+    EXPECT_FALSE(exec.Execute(*stmt).ok()) << text;
+    EXPECT_EQ(Describe(catalog), catalog_before) << text;
+    EXPECT_EQ(Describe(db), engine_before) << text;
+    EXPECT_EQ(Snapshot(*db.GetTable("p")), rows_before) << text;
+  }
+  auto inserted = exec.ExecuteSql("INSERT INTO c VALUES (10, 1)");
+  EXPECT_TRUE(inserted.ok()) << inserted.message();
+  // The FK's own column may still go, and its FK with it.
+  EXPECT_TRUE(exec.ExecuteSql("ALTER TABLE c DROP COLUMN pcode").ok());
+  EXPECT_TRUE(exec.ExecuteSql("ALTER TABLE p DROP COLUMN code").ok());
 }
 
 /// The report's finding counts by rule name, for readable failures.
