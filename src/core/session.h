@@ -399,8 +399,9 @@ class AnalysisSession {
   /// rule may flag several columns of one statement); `raw` is the exact
   /// statement text it was computed for: a rewrite splices edits into that
   /// text, and ImpactedQueries drops its own statement by exact text, so
-  /// whitespace variants of one group get different fixes. `generation` is the context generation it was computed
-  /// at; a fix that reads the context replays only while it matches.
+  /// whitespace variants of one group get different fixes. `generation` is
+  /// the context generation it was computed at; a fix that reads the context
+  /// replays only while it matches.
   struct CachedFix {
     size_t row;
     AntiPattern type;
@@ -411,13 +412,13 @@ class AnalysisSession {
     Fix fix;
   };
   /// The fix cache, indexed by a hash of (row, type, table, column, raw). An
-  /// entry whose fields do not match the probe
-  /// (a hash collision) counts as absent and is overwritten, as is a stale
-  /// one, so the cache holds at most one entry per key and spelling.
+  /// entry whose fields do not match the probe (a hash collision) counts as
+  /// absent and is overwritten, as is a stale one, so the cache holds at most
+  /// one entry per key and spelling.
   std::unordered_map<uint64_t, CachedFix> fix_cache_;
   /// Per AntiPattern: its rule and its fixer are both statement-local, so
-  /// its fix replays at any generation (FixForDetection).
-  /// Recomputed when the registry changes.
+  /// its fix replays at any generation (FixForDetection). Recomputed when
+  /// the registry changes.
   std::array<bool, kAntiPatternCount> local_fix_pair_{};
   size_t fix_cache_hits_ = 0;
   size_t fix_cache_misses_ = 0;

@@ -111,6 +111,12 @@ Fix FixEngine::SuggestFix(const Detection& d, const Context& context) const {
   } else {
     fix = fixer->Propose(d, context);
   }
+  // A custom fixer may replace the statement without naming its edits: the
+  // rewrite then replaces the statement's whole text.
+  if (fix.replaces_original && fix.edits.empty() && fix.statements.size() == 1) {
+    const auto length = static_cast<uint32_t>(fix.original_sql.size());
+    fix.edits.push_back({0, length, fix.statements[0]});
+  }
   AnchorProvenance(&fix, d, context);
 
   if (fix.kind == FixKind::kRewrite) {

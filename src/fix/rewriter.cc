@@ -162,7 +162,8 @@ SourceEdits ExpandWildcard(const sql::SelectStatement& select, const Context& co
   return edits;
 }
 
-SourceEdits ExpandInsertColumns(const sql::InsertStatement& insert, const Context& context) {
+SourceEdits ExpandInsertColumns(const sql::InsertStatement& insert,
+                                const Context& context) {
   const TableSchema* schema = context.catalog().FindTable(insert.table);
   if (schema == nullptr || schema->columns.empty()) return {};
   // Every VALUES row, or the SELECT's star-free list, must fill the schema
@@ -186,7 +187,8 @@ SourceEdits ExpandInsertColumns(const sql::InsertStatement& insert, const Contex
   return {SourceEdit{insert.table_end, 0, std::move(columns)}};
 }
 
-SourceEdits ReplaceOrderByRand(const sql::SelectStatement& select, const Context& context) {
+SourceEdits ReplaceOrderByRand(const sql::SelectStatement& select,
+                               const Context& context) {
   // Only the random-pick idiom (ORDER BY RAND() ... LIMIT n) has an
   // equivalent key-probe form; a full shuffle does not.
   if (!select.limit.has_value() || select.order_by.empty()) return {};
@@ -234,13 +236,13 @@ SourceEdits WrapConcatNulls(const sql::SelectStatement& select, const Context& c
   SourceEdits edits;
   for (const auto& item : select.items) {
     if (item.expr) {
-      WrapNullableConcatOperands(*item.expr, select.raw_sql, context, default_table, false,
-                                 &edits);
+      WrapNullableConcatOperands(*item.expr, select.raw_sql, context, default_table,
+                                 false, &edits);
     }
   }
   if (select.where) {
-    WrapNullableConcatOperands(*select.where, select.raw_sql, context, default_table, false,
-                               &edits);
+    WrapNullableConcatOperands(*select.where, select.raw_sql, context, default_table,
+                               false, &edits);
   }
   // A detection this transformation cannot reach (concat in ORDER BY /
   // HAVING, NOT NULL operands only) must fall back to guidance, not claim a

@@ -41,7 +41,8 @@ SourceEdits ExpandWildcard(const sql::SelectStatement& select, const Context& co
 /// when a VALUES row's arity does not match the schema, or when an INSERT
 /// ... SELECT list has a * or the wrong width (the statement is already
 /// broken; guessing would mask it).
-SourceEdits ExpandInsertColumns(const sql::InsertStatement& insert, const Context& context);
+SourceEdits ExpandInsertColumns(const sql::InsertStatement& insert,
+                                const Context& context);
 
 /// Replaces `ORDER BY RAND() ... LIMIT n` with a random primary-key range
 /// probe: `WHERE pk >= (SELECT FLOOR(RAND() * MAX(pk)) FROM t) ORDER BY pk
@@ -50,7 +51,8 @@ SourceEdits ExpandInsertColumns(const sql::InsertStatement& insert, const Contex
 /// statement reads exactly one cataloged table with a single-column primary
 /// key, orders by ascending RAND()/RANDOM() alone, and carries a LIMIT
 /// (without one the shuffle semantics cannot be preserved).
-SourceEdits ReplaceOrderByRand(const sql::SelectStatement& select, const Context& context);
+SourceEdits ReplaceOrderByRand(const sql::SelectStatement& select,
+                               const Context& context);
 
 /// Rewrites index-hostile leading-wildcard LIKE predicates `col LIKE '%tail'`
 /// as `REVERSE(col) LIKE 'liat%'`, which a functional index on REVERSE(col)

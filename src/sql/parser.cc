@@ -319,11 +319,8 @@ class Parser {
       stmt->or_replace = true;
     } else {
       ExpectKeyword(Kw::kInsert);
-      if (MatchKeyword(Kw::kOr)) {
-        if (MatchKeyword(Kw::kReplace)) stmt->or_replace = true;
-        else MatchKeyword(Kw::kIgnore);
-      }
-      MatchKeyword(Kw::kIgnore);
+      if (MatchKeyword(Kw::kOr) && MatchKeyword(Kw::kReplace)) stmt->or_replace = true;
+      MatchKeyword(Kw::kIgnore);  // INSERT IGNORE, INSERT OR IGNORE
     }
     MatchKeyword(Kw::kInto);
     stmt->table = ParseTableName();
@@ -1104,7 +1101,7 @@ class Parser {
   Arena* arena_;
   std::pmr::memory_resource* mr_;
   size_t pos_ = 0;
-  uint32_t base_ = 0;  ///< Offset of raw_sql in the lexed text: spans are raw_sql-relative.
+  uint32_t base_ = 0;  ///< raw_sql's offset in the lexed text (spans are raw_sql's).
   bool ok_ = true;
 };
 

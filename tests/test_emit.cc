@@ -504,7 +504,8 @@ TEST(EmitFixesTest, SarifReplacementsSpliceWhatApplyWrites) {
   while ((pos = sarif.rfind("\"charOffset\": ", pos - 1)) != std::string::npos) {
     // Replacements come in offset order; apply them back to front.
     const size_t offset = std::stoul(sarif.substr(pos + 14));
-    const size_t length = std::stoul(sarif.substr(sarif.find("\"charLength\": ", pos) + 14));
+    const size_t length =
+        std::stoul(sarif.substr(sarif.find("\"charLength\": ", pos) + 14));
     const size_t text = sarif.find("\"text\": \"", pos) + 9;
     patched.replace(offset, length, sarif.substr(text, sarif.find('"', text) - text));
     if (pos == 0) break;

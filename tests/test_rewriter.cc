@@ -161,7 +161,8 @@ TEST(RewriterTest, QualifiedStarExpandsOnlyItsOwnTable) {
       "SELECT o.*, u.name FROM users u JOIN orders o ON u.id = o.user_id;");
   const sql::SelectStatement& select = LastSelect(context);
   EXPECT_EQ(Spliced(select, ExpandWildcard(select, context)),
-            "SELECT o.oid, o.user_id, u.name FROM users u JOIN orders o ON u.id = o.user_id");
+            "SELECT o.oid, o.user_id, u.name FROM users u "
+            "JOIN orders o ON u.id = o.user_id");
 }
 
 TEST(RewriterTest, WildcardExpansionRefusesUnknownAndSubquerySources) {
@@ -196,7 +197,8 @@ TEST(RewriterTest, OrderByRandBecomesKeyRangeProbe) {
   const sql::SelectStatement& select = LastSelect(context);
   const std::string spliced = Spliced(select, ReplaceOrderByRand(select, context));
   EXPECT_EQ(spliced,
-            "SELECT name FROM users WHERE id >= (SELECT FLOOR(RAND() * MAX(id)) FROM users) "
+            "SELECT name FROM users "
+            "WHERE id >= (SELECT FLOOR(RAND() * MAX(id)) FROM users) "
             "ORDER BY id LIMIT 1");
   // The probe must re-parse and must not read as ORDER BY RAND anymore.
   sql::StatementPtr reparsed = sql::ParseStatement(spliced);
@@ -417,9 +419,10 @@ TEST(RewriterTest, InsertExpansionKeepsOnDuplicateKeyUpdate) {
 }
 
 TEST(RewriterTest, InsertExpansionKeepsOnConflict) {
-  ExpectRewriteKeepsClause("INSERT INTO t VALUES (1, 'x') ON CONFLICT DO NOTHING;",
-                           "INSERT INTO t (id, name) VALUES (1, 'x') ON CONFLICT DO NOTHING;",
-                           AntiPattern::kImplicitColumns);
+  ExpectRewriteKeepsClause(
+      "INSERT INTO t VALUES (1, 'x') ON CONFLICT DO NOTHING;",
+      "INSERT INTO t (id, name) VALUES (1, 'x') ON CONFLICT DO NOTHING;",
+      AntiPattern::kImplicitColumns);
 }
 
 TEST(RewriterTest, InsertExpansionKeepsReturning) {
@@ -530,6 +533,38 @@ TEST(VerifyRewriteTest, EngineDemotesFailingProposalsWithReason) {
         << fix.verify_note;
   }
   EXPECT_TRUE(saw_wildcard);
+}
+
+TEST(VerifyRewriteTest, CustomRewriteWithoutEditsReplacesTheWholeStatement) {
+  class NamingFixer final : public Fixer {
+   public:
+    AntiPattern type() const override { return AntiPattern::kColumnWildcard; }
+    Fix Propose(const Detection& d, const Context&) const override {
+      Fix fix;
+      fix.type = d.type;
+      fix.original_sql = d.query;
+      fix.kind = FixKind::kRewrite;
+      fix.replaces_original = true;
+      fix.statements.push_back("SELECT a FROM t");
+      return fix;
+    }
+  };
+  const std::string script =
+      "CREATE TABLE t (a INTEGER PRIMARY KEY);\nSELECT *\nFROM t;\n";
+  RuleRegistry registry = RuleRegistry::Default();
+  registry.RegisterFixer(std::make_unique<NamingFixer>());
+  Detected context = BuildContext(script);
+  FixEngine engine(registry, DetectorConfig{});
+  Report report;
+  for (const Detection& d : context.detections) {
+    if (d.type != AntiPattern::kColumnWildcard) continue;
+    Finding& finding = report.findings.emplace_back();
+    finding.fix = engine.SuggestFix(d, context);
+  }
+  ASSERT_EQ(report.size(), 1u);
+  EXPECT_TRUE(report.findings[0].fix.verified);
+  EXPECT_EQ(ApplyFixes(script, report),
+            "CREATE TABLE t (a INTEGER PRIMARY KEY);\nSELECT a FROM t;\n");
 }
 
 // ---------------------------------------------------------------------------

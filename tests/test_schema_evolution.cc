@@ -217,7 +217,8 @@ TEST(SchemaEvolutionTest, DropOfAReferencedColumnIsRefused) {
   const std::string engine_before = Describe(db);
   const std::string rows_before = Snapshot(*db.GetTable("p"));
   // The second FK references p's primary key implicitly.
-  for (const char* text : {"ALTER TABLE p DROP COLUMN code", "ALTER TABLE p DROP COLUMN id"}) {
+  for (const char* text :
+       {"ALTER TABLE p DROP COLUMN code", "ALTER TABLE p DROP COLUMN id"}) {
     auto stmt = sql::ParseStatement(text);
     Status refused = catalog.ApplyDdl(*stmt);
     EXPECT_FALSE(refused.ok()) << text;
