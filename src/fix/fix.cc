@@ -1,6 +1,26 @@
 #include "fix/fix.h"
 
+#include <cctype>
+
 namespace sqlcheck {
+
+namespace {
+
+/// True when [begin, end) of `content` is a whole statement: only
+/// whitespace separates it from a `;` or the content's edge on each side.
+/// Statements are split on `;` and trimmed, so a statement's own occurrence
+/// passes and a match inside a longer statement does not.
+bool IsWholeStatement(std::string_view content, size_t begin, size_t end) {
+  auto space = [&](size_t i) {
+    return std::isspace(static_cast<unsigned char>(content[i])) != 0;
+  };
+  while (begin > 0 && space(begin - 1)) --begin;
+  while (end < content.size() && space(end)) ++end;
+  return (begin == 0 || content[begin - 1] == ';') &&
+         (end == content.size() || content[end] == ';');
+}
+
+}  // namespace
 
 void AppendSpliced(std::string* out, std::string_view text,
                    const std::vector<SourceEdit>& edits) {
@@ -19,9 +39,15 @@ size_t FixLocator::Locate(const Fix& fix) {
   key += '\x1f';
   key += fix.original_sql;
   size_t& from = cursors_[key];
-  const size_t offset = content_.find(fix.original_sql, from);
-  if (offset != std::string_view::npos) from = offset + 1;
-  return offset;
+  const size_t length = fix.original_sql.size();
+  for (size_t at = content_.find(fix.original_sql, from); at != std::string_view::npos;
+       at = content_.find(fix.original_sql, at + 1)) {
+    if (IsWholeStatement(content_, at, at + length)) {
+      from = at + 1;
+      return at;
+    }
+  }
+  return std::string_view::npos;
 }
 
 }  // namespace sqlcheck

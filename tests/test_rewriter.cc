@@ -700,6 +700,25 @@ TEST(ApplyFixesTest, RewrittenWorkloadReportsStrictlyFewerDetections) {
   EXPECT_LT(after.size(), before.size()) << rewritten;
 }
 
+TEST(ApplyFixesTest, EditsTheStatementNotAnEarlierCopyOfItsText) {
+  // The second statement's text also appears inside the INSERT; only its
+  // own occurrence may be edited.
+  const std::string script =
+      "CREATE TABLE t2 (id INT PRIMARY KEY, name VARCHAR(20));\n"
+      "CREATE TABLE t (id INT PRIMARY KEY, name VARCHAR(20));\n"
+      "INSERT INTO t (id, name) SELECT * FROM t2 WHERE id > 1;\n"
+      "SELECT * FROM t2 WHERE id > 1;\n";
+  SqlCheck checker;
+  checker.AddScript(script);
+  size_t applied = 0;
+  EXPECT_EQ(ApplyFixes(script, checker.Run(), &applied),
+            "CREATE TABLE t2 (id INT PRIMARY KEY, name VARCHAR(20));\n"
+            "CREATE TABLE t (id INT PRIMARY KEY, name VARCHAR(20));\n"
+            "INSERT INTO t (id, name) SELECT * FROM t2 WHERE id > 1;\n"
+            "SELECT id, name FROM t2 WHERE id > 1;\n");
+  EXPECT_EQ(applied, 1u);
+}
+
 TEST(ApplyFixesTest, HighestRankedRewriteWinsPerStatement) {
   // One statement carrying two rewritable anti-patterns: the fix attached to
   // the higher-ranked finding must be the one applied.
