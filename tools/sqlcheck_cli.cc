@@ -612,14 +612,14 @@ int main(int argc, char** argv) {
     return findings > 0 ? 1 : 0;
   }
 
-  // Batch: ingest everything, snapshot once. The raw workload text is kept
+  // Batch: ingest everything, snapshot once. Each input's raw text is kept
   // for SARIF fix replacement regions (--fixes) and for --apply's splices.
-  std::string workload;
+  std::vector<std::string> inputs;
   if (use_stdin) {
     std::ostringstream content;
     content << std::cin.rdbuf();
-    workload = content.str();
-    session.AddScript(workload);
+    inputs.push_back(content.str());
+    session.AddScript(inputs.back());
   } else {
     for (const auto& path : cli.files) {
       std::ifstream in(path);
@@ -629,9 +629,8 @@ int main(int argc, char** argv) {
       }
       std::ostringstream content;
       content << in.rdbuf();
-      std::string text = content.str();
-      session.AddScript(text);
-      workload += text;
+      inputs.push_back(content.str());
+      session.AddScript(inputs.back());
     }
   }
 
@@ -641,7 +640,7 @@ int main(int argc, char** argv) {
   emit.include_fixes = cli.fixes;
   if (cli.files.size() == 1 && cli.files[0] != "-") {
     emit.artifact_uri = cli.files[0];
-    if (cli.fixes) emit.artifact_content = workload;
+    if (cli.fixes) emit.artifact_content = inputs[0];
   }
   switch (cli.format) {
     case Format::kText: std::cout << report.ToText(cli.top, cli.color); break;
@@ -662,8 +661,18 @@ int main(int argc, char** argv) {
   }
 
   if (!cli.apply_path.empty()) {
+    // Each input is spliced on its own: a statement never spans two files.
     size_t applied = 0;
-    std::string rewritten = ApplyFixes(workload, report, &applied);
+    std::string rewritten;
+    for (const std::string& text : inputs) {
+      // End a file's unterminated last statement, so the written script
+      // splits where the inputs did.
+      std::string_view done = Trim(rewritten);
+      if (!done.empty() && done.back() != ';') rewritten += "\n;\n";
+      size_t in_text = 0;
+      rewritten += ApplyFixes(text, report, &in_text);
+      applied += in_text;
+    }
     std::ofstream out(cli.apply_path);
     if (!out) {
       std::cerr << "sqlcheck: cannot write '" << cli.apply_path << "'\n";
