@@ -78,11 +78,10 @@ struct Fix {
 /// \brief Finds the offending statements of statement-replacing fixes in the
 /// workload text they were read from. Statements are stored as trimmed
 /// substrings of the source, so a statement's exact bytes, bounded by `;`
-/// or the text's edge, locate it. Each
-/// (type, statement text) keeps a cursor, so repeated offending statements
-/// anchor to successive occurrences instead of all to the first: same-type
-/// duplicates rank adjacently in stream order. The SARIF emitter and
-/// ApplyFixes share it.
+/// or the text's edge, locate it. Each (type, statement text) keeps a
+/// cursor, so repeated offending statements anchor to successive
+/// occurrences instead of all to the first: same-type duplicates rank
+/// adjacently in stream order. The SARIF emitter and ApplyFixes share it.
 class FixLocator {
  public:
   explicit FixLocator(std::string_view content) : content_(content) {}
