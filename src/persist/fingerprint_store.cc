@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
-#include <unordered_set>
 
 #include "common/failpoint.h"
 #include "common/hash.h"
@@ -24,21 +23,23 @@ namespace {
 
 // On-disk format. Everything is little-endian on every target we build for;
 // values move through memcpy so alignment never matters. Header and record
-// checksums are XXH64 (seed 0). Version 4 stored each finding's source,
-// table, column and message as well; version 3 was version 4 with FNV-1a
-// checksums.
+// checksums are XXH64 (seed 0). Version 5 kept a key length in the
+// statement record prefix, and a manifest reference was (exact fingerprint,
+// template fingerprint, byte offset) instead of a u32 record ordinal;
+// version 4 stored each finding's source, table, column and message as
+// well; version 3 was version 4 with FNV-1a checksums.
 constexpr char kMagic[8] = {'S', 'Q', 'L', 'C', 'K', 'F', 'S', '1'};
-constexpr uint32_t kFormatVersion = 5;
+constexpr uint32_t kFormatVersion = 6;
 constexpr uint64_t kHeaderBytes = 64;
 constexpr uint32_t kRecordMagic = 0x52504653;      // "SFPR": statement record
 constexpr uint32_t kFileRecordMagic = 0x46504653;  // "SFPF": file manifest
 /// Statement record fixed prefix: magic, total, fingerprint, template
-/// fingerprint, canonical length, finding count.
-constexpr uint64_t kRecordPrefixBytes = 4 + 4 + 8 + 8 + 4 + 4;
+/// fingerprint, finding count. The key is what the findings leave.
+constexpr uint64_t kRecordPrefixBytes = 4 + 4 + 8 + 8 + 4;
 /// File record fixed prefix: magic, total, path length, statement count,
 /// file size, mtime (ns).
 constexpr uint64_t kFileRecordPrefixBytes = 4 + 4 + 4 + 4 + 8 + 8;
-constexpr uint64_t kStmtRefBytes = 8 + 8 + 8;  ///< exact, template, offset.
+constexpr uint64_t kRecordRefBytes = 4;  ///< A manifest reference: u32 ordinal.
 constexpr uint64_t kRecordChecksumBytes = 8;
 /// One finding of a statement record: type byte, score bits (unaligned).
 constexpr uint64_t kFindingBytes = 1 + 8;
@@ -163,44 +164,44 @@ struct FileRecordView {
   uint64_t size = 0;
   uint64_t mtime_ns = 0;
   uint32_t stmt_count = 0;
-  const char* stmts = nullptr;  ///< First packed StmtRef.
+  const char* stmts = nullptr;  ///< First u32 record ordinal.
 };
 
-StmtRef GetStmtRef(const char* p) {
-  StmtRef s;
-  s.exact = GetU64(p);
-  s.tmpl = GetU64(p + 8);
-  s.offset = GetU64(p + 16);
-  return s;
+uint32_t RefAt(const FileRecordView& f, uint32_t i) {
+  return GetU32(f.stmts + i * kRecordRefBytes);
 }
 
-/// Decodes the statement record at `offset` once its frame checks out
-/// within `limit`. Every length field is checked before use.
-bool DecodeRecord(std::string_view log, uint64_t offset, uint64_t limit,
-                  RecordView* out) {
-  const uint64_t total = CheckFrame(log, offset, limit, kRecordMagic, kRecordPrefixBytes);
-  if (total == 0) return false;
-  const char* p = log.data() + offset;
-  const uint64_t canonical_bytes = GetU32(p + 24);
-  const uint32_t finding_count = GetU32(p + 28);
+/// True when `ordinal` names one of the first `records` statement records.
+bool NamesRecord(uint64_t ordinal, uint64_t records) {
+  return ordinal != FingerprintStore::kNoRecord && ordinal <= records;
+}
+
+/// Reads the fields of the `total`-byte statement record framed at `p`. The
+/// key is what the findings leave, so a checksum-valid record is refused
+/// (it would take a deliberate forgery, but is cheap) only when its finding
+/// count does not fit.
+bool ViewRecord(const char* p, uint64_t total, RecordView* out) {
+  const uint32_t finding_count = GetU32(p + 24);
   const uint64_t payload = total - kRecordPrefixBytes - kRecordChecksumBytes;
-  // A checksum-valid record whose lengths disagree with its size (it would
-  // take a deliberate forgery, but is cheap to refuse) cannot pass.
-  if (canonical_bytes > payload ||
-      payload - canonical_bytes != static_cast<uint64_t>(finding_count) * kFindingBytes) {
-    return false;
-  }
-  *out = RecordView{total,
-                    GetU64(p + 8),
-                    GetU64(p + 16),
-                    std::string_view(p + kRecordPrefixBytes, canonical_bytes),
-                    finding_count,
-                    p + kRecordPrefixBytes + canonical_bytes};
+  const uint64_t finding_bytes = static_cast<uint64_t>(finding_count) * kFindingBytes;
+  if (finding_bytes > payload) return false;
+  const char* key = p + kRecordPrefixBytes;
+  *out = RecordView{total,         GetU64(p + 8),
+                    GetU64(p + 16), std::string_view(key, payload - finding_bytes),
+                    finding_count,  key + payload - finding_bytes};
   return true;
 }
 
-/// File-record counterpart of DecodeRecord. Statement offsets are range
-/// checked by the caller (they must point strictly before this record).
+/// Decodes the statement record at `offset` once its frame checks out
+/// within `limit`.
+bool DecodeRecord(std::string_view log, uint64_t offset, uint64_t limit,
+                  RecordView* out) {
+  const uint64_t total = CheckFrame(log, offset, limit, kRecordMagic, kRecordPrefixBytes);
+  return total != 0 && ViewRecord(log.data() + offset, total, out);
+}
+
+/// File-record counterpart of DecodeRecord. Record ordinals are range
+/// checked by the caller (they must name a statement record before this one).
 bool DecodeFileRecord(std::string_view log, uint64_t offset, uint64_t limit,
                       FileRecordView* out) {
   const uint64_t total =
@@ -211,7 +212,7 @@ bool DecodeFileRecord(std::string_view log, uint64_t offset, uint64_t limit,
   const uint32_t stmt_count = GetU32(p + 12);
   const uint64_t payload = total - kFileRecordPrefixBytes - kRecordChecksumBytes;
   if (path_len > payload ||
-      payload - path_len != static_cast<uint64_t>(stmt_count) * kStmtRefBytes) {
+      payload - path_len != static_cast<uint64_t>(stmt_count) * kRecordRefBytes) {
     return false;
   }
   *out = FileRecordView{total,
@@ -361,6 +362,7 @@ Status FingerprintStore::OpenLocked(uint64_t ruleset_hash) {
 
 void FingerprintStore::ClearState() {
   map_.Reset();
+  records_.clear();
   index_.clear();
   appended_.clear();
   appended_buf_.clear();
@@ -391,18 +393,17 @@ bool FingerprintStore::LoadIndex() {
   const uint64_t stop = WalkLog(
       log, log.size(),
       [&](uint64_t off, const RecordView& r) {
-        index_.emplace_back(r.fingerprint, off);
+        records_.push_back(RecordSlot{off, r.fingerprint, r.template_fingerprint});
+        index_.emplace_back(r.fingerprint, static_cast<uint32_t>(records_.size()));
         return true;
       },
-      [&](uint64_t off, const FileRecordView& f) {
-        FileEntry entry{f.size, f.mtime_ns, {}};
-        entry.stmts.reserve(f.stmt_count);
+      [&](uint64_t, const FileRecordView& f) {
+        FileEntry entry{f.size, f.mtime_ns, std::vector<uint32_t>(f.stmt_count)};
         for (uint32_t i = 0; i < f.stmt_count; ++i) {
-          StmtRef s = GetStmtRef(f.stmts + i * kStmtRefBytes);
           // Manifests only ever reference statement records written before
-          // them; a forward offset is structural corruption.
-          if (s.offset < kHeaderBytes || s.offset >= off) return false;
-          entry.stmts.push_back(s);
+          // them; any other ordinal is structural corruption.
+          entry.records[i] = RefAt(f, i);
+          if (!NamesRecord(entry.records[i], records_.size())) return false;
         }
         file_index_[std::string(f.path)] = std::move(entry);  // last write wins
         ++stats_.file_entries;
@@ -411,7 +412,7 @@ bool FingerprintStore::LoadIndex() {
   if (stop != log.size()) return false;
   // Entries were pushed in log order and the sort is stable, so a collision
   // chain keeps log order.
-  RadixSortBy(index_, [](const std::pair<uint64_t, uint64_t>& e) { return e.first; });
+  RadixSortBy(index_, [](const std::pair<uint64_t, uint32_t>& e) { return e.first; });
   stats_.entries = index_.size();
   return true;
 }
@@ -436,18 +437,20 @@ Status FingerprintStore::Freeze(std::string warning) {
   return Status::Error(stats_.warning);
 }
 
-std::string_view FingerprintStore::BytesAt(uint64_t* offset) const {
-  if (*offset < open_end_) return map_.view();
-  *offset -= open_end_;
+std::string_view FingerprintStore::RecordBytes(uint64_t ordinal, uint64_t* at) const {
+  if (!NamesRecord(ordinal, records_.size())) return {};
+  *at = records_[ordinal - 1].offset;
+  if (*at < open_end_) return map_.view();
+  *at -= open_end_;
   return appended_buf_;
 }
 
 uint64_t FingerprintStore::Find(std::string_view canonical, uint64_t fingerprint,
                                 std::vector<FindingStat>* out,
                                 uint64_t* template_fingerprint) const {
-  auto holds_key = [&](uint64_t offset) {
-    uint64_t at = offset;
-    std::string_view log = BytesAt(&at);
+  auto holds_key = [&](uint32_t ordinal) {
+    uint64_t at = 0;
+    std::string_view log = RecordBytes(ordinal, &at);
     RecordView r;
     if (!DecodeRecord(log, at, log.size(), &r) || r.canonical != canonical) return false;
     DecodeFindingStats(r, out, template_fingerprint);
@@ -455,7 +458,7 @@ uint64_t FingerprintStore::Find(std::string_view canonical, uint64_t fingerprint
   };
   auto it = std::lower_bound(
       index_.begin(), index_.end(), fingerprint,
-      [](const std::pair<uint64_t, uint64_t>& e, uint64_t fp) { return e.first < fp; });
+      [](const std::pair<uint64_t, uint32_t>& e, uint64_t fp) { return e.first < fp; });
   for (; it != index_.end() && it->first == fingerprint; ++it) {
     if (holds_key(it->second)) return it->second;
   }
@@ -463,19 +466,19 @@ uint64_t FingerprintStore::Find(std::string_view canonical, uint64_t fingerprint
   for (; first != last; ++first) {
     if (holds_key(first->second)) return first->second;
   }
-  return kNoOffset;
+  return kNoRecord;
 }
 
 bool FingerprintStore::ProbeStats(std::string_view canonical, uint64_t fingerprint,
                                   std::vector<FindingStat>* out,
-                                  uint64_t* template_fingerprint, uint64_t* offset) {
+                                  uint64_t* template_fingerprint, uint64_t* record) {
   if (!usable()) return false;
   const uint64_t found = Find(canonical, fingerprint, out, template_fingerprint);
-  if (found == kNoOffset) {
+  if (found == kNoRecord) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  if (offset != nullptr) *offset = found;
+  if (record != nullptr) *record = found;
   hits_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
@@ -486,7 +489,11 @@ bool FingerprintStore::ProbeFile(std::string_view rel_path, uint64_t size,
   auto it = file_index_.find(std::string(rel_path));
   if (it != file_index_.end() && it->second.size == size &&
       it->second.mtime_ns == mtime_ns) {
-    *out = it->second.stmts;
+    out->clear();
+    for (uint32_t ordinal : it->second.records) {
+      const RecordSlot& r = records_[ordinal - 1];
+      out->push_back(StmtRef{r.exact, r.tmpl, ordinal});
+    }
     file_hits_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
@@ -494,12 +501,13 @@ bool FingerprintStore::ProbeFile(std::string_view rel_path, uint64_t size,
   return false;
 }
 
-bool FingerprintStore::ResolveStats(uint64_t offset, uint64_t fingerprint,
+bool FingerprintStore::ResolveStats(uint64_t record, uint64_t fingerprint,
                                     std::vector<FindingStat>* out,
                                     uint64_t* template_fingerprint) const {
-  std::string_view log = BytesAt(&offset);
+  uint64_t at = 0;
+  std::string_view log = RecordBytes(record, &at);
   RecordView r;
-  if (!DecodeRecord(log, offset, log.size(), &r) || r.fingerprint != fingerprint) {
+  if (!DecodeRecord(log, at, log.size(), &r) || r.fingerprint != fingerprint) {
     return false;
   }
   DecodeFindingStats(r, out, template_fingerprint);
@@ -515,7 +523,6 @@ void FingerprintStore::FrameRecord(std::string_view canonical, uint64_t fingerpr
   AppendRecord(&out->bytes_, kRecordMagic, [&](std::string* body) {
     PutU64(body, fingerprint);
     PutU64(body, template_fingerprint);
-    PutU32(body, static_cast<uint32_t>(canonical.size()));
     PutU32(body, static_cast<uint32_t>(findings.size()));
     body->append(canonical);
     for (const Finding& f : findings) {
@@ -528,21 +535,23 @@ void FingerprintStore::FrameRecord(std::string_view canonical, uint64_t fingerpr
 }
 
 uint64_t FingerprintStore::AppendFramed(const FramedRecords& records, size_t index) {
-  if (!usable() || append_broken_) return kNoOffset;
-  // FrameRecord wrote these bytes, so the fields are read without a
-  // re-check; the checksum is verified whenever the record is read back.
+  if (!usable() || append_broken_) return kNoRecord;
+  // FrameRecord wrote these bytes, so their checksum is not re-checked here;
+  // it is verified whenever the record is read back.
   const char* p = records.bytes_.data() + records.starts_[index];
-  const uint64_t fingerprint = GetU64(p + 8);
-  const std::string_view canonical(p + kRecordPrefixBytes, GetU32(p + 24));
+  RecordView r;
+  ViewRecord(p, GetU32(p + 4), &r);
   // First write wins; a duplicate append returns the existing record.
-  const uint64_t existing = Find(canonical, fingerprint, nullptr, nullptr);
-  if (existing != kNoOffset) return existing;
-  const uint64_t offset = open_end_ + appended_buf_.size();
-  appended_buf_.append(p, GetU32(p + 4));
-  appended_.emplace(fingerprint, offset);
+  const uint64_t existing = Find(r.canonical, r.fingerprint, nullptr, nullptr);
+  if (existing != kNoRecord) return existing;
+  if (records_.size() >= UINT32_MAX) return kNoRecord;  // Ordinals are u32 on disk.
+  records_.push_back(
+      RecordSlot{open_end_ + appended_buf_.size(), r.fingerprint, r.template_fingerprint});
+  appended_buf_.append(p, r.total);
+  appended_.emplace(r.fingerprint, static_cast<uint32_t>(records_.size()));
   ++stats_.entries;
   ++stats_.appended;
-  return offset;
+  return records_.size();
 }
 
 template <typename Finding>
@@ -570,9 +579,11 @@ bool FingerprintStore::AppendFile(std::string_view rel_path, uint64_t size,
                                   const std::vector<StmtRef>& stmts) {
   if (!usable() || append_broken_) return false;
   for (const StmtRef& s : stmts) {
-    // Manifests reference statement records already committed or appended
-    // ahead of this manifest.
-    if (s.offset < kHeaderBytes || s.offset >= open_end_ + appended_buf_.size()) {
+    // A reference names a statement record committed or appended ahead of
+    // this manifest, under that record's fingerprints: the record holds the
+    // only copy of them, so a reference that disagrees is refused here.
+    if (!NamesRecord(s.record, records_.size()) || records_[s.record - 1].exact != s.exact ||
+        records_[s.record - 1].tmpl != s.tmpl) {
       return false;
     }
   }
@@ -582,11 +593,7 @@ bool FingerprintStore::AppendFile(std::string_view rel_path, uint64_t size,
     PutU64(out, size);
     PutU64(out, mtime_ns);
     out->append(rel_path);
-    for (const StmtRef& s : stmts) {
-      PutU64(out, s.exact);
-      PutU64(out, s.tmpl);
-      PutU64(out, s.offset);
-    }
+    for (const StmtRef& s : stmts) PutU32(out, static_cast<uint32_t>(s.record));
   });
   ++stats_.file_entries;
   ++stats_.appended_files;
@@ -649,42 +656,43 @@ Status FingerprintStore::Verify(const std::string& path, std::string* summary) {
   const HeaderFields h = ParseHeader(buf.data());
   const std::string problem = HeaderProblem(h, buf.size());
   if (!problem.empty()) return Status::Error(problem);
-  // Statement records seen so far, offset → fingerprint: manifests must only
-  // reference these, with matching fingerprints.
-  std::unordered_map<uint64_t, uint64_t> stmt_at;
+  // Manifests must only reference the statement records before them.
+  uint64_t records = 0;
   uint64_t file_entries = 0;
+  uint64_t refs = 0;
   std::string bad_ref;
   const uint64_t stop = WalkLog(
       buf, h.log_end,
-      [&](uint64_t off, const RecordView& r) {
-        stmt_at.emplace(off, r.fingerprint);
+      [&](uint64_t, const RecordView&) {
+        ++records;
         return true;
       },
       [&](uint64_t off, const FileRecordView& f) {
         for (uint32_t i = 0; i < f.stmt_count; ++i) {
-          StmtRef s = GetStmtRef(f.stmts + i * kStmtRefBytes);
-          auto it = stmt_at.find(s.offset);
-          if (it == stmt_at.end() || it->second != s.exact) {
+          const uint32_t ordinal = RefAt(f, i);
+          if (!NamesRecord(ordinal, records)) {
             bad_ref = "file record at byte " + std::to_string(off) +
-                      " references an invalid statement record at byte " +
-                      std::to_string(s.offset);
+                      " references an invalid statement record " +
+                      std::to_string(ordinal) + " of " + std::to_string(records);
             return false;
           }
         }
         ++file_entries;
+        refs += f.stmt_count;
         return true;
       });
   if (!bad_ref.empty()) return Status::Error(bad_ref);
   if (stop != h.log_end) {
     return Status::Error("corrupt record at byte " + std::to_string(stop));
   }
-  if (stmt_at.size() != h.entry_count) {
+  if (records != h.entry_count) {
     return Status::Error("header records " + std::to_string(h.entry_count) +
-                         " entries, log holds " + std::to_string(stmt_at.size()));
+                         " entries, log holds " + std::to_string(records));
   }
   if (summary != nullptr) {
-    *summary = "entries=" + std::to_string(stmt_at.size()) +
+    *summary = "entries=" + std::to_string(records) +
                " files=" + std::to_string(file_entries) +
+               " refs=" + std::to_string(refs) +
                " generation=" + std::to_string(h.generation) +
                " committed_bytes=" + std::to_string(h.log_end) +
                " ruleset=" + std::to_string(h.ruleset_hash);
@@ -704,30 +712,16 @@ Status FingerprintStore::Compact(const std::string& path, uint64_t ruleset_hash,
     return Status::Error("cannot compact: " + store.stats().warning);
   }
 
-  // One walk: every statement record, and the last manifest per path —
-  // exactly the entry ProbeFile serves. An ordered map keeps the compacted
-  // manifest section deterministic.
-  std::string_view log = store.map_.view();
-  std::vector<std::pair<uint64_t, RecordView>> records;
-  std::map<std::string_view, FileRecordView> last_file;
-  WalkLog(
-      log, log.size(),
-      [&](uint64_t off, const RecordView& r) {
-        records.emplace_back(off, r);
-        return true;
-      },
-      [&](uint64_t, const FileRecordView& f) {
-        last_file[f.path] = f;
-        return true;
-      });
-  // A scan reaches records through manifests alone, so a record no
-  // surviving manifest references (superseded by an edit, or written by a
-  // repository that failed) can never be served.
-  std::unordered_set<uint64_t> reachable;
-  for (const auto& [rel_path, f] : last_file) {
-    for (uint32_t i = 0; i < f.stmt_count; ++i) {
-      reachable.insert(GetStmtRef(f.stmts + i * kStmtRefBytes).offset);
-    }
+  // The open indexed every statement record and the last manifest per
+  // path, exactly the entry ProbeFile serves; an ordered map keeps the
+  // compacted manifest section deterministic. A scan reaches records through
+  // manifests alone, so a record no surviving manifest references (superseded
+  // by an edit, or written by a repository that failed) can never be served.
+  std::map<std::string_view, const FileEntry*> last_file;
+  std::vector<uint64_t> remap(store.records_.size() + 1, kNoRecord);  // Old → new.
+  for (const auto& [rel_path, entry] : store.file_index_) {
+    last_file.emplace(rel_path, &entry);
+    for (uint32_t ordinal : entry.records) remap[ordinal] = ordinal;  // Reachable.
   }
 
   // The compacted log is written by a fresh store through the same append,
@@ -739,24 +733,26 @@ Status FingerprintStore::Compact(const std::string& path, uint64_t ruleset_hash,
   FingerprintStore fresh;
   s = fresh.Open(tmp, ruleset_hash);
   if (s.ok() && fresh.usable()) fresh.Rebuild(generation, "");
-  std::unordered_map<uint64_t, uint64_t> old_to_new;
   std::vector<FindingStat> stats;
-  for (const auto& [off, r] : records) {
-    if (reachable.count(off) == 0) continue;
+  for (uint64_t ordinal = 1; ordinal < remap.size(); ++ordinal) {
+    if (remap[ordinal] == kNoRecord) continue;
+    uint64_t at = 0;
+    std::string_view log = store.RecordBytes(ordinal, &at);
+    RecordView r;
+    remap[ordinal] = kNoRecord;
+    if (!DecodeRecord(log, at, log.size(), &r)) continue;
     DecodeFindingStats(r, &stats, nullptr);
-    old_to_new[off] = fresh.Append(r.canonical, r.fingerprint, r.template_fingerprint, stats);
+    remap[ordinal] = fresh.Append(r.canonical, r.fingerprint, r.template_fingerprint, stats);
   }
+  // AppendFile refuses a manifest with a record that did not carry over.
   std::vector<StmtRef> refs;
-  for (const auto& [rel_path, f] : last_file) {
+  for (const auto& [rel_path, entry] : last_file) {
     refs.clear();
-    for (uint32_t i = 0; i < f.stmt_count; ++i) {
-      StmtRef ref = GetStmtRef(f.stmts + i * kStmtRefBytes);
-      auto it = old_to_new.find(ref.offset);
-      if (it == old_to_new.end()) break;  // Not a record start: drop the manifest.
-      ref.offset = it->second;
-      refs.push_back(ref);
+    for (uint32_t ordinal : entry->records) {
+      const RecordSlot& old = store.records_[ordinal - 1];
+      refs.push_back(StmtRef{old.exact, old.tmpl, remap[ordinal]});
     }
-    if (refs.size() == f.stmt_count) fresh.AppendFile(rel_path, f.size, f.mtime_ns, refs);
+    fresh.AppendFile(rel_path, entry->size, entry->mtime_ns, refs);
   }
   if (s.ok() && !fresh.usable()) s = Status::Error(fresh.stats().warning);
   if (s.ok()) s = fresh.Commit();
@@ -772,7 +768,7 @@ Status FingerprintStore::Compact(const std::string& path, uint64_t ruleset_hash,
   // re-commit over the fresh file, and it cannot — its fd points elsewhere.
   if (summary != nullptr) {
     *summary = "kept=" + std::to_string(fresh.stats_.appended) +
-               " dropped=" + std::to_string(records.size() - fresh.stats_.appended) +
+               " dropped=" + std::to_string(store.records_.size() - fresh.stats_.appended) +
                " files=" + std::to_string(fresh.stats_.appended_files) +
                " bytes=" + std::to_string(fresh.log_end_) +
                " generation=" + std::to_string(generation);

@@ -48,12 +48,14 @@ struct FindingStat {
   double score = 0.0;
 };
 
-/// \brief One statement of a manifest record: both fingerprints plus the
-/// byte offset of the statement record that carries its findings.
+/// \brief One statement of a manifest: the ordinal of the statement record
+/// that carries its findings, plus that record's two fingerprints. The
+/// manifest stores only the ordinal; `ProbeFile` fills the fingerprints in
+/// from the record.
 struct StmtRef {
   uint64_t exact = 0;
   uint64_t tmpl = 0;
-  uint64_t offset = 0;
+  uint64_t record = 0;  ///< 1-based ordinal of a statement record, in log order.
 };
 
 /// \brief Statement records framed off the store by
@@ -99,20 +101,24 @@ struct StoreStats {
 /// collision can never splice one statement's findings onto another.
 ///
 /// *Manifest records* map a path plus a (size, mtime) freshness key to the
-/// ordered list of statement fingerprints and record offsets. The scan
+/// ordered list of statement record ordinals (the 1-based position of a
+/// statement record in log order), 4 bytes per statement. The scan
 /// writes one per repository, under `"<repo>/"`, keyed by the repository's
 /// total bytes and a digest of its files' (path, size, mtime) triples: a
 /// warm scan that sees an unchanged key replays the repository's entire
 /// contribution without opening a file; any mismatch (or any unresolvable
-/// offset) re-analyzes the repository. Size plus mtime is the standard
+/// record) re-analyzes the repository. Size plus mtime is the standard
 /// build-cache freshness check (ccache and friends): a same-size in-place
 /// edit inside one mtime tick is the documented blind spot.
 ///
 /// Layout: a 64-byte header (magic, format version, rule-set hash,
 /// generation, committed statement count, committed log end, XXH64 checksum)
 /// followed by records, each with a trailing XXH64 checksum. A statement
-/// record is a 32-byte prefix, the key text, 9 bytes per finding (type byte,
-/// score bits) and the checksum. FrameRecord frames a statement record on
+/// record is a 28-byte prefix (magic, total, exact and template
+/// fingerprints, finding count), the key text, 9 bytes per finding (type
+/// byte, score bits) and the checksum; the key length is what the total
+/// leaves. A manifest record is a 32-byte prefix, the path and one u32
+/// ordinal per statement. FrameRecord frames a statement record on
 /// any thread; AppendFramed stages the frame into an in-memory buffer that
 /// probes read in place. Commit() (and Close()) write its uncommitted
 /// part with one bulk write(2) past the committed end, fsync, and only then
@@ -129,8 +135,8 @@ struct StoreStats {
 /// scan runs cold — two scans never interleave appends.
 class FingerprintStore {
  public:
-  /// Append/offset sentinel: no record lives at byte 0 (the header does).
-  static constexpr uint64_t kNoOffset = 0;
+  /// Record ordinal sentinel: ordinals start at 1.
+  static constexpr uint64_t kNoRecord = 0;
 
   FingerprintStore() = default;
   ~FingerprintStore() { Close(); }
@@ -150,25 +156,26 @@ class FingerprintStore {
 
   /// Looks up a statement by key. On hit fills the (type, score) stats (may
   /// be an empty list — "analyzed, clean" is cached too) and reports the
-  /// serving record's template fingerprint and byte offset (for manifests);
+  /// serving record's template fingerprint and ordinal (for manifests);
   /// each out-pointer may be null. Thread-safe against concurrent
   /// Probe*/Resolve* calls (the scan workers share one read-only store);
   /// Append*/Commit/Close must not overlap them.
   bool ProbeStats(std::string_view canonical, uint64_t fingerprint,
                   std::vector<FindingStat>* out, uint64_t* template_fingerprint,
-                  uint64_t* offset);
+                  uint64_t* record);
 
-  /// Looks up a manifest by its freshness key. On hit copies the statement
-  /// references into `out` and returns true.
+  /// Looks up a manifest by its freshness key. On hit fills `out` with one
+  /// reference per statement (each record's ordinal and fingerprints) and
+  /// returns true.
   bool ProbeFile(std::string_view rel_path, uint64_t size, uint64_t mtime_ns,
                  std::vector<StmtRef>* out);
 
-  /// Decodes the finding stats of the statement record at `offset`,
+  /// Decodes the finding stats of statement record `record` (an ordinal),
   /// verifying its checksum and that its fingerprint matches `fingerprint`.
   /// Returns false on any mismatch — callers fall back to analyzing
   /// again. `template_fingerprint` (optional) receives the record's template
   /// fingerprint.
-  bool ResolveStats(uint64_t offset, uint64_t fingerprint,
+  bool ResolveStats(uint64_t record, uint64_t fingerprint,
                     std::vector<FindingStat>* out,
                     uint64_t* template_fingerprint) const;
 
@@ -182,11 +189,11 @@ class FingerprintStore {
                           uint64_t template_fingerprint,
                           const std::vector<Finding>& findings, FramedRecords* out);
 
-  /// Stages record `index` of `records` and returns its future byte offset.
-  /// If its fingerprint+canonical is already present (committed or
-  /// appended) returns the existing record's offset instead — first write
-  /// wins. Returns kNoOffset when the store is unusable or the log is
-  /// frozen by an earlier failure.
+  /// Stages record `index` of `records` and returns its ordinal. If its
+  /// fingerprint+canonical is already present (committed or appended)
+  /// returns the existing record's ordinal instead — first write wins.
+  /// Returns kNoRecord when the store is unusable, the log is frozen by an
+  /// earlier failure, or the ordinals (u32 on disk) are used up.
   uint64_t AppendFramed(const FramedRecords& records, size_t index);
 
   /// FrameRecord + AppendFramed for one record.
@@ -194,9 +201,11 @@ class FingerprintStore {
   uint64_t Append(std::string_view canonical, uint64_t fingerprint,
                   uint64_t template_fingerprint, const std::vector<Finding>& findings);
 
-  /// Stages one manifest entry. The referenced statement offsets may be
-  /// offsets returned by Append in this same session — Commit publishes both
-  /// atomically.
+  /// Stages one manifest entry. Each reference must name a statement record
+  /// committed or appended before it (ordinals Append returned in this
+  /// session count — Commit publishes both atomically), with that record's
+  /// exact and template fingerprints; any other reference refuses the whole
+  /// entry (returns false).
   bool AppendFile(std::string_view rel_path, uint64_t size, uint64_t mtime_ns,
                   const std::vector<StmtRef>& stmts);
 
@@ -210,14 +219,16 @@ class FingerprintStore {
   /// Snapshot of the counters (hit/miss tallies fold in the atomics).
   StoreStats stats() const;
 
-  /// Walks `path` validating the header, every record checksum, and every
-  /// file-manifest statement reference. `summary` (optional) receives a
-  /// one-line human-readable report. Non-OK on any invalid byte.
+  /// Walks `path` validating the header, every record checksum, the header's
+  /// record count, and that every manifest ordinal names a statement record
+  /// before it. `summary` (optional) receives a one-line human-readable
+  /// report (`entries=` records, `files=` manifests, `refs=` manifest
+  /// references, ...). Non-OK on any invalid byte.
   static Status Verify(const std::string& path, std::string* summary);
 
   /// Rewrites `path` keeping the last manifest per path and, of the
   /// statement records, only those a kept manifest references (first per
-  /// fingerprint+canonical), remapping manifest offsets onto the compacted
+  /// fingerprint+canonical), remapping manifest ordinals onto the compacted
   /// layout, dropping any uncommitted tail, under a bumped generation. A
   /// fresh store on a temp file writes the result through Append, AppendFile
   /// and Commit, and only a fully committed temp file is renamed over
@@ -236,7 +247,13 @@ class FingerprintStore {
   struct FileEntry {
     uint64_t size = 0;
     uint64_t mtime_ns = 0;
-    std::vector<StmtRef> stmts;
+    std::vector<uint32_t> records;  ///< Statement record ordinals.
+  };
+  /// Where statement record `ordinal` lives, and its fingerprints.
+  struct RecordSlot {
+    uint64_t offset = 0;  ///< File offset.
+    uint64_t exact = 0;
+    uint64_t tmpl = 0;
   };
 
   Status OpenLocked(uint64_t ruleset_hash);
@@ -247,12 +264,12 @@ class FingerprintStore {
   void MarkUnusable(std::string warning);
   /// Refuses further appends and commits after a failed flush or publish.
   Status Freeze(std::string warning);
-  /// The bytes holding the record at file offset `*offset` (the mapping for
-  /// records committed at open, `appended_buf_` for the rest), with
-  /// `*offset` rebased onto them.
-  std::string_view BytesAt(uint64_t* offset) const;
-  /// Offset of the record keyed (fingerprint, canonical), committed at open
-  /// or appended since, or kNoOffset; fills the optional out-pointers on a
+  /// The bytes holding statement record `ordinal` (the mapping for records
+  /// committed at open, `appended_buf_` for the rest), with `*at` set to its
+  /// offset in them; empty when no record has that ordinal.
+  std::string_view RecordBytes(uint64_t ordinal, uint64_t* at) const;
+  /// Ordinal of the record keyed (fingerprint, canonical), committed at open
+  /// or appended since, or kNoRecord; fills the optional out-pointers on a
   /// hit. Uncounted: ProbeStats counts, Append's dedup does not.
   uint64_t Find(std::string_view canonical, uint64_t fingerprint,
                 std::vector<FindingStat>* out, uint64_t* template_fingerprint) const;
@@ -271,12 +288,14 @@ class FingerprintStore {
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> file_hits_{0};
   std::atomic<uint64_t> file_misses_{0};
-  /// (fingerprint, byte offset) of every record committed at open, sorted by
+  /// Every statement record, committed or appended, by ordinal − 1.
+  std::vector<RecordSlot> records_;
+  /// (fingerprint, ordinal) of every record committed at open, sorted by
   /// fingerprint; a collision chain keeps log order, and probes compare
   /// canonical text. Records appended since index into `appended_` instead,
   /// so the vector never grows after open.
-  std::vector<std::pair<uint64_t, uint64_t>> index_;
-  std::unordered_multimap<uint64_t, uint64_t> appended_;  ///< fingerprint → offset.
+  std::vector<std::pair<uint64_t, uint32_t>> index_;
+  std::unordered_multimap<uint64_t, uint32_t> appended_;  ///< fingerprint → ordinal.
   /// Committed file manifests, root-relative path → freshness key + refs.
   /// Later records for one path supersede earlier ones (last write wins).
   std::unordered_map<std::string, FileEntry> file_index_;

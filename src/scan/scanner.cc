@@ -38,7 +38,7 @@ namespace {
 // Repo rule-presence is tracked as a bitmask; the rule set must fit one word.
 static_assert(kAntiPatternCount <= 32, "widen the repo rule mask");
 
-constexpr uint64_t kNoOffset = persist::FingerprintStore::kNoOffset;
+constexpr uint64_t kNoRecord = persist::FingerprintStore::kNoRecord;
 
 enum class FileKind {
   kSqlScript,  ///< Split into statements directly.
@@ -242,7 +242,7 @@ bool ReplayRepo(const std::string& manifest, size_t files, Worker& w,
   if (!store->ProbeFile(manifest, out->key.bytes, out->key.digest, &w.refs)) return false;
   w.replay.resize(w.refs.size());
   for (size_t i = 0; i < w.refs.size(); ++i) {
-    if (!store->ResolveStats(w.refs[i].offset, w.refs[i].exact, &w.replay[i], nullptr)) {
+    if (!store->ResolveStats(w.refs[i].record, w.refs[i].exact, &w.replay[i], nullptr)) {
       return false;
     }
   }
@@ -684,22 +684,22 @@ Result<ScanReport> CorpusScanner::Scan(const std::string& root) {
     // Write-back in repository order: the records first (AppendFramed dedups
     // by key, so a record another repository already wrote is shared), then
     // the manifest that references them.
-    std::vector<uint64_t> offsets;
+    std::vector<uint64_t> ordinals;
     std::vector<persist::StmtRef> refs;
     for (size_t r = 0; r < repos.size(); ++r) {
       RepoResult& res = results[r];
       if (!res.write_back) continue;
-      offsets.clear();
+      ordinals.clear();
       for (size_t k = 0; k < res.records.size(); ++k) {
-        uint64_t off = store->AppendFramed(res.records, k);
-        if (off == kNoOffset) break;  // Log frozen by an injected append fault.
-        offsets.push_back(off);
+        uint64_t ordinal = store->AppendFramed(res.records, k);
+        if (ordinal == kNoRecord) break;  // Log frozen by a failed append, or full.
+        ordinals.push_back(ordinal);
       }
-      if (offsets.size() != res.records.size()) continue;
+      if (ordinals.size() != res.records.size()) continue;
       refs.clear();
       refs.reserve(res.occurrences.size());
       for (const Occurrence& occ : res.occurrences) {
-        refs.push_back(persist::StmtRef{occ.exact, occ.tmpl, offsets[occ.record]});
+        refs.push_back(persist::StmtRef{occ.exact, occ.tmpl, ordinals[occ.record]});
       }
       store->AppendFile(repos[r].name + "/", res.key.bytes, res.key.digest, refs);
       res = RepoResult{};  // Release the drafts early.

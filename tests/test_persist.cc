@@ -109,19 +109,19 @@ TEST_F(PersistTest, RoundTripStatementsAndManifest) {
   // 0.1 + 0.2 has no short decimal form: the score must survive bit-exact.
   std::vector<StoredFinding> findings = {MakeFinding(3, 0.1 + 0.2, "csv list"),
                                          MakeFinding(7, 0.25, "implicit cols")};
-  uint64_t off_a = 0, off_b = 0;
+  uint64_t rec_a = 0, rec_b = 0;
   {
     FingerprintStore store;
     ASSERT_TRUE(store.Open(path_, kHash).ok());
     ASSERT_TRUE(store.usable());
-    off_a = store.Append("SELECT * FROM users", 0x1111, 0xaaaa, findings);
-    ASSERT_NE(off_a, FingerprintStore::kNoOffset);
+    rec_a = store.Append("SELECT * FROM users", 0x1111, 0xaaaa, findings);
+    ASSERT_NE(rec_a, FingerprintStore::kNoRecord);
     // "Analyzed, found nothing" is cached too — an empty list is a hit.
-    off_b = store.Append("SELECT id FROM users", 0x2222, 0xbbbb, {});
-    ASSERT_NE(off_b, FingerprintStore::kNoOffset);
+    rec_b = store.Append("SELECT id FROM users", 0x2222, 0xbbbb, {});
+    ASSERT_NE(rec_b, FingerprintStore::kNoRecord);
     // Re-appending the same statement dedups to the existing record.
-    EXPECT_EQ(store.Append("SELECT * FROM users", 0x1111, 0xaaaa, findings), off_a);
-    std::vector<StmtRef> refs = {{0x1111, 0xaaaa, off_a}, {0x2222, 0xbbbb, off_b}};
+    EXPECT_EQ(store.Append("SELECT * FROM users", 0x1111, 0xaaaa, findings), rec_a);
+    std::vector<StmtRef> refs = {{0x1111, 0xaaaa, rec_a}, {0x2222, 0xbbbb, rec_b}};
     EXPECT_TRUE(store.AppendFile("repo/queries.sql", 120, 99000111, refs));
     EXPECT_EQ(store.stats().appended, 2u);
     EXPECT_EQ(store.stats().appended_files, 1u);
@@ -136,71 +136,72 @@ TEST_F(PersistTest, RoundTripStatementsAndManifest) {
     EXPECT_EQ(store.stats().file_entries, 1u);
 
     std::vector<FindingStat> stats;
-    uint64_t tmpl = 0, off = 0;
-    ASSERT_TRUE(store.ProbeStats("SELECT * FROM users", 0x1111, &stats, &tmpl, &off));
+    uint64_t tmpl = 0, rec = 0;
+    ASSERT_TRUE(store.ProbeStats("SELECT * FROM users", 0x1111, &stats, &tmpl, &rec));
     ExpectStats(stats, findings);
     EXPECT_EQ(tmpl, 0xaaaaull);
-    EXPECT_EQ(off, off_a);
-    ASSERT_TRUE(store.ProbeStats("SELECT id FROM users", 0x2222, &stats, &tmpl, &off));
+    EXPECT_EQ(rec, rec_a);
+    ASSERT_TRUE(store.ProbeStats("SELECT id FROM users", 0x2222, &stats, &tmpl, &rec));
     EXPECT_TRUE(stats.empty());
     EXPECT_EQ(tmpl, 0xbbbbull);
-    EXPECT_EQ(off, off_b);
+    EXPECT_EQ(rec, rec_b);
     EXPECT_FALSE(store.ProbeStats("SELECT nope", 0x3333, &stats, nullptr, nullptr));
 
     std::vector<StmtRef> refs;
     ASSERT_TRUE(store.ProbeFile("repo/queries.sql", 120, 99000111, &refs));
     ASSERT_EQ(refs.size(), 2u);
-    EXPECT_EQ(refs[0].offset, off_a);
-    EXPECT_EQ(refs[1].offset, off_b);
+    EXPECT_EQ(refs[0].record, rec_a);
+    EXPECT_EQ(refs[1].record, rec_b);
     // Any freshness-key mismatch is a miss — the warm scan re-reads the file.
     EXPECT_FALSE(store.ProbeFile("repo/queries.sql", 121, 99000111, &refs));
     EXPECT_FALSE(store.ProbeFile("repo/queries.sql", 120, 99000112, &refs));
 
     stats.clear();
     tmpl = 0;
-    ASSERT_TRUE(store.ResolveStats(off_a, 0x1111, &stats, &tmpl));
+    ASSERT_TRUE(store.ResolveStats(rec_a, 0x1111, &stats, &tmpl));
     ExpectStats(stats, findings);
     EXPECT_EQ(tmpl, 0xaaaaull);
-    EXPECT_FALSE(store.ResolveStats(off_a, 0x9999, &stats, &tmpl));  // fp mismatch
-    EXPECT_FALSE(store.ResolveStats(off_a + 1, 0x1111, &stats, &tmpl));
+    EXPECT_FALSE(store.ResolveStats(rec_a, 0x9999, &stats, &tmpl));  // fp mismatch
+    EXPECT_FALSE(store.ResolveStats(rec_b + 1, 0x1111, &stats, &tmpl));  // no such record
+    EXPECT_FALSE(store.ResolveStats(FingerprintStore::kNoRecord, 0x1111, &stats, &tmpl));
     store.Close();
   }
 }
 
 TEST_F(PersistTest, ProbesAndDedupSurviveAMidSessionCommit) {
   // Record A is on disk at open; B is appended, then committed mid-session.
-  // A must still be found after the commit, both by key and by offset, and
+  // A must still be found after the commit, both by key and by ordinal, and
   // re-appending it must return its original record instead of a copy.
   const std::vector<StoredFinding> fa = {MakeFinding(1, 0.5, "a")};
-  uint64_t off_a = 0;
+  uint64_t rec_a = 0;
   {
     FingerprintStore store;
     ASSERT_TRUE(store.Open(path_, kHash).ok());
-    off_a = store.Append("SELECT a", 0xa, 0xa1, fa);
-    ASSERT_NE(off_a, FingerprintStore::kNoOffset);
+    rec_a = store.Append("SELECT a", 0xa, 0xa1, fa);
+    ASSERT_NE(rec_a, FingerprintStore::kNoRecord);
     store.Close();
   }
   FingerprintStore store;
   ASSERT_TRUE(store.Open(path_, kHash).ok());
-  const uint64_t off_b = store.Append("SELECT b", 0xb, 0xb1, {MakeFinding(2, 0.25, "b")});
-  ASSERT_NE(off_b, FingerprintStore::kNoOffset);
+  const uint64_t rec_b = store.Append("SELECT b", 0xb, 0xb1, {MakeFinding(2, 0.25, "b")});
+  ASSERT_NE(rec_b, FingerprintStore::kNoRecord);
   ASSERT_TRUE(store.Commit().ok());
 
   std::vector<FindingStat> got;
-  uint64_t tmpl = 0, off = 0;
-  EXPECT_TRUE(store.ProbeStats("SELECT a", 0xa, &got, &tmpl, &off));
+  uint64_t tmpl = 0, rec = 0;
+  EXPECT_TRUE(store.ProbeStats("SELECT a", 0xa, &got, &tmpl, &rec));
   ExpectStats(got, fa);
   EXPECT_EQ(tmpl, 0xa1u);
-  EXPECT_EQ(off, off_a);
+  EXPECT_EQ(rec, rec_a);
   got.clear();
-  EXPECT_TRUE(store.ResolveStats(off_a, 0xa, &got, &tmpl));
+  EXPECT_TRUE(store.ResolveStats(rec_a, 0xa, &got, &tmpl));
   ExpectStats(got, fa);
   // The committed appended record stays probeable too.
-  EXPECT_TRUE(store.ProbeStats("SELECT b", 0xb, &got, nullptr, &off));
-  EXPECT_EQ(off, off_b);
-  EXPECT_TRUE(store.ResolveStats(off_b, 0xb, &got, nullptr));
-  EXPECT_EQ(store.Append("SELECT a", 0xa, 0xa1, fa), off_a);
-  EXPECT_EQ(store.Append("SELECT b", 0xb, 0xb1, got), off_b);
+  EXPECT_TRUE(store.ProbeStats("SELECT b", 0xb, &got, nullptr, &rec));
+  EXPECT_EQ(rec, rec_b);
+  EXPECT_TRUE(store.ResolveStats(rec_b, 0xb, &got, nullptr));
+  EXPECT_EQ(store.Append("SELECT a", 0xa, 0xa1, fa), rec_a);
+  EXPECT_EQ(store.Append("SELECT b", 0xb, 0xb1, got), rec_b);
   store.Close();
 
   std::string summary;
@@ -215,24 +216,24 @@ TEST_F(PersistTest, FingerprintCollisionNeverSplicesFindings) {
   std::vector<StoredFinding> fb = {MakeFinding(2, 0.9, "b")};
   FingerprintStore store;
   ASSERT_TRUE(store.Open(path_, kHash).ok());
-  uint64_t off_a = store.Append("SELECT a", 0x42, 0x1, fa);
-  uint64_t off_b = store.Append("SELECT b", 0x42, 0x2, fb);
-  ASSERT_NE(off_a, FingerprintStore::kNoOffset);
-  ASSERT_NE(off_b, FingerprintStore::kNoOffset);
-  ASSERT_NE(off_a, off_b);
+  uint64_t rec_a = store.Append("SELECT a", 0x42, 0x1, fa);
+  uint64_t rec_b = store.Append("SELECT b", 0x42, 0x2, fb);
+  ASSERT_NE(rec_a, FingerprintStore::kNoRecord);
+  ASSERT_NE(rec_b, FingerprintStore::kNoRecord);
+  ASSERT_NE(rec_a, rec_b);
   store.Close();
 
   ASSERT_TRUE(store.Open(path_, kHash).ok());
   std::vector<FindingStat> got;
-  uint64_t tmpl = 0, off = 0;
-  ASSERT_TRUE(store.ProbeStats("SELECT a", 0x42, &got, &tmpl, &off));
+  uint64_t tmpl = 0, rec = 0;
+  ASSERT_TRUE(store.ProbeStats("SELECT a", 0x42, &got, &tmpl, &rec));
   ExpectStats(got, fa);
   EXPECT_EQ(tmpl, 0x1u);
-  EXPECT_EQ(off, off_a);
-  ASSERT_TRUE(store.ProbeStats("SELECT b", 0x42, &got, &tmpl, &off));
+  EXPECT_EQ(rec, rec_a);
+  ASSERT_TRUE(store.ProbeStats("SELECT b", 0x42, &got, &tmpl, &rec));
   ExpectStats(got, fb);
   EXPECT_EQ(tmpl, 0x2u);
-  EXPECT_EQ(off, off_b);
+  EXPECT_EQ(rec, rec_b);
   EXPECT_FALSE(store.ProbeStats("SELECT c", 0x42, &got, nullptr, nullptr));
   store.Close();
 }
@@ -253,7 +254,7 @@ TEST_F(PersistTest, RecordsCarryNoFindingText) {
   {
     FingerprintStore store;
     ASSERT_TRUE(store.Open(path_, kHash).ok());
-    ASSERT_EQ(store.Append(key, 0x5, 0x6, findings), 64u);  // first record, past the header
+    ASSERT_EQ(store.Append(key, 0x5, 0x6, findings), 1u);  // the first record's ordinal
     ASSERT_TRUE(store.Commit().ok());
     store.Close();
   }
@@ -261,9 +262,10 @@ TEST_F(PersistTest, RecordsCarryNoFindingText) {
   for (const std::string& marker : markers) {
     EXPECT_EQ(raw.find(marker), std::string::npos) << marker;
   }
-  // 32-byte prefix (magic, total, two fingerprints, key length, finding
-  // count), the key, 9 bytes per finding, the 8-byte checksum.
-  const size_t expected = 32 + key.size() + findings.size() * 9 + 8;
+  // 28-byte prefix (magic, total, two fingerprints, finding count), the key,
+  // 9 bytes per finding, the 8-byte checksum. The record sits right past the
+  // 64-byte header.
+  const size_t expected = 28 + key.size() + findings.size() * 9 + 8;
   uint32_t total = 0;
   std::memcpy(&total, raw.data() + 64 + 4, 4);
   EXPECT_EQ(total, expected);
@@ -285,13 +287,15 @@ TEST_F(PersistTest, FindingCountThatDisagreesWithTheRecordSizeIsCorrupt) {
     store.Append("SELECT * FROM t", 0x7, 0x7, {MakeFinding(1, 0.5, "x")});
     store.Close();
   }
-  // Forge the finding count (u32 at record byte 28) and re-seal the record
-  // checksum: only the structural size check can refuse it.
+  // Forge the finding count (u32 at record byte 24) and re-seal the record
+  // checksum: only the structural size check can refuse it. The key is what
+  // the findings leave, so the count must overflow the 15-byte key plus the
+  // one 9-byte finding to be told apart from a shorter key.
   std::string raw = ReadRaw();
   uint32_t total = 0;
   std::memcpy(&total, raw.data() + 64 + 4, 4);
-  const uint32_t forged_count = 2;
-  std::memcpy(raw.data() + 64 + 28, &forged_count, 4);
+  const uint32_t forged_count = 3;
+  std::memcpy(raw.data() + 64 + 24, &forged_count, 4);
   const uint64_t sum = Xxh64(raw.data() + 64, total - 8);
   std::memcpy(raw.data() + 64 + total - 8, &sum, 8);
   WriteRaw(raw);
@@ -333,7 +337,7 @@ TEST_F(PersistTest, ForeignFileIsNeverClobbered) {
   ASSERT_TRUE(store.Open(path_, kHash).ok());
   EXPECT_FALSE(store.usable());
   EXPECT_TRUE(store.stats().degraded);
-  EXPECT_EQ(store.Append("SELECT 1", 0x1, 0x1, {}), FingerprintStore::kNoOffset);
+  EXPECT_EQ(store.Append("SELECT 1", 0x1, 0x1, {}), FingerprintStore::kNoRecord);
   store.Close();
   EXPECT_EQ(ReadRaw(), original);  // byte-identical: refused, not rebuilt
 }
@@ -354,7 +358,7 @@ TEST_F(PersistTest, TruncationRebuildsCleanly) {
     EXPECT_TRUE(store.stats().degraded);
     EXPECT_EQ(store.stats().entries, 0u);
     // The rebuilt store accepts fresh work.
-    EXPECT_NE(store.Append("SELECT 2", 0x2, 0x2, {}), FingerprintStore::kNoOffset);
+    EXPECT_NE(store.Append("SELECT 2", 0x2, 0x2, {}), FingerprintStore::kNoRecord);
     store.Close();
   }
   // Header claims more committed bytes than the file holds: rebuild.
@@ -394,9 +398,9 @@ TEST_F(PersistTest, EveryFlippedByteOfARecordOrManifestRebuildsAndVerifyRejects)
   {
     FingerprintStore store;
     ASSERT_TRUE(store.Open(path_, kHash).ok());
-    uint64_t off = store.Append("SELECT * FROM t", 0x7, 0x8, {MakeFinding(1, 0.5, "x")});
-    ASSERT_NE(off, FingerprintStore::kNoOffset);
-    ASSERT_TRUE(store.AppendFile("repo/", 10, 100, {{0x7, 0x8, off}}));
+    uint64_t rec = store.Append("SELECT * FROM t", 0x7, 0x8, {MakeFinding(1, 0.5, "x")});
+    ASSERT_NE(rec, FingerprintStore::kNoRecord);
+    ASSERT_TRUE(store.AppendFile("repo/", 10, 100, {{0x7, 0x8, rec}}));
     store.Close();
   }
   const std::string original = ReadRaw();
@@ -437,29 +441,29 @@ TEST_F(PersistTest, PreviousFormatVersionRebuildsWithAnUpgradeWarning) {
     generation = store.stats().generation;
     store.Close();
   }
-  // A version 4 store's header checksum covers the version field, so a
+  // A version 5 store's header checksum covers the version field, so a
   // patched one can never pass the checksum: the version must be read first,
   // so the rebuild names the upgrade instead of reporting corruption.
   std::string raw = ReadRaw();
-  const uint32_t v4 = 4;
-  std::memcpy(raw.data() + 8, &v4, 4);
+  const uint32_t v5 = 5;
+  std::memcpy(raw.data() + 8, &v5, 4);
   WriteRaw(raw);
   Status verify = FingerprintStore::Verify(path_, nullptr);
   EXPECT_FALSE(verify.ok());
-  EXPECT_NE(verify.message().find("format version 4"), std::string::npos)
+  EXPECT_NE(verify.message().find("format version 5"), std::string::npos)
       << verify.message();
 
   FingerprintStore store;
   ASSERT_TRUE(store.Open(path_, kHash).ok());
   EXPECT_TRUE(store.usable());
   EXPECT_TRUE(store.stats().degraded);
-  EXPECT_NE(store.stats().warning.find("store format version 4 != 5"), std::string::npos)
+  EXPECT_NE(store.stats().warning.find("store format version 5 != 6"), std::string::npos)
       << store.stats().warning;
   EXPECT_EQ(store.stats().warning.find("checksum"), std::string::npos);
   EXPECT_EQ(store.stats().entries, 0u);
   EXPECT_EQ(store.stats().generation, generation + 1);
   store.Close();
-  ASSERT_TRUE(FingerprintStore::Verify(path_, nullptr).ok());  // rebuilt as v5
+  ASSERT_TRUE(FingerprintStore::Verify(path_, nullptr).ok());  // rebuilt as v6
 }
 
 TEST_F(PersistTest, FlippedHeaderByteRebuilds) {
@@ -493,7 +497,7 @@ TEST_F(PersistTest, TornFlushKeepsCommittedPrefixWarm) {
     EXPECT_FALSE(store.stats().warning.empty());
     // The log is frozen: later appends are refused, a retried commit is a
     // no-op success (nothing pending — the failed batch was dropped).
-    EXPECT_EQ(store.Append("SELECT x", 0x3, 0x3, {}), FingerprintStore::kNoOffset);
+    EXPECT_EQ(store.Append("SELECT x", 0x3, 0x3, {}), FingerprintStore::kNoRecord);
     EXPECT_TRUE(store.Commit().ok());
     store.Close();
   }
@@ -540,7 +544,7 @@ TEST_F(PersistTest, OpenFailpointDegradesToCold) {
   ASSERT_TRUE(store.Open(path_, kHash).ok());  // degrade, not error
   EXPECT_FALSE(store.usable());
   EXPECT_TRUE(store.stats().degraded);
-  EXPECT_EQ(store.Append("SELECT 1", 0x1, 0x1, {}), FingerprintStore::kNoOffset);
+  EXPECT_EQ(store.Append("SELECT 1", 0x1, 0x1, {}), FingerprintStore::kNoRecord);
   store.Close();
 }
 
@@ -565,18 +569,20 @@ TEST_F(PersistTest, SecondWriterDegradesThenRecoversAfterClose) {
 TEST_F(PersistTest, AppendFileRejectsInvalidOffsets) {
   FingerprintStore store;
   ASSERT_TRUE(store.Open(path_, kHash).ok());
-  uint64_t off = store.Append("SELECT 1", 0x1, 0x1, {});
-  ASSERT_NE(off, FingerprintStore::kNoOffset);
-  // Offset 0 is the header; a forward reference past the staged end is
-  // equally meaningless. Both must be refused, not stored.
+  uint64_t rec = store.Append("SELECT 1", 0x1, 0x1, {});
+  ASSERT_NE(rec, FingerprintStore::kNoRecord);
+  // Ordinal 0 is the sentinel; a forward reference past the staged records
+  // is equally meaningless. Both must be refused, not stored.
   EXPECT_FALSE(store.AppendFile("a.sql", 1, 1, {{0x1, 0x1, 0}}));
   EXPECT_FALSE(store.AppendFile("a.sql", 1, 1, {{0x1, 0x1, 1u << 20}}));
-  EXPECT_TRUE(store.AppendFile("a.sql", 1, 1, {{0x1, 0x1, off}}));
+  EXPECT_TRUE(store.AppendFile("a.sql", 1, 1, {{0x1, 0x1, rec}}));
   store.Close();
   EXPECT_TRUE(FingerprintStore::Verify(path_, nullptr).ok());
 }
 
 TEST_F(PersistTest, CompactDropsSupersededManifestsAndRemapsOffsets) {
+  // (A manifest reference was a byte offset up to format 5; it is a record
+  // ordinal now, and the name stays.)
   // Keys as the scan writes them: a statement-local record keyed by its
   // text, a workload record keyed by its text plus the repository digest.
   const std::string w1 = std::string("SELECT w", 9) + "digest-1";
@@ -609,8 +615,7 @@ TEST_F(PersistTest, CompactDropsSupersededManifestsAndRemapsOffsets) {
   }
   std::string summary;
   ASSERT_TRUE(FingerprintStore::Verify(path_, &summary).ok());
-  EXPECT_NE(summary.find("entries=5"), std::string::npos) << summary;
-  EXPECT_NE(summary.find("files=2"), std::string::npos) << summary;
+  EXPECT_NE(summary.find("entries=5 files=2 refs=5 "), std::string::npos) << summary;
 
   // Only what the surviving manifest reaches stays: A, W(digest 2), B.
   ASSERT_TRUE(FingerprintStore::Compact(path_, kHash, &summary).ok());
@@ -619,7 +624,7 @@ TEST_F(PersistTest, CompactDropsSupersededManifestsAndRemapsOffsets) {
   // The compacted bytes themselves are pinned: records in log order, the
   // manifest remapped, the header under the bumped generation.
   const std::string compacted = ReadRaw();
-  EXPECT_EQ(Xxh64(compacted.data(), compacted.size()), 0x115d9a4dba9e6ddfull);
+  EXPECT_EQ(Xxh64(compacted.data(), compacted.size()), 0x1353e2188ee76b6eull);
 
   FingerprintStore store;
   ASSERT_TRUE(store.Open(path_, kHash).ok());
@@ -632,7 +637,7 @@ TEST_F(PersistTest, CompactDropsSupersededManifestsAndRemapsOffsets) {
   EXPECT_FALSE(store.ProbeStats("SELECT orphan", 0xd, &got, nullptr, nullptr));
   ASSERT_TRUE(store.ProbeStats(w2, 0xc, &got, nullptr, nullptr));
   ExpectStats(got, {MakeFinding(4, 0.625, "w2")});
-  // The surviving manifest is the newer one, with offsets remapped onto the
+  // The surviving manifest is the newer one, with ordinals remapped onto the
   // compacted layout: every reference must still resolve.
   std::vector<StmtRef> refs;
   ASSERT_TRUE(store.ProbeFile("repo/", 20, 200, &refs));
@@ -640,7 +645,7 @@ TEST_F(PersistTest, CompactDropsSupersededManifestsAndRemapsOffsets) {
   for (const StmtRef& r : refs) {
     std::vector<FindingStat> stats;
     uint64_t tmpl = 0;
-    EXPECT_TRUE(store.ResolveStats(r.offset, r.exact, &stats, &tmpl));
+    EXPECT_TRUE(store.ResolveStats(r.record, r.exact, &stats, &tmpl));
     EXPECT_EQ(tmpl, r.tmpl);
     ASSERT_EQ(stats.size(), 1u);
     if (r.exact == 0xc) {
@@ -651,56 +656,67 @@ TEST_F(PersistTest, CompactDropsSupersededManifestsAndRemapsOffsets) {
   store.Close();
 }
 
-TEST_F(PersistTest, CompactDropsAManifestThatReferencesNoRecordStart) {
-  // Open checks only that a manifest reference points inside the log before
-  // the manifest. One forged to land inside record A (and re-sealed) must
-  // not stop compaction: that manifest is dropped, the rest survive.
-  uint64_t a = 0, b = 0;
+TEST_F(PersistTest, AppendFileRefusesABadReference) {
+  // The record holds the only copy of a statement's fingerprints, so a
+  // manifest reference must name a record that exists, under exactly that
+  // record's fingerprints. One bad reference refuses the whole entry.
+  FingerprintStore store;
+  ASSERT_TRUE(store.Open(path_, kHash).ok());
+  const uint64_t a = store.Append("SELECT a", 0xa, 0xa1, {MakeFinding(1, 0.5, "a")});
+  const uint64_t b = store.Append("SELECT b", 0xb, 0xb1, {});
+  EXPECT_FALSE(store.AppendFile("r/", 1, 1, {{0xa, 0xa1, b + 1}}));  // no such record
+  EXPECT_FALSE(store.AppendFile("r/", 1, 1, {{0xa, 0xa1, 0}}));      // the sentinel
+  EXPECT_FALSE(store.AppendFile("q/", 1, 1, {{0xdead, 0xa1, a}}));   // wrong exact fp
+  EXPECT_FALSE(store.AppendFile("q/", 1, 1, {{0xa, 0xbeef, a}}));    // wrong template fp
+  EXPECT_FALSE(store.AppendFile("q/", 1, 1, {{0xa, 0xa1, b}}));      // another record's
+  EXPECT_FALSE(store.AppendFile("q/", 1, 1, {{0xa, 0xa1, a}, {0xb, 0xa1, b}}));
+  EXPECT_EQ(store.stats().appended_files, 0u);
+  EXPECT_TRUE(store.AppendFile("q/", 1, 1, {{0xa, 0xa1, a}, {0xb, 0xb1, b}}));
+  store.Close();
+  std::string summary;
+  ASSERT_TRUE(FingerprintStore::Verify(path_, &summary).ok()) << summary;
+  EXPECT_NE(summary.find("entries=2 files=1 refs=2 "), std::string::npos) << summary;
+}
+
+TEST_F(PersistTest, ManifestOrdinalOutsideItsRecordsIsCorrupt) {
+  // A manifest may only name statement records written before it. One forged
+  // (and re-sealed) to name ordinal 0, or a record written after it, is
+  // structural corruption: Verify names it and the open rebuilds.
+  uint64_t a = 0, c = 0;
   {
     FingerprintStore store;
     ASSERT_TRUE(store.Open(path_, kHash).ok());
     a = store.Append("SELECT a", 0xa, 0xa1, {MakeFinding(1, 0.5, "a")});
-    b = store.Append("SELECT b", 0xb, 0xb1, {});
-    ASSERT_TRUE(store.AppendFile("forged/", 1, 1, {{0xa, 0xa1, a}, {0xb, 0xb1, b}}));
-    ASSERT_TRUE(store.AppendFile("other/", 2, 2, {{0xb, 0xb1, b}}));
+    ASSERT_TRUE(store.AppendFile("repo/", 1, 1, {{0xa, 0xa1, a}}));
+    c = store.Append("SELECT c", 0xc, 0xc1, {});
     store.Close();
   }
-  std::string raw = ReadRaw();
-  uint32_t b_total = 0;
-  std::memcpy(&b_total, raw.data() + b + 4, 4);
-  const size_t manifest = b + b_total;
+  const std::string raw = ReadRaw();
+  uint32_t a_total = 0;
+  std::memcpy(&a_total, raw.data() + 64 + 4, 4);
+  const size_t manifest = 64 + a_total;
   uint32_t manifest_total = 0;
   std::memcpy(&manifest_total, raw.data() + manifest + 4, 4);
-  // Overwrites the u64 at `at` inside the manifest and re-seals it.
-  auto forge = [&](std::string bytes, size_t at, uint64_t value) {
-    std::memcpy(bytes.data() + manifest + at, &value, 8);
-    const uint64_t sum = Xxh64(bytes.data() + manifest, manifest_total - 8);
-    std::memcpy(bytes.data() + manifest + manifest_total - 8, &sum, 8);
-    return bytes;
-  };
-  // The first reference (after the 32-byte prefix and the 7-byte path) at
-  // A's offset under B's fingerprint: only Verify's cross-check sees it.
-  WriteRaw(forge(raw, 32 + 7, 0xb));
-  Status verify = FingerprintStore::Verify(path_, nullptr);
-  EXPECT_NE(verify.message().find("references an invalid statement record"),
-            std::string::npos)
-      << verify.message();
-  // The second reference's offset, inside record A.
-  WriteRaw(forge(raw, 32 + 7 + 24 + 16, a + 1));
-  EXPECT_FALSE(FingerprintStore::Verify(path_, nullptr).ok());
-
-  std::string summary;
-  ASSERT_TRUE(FingerprintStore::Compact(path_, kHash, &summary).ok());
-  EXPECT_NE(summary.find("files=1 "), std::string::npos) << summary;
-  ASSERT_TRUE(FingerprintStore::Verify(path_, &summary).ok()) << summary;
-  FingerprintStore store;
-  ASSERT_TRUE(store.Open(path_, kHash).ok());
-  std::vector<StmtRef> refs;
-  EXPECT_FALSE(store.ProbeFile("forged/", 1, 1, &refs));
-  ASSERT_TRUE(store.ProbeFile("other/", 2, 2, &refs));
-  ASSERT_EQ(refs.size(), 1u);
-  EXPECT_TRUE(store.ResolveStats(refs[0].offset, 0xb, nullptr, nullptr));
-  store.Close();
+  for (const uint64_t ordinal : {uint64_t{0}, c}) {
+    SCOPED_TRACE("forged ordinal " + std::to_string(ordinal));
+    // The reference follows the 32-byte prefix and the 5-byte path.
+    std::string forged = raw;
+    const uint32_t value = static_cast<uint32_t>(ordinal);
+    std::memcpy(forged.data() + manifest + 32 + 5, &value, 4);
+    const uint64_t sum = Xxh64(forged.data() + manifest, manifest_total - 8);
+    std::memcpy(forged.data() + manifest + manifest_total - 8, &sum, 8);
+    WriteRaw(forged);
+    Status verify = FingerprintStore::Verify(path_, nullptr);
+    EXPECT_NE(verify.message().find("references an invalid statement record"),
+              std::string::npos)
+        << verify.message();
+    FingerprintStore store;
+    ASSERT_TRUE(store.Open(path_, kHash).ok());
+    EXPECT_TRUE(store.stats().degraded);
+    EXPECT_NE(store.stats().warning.find("corrupt"), std::string::npos);
+    EXPECT_EQ(store.stats().file_entries, 0u);
+    store.Close();
+  }
 }
 
 TEST_F(PersistTest, CompactThatFailsToWriteLeavesTheOriginalIntact) {

@@ -508,7 +508,9 @@ TEST(RegistryTest, BuiltinRuleTableCoversEveryAntiPatternOnce) {
     digest = Fnv1a(values, sizeof(values), digest);
   }
   EXPECT_EQ(digest, 4171461983230551332u);
-  EXPECT_EQ(persist::FingerprintStore::RulesetHash(registry), 7031203987702784322u);
+  // RulesetHash folds in the store format version (6), so this pin moves
+  // with the format and with nothing else.
+  EXPECT_EQ(persist::FingerprintStore::RulesetHash(registry), 1999852087614236539u);
 }
 
 }  // namespace

@@ -55,8 +55,8 @@ std::string SampleWorkload() {
 }
 
 /// Size and XXH64 of the cold store ScanTest.ColdStoreFileIsPinned writes.
-constexpr uint64_t kColdStoreBytes = 87168;
-constexpr uint64_t kColdStoreXxh64 = 0xc2c75b9aab60e2bcull;
+constexpr uint64_t kColdStoreBytes = 72904;
+constexpr uint64_t kColdStoreXxh64 = 0x8cdbede47bd30364ull;
 
 class ScanTest : public ::testing::Test {
  protected:
