@@ -342,7 +342,7 @@ Status FingerprintStore::OpenLocked(uint64_t ruleset_hash) {
     MarkUnusable("store mapping failed (" + ms.message() + "); scanning cold");
     return Status::Ok();
   }
-  if (!LoadIndex()) {
+  if (!LoadIndex(h.entry_count)) {
     Rebuild(h.generation + 1, "corrupt store record; rebuilding");
     return Status::Ok();
   }
@@ -388,8 +388,14 @@ void FingerprintStore::Rebuild(uint64_t generation, std::string warning) {
   stats_.warning = std::move(warning);
 }
 
-bool FingerprintStore::LoadIndex() {
+bool FingerprintStore::LoadIndex(uint64_t entry_count) {
   std::string_view log = map_.view();
+  // Sized from the header's record count, capped by the most records the
+  // log could hold, so a forged count cannot drive a huge allocation.
+  const uint64_t records =
+      std::min(entry_count, log.size() / (kRecordPrefixBytes + kRecordChecksumBytes));
+  records_.reserve(records);
+  index_.reserve(records);
   const uint64_t stop = WalkLog(
       log, log.size(),
       [&](uint64_t off, const RecordView& r) {

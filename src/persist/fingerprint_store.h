@@ -258,7 +258,7 @@ class FingerprintStore {
 
   Status OpenLocked(uint64_t ruleset_hash);
   void Rebuild(uint64_t generation, std::string warning);
-  bool LoadIndex();
+  bool LoadIndex(uint64_t entry_count);
   bool WriteHeader(uint64_t log_end);
   void ClearState();
   void MarkUnusable(std::string warning);

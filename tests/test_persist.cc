@@ -581,8 +581,6 @@ TEST_F(PersistTest, AppendFileRejectsInvalidOffsets) {
 }
 
 TEST_F(PersistTest, CompactDropsSupersededManifestsAndRemapsOffsets) {
-  // (A manifest reference was a byte offset up to format 5; it is a record
-  // ordinal now, and the name stays.)
   // Keys as the scan writes them: a statement-local record keyed by its
   // text, a workload record keyed by its text plus the repository digest.
   const std::string w1 = std::string("SELECT w", 9) + "digest-1";
