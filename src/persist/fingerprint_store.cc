@@ -46,6 +46,7 @@ constexpr uint64_t kFindingBytes = 1 + 8;
 /// Caps that bound a structurally-valid record: a corrupt length field must
 /// fail validation rather than drive a huge allocation.
 constexpr uint64_t kMaxRecordBytes = 64ull << 20;
+constexpr char kRulesetChanged[] = "rule-set hash changed; stored findings invalidated";
 
 void PutU32(std::string* out, uint32_t v) { out->append(reinterpret_cast<const char*>(&v), 4); }
 void PutU64(std::string* out, uint64_t v) { out->append(reinterpret_cast<const char*>(&v), 8); }
@@ -248,16 +249,16 @@ uint64_t WalkLog(std::string_view log, uint64_t end, OnStmt on_stmt, OnFile on_f
   return off;
 }
 
+/// Appends the record's finding stats to `out`; either out-pointer may be null.
 void DecodeFindingStats(const RecordView& r, std::vector<FindingStat>* out,
                         uint64_t* template_fingerprint) {
   if (template_fingerprint != nullptr) *template_fingerprint = r.template_fingerprint;
   if (out == nullptr) return;
-  out->resize(r.finding_count);
   const char* q = r.findings;
-  for (FindingStat& f : *out) {
+  for (uint32_t i = 0; i < r.finding_count; ++i, q += kFindingBytes) {
+    FindingStat& f = out->emplace_back();
     f.type = static_cast<uint8_t>(q[0]);
     std::memcpy(&f.score, q + 1, 8);
-    q += kFindingBytes;
   }
 }
 
@@ -333,7 +334,7 @@ Status FingerprintStore::OpenLocked(uint64_t ruleset_hash) {
     return Status::Ok();
   }
   if (h.ruleset_hash != ruleset_hash) {
-    Rebuild(h.generation + 1, "rule-set hash changed; stored findings invalidated");
+    Rebuild(h.generation + 1, kRulesetChanged);
     return Status::Ok();
   }
 
@@ -459,6 +460,7 @@ uint64_t FingerprintStore::Find(std::string_view canonical, uint64_t fingerprint
     std::string_view log = RecordBytes(ordinal, &at);
     RecordView r;
     if (!DecodeRecord(log, at, log.size(), &r) || r.canonical != canonical) return false;
+    if (out != nullptr) out->clear();
     DecodeFindingStats(r, out, template_fingerprint);
     return true;
   };
@@ -510,12 +512,18 @@ bool FingerprintStore::ProbeFile(std::string_view rel_path, uint64_t size,
 bool FingerprintStore::ResolveStats(uint64_t record, uint64_t fingerprint,
                                     std::vector<FindingStat>* out,
                                     uint64_t* template_fingerprint) const {
-  uint64_t at = 0;
-  std::string_view log = RecordBytes(record, &at);
+  if (!NamesRecord(record, records_.size())) return false;
+  const uint64_t at = records_[record - 1].offset;
+  // LoadIndex checked every record committed at open, under the flock, so
+  // such a record is read in place; one appended since open is checked here.
   RecordView r;
-  if (!DecodeRecord(log, at, log.size(), &r) || r.fingerprint != fingerprint) {
+  if (at < open_end_) {
+    const char* p = map_.view().data() + at;
+    if (!ViewRecord(p, GetU32(p + 4), &r)) return false;
+  } else if (!DecodeRecord(appended_buf_, at - open_end_, appended_buf_.size(), &r)) {
     return false;
   }
+  if (r.fingerprint != fingerprint) return false;
   DecodeFindingStats(r, out, template_fingerprint);
   return true;
 }
@@ -717,6 +725,10 @@ Status FingerprintStore::Compact(const std::string& path, uint64_t ruleset_hash,
   if (!store.usable()) {
     return Status::Error("cannot compact: " + store.stats().warning);
   }
+  // A rule-set change empties the store by design; any other rebuild lost data.
+  if (store.stats_.degraded && store.stats_.warning != kRulesetChanged) {
+    return Status::Error("store rebuilt at open: " + store.stats_.warning);
+  }
 
   // The open indexed every statement record and the last manifest per
   // path, exactly the entry ProbeFile serves; an ordered map keeps the
@@ -747,6 +759,7 @@ Status FingerprintStore::Compact(const std::string& path, uint64_t ruleset_hash,
     RecordView r;
     remap[ordinal] = kNoRecord;
     if (!DecodeRecord(log, at, log.size(), &r)) continue;
+    stats.clear();
     DecodeFindingStats(r, &stats, nullptr);
     remap[ordinal] = fresh.Append(r.canonical, r.fingerprint, r.template_fingerprint, stats);
   }

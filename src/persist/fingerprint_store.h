@@ -170,11 +170,13 @@ class FingerprintStore {
   bool ProbeFile(std::string_view rel_path, uint64_t size, uint64_t mtime_ns,
                  std::vector<StmtRef>* out);
 
-  /// Decodes the finding stats of statement record `record` (an ordinal),
-  /// verifying its checksum and that its fingerprint matches `fingerprint`.
-  /// Returns false on any mismatch — callers fall back to analyzing
-  /// again. `template_fingerprint` (optional) receives the record's template
-  /// fingerprint.
+  /// Appends the finding stats of statement record `record` (an ordinal) to
+  /// `out` when the record's fingerprint matches `fingerprint`. A record
+  /// committed at open had its frame and checksum checked then, under the
+  /// flock, and is read in place; one appended since open is checked here.
+  /// Returns false, appending nothing, on any mismatch — callers fall back
+  /// to analyzing again. `template_fingerprint` (optional) receives the
+  /// record's template fingerprint.
   bool ResolveStats(uint64_t record, uint64_t fingerprint,
                     std::vector<FindingStat>* out,
                     uint64_t* template_fingerprint) const;
@@ -233,7 +235,9 @@ class FingerprintStore {
   /// fresh store on a temp file writes the result through Append, AppendFile
   /// and Commit, and only a fully committed temp file is renamed over
   /// `path`, so a crash or failure mid-compaction leaves the original
-  /// intact. A store invalidated by `ruleset_hash` compacts to empty.
+  /// intact. A store invalidated by `ruleset_hash` compacts to empty; one
+  /// the open rebuilt for any other reason (corruption, an older format
+  /// version) returns non-OK naming that reason.
   static Status Compact(const std::string& path, uint64_t ruleset_hash,
                         std::string* summary);
 

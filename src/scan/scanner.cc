@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdarg>
 #include <cstdint>
@@ -12,6 +13,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -19,7 +21,6 @@
 
 #include "common/hash.h"
 #include "common/mmap_file.h"
-#include "common/radix_sort.h"
 #include "common/thread_pool.h"
 #include "core/emit.h"
 #include "core/session.h"
@@ -195,8 +196,8 @@ struct ShardAgg {
 struct Worker {
   ShardAgg agg;
   std::vector<persist::StmtRef> refs;
-  std::vector<std::vector<persist::FindingStat>> replay;
-  std::vector<persist::FindingStat> stats;
+  std::vector<persist::FindingStat> stats;  ///< One statement's, or a whole replay's.
+  std::vector<size_t> ends;  ///< Replay: reference i's stats end at stats[ends[i]].
   sql::TokenBuffer tokens;  ///< Lexes each group's canonical form once.
 };
 
@@ -209,14 +210,14 @@ struct ScanShared {
 };
 
 /// Counts one statement occurrence and its findings into the aggregates.
-void FoldStatement(const std::vector<persist::FindingStat>& findings, uint64_t exact,
+void FoldStatement(std::span<const persist::FindingStat> findings, uint64_t exact,
                    uint64_t tmpl, ShardAgg& agg, RepoResult& repo) {
   ++repo.statements;
+  repo.findings += findings.size();
   agg.exact_fps.push_back(exact);
   agg.template_fps.push_back(tmpl);
   uint32_t stmt_mask = 0;
   for (const persist::FindingStat& f : findings) {
-    ++repo.findings;
     if (f.type < kAntiPatternCount) {
       ++agg.occurrences[f.type];
       stmt_mask |= 1u << f.type;
@@ -227,9 +228,7 @@ void FoldStatement(const std::vector<persist::FindingStat>& findings, uint64_t e
       case Severity::kLow: ++agg.severity[2]; break;
     }
   }
-  for (int k = 0; k < kAntiPatternCount; ++k) {
-    if (stmt_mask & (1u << k)) ++agg.statements_with[k];
-  }
+  for (uint32_t m = stmt_mask; m; m &= m - 1) ++agg.statements_with[std::countr_zero(m)];
   repo.rule_mask |= stmt_mask;
 }
 
@@ -240,17 +239,18 @@ void FoldStatement(const std::vector<persist::FindingStat>& findings, uint64_t e
 bool ReplayRepo(const std::string& manifest, size_t files, Worker& w,
                 persist::FingerprintStore* store, RepoResult* out) {
   if (!store->ProbeFile(manifest, out->key.bytes, out->key.digest, &w.refs)) return false;
-  w.replay.resize(w.refs.size());
-  for (size_t i = 0; i < w.refs.size(); ++i) {
-    if (!store->ResolveStats(w.refs[i].record, w.refs[i].exact, &w.replay[i], nullptr)) {
-      return false;
-    }
+  w.stats.clear();
+  w.ends.clear();
+  for (const persist::StmtRef& ref : w.refs) {
+    if (!store->ResolveStats(ref.record, ref.exact, &w.stats, nullptr)) return false;
+    w.ends.push_back(w.stats.size());
   }
   out->files = files;
   w.agg.files_reused += files;
   w.agg.store_reused += w.refs.size();
-  for (size_t i = 0; i < w.refs.size(); ++i) {
-    FoldStatement(w.replay[i], w.refs[i].exact, w.refs[i].tmpl, w.agg, *out);
+  for (size_t i = 0, begin = 0; i < w.refs.size(); begin = w.ends[i++]) {
+    FoldStatement(std::span(w.stats).subspan(begin, w.ends[i] - begin), w.refs[i].exact,
+                  w.refs[i].tmpl, w.agg, *out);
   }
   return true;
 }
@@ -407,10 +407,20 @@ void ProcessRepo(const Repo& repo, const ScanShared& shared, Worker& w, RepoResu
   AnalyzeRepo(files, readable && shared.store != nullptr, shared, w, out);
 }
 
-/// Number of distinct values, sorting `values` in place.
-uint64_t CountDistinct(std::vector<uint64_t>& values) {
-  RadixSortBy(values, [](uint64_t v) { return v; });
-  return static_cast<uint64_t>(std::unique(values.begin(), values.end()) - values.begin());
+/// Number of distinct values: a Fibonacci-hashed open-addressing set at most
+/// half full, in which 0 marks an empty slot, so a zero value is counted apart.
+uint64_t CountDistinct(const std::vector<uint64_t>& values) {
+  int bits = 4;
+  while ((size_t{1} << bits) < 2 * values.size()) ++bits;
+  std::vector<uint64_t> slots(size_t{1} << bits, 0);
+  uint64_t distinct = 0;
+  for (uint64_t v : values) {
+    size_t i = static_cast<size_t>((v * 0x9e3779b97f4a7c15ull) >> (64 - bits));
+    while (slots[i] != 0 && slots[i] != v) i = (i + 1) & (slots.size() - 1);
+    distinct += slots[i] == 0 && v != 0;
+    slots[i] = v;
+  }
+  return distinct + (std::find(values.begin(), values.end(), 0) != values.end());
 }
 
 void AppendFormatted(std::string& out, const char* fmt, ...)

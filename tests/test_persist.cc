@@ -766,6 +766,98 @@ TEST_F(PersistTest, CompactUnderDifferentRulesetEmptiesTheStore) {
   store.Close();
 }
 
+TEST_F(PersistTest, CompactOfACorruptStoreFailsAndSaysWhy) {
+  // Only a rule-set change empties a store on purpose. When the open has to
+  // rebuild a corrupt store or one of an older format, its contents are
+  // already gone: compaction must fail and name the reason, not report a
+  // clean compaction of nothing.
+  auto write_store = [&] {
+    std::remove(path_.c_str());
+    FingerprintStore store;
+    ASSERT_TRUE(store.Open(path_, kHash).ok());
+    const uint64_t rec =
+        store.Append("SELECT * FROM t", 0x7, 0x8, {MakeFinding(1, 0.5, "x")});
+    ASSERT_TRUE(store.AppendFile("repo/", 10, 100, {{0x7, 0x8, rec}}));
+    store.Close();
+  };
+  write_store();
+  FlipByte(64 + 20);  // inside the statement record
+  std::string summary;
+  Status compacted = FingerprintStore::Compact(path_, kHash, &summary);
+  EXPECT_FALSE(compacted.ok()) << summary;
+  EXPECT_NE(compacted.message().find("corrupt"), std::string::npos)
+      << compacted.message();
+
+  write_store();
+  std::string raw = ReadRaw();
+  const uint32_t v5 = 5;
+  std::memcpy(raw.data() + 8, &v5, 4);
+  WriteRaw(raw);
+  compacted = FingerprintStore::Compact(path_, kHash, &summary);
+  EXPECT_FALSE(compacted.ok()) << summary;
+  EXPECT_NE(compacted.message().find("store format version 5 != 6"), std::string::npos)
+      << compacted.message();
+  // The open left a valid empty store behind, which compacts cleanly.
+  ASSERT_TRUE(FingerprintStore::Compact(path_, kHash, &summary).ok());
+  EXPECT_NE(summary.find("kept=0 "), std::string::npos) << summary;
+}
+
+TEST_F(PersistTest, ResolveStatsServesOpenCheckedAndAppendedRecordsAlike) {
+  // Record A was committed before this session, so the open checked it; B is
+  // appended in the session. Both resolve to their findings, appended to the
+  // caller's buffer, and both refuse a wrong fingerprint, kNoRecord and the
+  // ordinal one past the last record, appending nothing.
+  const std::vector<StoredFinding> fa = {MakeFinding(1, 0.5, "a"),
+                                         MakeFinding(3, 0.75, "a")};
+  const std::vector<StoredFinding> fb = {MakeFinding(2, 0.25, "b")};
+  uint64_t rec_a = 0;
+  {
+    FingerprintStore store;
+    ASSERT_TRUE(store.Open(path_, kHash).ok());
+    rec_a = store.Append("SELECT a", 0xa, 0xa1, fa);
+    ASSERT_NE(rec_a, FingerprintStore::kNoRecord);
+    store.Close();
+  }
+  FingerprintStore store;
+  ASSERT_TRUE(store.Open(path_, kHash).ok());
+  std::vector<FindingStat> got;
+  auto expect_refused = [&](uint64_t record, uint64_t fingerprint) {
+    SCOPED_TRACE("record " + std::to_string(record));
+    EXPECT_FALSE(store.ResolveStats(record, fingerprint, &got, nullptr));
+    EXPECT_TRUE(got.empty());
+  };
+  expect_refused(rec_a, 0xb);
+  expect_refused(FingerprintStore::kNoRecord, 0xa);
+  expect_refused(rec_a + 1, 0xa);
+
+  const uint64_t rec_b = store.Append("SELECT b", 0xb, 0xb1, fb);
+  ASSERT_EQ(rec_b, rec_a + 1);
+  expect_refused(rec_b, 0xa);
+  expect_refused(FingerprintStore::kNoRecord, 0xb);
+  expect_refused(rec_b + 1, 0xb);
+
+  for (bool committed : {false, true}) {
+    SCOPED_TRACE(committed ? "after a mid-session commit" : "before any commit");
+    if (committed) {
+      ASSERT_TRUE(store.Commit().ok());
+    }
+    got.clear();
+    uint64_t tmpl = 0;
+    ASSERT_TRUE(store.ResolveStats(rec_a, 0xa, &got, &tmpl));
+    EXPECT_EQ(tmpl, 0xa1u);
+    ExpectStats(got, fa);
+    ASSERT_TRUE(store.ResolveStats(rec_b, 0xb, &got, &tmpl));
+    EXPECT_EQ(tmpl, 0xb1u);
+    std::vector<StoredFinding> both = fa;
+    both.insert(both.end(), fb.begin(), fb.end());
+    ExpectStats(got, both);
+    EXPECT_FALSE(store.ResolveStats(rec_b, 0xa, &got, &tmpl));
+    EXPECT_FALSE(store.ResolveStats(rec_b + 1, 0xb, &got, &tmpl));
+    ExpectStats(got, both);
+  }
+  store.Close();
+}
+
 TEST_F(PersistTest, RulesetHashTracksRegistryComposition) {
   RuleRegistry all = RuleRegistry::Default();
   EXPECT_NE(FingerprintStore::RulesetHash(all), 0u);

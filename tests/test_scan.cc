@@ -9,12 +9,14 @@
 // produced, never a byte of it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <map>
 #include <random>
+#include <set>
 #include <string>
 #include <utility>
 #include <thread>
@@ -28,6 +30,7 @@
 #include "common/hash.h"
 #include "common/thread_pool.h"
 #include "core/emit.h"
+#include "core/session.h"
 #include "core/sqlcheck.h"
 #include "persist/fingerprint_store.h"
 #include "ranking/model.h"
@@ -36,6 +39,7 @@
 #include "server/wire.h"
 #include "sql/extractor.h"
 #include "sql/fingerprint.h"
+#include "sql/lexer.h"
 #include "workload/corpus.h"
 
 namespace sqlcheck::scan {
@@ -616,6 +620,91 @@ TEST_F(ScanTest, ReportAndStoreAreIdenticalAtAnyJobCount) {
     EXPECT_EQ(run.digest, serial.digest);
     EXPECT_EQ(run.text, serial.text);
     EXPECT_TRUE(store == serial_store) << "store files differ at jobs=" << jobs;
+  }
+}
+
+/// Distinct exact and template fingerprints of every statement under `root`,
+/// counted without the scanner: one AnalysisSession per top-level directory
+/// (dot-directories skipped) fed its `.sql` scripts and the embedded SQL of
+/// its `.py` files in path order, each
+/// statement's exact fingerprint from the session's dedup memo and its
+/// template fingerprint from TemplateFingerprintOfExact.
+std::pair<uint64_t, uint64_t> DistinctFingerprintsOf(const std::string& root) {
+  std::map<std::string, std::vector<fs::path>> repos;
+  for (const fs::directory_entry& entry : fs::recursive_directory_iterator(root)) {
+    if (!entry.is_regular_file()) continue;
+    const std::string repo = fs::relative(entry.path(), root).begin()->string();
+    if (repo[0] != '.') repos[repo].push_back(entry.path());
+  }
+  std::set<uint64_t> exact;
+  std::set<uint64_t> tmpl;
+  sql::TokenBuffer tokens;
+  for (auto& [name, files] : repos) {
+    std::sort(files.begin(), files.end());
+    AnalysisSession session;
+    for (const fs::path& file : files) {
+      const std::string text = ReadFile(file.string());
+      if (file.extension() == ".sql") {
+        session.AddScript(text);
+      } else {
+        for (const sql::EmbeddedSql& found : sql::ExtractEmbeddedSql(text)) {
+          session.AddQuery(found.sql);
+        }
+      }
+    }
+    const QueryGroups& groups = session.context().query_groups();
+    for (size_t i = 0; i < groups.fingerprints.size(); ++i) {
+      const std::string_view canonical = groups.canonical[groups.group[i]];
+      if (canonical.empty()) continue;  // Comment-only: not a statement.
+      exact.insert(groups.fingerprints[i]);
+      tmpl.insert(sql::TemplateFingerprintOfExact(canonical, tokens));
+    }
+  }
+  return {exact.size(), tmpl.size()};
+}
+
+TEST_F(ScanTest, DistinctCountsMatchASetOfEveryOccurrence) {
+  // The merge counts distinct fingerprints over every worker's occurrences.
+  // Cold, fully warm and mixed scans (one repository edited, the rest
+  // replayed) at one and three jobs must all count what a std::set of
+  // independently computed fingerprints holds.
+  WriteFile("gamma/schema.sql", SampleWorkload());
+  workload::CorpusOptions corpus_options;
+  corpus_options.repo_count = 30;
+  for (const workload::CorpusRepo& repo : workload::GenerateCorpus(corpus_options).repos) {
+    WriteFile(repo.name + "/app.py", repo.source);
+  }
+  const std::string original = ReadFile(root_ + "/beta/queries.sql");
+  for (int jobs : {1, 3}) {
+    SCOPED_TRACE(jobs);
+    std::error_code ec;
+    fs::remove(store_, ec);
+    WriteFile("beta/queries.sql", original);
+    const auto [exact, tmpl] = DistinctFingerprintsOf(root_);
+    ASSERT_GT(exact, tmpl);
+    const Run cold = Scan(store_, jobs);
+    const Run warm = Scan(store_, jobs);
+    EXPECT_GT(cold.report.statements, exact);  // Repeats across repositories.
+    EXPECT_GT(cold.summary.analyzed, 0u);
+    EXPECT_EQ(warm.summary.analyzed, 0u);
+    for (const Run* run : {&cold, &warm}) {
+      EXPECT_EQ(run->report.unique_statements, exact);
+      EXPECT_EQ(run->report.unique_templates, tmpl);
+    }
+
+    // A new statement and a new template in one repository, plus a repeat
+    // of a statement the replayed repositories hold.
+    AppendToFile("beta/queries.sql",
+                 "SELECT payload FROM t WHERE id = 41 AND payload = 'x';\n"
+                 "SELECT * FROM users;\n");
+    const auto [exact_after, tmpl_after] = DistinctFingerprintsOf(root_);
+    EXPECT_EQ(exact_after, exact + 1);
+    EXPECT_EQ(tmpl_after, tmpl + 1);
+    const Run mixed = Scan(store_, jobs);
+    EXPECT_GT(mixed.summary.analyzed, 0u);
+    EXPECT_GT(mixed.summary.store_reused, 0u);
+    EXPECT_EQ(mixed.report.unique_statements, exact_after);
+    EXPECT_EQ(mixed.report.unique_templates, tmpl_after);
   }
 }
 
