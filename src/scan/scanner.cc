@@ -196,8 +196,9 @@ struct ShardAgg {
 struct Worker {
   ShardAgg agg;
   std::vector<persist::StmtRef> refs;
-  std::vector<persist::FindingStat> stats;  ///< One statement's, or a whole replay's.
-  std::vector<size_t> ends;  ///< Replay: reference i's stats end at stats[ends[i]].
+  /// One statement's findings, or a replay's back to back, split at `ends`.
+  std::vector<persist::FindingStat> stats;
+  std::vector<size_t> ends;
   sql::TokenBuffer tokens;  ///< Lexes each group's canonical form once.
 };
 

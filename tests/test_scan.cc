@@ -626,9 +626,9 @@ TEST_F(ScanTest, ReportAndStoreAreIdenticalAtAnyJobCount) {
 /// Distinct exact and template fingerprints of every statement under `root`,
 /// counted without the scanner: one AnalysisSession per top-level directory
 /// (dot-directories skipped) fed its `.sql` scripts and the embedded SQL of
-/// its `.py` files in path order, each
-/// statement's exact fingerprint from the session's dedup memo and its
-/// template fingerprint from TemplateFingerprintOfExact.
+/// its `.py` files in path order. Each statement's exact fingerprint comes
+/// from the session's dedup memo, its template fingerprint from
+/// TemplateFingerprintOfExact.
 std::pair<uint64_t, uint64_t> DistinctFingerprintsOf(const std::string& root) {
   std::map<std::string, std::vector<fs::path>> repos;
   for (const fs::directory_entry& entry : fs::recursive_directory_iterator(root)) {
@@ -671,7 +671,8 @@ TEST_F(ScanTest, DistinctCountsMatchASetOfEveryOccurrence) {
   WriteFile("gamma/schema.sql", SampleWorkload());
   workload::CorpusOptions corpus_options;
   corpus_options.repo_count = 30;
-  for (const workload::CorpusRepo& repo : workload::GenerateCorpus(corpus_options).repos) {
+  for (const workload::CorpusRepo& repo :
+       workload::GenerateCorpus(corpus_options).repos) {
     WriteFile(repo.name + "/app.py", repo.source);
   }
   const std::string original = ReadFile(root_ + "/beta/queries.sql");
