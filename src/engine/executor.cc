@@ -1,11 +1,13 @@
 #include "engine/executor.h"
 
 #include <algorithm>
+#include <charconv>
+#include <functional>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/strings.h"
 #include "engine/eval.h"
@@ -26,6 +28,11 @@ struct BoundSource {
   const TableSchema* schema = nullptr;
   std::vector<Row> materialized;          // subquery rows
   Row null_row;                           // for LEFT JOIN padding
+
+  /// A materialized row's slot is its position.
+  const Row& RowAt(size_t slot) const {
+    return table != nullptr ? table->RowAt(slot) : materialized[slot];
+  }
 };
 
 /// A joined tuple: one row pointer per bound source.
@@ -54,6 +61,79 @@ bool MatchEqualityLiteral(const sql::Expr& e, std::string* column, Value* value)
     return true;
   };
   return match(lhs, rhs) || match(rhs, lhs);
+}
+
+/// The row selection of SELECT sources, UPDATE and DELETE: the slots of
+/// `src`'s rows that `keep` accepts. The first `column = literal` conjunct
+/// whose column has a single-column index reads its candidates from that
+/// index; otherwise every live row is a candidate. `keep` checks each
+/// candidate, that conjunct included.
+Result<std::vector<size_t>> SelectSlots(const BoundSource& src,
+                                        const std::vector<const sql::Expr*>& conjuncts,
+                                        const std::function<Result<bool>(const Row&)>& keep) {
+  std::vector<size_t> candidates;
+  if (src.table == nullptr) {
+    candidates.resize(src.materialized.size());
+    std::iota(candidates.begin(), candidates.end(), size_t{0});
+  } else {
+    const Index* index = nullptr;
+    for (const sql::Expr* conj : conjuncts) {
+      std::string column;
+      Value value;
+      if (!MatchEqualityLiteral(*conj, &column, &value)) continue;
+      index = src.table->FindSingleColumnIndex(column);
+      if (index == nullptr) continue;
+      candidates = index->Lookup(CompositeKey{{value}});
+      break;
+    }
+    if (index == nullptr) candidates = src.table->LiveSlots();
+  }
+  std::vector<size_t> slots;
+  for (size_t slot : candidates) {
+    if (src.table != nullptr && !src.table->IsLive(slot)) continue;
+    Result<bool> kept = keep(src.RowAt(slot));
+    if (!kept.ok()) return kept.status();
+    if (*kept) slots.push_back(slot);
+  }
+  return slots;
+}
+
+/// Rewrites `expr` in place into the literal spelling `v`.
+void SetLiteral(sql::Expr* expr, const Value& v) {
+  if (v.is_null()) {
+    expr->kind = sql::ExprKind::kNullLiteral;
+  } else if (v.is_bool()) {
+    expr->kind = sql::ExprKind::kBoolLiteral;
+    expr->text = v.AsBool() ? "true" : "false";
+  } else if (v.is_numeric()) {
+    expr->kind = sql::ExprKind::kNumberLiteral;
+    expr->text = v.ToDisplay();
+  } else {
+    expr->kind = sql::ExprKind::kStringLiteral;
+    expr->text = v.AsString();
+  }
+}
+
+/// An ORDER BY or GROUP BY term that is an integer literal k names the k-th
+/// output column. Returns its 0-based position, kNoSlot for any other term,
+/// or an error when k is out of range (`-k` always is), as SQLite rejects it.
+Result<size_t> OutputOrdinal(const sql::Expr& term, std::string_view clause, size_t index,
+                             size_t column_count) {
+  const bool negative = term.kind == sql::ExprKind::kUnary && term.text == "-";
+  const sql::Expr& literal = negative ? *term.children[0] : term;
+  std::string_view digits = literal.text;
+  if (literal.kind != sql::ExprKind::kNumberLiteral || digits.empty() ||
+      !std::all_of(digits.begin(), digits.end(), [](char c) { return c >= '0' && c <= '9'; })) {
+    return kNoSlot;
+  }
+  size_t k = 0;  // left 0 on overflow
+  std::from_chars(digits.data(), digits.data() + digits.size(), k);
+  if (negative || k < 1 || k > column_count) {
+    return Status::Error(std::string(clause) + " term " + std::to_string(index + 1) +
+                         " out of range - should be between 1 and " +
+                         std::to_string(column_count));
+  }
+  return k - 1;
 }
 
 /// SQL: a CHECK holds on TRUE and on NULL. `scope` has the row bound. When
@@ -212,56 +292,34 @@ Status Executor::FlattenSubqueries(sql::Expr* expr) {
   if (!sub.ok()) return sub.status();
 
   switch (expr->kind) {
-    case sql::ExprKind::kSubquery: {
-      Value v = sub->Scalar();
-      expr->subquery.reset();
+    case sql::ExprKind::kSubquery:
       expr->children.clear();
-      if (v.is_null()) {
-        expr->kind = sql::ExprKind::kNullLiteral;
-      } else if (v.is_bool()) {
-        expr->kind = sql::ExprKind::kBoolLiteral;
-        expr->text = v.AsBool() ? "true" : "false";
-      } else if (v.is_numeric()) {
-        expr->kind = sql::ExprKind::kNumberLiteral;
-        expr->text = v.ToDisplay();
-      } else {
-        expr->kind = sql::ExprKind::kStringLiteral;
-        expr->text = v.AsString();
-      }
-      return Status::Ok();
-    }
-    case sql::ExprKind::kExists: {
-      bool any = !sub->rows.empty();
-      expr->subquery.reset();
-      expr->kind = sql::ExprKind::kBoolLiteral;
-      expr->text = any ? "true" : "false";
-      return Status::Ok();
-    }
-    case sql::ExprKind::kIn: {
+      SetLiteral(expr, sub->Scalar());
+      break;
+    case sql::ExprKind::kExists:
+      SetLiteral(expr, Value::Bool(!sub->rows.empty()));
+      break;
+    case sql::ExprKind::kIn:
       for (const Row& row : sub->rows) {
         if (row.empty()) continue;
         sql::ExprPtr lit(new sql::Expr());
-        const Value& v = row[0];
-        if (v.is_null()) {
-          lit->kind = sql::ExprKind::kNullLiteral;
-        } else if (v.is_numeric()) {
-          lit->kind = sql::ExprKind::kNumberLiteral;
-          lit->text = v.ToDisplay();
-        } else if (v.is_bool()) {
-          lit->kind = sql::ExprKind::kBoolLiteral;
-          lit->text = v.AsBool() ? "true" : "false";
-        } else {
-          lit->kind = sql::ExprKind::kStringLiteral;
-          lit->text = v.AsString();
-        }
+        SetLiteral(lit.get(), row[0]);
         expr->children.push_back(std::move(lit));
       }
-      expr->subquery.reset();
-      return Status::Ok();
-    }
+      break;
     default:
       return Status::Error("unsupported subquery position");
   }
+  expr->subquery.reset();
+  return Status::Ok();
+}
+
+Status Executor::FlattenClauses(sql::Statement& stmt) {
+  Status s = Status::Ok();
+  sql::ForEachRootExpr(stmt, [&](sql::Expr& root) {
+    if (s.ok()) s = FlattenSubqueries(&root);
+  });
+  return s;
 }
 
 // ---------------------------------------------------------------------------
@@ -305,24 +363,6 @@ Result<QueryResult> Executor::ExecuteSelect(const sql::SelectStatement& original
     return Status::Ok();
   };
 
-  if (stmt.from.empty() && !stmt.items.empty()) {
-    // FROM-less SELECT (e.g. SELECT 1+1): evaluate once with empty scope.
-    EvalScope scope;
-    scope.rng = &rng_;
-    QueryResult out;
-    Row row;
-    for (auto& item : stmt.items) {
-      Status s = FlattenSubqueries(item.expr.get());
-      if (!s.ok()) return s;
-      auto v = Eval(*item.expr, scope);
-      if (!v.ok()) return v.status();
-      out.columns.push_back(OutputNameFor(item));
-      row.push_back(*v);
-    }
-    out.rows.push_back(std::move(row));
-    return out;
-  }
-
   for (const auto& ref : stmt.from) {
     Status s = bind(ref);
     if (!s.ok()) return s;
@@ -336,53 +376,93 @@ Result<QueryResult> Executor::ExecuteSelect(const sql::SelectStatement& original
   scope.rng = &rng_;
   for (const auto& src : sources) scope.AddSource(src.binding, src.schema);
 
-  // Flatten subqueries in every expression position.
-  for (auto& item : stmt.items) {
+  // ---------------------------- output columns ----------------------------
+  // A `*` lists its sources' columns: a bare one lists a USING column once,
+  // from the join's left side. Any other item is one expression.
+  struct OutputColumn {
+    const sql::Expr* expr = nullptr;  // null: column `column` of source `source`
+    size_t source = 0;
+    size_t column = 0;
+  };
+  QueryResult out;
+  std::vector<OutputColumn> output;
+  auto joined_using = [&](size_t si, std::string_view column) {
+    if (si < stmt.from.size()) return false;
+    const auto& names = stmt.joins[si - stmt.from.size()].using_columns;
+    return std::any_of(names.begin(), names.end(),
+                       [&](const auto& name) { return EqualsIgnoreCase(name, column); });
+  };
+  for (const auto& item : stmt.items) {
     if (item.expr->kind != sql::ExprKind::kStar) {
-      Status s = FlattenSubqueries(item.expr.get());
-      if (!s.ok()) return s;
+      output.push_back({item.expr.get()});
+      out.columns.push_back(OutputNameFor(item));
+      continue;
+    }
+    const auto& qualifier = item.expr->name_parts;
+    const size_t listed = output.size();
+    for (size_t si = 0; si < sources.size(); ++si) {
+      if (!qualifier.empty() && !EqualsIgnoreCase(qualifier.back(), sources[si].binding)) {
+        continue;
+      }
+      const auto& columns = sources[si].schema->columns;
+      for (size_t c = 0; c < columns.size(); ++c) {
+        if (qualifier.empty() && joined_using(si, columns[c].name)) continue;
+        output.push_back({nullptr, si, c});
+        out.columns.push_back(columns[c].name);
+      }
+    }
+    if (output.size() == listed) {
+      return Status::Error(qualifier.empty() ? std::string("no tables specified")
+                                             : "no such table: " + std::string(qualifier.back()));
     }
   }
-  for (auto& join : stmt.joins) {
-    if (join.on) {
-      Status s = FlattenSubqueries(join.on.get());
-      if (!s.ok()) return s;
+
+  // ORDER BY k reads the k-th output column; GROUP BY k groups by its
+  // expression, which may not be a `*` column or an aggregate.
+  std::vector<size_t> order_columns;
+  for (size_t k = 0; k < stmt.order_by.size(); ++k) {
+    auto column = OutputOrdinal(*stmt.order_by[k].expr, "ORDER BY", k, output.size());
+    if (!column.ok()) return column.status();
+    order_columns.push_back(*column);
+  }
+  for (size_t k = 0; k < stmt.group_by.size(); ++k) {
+    auto column = OutputOrdinal(*stmt.group_by[k], "GROUP BY", k, output.size());
+    if (!column.ok()) return column.status();
+    if (*column == kNoSlot) continue;
+    const sql::Expr* named = output[*column].expr;
+    if (named == nullptr || ContainsAggregate(*named)) {
+      return Status::Error("GROUP BY term " + std::to_string(k + 1) +
+                           " names a * column or an aggregate");
     }
+    stmt.group_by[k] = named->Clone();
   }
-  if (stmt.where) {
-    Status s = FlattenSubqueries(stmt.where.get());
-    if (!s.ok()) return s;
-  }
-  if (stmt.having) {
-    Status s = FlattenSubqueries(stmt.having.get());
-    if (!s.ok()) return s;
-  }
+
+  Status flattened = FlattenClauses(stmt);
+  if (!flattened.ok()) return flattened;
 
   // Bind-time validation: every column reference must resolve against the
   // bound sources (so empty tables still reject bad queries, like a real
-  // planner would).
-  {
-    Status bad = Status::Ok();
-    auto validate = [&](const sql::Expr& root) {
-      sql::VisitExpr(root, [&](const sql::Expr& e) {
-        if (!bad.ok() || e.kind != sql::ExprKind::kColumnRef) return;
-        size_t si = 0;
-        int ci = -1;
-        if (!scope.ResolvePosition(e.name_parts, &si, &ci)) {
-          bad = Status::Error("unknown column: " + Join(sql::ToStringVector(e.name_parts), "."));
-        }
-      });
-    };
-    for (const auto& item : stmt.items) {
-      if (item.expr->kind != sql::ExprKind::kStar) validate(*item.expr);
-    }
-    if (stmt.where) validate(*stmt.where);
-    for (const auto& join : stmt.joins) {
-      if (join.on) validate(*join.on);
-    }
-    for (const auto& g : stmt.group_by) validate(*g);
-    if (!bad.ok()) return bad;
-  }
+  // planner would). An output alias is let through: SQL resolves it in
+  // WHERE, GROUP BY, HAVING and ORDER BY. The engine does not, so a row
+  // that reaches one fails.
+  auto output_alias = [&](const sql::Expr& e) {
+    return e.name_parts.size() == 1 &&
+           std::any_of(stmt.items.begin(), stmt.items.end(), [&](const sql::SelectItem& item) {
+             return EqualsIgnoreCase(item.alias, e.name_parts[0]);
+           });
+  };
+  Status bad = Status::Ok();
+  sql::ForEachRootExpr(stmt, [&](const sql::Expr& root) {
+    sql::VisitExpr(root, [&](const sql::Expr& e) {
+      if (!bad.ok() || e.kind != sql::ExprKind::kColumnRef || output_alias(e)) return;
+      size_t si = 0;
+      int ci = -1;
+      if (!scope.ResolvePosition(e.name_parts, &si, &ci)) {
+        bad = Status::Error("unknown column: " + Join(sql::ToStringVector(e.name_parts), "."));
+      }
+    });
+  });
+  if (!bad.ok()) return bad;
 
   // ------------------- predicate pushdown (mini planner) ------------------
   // Split the WHERE conjunction into per-source filters (applied while
@@ -424,14 +504,10 @@ Result<QueryResult> Executor::ExecuteSelect(const sql::SelectStatement& original
     }
   }
 
-  // Materializes one source's rows with its pushed filters (index-assisted
-  // when an equality conjunct hits an indexed column).
+  // One source's rows that pass its pushed filters.
   auto materialize = [&](size_t si) -> Result<std::vector<const Row*>> {
-    const BoundSource& src = sources[si];
     const auto& filters = source_filters[si];
-    std::vector<const Row*> rows;
-
-    auto passes = [&](const Row& row) -> Result<bool> {
+    auto slots = SelectSlots(sources[si], filters, [&](const Row& row) -> Result<bool> {
       for (size_t s2 = 0; s2 < sources.size(); ++s2) {
         scope.BindRow(s2, s2 == si ? &row : nullptr);
       }
@@ -441,55 +517,19 @@ Result<QueryResult> Executor::ExecuteSelect(const sql::SelectStatement& original
         if (!IsTrue(*v)) return false;
       }
       return true;
-    };
-
-    // Index path: first equality-literal filter with a single-column index.
-    if (src.table != nullptr) {
-      for (const sql::Expr* filter : filters) {
-        std::string column;
-        Value value;
-        if (!MatchEqualityLiteral(*filter, &column, &value)) continue;
-        const Index* index = src.table->FindSingleColumnIndex(column);
-        if (index == nullptr || index->schema().columns.size() != 1) continue;
-        CompositeKey key;
-        key.values.push_back(value);
-        for (size_t slot : index->Lookup(key)) {
-          if (!src.table->IsLive(slot)) continue;
-          const Row& row = src.table->RowAt(slot);
-          auto ok_row = passes(row);  // re-checks all filters, incl. this one
-          if (!ok_row.ok()) return ok_row.status();
-          if (*ok_row) rows.push_back(&row);
-        }
-        return rows;
-      }
-    }
-
-    Status failed = Status::Ok();
-    auto consider = [&](const Row& row) {
-      if (!failed.ok()) return;
-      if (filters.empty()) {
-        rows.push_back(&row);
-        return;
-      }
-      auto ok_row = passes(row);
-      if (!ok_row.ok()) {
-        failed = ok_row.status();
-        return;
-      }
-      if (*ok_row) rows.push_back(&row);
-    };
-    if (src.table != nullptr) {
-      src.table->ForEachLive([&](size_t, const Row& row) { consider(row); });
-    } else {
-      for (const Row& row : src.materialized) consider(row);
-    }
-    if (!failed.ok()) return failed;
+    });
+    if (!slots.ok()) return slots.status();
+    std::vector<const Row*> rows;
+    rows.reserve(slots->size());
+    for (size_t slot : *slots) rows.push_back(&sources[si].RowAt(slot));
     return rows;
   };
 
-  // --------------------- initial tuples from source 0 ---------------------
+  // ------------- initial tuples: source 0, or one empty tuple -------------
   std::vector<Tuple> tuples;
-  {
+  if (sources.empty()) {
+    tuples.emplace_back();
+  } else {
     auto rows = materialize(0);
     if (!rows.ok()) return rows.status();
     tuples.reserve(rows->size());
@@ -518,28 +558,20 @@ Result<QueryResult> Executor::ExecuteSelect(const sql::SelectStatement& original
     size_t src_index = stmt.from.size() + j;
     const BoundSource& src = sources[src_index];
 
-    // Right-side row count drives the join strategy; materialization is
-    // deferred so an index nested loop never scans the table at all.
-    size_t right_count = src.table != nullptr ? src.table->live_row_count()
-                                              : src.materialized.size();
-    std::vector<const Row*> right_rows;
-    bool right_materialized = false;
-    auto ensure_right_rows = [&]() -> Status {
-      if (right_materialized) return Status::Ok();
-      auto materialized_rows = materialize(src_index);
-      if (!materialized_rows.ok()) return materialized_rows.status();
-      right_rows = std::move(*materialized_rows);
-      right_materialized = true;
-      return Status::Ok();
-    };
-
-    // Normalize USING into an equality expression chain.
+    // USING (c) is `left.c = right.c`, the left side being the first
+    // earlier source with a column c.
     sql::ExprPtr synthesized_on;
     const sql::Expr* on = join.on.get();
     if (on == nullptr && !join.using_columns.empty()) {
       for (const auto& col : join.using_columns) {
+        size_t left = 0;
+        while (left < src_index && sources[left].schema->ColumnIndex(col) < 0) ++left;
+        if (left == src_index || src.schema->ColumnIndex(col) < 0) {
+          return Status::Error("cannot join using column " + std::string(col) +
+                               " - column not present in both tables");
+        }
         auto eq = sql::MakeBinary(
-            "=", sql::MakeColumnRef({sources[0].binding, std::string(col)}),
+            "=", sql::MakeColumnRef({sources[left].binding, std::string(col)}),
             sql::MakeColumnRef({src.binding, std::string(col)}));
         synthesized_on = synthesized_on
                              ? sql::MakeBinary("AND", std::move(synthesized_on), std::move(eq))
@@ -598,107 +630,75 @@ Result<QueryResult> Executor::ExecuteSelect(const sql::SelectStatement& original
       }
     }
 
-    std::vector<Tuple> next;
-    bool left_join = join.type == sql::JoinType::kLeft;
+    // The right rows that may join a tuple. An equality join probes for
+    // them: an existing single-column index when the left side is small
+    // (index nested loop; the right side is never materialized), else a
+    // hash table. Any other join is a nested loop over every right row, the
+    // only option for expression joins (LIKE-on-concatenation etc.); that
+    // contrast is what Fig. 3 measures.
+    const size_t right_count =
+        src.table != nullptr ? src.table->live_row_count() : src.materialized.size();
+    const Index* right_index = nullptr;
+    if (left_key != nullptr && src.table != nullptr && source_filters[src_index].empty() &&
+        tuples.size() * 8 < right_count) {
+      right_index = src.table->FindSingleColumnIndex(
+          src.schema->columns[static_cast<size_t>(right_col)].name);
+    }
+    std::vector<const Row*> right_rows;
+    std::unordered_map<CompositeKey, std::vector<const Row*>, CompositeKeyHash> hash;
+    if (right_index == nullptr) {
+      auto rows = materialize(src_index);
+      if (!rows.ok()) return rows.status();
+      right_rows = std::move(*rows);
+    }
+    if (right_index == nullptr && left_key != nullptr) {
+      for (const Row* row : right_rows) {
+        const Value& v = (*row)[static_cast<size_t>(right_col)];
+        if (!v.is_null()) hash[CompositeKey{{v}}].push_back(row);  // NULL never equi-joins
+      }
+    }
 
-    if (right_col >= 0 && left_key != nullptr) {
-      // Equality join. Probe an existing single-column index when the outer
-      // side is small (index nested loop); otherwise build a hash table.
-      // Both are O(1) probes — the contrast with the nested-loop expression
-      // join below is what Fig. 3 measures.
-      const Index* right_index = nullptr;
-      if (src.table != nullptr && source_filters[src_index].empty() &&
-          tuples.size() * 8 < right_count) {
-        right_index = src.table->FindSingleColumnIndex(
-            src.schema->columns[static_cast<size_t>(right_col)].name);
-      }
-      std::unordered_map<CompositeKey, std::vector<const Row*>, CompositeKeyHash> hash;
-      if (right_index == nullptr) {
-        Status s = ensure_right_rows();
-        if (!s.ok()) return s;
-        for (const Row* row : right_rows) {
-          const Value& v = (*row)[static_cast<size_t>(right_col)];
-          if (v.is_null()) continue;  // NULL never equi-joins
-          CompositeKey key;
-          key.values.push_back(v);
-          hash[key].push_back(row);
-        }
-      }
-      auto probe = [&](const CompositeKey& key) {
-        std::vector<const Row*> matches;
-        if (right_index != nullptr) {
-          for (size_t slot : right_index->Lookup(key)) {
-            if (src.table->IsLive(slot)) matches.push_back(&src.table->RowAt(slot));
-          }
-        } else {
-          auto it = hash.find(key);
-          if (it != hash.end()) matches = it->second;
-        }
-        return matches;
-      };
-      for (Tuple& t : tuples) {
+    std::vector<Tuple> next;
+    std::vector<const Row*> probed;
+    const bool left_join = join.type == sql::JoinType::kLeft;
+    for (Tuple& t : tuples) {
+      const std::vector<const Row*>* candidates = &right_rows;
+      if (left_key != nullptr) {
         for (size_t s2 = 0; s2 < t.size(); ++s2) scope.BindRow(s2, t[s2]);
         scope.BindRow(src_index, nullptr);
         auto key_value = Eval(*left_key, scope);
         if (!key_value.ok()) return key_value.status();
-        bool matched = false;
+        probed.clear();
+        candidates = &probed;
         if (!key_value->is_null()) {
-          CompositeKey key;
-          key.values.push_back(*key_value);
-          for (const Row* row : probe(key)) {
-            // Residual conjuncts of ON still apply.
-            Tuple candidate = t;
-            candidate.push_back(row);
-            bool ok_row = true;
-            if (on != nullptr) {
-              for (size_t s2 = 0; s2 < candidate.size(); ++s2) {
-                scope.BindRow(s2, candidate[s2]);
-              }
-              auto v = Eval(*on, scope);
-              if (!v.ok()) return v.status();
-              ok_row = IsTrue(*v);
+          CompositeKey key{{*key_value}};
+          if (right_index != nullptr) {
+            for (size_t slot : right_index->Lookup(key)) {
+              if (src.table->IsLive(slot)) probed.push_back(&src.table->RowAt(slot));
             }
-            if (ok_row) {
-              next.push_back(std::move(candidate));
-              matched = true;
-            }
+          } else if (auto it = hash.find(key); it != hash.end()) {
+            candidates = &it->second;
           }
-        }
-        if (left_join && !matched) {
-          Tuple padded = t;
-          padded.push_back(&src.null_row);
-          next.push_back(std::move(padded));
         }
       }
-    } else {
-      // Nested-loop join evaluating the ON expression per pair. This is the
-      // only option for expression joins (LIKE-on-concatenation etc.).
-      Status s = ensure_right_rows();
-      if (!s.ok()) return s;
-      for (Tuple& t : tuples) {
-        bool matched = false;
-        for (const Row* row : right_rows) {
-          Tuple candidate = t;
-          candidate.push_back(row);
-          bool ok_row = true;
-          if (on != nullptr) {
-            for (size_t s2 = 0; s2 < candidate.size(); ++s2) {
-              scope.BindRow(s2, candidate[s2]);
-            }
-            auto v = Eval(*on, scope);
-            if (!v.ok()) return v.status();
-            ok_row = IsTrue(*v);
-          }
-          if (ok_row) {
-            next.push_back(std::move(candidate));
-            matched = true;
-          }
+      bool matched = false;
+      for (const Row* row : *candidates) {
+        // The whole ON condition still applies to a probed row.
+        Tuple candidate = t;
+        candidate.push_back(row);
+        if (on != nullptr) {
+          for (size_t s2 = 0; s2 < candidate.size(); ++s2) scope.BindRow(s2, candidate[s2]);
+          auto v = Eval(*on, scope);
+          if (!v.ok()) return v.status();
+          if (!IsTrue(*v)) continue;
         }
-        if (left_join && !matched) {
-          Tuple padded = t;
-          padded.push_back(&src.null_row);
-          next.push_back(std::move(padded));
-        }
+        next.push_back(std::move(candidate));
+        matched = true;
+      }
+      if (left_join && !matched) {
+        Tuple padded = t;
+        padded.push_back(&src.null_row);
+        next.push_back(std::move(padded));
       }
     }
     tuples = std::move(next);
@@ -733,26 +733,6 @@ Result<QueryResult> Executor::ExecuteSelect(const sql::SelectStatement& original
   }
   if (stmt.having && ContainsAggregate(*stmt.having)) has_aggregate = true;
 
-  QueryResult out;
-
-  // Output column names.
-  auto expand_star = [&](const sql::Expr& star, std::vector<std::string>* names) {
-    for (size_t s2 = 0; s2 < sources.size(); ++s2) {
-      if (!star.name_parts.empty() &&
-          !EqualsIgnoreCase(star.name_parts.back(), sources[s2].binding)) {
-        continue;
-      }
-      for (const auto& col : sources[s2].schema->columns) names->push_back(col.name);
-    }
-  };
-  for (const auto& item : stmt.items) {
-    if (item.expr->kind == sql::ExprKind::kStar) {
-      expand_star(*item.expr, &out.columns);
-    } else {
-      out.columns.push_back(OutputNameFor(item));
-    }
-  }
-
   struct PendingRow {
     Row values;
     std::vector<Value> sort_key;
@@ -763,22 +743,15 @@ Result<QueryResult> Executor::ExecuteSelect(const sql::SelectStatement& original
   auto produce = [&](const std::map<std::string, Value>* aggregates) -> Status {
     scope.aggregates = aggregates;
     PendingRow row_out;
-    for (const auto& item : stmt.items) {
-      if (item.expr->kind == sql::ExprKind::kStar) {
-        for (size_t s2 = 0; s2 < sources.size(); ++s2) {
-          if (!item.expr->name_parts.empty() &&
-              !EqualsIgnoreCase(item.expr->name_parts.back(), sources[s2].binding)) {
-            continue;
-          }
-          const Row* bound = scope.sources()[s2].row;
-          for (size_t c = 0; c < sources[s2].schema->columns.size(); ++c) {
-            row_out.values.push_back(bound != nullptr && c < bound->size() ? (*bound)[c]
-                                                                           : Value::Null_());
-          }
-        }
+    for (const OutputColumn& column : output) {
+      if (column.expr == nullptr) {
+        const Row* bound = scope.sources()[column.source].row;
+        row_out.values.push_back(bound != nullptr && column.column < bound->size()
+                                     ? (*bound)[column.column]
+                                     : Value::Null_());
         continue;
       }
-      auto v = Eval(*item.expr, scope);
+      auto v = Eval(*column.expr, scope);
       if (!v.ok()) return v.status();
       row_out.values.push_back(std::move(*v));
     }
@@ -790,8 +763,12 @@ Result<QueryResult> Executor::ExecuteSelect(const sql::SelectStatement& original
         return Status::Ok();
       }
     }
-    for (const auto& ob : stmt.order_by) {
-      auto v = Eval(*ob.expr, scope);
+    for (size_t k = 0; k < stmt.order_by.size(); ++k) {
+      if (order_columns[k] != kNoSlot) {
+        row_out.sort_key.push_back(row_out.values[order_columns[k]]);
+        continue;
+      }
+      auto v = Eval(*stmt.order_by[k].expr, scope);
       if (!v.ok()) return v.status();
       row_out.sort_key.push_back(std::move(*v));
     }
@@ -803,18 +780,13 @@ Result<QueryResult> Executor::ExecuteSelect(const sql::SelectStatement& original
   if (has_aggregate) {
     // Collect the distinct aggregate expressions appearing anywhere.
     std::map<std::string, const sql::Expr*> agg_exprs;
-    auto collect = [&](const sql::Expr& e) {
-      sql::VisitExpr(e, [&](const sql::Expr& node) {
+    sql::ForEachRootExpr(stmt, [&](const sql::Expr& root) {
+      sql::VisitExpr(root, [&](const sql::Expr& node) {
         if (node.kind == sql::ExprKind::kFunction && IsAggregateName(node.text)) {
           agg_exprs.emplace(sql::PrintExpr(node), &node);
         }
       });
-    };
-    for (const auto& item : stmt.items) {
-      if (item.expr->kind != sql::ExprKind::kStar) collect(*item.expr);
-    }
-    if (stmt.having) collect(*stmt.having);
-    for (const auto& ob : stmt.order_by) collect(*ob.expr);
+    });
 
     // Group tuples. Fast path: a single-table GROUP BY on an indexed column
     // can read groups straight out of the index buckets (equal keys are
@@ -827,7 +799,7 @@ Result<QueryResult> Executor::ExecuteSelect(const sql::SelectStatement& original
         stmt.joins.empty() && stmt.where == nullptr && sources[0].table != nullptr) {
       const Index* index =
           sources[0].table->FindSingleColumnIndex(stmt.group_by[0]->ColumnName());
-      if (index != nullptr && index->schema().columns.size() == 1) {
+      if (index != nullptr) {
         const Table& table = *sources[0].table;
         // Iterate index entries: equal keys are adjacent, so groups form in
         // one pass with no per-row expression evaluation or key hashing.
@@ -873,8 +845,9 @@ Result<QueryResult> Executor::ExecuteSelect(const sql::SelectStatement& original
       for (auto& [key, members] : group_map) groups.emplace_back(key, std::move(members));
     }
 
+    // Without GROUP BY there is one group, empty when no tuple is left (so
+    // COUNT(*) = 0 still yields a row); with it, every group has a member.
     for (auto& [key, members] : groups) {
-      if (members.empty() && !stmt.group_by.empty()) continue;
       // Compute each aggregate over the group.
       std::map<std::string, Value> agg_values;
       for (const auto& [text, node] : agg_exprs) {
@@ -939,19 +912,6 @@ Result<QueryResult> Executor::ExecuteSelect(const sql::SelectStatement& original
         for (size_t s2 = 0; s2 < sources.size(); ++s2) {
           scope.BindRow(s2, &sources[s2].null_row);
         }
-      }
-      Status s = produce(&agg_values);
-      if (!s.ok()) return s;
-    }
-    if (groups.empty() && stmt.group_by.empty()) {
-      // Aggregate over empty input still yields one row (COUNT(*) = 0 ...).
-      std::map<std::string, Value> agg_values;
-      for (const auto& [text, node] : agg_exprs) {
-        std::string fn = ToLower(node->text);
-        agg_values.emplace(text, fn == "count" ? Value::Int(0) : Value::Null_());
-      }
-      for (size_t s2 = 0; s2 < sources.size(); ++s2) {
-        scope.BindRow(s2, &sources[s2].null_row);
       }
       Status s = produce(&agg_values);
       if (!s.ok()) return s;
@@ -1159,6 +1119,26 @@ Result<QueryResult> Executor::ExecuteInsert(const sql::InsertStatement& stmt) {
   return out;
 }
 
+Result<std::vector<size_t>> Executor::WriteTargets(sql::Statement& stmt, const Table& table,
+                                                   std::string binding, const sql::Expr* where,
+                                                   EvalScope* scope) {
+  Status s = FlattenClauses(stmt);
+  if (!s.ok()) return s;
+  scope->rng = &rng_;
+  scope->AddSource(std::move(binding), &table.schema());
+  std::vector<const sql::Expr*> conjuncts;
+  if (where != nullptr) CollectConjuncts(*where, &conjuncts);
+  BoundSource src;
+  src.table = &table;
+  return SelectSlots(src, conjuncts, [&](const Row& row) -> Result<bool> {
+    if (where == nullptr) return true;
+    scope->BindRow(0, &row);
+    auto v = Eval(*where, *scope);
+    if (!v.ok()) return v.status();
+    return IsTrue(*v);
+  });
+}
+
 Result<QueryResult> Executor::ExecuteUpdate(const sql::UpdateStatement& original) {
   auto owned = original.CloneStatement();
   auto& stmt = static_cast<sql::UpdateStatement&>(*owned);
@@ -1166,57 +1146,13 @@ Result<QueryResult> Executor::ExecuteUpdate(const sql::UpdateStatement& original
   Table* table = db_->GetTable(stmt.table);
   if (table == nullptr) return Result<QueryResult>::Error("no such table: " + std::string(stmt.table));
   const TableSchema& schema = table->schema();
-  std::string binding(stmt.alias.empty() ? stmt.table : stmt.alias);
-
-  if (stmt.where) {
-    Status s = FlattenSubqueries(stmt.where.get());
-    if (!s.ok()) return s;
-  }
-  for (auto& [col, expr] : stmt.assignments) {
-    Status s = FlattenSubqueries(expr.get());
-    if (!s.ok()) return s;
-  }
-
   EvalScope scope;
-  scope.rng = &rng_;
-  scope.AddSource(binding, &schema);
-
-  // Select matching slots (index fast path on equality conjunct).
-  std::vector<size_t> slots;
-  bool used_index = false;
-  if (stmt.where) {
-    std::vector<const sql::Expr*> conjuncts;
-    CollectConjuncts(*stmt.where, &conjuncts);
-    for (const sql::Expr* conj : conjuncts) {
-      std::string column;
-      Value value;
-      if (!MatchEqualityLiteral(*conj, &column, &value)) continue;
-      const Index* index = table->FindSingleColumnIndex(column);
-      if (index == nullptr || index->schema().columns.size() != 1) continue;
-      CompositeKey key;
-      key.values.push_back(value);
-      slots = index->Lookup(key);
-      used_index = true;
-      break;
-    }
-  }
-  if (!used_index) slots = table->LiveSlots();
-
-  std::vector<size_t> matched;
-  for (size_t slot : slots) {
-    if (!table->IsLive(slot)) continue;
-    const Row& row = table->RowAt(slot);
-    if (stmt.where) {
-      scope.BindRow(0, &row);
-      auto v = Eval(*stmt.where, scope);
-      if (!v.ok()) return v.status();
-      if (!IsTrue(*v)) continue;
-    }
-    matched.push_back(slot);
-  }
+  auto matched = WriteTargets(stmt, *table, std::string(stmt.alias.empty() ? stmt.table : stmt.alias),
+                              stmt.where.get(), &scope);
+  if (!matched.ok()) return matched.status();
 
   QueryResult out;
-  for (size_t slot : matched) {
+  for (size_t slot : *matched) {
     Row updated = table->RowAt(slot);
     scope.BindRow(0, &table->RowAt(slot));
     for (const auto& [col, expr] : stmt.assignments) {
@@ -1282,52 +1218,12 @@ Result<QueryResult> Executor::ExecuteDelete(const sql::DeleteStatement& original
 
   Table* table = db_->GetTable(stmt.table);
   if (table == nullptr) return Result<QueryResult>::Error("no such table: " + std::string(stmt.table));
-
-  if (stmt.where) {
-    Status s = FlattenSubqueries(stmt.where.get());
-    if (!s.ok()) return s;
-  }
-
   EvalScope scope;
-  scope.rng = &rng_;
-  scope.AddSource(std::string(stmt.table), &table->schema());
+  auto matched = WriteTargets(stmt, *table, std::string(stmt.table), stmt.where.get(), &scope);
+  if (!matched.ok()) return matched.status();
 
-  // Index fast path on an equality conjunct, then residual filtering.
-  std::vector<size_t> candidates;
-  bool used_index = false;
-  if (stmt.where) {
-    std::vector<const sql::Expr*> conjuncts;
-    CollectConjuncts(*stmt.where, &conjuncts);
-    for (const sql::Expr* conj : conjuncts) {
-      std::string column;
-      Value value;
-      if (!MatchEqualityLiteral(*conj, &column, &value)) continue;
-      const Index* index = table->FindSingleColumnIndex(column);
-      if (index == nullptr || index->schema().columns.size() != 1) continue;
-      CompositeKey key;
-      key.values.push_back(value);
-      candidates = index->Lookup(key);
-      used_index = true;
-      break;
-    }
-  }
-  if (!used_index) candidates = table->LiveSlots();
-
-  std::vector<size_t> matched;
-  for (size_t slot : candidates) {
-    if (!table->IsLive(slot)) continue;
-    const Row& row = table->RowAt(slot);
-    if (stmt.where) {
-      scope.BindRow(0, &row);
-      auto v = Eval(*stmt.where, scope);
-      if (!v.ok()) return v.status();
-      if (!IsTrue(*v)) continue;
-    }
-    matched.push_back(slot);
-  }
-
-  size_t affected = matched.size();
-  Status s = DeleteRowsCascading(*table, std::move(matched), 0);
+  size_t affected = matched->size();
+  Status s = DeleteRowsCascading(*table, std::move(*matched), 0);
   if (!s.ok()) return s;
   QueryResult out;
   out.affected = affected;

@@ -11,6 +11,8 @@
 
 namespace sqlcheck {
 
+class EvalScope;
+
 /// \brief Result of executing one statement.
 struct QueryResult {
   std::vector<std::string> columns;  ///< Output column names (SELECT only).
@@ -62,6 +64,15 @@ class Executor {
   /// Pre-executes uncorrelated subqueries inside `expr`, replacing them with
   /// literal results so Eval() never sees a subquery node.
   Status FlattenSubqueries(sql::Expr* expr);
+  /// FlattenSubqueries over every clause of `stmt` (sql::ForEachRootExpr).
+  Status FlattenClauses(sql::Statement& stmt);
+
+  /// UPDATE and DELETE: flattens `stmt`'s subqueries, binds `table` in
+  /// `scope` as `binding` and returns the slots of the rows `where` accepts
+  /// (every live row when it is null).
+  Result<std::vector<size_t>> WriteTargets(sql::Statement& stmt, const Table& table,
+                                           std::string binding, const sql::Expr* where,
+                                           EvalScope* scope);
 
   Status DeleteRowsCascading(Table& table, std::vector<size_t> slots, int depth);
 

@@ -89,8 +89,6 @@ struct ExecVerifyOptions {
   /// Seed for generated table rows (and the executors' RAND()). Changing it
   /// re-verifies against a different deterministic dataset.
   uint64_t seed = 42;
-  /// Rows generated per populated table.
-  size_t rows_per_table = 24;
 };
 
 /// \brief Verdict of the full tiered pipeline for one proposal, memoizable

@@ -31,6 +31,9 @@ namespace {
 
 using Outcome = ExecCheck::Outcome;
 
+// Rows generated per populated table.
+constexpr size_t kRowsPerTable = 24;
+
 ExecCheck Equivalent() { return {Outcome::kEquivalent, ""}; }
 ExecCheck Divergent(std::string note) { return {Outcome::kDivergent, std::move(note)}; }
 ExecCheck Infeasible(std::string note) { return {Outcome::kInfeasible, std::move(note)}; }
@@ -40,95 +43,34 @@ ExecCheck Skipped() { return {Outcome::kSkipped, ""}; }
 // Statement walking: root expressions, referenced tables, alias resolution
 // ---------------------------------------------------------------------------
 
-// Invokes `fn` on every root expression of the statement (select items, join
-// conditions, WHERE/HAVING, GROUP BY / ORDER BY keys, UPDATE assignments).
-// Subquery table sources recurse through CollectTables separately.
-void ForEachRootExpr(const sql::Statement& stmt,
-                     const std::function<void(const sql::Expr&)>& fn) {
-  if (const auto* select = stmt.As<sql::SelectStatement>()) {
-    for (const auto& item : select->items) {
-      if (item.expr) fn(*item.expr);
-    }
-    for (const auto& join : select->joins) {
-      if (join.on) fn(*join.on);
-    }
-    if (select->where) fn(*select->where);
-    for (const auto& key : select->group_by) {
-      if (key) fn(*key);
-    }
-    if (select->having) fn(*select->having);
-    for (const auto& item : select->order_by) {
-      if (item.expr) fn(*item.expr);
-    }
-    return;
-  }
-  if (const auto* update = stmt.As<sql::UpdateStatement>()) {
-    for (const auto& assignment : update->assignments) {
-      if (assignment.second) fn(*assignment.second);
-    }
-    if (update->where) fn(*update->where);
-    return;
-  }
-  if (const auto* del = stmt.As<sql::DeleteStatement>()) {
-    if (del->where) fn(*del->where);
-    return;
-  }
-  // INSERT VALUES literals are data, not predicates; nothing to harvest.
-  // An INSERT ... SELECT recurses through CollectTables instead.
-}
-
-void CollectTablesFromSelect(const sql::SelectStatement& select,
-                             std::vector<std::string>* out);
+void CollectTables(const sql::Statement& stmt, std::vector<std::string>* out);
 
 void CollectTablesFromExpr(const sql::Expr& expr, std::vector<std::string>* out) {
-  if (expr.subquery) CollectTablesFromSelect(*expr.subquery, out);
+  if (expr.subquery) CollectTables(*expr.subquery, out);
   for (const auto& child : expr.children) {
     if (child) CollectTablesFromExpr(*child, out);
-  }
-}
-
-void CollectTablesFromSelect(const sql::SelectStatement& select,
-                             std::vector<std::string>* out) {
-  for (const auto& ref : select.from) {
-    if (!ref.name.empty()) out->emplace_back(ref.name);
-    if (ref.subquery) CollectTablesFromSelect(*ref.subquery, out);
-  }
-  for (const auto& join : select.joins) {
-    if (!join.table.name.empty()) out->emplace_back(join.table.name);
-    if (join.table.subquery) CollectTablesFromSelect(*join.table.subquery, out);
-    if (join.on) CollectTablesFromExpr(*join.on, out);
-  }
-  for (const auto& item : select.items) {
-    if (item.expr) CollectTablesFromExpr(*item.expr, out);
-  }
-  if (select.where) CollectTablesFromExpr(*select.where, out);
-  if (select.having) CollectTablesFromExpr(*select.having, out);
-  for (const auto& key : select.group_by) {
-    if (key) CollectTablesFromExpr(*key, out);
-  }
-  for (const auto& item : select.order_by) {
-    if (item.expr) CollectTablesFromExpr(*item.expr, out);
   }
 }
 
 // Every base-table name the statement touches, including tables referenced
 // only from scalar subqueries (the ORDER BY RAND() probe's MAX(pk) source).
 void CollectTables(const sql::Statement& stmt, std::vector<std::string>* out) {
+  auto source = [out](const sql::TableRef& ref) {
+    if (!ref.name.empty()) out->emplace_back(ref.name);
+    if (ref.subquery) CollectTables(*ref.subquery, out);
+  };
   if (const auto* select = stmt.As<sql::SelectStatement>()) {
-    CollectTablesFromSelect(*select, out);
-    return;
-  }
-  if (const auto* insert = stmt.As<sql::InsertStatement>()) {
+    for (const auto& ref : select->from) source(ref);
+    for (const auto& join : select->joins) source(join.table);
+  } else if (const auto* insert = stmt.As<sql::InsertStatement>()) {
     if (!insert->table.empty()) out->emplace_back(insert->table);
-    if (insert->select) CollectTablesFromSelect(*insert->select, out);
-    return;
-  }
-  if (const auto* update = stmt.As<sql::UpdateStatement>()) {
+    if (insert->select) CollectTables(*insert->select, out);
+  } else if (const auto* update = stmt.As<sql::UpdateStatement>()) {
     if (!update->table.empty()) out->emplace_back(update->table);
   } else if (const auto* del = stmt.As<sql::DeleteStatement>()) {
     if (!del->table.empty()) out->emplace_back(del->table);
   }
-  ForEachRootExpr(stmt, [out](const sql::Expr& expr) {
+  sql::ForEachRootExpr(stmt, [out](const sql::Expr& expr) {
     CollectTablesFromExpr(expr, out);
   });
 }
@@ -295,7 +237,7 @@ void HarvestStatement(const sql::Statement& stmt, HarvestMap* out) {
   std::string default_table;
   CollectAliases(stmt, &aliases, &default_table);
   Harvester harvester(out, aliases, default_table);
-  ForEachRootExpr(stmt, [&harvester](const sql::Expr& expr) {
+  sql::ForEachRootExpr(stmt, [&harvester](const sql::Expr& expr) {
     harvester.Walk(expr);
   });
 }
@@ -333,7 +275,7 @@ void CollectColumnRefs(
       if (child) walk(*child);
     }
   };
-  ForEachRootExpr(stmt, walk);
+  sql::ForEachRootExpr(stmt, walk);
   if (const auto* insert = stmt.As<sql::InsertStatement>()) {
     std::string table = ToLower(insert->table);
     if (!table.empty()) {
@@ -509,7 +451,6 @@ using ValuePools = std::unordered_map<
 // and fairness, not cleanliness, is what the comparison needs.
 void PopulateDatabase(Database* db, const BuildPlan& plan, const HarvestMap& harvest,
                       const ExecVerifyOptions& options) {
-  size_t rows = std::max<size_t>(1, options.rows_per_table);
   ValuePools pools;
   for (const TableSchema& schema : plan.schemas) {
     Table* table = db->GetTable(schema.name);
@@ -544,7 +485,7 @@ void PopulateDatabase(Database* db, const BuildPlan& plan, const HarvestMap& har
     }
 
     int64_t max_auto = 0;
-    for (size_t i = 1; i <= rows; ++i) {
+    for (size_t i = 1; i <= kRowsPerTable; ++i) {
       // Chaos seam: a row the generator cannot produce. The caller maps the
       // throw to an Infeasible verdict — exactly how a genuinely
       // ungenerable dataset degrades (the fix keeps its Tier-2 verdict).

@@ -44,9 +44,10 @@ struct ExecCheck {
 ///     populated tables; results are intentionally different and are not
 ///     compared.
 ///
-/// Everything is deterministic in (options.seed, options.rows_per_table, the
-/// statements themselves): re-running yields the same verdict bit-for-bit,
-/// which is what makes the session-level memo sound.
+/// Every populated table gets the same fixed number of rows (24), so
+/// everything is deterministic in (options.seed, the statements themselves):
+/// re-running yields the same verdict bit-for-bit, which is what makes the
+/// session-level memo sound.
 ExecCheck VerifyByExecution(const Fix& fix, EquivalenceContract contract,
                             const Context& context, const ExecVerifyOptions& options);
 

@@ -200,6 +200,39 @@ StatementPtr DeleteStatement::CloneStatement() const {
   return StatementPtr(out);
 }
 
+namespace {
+
+// `S` is `Statement` or `const Statement`; `As` keeps its constness.
+template <typename S, typename Fn>
+void ForEachRootExprIn(S& stmt, const Fn& fn) {
+  auto visit = [&fn](const ExprPtr& expr) {
+    if (expr) fn(*expr);
+  };
+  if (auto* select = stmt.template As<SelectStatement>()) {
+    for (const auto& item : select->items) visit(item.expr);
+    for (const auto& join : select->joins) visit(join.on);
+    visit(select->where);
+    for (const auto& key : select->group_by) visit(key);
+    visit(select->having);
+    for (const auto& item : select->order_by) visit(item.expr);
+  } else if (auto* update = stmt.template As<UpdateStatement>()) {
+    for (const auto& assignment : update->assignments) visit(assignment.second);
+    visit(update->where);
+  } else if (auto* del = stmt.template As<DeleteStatement>()) {
+    visit(del->where);
+  }
+}
+
+}  // namespace
+
+void ForEachRootExpr(const Statement& stmt, const std::function<void(const Expr&)>& fn) {
+  ForEachRootExprIn(stmt, fn);
+}
+
+void ForEachRootExpr(Statement& stmt, const std::function<void(Expr&)>& fn) {
+  ForEachRootExprIn(stmt, fn);
+}
+
 std::string TypeName::ToString() const {
   std::string out(name);
   if (!enum_values.empty()) {

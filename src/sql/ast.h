@@ -302,6 +302,14 @@ struct DeleteStatement : Statement {
   StatementPtr CloneStatement() const override;
 };
 
+/// \brief Calls `fn` on each root expression of a statement's clauses, in
+/// clause order: SELECT items (a `*` too), join conditions, WHERE, GROUP BY,
+/// HAVING and ORDER BY keys; UPDATE assignments and WHERE; DELETE WHERE.
+/// FROM sources, INSERT and DDL have none. The const and mutable overloads
+/// share one walker.
+void ForEachRootExpr(const Statement& stmt, const std::function<void(const Expr&)>& fn);
+void ForEachRootExpr(Statement& stmt, const std::function<void(Expr&)>& fn);
+
 // --------------------------------- DDL ------------------------------------
 
 /// \brief Type name as written (resolution to catalog types happens later).

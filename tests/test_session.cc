@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <ctime>
 #include <memory>
 #include <string>
 #include <vector>
@@ -997,8 +998,14 @@ TEST(SessionTest, CommentTaggedVariantsSnapshotInLinearTime) {
   // at most 8x one at 2k (a linear probe read ~20x). The gate is a same-run
   // ratio of the best of four alternating snapshots of each session (the
   // first computes every fix, the rest replay them), so a slow spell on a
-  // shared host cannot fail it alone.
-  using Clock = std::chrono::steady_clock;
+  // shared host cannot fail it alone. Snapshots are timed in thread CPU
+  // time, so time spent preempted under a parallel ctest does not count.
+  using Duration = std::chrono::nanoseconds;
+  auto cpu_now = [] {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return Duration(ts.tv_sec * 1'000'000'000LL + ts.tv_nsec);
+  };
   auto tagged = [](size_t n) {
     std::vector<std::string> statements = {
         "CREATE TABLE users (id INT PRIMARY KEY, name VARCHAR(40), email VARCHAR(80))"};
@@ -1008,10 +1015,10 @@ TEST(SessionTest, CommentTaggedVariantsSnapshotInLinearTime) {
     }
     return statements;
   };
-  auto snapshot = [](AnalysisSession& session, Clock::duration* best) {
-    const Clock::time_point start = Clock::now();
+  auto snapshot = [&cpu_now](AnalysisSession& session, Duration* best) {
+    const Duration start = cpu_now();
     Report report = session.Snapshot();
-    *best = std::min(*best, Clock::now() - start);
+    *best = std::min(*best, cpu_now() - start);
     return report;
   };
   const std::vector<std::string> small = tagged(2000);
@@ -1020,8 +1027,8 @@ TEST(SessionTest, CommentTaggedVariantsSnapshotInLinearTime) {
   AnalysisSession large_session;
   for (const auto& stmt : tagged(8000)) large_session.AddQuery(stmt);
   ASSERT_EQ(large_session.unique_count(), 2u);
-  Clock::duration small_best = Clock::duration::max();
-  Clock::duration large_best = Clock::duration::max();
+  Duration small_best = Duration::max();
+  Duration large_best = Duration::max();
   EXPECT_EQ(SerializeWithFixes(snapshot(small_session, &small_best)),
             SerializeWithFixes(ReferencePipeline(small, SqlCheckOptions{})));
   snapshot(large_session, &large_best);
@@ -1029,7 +1036,7 @@ TEST(SessionTest, CommentTaggedVariantsSnapshotInLinearTime) {
     snapshot(small_session, &small_best);
     snapshot(large_session, &large_best);
   }
-  auto ms = [](Clock::duration d) {
+  auto ms = [](Duration d) {
     return std::chrono::duration<double, std::milli>(d).count();
   };
   EXPECT_LE(large_best, 8 * small_best)
