@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
-#include <functional>
 #include <map>
-#include <numeric>
 #include <optional>
 #include <set>
 #include <unordered_map>
@@ -28,11 +26,6 @@ struct BoundSource {
   const TableSchema* schema = nullptr;
   std::vector<Row> materialized;          // subquery rows
   Row null_row;                           // for LEFT JOIN padding
-
-  /// A materialized row's slot is its position.
-  const Row& RowAt(size_t slot) const {
-    return table != nullptr ? table->RowAt(slot) : materialized[slot];
-  }
 };
 
 /// A joined tuple: one row pointer per bound source.
@@ -63,39 +56,47 @@ bool MatchEqualityLiteral(const sql::Expr& e, std::string* column, Value* value)
   return match(lhs, rhs) || match(rhs, lhs);
 }
 
-/// The row selection of SELECT sources, UPDATE and DELETE: the slots of
-/// `src`'s rows that `keep` accepts. The first `column = literal` conjunct
-/// whose column has a single-column index reads its candidates from that
-/// index; otherwise every live row is a candidate. `keep` checks each
-/// candidate, that conjunct included.
-Result<std::vector<size_t>> SelectSlots(const BoundSource& src,
-                                        const std::vector<const sql::Expr*>& conjuncts,
-                                        const std::function<Result<bool>(const Row&)>& keep) {
-  std::vector<size_t> candidates;
-  if (src.table == nullptr) {
-    candidates.resize(src.materialized.size());
-    std::iota(candidates.begin(), candidates.end(), size_t{0});
-  } else {
-    const Index* index = nullptr;
-    for (const sql::Expr* conj : conjuncts) {
-      std::string column;
-      Value value;
-      if (!MatchEqualityLiteral(*conj, &column, &value)) continue;
-      index = src.table->FindSingleColumnIndex(column);
-      if (index == nullptr) continue;
-      candidates = index->Lookup(CompositeKey{{value}});
-      break;
+/// The row selection of SELECT sources, UPDATE and DELETE: calls
+/// `take(slot, row)` for each of `src`'s rows that `keep` accepts. The first
+/// `column = literal` conjunct whose column has a single-column index reads
+/// its candidates from that index; otherwise every live row is a candidate.
+/// `keep` checks each candidate, that conjunct included; with no conjunct
+/// every candidate is taken unchecked.
+template <typename Keep, typename Take>
+Status SelectRows(const BoundSource& src, const std::vector<const sql::Expr*>& conjuncts,
+                  const Keep& keep, const Take& take) {
+  Status failed = Status::Ok();
+  auto consider = [&](size_t slot, const Row& row) {
+    if (!failed.ok()) return;
+    if (!conjuncts.empty()) {
+      Result<bool> kept = keep(row);
+      if (!kept.ok()) {
+        failed = kept.status();
+        return;
+      }
+      if (!*kept) return;
     }
-    if (index == nullptr) candidates = src.table->LiveSlots();
+    take(slot, row);
+  };
+  if (src.table == nullptr) {
+    for (size_t slot = 0; slot < src.materialized.size(); ++slot) {
+      consider(slot, src.materialized[slot]);
+    }
+    return failed;
   }
-  std::vector<size_t> slots;
-  for (size_t slot : candidates) {
-    if (src.table != nullptr && !src.table->IsLive(slot)) continue;
-    Result<bool> kept = keep(src.RowAt(slot));
-    if (!kept.ok()) return kept.status();
-    if (*kept) slots.push_back(slot);
+  for (const sql::Expr* conj : conjuncts) {
+    std::string column;
+    Value value;
+    if (!MatchEqualityLiteral(*conj, &column, &value)) continue;
+    const Index* index = src.table->FindSingleColumnIndex(column);
+    if (index == nullptr) continue;
+    for (size_t slot : index->Lookup(CompositeKey{{value}})) {
+      if (src.table->IsLive(slot)) consider(slot, src.table->RowAt(slot));
+    }
+    return failed;
   }
-  return slots;
+  src.table->ForEachLive(consider);
+  return failed;
 }
 
 /// Rewrites `expr` in place into the literal spelling `v`.
@@ -442,9 +443,15 @@ Result<QueryResult> Executor::ExecuteSelect(const sql::SelectStatement& original
 
   // Bind-time validation: every column reference must resolve against the
   // bound sources (so empty tables still reject bad queries, like a real
-  // planner would). An output alias is let through: SQL resolves it in
-  // WHERE, GROUP BY, HAVING and ORDER BY. The engine does not, so a row
-  // that reaches one fails.
+  // planner would). An output alias is let through where SQL resolves one:
+  // WHERE, GROUP BY, HAVING and ORDER BY, not a select item or an ON. The
+  // engine does not resolve it, so a row that reaches one fails.
+  auto item_or_on = [&](const sql::Expr& root) {
+    return std::any_of(stmt.items.begin(), stmt.items.end(),
+                       [&](const sql::SelectItem& item) { return item.expr.get() == &root; }) ||
+           std::any_of(stmt.joins.begin(), stmt.joins.end(),
+                       [&](const sql::JoinClause& join) { return join.on.get() == &root; });
+  };
   auto output_alias = [&](const sql::Expr& e) {
     return e.name_parts.size() == 1 &&
            std::any_of(stmt.items.begin(), stmt.items.end(), [&](const sql::SelectItem& item) {
@@ -453,8 +460,10 @@ Result<QueryResult> Executor::ExecuteSelect(const sql::SelectStatement& original
   };
   Status bad = Status::Ok();
   sql::ForEachRootExpr(stmt, [&](const sql::Expr& root) {
+    const bool aliases_resolve = !item_or_on(root);
     sql::VisitExpr(root, [&](const sql::Expr& e) {
-      if (!bad.ok() || e.kind != sql::ExprKind::kColumnRef || output_alias(e)) return;
+      if (!bad.ok() || e.kind != sql::ExprKind::kColumnRef) return;
+      if (aliases_resolve && output_alias(e)) return;
       size_t si = 0;
       int ci = -1;
       if (!scope.ResolvePosition(e.name_parts, &si, &ci)) {
@@ -507,21 +516,21 @@ Result<QueryResult> Executor::ExecuteSelect(const sql::SelectStatement& original
   // One source's rows that pass its pushed filters.
   auto materialize = [&](size_t si) -> Result<std::vector<const Row*>> {
     const auto& filters = source_filters[si];
-    auto slots = SelectSlots(sources[si], filters, [&](const Row& row) -> Result<bool> {
-      for (size_t s2 = 0; s2 < sources.size(); ++s2) {
-        scope.BindRow(s2, s2 == si ? &row : nullptr);
-      }
-      for (const sql::Expr* filter : filters) {
-        auto v = Eval(*filter, scope);
-        if (!v.ok()) return v.status();
-        if (!IsTrue(*v)) return false;
-      }
-      return true;
-    });
-    if (!slots.ok()) return slots.status();
+    for (size_t s2 = 0; s2 < sources.size(); ++s2) scope.BindRow(s2, nullptr);
     std::vector<const Row*> rows;
-    rows.reserve(slots->size());
-    for (size_t slot : *slots) rows.push_back(&sources[si].RowAt(slot));
+    Status s = SelectRows(
+        sources[si], filters,
+        [&](const Row& row) -> Result<bool> {
+          scope.BindRow(si, &row);
+          for (const sql::Expr* filter : filters) {
+            auto v = Eval(*filter, scope);
+            if (!v.ok()) return v.status();
+            if (!IsTrue(*v)) return false;
+          }
+          return true;
+        },
+        [&](size_t, const Row& row) { rows.push_back(&row); });
+    if (!s.ok()) return s;
     return rows;
   };
 
@@ -1130,13 +1139,18 @@ Result<std::vector<size_t>> Executor::WriteTargets(sql::Statement& stmt, const T
   if (where != nullptr) CollectConjuncts(*where, &conjuncts);
   BoundSource src;
   src.table = &table;
-  return SelectSlots(src, conjuncts, [&](const Row& row) -> Result<bool> {
-    if (where == nullptr) return true;
-    scope->BindRow(0, &row);
-    auto v = Eval(*where, *scope);
-    if (!v.ok()) return v.status();
-    return IsTrue(*v);
-  });
+  std::vector<size_t> slots;
+  s = SelectRows(
+      src, conjuncts,
+      [&](const Row& row) -> Result<bool> {
+        scope->BindRow(0, &row);
+        auto v = Eval(*where, *scope);
+        if (!v.ok()) return v.status();
+        return IsTrue(*v);
+      },
+      [&](size_t slot, const Row&) { slots.push_back(slot); });
+  if (!s.ok()) return s;
+  return slots;
 }
 
 Result<QueryResult> Executor::ExecuteUpdate(const sql::UpdateStatement& original) {

@@ -580,6 +580,20 @@ TEST_F(SqliteAnswerTest, OrderByAndGroupBySubqueriesAreFlattened) {
   EXPECT_EQ(Rows(Run("SELECT COUNT(*) FROM u GROUP BY (SELECT 1)")), Lines{"3"});
 }
 
+TEST_F(SqliteAnswerTest, AnAliasDoesNotNameASourceColumnInItsOwnItem) {
+  // sqlite3: "no such column: nosuch" (and "k"), with or without rows to read.
+  Run("CREATE TABLE e (id INT PRIMARY KEY, x INT)");
+  for (const char* sql : {"SELECT nosuch AS nosuch FROM e", "SELECT nosuch AS nosuch FROM u",
+                          "SELECT nosuch AS nosuch FROM u WHERE id = 99",
+                          "SELECT x + 1 AS k, k FROM e"}) {
+    auto s = RunExpectError(sql);
+    EXPECT_NE(s.message().find("unknown column: "), std::string::npos) << sql;
+  }
+  // ORDER BY and WHERE may name an alias; over no row there is nothing to read.
+  EXPECT_EQ(Rows(Run("SELECT x AS k FROM e ORDER BY k")), Lines{});
+  EXPECT_EQ(Rows(Run("SELECT x AS k FROM e WHERE k > 1")), Lines{});
+}
+
 // ---------------------------------------------------------------------------
 // One fixed script over every executor path (row selection by index and by
 // scan, hash / index nested-loop / nested-loop / LEFT / comma joins, derived
