@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -13,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/alias_map.h"
 #include "catalog/catalog.h"
 #include "catalog/schema.h"
 #include "catalog/value.h"
@@ -40,251 +40,128 @@ ExecCheck Infeasible(std::string note) { return {Outcome::kInfeasible, std::move
 ExecCheck Skipped() { return {Outcome::kSkipped, ""}; }
 
 // ---------------------------------------------------------------------------
-// Statement walking: root expressions, referenced tables, alias resolution
+// Statement survey: the tables each side reads or writes, the columns it
+// names on each, and the constants it compares them with
 // ---------------------------------------------------------------------------
 
-void CollectTables(const sql::Statement& stmt, std::vector<std::string>* out);
-
-void CollectTablesFromExpr(const sql::Expr& expr, std::vector<std::string>* out) {
-  if (expr.subquery) CollectTables(*expr.subquery, out);
-  for (const auto& child : expr.children) {
-    if (child) CollectTablesFromExpr(*child, out);
-  }
-}
-
-// Every base-table name the statement touches, including tables referenced
-// only from scalar subqueries (the ORDER BY RAND() probe's MAX(pk) source).
-void CollectTables(const sql::Statement& stmt, std::vector<std::string>* out) {
-  auto source = [out](const sql::TableRef& ref) {
-    if (!ref.name.empty()) out->emplace_back(ref.name);
-    if (ref.subquery) CollectTables(*ref.subquery, out);
-  };
-  if (const auto* select = stmt.As<sql::SelectStatement>()) {
-    for (const auto& ref : select->from) source(ref);
-    for (const auto& join : select->joins) source(join.table);
-  } else if (const auto* insert = stmt.As<sql::InsertStatement>()) {
-    if (!insert->table.empty()) out->emplace_back(insert->table);
-    if (insert->select) CollectTables(*insert->select, out);
-  } else if (const auto* update = stmt.As<sql::UpdateStatement>()) {
-    if (!update->table.empty()) out->emplace_back(update->table);
-  } else if (const auto* del = stmt.As<sql::DeleteStatement>()) {
-    if (!del->table.empty()) out->emplace_back(del->table);
-  }
-  sql::ForEachRootExpr(stmt, [out](const sql::Expr& expr) {
-    CollectTablesFromExpr(expr, out);
-  });
-}
-
-// alias (lowercased) -> base table name, for resolving qualified column refs.
-// `default_table` receives the sole base table when the statement has exactly
-// one, so unqualified refs can be attributed.
-void CollectAliases(const sql::Statement& stmt,
-                    std::unordered_map<std::string, std::string>* aliases,
-                    std::string* default_table) {
-  std::vector<std::pair<std::string, std::string>> sources;  // (effective, base)
-  auto add_ref = [&sources](const sql::TableRef& ref) {
-    if (ref.name.empty()) return;
-    sources.emplace_back(std::string(ref.EffectiveName()), std::string(ref.name));
-  };
-  if (const auto* select = stmt.As<sql::SelectStatement>()) {
-    for (const auto& ref : select->from) add_ref(ref);
-    for (const auto& join : select->joins) add_ref(join.table);
-  } else if (const auto* insert = stmt.As<sql::InsertStatement>()) {
-    if (!insert->table.empty()) {
-      sources.emplace_back(std::string(insert->table), std::string(insert->table));
-    }
-  } else if (const auto* update = stmt.As<sql::UpdateStatement>()) {
-    if (!update->table.empty()) {
-      std::string effective(update->alias.empty() ? update->table : update->alias);
-      sources.emplace_back(std::move(effective), std::string(update->table));
-    }
-  } else if (const auto* del = stmt.As<sql::DeleteStatement>()) {
-    if (!del->table.empty()) {
-      sources.emplace_back(std::string(del->table), std::string(del->table));
-    }
-  }
-  for (auto& [effective, base] : sources) {
-    (*aliases)[ToLower(effective)] = base;
-  }
-  if (sources.size() == 1 && default_table->empty()) {
-    *default_table = sources.front().second;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Literal harvesting: plant the statements' own constants in the data
-// ---------------------------------------------------------------------------
-
-struct Harvest {
+// Constants a statement compares one column with, planted in the data.
+struct ColumnUse {
   std::vector<Value> values;          // comparison / IN / BETWEEN literals
   std::vector<std::string> patterns;  // LIKE patterns, materialized later
   bool saw_string = false;
 };
 
-// Keyed by "table_lc.column_lc"; unattributable refs are dropped.
-using HarvestMap = std::unordered_map<std::string, Harvest>;
+struct TableUse {
+  bool source = false;               // bound in some FROM/JOIN/DML target
+  std::vector<std::string> columns;  // as spelled, in order, for synthesis
+  std::unordered_map<std::string, ColumnUse> constants;  // lowercased column
+};
 
-class Harvester {
+// Lowercased table name -> its use by every surveyed statement. A qualifier
+// that binds no source still gets an entry, but only sources are built.
+using Survey = std::map<std::string, TableUse>;
+
+class Surveyor {
  public:
-  Harvester(HarvestMap* out,
-            const std::unordered_map<std::string, std::string>& aliases,
-            const std::string& default_table)
-      : out_(out), aliases_(aliases), default_table_(default_table) {}
+  explicit Surveyor(Survey* out) : out_(out) {}
 
-  void Walk(const sql::Expr& expr) {
-    Observe(expr);
-    if (expr.subquery) {
-      if (expr.subquery->where) Walk(*expr.subquery->where);
-      if (expr.subquery->having) Walk(*expr.subquery->having);
-      for (const auto& join : expr.subquery->joins) {
-        if (join.on) Walk(*join.on);
-      }
+  // Surveys `stmt` in a scope that sees `outer`'s bindings where its own
+  // sources do not shadow them. Every subquery, in FROM, in a JOIN or in an
+  // expression, is surveyed in its own scope.
+  void Statement(const sql::Statement& stmt, const AliasMap& outer) {
+    AliasMap aliases = outer;
+    std::string_view sole;
+    size_t named = 0;
+    auto bind = [&](std::string_view key, std::string_view table) {
+      if (table.empty()) return;
+      aliases.Bind(key, table);
+      aliases.Bind(table, table);
+      (*out_)[ToLower(table)].source = true;
+      sole = table;
+      ++named;
+    };
+    auto bind_ref = [&](const sql::TableRef& ref) {
+      if (ref.subquery) Statement(*ref.subquery, outer);
+      bind(ref.EffectiveName(), ref.name);
+    };
+    if (const auto* select = stmt.As<sql::SelectStatement>()) {
+      for (const auto& ref : select->from) bind_ref(ref);
+      for (const auto& join : select->joins) bind_ref(join.table);
+    } else if (const auto* insert = stmt.As<sql::InsertStatement>()) {
+      bind(insert->table, insert->table);
+      for (const auto& column : insert->columns) Name(insert->table, column);
+      if (insert->select) Statement(*insert->select, outer);
+    } else if (const auto* update = stmt.As<sql::UpdateStatement>()) {
+      bind(update->alias.empty() ? update->table : update->alias, update->table);
+    } else if (const auto* del = stmt.As<sql::DeleteStatement>()) {
+      bind(del->table, del->table);
     }
-    for (const auto& child : expr.children) {
-      if (child) Walk(*child);
-    }
+    if (named != 1) sole = {};
+    sql::ForEachRootExpr(stmt, [&](const sql::Expr& root) { Walk(root, aliases, sole); });
   }
 
  private:
-  std::string KeyFor(const sql::Expr& column_ref) const {
-    std::string column = ToLower(column_ref.ColumnName());
-    if (column.empty()) return {};
-    std::string qualifier = ToLower(column_ref.TableQualifier());
-    std::string table;
-    if (!qualifier.empty()) {
-      auto it = aliases_.find(qualifier);
-      table = ToLower(it != aliases_.end() ? it->second : qualifier);
-    } else {
-      table = ToLower(default_table_);
-    }
-    if (table.empty()) return {};
-    return table + "." + column;
-  }
-
-  void Record(const std::string& key, const Value& value) {
-    if (key.empty()) return;
-    Harvest& harvest = (*out_)[key];
-    harvest.values.push_back(value);
-    if (value.is_string()) harvest.saw_string = true;
-  }
-
-  void Observe(const sql::Expr& expr) {
+  void Walk(const sql::Expr& expr, const AliasMap& aliases, std::string_view sole) {
+    auto use = [&](const sql::Expr* ref) -> ColumnUse* {
+      if (ref == nullptr || ref->kind != sql::ExprKind::kColumnRef) return nullptr;
+      std::string table = ToLower(ResolveTable(aliases, *ref, sole));
+      std::string column = ToLower(ref->ColumnName());
+      if (table.empty() || column.empty()) return nullptr;
+      return &(*out_)[table].constants[column];
+    };
+    auto literal = [&](const sql::Expr* value, ColumnUse* into) {
+      if (into == nullptr || value == nullptr || !IsLiteral(*value)) return;
+      into->values.push_back(LiteralValue(*value));
+      if (into->values.back().is_string()) into->saw_string = true;
+    };
+    const auto& kids = expr.children;
+    auto kid = [&kids](size_t i) { return i < kids.size() ? kids[i].get() : nullptr; };
     switch (expr.kind) {
-      case sql::ExprKind::kBinary: {
-        if (expr.children.size() != 2) return;
-        const sql::Expr* column = nullptr;
-        const sql::Expr* literal = nullptr;
-        if (expr.children[0] && expr.children[1]) {
-          if (expr.children[0]->kind == sql::ExprKind::kColumnRef) {
-            column = expr.children[0].get();
-            literal = expr.children[1].get();
-          } else if (expr.children[1]->kind == sql::ExprKind::kColumnRef) {
-            column = expr.children[1].get();
-            literal = expr.children[0].get();
+      case sql::ExprKind::kColumnRef:
+        Name(ResolveTable(aliases, expr, sole), expr.ColumnName());
+        break;
+      case sql::ExprKind::kBinary:
+        if (kids.size() == 2 && kid(0) != nullptr && kid(1) != nullptr) {
+          bool left = kid(0)->kind == sql::ExprKind::kColumnRef;
+          literal(kid(left ? 1 : 0), use(kid(left ? 0 : 1)));
+        }
+        break;
+      case sql::ExprKind::kLike:
+        if (kid(1) != nullptr && kid(1)->kind == sql::ExprKind::kStringLiteral) {
+          if (ColumnUse* into = use(kid(0))) {
+            into->patterns.emplace_back(kid(1)->text);
+            into->saw_string = true;
           }
         }
-        if (column == nullptr || literal == nullptr) return;
-        if (IsLiteral(*literal)) Record(KeyFor(*column), LiteralValue(*literal));
-        return;
-      }
-      case sql::ExprKind::kLike: {
-        if (expr.children.size() < 2 || !expr.children[0] || !expr.children[1]) {
-          return;
+        break;
+      case sql::ExprKind::kIn:
+        if (ColumnUse* into = use(kid(0))) {
+          for (size_t i = 1; i < kids.size(); ++i) literal(kid(i), into);
         }
-        if (expr.children[0]->kind != sql::ExprKind::kColumnRef) return;
-        if (expr.children[1]->kind != sql::ExprKind::kStringLiteral) return;
-        std::string key = KeyFor(*expr.children[0]);
-        if (key.empty()) return;
-        Harvest& harvest = (*out_)[key];
-        harvest.patterns.emplace_back(expr.children[1]->text);
-        harvest.saw_string = true;
-        return;
-      }
-      case sql::ExprKind::kIn: {
-        if (expr.children.empty() || !expr.children[0]) return;
-        if (expr.children[0]->kind != sql::ExprKind::kColumnRef) return;
-        std::string key = KeyFor(*expr.children[0]);
-        for (size_t i = 1; i < expr.children.size(); ++i) {
-          if (expr.children[i] && IsLiteral(*expr.children[i])) {
-            Record(key, LiteralValue(*expr.children[i]));
-          }
+        break;
+      case sql::ExprKind::kBetween:
+        if (kids.size() == 3) {
+          ColumnUse* into = use(kid(0));
+          literal(kid(1), into);
+          literal(kid(2), into);
         }
-        return;
-      }
-      case sql::ExprKind::kBetween: {
-        if (expr.children.size() != 3 || !expr.children[0]) return;
-        if (expr.children[0]->kind != sql::ExprKind::kColumnRef) return;
-        std::string key = KeyFor(*expr.children[0]);
-        for (size_t i = 1; i < 3; ++i) {
-          if (expr.children[i] && IsLiteral(*expr.children[i])) {
-            Record(key, LiteralValue(*expr.children[i]));
-          }
-        }
-        return;
-      }
+        break;
       default:
-        return;
+        break;
+    }
+    if (expr.subquery) Statement(*expr.subquery, aliases);
+    for (const auto& child : kids) {
+      if (child) Walk(*child, aliases, sole);
     }
   }
 
-  HarvestMap* out_;
-  const std::unordered_map<std::string, std::string>& aliases_;
-  const std::string& default_table_;
+  void Name(std::string_view table, std::string_view column) {
+    if (table.empty() || column.empty()) return;
+    (*out_)[ToLower(table)].columns.emplace_back(column);
+  }
+
+  Survey* out_;
 };
-
-void HarvestStatement(const sql::Statement& stmt, HarvestMap* out) {
-  std::unordered_map<std::string, std::string> aliases;
-  std::string default_table;
-  CollectAliases(stmt, &aliases, &default_table);
-  Harvester harvester(out, aliases, default_table);
-  sql::ForEachRootExpr(stmt, [&harvester](const sql::Expr& expr) {
-    harvester.Walk(expr);
-  });
-}
-
-// Column references per table (lowercased), for synthesizing schemas of
-// tables the workload never defined.
-void CollectColumnRefs(
-    const sql::Statement& stmt,
-    std::unordered_map<std::string, std::vector<std::string>>* columns_by_table) {
-  std::unordered_map<std::string, std::string> aliases;
-  std::string default_table;
-  CollectAliases(stmt, &aliases, &default_table);
-  std::function<void(const sql::Expr&)> walk = [&](const sql::Expr& expr) {
-    if (expr.kind == sql::ExprKind::kColumnRef) {
-      std::string column(expr.ColumnName());
-      if (!column.empty()) {
-        std::string qualifier = ToLower(expr.TableQualifier());
-        std::string table;
-        if (!qualifier.empty()) {
-          auto it = aliases.find(qualifier);
-          table = ToLower(it != aliases.end() ? it->second : qualifier);
-        } else {
-          table = ToLower(default_table);
-        }
-        if (!table.empty()) (*columns_by_table)[table].push_back(column);
-      }
-    }
-    if (expr.subquery) {
-      for (const auto& item : expr.subquery->items) {
-        if (item.expr) walk(*item.expr);
-      }
-      if (expr.subquery->where) walk(*expr.subquery->where);
-    }
-    for (const auto& child : expr.children) {
-      if (child) walk(*child);
-    }
-  };
-  sql::ForEachRootExpr(stmt, walk);
-  if (const auto* insert = stmt.As<sql::InsertStatement>()) {
-    std::string table = ToLower(insert->table);
-    if (!table.empty()) {
-      for (const auto& column : insert->columns) {
-        (*columns_by_table)[table].emplace_back(column);
-      }
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Ephemeral database construction
@@ -322,25 +199,34 @@ bool IsIdish(const std::string& lc) {
   return lc == "id" || (lc.size() > 3 && lc.rfind("_id") == lc.size() - 3);
 }
 
-TableSchema SynthesizeSchema(const std::string& name,
-                             const std::vector<std::string>& columns,
-                             const HarvestMap& harvest) {
+// The constants the survey saw compared with `table_lc.column_lc`, or null.
+const ColumnUse* FindUse(const Survey& survey, const std::string& table_lc,
+                         const std::string& column_lc) {
+  auto table = survey.find(table_lc);
+  if (table == survey.end()) return nullptr;
+  auto column = table->second.constants.find(column_lc);
+  return column != table->second.constants.end() ? &column->second : nullptr;
+}
+
+TableSchema SynthesizeSchema(const std::string& name, const Survey& survey) {
   TableSchema schema;
   schema.name = name;
   std::unordered_set<std::string> seen;
-  for (const auto& column : columns) {
+  auto table = survey.find(name);
+  static const std::vector<std::string> kNoColumns;
+  for (const auto& column : table != survey.end() ? table->second.columns : kNoColumns) {
     std::string lc = ToLower(column);
     if (!seen.insert(lc).second) continue;
     ColumnSchema col;
     col.name = column;
-    auto it = harvest.find(ToLower(name) + "." + lc);
+    const ColumnUse* use = FindUse(survey, name, lc);
     bool integer = false;
-    if (it != harvest.end() && !it->second.values.empty()) {
+    if (use != nullptr && !use->values.empty()) {
       bool all_int = true;
-      for (const Value& value : it->second.values) {
+      for (const Value& value : use->values) {
         if (!value.is_int()) all_int = false;
       }
-      integer = all_int && !it->second.saw_string && it->second.patterns.empty();
+      integer = all_int && !use->saw_string && use->patterns.empty();
     } else if (IsIdish(lc)) {
       // id-ish names default to integers even without harvested evidence.
       integer = true;
@@ -367,19 +253,12 @@ TableSchema SynthesizeSchema(const std::string& name,
   return schema;
 }
 
-struct BuildPlan {
-  // Population order: FK parents first. Each entry is a schema copy the
-  // ephemeral database will own.
-  std::vector<TableSchema> schemas;
-};
-
-// Resolves every referenced table to a schema (catalog first, synthesized
-// otherwise), pulls in catalog FK parents transitively, and orders parents
-// before children. Returns false when nothing is buildable.
-bool PlanTables(const std::vector<std::string>& referenced, const Context& context,
-                const std::unordered_map<std::string, std::vector<std::string>>&
-                    synth_columns,
-                const HarvestMap& harvest, BuildPlan* plan, std::string* note) {
+// Resolves every surveyed source table to a schema (catalog first,
+// synthesized otherwise), pulls in catalog FK parents transitively, and
+// appends them to `schemas` parents first. Returns false when nothing is
+// buildable.
+bool PlanTables(const Survey& survey, const Context& context,
+                std::vector<TableSchema>* schemas, std::string* note) {
   // A pathological FK graph must not turn one verification into a database
   // build-out; 16 tables is far beyond any single-statement rewrite's reach.
   constexpr size_t kMaxTables = 16;
@@ -391,7 +270,9 @@ bool PlanTables(const std::vector<std::string>& referenced, const Context& conte
     by_name[lc] = TableSchema{};  // placeholder, filled below
     queue.push_back(lc);
   };
-  for (const auto& name : referenced) enqueue(name);
+  for (const auto& [name, use] : survey) {
+    if (use.source) enqueue(name);
+  }
   if (queue.empty()) {
     *note = "statement references no base tables";
     return false;
@@ -405,10 +286,7 @@ bool PlanTables(const std::vector<std::string>& referenced, const Context& conte
         enqueue(fk.ref_table);
       }
     } else {
-      auto it = synth_columns.find(lc);
-      static const std::vector<std::string> kNoColumns;
-      by_name[lc] = SynthesizeSchema(
-          lc, it != synth_columns.end() ? it->second : kNoColumns, harvest);
+      by_name[lc] = SynthesizeSchema(lc, survey);
     }
   }
   if (queue.size() > kMaxTables) {
@@ -432,7 +310,7 @@ bool PlanTables(const std::vector<std::string>& referenced, const Context& conte
         }
       }
       if (ready || guard == 0) {
-        plan->schemas.push_back(schema);
+        schemas->push_back(schema);
         placed.insert(lc);
       }
     }
@@ -449,10 +327,10 @@ using ValuePools = std::unordered_map<
 // through Table::Insert directly — constraint validation is deliberately
 // bypassed, because both sides of the differential run share this exact data
 // and fairness, not cleanliness, is what the comparison needs.
-void PopulateDatabase(Database* db, const BuildPlan& plan, const HarvestMap& harvest,
-                      const ExecVerifyOptions& options) {
+void PopulateDatabase(Database* db, const std::vector<TableSchema>& schemas,
+                      const Survey& survey, const ExecVerifyOptions& options) {
   ValuePools pools;
-  for (const TableSchema& schema : plan.schemas) {
+  for (const TableSchema& schema : schemas) {
     Table* table = db->GetTable(schema.name);
     if (table == nullptr) continue;
     std::string table_lc = ToLower(schema.name);
@@ -496,9 +374,7 @@ void PopulateDatabase(Database* db, const BuildPlan& plan, const HarvestMap& har
       row.reserve(schema.columns.size());
       for (const ColumnSchema& col : schema.columns) {
         std::string col_lc = ToLower(col.name);
-        auto harvest_it = harvest.find(table_lc + "." + col_lc);
-        const Harvest* harvested =
-            harvest_it != harvest.end() ? &harvest_it->second : nullptr;
+        const ColumnUse* harvested = FindUse(survey, table_lc, col_lc);
         bool keyish =
             key_cols.count(col_lc) > 0 || col.unique || col.auto_increment;
         Value value;
@@ -671,33 +547,26 @@ ExecCheck VerifyByExecution(const Fix& fix, EquivalenceContract contract,
     rewritten.push_back(std::move(stmt));
   }
 
-  // Discover every base table either side touches, harvest their literals,
-  // and record per-table column refs for schema synthesis.
-  std::vector<std::string> referenced;
-  HarvestMap harvest;
-  std::unordered_map<std::string, std::vector<std::string>> synth_columns;
-  CollectTables(*original, &referenced);
-  HarvestStatement(*original, &harvest);
-  CollectColumnRefs(*original, &synth_columns);
-  for (const auto& stmt : rewritten) {
-    CollectTables(*stmt, &referenced);
-    HarvestStatement(*stmt, &harvest);
-    CollectColumnRefs(*stmt, &synth_columns);
-  }
+  // Survey every table either side touches: the columns it names there and
+  // the constants it compares them with.
+  Survey survey;
+  Surveyor surveyor(&survey);
+  surveyor.Statement(*original, AliasMap{});
+  for (const auto& stmt : rewritten) surveyor.Statement(*stmt, AliasMap{});
 
-  BuildPlan plan;
+  std::vector<TableSchema> schemas;
   std::string note;
-  if (!PlanTables(referenced, context, synth_columns, harvest, &plan, &note)) {
+  if (!PlanTables(survey, context, &schemas, &note)) {
     return Infeasible(std::move(note));
   }
 
-  auto build = [&plan, &harvest, &options]() -> std::unique_ptr<Database> {
+  auto build = [&schemas, &survey, &options]() -> std::unique_ptr<Database> {
     try {
       auto db = std::make_unique<Database>("verify");
-      for (const TableSchema& schema : plan.schemas) {
+      for (const TableSchema& schema : schemas) {
         db->CreateTable(schema);
       }
-      PopulateDatabase(db.get(), plan, harvest, options);
+      PopulateDatabase(db.get(), schemas, survey, options);
       return db;
     } catch (const std::exception&) {
       // Dataset generation failed (allocation pressure, injected fault):
@@ -785,7 +654,7 @@ ExecCheck VerifyByExecution(const Fix& fix, EquivalenceContract contract,
     }
     return Equivalent();
   }
-  for (const TableSchema& schema : plan.schemas) {
+  for (const TableSchema& schema : schemas) {
     const Table* lhs_table = lhs_db->GetTable(schema.name);
     const Table* rhs_table = rhs_db->GetTable(schema.name);
     if (lhs_table == nullptr || rhs_table == nullptr) continue;

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "analysis/context.h"
+#include "common/hash.h"
 #include "core/session.h"
 #include "core/sqlcheck.h"
 #include "detected.h"
@@ -191,6 +192,24 @@ TEST(VerifyExecTest, DeterministicAcrossRunsAndSensitiveToSeed) {
     EXPECT_EQ(first.note, second.note) << "seed " << seed;
     EXPECT_EQ(first.outcome, Outcome::kEquivalent)
         << "seed " << seed << ": " << first.note;
+  }
+}
+
+TEST(VerifyExecTest, SubqueryColumnsBelongToTheSubqueryTable) {
+  // No DDL: every column is synthesized onto the table its own scope binds,
+  // so `b` and `c` land on `s`, never on the outer statement's `t`.
+  for (const char* sql :
+       {"SELECT a FROM t WHERE a > (SELECT MAX(b) FROM s)",
+        "SELECT a FROM t WHERE a IN (SELECT b FROM s WHERE c = 'x')",
+        "SELECT a FROM t ORDER BY (SELECT MAX(b) FROM s)",
+        "SELECT t.a FROM t JOIN u ON t.id = u.id WHERE t.a > (SELECT MAX(b) FROM s)"}) {
+    Context context;
+    ExecVerifyOptions options;
+    options.mode = ExecVerifyMode::kOn;
+    ExecCheck check = VerifyByExecution(MakeRewrite(sql, sql),
+                                        EquivalenceContract::kExactOrdered, context,
+                                        options);
+    EXPECT_EQ(check.outcome, Outcome::kEquivalent) << sql << ": " << check.note;
   }
 }
 
@@ -458,6 +477,54 @@ TEST(VerifyExecCorpusTest, EverySurvivingRewriteVerifiesUnderTwoSeeds) {
     EXPECT_GT(stats.exec_runs, 0u);
     EXPECT_EQ(stats.tier_exec, exec_verified);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned verdicts: every rewrite and demoted proposal over the table-3 corpus
+// ---------------------------------------------------------------------------
+
+// The digest covers each rewrite or demoted fix's type, original, rewritten
+// statements, verdict, tier and note under `required` at seed 42. It was
+// recorded from this test source built against the verifier before its
+// statement walkers were merged into one survey, so it holds Tier 3's
+// verdicts fixed across that refactor.
+TEST(VerifyExecCorpusTest, VerdictsArePinned) {
+  workload::Corpus corpus = workload::GenerateCorpus();
+  SqlCheckOptions options;
+  options.verify_exec.mode = ExecVerifyMode::kRequired;
+  options.verify_exec.seed = 42;
+  SqlCheck checker(options);
+  for (const auto& labeled : corpus.AllStatements()) checker.AddQuery(labeled.sql);
+  Report report = checker.Run();
+
+  std::string transcript;
+  size_t pinned = 0;
+  size_t exec_tier = 0;
+  size_t demoted = 0;
+  for (const Finding& f : report.findings) {
+    const Fix& fix = f.fix;
+    if (fix.kind != FixKind::kRewrite && fix.verify_note.empty()) continue;
+    ++pinned;
+    if (fix.verify_tier == VerifyTier::kExec) ++exec_tier;
+    if (fix.verify_tier == VerifyTier::kNone) ++demoted;
+    transcript += ApName(fix.type);
+    transcript += '\x1f';
+    transcript += fix.original_sql;
+    for (const std::string& stmt : fix.statements) {
+      transcript += '\x1f';
+      transcript += stmt;
+    }
+    transcript += '\x1f';
+    transcript += fix.verified ? "verified" : "unverified";
+    transcript += '\x1f';
+    transcript += VerifyTierName(fix.verify_tier);
+    transcript += '\x1f';
+    transcript += fix.verify_note;
+    transcript += '\n';
+  }
+  EXPECT_GT(exec_tier, 0u);
+  EXPECT_EQ(Fnv1a(transcript), 9751762399969648072ull)
+      << pinned << " fixes, " << exec_tier << " exec, " << demoted << " demoted";
 }
 
 }  // namespace
