@@ -6,6 +6,7 @@
 #include <optional>
 #include <set>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/strings.h"
 #include "engine/eval.h"
@@ -229,6 +230,26 @@ Status BackPrimaryKey(Table& table) {
   return table.CreateIndex(pk_index);
 }
 
+/// SQL lets an aggregate stand only in a SELECT's items, its HAVING and, in
+/// an aggregating SELECT, its ORDER BY; SQLite refuses one anywhere else when
+/// it prepares the statement. `root` holds no subquery (they are flattened).
+Status RefuseAggregate(const sql::Expr* root, std::string_view clause = {}) {
+  const sql::Expr* aggregate = nullptr;
+  if (root != nullptr) {
+    sql::VisitExpr(*root, [&](const sql::Expr& e) {
+      if (aggregate == nullptr && e.kind == sql::ExprKind::kFunction && IsAggregateName(e.text)) {
+        aggregate = &e;
+      }
+    });
+  }
+  if (aggregate == nullptr) return Status::Ok();
+  if (!clause.empty()) {
+    return Status::Error("aggregate functions are not allowed in the " + std::string(clause) +
+                         " clause");
+  }
+  return Status::Error("misuse of aggregate function " + ToUpper(aggregate->text) + "()");
+}
+
 std::string OutputNameFor(const sql::SelectItem& item) {
   if (!item.alias.empty()) return std::string(item.alias);
   if (item.expr->kind == sql::ExprKind::kColumnRef) return std::string(item.expr->ColumnName());
@@ -384,6 +405,7 @@ Result<QueryResult> Executor::ExecuteSelect(const sql::SelectStatement& original
     const sql::Expr* expr = nullptr;  // null: column `column` of source `source`
     size_t source = 0;
     size_t column = 0;
+    std::string_view alias;
   };
   QueryResult out;
   std::vector<OutputColumn> output;
@@ -395,7 +417,7 @@ Result<QueryResult> Executor::ExecuteSelect(const sql::SelectStatement& original
   };
   for (const auto& item : stmt.items) {
     if (item.expr->kind != sql::ExprKind::kStar) {
-      output.push_back({item.expr.get()});
+      output.push_back({item.expr.get(), 0, 0, item.alias});
       out.columns.push_back(OutputNameFor(item));
       continue;
     }
@@ -408,7 +430,7 @@ Result<QueryResult> Executor::ExecuteSelect(const sql::SelectStatement& original
       const auto& columns = sources[si].schema->columns;
       for (size_t c = 0; c < columns.size(); ++c) {
         if (qualifier.empty() && joined_using(si, columns[c].name)) continue;
-        output.push_back({nullptr, si, c});
+        output.push_back({nullptr, si, c, {}});
         out.columns.push_back(columns[c].name);
       }
     }
@@ -418,13 +440,21 @@ Result<QueryResult> Executor::ExecuteSelect(const sql::SelectStatement& original
     }
   }
 
-  // ORDER BY k reads the k-th output column; GROUP BY k groups by its
-  // expression, which may not be a `*` column or an aggregate.
+  // ORDER BY k reads the k-th output column, and a bare ORDER BY name that
+  // is an item's alias reads that item ahead of any source column; GROUP BY
+  // k groups by its expression, which may not be a `*` column or an
+  // aggregate.
   std::vector<size_t> order_columns;
   for (size_t k = 0; k < stmt.order_by.size(); ++k) {
-    auto column = OutputOrdinal(*stmt.order_by[k].expr, "ORDER BY", k, output.size());
+    const sql::Expr& term = *stmt.order_by[k].expr;
+    auto column = OutputOrdinal(term, "ORDER BY", k, output.size());
     if (!column.ok()) return column.status();
-    order_columns.push_back(*column);
+    size_t slot = *column;
+    const bool bare = term.kind == sql::ExprKind::kColumnRef && term.name_parts.size() == 1;
+    for (size_t c = 0; bare && slot == kNoSlot && c < output.size(); ++c) {
+      if (EqualsIgnoreCase(output[c].alias, term.name_parts[0])) slot = c;
+    }
+    order_columns.push_back(slot);
   }
   for (size_t k = 0; k < stmt.group_by.size(); ++k) {
     auto column = OutputOrdinal(*stmt.group_by[k], "GROUP BY", k, output.size());
@@ -473,17 +503,45 @@ Result<QueryResult> Executor::ExecuteSelect(const sql::SelectStatement& original
   });
   if (!bad.ok()) return bad;
 
+  bool has_aggregate = !stmt.group_by.empty();
+  for (const auto& item : stmt.items) {
+    if (item.expr->kind != sql::ExprKind::kStar && ContainsAggregate(*item.expr)) {
+      has_aggregate = true;
+    }
+  }
+  if (stmt.having && ContainsAggregate(*stmt.having)) has_aggregate = true;
+  bad = RefuseAggregate(stmt.where.get());
+  for (const auto& join : stmt.joins) {
+    if (bad.ok()) bad = RefuseAggregate(join.on.get());
+  }
+  for (const auto& key : stmt.group_by) {
+    if (bad.ok()) bad = RefuseAggregate(key.get(), "GROUP BY");
+  }
+  for (const auto& item : stmt.order_by) {
+    if (bad.ok() && !has_aggregate) bad = RefuseAggregate(item.expr.get());
+  }
+  if (!bad.ok()) return bad;
+
   // ------------------- predicate pushdown (mini planner) ------------------
   // Split the WHERE conjunction into per-source filters (applied while
   // materializing each source, with index lookups when possible) and a
-  // residual applied after joins. Filters on the null-padded side of an
-  // outer join must NOT be pushed — they stay residual.
+  // residual applied after joins. Filters on a null-padded source (the right
+  // side of a LEFT or FULL join, or any source before a RIGHT or FULL join)
+  // must NOT be pushed — they stay residual.
   std::vector<std::vector<const sql::Expr*>> source_filters(sources.size());
   std::vector<const sql::Expr*> residual_where;
   auto pushable = [&](size_t si) {
-    if (si < stmt.from.size()) return true;  // FROM sources are inner
-    const auto& join = stmt.joins[si - stmt.from.size()];
-    return join.type == sql::JoinType::kInner || join.type == sql::JoinType::kCross;
+    for (size_t j = 0; j < stmt.joins.size(); ++j) {
+      const size_t joined = stmt.from.size() + j;
+      const sql::JoinType type = stmt.joins[j].type;
+      if (joined == si && (type == sql::JoinType::kLeft || type == sql::JoinType::kFull)) {
+        return false;
+      }
+      if (joined > si && (type == sql::JoinType::kRight || type == sql::JoinType::kFull)) {
+        return false;
+      }
+    }
+    return true;
   };
   if (stmt.where) {
     std::vector<const sql::Expr*> conjuncts;
@@ -644,12 +702,16 @@ Result<QueryResult> Executor::ExecuteSelect(const sql::SelectStatement& original
     // (index nested loop; the right side is never materialized), else a
     // hash table. Any other join is a nested loop over every right row, the
     // only option for expression joins (LIKE-on-concatenation etc.); that
-    // contrast is what Fig. 3 measures.
+    // contrast is what Fig. 3 measures. A RIGHT or FULL join keeps the right
+    // rows no tuple matched, which only a materialized right side can list.
+    const bool keep_left = join.type == sql::JoinType::kLeft || join.type == sql::JoinType::kFull;
+    const bool keep_right =
+        join.type == sql::JoinType::kRight || join.type == sql::JoinType::kFull;
     const size_t right_count =
         src.table != nullptr ? src.table->live_row_count() : src.materialized.size();
     const Index* right_index = nullptr;
     if (left_key != nullptr && src.table != nullptr && source_filters[src_index].empty() &&
-        tuples.size() * 8 < right_count) {
+        !keep_right && tuples.size() * 8 < right_count) {
       right_index = src.table->FindSingleColumnIndex(
           src.schema->columns[static_cast<size_t>(right_col)].name);
     }
@@ -669,7 +731,7 @@ Result<QueryResult> Executor::ExecuteSelect(const sql::SelectStatement& original
 
     std::vector<Tuple> next;
     std::vector<const Row*> probed;
-    const bool left_join = join.type == sql::JoinType::kLeft;
+    std::unordered_set<const Row*> right_matched;
     for (Tuple& t : tuples) {
       const std::vector<const Row*>* candidates = &right_rows;
       if (left_key != nullptr) {
@@ -703,12 +765,21 @@ Result<QueryResult> Executor::ExecuteSelect(const sql::SelectStatement& original
         }
         next.push_back(std::move(candidate));
         matched = true;
+        if (keep_right) right_matched.insert(row);
       }
-      if (left_join && !matched) {
+      if (keep_left && !matched) {
         Tuple padded = t;
         padded.push_back(&src.null_row);
         next.push_back(std::move(padded));
       }
+    }
+    // SQLite lists the unmatched right rows after every tuple, in their order.
+    for (const Row* row : right_rows) {
+      if (!keep_right || right_matched.count(row) > 0) continue;
+      Tuple padded;
+      for (size_t s2 = 0; s2 < src_index; ++s2) padded.push_back(&sources[s2].null_row);
+      padded.push_back(row);
+      next.push_back(std::move(padded));
     }
     tuples = std::move(next);
   }
@@ -734,14 +805,6 @@ Result<QueryResult> Executor::ExecuteSelect(const sql::SelectStatement& original
   }
 
   // ------------------------------ aggregation -----------------------------
-  bool has_aggregate = !stmt.group_by.empty();
-  for (const auto& item : stmt.items) {
-    if (item.expr->kind != sql::ExprKind::kStar && ContainsAggregate(*item.expr)) {
-      has_aggregate = true;
-    }
-  }
-  if (stmt.having && ContainsAggregate(*stmt.having)) has_aggregate = true;
-
   struct PendingRow {
     Row values;
     std::vector<Value> sort_key;
@@ -1132,6 +1195,9 @@ Result<std::vector<size_t>> Executor::WriteTargets(sql::Statement& stmt, const T
                                                    std::string binding, const sql::Expr* where,
                                                    EvalScope* scope) {
   Status s = FlattenClauses(stmt);
+  sql::ForEachRootExpr(stmt, [&](const sql::Expr& root) {
+    if (s.ok()) s = RefuseAggregate(&root);
+  });
   if (!s.ok()) return s;
   scope->rng = &rng_;
   scope->AddSource(std::move(binding), &table.schema());

@@ -594,6 +594,61 @@ TEST_F(SqliteAnswerTest, AnAliasDoesNotNameASourceColumnInItsOwnItem) {
   EXPECT_EQ(Rows(Run("SELECT x AS k FROM e WHERE k > 1")), Lines{});
 }
 
+TEST_F(SqliteAnswerTest, RightAndFullJoinsPadUnmatchedRows) {
+  Run("CREATE TABLE e (id INT PRIMARY KEY, x INT)");
+  Run("INSERT INTO e VALUES (1, 5), (9, 6)");
+  EXPECT_EQ(Rows(Run("SELECT u.id, e.x FROM u RIGHT JOIN e ON u.id = e.id")),
+            (Lines{"1|5", "NULL|6"}));
+  EXPECT_EQ(Rows(Run("SELECT u.id, e.x FROM u FULL JOIN e ON u.id = e.id")),
+            (Lines{"1|5", "2|NULL", "3|NULL", "NULL|6"}));
+  // A RIGHT join null-pads every earlier source, so a WHERE on one of them
+  // filters the joined rows, not the source's.
+  EXPECT_EQ(Rows(Run("SELECT u.id, e.x FROM u RIGHT JOIN e ON u.id = e.id WHERE u.id IS NULL")),
+            (Lines{"NULL|6"}));
+  // A left side small enough for an index probe still lists the right rows
+  // that no tuple matched.
+  std::string rows;
+  for (int i = 1; i <= 20; ++i) {
+    rows += (i > 1 ? ", (" : "(") + std::to_string(i) + ", " + std::to_string(i * 10) + ")";
+  }
+  Run("CREATE TABLE w (id INT PRIMARY KEY, b INT)");
+  Run("INSERT INTO w VALUES " + rows);
+  EXPECT_EQ(Rows(Run("SELECT COUNT(*), COUNT(d.id) FROM (SELECT 1 AS id) AS d "
+                     "RIGHT JOIN w ON w.id = d.id")),
+            Lines{"20|1"});
+}
+
+TEST_F(SqliteAnswerTest, OrderByAnOutputAliasReadsThatColumn) {
+  // The alias wins over the source column of the same name.
+  EXPECT_EQ(Rows(Run("SELECT a AS id FROM u ORDER BY id")), (Lines{"10", "20", "30"}));
+  EXPECT_EQ(Rows(Run("SELECT a AS k FROM u ORDER BY k")), (Lines{"10", "20", "30"}));
+  EXPECT_EQ(Rows(Run("SELECT id, a AS k FROM u ORDER BY k DESC")),
+            (Lines{"1|30", "3|20", "2|10"}));
+}
+
+TEST_F(SqliteAnswerTest, AggregatesOutsideAnAggregationAreRefused) {
+  // sqlite3 refuses each at prepare ("misuse of aggregate function COUNT()",
+  // "aggregate functions are not allowed in the GROUP BY clause"), rows or
+  // no rows.
+  Run("CREATE TABLE z (id INT, tag VARCHAR(5), a INT)");
+  for (const char* sql : {"SELECT id FROM z WHERE COUNT(*) > 0",
+                          "SELECT u.id FROM u JOIN z ON COUNT(*) > 0",
+                          "SELECT id FROM z GROUP BY COUNT(*)",
+                          "SELECT id FROM z ORDER BY COUNT(*)",
+                          "SELECT id FROM u ORDER BY COUNT(*)",
+                          "UPDATE z SET id = 1 WHERE COUNT(*) > 0",
+                          "UPDATE z SET id = COUNT(*)",
+                          "DELETE FROM z WHERE COUNT(*) > 0"}) {
+    auto s = RunExpectError(sql);
+    EXPECT_NE(s.message().find("aggregate"), std::string::npos) << sql << ": " << s.message();
+  }
+  // An aggregating SELECT may order by an aggregate, and a subquery may
+  // aggregate anywhere.
+  EXPECT_EQ(Rows(Run("SELECT tag FROM z GROUP BY tag ORDER BY SUM(a)")), Lines{});
+  EXPECT_EQ(Rows(Run("SELECT COUNT(*) FROM z ORDER BY SUM(a)")), Lines{"0"});
+  EXPECT_EQ(Rows(Run("SELECT id FROM u WHERE a > (SELECT MIN(a) FROM u)")), (Lines{"1", "3"}));
+}
+
 // ---------------------------------------------------------------------------
 // One fixed script over every executor path (row selection by index and by
 // scan, hash / index nested-loop / nested-loop / LEFT / comma joins, derived
