@@ -66,8 +66,8 @@ class Surveyor {
   explicit Surveyor(Survey* out) : out_(out) {}
 
   // Surveys `stmt` in a scope that sees `outer`'s bindings where its own
-  // sources do not shadow them. Every subquery, in FROM, in a JOIN or in an
-  // expression, is surveyed in its own scope.
+  // sources do not shadow them. Every subquery, in FROM, in a JOIN, in an
+  // expression or under INSERT, is surveyed in its own scope.
   void Statement(const sql::Statement& stmt, const AliasMap& outer) {
     AliasMap aliases = outer;
     std::string_view sole;
@@ -109,10 +109,12 @@ class Surveyor {
       if (table.empty() || column.empty()) return nullptr;
       return &(*out_)[table].constants[column];
     };
-    auto literal = [&](const sql::Expr* value, ColumnUse* into) {
-      if (into == nullptr || value == nullptr || !IsLiteral(*value)) return;
-      into->values.push_back(LiteralValue(*value));
-      if (into->values.back().is_string()) into->saw_string = true;
+    auto record = [&](const sql::Expr* column, const sql::Expr* value) {
+      if (value == nullptr || !IsLiteral(*value)) return;
+      if (ColumnUse* into = use(column)) {
+        into->values.push_back(LiteralValue(*value));
+        if (into->values.back().is_string()) into->saw_string = true;
+      }
     };
     const auto& kids = expr.children;
     auto kid = [&kids](size_t i) { return i < kids.size() ? kids[i].get() : nullptr; };
@@ -123,7 +125,7 @@ class Surveyor {
       case sql::ExprKind::kBinary:
         if (kids.size() == 2 && kid(0) != nullptr && kid(1) != nullptr) {
           bool left = kid(0)->kind == sql::ExprKind::kColumnRef;
-          literal(kid(left ? 1 : 0), use(kid(left ? 0 : 1)));
+          record(kid(left ? 0 : 1), kid(left ? 1 : 0));
         }
         break;
       case sql::ExprKind::kLike:
@@ -135,15 +137,12 @@ class Surveyor {
         }
         break;
       case sql::ExprKind::kIn:
-        if (ColumnUse* into = use(kid(0))) {
-          for (size_t i = 1; i < kids.size(); ++i) literal(kid(i), into);
-        }
+        for (size_t i = 1; i < kids.size(); ++i) record(kid(0), kid(i));
         break;
       case sql::ExprKind::kBetween:
         if (kids.size() == 3) {
-          ColumnUse* into = use(kid(0));
-          literal(kid(1), into);
-          literal(kid(2), into);
+          record(kid(0), kid(1));
+          record(kid(0), kid(2));
         }
         break;
       default:
